@@ -301,22 +301,41 @@ def recommend_pcl(
 Recommender = Callable[[str, list[str], int, set[str]], list[tuple[str, float]]]
 
 
-def recall_at_n(split: TrainTestSplit, recommender: Recommender, n: int) -> float:
-    """Fraction of held-out (A, B) pairs with B in the top-n list for
-    (A, held-out keywords).  A query the recommender cannot answer counts
-    as a miss."""
+def recall_curve(split: TrainTestSplit, recommender: Recommender, top_n: int) -> list[float]:
+    """recall@1..top_n: entry n-1 is the fraction of held-out (A, B) pairs
+    with B in the top-n list for (A, held-out keywords).
+
+    Each query is ranked once, at ``top_n``, and recall@n is read off the
+    rank of the first hit; this equals ranking again per n because a
+    ranking's top-n is the prefix of its top-``top_n``.  A query the
+    recommender cannot answer counts as a miss.
+    """
     if not split.test:
         raise ValueError("empty test set")
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
     out_neighbors: dict[str, set[str]] = {}
     for a, b in split.train_edges:
         out_neighbors.setdefault(a, set()).add(b)
-    hits = 0
+    hits_at_rank = [0] * top_n
     for a, b, keywords in split.test:
         exclude = {a} | out_neighbors.get(a, set())
         try:
-            recs = recommender(a, sorted(keywords), n, exclude)
+            recs = recommender(a, sorted(keywords), top_n, exclude)
         except UnanswerableQuery:
             continue
-        if any(name == b for name, _ in recs[:n]):
-            hits += 1
-    return hits / len(split.test)
+        for rank, (name, _) in enumerate(recs[:top_n]):
+            if name == b:
+                hits_at_rank[rank] += 1
+                break
+    curve = []
+    hits = 0
+    for count in hits_at_rank:
+        hits += count
+        curve.append(hits / len(split.test))
+    return curve
+
+
+def recall_at_n(split: TrainTestSplit, recommender: Recommender, n: int) -> float:
+    """recall@n alone; see ``recall_curve``."""
+    return recall_curve(split, recommender, n)[-1]

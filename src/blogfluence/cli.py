@@ -433,20 +433,24 @@ def cmd_iolap(cfg: PipelineConfig, args) -> int:
     tensor = factor.read_tensor_tsv(_require(_path(cfg, "tensor")))
     space = build_vectors(corpus, cfg.vocab_max_size)
     topic_model = topics.read_topic_model(_require(_path(cfg, "plsa")), space.vocab.terms)
-    model = factor.fit_iolap(
-        tensor,
-        cfg.rank_influenced,
-        cfg.rank_influencer,
-        topic_model=topic_model,
-        fix_topics=True,
-        max_iter=cfg.iolap_max_iter,
-        tol=cfg.tol,
-        seed=[cfg.seed, _STAGE_SEED["iolap"]],
-    )
+    try:
+        model = factor.fit_iolap(
+            tensor,
+            cfg.rank_influenced,
+            cfg.rank_influencer,
+            topic_model=topic_model,
+            fix_topics=True,
+            max_iter=cfg.iolap_max_iter,
+            tol=cfg.tol,
+            seed=[cfg.seed, _STAGE_SEED["iolap"]],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     factor.write_iolap_model(model, _path(cfg, "iolap"), _header(cfg, "iolap"))
+    stop = "converged" if model.converged else f"hit max_iter {cfg.iolap_max_iter}"
     print(
         f"iolap: rank {cfg.rank_influenced}x{cfg.rank_influencer}x{model.n_topics}, "
-        f"loglik {model.loglik_trace[-1]:.2f} ({len(model.loglik_trace)} evals) "
+        f"loglik {model.loglik_trace[-1]:.2f} ({len(model.loglik_trace)} evals, {stop}) "
         f"-> {_path(cfg, 'iolap')}"
     )
     return 0
@@ -596,12 +600,9 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     rows = []
     summary = []
     for method in ("tg", "iolap", "pcldc", "pcl"):
-        rec = recommenders[method]
-        for n in range(1, cfg.top_n + 1):
-            value = analysis.recall_at_n(split, rec, n)
-            rows.append((method, n, repr(value)))
-            if n == cfg.top_n:
-                summary.append(f"{method}={value:.3f}")
+        curve = analysis.recall_curve(split, recommenders[method], cfg.top_n)
+        rows.extend((method, n, repr(value)) for n, value in enumerate(curve, 1))
+        summary.append(f"{method}={curve[-1]:.3f}")
     _write_tsv(_path(cfg, "recall"), _header(cfg, "eval"), "method\tN\trecall", rows)
     print(f"eval: recall@{cfg.top_n} {' '.join(summary)} -> {_path(cfg, 'recall')}")
     return 0

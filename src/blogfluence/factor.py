@@ -25,9 +25,11 @@ from typing import Iterable
 import numpy as np
 
 from blogfluence.textvec import TermVector, shared_terms
-from blogfluence.topics import TopicModel
+from blogfluence.topics import TopicModel, scatter_rows
 
 DEFAULT_TOL = 1e-7
+# Nonzeros per iolap E-step block: bounds the (block, J*K) temporaries.
+_E_STEP_BLOCK = 4096
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +154,7 @@ class IolapModel:
     loglik_trace: list[float]
     bloggers: list[str]
     terms: list[str]
+    converged: bool = False  # stopped on ``tol`` rather than on ``max_iter``
 
     @property
     def n_topics(self) -> int:
@@ -162,11 +165,48 @@ def _column_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.nda
     return rng.dirichlet(np.ones(rows), size=cols).T
 
 
-def _scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    out = np.empty((size, values.shape[1]))
-    for c in range(values.shape[1]):
-        out[:, c] = np.bincount(index, weights=values[:, c], minlength=size)
-    return out
+def _iolap_e_step(tensor: InfluenceTensor, core, x_fac, y_fac, z_fac, *, free_z: bool):
+    """Log-likelihood and expected-count statistics of one EM step.
+
+    Returns (loglik, core_grad, x_num, y_num, z_num): core_grad[a, b, c]
+    is sum_n w_n X_ia Y_jb Z_kc with w_n = count_n / P(i, j, k), and the
+    *_num arrays are each factor's unnormalized M-step rows (z_num is
+    None unless ``free_z``).  ``fit_iolap`` describes the contraction
+    order and the blocking.
+    """
+    ii, jj, kk, counts = tensor.influenced, tensor.influencer, tensor.term, tensor.counts
+    n_i, n_j, n_k = core.shape
+    unfolded = core.reshape(n_i, n_j * n_k)
+    nnz = counts.size
+    prob = np.empty(nnz)
+    x_rows = np.empty((nnz, n_i))
+    y_rows = np.empty((nnz, n_j))
+    z_rows = np.empty((nnz, n_k)) if free_z else None
+    core_grad = np.zeros((n_i, n_j * n_k))
+    for start in range(0, nnz, _E_STEP_BLOCK):
+        rows = slice(start, start + _E_STEP_BLOCK)
+        xi, yj, zk = x_fac[ii[rows]], y_fac[jj[rows]], z_fac[kk[rows]]
+        yz = (yj[:, :, None] * zk[:, None, :]).reshape(-1, n_j * n_k)
+        marg_x = yz @ unfolded.T  # core x2 Y x3 Z, per nonzero
+        p = (marg_x * xi).sum(axis=1)
+        prob[rows] = p
+        w = counts[rows] / p
+        wx = w[:, None] * xi
+        core_grad += wx.T @ yz
+        x_rows[rows] = wx * marg_x
+        xc = (xi @ unfolded).reshape(-1, n_j, n_k)  # core x1 X, per nonzero
+        y_rows[rows] = w[:, None] * yj * np.einsum("nbc,nc->nb", xc, zk)
+        if free_z:
+            z_rows[rows] = w[:, None] * zk * np.einsum("nbc,nb->nc", xc, yj)
+    loglik = float(counts @ np.log(prob))
+    z_num = scatter_rows(kk, z_rows, tensor.n_terms) if free_z else None
+    return (
+        loglik,
+        core_grad.reshape(core.shape),
+        scatter_rows(ii, x_rows, tensor.n_bloggers),
+        scatter_rows(jj, y_rows, tensor.n_bloggers),
+        z_num,
+    )
 
 
 def topic_factors_from_model(topic_model: TopicModel) -> np.ndarray:
@@ -196,6 +236,18 @@ def fit_iolap(
     shared topics; pass ``n_topics`` without a topic model to fit a free
     Z from a random start.  All factors stay nonnegative and column
     stochastic after every step.
+
+    Each E-step follows the sparse tensor-times-matrix chain order (Kolda
+    and Bader, SIAM Review 2009) over the nonzeros n = (i, j, k): with
+    G the (I, J*K) unfolding of the core and YZ_n = Y_j (x) Z_k,
+    marg_x = YZ G^T gives P(i, j, k) = sum_a X_ia marg_x_a and the core
+    statistic sum_n w_n X_i (x) YZ_n is one GEMM; X_i G contracted with
+    Z_k (or with Y_j, for a free Z) gives the Y (or Z) statistic.  The
+    nonzeros go through in fixed blocks of ``_E_STEP_BLOCK`` rows, so the
+    (block, J*K) temporaries stay a few megabytes whatever the tensor
+    size; only per-nonzero rows of width I, J and K scale with nnz.
+    ``converged`` on the result records whether the fit stopped on
+    ``tol`` (True) or ran out of ``max_iter`` (False).
     """
     if tensor.counts.size == 0:
         raise ValueError("empty influence tensor")
@@ -228,27 +280,20 @@ def fit_iolap(
             z_fac = _column_stochastic(rng, n_terms, n_topics)
     z_frozen = z_fac.copy() if fix_topics else None
 
-    ii, jj, kk, counts = tensor.influenced, tensor.influencer, tensor.term, tensor.counts
     trace: list[float] = []
+    converged = False
     prev = None
     for iteration in range(max_iter):
-        xi, yj, zk = x_fac[ii], y_fac[jj], z_fac[kk]
-        prob = np.einsum("abc,na,nb,nc->n", core, xi, yj, zk, optimize=True)
-        loglik = float(counts @ np.log(prob))
+        loglik, core_grad, x_num, y_num, z_num = _iolap_e_step(
+            tensor, core, x_fac, y_fac, z_fac, free_z=not fix_topics
+        )
         if not np.isfinite(loglik):
             raise ArithmeticError(f"non-finite log-likelihood at iteration {iteration}")
         trace.append(loglik)
-        w = counts / prob
 
-        core_new = core * np.einsum("n,na,nb,nc->abc", w, xi, yj, zk, optimize=True)
+        core_new = core * core_grad
         core_new /= core_new.sum()
-        marg_x = np.einsum("abc,nb,nc->na", core, yj, zk, optimize=True)
-        x_num = _scatter_rows(ii, w[:, None] * xi * marg_x, n_bloggers)
-        marg_y = np.einsum("abc,na,nc->nb", core, xi, zk, optimize=True)
-        y_num = _scatter_rows(jj, w[:, None] * yj * marg_y, n_bloggers)
         if not fix_topics:
-            marg_z = np.einsum("abc,na,nb->nc", core, xi, yj, optimize=True)
-            z_num = _scatter_rows(kk, w[:, None] * zk * marg_z, n_terms)
             z_sums = z_num.sum(axis=0)
             z_fac = np.where(z_sums > 0, z_num / np.maximum(z_sums, 1e-300), z_fac)
         x_sums = x_num.sum(axis=0)
@@ -258,13 +303,11 @@ def fit_iolap(
         core = core_new
 
         if prev is not None and abs(loglik - prev) <= tol * abs(prev):
+            converged = True
             break
         prev = loglik
 
-    prob = np.einsum(
-        "abc,na,nb,nc->n", core, x_fac[ii], y_fac[jj], z_fac[kk], optimize=True
-    )
-    final = float(counts @ np.log(prob))
+    final = _iolap_e_step(tensor, core, x_fac, y_fac, z_fac, free_z=False)[0]
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after final step")
     trace.append(final)
@@ -280,6 +323,7 @@ def fit_iolap(
         loglik_trace=trace,
         bloggers=list(tensor.bloggers),
         terms=terms,
+        converged=converged,
     )
 
 
@@ -400,9 +444,7 @@ def _mixture_terms(y: np.ndarray, bpop: np.ndarray, src: np.ndarray, dst: np.nda
     out-neighbors j of y_jk b_j, comp[e, k] the k-th mixture component of
     edge e, and p_edge its sum over k.
     """
-    n, k = y.shape
-    denom = np.zeros((n, k))
-    np.add.at(denom, src, y[dst] * bpop[dst][:, None])
+    denom = scatter_rows(src, y[dst] * bpop[dst][:, None], y.shape[0])
     num = y[src] * y[dst] * bpop[dst][:, None]
     comp = np.divide(num, denom[src], out=np.zeros_like(num), where=denom[src] > 0)
     return denom, comp, comp.sum(axis=1)
@@ -427,14 +469,12 @@ def _posterior_masses(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray):
         raise ArithmeticError("zero-probability edge in conditional link model")
     q = comp / p_edge[:, None]
     wq = graph.weight[:, None] * q
-    n, k = y.shape
-    out_mass = np.zeros((n, k))  # sum of posterior link mass leaving i
-    np.add.at(out_mass, graph.src, wq)
-    in_mass = np.zeros((n, k))  # sum of posterior link mass entering j
-    np.add.at(in_mass, graph.dst, wq)
+    n = y.shape[0]
+    out_mass = scatter_rows(graph.src, wq, n)  # sum of posterior link mass leaving i
+    in_mass = scatter_rows(graph.dst, wq, n)  # sum of posterior link mass entering j
     ratio = np.divide(out_mass, denom, out=np.zeros_like(out_mass), where=denom > 0)
-    denom_mass = np.zeros((n, k))  # sum over i with j in LO(i) of out_mass/denom
-    np.add.at(denom_mass, graph.dst, ratio[graph.src])
+    # sum over i with j in LO(i) of out_mass/denom
+    denom_mass = scatter_rows(graph.dst, ratio[graph.src], n)
     return out_mass, in_mass, denom_mass
 
 

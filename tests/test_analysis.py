@@ -10,6 +10,7 @@ from blogfluence.analysis import (
     idr_curve,
     read_split,
     recall_at_n,
+    recall_curve,
     recommend_iolap,
     recommend_pcl,
     recommend_pcldc,
@@ -500,6 +501,24 @@ class TestRecall:
         expected = n / m
         sigma = np.sqrt(expected * (1 - expected) / len(sources))
         assert abs(value - expected) <= 3 * sigma
+
+    def test_curve_ranks_each_query_once_and_matches_per_n(self):
+        split = self._split()
+        pool = ["ub", "uc", "ud", "ua"]
+        calls = []
+
+        def rec(a, kw, n, ex):
+            calls.append(a)
+            return [(b, 1.0) for b in pool if b not in ex][:n]
+
+        curve = recall_curve(split, rec, 4)
+        assert len(calls) == len(split.test)
+        assert curve == [recall_at_n(split, rec, n) for n in range(1, 5)]
+        assert curve == [0.5, 0.75, 1.0, 1.0]
+
+    def test_curve_needs_positive_top_n(self):
+        with pytest.raises(ValueError):
+            recall_curve(self._split(), lambda *a: [], 0)
 
     def test_empty_test_set_rejected(self):
         split = TrainTestSplit(train_edges={("a", "b"): 1}, test=[], nodes=["a", "b"])

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from blogfluence.cli import main
@@ -53,6 +55,14 @@ def pipeline_dir(tmp_path_factory, config_file):
     out = tmp_path_factory.mktemp("run")
     codes = _run_all(out, config_file)
     assert all(code == 0 for code in codes.values()), codes
+    return out
+
+
+@pytest.fixture
+def pipeline_copy(pipeline_dir, tmp_path):
+    """A private copy of the finished run, for stages run with other flags."""
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
     return out
 
 
@@ -119,6 +129,36 @@ class TestExitCodes:
             "--seed", "5", "--method", "tg", "--keywords", "zzzznotaword",
         ])
         assert code == 1
+
+    def test_topic_model_from_other_vocabulary_is_1(self, pipeline_copy, pipeline_dir,
+                                                    config_file, capsys):
+        capsys.readouterr()
+        code = main([
+            "iolap", "--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5",
+            "--vocab-max-size", "100",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "plsa_model.tsv" in err
+        assert "Traceback" not in err
+        assert (pipeline_copy / "iolap_model.tsv").read_bytes() == (
+            pipeline_dir / "iolap_model.tsv"
+        ).read_bytes()
+
+    def test_invalid_iolap_rank_is_1(self, pipeline_copy, config_file, capsys):
+        capsys.readouterr()
+        code = main(["iolap", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5", "--rank", "0,3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_iolap_summary_says_how_the_fit_ended(self, pipeline_copy, config_file, capsys):
+        capsys.readouterr()
+        assert main(["iolap", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"]) == 0
+        printed = capsys.readouterr().out
+        assert "loglik -" in printed  # the benchmark parses this token
+        assert "(61 evals, hit max_iter 60)" in printed
 
 
 def test_full_pipeline_deterministic(tmp_path_factory, config_file):

@@ -3,6 +3,7 @@ import pytest
 
 from blogfluence.causality import InfluenceLink
 from blogfluence.factor import (
+    _E_STEP_BLOCK,
     BloggerGraph,
     InfluenceTensor,
     blogger_content_matrix,
@@ -24,7 +25,7 @@ from blogfluence.factor import (
     write_pcldc_model,
 )
 from blogfluence.textvec import TermVector
-from blogfluence.topics import build_doc_term, fit_plsa
+from blogfluence.topics import TopicModel, build_doc_term, fit_plsa
 
 
 def _monotone(trace):
@@ -107,7 +108,92 @@ def _random_tensor(seed, b=4, v=5, nnz=14):
     )
 
 
+def _dense_em_step(counts, core, x, y, z, free_z):
+    """One EM step on the dense tensor with plain einsums: the reference."""
+    prob = np.einsum("abc,ia,jb,kc->ijk", core, x, y, z, optimize=True)
+    observed = counts > 0
+    w = np.where(observed, counts / np.where(observed, prob, 1.0), 0.0)
+    loglik = float((counts[observed] * np.log(prob[observed])).sum())
+    core_new = core * np.einsum("ijk,ia,jb,kc->abc", w, x, y, z, optimize=True)
+    x_num = x * np.einsum("ijk,abc,jb,kc->ia", w, core, y, z, optimize=True)
+    y_num = y * np.einsum("ijk,abc,ia,kc->jb", w, core, x, z, optimize=True)
+    z_num = z * np.einsum("ijk,abc,ia,jb->kc", w, core, x, y, optimize=True)
+    return (
+        loglik,
+        core_new / core_new.sum(),
+        x_num / x_num.sum(axis=0),
+        y_num / y_num.sum(axis=0),
+        z_num / z_num.sum(axis=0) if free_z else z,
+    )
+
+
+class TestIolapEStepMatchesDenseReference:
+    """The blocked TTM-chain E-step equals a dense einsum EM step."""
+
+    B, V, RANKS = 30, 40, (2, 3, 4)
+
+    def _case(self):
+        rng = np.random.default_rng(31)
+        # two full blocks and a ragged third one
+        nnz = 2 * _E_STEP_BLOCK + 777
+        assert nnz > _E_STEP_BLOCK and nnz % _E_STEP_BLOCK != 0
+        assert nnz < self.B * self.B * self.V
+        cells = np.sort(rng.choice(self.B * self.B * self.V, size=nnz, replace=False))
+        i, j, k = np.unravel_index(cells, (self.B, self.B, self.V))
+        counts = rng.integers(1, 9, size=nnz).astype(float)
+        tensor = InfluenceTensor(
+            bloggers=[f"u{n:02d}" for n in range(self.B)], n_terms=self.V,
+            influenced=i, influencer=j, term=k, counts=counts,
+        )
+        dense = np.zeros((self.B, self.B, self.V))
+        dense[i, j, k] = counts
+        n_i, n_j, n_k = self.RANKS
+        init = (
+            rng.dirichlet(np.ones(n_i * n_j * n_k)).reshape(self.RANKS),
+            rng.dirichlet(np.ones(self.B), size=n_i).T,
+            rng.dirichlet(np.ones(self.B), size=n_j).T,
+            rng.dirichlet(np.ones(self.V), size=n_k).T,
+        )
+        return tensor, dense, init
+
+    def _check(self, model, dense, init, free_z):
+        loglik0, core, x, y, z = _dense_em_step(dense, *init, free_z)
+        loglik1 = _dense_em_step(dense, core, x, y, z, free_z)[0]
+        assert model.loglik_trace == pytest.approx([loglik0, loglik1], rel=1e-12, abs=0)
+        for got, want in ((model.core, core), (model.influenced_factors, x),
+                          (model.influencer_factors, y), (model.topic_factors, z)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_free_topics(self):
+        tensor, dense, init = self._case()
+        model = fit_iolap(tensor, 2, 3, n_topics=4, fix_topics=False, max_iter=1, init=init)
+        self._check(model, dense, init, free_z=True)
+
+    def test_fixed_topics(self):
+        tensor, dense, init = self._case()
+        tm = TopicModel(
+            n_topics=4, p_w_given_t=init[3].T, p_t=np.full(4, 0.25),
+            p_t_given_d=np.zeros((0, 4)), loglik_trace=[],
+            terms=[f"w{n:02d}" for n in range(self.V)], doc_ids=[],
+        )
+        model = fit_iolap(tensor, 2, 3, topic_model=tm, fix_topics=True, max_iter=1,
+                          init=init)
+        self._check(model, dense, init, free_z=False)
+        assert np.array_equal(model.topic_factors, init[3])
+
+
 class TestFitIolap:
+    def test_converged_flag(self):
+        tensor = _random_tensor(5)
+        stopped = fit_iolap(tensor, 2, 2, n_topics=2, fix_topics=False, max_iter=500,
+                            tol=1e-4, seed=1)
+        assert stopped.converged
+        assert len(stopped.loglik_trace) < 501
+        capped = fit_iolap(tensor, 2, 2, n_topics=2, fix_topics=False, max_iter=3,
+                           tol=0.0, seed=1)
+        assert not capped.converged
+        assert len(capped.loglik_trace) == 4
+
     def test_rank_one_closed_form(self):
         tensor = _random_tensor(3)
         model = fit_iolap(tensor, 1, 1, n_topics=1, fix_topics=False, max_iter=5, seed=0)

@@ -3,6 +3,7 @@ import pytest
 
 from blogfluence.textvec import TermVector
 from blogfluence.topics import (
+    scatter_rows,
     build_doc_term,
     fit_plsa,
     read_topic_model,
@@ -132,3 +133,16 @@ def test_model_round_trip(tmp_path):
     assert loaded.n_topics == 2
     assert np.array_equal(loaded.p_w_given_t, model.p_w_given_t)
     assert np.array_equal(loaded.p_t, model.p_t)
+
+
+def test_scatter_rows_bit_identical_to_add_at():
+    rng = np.random.default_rng(4)
+    index = rng.integers(0, 50, size=3600)
+    index[index == 7] = 8  # row 7 receives nothing
+    rows = rng.random((3600, 8)) * 10.0 ** rng.integers(-6, 6, size=(3600, 1))
+    expected = np.zeros((52, 8))
+    np.add.at(expected, index, rows)
+    got = scatter_rows(index, rows, 52)
+    assert got.shape == (52, 8)
+    assert np.array_equal(got, expected)
+    assert not got[7].any()
