@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from blogfluence import artifacts
 from blogfluence.causality import InfluenceNetwork
 from blogfluence.factor import BloggerGraph, IolapModel, PcldcModel, PclModel
 from blogfluence.textvec import TermVector, Vocabulary, shared_terms
@@ -114,37 +115,25 @@ def train_graph(split: TrainTestSplit) -> BloggerGraph:
     )
 
 
+_TRAIN_COLUMNS = ("src", "dst", "weight")
+_TEST_COLUMNS = ("src", "dst", "keywords")
+
+
 def write_split(split: TrainTestSplit, train_path: str, test_path: str,
                 header: str | None = None) -> None:
-    with open(train_path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("src\tdst\tweight\n")
-        for (a, b), w in sorted(split.train_edges.items()):
-            fh.write(f"{a}\t{b}\t{w}\n")
-    with open(test_path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("src\tdst\tkeywords\n")
-        for a, b, kws in split.test:
-            fh.write(f"{a}\t{b}\t{','.join(sorted(kws))}\n")
+    train = ((a, b, w) for (a, b), w in sorted(split.train_edges.items()))
+    artifacts.write_rows(train_path, header, train, _TRAIN_COLUMNS)
+    test = ((a, b, ",".join(sorted(kws))) for a, b, kws in split.test)
+    artifacts.write_rows(test_path, header, test, _TEST_COLUMNS)
 
 
 def read_split(train_path: str, test_path: str) -> TrainTestSplit:
-    train_edges: dict[tuple[str, str], int] = {}
-    with open(train_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#") or line.startswith("src\t"):
-                continue
-            a, b, w = line.rstrip("\n").split("\t")
-            train_edges[(a, b)] = int(w)
-    test: list[tuple[str, str, frozenset[str]]] = []
-    with open(test_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#") or line.startswith("src\t"):
-                continue
-            a, b, kws = line.rstrip("\n").split("\t")
-            test.append((a, b, frozenset(k for k in kws.split(",") if k)))
+    train_rows = artifacts.read_rows(train_path, (str, str, int), _TRAIN_COLUMNS)
+    train_edges = {(a, b): w for a, b, w in train_rows}
+    test = [
+        (a, b, frozenset(k for k in kws.split(",") if k))
+        for a, b, kws in artifacts.read_rows(test_path, (str, str, str), _TEST_COLUMNS)
+    ]
     nodes = sorted({x for pair in train_edges for x in pair})
     return TrainTestSplit(train_edges=train_edges, test=test, nodes=nodes)
 

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from blogfluence.implicit import ImplicitLink, ImplicitNetwork
+from blogfluence import artifacts
+from blogfluence.implicit import ImplicitLink, ImplicitNetwork, link_counts
 from blogfluence.textvec import TermVector, cosine
 
 # Normal-approximation critical values at p = 0.01.
@@ -299,17 +300,7 @@ def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) 
                         passed_content=True,
                     )
                 )
-    posts = {l.q for l in kept} | {l.p for l in kept}
-    bloggers = {l.reader for l in kept} | {l.author for l in kept}
-    pairs = {(l.reader, l.author) for l in kept}
-    return InfluenceNetwork(
-        links=kept,
-        tau_hours=tau_hours,
-        post_count=len(posts),
-        blogger_count=len(bloggers),
-        post_link_count=len(kept),
-        blogger_link_count=len(pairs),
-    )
+    return InfluenceNetwork(links=kept, tau_hours=tau_hours, **link_counts(kept))
 
 
 # --------------------------------------------------------------------------
@@ -384,56 +375,30 @@ def rank_shift_report(
 # --------------------------------------------------------------------------
 # TSV export
 
+_INFLUENCE_COLUMNS = ("q", "p", "reader", "author", "gap_seconds", "passed_time", "passed_content")
+
+
 def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("bucket\tn\theads\txbar\tsigma\tz\tflag\n")
-        for b in report.buckets:
-            fh.write(
-                f"{b.bucket}\t{b.n}\t{b.heads}\t{b.xbar!r}\t{b.sigma!r}\t{b.z!r}\t{b.flag()}\n"
-            )
+    artifacts.write_rows(
+        path,
+        header,
+        ((b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets),
+        ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"),
+    )
 
 
 def write_influence_tsv(net: InfluenceNetwork, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("q\tp\treader\tauthor\tgap_seconds\tpassed_time\tpassed_content\n")
-        for l in net.links:
-            fh.write(
-                f"{l.q}\t{l.p}\t{l.reader}\t{l.author}\t{l.gap_seconds}"
-                f"\t{int(l.passed_time)}\t{int(l.passed_content)}\n"
-            )
+    rows = (
+        (l.q, l.p, l.reader, l.author, l.gap_seconds, int(l.passed_time), int(l.passed_content))
+        for l in net.links
+    )
+    artifacts.write_rows(path, header, rows, _INFLUENCE_COLUMNS)
 
 
 def read_influence_tsv(path: str, tau_hours: int = DEFAULT_TAU_HOURS) -> InfluenceNetwork:
-    links: list[InfluenceLink] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#") or line.startswith("q\t"):
-                continue
-            q, p, reader, author, gap, pt, pc = line.rstrip("\n").split("\t")
-            links.append(
-                InfluenceLink(
-                    q=q,
-                    p=p,
-                    reader=reader,
-                    author=author,
-                    gap_seconds=int(gap),
-                    similarity=math.nan,
-                    passed_time=bool(int(pt)),
-                    passed_content=bool(int(pc)),
-                )
-            )
-    posts = {l.q for l in links} | {l.p for l in links}
-    bloggers = {l.reader for l in links} | {l.author for l in links}
-    pairs = {(l.reader, l.author) for l in links}
-    return InfluenceNetwork(
-        links=links,
-        tau_hours=tau_hours,
-        post_count=len(posts),
-        blogger_count=len(bloggers),
-        post_link_count=len(links),
-        blogger_link_count=len(pairs),
-    )
+    rows = artifacts.read_rows(path, (str, str, str, str, int, int, int), _INFLUENCE_COLUMNS)
+    links = [
+        InfluenceLink(q, p, reader, author, gap, math.nan, bool(pt), bool(pc))
+        for q, p, reader, author, gap, pt, pc in rows
+    ]
+    return InfluenceNetwork(links=links, tau_hours=tau_hours, **link_counts(links))

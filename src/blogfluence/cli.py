@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blogfluence import __version__, analysis, causality, factor, implicit, synth, topics
+from blogfluence import __version__, analysis, artifacts, causality, factor, implicit, synth, topics
 from blogfluence.corpus import (
     CleaningRules,
     Corpus,
@@ -59,30 +59,6 @@ class MissingArtifact(Exception):
 # Per-stage offsets mixed into the seed so stages draw independent streams.
 _STAGE_SEED = {"synth": 0, "causality": 1, "topics": 2, "iolap": 3, "pcldc": 4, "pcl": 5, "split": 6}
 
-_ART = {
-    "posts": "posts.tsv",
-    "access": "access.log",
-    "truth": "truth.tsv",
-    "experts": "experts.tsv",
-    "clean_posts": "clean_posts.tsv",
-    "clean_access": "clean_accesses.tsv",
-    "links": "links.tsv",
-    "gap_hist": "gap_hist.tsv",
-    "vocab": "vocab.tsv",
-    "z_forward": "zreport_forward.tsv",
-    "z_reversed": "zreport_reversed.tsv",
-    "influence": "influence.tsv",
-    "plsa": "plsa_model.tsv",
-    "train": "train.tsv",
-    "test": "test.tsv",
-    "tensor": "tensor.tsv",
-    "iolap": "iolap_model.tsv",
-    "pcldc": "pcldc_model.tsv",
-    "pcl": "pcl_model.tsv",
-    "idr": "idr.tsv",
-    "recall": "recall.tsv",
-}
-
 
 @dataclass
 class PipelineConfig:
@@ -108,7 +84,6 @@ class PipelineConfig:
     l2: float = 0.0
     top_n: int = 10
     seed: int = 0
-    threads: int = 1
     synth: synth.SynthConfig = field(default_factory=synth.SynthConfig)
 
     def validate(self) -> None:
@@ -118,8 +93,6 @@ class PipelineConfig:
             raise ConfigError("tau_hours cannot exceed window_hours")
         if self.vocab_max_size < 1 or self.top_n < 1 or self.n_topics < 1:
             raise ConfigError("vocab_max_size, top_n, n_topics must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.plsa_docs not in ("influence", "all"):
             raise ConfigError("plsa_docs must be 'influence' or 'all'")
 
@@ -127,9 +100,9 @@ class PipelineConfig:
         return self.n_communities if self.n_communities > 0 else self.n_topics
 
     def config_hash(self) -> str:
-        # Path-like and runtime-only fields stay out of the hash so the
-        # same semantic run is recognizable across directories.
-        skip = {"out_dir", "content_path", "access_path", "threads"}
+        # Path-like fields stay out of the hash so the same semantic run
+        # is recognizable across directories.
+        skip = {"out_dir", "content_path", "access_path"}
         parts = []
         for f in sorted(dataclasses.fields(self), key=lambda f: f.name):
             if f.name in skip:
@@ -215,7 +188,7 @@ def _field_type(f: dataclasses.Field) -> type:
 # artifact plumbing
 
 def _path(cfg: PipelineConfig, name: str) -> Path:
-    return Path(cfg.out_dir) / _ART[name]
+    return Path(cfg.out_dir) / name
 
 
 def _require(path: Path) -> Path:
@@ -231,36 +204,31 @@ def _header(cfg: PipelineConfig, subcommand: str) -> str:
     )
 
 
-def _write_tsv(path: Path, header: str, column_names: str | None, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        if column_names:
-            fh.write(column_names + "\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+def _write_corpus(cfg: PipelineConfig, corpus: Corpus, posts: str, access: str,
+                  header: str) -> None:
+    artifacts.write_rows(_path(cfg, posts), header, ((content_line(p),) for p in corpus.posts))
+    artifacts.write_rows(_path(cfg, access), header, ((access_line(a),) for a in corpus.accesses))
 
 
-def _load_clean(cfg: PipelineConfig) -> Corpus:
-    posts_path = _require(_path(cfg, "clean_posts"))
-    access_path = _require(_path(cfg, "clean_access"))
-    with open(posts_path, encoding="utf-8") as fh:
+def _load_clean(cfg: PipelineConfig, accesses: bool = False) -> Corpus:
+    """The cleaned corpus; its accesses only when ``accesses`` is set."""
+    with open(_require(_path(cfg, "clean_posts.tsv")), encoding="utf-8") as fh:
         posts, _ = parse_content_file(fh)
-    with open(access_path, encoding="utf-8") as fh:
-        accesses, _ = parse_access_log(fh)
-    return Corpus.from_records(posts, accesses)
+    records = []
+    if accesses:
+        with open(_require(_path(cfg, "clean_accesses.tsv")), encoding="utf-8") as fh:
+            records, _ = parse_access_log(fh)
+    return Corpus.from_records(posts, records)
 
 
-def _load_influence_links(cfg: PipelineConfig, train_only: bool):
-    """Influence links, optionally filtered to blogger pairs in train.tsv."""
-    net = causality.read_influence_tsv(_require(_path(cfg, "influence")), cfg.tau_hours)
-    links = net.links
-    used_split = False
-    if train_only and _path(cfg, "train").exists():
-        split = analysis.read_split(_path(cfg, "train"), _path(cfg, "test"))
-        pairs = set(split.train_edges)
-        links = [l for l in links if (l.reader, l.author) in pairs]
-        used_split = True
-    return net, links, used_split
+def _load_influence_links(cfg: PipelineConfig) -> tuple[list, str]:
+    """Influence links, filtered to the blogger pairs in train.tsv if it
+    exists, and which of the two they are."""
+    net = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
+    if not _path(cfg, "train.tsv").exists():
+        return net.links, "full influence network"
+    split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
+    return [l for l in net.links if (l.reader, l.author) in split.train_edges], "train edges"
 
 
 # --------------------------------------------------------------------------
@@ -269,16 +237,9 @@ def _load_influence_links(cfg: PipelineConfig, train_only: bool):
 def cmd_synth(cfg: PipelineConfig, args) -> int:
     corpus, truth = synth.generate(replace(cfg.synth, seed=cfg.seed))
     header = _header(cfg, "synth")
-    with open(_path(cfg, "posts"), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for post in corpus.posts:
-            fh.write(content_line(post) + "\n")
-    with open(_path(cfg, "access"), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for rec in corpus.accesses:
-            fh.write(access_line(rec) + "\n")
-    synth.write_truth_tsv(truth, _path(cfg, "truth"), header)
-    synth.write_experts_tsv(truth, _path(cfg, "experts"), header)
+    _write_corpus(cfg, corpus, "posts.tsv", "access.log", header)
+    synth.write_truth_tsv(truth, _path(cfg, "truth.tsv"), header)
+    synth.write_experts_tsv(truth, _path(cfg, "experts.tsv"), header)
     print(
         f"synth: {len(corpus.posts)} posts, {len(corpus.accesses)} accesses, "
         f"{len(truth.influence_pairs)} planted pairs -> {cfg.out_dir}"
@@ -287,8 +248,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
-    content = Path(cfg.content_path) if cfg.content_path else _path(cfg, "posts")
-    access = Path(cfg.access_path) if cfg.access_path else _path(cfg, "access")
+    content = Path(cfg.content_path) if cfg.content_path else _path(cfg, "posts.tsv")
+    access = Path(cfg.access_path) if cfg.access_path else _path(cfg, "access.log")
     _require(content)
     _require(access)
     with open(content, encoding="utf-8") as fh:
@@ -298,15 +259,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     corpus = Corpus.from_records(posts, accesses)
     rules = CleaningRules(window_hours=cfg.window_hours)
     cleaned, removal = clean_accesses(corpus, rules)
-    header = _header(cfg, "ingest")
-    with open(_path(cfg, "clean_posts"), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for post in cleaned.posts:
-            fh.write(content_line(post) + "\n")
-    with open(_path(cfg, "clean_access"), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for rec in cleaned.accesses:
-            fh.write(access_line(rec) + "\n")
+    _write_corpus(cfg, cleaned, "clean_posts.tsv", "clean_accesses.tsv", _header(cfg, "ingest"))
     print(
         f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped), "
         f"{access_report.n_ok} accesses ({access_report.n_skipped} skipped), "
@@ -316,59 +269,58 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_links(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    corpus = _load_clean(cfg, accesses=True)
     net = implicit.build_implicit_links(corpus, cfg.window_hours)
     header = _header(cfg, "links")
-    implicit.write_links_tsv(net.links, _path(cfg, "links"), header)
+    implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
-    _write_tsv(_path(cfg, "gap_hist"), header, "bin\tcount",
-               ((h + 1, c) for h, c in enumerate(hist)))
+    artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, enumerate(hist, 1), ("bin", "count"))
     print(
         f"links: {net.post_link_count} post links, {net.blogger_link_count} blogger links, "
-        f"{net.post_count} posts, {net.blogger_count} bloggers -> {_path(cfg, 'links')}"
+        f"{net.post_count} posts, {net.blogger_count} bloggers -> {_path(cfg, 'links.tsv')}"
     )
     return 0
 
 
 def cmd_causality(cfg: PipelineConfig, args) -> int:
     corpus = _load_clean(cfg)
-    net = implicit.read_links_tsv(_require(_path(cfg, "links")), cfg.window_hours)
+    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
     space = build_vectors(corpus, cfg.vocab_max_size)
     causality.annotate_similarity(net, space.vectors, cfg.min_tokens)
     rng = np.random.default_rng([cfg.seed, _STAGE_SEED["causality"]])
     forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
     reversed_ = causality.reversed_z_test(net, rng, cfg.min_bucket_n)
     header = _header(cfg, "causality")
-    write_vocabulary(space.vocab, _path(cfg, "vocab"), header)
-    causality.write_zreport_tsv(forward, _path(cfg, "z_forward"), header)
-    causality.write_zreport_tsv(reversed_, _path(cfg, "z_reversed"), header)
+    write_vocabulary(space.vocab, _path(cfg, "vocab.tsv"), header)
+    causality.write_zreport_tsv(forward, _path(cfg, "zreport_forward.tsv"), header)
+    causality.write_zreport_tsv(reversed_, _path(cfg, "zreport_reversed.tsv"), header)
     sig_f = [b.bucket for b in forward.available() if b.one_sided_significant]
     sig_r = [b.bucket for b in reversed_.available() if b.one_sided_significant]
     print(
         f"causality: forward heads-enriched buckets {sig_f or 'none'}, "
-        f"reversed {sig_r or 'none'} -> {_path(cfg, 'z_forward')}"
+        f"reversed {sig_r or 'none'} -> {_path(cfg, 'zreport_forward.tsv')}"
     )
     return 0
 
 
 def cmd_influence(cfg: PipelineConfig, args) -> int:
     corpus = _load_clean(cfg)
-    net = implicit.read_links_tsv(_require(_path(cfg, "links")), cfg.window_hours)
+    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
     space = build_vectors(corpus, cfg.vocab_max_size)
     causality.annotate_similarity(net, space.vectors, cfg.min_tokens)
     influence = causality.extract_influence(net, cfg.tau_hours)
-    causality.write_influence_tsv(influence, _path(cfg, "influence"), _header(cfg, "influence"))
+    causality.write_influence_tsv(influence, _path(cfg, "influence.tsv"), _header(cfg, "influence"))
     print(
         f"influence: {influence.post_link_count} post links, "
         f"{influence.blogger_link_count} blogger links, {influence.post_count} posts, "
-        f"{influence.blogger_count} bloggers -> {_path(cfg, 'influence')}"
+        f"{influence.blogger_count} bloggers -> {_path(cfg, 'influence.tsv')}"
     )
     return 0
 
 
 def cmd_topics(cfg: PipelineConfig, args) -> int:
     corpus = _load_clean(cfg)
-    influence = causality.read_influence_tsv(_require(_path(cfg, "influence")), cfg.tau_hours)
+    influence = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
     space = build_vectors(corpus, cfg.vocab_max_size)
     if cfg.plsa_docs == "influence":
         doc_urls = sorted({l.q for l in influence.links} | {l.p for l in influence.links})
@@ -387,17 +339,17 @@ def cmd_topics(cfg: PipelineConfig, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    topics.write_topic_model(model, _path(cfg, "plsa"), _header(cfg, "topics"))
+    topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), _header(cfg, "topics"))
     print(
         f"topics: {model.n_topics} topics over {doc_term.n_docs} docs, "
-        f"loglik {model.loglik_trace[-1]:.2f} -> {_path(cfg, 'plsa')}"
+        f"loglik {model.loglik_trace[-1]:.2f} -> {_path(cfg, 'plsa_model.tsv')}"
     )
     return 0
 
 
 def cmd_split(cfg: PipelineConfig, args) -> int:
     corpus = _load_clean(cfg)
-    influence = causality.read_influence_tsv(_require(_path(cfg, "influence")), cfg.tau_hours)
+    influence = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
     space = build_vectors(corpus, cfg.vocab_max_size)
     try:
         split = analysis.split_train_test(
@@ -405,34 +357,35 @@ def cmd_split(cfg: PipelineConfig, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    analysis.write_split(split, _path(cfg, "train"), _path(cfg, "test"), _header(cfg, "split"))
+    analysis.write_split(
+        split, _path(cfg, "train.tsv"), _path(cfg, "test.tsv"), _header(cfg, "split")
+    )
     print(
         f"split: {len(split.train_edges)} train edges, {len(split.test)} test pairs "
-        f"-> {_path(cfg, 'train')}"
+        f"-> {_path(cfg, 'train.tsv')}"
     )
     return 0
 
 
 def cmd_tensor(cfg: PipelineConfig, args) -> int:
     corpus = _load_clean(cfg)
-    _, links, used_split = _load_influence_links(cfg, train_only=True)
+    links, source = _load_influence_links(cfg)
     space = build_vectors(corpus, cfg.vocab_max_size)
     tensor = factor.build_influence_tensor(links, space.vectors, len(space.vocab))
-    factor.write_tensor_tsv(tensor, _path(cfg, "tensor"), _header(cfg, "tensor"))
-    source = "train edges" if used_split else "full influence network"
+    factor.write_tensor_tsv(tensor, _path(cfg, "tensor.tsv"), _header(cfg, "tensor"))
     print(
         f"tensor: {tensor.counts.size} nonzeros, total {tensor.total():.0f}, "
         f"{tensor.n_bloggers} bloggers x {tensor.n_terms} terms ({source}) "
-        f"-> {_path(cfg, 'tensor')}"
+        f"-> {_path(cfg, 'tensor.tsv')}"
     )
     return 0
 
 
 def cmd_iolap(cfg: PipelineConfig, args) -> int:
     corpus = _load_clean(cfg)
-    tensor = factor.read_tensor_tsv(_require(_path(cfg, "tensor")))
+    tensor = factor.read_tensor_tsv(_require(_path(cfg, "tensor.tsv")))
     space = build_vectors(corpus, cfg.vocab_max_size)
-    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa")), space.vocab.terms)
+    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), space.vocab.terms)
     try:
         model = factor.fit_iolap(
             tensor,
@@ -446,36 +399,35 @@ def cmd_iolap(cfg: PipelineConfig, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    factor.write_iolap_model(model, _path(cfg, "iolap"), _header(cfg, "iolap"))
+    factor.write_iolap_model(model, _path(cfg, "iolap_model.tsv"), _header(cfg, "iolap"))
     stop = "converged" if model.converged else f"hit max_iter {cfg.iolap_max_iter}"
     print(
         f"iolap: rank {cfg.rank_influenced}x{cfg.rank_influencer}x{model.n_topics}, "
         f"loglik {model.loglik_trace[-1]:.2f} ({len(model.loglik_trace)} evals, {stop}) "
-        f"-> {_path(cfg, 'iolap')}"
+        f"-> {_path(cfg, 'iolap_model.tsv')}"
     )
     return 0
 
 
-def _blogger_graph_and_content(cfg: PipelineConfig, corpus: Corpus, links):
+def _blogger_graph(links) -> factor.BloggerGraph:
     edges: dict[tuple[str, str], float] = {}
     for l in links:
         edges[(l.reader, l.author)] = edges.get((l.reader, l.author), 0.0) + 1.0
     if not edges:
         raise ConfigError("influence network has no links; nothing to fit")
-    graph = factor.BloggerGraph.from_edge_weights(edges)
+    return factor.BloggerGraph.from_edge_weights(edges)
+
+
+def cmd_pcldc(cfg: PipelineConfig, args) -> int:
+    corpus = _load_clean(cfg)
+    links, source = _load_influence_links(cfg)
+    graph = _blogger_graph(links)
     space = build_vectors(corpus, cfg.vocab_max_size)
     content = factor.blogger_content_matrix(
         graph.nodes,
         ((post.user_id, space.vectors[post.url]) for post in corpus.posts),
         len(space.vocab),
     )
-    return graph, content, space
-
-
-def cmd_pcldc(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
-    _, links, used_split = _load_influence_links(cfg, train_only=True)
-    graph, content, space = _blogger_graph_and_content(cfg, corpus, links)
     model = factor.fit_pcldc(
         graph,
         content,
@@ -486,19 +438,17 @@ def cmd_pcldc(cfg: PipelineConfig, args) -> int:
         seed=[cfg.seed, _STAGE_SEED["pcldc"]],
         terms=space.vocab.terms,
     )
-    factor.write_pcldc_model(model, _path(cfg, "pcldc"), _header(cfg, "pcldc"))
-    source = "train edges" if used_split else "full influence network"
+    factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), _header(cfg, "pcldc"))
     print(
         f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
-        f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc')}"
+        f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc_model.tsv')}"
     )
     return 0
 
 
 def cmd_pcl(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
-    _, links, used_split = _load_influence_links(cfg, train_only=True)
-    graph, _, _ = _blogger_graph_and_content(cfg, corpus, links)
+    links, source = _load_influence_links(cfg)
+    graph = _blogger_graph(links)
     model = factor.fit_pcl(
         graph,
         cfg.communities(),
@@ -506,18 +456,17 @@ def cmd_pcl(cfg: PipelineConfig, args) -> int:
         tol=cfg.tol,
         seed=[cfg.seed, _STAGE_SEED["pcl"]],
     )
-    factor.write_pcl_model(model, _path(cfg, "pcl"), _header(cfg, "pcl"))
-    source = "train edges" if used_split else "full influence network"
+    factor.write_pcl_model(model, _path(cfg, "pcl_model.tsv"), _header(cfg, "pcl"))
     print(
         f"pcl: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
-        f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcl')}"
+        f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcl_model.tsv')}"
     )
     return 0
 
 
 def cmd_idr(cfg: PipelineConfig, args) -> int:
-    iolap_model = factor.read_iolap_model(_require(_path(cfg, "iolap")))
-    pcldc_model = factor.read_pcldc_model(_require(_path(cfg, "pcldc")))
+    iolap_model = factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv")))
+    pcldc_model = factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv")))
     if iolap_model.n_topics < 2 or pcldc_model.n_communities < 2:
         raise ConfigError("diversity needs at least two topics")
     rows = []
@@ -525,14 +474,14 @@ def cmd_idr(cfg: PipelineConfig, args) -> int:
         factor.iolap_topic_influencers(iolap_model, t) for t in range(iolap_model.n_topics)
     ]
     for n, value in analysis.idr_curve(rankings, cfg.top_n):
-        rows.append(("iolap", n, repr(value)))
+        rows.append(("iolap", n, value))
     rankings = [
         factor.pcldc_topic_influencers(pcldc_model, k) for k in range(pcldc_model.n_communities)
     ]
     for n, value in analysis.idr_curve(rankings, cfg.top_n):
-        rows.append(("pcldc", n, repr(value)))
-    _write_tsv(_path(cfg, "idr"), _header(cfg, "idr"), "method\tN\tidr", rows)
-    print(f"idr: {len(rows)} rows for methods iolap, pcldc -> {_path(cfg, 'idr')}")
+        rows.append(("pcldc", n, value))
+    artifacts.write_rows(_path(cfg, "idr.tsv"), _header(cfg, "idr"), rows, ("method", "N", "idr"))
+    print(f"idr: {len(rows)} rows for methods iolap, pcldc -> {_path(cfg, 'idr.tsv')}")
     return 0
 
 
@@ -540,10 +489,10 @@ def _recommenders(cfg: PipelineConfig):
     """Closures for every method, loading models lazily from artifacts."""
     corpus = _load_clean(cfg)
     space = build_vectors(corpus, cfg.vocab_max_size)
-    iolap_model = factor.read_iolap_model(_require(_path(cfg, "iolap")))
-    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa")), space.vocab.terms)
-    pcldc_model = factor.read_pcldc_model(_require(_path(cfg, "pcldc")))
-    pcl_model = factor.read_pcl_model(_require(_path(cfg, "pcl")))
+    iolap_model = factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv")))
+    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), space.vocab.terms)
+    pcldc_model = factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv")))
+    pcl_model = factor.read_pcl_model(_require(_path(cfg, "pcl_model.tsv")))
     return {
         "tg": lambda member, kw, n, excl: analysis.recommend_tg(
             iolap_model, topic_model, kw, n, excl
@@ -571,11 +520,11 @@ def cmd_recommend(cfg: PipelineConfig, args) -> int:
     exclude: set[str] = set()
     if args.member:
         exclude.add(args.member)
-        if _path(cfg, "train").exists():
-            split = analysis.read_split(_path(cfg, "train"), _path(cfg, "test"))
+        if _path(cfg, "train.tsv").exists():
+            split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
             exclude |= {b for (a, b) in split.train_edges if a == args.member}
-        elif _path(cfg, "influence").exists():
-            net = causality.read_influence_tsv(_path(cfg, "influence"), cfg.tau_hours)
+        elif _path(cfg, "influence.tsv").exists():
+            net = causality.read_influence_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
             exclude |= {l.author for l in net.links if l.reader == args.member}
     try:
         ranked = recommenders[method](args.member, keywords, cfg.top_n, exclude)
@@ -584,8 +533,8 @@ def cmd_recommend(cfg: PipelineConfig, args) -> int:
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     out = Path(cfg.out_dir) / f"recommend_{method}.tsv"
-    _write_tsv(out, _header(cfg, "recommend"), "rank\tblogger\tscore",
-               ((i + 1, b, repr(s)) for i, (b, s) in enumerate(ranked)))
+    rows = ((i, b, s) for i, (b, s) in enumerate(ranked, 1))
+    artifacts.write_rows(out, _header(cfg, "recommend"), rows, ("rank", "blogger", "score"))
     for i, (blogger, score) in enumerate(ranked):
         print(f"{i + 1}\t{blogger}\t{score:.6f}")
     print(f"recommend: {method} top-{cfg.top_n} -> {out}")
@@ -594,22 +543,23 @@ def cmd_recommend(cfg: PipelineConfig, args) -> int:
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     split = analysis.read_split(
-        _require(_path(cfg, "train")), _require(_path(cfg, "test"))
+        _require(_path(cfg, "train.tsv")), _require(_path(cfg, "test.tsv"))
     )
     recommenders = _recommenders(cfg)
     rows = []
     summary = []
     for method in ("tg", "iolap", "pcldc", "pcl"):
         curve = analysis.recall_curve(split, recommenders[method], cfg.top_n)
-        rows.extend((method, n, repr(value)) for n, value in enumerate(curve, 1))
+        rows.extend((method, n, value) for n, value in enumerate(curve, 1))
         summary.append(f"{method}={curve[-1]:.3f}")
-    _write_tsv(_path(cfg, "recall"), _header(cfg, "eval"), "method\tN\trecall", rows)
-    print(f"eval: recall@{cfg.top_n} {' '.join(summary)} -> {_path(cfg, 'recall')}")
+    artifacts.write_rows(_path(cfg, "recall.tsv"), _header(cfg, "eval"), rows,
+                         ("method", "N", "recall"))
+    print(f"eval: recall@{cfg.top_n} {' '.join(summary)} -> {_path(cfg, 'recall.tsv')}")
     return 0
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    corpus = _load_clean(cfg, accesses=True)
     report_dir = Path(cfg.out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     header = _header(cfg, "report")
@@ -621,41 +571,38 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         "hist_access_weekday.tsv": enumerate(hist.accesses_by_weekday),
     }
     for name, rows in tables.items():
-        _write_tsv(report_dir / name, header, "bin\tcount", rows)
-    _write_tsv(
+        artifacts.write_rows(report_dir / name, header, rows, ("bin", "count"))
+    artifacts.write_rows(
         report_dir / "hist_posts_per_blogger.tsv",
         header,
-        "stat\tvalue",
         [
-            ("mean", repr(hist.posts_per_blogger_mean)),
-            ("median", repr(hist.posts_per_blogger_median)),
-            ("q1", repr(hist.posts_per_blogger_q1)),
-            ("q3", repr(hist.posts_per_blogger_q3)),
+            ("mean", hist.posts_per_blogger_mean),
+            ("median", hist.posts_per_blogger_median),
+            ("q1", hist.posts_per_blogger_q1),
+            ("q3", hist.posts_per_blogger_q3),
             ("bloggers", hist.n_bloggers),
         ],
+        ("stat", "value"),
     )
     bundled = ["activity histograms"]
-    for name in ("gap_hist", "z_forward", "z_reversed", "idr", "recall"):
+    for name in ("gap_hist.tsv", "zreport_forward.tsv", "zreport_reversed.tsv", "idr.tsv",
+                 "recall.tsv"):
         src = _path(cfg, name)
         if src.exists():
             shutil.copyfile(src, report_dir / src.name)
             bundled.append(src.name)
-    if _path(cfg, "links").exists() and _path(cfg, "influence").exists():
-        links_net = implicit.read_links_tsv(_path(cfg, "links"), cfg.window_hours)
-        influence = causality.read_influence_tsv(_path(cfg, "influence"), cfg.tau_hours)
+    if _path(cfg, "links.tsv").exists() and _path(cfg, "influence.tsv").exists():
+        links_net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
+        influence = causality.read_influence_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
         shift = causality.rank_shift_report(corpus.posts, links_net, influence)
-        _write_tsv(
-            report_dir / "rankshift_themes.tsv",
-            header,
-            "item\trank_all\trank_influence",
-            ((r.item, r.rank_base, r.rank_influence) for r in shift.themes),
-        )
-        _write_tsv(
-            report_dir / "rankshift_bloggers.tsv",
-            header,
-            "item\trank_implicit\trank_influence",
-            ((r.item, r.rank_base, r.rank_influence) for r in shift.bloggers),
-        )
+        for name, ranks, base in (("themes", shift.themes, "rank_all"),
+                                  ("bloggers", shift.bloggers, "rank_implicit")):
+            artifacts.write_rows(
+                report_dir / f"rankshift_{name}.tsv",
+                header,
+                ((r.item, r.rank_base, r.rank_influence) for r in ranks),
+                ("item", base, "rank_influence"),
+            )
         bundled.append("rank shifts")
     print(f"report: bundled {', '.join(bundled)} -> {report_dir}")
     return 0
@@ -684,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value configuration file")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None, help="cap on internal workers")
     common.add_argument("--out-dir", default=None)
     common.add_argument("--window-hours", type=int, default=None)
     common.add_argument("--tau-hours", type=int, default=None)
@@ -715,7 +661,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     overrides: dict[str, object] = {
         "seed": args.seed,
-        "threads": args.threads,
         "out_dir": args.out_dir,
         "window_hours": args.window_hours,
         "tau_hours": args.tau_hours,

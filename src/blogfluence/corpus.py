@@ -34,7 +34,7 @@ class IngestError(Exception):
 
 
 class FormatError(IngestError):
-    """Too many malformed lines for the stream to be in the expected format."""
+    """A stream or artifact is not in the expected format."""
 
 
 # --------------------------------------------------------------------------

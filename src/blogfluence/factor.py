@@ -24,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
+from blogfluence import artifacts
 from blogfluence.textvec import TermVector, shared_terms
 from blogfluence.topics import TopicModel, scatter_rows
 
@@ -97,47 +98,27 @@ def build_influence_tensor(net, vectors: dict[str, TermVector], n_terms: int) ->
 
 
 def write_tensor_tsv(tensor: InfluenceTensor, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("[bloggers]\n")
-        for b in tensor.bloggers:
-            fh.write(b + "\n")
-        fh.write(f"[dims]\nn_terms\t{tensor.n_terms}\n")
-        fh.write("[entries]\n")
-        for i, j, k, c in zip(tensor.influenced, tensor.influencer, tensor.term, tensor.counts):
-            fh.write(f"{i}\t{j}\t{k}\t{int(c)}\n")
+    artifacts.write_sections(path, header, {
+        "bloggers": ((b,) for b in tensor.bloggers),
+        "dims": [("n_terms", tensor.n_terms)],
+        "entries": zip(tensor.influenced.tolist(), tensor.influencer.tolist(),
+                       tensor.term.tolist(), tensor.counts.astype(np.int64).tolist()),
+    })
 
 
 def read_tensor_tsv(path: str) -> InfluenceTensor:
-    bloggers: list[str] = []
-    n_terms = 0
-    rows: list[tuple[int, int, int, float]] = []
-    section = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("["):
-                section = line.strip("[]")
-                continue
-            if section == "bloggers":
-                bloggers.append(line)
-            elif section == "dims":
-                key, value = line.split("\t")
-                if key == "n_terms":
-                    n_terms = int(value)
-            elif section == "entries":
-                i, j, k, c = line.split("\t")
-                rows.append((int(i), int(j), int(k), float(c)))
+    sections = artifacts.read_sections(path, {
+        "bloggers": (str,), "dims": {"n_terms": (int,)}, "entries": (int, int, int, float),
+    })
+    columns = np.array(sections["entries"], dtype=float).reshape(-1, 4).T.copy()
+    influenced, influencer, term = columns[:3].astype(np.int64)
     return InfluenceTensor(
-        bloggers=bloggers,
-        n_terms=n_terms,
-        influenced=np.array([r[0] for r in rows], dtype=np.int64),
-        influencer=np.array([r[1] for r in rows], dtype=np.int64),
-        term=np.array([r[2] for r in rows], dtype=np.int64),
-        counts=np.array([r[3] for r in rows]),
+        bloggers=[b for (b,) in sections["bloggers"]],
+        n_terms=sections["dims"]["n_terms"][0],
+        influenced=influenced,
+        influencer=influencer,
+        term=term,
+        counts=columns[3],
     )
 
 
@@ -700,73 +681,36 @@ def pcldc_topic_influencers(
 # --------------------------------------------------------------------------
 # model checkpoints
 
-def _write_matrix(fh, name: str, labels: list[str], matrix: np.ndarray) -> None:
-    fh.write(f"[{name}]\n")
-    for row, label in enumerate(labels):
-        for col in range(matrix.shape[1]):
-            fh.write(f"{label}\t{col}\t{float(matrix[row, col])!r}\n")
-
-
-def _read_sections(path: str) -> dict[str, list[list[str]]]:
-    sections: dict[str, list[list[str]]] = {}
-    current: list[list[str]] | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("["):
-                current = sections.setdefault(line.strip("[]"), [])
-                continue
-            if current is not None:
-                current.append(line.split("\t"))
-    return sections
-
-
 def write_iolap_model(model: IolapModel, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        shape = model.core.shape
-        fh.write(f"[meta]\nshape\t{shape[0]}\t{shape[1]}\t{shape[2]}\n")
-        fh.write(f"topics_fixed\t{int(model.topics_fixed)}\n")
-        fh.write("[core]\n")
-        for a in range(shape[0]):
-            for b in range(shape[1]):
-                for c in range(shape[2]):
-                    fh.write(f"{a}\t{b}\t{c}\t{float(model.core[a, b, c])!r}\n")
-        _write_matrix(fh, "influenced_factors", model.bloggers, model.influenced_factors)
-        _write_matrix(fh, "influencer_factors", model.bloggers, model.influencer_factors)
-        _write_matrix(fh, "topic_factors", model.terms, model.topic_factors)
+    artifacts.write_sections(path, header, {
+        "meta": [("shape", *model.core.shape), ("topics_fixed", int(model.topics_fixed))],
+        "core": ((a, b, c, v) for (a, b, c), v in np.ndenumerate(model.core)),
+        "influenced_factors": artifacts.matrix_rows(model.bloggers, model.influenced_factors),
+        "influencer_factors": artifacts.matrix_rows(model.bloggers, model.influencer_factors),
+        "topic_factors": artifacts.matrix_rows(model.terms, model.topic_factors),
+    })
 
 
 def read_iolap_model(path: str) -> IolapModel:
-    sections = _read_sections(path)
-    meta = {row[0]: row[1:] for row in sections["meta"]}
-    shape = tuple(int(v) for v in meta["shape"])
-    core = np.zeros(shape)
+    sections = artifacts.read_sections(path, {
+        "meta": {"shape": (int, int, int), "topics_fixed": (int,)},
+        "core": (int, int, int, float),
+        "influenced_factors": artifacts.MATRIX,
+        "influencer_factors": artifacts.MATRIX,
+        "topic_factors": artifacts.MATRIX,
+    })
+    core = np.zeros(sections["meta"]["shape"])
     for a, b, c, v in sections["core"]:
-        core[int(a), int(b), int(c)] = float(v)
-
-    def matrix(name: str) -> tuple[list[str], np.ndarray]:
-        rows = sections[name]
-        labels = list(dict.fromkeys(r[0] for r in rows))
-        index = {l: i for i, l in enumerate(labels)}
-        n_cols = max(int(r[1]) for r in rows) + 1
-        mat = np.zeros((len(labels), n_cols))
-        for label, col, value in rows:
-            mat[index[label], int(col)] = float(value)
-        return labels, mat
-
-    bloggers, x_fac = matrix("influenced_factors")
-    _, y_fac = matrix("influencer_factors")
-    terms, z_fac = matrix("topic_factors")
+        core[a, b, c] = v
+    bloggers, x_fac = artifacts.labelled_matrix(sections["influenced_factors"])
+    _, y_fac = artifacts.labelled_matrix(sections["influencer_factors"], bloggers)
+    terms, z_fac = artifacts.labelled_matrix(sections["topic_factors"])
     return IolapModel(
         core=core,
         influenced_factors=x_fac,
         influencer_factors=y_fac,
         topic_factors=z_fac,
-        topics_fixed=bool(int(meta["topics_fixed"][0])),
+        topics_fixed=bool(sections["meta"]["topics_fixed"][0]),
         loglik_trace=[],
         bloggers=bloggers,
         terms=terms,
@@ -774,35 +718,24 @@ def read_iolap_model(path: str) -> IolapModel:
 
 
 def write_pcldc_model(model: PcldcModel, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("[popularity]\n")
-        for node, b in zip(model.nodes, model.popularity):
-            fh.write(f"{node}\t{float(b)!r}\n")
-        _write_matrix(fh, "memberships", model.nodes, model.memberships)
-        _write_matrix(fh, "content_weights", model.terms, model.content_weights)
+    artifacts.write_sections(path, header, {
+        "popularity": zip(model.nodes, model.popularity),
+        "memberships": artifacts.matrix_rows(model.nodes, model.memberships),
+        "content_weights": artifacts.matrix_rows(model.terms, model.content_weights),
+    })
 
 
 def read_pcldc_model(path: str) -> PcldcModel:
-    sections = _read_sections(path)
-    nodes = [row[0] for row in sections["popularity"]]
-    popularity = np.array([float(row[1]) for row in sections["popularity"]])
-
-    def matrix(name: str, labels: list[str]) -> np.ndarray:
-        rows = sections[name]
-        index = {l: i for i, l in enumerate(labels)}
-        n_cols = max(int(r[1]) for r in rows) + 1
-        mat = np.zeros((len(labels), n_cols))
-        for label, col, value in rows:
-            mat[index[label], int(col)] = float(value)
-        return mat
-
-    memberships = matrix("memberships", nodes)
-    terms = list(dict.fromkeys(r[0] for r in sections["content_weights"]))
-    weights = matrix("content_weights", terms)
+    sections = artifacts.read_sections(path, {
+        "popularity": (str, float),
+        "memberships": artifacts.MATRIX,
+        "content_weights": artifacts.MATRIX,
+    })
+    nodes = [node for node, _ in sections["popularity"]]
+    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes)
+    terms, weights = artifacts.labelled_matrix(sections["content_weights"])
     return PcldcModel(
-        popularity=popularity,
+        popularity=np.array([b for _, b in sections["popularity"]]),
         content_weights=weights,
         memberships=memberships,
         blogger_content=np.zeros((len(nodes), len(terms))),
@@ -813,25 +746,19 @@ def read_pcldc_model(path: str) -> PcldcModel:
 
 
 def write_pcl_model(model: PclModel, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("[popularity]\n")
-        for node, b in zip(model.nodes, model.popularity):
-            fh.write(f"{node}\t{float(b)!r}\n")
-        _write_matrix(fh, "memberships", model.nodes, model.memberships)
+    artifacts.write_sections(path, header, {
+        "popularity": zip(model.nodes, model.popularity),
+        "memberships": artifacts.matrix_rows(model.nodes, model.memberships),
+    })
 
 
 def read_pcl_model(path: str) -> PclModel:
-    sections = _read_sections(path)
-    nodes = [row[0] for row in sections["popularity"]]
-    popularity = np.array([float(row[1]) for row in sections["popularity"]])
-    rows = sections["memberships"]
-    index = {l: i for i, l in enumerate(nodes)}
-    n_cols = max(int(r[1]) for r in rows) + 1
-    memberships = np.zeros((len(nodes), n_cols))
-    for label, col, value in rows:
-        memberships[index[label], int(col)] = float(value)
+    sections = artifacts.read_sections(
+        path, {"popularity": (str, float), "memberships": artifacts.MATRIX}
+    )
+    nodes = [node for node, _ in sections["popularity"]]
+    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes)
+    popularity = np.array([b for _, b in sections["popularity"]])
     return PclModel(
         popularity=popularity, memberships=memberships, objective_trace=[], nodes=nodes
     )

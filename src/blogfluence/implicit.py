@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+from blogfluence import artifacts
 from blogfluence.corpus import Corpus
 
 DEFAULT_WINDOW_HOURS = 12
@@ -38,24 +39,19 @@ class ImplicitNetwork:
     blogger_link_count: int
 
 
+def link_counts(links: list) -> dict[str, int]:
+    """Post, blogger, post-link and blogger-link counts of a link list whose
+    items carry ``q``, ``p``, ``reader`` and ``author``."""
+    return {
+        "post_count": len({l.q for l in links} | {l.p for l in links}),
+        "blogger_count": len({l.reader for l in links} | {l.author for l in links}),
+        "post_link_count": len(links),
+        "blogger_link_count": len({(l.reader, l.author) for l in links}),
+    }
+
+
 def summarize_links(links: list[ImplicitLink], window_hours: int) -> ImplicitNetwork:
-    posts: set[str] = set()
-    bloggers: set[str] = set()
-    pairs: set[tuple[str, str]] = set()
-    for link in links:
-        posts.add(link.q)
-        posts.add(link.p)
-        bloggers.add(link.reader)
-        bloggers.add(link.author)
-        pairs.add((link.reader, link.author))
-    return ImplicitNetwork(
-        links=links,
-        window_hours=window_hours,
-        post_count=len(posts),
-        blogger_count=len(bloggers),
-        post_link_count=len(links),
-        blogger_link_count=len(pairs),
-    )
+    return ImplicitNetwork(links=links, window_hours=window_hours, **link_counts(links))
 
 
 def build_implicit_links(corpus: Corpus, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
@@ -119,21 +115,15 @@ def blogger_projection(net: ImplicitNetwork) -> dict[tuple[str, str], int]:
     return dict(sorted(weights.items()))
 
 
+_LINK_COLUMNS = ("q", "p", "reader", "author", "gap_seconds")
+
+
 def write_links_tsv(links: Iterable[ImplicitLink], path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("q\tp\treader\tauthor\tgap_seconds\n")
-        for link in links:
-            fh.write(f"{link.q}\t{link.p}\t{link.reader}\t{link.author}\t{link.gap_seconds}\n")
+    artifacts.write_rows(
+        path, header, ((l.q, l.p, l.reader, l.author, l.gap_seconds) for l in links), _LINK_COLUMNS
+    )
 
 
 def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
-    links: list[ImplicitLink] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#") or line.startswith("q\t"):
-                continue
-            q, p, reader, author, gap = line.rstrip("\n").split("\t")
-            links.append(ImplicitLink(q=q, p=p, reader=reader, author=author, gap_seconds=int(gap)))
-    return summarize_links(links, window_hours)
+    rows = artifacts.read_rows(path, (str, str, str, str, int), _LINK_COLUMNS)
+    return summarize_links([ImplicitLink(*row) for row in rows], window_hours)

@@ -20,6 +20,7 @@ from datetime import datetime
 
 import numpy as np
 
+from blogfluence import artifacts
 from blogfluence.corpus import AccessRecord, BlogPost, Corpus, parse_iso_ts
 
 # Relative weights; posting peaks late evening local time.
@@ -314,31 +315,13 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
 # ground-truth files
 
 def write_truth_tsv(truth: GroundTruth, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("q\tp\n")
-        for q, p in sorted(truth.influence_pairs):
-            fh.write(f"{q}\t{p}\n")
-
-
-def read_truth_tsv(path: str) -> set[tuple[str, str]]:
-    pairs: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#") or line.startswith("q\t"):
-                continue
-            q, p = line.rstrip("\n").split("\t")
-            pairs.add((q, p))
-    return pairs
+    artifacts.write_rows(path, header, sorted(truth.influence_pairs), ("q", "p"))
 
 
 def write_experts_tsv(truth: GroundTruth, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("member\ttopic\texperts\n")
-        for member in sorted(truth.member_expert_map):
-            for topic in sorted(truth.member_expert_map[member]):
-                experts = ",".join(truth.member_expert_map[member][topic])
-                fh.write(f"{member}\t{topic}\t{experts}\n")
+    experts = truth.member_expert_map
+    rows = (
+        (member, topic, ",".join(experts[member][topic]))
+        for member in sorted(experts) for topic in sorted(experts[member])
+    )
+    artifacts.write_rows(path, header, rows, ("member", "topic", "experts"))

@@ -8,6 +8,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from blogfluence import artifacts
+
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 # Small default list; a corpus-appropriate list can be loaded from a file
@@ -75,24 +77,7 @@ def build_vocabulary(docs: Iterable[Sequence[str]], max_size: int) -> Vocabulary
 
 
 def write_vocabulary(vocab: Vocabulary, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        for term, df in zip(vocab.terms, vocab.doc_freq):
-            fh.write(f"{term}\t{df}\n")
-
-
-def read_vocabulary(path: str) -> Vocabulary:
-    terms: list[str] = []
-    dfs: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#"):
-                continue
-            term, df = line.rstrip("\n").split("\t")
-            terms.append(term)
-            dfs.append(int(df))
-    return Vocabulary(terms=terms, doc_freq=dfs, index={t: i for i, t in enumerate(terms)})
+    artifacts.write_rows(path, header, zip(vocab.terms, vocab.doc_freq))
 
 
 @dataclass

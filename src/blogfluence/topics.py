@@ -11,6 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
+from blogfluence import artifacts
 from blogfluence.corpus import FormatError
 from blogfluence.textvec import TermVector
 
@@ -157,56 +158,40 @@ def top_keywords(model: TopicModel, topic: int, n: int) -> list[str]:
 
 
 def write_topic_model(model: TopicModel, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write(f"[meta]\nn_topics\t{model.n_topics}\n")
-        fh.write("[p_t]\n")
-        for k in range(model.n_topics):
-            fh.write(f"{k}\t{float(model.p_t[k])!r}\n")
-        fh.write("[p_w_given_t]\n")
-        for k in range(model.n_topics):
-            for w, term in enumerate(model.terms):
-                fh.write(f"{k}\t{term}\t{float(model.p_w_given_t[k, w])!r}\n")
+    artifacts.write_sections(path, header, {
+        "meta": [("n_topics", model.n_topics)],
+        "p_t": enumerate(model.p_t),
+        "p_w_given_t": (
+            (k, term, model.p_w_given_t[k, w])
+            for k in range(model.n_topics) for w, term in enumerate(model.terms)
+        ),
+    })
 
 
 def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
     """Load the exported topic-term blocks; document rows are not exported."""
+    sections = artifacts.read_sections(model_path, {
+        "meta": {"n_topics": (int,)}, "p_t": (int, float), "p_w_given_t": (int, str, float),
+    })
+    (n_topics,) = sections["meta"]["n_topics"]
     index = {t: i for i, t in enumerate(terms)}
-    n_topics = 0
-    section = None
-    p_t: dict[int, float] = {}
-    rows: list[tuple[int, int, float]] = []
-    with open(model_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("["):
-                section = line.strip("[]")
-                continue
-            parts = line.split("\t")
-            if section == "meta" and parts[0] == "n_topics":
-                n_topics = int(parts[1])
-            elif section == "p_t":
-                p_t[int(parts[0])] = float(parts[1])
-            elif section == "p_w_given_t":
-                if parts[1] not in index:
-                    raise FormatError(
-                        f"{model_path}: term {parts[1]!r} is not in the current vocabulary "
-                        f"({len(terms)} terms); was the topic model fitted with another "
-                        "vocab_max_size?"
-                    )
-                rows.append((int(parts[0]), index[parts[1]], float(parts[2])))
-    covered = len({w for _, w, _ in rows})
-    if covered != len(terms):
+    word_topic = np.zeros((n_topics, len(terms)))
+    covered: set[str] = set()
+    for k, term, value in sections["p_w_given_t"]:
+        if term not in index:
+            raise FormatError(
+                f"{model_path}: term {term!r} is not in the current vocabulary "
+                f"({len(terms)} terms); was the topic model fitted with another "
+                "vocab_max_size?"
+            )
+        word_topic[k, index[term]] = value
+        covered.add(term)
+    if len(covered) != len(terms):
         raise FormatError(
-            f"{model_path}: the topic model covers {covered} of the {len(terms)} "
+            f"{model_path}: the topic model covers {len(covered)} of the {len(terms)} "
             "vocabulary terms; was it fitted with another vocab_max_size?"
         )
-    word_topic = np.zeros((n_topics, len(terms)))
-    for k, w, value in rows:
-        word_topic[k, w] = value
+    p_t = dict(sections["p_t"])
     prior = np.array([p_t[k] for k in range(n_topics)])
     return TopicModel(
         n_topics=n_topics,

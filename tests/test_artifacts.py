@@ -1,0 +1,236 @@
+"""The artifact format: exact bytes of every writer, round trips through the
+readers, and malformed rows raising FormatError with file and line."""
+
+import math
+
+import numpy as np
+import pytest
+
+from blogfluence import artifacts
+from blogfluence.analysis import TrainTestSplit, read_split, write_split
+from blogfluence.causality import (
+    BucketStat,
+    InfluenceLink,
+    InfluenceNetwork,
+    ZReport,
+    read_influence_tsv,
+    write_influence_tsv,
+    write_zreport_tsv,
+)
+from blogfluence.corpus import FormatError
+from blogfluence.factor import (
+    InfluenceTensor,
+    IolapModel,
+    PcldcModel,
+    PclModel,
+    read_iolap_model,
+    read_pcl_model,
+    read_pcldc_model,
+    read_tensor_tsv,
+    write_iolap_model,
+    write_pcl_model,
+    write_pcldc_model,
+    write_tensor_tsv,
+)
+from blogfluence.implicit import ImplicitLink, read_links_tsv, write_links_tsv
+from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
+from blogfluence.textvec import Vocabulary, write_vocabulary
+from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
+
+TENSOR = InfluenceTensor(
+    ["ua", "ub"], 3, np.array([0, 1]), np.array([1, 0]), np.array([2, 0]), np.array([2.0, 1.0])
+)
+IOLAP = IolapModel(
+    core=np.array([[[0.25], [0.75]]]),
+    influenced_factors=np.array([[0.5], [0.5]]),
+    influencer_factors=np.array([[0.1, 0.9], [0.9, 0.1]]),
+    topic_factors=np.array([[1 / 3], [2 / 3]]),
+    topics_fixed=True,
+    loglik_trace=[],
+    bloggers=["ua", "ub"],
+    terms=["alpha", "beta"],
+)
+PCLDC = PcldcModel(
+    popularity=np.array([1.5, 0.5]),
+    content_weights=np.array([[0.1, -0.2]]),
+    memberships=np.array([[0.25, 0.75], [1.0, 0.0]]),
+    blogger_content=np.zeros((2, 1)),
+    objective_trace=[],
+    nodes=["ua", "ub"],
+    terms=["alpha"],
+)
+PCL = PclModel(np.array([1.5, 0.5]), np.array([[0.25, 0.75], [1.0, 0.0]]), [], ["ua", "ub"])
+TOPICS = TopicModel(
+    2, np.array([[0.1, 0.9], [0.5, 0.5]]), np.array([0.25, 0.75]), np.zeros((0, 2)), [],
+    ["alpha", "beta"], [],
+)
+SPLIT = TrainTestSplit(
+    {("ub", "ua"): 1, ("ua", "ub"): 2},
+    [("ua", "uc", frozenset({"beta", "alpha"})), ("ub", "uc", frozenset())],
+    ["ua", "ub"],
+)
+INFLUENCE = InfluenceNetwork(
+    [
+        InfluenceLink("/ua/q1", "/ub/p1", "ua", "ub", 600, 0.8, True, True),
+        InfluenceLink("/ub/q2", "/ua/p1", "ub", "ua", 7200, 0.6, True, True),
+    ],
+    2, 4, 2, 2, 2,
+)
+LINKS = [
+    ImplicitLink("/ua/q1", "/ub/p1", "ua", "ub", 600),
+    ImplicitLink("/ua/q1", "/uc/p3", "ua", "uc", 3601),
+]
+_Z1 = 0.25 / (math.sqrt(0.1875) / math.sqrt(40))
+ZREPORT = ZReport(
+    [
+        BucketStat(1, 40, 30, 0.75, math.sqrt(0.1875), _Z1, True),
+        BucketStat(2, 0, 0, math.nan, math.nan, math.nan, False),
+        BucketStat(3, 31, 31, 1.0, 0.0, math.inf, True),
+    ],
+    5, 1,
+)
+VOCAB = Vocabulary(["alpha", "beta"], [3, 1], {"alpha": 0, "beta": 1})
+TRUTH = GroundTruth(
+    {("/ub/q2", "/ua/p1"), ("/ua/q1", "/ub/p1")},
+    {"ua": {1: ("ux", "uy"), 0: ("uz",)}, "ub": {0: ()}},
+)
+
+# name -> (object, write(object, path, header), read(path) or None, exact text)
+CASES = {
+    "tensor": (
+        TENSOR, write_tensor_tsv, read_tensor_tsv,
+        "# h\n[bloggers]\nua\nub\n[dims]\nn_terms\t3\n[entries]\n0\t1\t2\t2\n1\t0\t0\t1\n",
+    ),
+    "iolap": (
+        IOLAP, write_iolap_model, read_iolap_model,
+        "# h\n[meta]\nshape\t1\t2\t1\ntopics_fixed\t1\n"
+        "[core]\n0\t0\t0\t0.25\n0\t1\t0\t0.75\n"
+        "[influenced_factors]\nua\t0\t0.5\nub\t0\t0.5\n"
+        "[influencer_factors]\nua\t0\t0.1\nua\t1\t0.9\nub\t0\t0.9\nub\t1\t0.1\n"
+        "[topic_factors]\nalpha\t0\t0.3333333333333333\nbeta\t0\t0.6666666666666666\n",
+    ),
+    "pcldc": (
+        PCLDC, write_pcldc_model, read_pcldc_model,
+        "# h\n[popularity]\nua\t1.5\nub\t0.5\n"
+        "[memberships]\nua\t0\t0.25\nua\t1\t0.75\nub\t0\t1.0\nub\t1\t0.0\n"
+        "[content_weights]\nalpha\t0\t0.1\nalpha\t1\t-0.2\n",
+    ),
+    "pcl": (
+        PCL, write_pcl_model, read_pcl_model,
+        "# h\n[popularity]\nua\t1.5\nub\t0.5\n"
+        "[memberships]\nua\t0\t0.25\nua\t1\t0.75\nub\t0\t1.0\nub\t1\t0.0\n",
+    ),
+    "topics": (
+        TOPICS, write_topic_model, lambda p: read_topic_model(p, TOPICS.terms),
+        "# h\n[meta]\nn_topics\t2\n[p_t]\n0\t0.25\n1\t0.75\n"
+        "[p_w_given_t]\n0\talpha\t0.1\n0\tbeta\t0.9\n1\talpha\t0.5\n1\tbeta\t0.5\n",
+    ),
+    "train": (
+        SPLIT,
+        lambda s, p, h: write_split(s, p, p.with_suffix(".test"), h),
+        lambda p: read_split(p, p.with_suffix(".test")),
+        "# h\nsrc\tdst\tweight\nua\tub\t2\nub\tua\t1\n",
+    ),
+    "test": (
+        SPLIT,
+        lambda s, p, h: write_split(s, p.with_suffix(".train"), p, h),
+        lambda p: read_split(p.with_suffix(".train"), p),
+        "# h\nsrc\tdst\tkeywords\nua\tuc\talpha,beta\nub\tuc\t\n",
+    ),
+    "influence": (
+        INFLUENCE, write_influence_tsv, read_influence_tsv,
+        "# h\nq\tp\treader\tauthor\tgap_seconds\tpassed_time\tpassed_content\n"
+        "/ua/q1\t/ub/p1\tua\tub\t600\t1\t1\n/ub/q2\t/ua/p1\tub\tua\t7200\t1\t1\n",
+    ),
+    "links": (
+        LINKS, write_links_tsv, lambda p: read_links_tsv(p).links,
+        "# h\nq\tp\treader\tauthor\tgap_seconds\n"
+        "/ua/q1\t/ub/p1\tua\tub\t600\n/ua/q1\t/uc/p3\tua\tuc\t3601\n",
+    ),
+    "zreport": (
+        ZREPORT, write_zreport_tsv, None,
+        "# h\nbucket\tn\theads\txbar\tsigma\tz\tflag\n"
+        "1\t40\t30\t0.75\t0.4330127018922193\t3.6514837167011076\tone,two\n"
+        "2\t0\t0\tnan\tnan\tnan\tunavailable\n3\t31\t31\t1.0\t0.0\tinf\tone,two\n",
+    ),
+    "vocab": (VOCAB, write_vocabulary, None, "# h\nalpha\t3\nbeta\t1\n"),
+    "truth": (TRUTH, write_truth_tsv, None, "# h\nq\tp\n/ua/q1\t/ub/p1\n/ub/q2\t/ua/p1\n"),
+    "experts": (
+        TRUTH, write_experts_tsv, None,
+        "# h\nmember\ttopic\texperts\nua\t0\tuz\nua\t1\tux,uy\nub\t0\t\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_writer_bytes_and_round_trip(name, tmp_path):
+    obj, write, read, text = CASES[name]
+    path = tmp_path / "a.tsv"
+    write(obj, path, "# h")
+    assert path.read_bytes() == text.encode()
+    if read is not None:
+        again = tmp_path / "b.tsv"
+        write(read(path), again, "# h")
+        assert again.read_bytes() == text.encode()
+
+
+def test_round_trip_keeps_dtypes_and_network_counts(tmp_path):
+    write_tensor_tsv(TENSOR, tmp_path / "t.tsv")
+    tensor = read_tensor_tsv(tmp_path / "t.tsv")
+    for name in ("influenced", "influencer", "term", "counts"):
+        loaded, original = getattr(tensor, name), getattr(TENSOR, name)
+        assert loaded.dtype == original.dtype and np.array_equal(loaded, original), name
+    write_influence_tsv(INFLUENCE, tmp_path / "i.tsv")
+    net = read_influence_tsv(tmp_path / "i.tsv", tau_hours=2)
+    assert (net.post_count, net.blogger_count, net.post_link_count, net.blogger_link_count) == (
+        4, 2, 2, 2
+    )
+    write_links_tsv(LINKS, tmp_path / "l.tsv")
+    links = read_links_tsv(tmp_path / "l.tsv", window_hours=12)
+    assert links.links == LINKS
+    assert (links.post_count, links.blogger_count, links.blogger_link_count) == (3, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("1\t0\t0\t1\n", "1\t0\t0\n", "t.tsv:9: expected 4 tab-separated fields, found 3"),
+        ("n_terms\t3", "n_terms\tthree", "t.tsv:6: invalid literal for int()"),
+        ("[dims]", "[sizes]", "t.tsv:5: unexpected section '[sizes]'"),
+        ("n_terms\t3\n", "n_terms_x\t3\n", "t.tsv:6: unexpected key 'n_terms_x' in [dims]"),
+        ("n_terms\t3\n", "", "t.tsv: [dims] lacks n_terms"),
+        ("# h\n[bloggers]\n", "# h\nua\n[bloggers]\n", "t.tsv:2: row before the first [section]"),
+    ],
+)
+def test_malformed_section_row_names_file_and_line(tmp_path, old, new, message):
+    path = tmp_path / "t.tsv"
+    write_tensor_tsv(TENSOR, path, "# h")
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(FormatError) as info:
+        read_tensor_tsv(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("\t3601\n", "\n", "l.tsv:4: expected 5 tab-separated fields, found 4"),
+        ("\t3601\n", "\t1h\n", "l.tsv:4: invalid literal for int()"),
+        ("gap_seconds\n", "gap\n", "l.tsv:2: expected the column names"),
+    ],
+)
+def test_malformed_row_names_file_and_line(tmp_path, old, new, message):
+    path = tmp_path / "l.tsv"
+    write_links_tsv(LINKS, path, "# h")
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(FormatError) as info:
+        read_links_tsv(path)
+    assert message in str(info.value)
+
+
+def test_matrix_rows_must_match_the_given_labels():
+    rows = [["ua", 0, 0.5], ["uz", 0, 0.5]]
+    with pytest.raises(FormatError):
+        artifacts.labelled_matrix(rows, ["ua", "ub"])
+    labels, matrix = artifacts.labelled_matrix(rows)
+    assert labels == ["ua", "uz"] and matrix.tolist() == [[0.5], [0.5]]

@@ -145,6 +145,25 @@ class TestExitCodes:
             pipeline_dir / "iolap_model.tsv"
         ).read_bytes()
 
+    def test_truncated_artifact_row_is_1(self, pipeline_copy, config_file, capsys):
+        tensor = pipeline_copy / "tensor.tsv"
+        text = tensor.read_text(encoding="utf-8")
+        tensor.write_text(text[: text.rindex("\t")] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["iolap", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "tensor.tsv:" in err
+        assert "Traceback" not in err
+
+    def test_only_links_and_report_need_the_accesses(self, pipeline_copy, config_file):
+        (pipeline_copy / "clean_accesses.tsv").unlink()
+        argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]
+        assert main(["topics", *argv]) == 0
+        assert main(["pcl", *argv]) == 0
+        assert main(["links", *argv]) == 2
+
     def test_invalid_iolap_rank_is_1(self, pipeline_copy, config_file, capsys):
         capsys.readouterr()
         code = main(["iolap", "--config", config_file, "--out-dir", str(pipeline_copy),
