@@ -173,8 +173,9 @@ def _rank_candidates(
         normalized = scores / total
     else:
         normalized = np.full(len(bloggers), 1.0 / len(candidates))
-    ranked = sorted(candidates, key=lambda i: (-normalized[i], i))
-    return [(bloggers[i], float(normalized[i])) for i in ranked[:n]]
+    # Stable: equal scores keep ascending blogger index.
+    ranked = np.array(candidates)[np.argsort(-normalized[candidates], kind="stable")[:n]]
+    return [(bloggers[i], float(normalized[i])) for i in ranked.tolist()]
 
 
 def influencer_topic_matrix(model: IolapModel) -> np.ndarray:

@@ -117,15 +117,27 @@ def matrix_rows(labels: Sequence[str], matrix: np.ndarray) -> Iterator[tuple]:
             yield label, col, value
 
 
-def labelled_matrix(rows: list[list],
-                    labels: list[str] | None = None) -> tuple[list[str], np.ndarray]:
+def check_indices(path: str | Path, what: str, indices: np.ndarray, size: int) -> None:
+    """Raise ``FormatError`` unless every index is in ``[0, size)``."""
+    bad = np.flatnonzero((indices < 0) | (indices >= size))
+    if bad.size:
+        raise FormatError(f"{path}: {what} index {indices[bad[0]]} is outside [0, {size})")
+
+
+def labelled_matrix(rows: list[list], labels: list[str] | None = None,
+                    path: str | Path = "matrix") -> tuple[list[str], np.ndarray]:
     """Inverse of ``matrix_rows``: labels in first-seen order unless given."""
     if labels is None:
         labels = list(dict.fromkeys(row[0] for row in rows))
     index = {label: i for i, label in enumerate(labels)}
-    mat = np.zeros((len(labels), max((row[1] for row in rows), default=-1) + 1))
+    cols = [row[1] for row in rows]
+    if cols and min(cols) < 0:
+        raise FormatError(f"{path}: matrix column {min(cols)} is negative")
+    mat = np.zeros((len(labels), max(cols, default=-1) + 1))
     for label, col, value in rows:
         if label not in index:
-            raise FormatError(f"matrix row label {label!r} is not among the {len(labels)} expected")
+            raise FormatError(
+                f"{path}: matrix row label {label!r} is not among the {len(labels)} expected"
+            )
         mat[index[label], col] = value
     return labels, mat

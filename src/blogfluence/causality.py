@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.implicit import ImplicitLink, ImplicitNetwork, link_counts
-from blogfluence.textvec import TermVector, cosine
+from blogfluence.implicit import ImplicitLink, ImplicitNetwork, expand_ranges, link_counts
+from blogfluence.textvec import TermVector
+from blogfluence.topics import build_doc_term
 
 # Normal-approximation critical values at p = 0.01.
 Z_ONE_SIDED = 2.326
@@ -39,6 +39,12 @@ Z_TWO_SIDED = 2.576
 DEFAULT_MIN_BUCKET_N = 30
 DEFAULT_MIN_TOKENS = 10
 DEFAULT_TAU_HOURS = 2
+
+
+# Links per block of the similarity kernel.  A block expands one entry per
+# term of each link's q post; at 256 links those arrays stay well under a
+# MB, which keeps the kernel from raising the process's peak memory.
+_SIMILARITY_BLOCK = 256
 
 
 def annotate_similarity(
@@ -49,23 +55,45 @@ def annotate_similarity(
     """Attach cosine similarity to links whose two posts both kept
     at least ``min_tokens`` in-vocabulary tokens; others get None.
 
+    The dot products run over the document-term triplets of
+    ``topics.build_doc_term``: each term of q is looked up in p's sorted
+    (document, term) keys.  Counts are integers, exact in float64, so
+    every similarity is bit-identical to ``textvec.cosine``.
+
     Returns the number of links that received a similarity.
     """
-    n_eligible = 0
-    for link in net.links:
-        u = vectors.get(link.q)
-        v = vectors.get(link.p)
-        if (
-            u is not None
-            and v is not None
-            and u.token_count >= min_tokens
-            and v.token_count >= min_tokens
-        ):
-            link.similarity = cosine(u, v)
-            n_eligible += 1
-        else:
-            link.similarity = None
-    return n_eligible
+    n_terms = 1 + max((max(v.entries, default=-1) for v in vectors.values()), default=-1)
+    doc_term = build_doc_term(vectors, n_terms)
+    rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
+    n_docs = doc_term.n_docs
+    doc = {url: d for d, url in enumerate(doc_term.doc_ids)}
+    # Index n_docs stands for a post without a vector.
+    eligible = np.array([vectors[url].token_count >= min_tokens for url in doc_term.doc_ids] + [False])
+    starts = rows.searchsorted(np.arange(n_docs + 1))
+    norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=n_docs))
+    keys = rows * n_terms + cols
+    del doc_term, rows, cols  # the blocks read only keys, counts and starts
+
+    links = net.links
+    u = np.fromiter((doc.get(l.q, n_docs) for l in links), np.int64, len(links))
+    v = np.fromiter((doc.get(l.p, n_docs) for l in links), np.int64, len(links))
+    ok = eligible[u] & eligible[v]
+    sims = np.zeros(len(u))
+    todo = np.flatnonzero(ok)
+    for lo in range(0, len(todo), _SIMILARITY_BLOCK):
+        block = todo[lo:lo + _SIMILARITY_BLOCK]
+        bu, bv = u[block], v[block]
+        which, entry = expand_ranges(starts[bu], starts[bu + 1])
+        wanted = keys[entry] + (bv - bu)[which] * n_terms  # q's terms, keyed in p's row
+        at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
+        shared = keys[at] == wanted
+        dot = np.bincount(which[shared], weights=counts[entry[shared]] * counts[at[shared]],
+                          minlength=len(block))
+        norm = norms[bu] * norms[bv]
+        sims[block] = np.divide(dot, norm, out=np.zeros(len(block)), where=norm > 0)
+    for link, sim, has in zip(links, sims.tolist(), ok.tolist()):
+        link.similarity = sim if has else None
+    return len(todo)
 
 
 @dataclass
@@ -75,8 +103,86 @@ class CoinSeries:
     median_sim: float
 
 
-def _bucket(gap_seconds: int) -> int:
-    return (gap_seconds + 3599) // 3600
+def _codes(names: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct names in ascending order, and the index of each name
+    among them."""
+    distinct = sorted(set(names))
+    index = {name: i for i, name in enumerate(distinct)}
+    return distinct, np.array([index[name] for name in names], dtype=np.int64)
+
+
+def _eligible(links: Sequence[ImplicitLink]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions, gaps and similarities of the links that carry a similarity."""
+    has = np.fromiter((l.similarity is not None for l in links), bool, len(links))
+    gap = np.fromiter((l.gap_seconds for l in links), np.int64, len(links))[has]
+    sim = np.array([l.similarity for l in links if l.similarity is not None], dtype=np.float64)
+    return np.flatnonzero(has), gap, sim
+
+
+def _run_bounds(codes: np.ndarray) -> np.ndarray:
+    """Start of every run of equal values in ``codes``, then ``len(codes)``."""
+    change = np.ones(len(codes) + 1, dtype=bool)
+    change[1:-1] = codes[1:] != codes[:-1]
+    return np.flatnonzero(change)
+
+
+def _run_medians(bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``statistics.median`` of each run ``values[bounds[i]:bounds[i + 1]]``.
+
+    One stable sort by (run, value) orders every run at once; an even run
+    takes ``(a + b) / 2`` of its middle pair, the same float as ``median``.
+    """
+    sizes = np.diff(bounds)
+    ordered = values[np.lexsort((values, np.repeat(np.arange(len(sizes)), sizes)))]
+    mid = bounds[:-1] + sizes // 2
+    lower = ordered[mid - 1 + sizes % 2]
+    return np.where(sizes % 2 == 1, ordered[mid], (lower + ordered[mid]) / 2)
+
+
+def _coin_series(
+    anchors: list[str],
+    code: np.ndarray,
+    gap: np.ndarray,
+    p_rank: np.ndarray,
+    sim: np.ndarray,
+    rng: np.random.Generator,
+) -> list[CoinSeries]:
+    """Coin series of eligible links given as arrays, one per anchor with at
+    least two links; ``code`` indexes the ascending ``anchors``.
+
+    Links are ordered by (anchor, gap, p).  Faces strictly above/below the
+    anchor's median are forced; only anchors with tied faces draw from
+    ``rng``, in anchor order, with the draws of the per-anchor definition
+    (see ``make_coins``).
+    """
+    order = np.lexsort((p_rank, gap, code))
+    code, gap, sim = code[order], gap[order], sim[order]
+    bounds = _run_bounds(code)
+    sizes = np.diff(bounds)
+    med = _run_medians(bounds, sim)
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    heads = sim > med[run]
+    tied = sim == med[run]
+    n_above = np.bincount(run[heads], minlength=len(sizes)).tolist()
+    tie_at = np.flatnonzero(tied)
+    tie_bounds = tie_at.searchsorted(bounds).tolist()
+    for r in np.flatnonzero((sizes >= 2) & (np.diff(tie_bounds) > 0)).tolist():
+        n, above = int(sizes[r]), n_above[r]
+        ties = tie_at[tie_bounds[r]:tie_bounds[r + 1]]
+        targets = sorted({n // 2, (n + 1) // 2})
+        achievable = [t for t in targets if 0 <= t - above <= len(ties)]
+        target = achievable[int(rng.integers(len(achievable)))] if len(achievable) > 1 else achievable[0]
+        heads[ties[rng.choice(len(ties), size=target - above, replace=False)]] = True
+
+    buckets = ((gap + 3599) // 3600).tolist()
+    faces = heads.tolist()
+    return [
+        CoinSeries(anchors[c], list(zip(buckets[lo:hi], faces[lo:hi])), m)
+        for c, lo, hi, m in zip(
+            code[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), med.tolist()
+        )
+        if hi - lo >= 2
+    ]
 
 
 def make_coins(
@@ -87,41 +193,15 @@ def make_coins(
     Faces strictly above/below the median are forced; tied faces are
     randomized subject to per-anchor balance (|heads - tails| <= 1), which
     is always achievable because at most half the values can sit strictly
-    on either side of the median.
+    on either side of the median.  When both balanced head counts are
+    achievable, ``rng.integers(2)`` picks one; then
+    ``rng.choice(n_ties, size=tie_heads, replace=False)`` picks the tied
+    positions that become heads.
     """
-    eligible = [l for l in links if l.similarity is not None]
-    if len(eligible) < 2:
-        return None
-    eligible.sort(key=lambda l: (l.gap_seconds, l.p))
-    sims = [l.similarity for l in eligible]
-    med = float(median(sims))
-
-    n = len(eligible)
-    faces: list[bool | None] = []
-    tie_positions: list[int] = []
-    n_above = 0
-    for i, s in enumerate(sims):
-        if s > med:
-            faces.append(True)
-            n_above += 1
-        elif s < med:
-            faces.append(False)
-        else:
-            faces.append(None)
-            tie_positions.append(i)
-
-    targets = sorted({n // 2, (n + 1) // 2})
-    achievable = [t for t in targets if 0 <= t - n_above <= len(tie_positions)]
-    target = achievable[int(rng.integers(len(achievable)))] if len(achievable) > 1 else achievable[0]
-    n_tie_heads = target - n_above
-    if tie_positions:
-        head_picks = rng.choice(len(tie_positions), size=n_tie_heads, replace=False)
-        chosen = {tie_positions[int(i)] for i in head_picks}
-        for pos in tie_positions:
-            faces[pos] = pos in chosen
-
-    coins = [(_bucket(l.gap_seconds), bool(f)) for l, f in zip(eligible, faces)]
-    return CoinSeries(anchor=anchor, coins=coins, median_sim=med)
+    _, gap, sim = _eligible(links)
+    _, p_rank = _codes([l.p for l in links if l.similarity is not None])
+    series = _coin_series([anchor], np.zeros(len(sim), dtype=np.int64), gap, p_rank, sim, rng)
+    return series[0] if series else None
 
 
 def build_coin_series(
@@ -130,23 +210,18 @@ def build_coin_series(
     """Group links by anchor post and build a coin series per anchor.
 
     ``anchor_side`` is "q" for the forward test and "p" for the reversed
-    one.  Returns (series, number of anchors skipped for having fewer
+    one.  Anchors are visited in ascending order, each as ``make_coins``
+    would.  Returns (series, number of anchors skipped for having fewer
     than two eligible links).
     """
     if anchor_side not in ("q", "p"):
         raise ValueError("anchor_side must be 'q' or 'p'")
-    groups: dict[str, list[ImplicitLink]] = {}
-    for link in net.links:
-        groups.setdefault(getattr(link, anchor_side), []).append(link)
-    series: list[CoinSeries] = []
-    skipped = 0
-    for anchor in sorted(groups):
-        s = make_coins(anchor, groups[anchor], rng)
-        if s is None:
-            skipped += 1
-        else:
-            series.append(s)
-    return series, skipped
+    links = net.links
+    anchors, code = _codes([getattr(l, anchor_side) for l in links])
+    p_rank = code if anchor_side == "p" else _codes([l.p for l in links])[1]
+    at, gap, sim = _eligible(links)
+    series = _coin_series(anchors, code[at], gap, p_rank[at], sim, rng)
+    return series, len(anchors) - len(series)
 
 
 @dataclass
@@ -274,32 +349,21 @@ def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) 
     The median is taken over q's window links that carry a similarity
     (deduplicated links, one per read post).  Only comparisons against
     the median are used, so the result is invariant under any monotone
-    transform of the similarity function.
+    transform of the similarity function.  Kept links are ordered by
+    (q, p).
     """
-    groups: dict[str, list[ImplicitLink]] = {}
-    for link in net.links:
-        groups.setdefault(link.q, []).append(link)
-    tau = tau_hours * 3600
-    kept: list[InfluenceLink] = []
-    for anchor in sorted(groups):
-        eligible = [l for l in groups[anchor] if l.similarity is not None]
-        if not eligible:
-            continue
-        med = float(median([l.similarity for l in eligible]))
-        for l in sorted(eligible, key=lambda l: l.p):
-            if l.gap_seconds <= tau and l.similarity > med:
-                kept.append(
-                    InfluenceLink(
-                        q=l.q,
-                        p=l.p,
-                        reader=l.reader,
-                        author=l.author,
-                        gap_seconds=l.gap_seconds,
-                        similarity=l.similarity,
-                        passed_time=True,
-                        passed_content=True,
-                    )
-                )
+    links = net.links
+    at, gap, sim = _eligible(links)
+    _, q_code = _codes([l.q for l in links if l.similarity is not None])
+    by_q = np.argsort(q_code, kind="stable")
+    bounds = _run_bounds(q_code[by_q])
+    med = np.empty(len(at))
+    med[by_q] = np.repeat(_run_medians(bounds, sim[by_q]), np.diff(bounds))
+    keep = at[(gap <= tau_hours * 3600) & (sim > med)].tolist()
+    kept = [
+        InfluenceLink(l.q, l.p, l.reader, l.author, l.gap_seconds, l.similarity, True, True)
+        for l in sorted((links[i] for i in keep), key=lambda l: (l.q, l.p))
+    ]
     return InfluenceNetwork(links=kept, tau_hours=tau_hours, **link_counts(kept))
 
 

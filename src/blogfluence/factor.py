@@ -112,9 +112,14 @@ def read_tensor_tsv(path: str) -> InfluenceTensor:
     })
     columns = np.array(sections["entries"], dtype=float).reshape(-1, 4).T.copy()
     influenced, influencer, term = columns[:3].astype(np.int64)
+    bloggers = [b for (b,) in sections["bloggers"]]
+    n_terms = sections["dims"]["n_terms"][0]
+    artifacts.check_indices(path, "influenced blogger", influenced, len(bloggers))
+    artifacts.check_indices(path, "influencer blogger", influencer, len(bloggers))
+    artifacts.check_indices(path, "term", term, n_terms)
     return InfluenceTensor(
-        bloggers=[b for (b,) in sections["bloggers"]],
-        n_terms=sections["dims"]["n_terms"][0],
+        bloggers=bloggers,
+        n_terms=n_terms,
         influenced=influenced,
         influencer=influencer,
         term=term,
@@ -700,11 +705,14 @@ def read_iolap_model(path: str) -> IolapModel:
         "topic_factors": artifacts.MATRIX,
     })
     core = np.zeros(sections["meta"]["shape"])
+    at = np.array([row[:3] for row in sections["core"]], dtype=np.int64).reshape(-1, 3)
+    for axis, name in enumerate(("core influenced", "core influencer", "core topic")):
+        artifacts.check_indices(path, name, at[:, axis], core.shape[axis])
     for a, b, c, v in sections["core"]:
         core[a, b, c] = v
-    bloggers, x_fac = artifacts.labelled_matrix(sections["influenced_factors"])
-    _, y_fac = artifacts.labelled_matrix(sections["influencer_factors"], bloggers)
-    terms, z_fac = artifacts.labelled_matrix(sections["topic_factors"])
+    bloggers, x_fac = artifacts.labelled_matrix(sections["influenced_factors"], path=path)
+    _, y_fac = artifacts.labelled_matrix(sections["influencer_factors"], bloggers, path)
+    terms, z_fac = artifacts.labelled_matrix(sections["topic_factors"], path=path)
     return IolapModel(
         core=core,
         influenced_factors=x_fac,
@@ -732,8 +740,8 @@ def read_pcldc_model(path: str) -> PcldcModel:
         "content_weights": artifacts.MATRIX,
     })
     nodes = [node for node, _ in sections["popularity"]]
-    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes)
-    terms, weights = artifacts.labelled_matrix(sections["content_weights"])
+    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes, path)
+    terms, weights = artifacts.labelled_matrix(sections["content_weights"], path=path)
     return PcldcModel(
         popularity=np.array([b for _, b in sections["popularity"]]),
         content_weights=weights,
@@ -757,7 +765,7 @@ def read_pcl_model(path: str) -> PclModel:
         path, {"popularity": (str, float), "memberships": artifacts.MATRIX}
     )
     nodes = [node for node, _ in sections["popularity"]]
-    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes)
+    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes, path)
     popularity = np.array([b for _, b in sections["popularity"]])
     return PclModel(
         popularity=popularity, memberships=memberships, objective_trace=[], nodes=nodes

@@ -8,10 +8,11 @@ being the most plausible influence carrier.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.corpus import Corpus
@@ -54,47 +55,84 @@ def summarize_links(links: list[ImplicitLink], window_hours: int) -> ImplicitNet
     return ImplicitNetwork(links=links, window_hours=window_hours, **link_counts(links))
 
 
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges [lo[i], hi[i]), concatenated, and the i
+    each one comes from; a range with hi <= lo is empty."""
+    counts = np.maximum(hi - lo, 0)
+    which = np.repeat(np.arange(len(lo)), counts)
+    return which, np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+
+
 def build_implicit_links(corpus: Corpus, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
     """Pair every cleaned access with the reader's posts that follow it.
 
     For each access from an IP owned by blogger A to a post p by B != A,
     every post q by A with 0 < upload_ts(q) - access_ts <= window yields
     a link; access exactly at upload time does not count as "before".
+
+    Posts are sorted by (author, upload time) so that each reader's
+    window is one ``searchsorted`` range; the candidate (q, p) pairs of
+    all windows are then sorted by (q, p, gap) and the first of each run
+    kept.
     """
     window = window_hours * 3600
-    by_user: dict[str, list[tuple[int, str]]] = {}
-    for post in corpus.posts:
-        by_user.setdefault(post.user_id, []).append((post.upload_ts, post.url))
-    for entries in by_user.values():
-        entries.sort()
-    user_ts: dict[str, list[int]] = {u: [ts for ts, _ in es] for u, es in by_user.items()}
+    posts = corpus.posts
+    user_code = {u: i for i, u in enumerate(dict.fromkeys(post.user_id for post in posts))}
+    owner = np.array([user_code[post.user_id] for post in posts], dtype=np.int64)
+    upload = np.array([post.upload_ts for post in posts], dtype=np.int64)
+    url_rank = np.empty(len(posts), dtype=np.int64)
+    url_rank[sorted(range(len(posts)), key=lambda i: posts[i].url)] = np.arange(len(posts))
 
-    best: dict[tuple[str, str], tuple[int, str, str]] = {}
-    for access in corpus.accesses:
-        idx = corpus.url_to_post.get(access.request)
-        if idx is None:
-            continue
-        target = corpus.posts[idx]
-        for reader in sorted(corpus.ip_to_bloggers.get(access.hashed_ip, frozenset())):
-            if reader == target.user_id:
-                continue
-            entries = by_user.get(reader)
-            if not entries:
-                continue
-            times = user_ts[reader]
-            lo = bisect_right(times, access.access_ts)
-            hi = bisect_right(times, access.access_ts + window)
-            for ts_q, q_url in entries[lo:hi]:
-                gap = ts_q - access.access_ts
-                key = (q_url, target.url)
-                prev = best.get(key)
-                if prev is None or gap < prev[0]:
-                    best[key] = (gap, reader, target.user_id)
+    # Readers per IP as ranges of one flat array; one more, empty, range
+    # stands for every IP that owns no post.
+    ip_code: dict[str, int] = {}
+    flat_readers: list[int] = []
+    bounds = [0]
+    for ip, owners in corpus.ip_to_bloggers.items():
+        ip_code[ip] = len(ip_code)
+        flat_readers += [user_code[u] for u in owners if u in user_code]
+        bounds.append(len(flat_readers))
+    bounds.append(len(flat_readers))
+    bounds = np.array(bounds, dtype=np.int64)
 
-    links = [
-        ImplicitLink(q=q, p=p, reader=reader, author=author, gap_seconds=gap)
-        for (q, p), (gap, reader, author) in sorted(best.items())
+    accesses = [
+        (idx, ip_code.get(a.hashed_ip, len(ip_code)), a.access_ts)
+        for a in corpus.accesses
+        if (idx := corpus.url_to_post.get(a.request)) is not None
     ]
+    if not posts or not accesses:
+        return summarize_links([], window_hours)
+    target, ip, access_ts = np.array(accesses, dtype=np.int64).T
+    which, pos = expand_ranges(bounds[ip], bounds[ip + 1])
+    reader = np.array(flat_readers, dtype=np.int64)[pos]
+    keep = reader != owner[target[which]]
+    which, reader = which[keep], reader[keep]
+    p, t = target[which], access_ts[which]
+
+    # One key per post, (author, upload time) in one int64; a query time
+    # is clipped into its author's key range so that it never reaches a
+    # neighbour's.
+    t0 = int(upload.min())
+    span = int(upload.max()) - t0 + 2
+    post_key = owner * span + (upload - t0)
+    by_key = np.argsort(post_key)
+    keys = post_key[by_key]
+
+    def window_edge(ts: np.ndarray) -> np.ndarray:
+        return keys.searchsorted(reader * span + np.clip(ts - t0, -1, span - 1), side="right")
+
+    pair, pos = expand_ranges(window_edge(t), window_edge(t + window))
+    q, p = by_key[pos], p[pair]
+    gap = upload[q] - t[pair]
+    first = np.lexsort((gap, url_rank[p], url_rank[q]))
+    q, p, gap = q[first], p[first], gap[first]
+    new_pair = np.ones(len(q), dtype=bool)
+    new_pair[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1])
+    q, p, gap = q[new_pair].tolist(), p[new_pair].tolist(), gap[new_pair].tolist()
+
+    urls = [post.url for post in posts]
+    uids = [post.user_id for post in posts]
+    links = [ImplicitLink(urls[a], urls[b], uids[a], uids[b], g) for a, b, g in zip(q, p, gap)]
     return summarize_links(links, window_hours)
 
 

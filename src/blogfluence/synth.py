@@ -15,6 +15,7 @@ couples the two only through the planted pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -104,6 +105,18 @@ def _topic_word_dists(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     return dists
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(len(p), p=p)`` builds on every call.
+
+    ``cdf.searchsorted(rng.random(size), side="right")`` then draws what
+    that ``choice`` call would, from the same stream; for one draw,
+    ``bisect_right(cdf.tolist(), rng.random())`` is the same index.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     """Build a corpus and its planted ground truth from one seeded stream."""
     rng = np.random.default_rng(cfg.seed)
@@ -155,33 +168,33 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     hour_w = np.asarray(cfg.hour_profile, dtype=float)
     hour_w /= hour_w.sum()
 
+    day_cdf, hour_cdf = _choice_cdf(day_w).tolist(), _choice_cdf(hour_w).tolist()
+    topic_cdf = [_choice_cdf(row) for row in topic_word]
+    mixture_cdf = [_choice_cdf(row).tolist() for row in mixtures]
     posts: list[_Post] = []
     for b in range(cfg.n_bloggers):
         n_posts = int(rng.poisson(cfg.posts_per_blogger_rate * cfg.n_days))
         for serial in range(n_posts):
-            day = int(rng.choice(cfg.n_days, p=day_w))
-            hour = int(rng.choice(24, p=hour_w))
+            day = bisect_right(day_cdf, rng.random())
+            hour = bisect_right(hour_cdf, rng.random())
             minute, second = int(rng.integers(60)), int(rng.integers(60))
             ts = base_utc + day * 86400 + hour * 3600 + minute * 60 + second
-            topic = int(rng.choice(cfg.n_topics, p=mixtures[b]))
-            tokens = rng.choice(cfg.vocab_size, size=cfg.tokens_per_post, p=topic_word[topic])
+            topic = bisect_right(mixture_cdf[b], rng.random())
+            tokens = topic_cdf[topic].searchsorted(rng.random(cfg.tokens_per_post), side="right")
             posts.append(_Post(b, f"/u{b:04d}/p{serial}", ts, topic, tokens))
     if not posts:
         raise SynthesisError("configuration produced zero posts")
     posts.sort(key=lambda p: (p.ts, p.url))
 
-    by_author_times: list[np.ndarray] = []
-    by_author_idx: list[list[int]] = []
-    for _ in range(cfg.n_bloggers):
-        by_author_times.append(None)  # filled below
-        by_author_idx.append([])
-    tmp_times: list[list[int]] = [[] for _ in range(cfg.n_bloggers)]
+    # Sorted upload times per author and overall; bisect_left on them
+    # counts the posts uploaded before a cutoff.
+    by_author_times: list[list[int]] = [[] for _ in range(cfg.n_bloggers)]
+    by_author_idx: list[list[int]] = [[] for _ in range(cfg.n_bloggers)]
     for idx, post in enumerate(posts):
-        tmp_times[post.blogger].append(post.ts)
+        by_author_times[post.blogger].append(post.ts)
         by_author_idx[post.blogger].append(idx)
-    for b in range(cfg.n_bloggers):
-        by_author_times[b] = np.asarray(tmp_times[b], dtype=np.int64)
-    all_times = np.array([p.ts for p in posts], dtype=np.int64)
+    all_times = [p.ts for p in posts]
+    author_cum_rows = list(author_cum)
 
     # personal expert subsets: which of the group's experts a member reads
     personal: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -196,8 +209,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
                 personal[(b, t)] = tuple(pool[int(i)] for i in sorted(picks))
 
     def pick_author_post(author: int, cutoff: int) -> int | None:
-        times = by_author_times[author]
-        n_avail = int(np.searchsorted(times, cutoff, side="left"))
+        n_avail = bisect_left(by_author_times[author], cutoff)
         if n_avail == 0:
             return None
         return by_author_idx[author][int(rng.integers(n_avail))]
@@ -228,14 +240,14 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
                     if target is not None:
                         break
             if target is None:
+                cum = author_cum_rows[reader]
                 for _ in range(8):
-                    u = rng.random() * author_cum[reader, -1]
-                    author = int(np.searchsorted(author_cum[reader], u, side="right"))
+                    author = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
                     target = pick_author_post(author, cutoff)
                     if target is not None:
                         break
             if target is None:
-                n_avail = int(np.searchsorted(all_times, cutoff, side="left"))
+                n_avail = bisect_left(all_times, cutoff)
                 for _ in range(8):
                     if n_avail == 0:
                         break
@@ -292,7 +304,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
             url=p.url,
             title=f"post {p.url}",
             blog_name=f"blog-{blogger_ids[p.blogger]}",
-            body=" ".join(terms[t] for t in p.tokens),
+            body=" ".join([terms[t] for t in p.tokens.tolist()]),
             themes=(f"t{p.topic}",),
         )
         for p in posts

@@ -40,7 +40,7 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     cfg = config or _DEFAULT_TOKENIZER
     return [
         tok
-        for tok in (m.group(0).lower() for m in _WORD_RE.finditer(text))
+        for tok in map(str.lower, _WORD_RE.findall(text))
         if len(tok) >= cfg.min_len and tok not in cfg.stopwords
     ]
 
@@ -89,11 +89,9 @@ class TermVector:
 
 
 def vectorize(tokens: Sequence[str], vocab: Vocabulary) -> TermVector:
-    entries: dict[int, int] = {}
-    for tok in tokens:
-        idx = vocab.index.get(tok)
-        if idx is not None:
-            entries[idx] = entries.get(idx, 0) + 1
+    """Counts of the in-vocabulary tokens, keyed in order of first occurrence."""
+    index = vocab.index
+    entries = {index[tok]: n for tok, n in Counter(tokens).items() if tok in index}
     return TermVector(entries=entries, token_count=sum(entries.values()))
 
 

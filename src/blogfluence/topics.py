@@ -7,6 +7,7 @@ per-topic results stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -37,25 +38,21 @@ class DocTermMatrix:
 
 def build_doc_term(vectors: dict[str, TermVector] | Iterable[tuple[str, TermVector]],
                    n_terms: int) -> DocTermMatrix:
+    """Nonzero triplets by document, terms ascending within a document."""
     items = sorted(vectors.items()) if isinstance(vectors, dict) else list(vectors)
-    doc_ids = [doc_id for doc_id, _ in items]
-    rows: list[int] = []
-    cols: list[int] = []
-    counts: list[float] = []
-    totals = np.zeros(len(items))
-    for d, (_, vec) in enumerate(items):
-        for term_idx in sorted(vec.entries):
-            rows.append(d)
-            cols.append(term_idx)
-            counts.append(float(vec.entries[term_idx]))
-        totals[d] = float(sum(vec.entries.values()))
+    rows = np.repeat(np.arange(len(items), dtype=np.int64), [len(vec.entries) for _, vec in items])
+    cols = np.fromiter(chain.from_iterable(vec.entries for _, vec in items), np.int64, len(rows))
+    counts = np.fromiter(
+        chain.from_iterable(vec.entries.values() for _, vec in items), np.float64, len(rows)
+    )
+    order = np.lexsort((cols, rows))
     return DocTermMatrix(
-        doc_ids=doc_ids,
+        doc_ids=[doc_id for doc_id, _ in items],
         n_terms=n_terms,
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        counts=np.asarray(counts, dtype=np.float64),
-        doc_totals=totals,
+        rows=rows,
+        cols=cols[order],
+        counts=counts[order],
+        doc_totals=np.array([float(sum(vec.entries.values())) for _, vec in items]),
     )
 
 
@@ -174,6 +171,9 @@ def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
         "meta": {"n_topics": (int,)}, "p_t": (int, float), "p_w_given_t": (int, str, float),
     })
     (n_topics,) = sections["meta"]["n_topics"]
+    for name in ("p_t", "p_w_given_t"):
+        ks = np.array([row[0] for row in sections[name]], dtype=np.int64)
+        artifacts.check_indices(model_path, f"[{name}] topic", ks, n_topics)
     index = {t: i for i, t in enumerate(terms)}
     word_topic = np.zeros((n_topics, len(terms)))
     covered: set[str] = set()
@@ -192,6 +192,8 @@ def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
             "vocabulary terms; was it fitted with another vocab_max_size?"
         )
     p_t = dict(sections["p_t"])
+    if len(p_t) != n_topics:
+        raise FormatError(f"{model_path}: [p_t] has {len(p_t)} of the {n_topics} topics")
     prior = np.array([p_t[k] for k in range(n_topics)])
     return TopicModel(
         n_topics=n_topics,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from blogfluence.analysis import (
     TrainTestSplit,
+    _rank_candidates,
     UnanswerableQuery,
     idr,
     idr_curve,
@@ -239,6 +240,35 @@ class TestTopicPosterior:
         tm, _ = _toy_models()
         with pytest.raises(UnanswerableQuery):
             topic_posterior(tm, ["nope"])
+
+
+class TestRankCandidates:
+    @staticmethod
+    def _sorted_ranking(bloggers, scores, exclude, n):
+        # The definition: descending normalized score, ties by index.
+        candidates = [i for i, b in enumerate(bloggers) if b not in exclude]
+        total = float(scores[candidates].sum())
+        normalized = scores / total if total > 0 else np.full(len(bloggers), 1.0 / len(candidates))
+        ranked = sorted(candidates, key=lambda i: (-normalized[i], i))
+        return [(bloggers[i], float(normalized[i])) for i in ranked[:n]]
+
+    @pytest.mark.parametrize("scores", [
+        [0.2, 0.5, 0.2, 0.0, -0.0, 0.5, 0.0, 0.1],
+        [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.3, 0.3, 0.3, 0.0, 0.3, -0.0, 0.3],
+    ])
+    @pytest.mark.parametrize("exclude", [set(), {"b1", "b4"}])
+    def test_ties_and_signed_zeros_match_sorted(self, scores, exclude):
+        bloggers = [f"b{i}" for i in range(len(scores))]
+        scores = np.array(scores)
+        for n in (1, 3, 8, 20):
+            got = _rank_candidates(bloggers, scores, exclude, n)
+            assert [(b, repr(s)) for b, s in got] == [
+                (b, repr(s)) for b, s in self._sorted_ranking(bloggers, scores, exclude, n)
+            ]
+
+    def test_no_candidates(self):
+        assert _rank_candidates(["b0"], np.array([1.0]), {"b0"}, 3) == []
 
 
 class TestRecommenders:

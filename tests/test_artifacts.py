@@ -228,9 +228,63 @@ def test_malformed_row_names_file_and_line(tmp_path, old, new, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("0\t1\t2\t2\n", "0\t2\t2\t2\n", "t.tsv: influencer blogger index 2 is outside [0, 2)"),
+        ("0\t1\t2\t2\n", "-1\t1\t2\t2\n", "t.tsv: influenced blogger index -1 is outside [0, 2)"),
+        ("0\t1\t2\t2\n", "0\t1\t3\t2\n", "t.tsv: term index 3 is outside [0, 3)"),
+    ],
+)
+def test_tensor_index_out_of_range(tmp_path, old, new, message):
+    path = tmp_path / "t.tsv"
+    write_tensor_tsv(TENSOR, path, "# h")
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(FormatError) as info:
+        read_tensor_tsv(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("0\t1\t0\t0.75\n", "0\t2\t0\t0.75\n", "m.tsv: core influencer index 2 is outside [0, 2)"),
+        ("0\t1\t0\t0.75\n", "0\t1\t-1\t0.75\n", "m.tsv: core topic index -1 is outside [0, 1)"),
+        ("ub\t1\t0.1\n", "ub\t-1\t0.1\n", "m.tsv: matrix column -1 is negative"),
+    ],
+)
+def test_iolap_index_out_of_range(tmp_path, old, new, message):
+    path = tmp_path / "m.tsv"
+    write_iolap_model(IOLAP, path, "# h")
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(FormatError) as info:
+        read_iolap_model(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("1\talpha\t0.5\n", "5\talpha\t0.5\n", "m.tsv: [p_w_given_t] topic index 5 is outside [0, 2)"),
+        ("1\talpha\t0.5\n", "-1\talpha\t0.5\n", "m.tsv: [p_w_given_t] topic index -1 is outside"),
+        ("1\t0.75\n", "2\t0.75\n", "m.tsv: [p_t] topic index 2 is outside [0, 2)"),
+        ("1\t0.75\n", "", "m.tsv: [p_t] has 1 of the 2 topics"),
+    ],
+)
+def test_topic_model_index_out_of_range(tmp_path, old, new, message):
+    path = tmp_path / "m.tsv"
+    write_topic_model(TOPICS, path, "# h")
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(FormatError) as info:
+        read_topic_model(path, TOPICS.terms)
+    assert message in str(info.value)
+
+
 def test_matrix_rows_must_match_the_given_labels():
     rows = [["ua", 0, 0.5], ["uz", 0, 0.5]]
     with pytest.raises(FormatError):
         artifacts.labelled_matrix(rows, ["ua", "ub"])
     labels, matrix = artifacts.labelled_matrix(rows)
     assert labels == ["ua", "uz"] and matrix.tolist() == [[0.5], [0.5]]
+    with pytest.raises(FormatError, match="column -1 is negative"):
+        artifacts.labelled_matrix([["ua", 0, 0.5], ["ua", -1, 0.5]])

@@ -1,0 +1,317 @@
+"""Bit-identity of the array kernels of the detection layer.
+
+The synthetic corpus, the implicit links, the similarities, the coin
+faces (and the random stream they consume) and the extracted influence
+links are pinned two ways: sha256 digests recorded from the per-record
+implementation, and small per-record transcriptions kept here as
+oracles.
+"""
+
+import hashlib
+from bisect import bisect_right
+from statistics import median
+
+import numpy as np
+import pytest
+
+from blogfluence import causality
+from blogfluence.causality import (
+    annotate_similarity,
+    build_coin_series,
+    extract_influence,
+    make_coins,
+)
+from blogfluence.implicit import ImplicitLink, build_implicit_links, summarize_links
+from blogfluence.pipeline import run_detection
+from blogfluence.synth import SynthConfig, generate
+from blogfluence.textvec import TermVector, cosine
+
+from conftest import BASE_TS, make_access, make_corpus, make_post
+
+
+def _detection_config(rho, seed):
+    # The c01/c02 scale of tests/test_acceptance.py.
+    return SynthConfig(
+        n_bloggers=260,
+        n_days=20,
+        posts_per_blogger_rate=1.05,
+        reads_per_post_rate=5.0,
+        copy_prob=rho,
+        copy_fraction=0.45,
+        vocab_size=400,
+        tokens_per_post=40,
+        seed=seed,
+    )
+
+
+SYNTH_CONFIGS = {
+    "detect_planted": _detection_config(0.3, 5),
+    "experts": SynthConfig(
+        n_bloggers=80, n_days=8, n_topics=3, vocab_size=150, n_groups=2,
+        experts_per_group_topic=2, experts_read_per_member=1, copy_prob=0.4, seed=11,
+    ),
+    "default": SynthConfig(seed=3),
+}
+
+# Recorded from the per-record implementation.
+SYNTH_DIGESTS = {
+    "detect_planted": "dba28c931f37affc9352265963d08573f76e30499d9458afd78e09976e9e90e0",
+    "experts": "bb3f7eddc589cff4329da5562742a5b5bbb8a7568408657553e252790a8dba0a",
+    "default": "23907fa3b713068b06f37b1cf8a83a149b47133ab6b66d24053e0a485b3142ac",
+}
+DETECTION_DIGESTS = {
+    "null": "fc5944bc58c8a957dcfe9ba002e3b3c6b7819e2c860562104189fc1ce27af2e6",
+    "planted": "bdeb593c0ff977fb61c4254f064ba6d2eade1e926c87e2681cf2766a3dafa4ac",
+}
+
+
+def _sha(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(repr(line).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def corpus_digest(corpus, truth):
+    return _sha(
+        [tuple(vars(p).values()) for p in corpus.posts]
+        + [tuple(vars(a).values()) for a in corpus.accesses]
+        + sorted(truth.influence_pairs)
+        + sorted((m, sorted(e.items())) for m, e in truth.member_expert_map.items())
+    )
+
+
+def detection_digest(result):
+    lines = [(result.space.vocab.terms, result.space.vocab.doc_freq)]
+    lines += [(url, sorted(v.entries.items()), v.token_count) for url, v in result.space.vectors.items()]
+    lines += [(l.q, l.p, l.reader, l.author, l.gap_seconds, repr(l.similarity))
+              for l in result.implicit.links]
+    for report in (result.forward_report, result.reversed_report):
+        lines.append((report.n_series, report.n_skipped_anchors))
+        lines += [(b.bucket, b.n, b.heads, repr(b.z)) for b in report.buckets]
+    lines += [(l.q, l.p, l.reader, l.author, l.gap_seconds, repr(l.similarity))
+              for l in result.influence.links]
+    return _sha(lines)
+
+
+@pytest.fixture(scope="module")
+def planted_corpus():
+    return generate(SYNTH_CONFIGS["detect_planted"])
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_CONFIGS))
+def test_generate_digest(name, planted_corpus):
+    corpus, truth = planted_corpus if name == "detect_planted" else generate(SYNTH_CONFIGS[name])
+    if name == "experts":
+        assert truth.member_expert_map
+    assert corpus_digest(corpus, truth) == SYNTH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("kind", ["null", "planted"])
+def test_run_detection_digest(kind, planted_corpus):
+    if kind == "planted":
+        corpus, seed = planted_corpus[0], 5
+    else:
+        corpus, seed = generate(_detection_config(0.0, 4))[0], 4
+    result = run_detection(corpus, vocab_max_size=400, seed=seed)
+    assert result.influence.links
+    assert detection_digest(result) == DETECTION_DIGESTS[kind]
+
+
+# --------------------------------------------------------------------------
+# per-record oracles
+
+def _oracle_links(corpus, window_hours):
+    window = window_hours * 3600
+    by_user = {}
+    for post in corpus.posts:
+        by_user.setdefault(post.user_id, []).append((post.upload_ts, post.url))
+    for entries in by_user.values():
+        entries.sort()
+    best = {}
+    for access in corpus.accesses:
+        idx = corpus.url_to_post.get(access.request)
+        if idx is None:
+            continue
+        target = corpus.posts[idx]
+        for reader in sorted(corpus.ip_to_bloggers.get(access.hashed_ip, frozenset())):
+            if reader == target.user_id or reader not in by_user:
+                continue
+            entries = by_user[reader]
+            times = [ts for ts, _ in entries]
+            lo = bisect_right(times, access.access_ts)
+            hi = bisect_right(times, access.access_ts + window)
+            for ts_q, q_url in entries[lo:hi]:
+                gap = ts_q - access.access_ts
+                prev = best.get((q_url, target.url))
+                if prev is None or gap < prev[0]:
+                    best[(q_url, target.url)] = (gap, reader, target.user_id)
+    return [ImplicitLink(q, p, r, a, g) for (q, p), (g, r, a) in sorted(best.items())]
+
+
+def _oracle_make_coins(anchor, links, rng):
+    eligible = [l for l in links if l.similarity is not None]
+    if len(eligible) < 2:
+        return None
+    eligible.sort(key=lambda l: (l.gap_seconds, l.p))
+    sims = [l.similarity for l in eligible]
+    med = float(median(sims))
+    n = len(eligible)
+    faces, ties, n_above = [], [], 0
+    for i, s in enumerate(sims):
+        if s > med:
+            faces.append(True)
+            n_above += 1
+        elif s < med:
+            faces.append(False)
+        else:
+            faces.append(None)
+            ties.append(i)
+    targets = sorted({n // 2, (n + 1) // 2})
+    achievable = [t for t in targets if 0 <= t - n_above <= len(ties)]
+    target = achievable[int(rng.integers(len(achievable)))] if len(achievable) > 1 else achievable[0]
+    if ties:
+        picks = rng.choice(len(ties), size=target - n_above, replace=False)
+        chosen = {ties[int(i)] for i in picks}
+        for pos in ties:
+            faces[pos] = pos in chosen
+    coins = [((l.gap_seconds + 3599) // 3600, bool(f)) for l, f in zip(eligible, faces)]
+    return causality.CoinSeries(anchor=anchor, coins=coins, median_sim=med)
+
+
+def _oracle_coin_series(links, rng, side):
+    groups = {}
+    for link in links:
+        groups.setdefault(getattr(link, side), []).append(link)
+    series, skipped = [], 0
+    for anchor in sorted(groups):
+        s = _oracle_make_coins(anchor, groups[anchor], rng)
+        if s is None:
+            skipped += 1
+        else:
+            series.append(s)
+    return series, skipped
+
+
+def _oracle_extract(links, tau_hours):
+    groups = {}
+    for link in links:
+        groups.setdefault(link.q, []).append(link)
+    kept = []
+    for anchor in sorted(groups):
+        eligible = [l for l in groups[anchor] if l.similarity is not None]
+        if not eligible:
+            continue
+        med = float(median([l.similarity for l in eligible]))
+        kept += [
+            (l.q, l.p, l.reader, l.author, l.gap_seconds, l.similarity)
+            for l in sorted(eligible, key=lambda l: l.p)
+            if l.gap_seconds <= tau_hours * 3600 and l.similarity > med
+        ]
+    return kept
+
+
+def _tie_heavy_links(seed, n_anchors=300):
+    """Links of many q and p anchors, odd and even sizes, similarities
+    rounded to 0.1 (so most anchors have ties), some without a similarity,
+    a few signed zeros, and gaps in half hours (so equal gaps are common)."""
+    rng = np.random.default_rng(seed)
+    links = []
+    for a in range(n_anchors):
+        size = int(rng.integers(1, 10))
+        for j in rng.choice(40, size=size, replace=False):
+            roll = rng.random()
+            sim = None if roll < 0.1 else -0.0 if roll < 0.15 else round(float(rng.random()), 1)
+            links.append(ImplicitLink(
+                f"/u{a % 37}/q{a}", f"/v{int(j) % 7}/p{int(j)}", f"u{a % 37}", f"v{int(j) % 7}",
+                int(rng.integers(1, 25)) * 1800, sim,
+            ))
+    rng.shuffle(links)
+    return links
+
+
+@pytest.mark.parametrize("side", ["q", "p"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coin_series_match_per_anchor_oracle(side, seed):
+    links = _tie_heavy_links(seed)
+    net = summarize_links(links, 12)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    series, skipped = build_coin_series(net, rng, anchor_side=side)
+    expected, expected_skipped = _oracle_coin_series(links, oracle_rng, side)
+    assert skipped == expected_skipped
+    assert [(s.anchor, s.coins, repr(s.median_sim)) for s in series] == [
+        (s.anchor, s.coins, repr(s.median_sim)) for s in expected
+    ]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert sum(1 for s in series if len(s.coins) % 2) and sum(1 for s in series if len(s.coins) % 2 == 0)
+
+
+def test_make_coins_matches_oracle_per_anchor():
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    links = _tie_heavy_links(9, n_anchors=60)
+    for size in range(0, 12):
+        chunk = links[:size]
+        links = links[size:] + chunk
+        got, want = make_coins("/a/q", chunk, rng), _oracle_make_coins("/a/q", chunk, oracle_rng)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.coins, repr(got.median_sim)) == (want.coins, repr(want.median_sim))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_extract_influence_matches_oracle(seed):
+    links = _tie_heavy_links(seed)
+    got = extract_influence(summarize_links(links, 12), tau_hours=3)
+    assert [(l.q, l.p, l.reader, l.author, l.gap_seconds, l.similarity) for l in got.links] == (
+        _oracle_extract(links, 3)
+    )
+
+
+def test_implicit_links_match_oracle_with_shared_ips():
+    rng = np.random.default_rng(3)
+    users = [f"u{i}" for i in range(12)]
+    posts = [
+        make_post(u, s, BASE_TS + int(rng.integers(0, 86400)), ip=f"ip{i % 5}")
+        for i, u in enumerate(users) for s in range(int(rng.integers(0, 9)))
+    ] + [make_post("u1", 90 + k, BASE_TS + 7200, ip="ip1") for k in range(3)]  # equal upload times
+    urls = [p.url for p in posts] + ["/nowhere/p0"]
+    accesses = [
+        make_access(f"ip{int(rng.integers(0, 6))}", BASE_TS + int(rng.integers(-3600, 86400)),
+                    urls[int(rng.integers(len(urls)))])
+        for _ in range(1500)
+    ]
+    corpus = make_corpus(posts, accesses)
+    for window in (1, 12):
+        got = build_implicit_links(corpus, window).links
+        want = _oracle_links(corpus, window)
+        assert len(want) > 50
+        assert [vars(l) for l in got] == [vars(l) for l in want]
+        assert all(type(l.gap_seconds) is int for l in got)
+
+
+def test_similarity_blocks_match_cosine():
+    rng = np.random.default_rng(4)
+    vectors = {}
+    for d in range(300):
+        entries = {int(t): int(rng.integers(1, 6)) for t in rng.choice(50, size=int(rng.integers(0, 12)), replace=False)}
+        vectors[f"/u/p{d}"] = TermVector(entries, sum(entries.values()))
+    urls = sorted(vectors) + ["/missing/p0"]
+    n_links = 2 * causality._SIMILARITY_BLOCK + 777
+    links = [
+        ImplicitLink(urls[int(rng.integers(len(urls)))], urls[int(rng.integers(len(urls)))], "a", "b", 60)
+        for _ in range(n_links)
+    ]
+    net = summarize_links(links, 12)
+    for min_tokens in (0, 10):
+        n = annotate_similarity(net, vectors, min_tokens)
+        expected = []
+        for l in links:
+            u, v = vectors.get(l.q), vectors.get(l.p)
+            ok = u is not None and v is not None and min(u.token_count, v.token_count) >= min_tokens
+            expected.append(repr(cosine(u, v)) if ok else None)
+        got = [None if l.similarity is None else repr(l.similarity) for l in net.links]
+        assert got == expected
+        assert n == sum(s is not None for s in expected)
+        assert None in got and "0.0" in got and n > causality._SIMILARITY_BLOCK
