@@ -14,18 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from blogfluence import analysis
-from blogfluence.factor import (
-    BloggerGraph,
-    blogger_content_matrix,
-    build_influence_tensor,
-    fit_iolap,
-    fit_pcl,
-    fit_pcldc,
-)
-from blogfluence.pipeline import run_detection
+from blogfluence.pipeline import recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
-from blogfluence.topics import build_doc_term, fit_plsa
 
 METHODS = ("tg", "iolap", "pcldc", "pcl")
 
@@ -49,45 +39,7 @@ def run_seed(seed: int, top_n: int) -> dict[str, float]:
     )
     corpus, _ = generate(cfg)
     result = run_detection(corpus, vocab_max_size=160, seed=seed)
-    space = result.space
-    split = analysis.split_train_test(result.influence, space.vectors, space.vocab,
-                                      seed=[seed, 6])
-    train_pairs = set(split.train_edges)
-    train_links = [l for l in result.influence.links if (l.reader, l.author) in train_pairs]
-    doc_urls = sorted({l.q for l in train_links} | {l.p for l in train_links})
-    docs = {u: space.vectors[u] for u in doc_urls if space.vectors[u].token_count > 0}
-    topic_model = fit_plsa(build_doc_term(docs, len(space.vocab)), 2, max_iter=150,
-                           seed=[seed, 2], terms=space.vocab.terms)
-    tensor = build_influence_tensor(train_links, space.vectors, len(space.vocab))
-    iolap = max(
-        (fit_iolap(tensor, 2, 4, topic_model=topic_model, max_iter=300,
-                   seed=[seed, 3, restart]) for restart in range(3)),
-        key=lambda m: m.loglik_trace[-1],
-    )
-    edges = {}
-    for l in train_links:
-        edges[(l.reader, l.author)] = edges.get((l.reader, l.author), 0.0) + 1.0
-    graph = BloggerGraph.from_edge_weights(edges)
-    content = blogger_content_matrix(
-        graph.nodes, ((p.user_id, space.vectors[p.url]) for p in result.cleaned.posts),
-        len(space.vocab),
-    )
-    pcldc = fit_pcldc(graph, content, 2, max_iter=60, seed=[seed, 4], terms=space.vocab.terms)
-    pcl = fit_pcl(graph, 2, max_iter=200, seed=[seed, 5])
-    recommenders = {
-        "tg": lambda a, kw, n, ex: analysis.recommend_tg(iolap, topic_model, kw, n, ex),
-        "iolap": lambda a, kw, n, ex: analysis.recommend_iolap(iolap, a, kw, n, ex),
-        "pcldc": lambda a, kw, n, ex: analysis.recommend_pcldc(pcldc, a, kw, n, ex),
-        "pcl": lambda a, kw, n, ex: analysis.recommend_pcl(pcl, a, kw, n, ex),
-    }
-    recall = {}
-    for name, rec in recommenders.items():
-        def guarded(a, kw, n, ex, rec=rec):
-            try:
-                return rec(a, kw, n, ex)
-            except KeyError:
-                return []
-        recall[name] = analysis.recall_at_n(split, guarded, top_n)
+    recall, _ = recommendation_recall(result, seed, top_n)
     return recall
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.causality import InfluenceNetwork
-from blogfluence.factor import BloggerGraph, IolapModel, PcldcModel, PclModel
+from blogfluence.factor import IolapModel, PcldcModel, PclModel
 from blogfluence.textvec import TermVector, Vocabulary, shared_terms
 from blogfluence.topics import TopicModel
 
@@ -107,12 +107,6 @@ def split_train_test(
         del train_edges[(a, b)]
     nodes = sorted({x for pair in train_edges for x in pair})
     return TrainTestSplit(train_edges=train_edges, test=test, nodes=nodes)
-
-
-def train_graph(split: TrainTestSplit) -> BloggerGraph:
-    return BloggerGraph.from_edge_weights(
-        {pair: float(w) for pair, w in split.train_edges.items()}
-    )
 
 
 _TRAIN_COLUMNS = ("src", "dst", "weight")
@@ -285,11 +279,22 @@ def recommend_pcl(
     return _rank_candidates(model.nodes, scores, set(exclude), n)
 
 
-# --------------------------------------------------------------------------
-# evaluation
-
 Recommender = Callable[[str, list[str], int, set[str]], list[tuple[str, float]]]
 
+
+def recommenders(iolap_model: IolapModel, topic_model: TopicModel, pcldc_model: PcldcModel,
+                 pcl_model: PclModel) -> dict[str, Recommender]:
+    """The four methods by name, each a recommender over its fitted models."""
+    return {
+        "tg": lambda member, kw, n, excl: recommend_tg(iolap_model, topic_model, kw, n, excl),
+        "iolap": lambda member, kw, n, excl: recommend_iolap(iolap_model, member, kw, n, excl),
+        "pcldc": lambda member, kw, n, excl: recommend_pcldc(pcldc_model, member, kw, n, excl),
+        "pcl": lambda member, kw, n, excl: recommend_pcl(pcl_model, member, kw, n, excl),
+    }
+
+
+# --------------------------------------------------------------------------
+# evaluation
 
 def recall_curve(split: TrainTestSplit, recommender: Recommender, top_n: int) -> list[float]:
     """recall@1..top_n: entry n-1 is the fraction of held-out (A, B) pairs

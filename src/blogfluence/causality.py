@@ -29,7 +29,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.implicit import ImplicitLink, ImplicitNetwork, expand_ranges, link_counts
+from blogfluence.implicit import (
+    ImplicitLink, ImplicitNetwork, expand_ranges, link_counts, link_posts, read_links,
+)
 from blogfluence.textvec import TermVector
 from blogfluence.topics import build_doc_term
 
@@ -322,20 +324,8 @@ def reversed_z_test(
 # influence extraction
 
 @dataclass
-class InfluenceLink:
-    q: str
-    p: str
-    reader: str
-    author: str
-    gap_seconds: int
-    similarity: float
-    passed_time: bool
-    passed_content: bool
-
-
-@dataclass
 class InfluenceNetwork:
-    links: list[InfluenceLink]
+    links: list[ImplicitLink]  # the kept implicit links
     tau_hours: int
     post_count: int
     blogger_count: int
@@ -360,10 +350,7 @@ def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) 
     med = np.empty(len(at))
     med[by_q] = np.repeat(_run_medians(bounds, sim[by_q]), np.diff(bounds))
     keep = at[(gap <= tau_hours * 3600) & (sim > med)].tolist()
-    kept = [
-        InfluenceLink(l.q, l.p, l.reader, l.author, l.gap_seconds, l.similarity, True, True)
-        for l in sorted((links[i] for i in keep), key=lambda l: (l.q, l.p))
-    ]
+    kept = sorted((links[i] for i in keep), key=lambda l: (l.q, l.p))
     return InfluenceNetwork(links=kept, tau_hours=tau_hours, **link_counts(kept))
 
 
@@ -402,7 +389,7 @@ def rank_shift_report(
     for post in posts:
         for theme in post.themes:
             theme_all[theme] = theme_all.get(theme, 0) + 1
-    infl_posts = sorted({l.q for l in influence_net.links} | {l.p for l in influence_net.links})
+    infl_posts = sorted(link_posts(influence_net.links))
     theme_infl: dict[str, int] = {}
     for url in infl_posts:
         post = by_url.get(url)
@@ -439,9 +426,6 @@ def rank_shift_report(
 # --------------------------------------------------------------------------
 # TSV export
 
-_INFLUENCE_COLUMNS = ("q", "p", "reader", "author", "gap_seconds", "passed_time", "passed_content")
-
-
 def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> None:
     artifacts.write_rows(
         path,
@@ -451,18 +435,7 @@ def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> 
     )
 
 
-def write_influence_tsv(net: InfluenceNetwork, path: str, header: str | None = None) -> None:
-    rows = (
-        (l.q, l.p, l.reader, l.author, l.gap_seconds, int(l.passed_time), int(l.passed_content))
-        for l in net.links
-    )
-    artifacts.write_rows(path, header, rows, _INFLUENCE_COLUMNS)
-
-
 def read_influence_tsv(path: str, tau_hours: int = DEFAULT_TAU_HOURS) -> InfluenceNetwork:
-    rows = artifacts.read_rows(path, (str, str, str, str, int, int, int), _INFLUENCE_COLUMNS)
-    links = [
-        InfluenceLink(q, p, reader, author, gap, math.nan, bool(pt), bool(pc))
-        for q, p, reader, author, gap, pt, pc in rows
-    ]
+    """An influence network written with ``implicit.write_links_tsv``."""
+    links = read_links(path)
     return InfluenceNetwork(links=links, tau_hours=tau_hours, **link_counts(links))

@@ -44,6 +44,7 @@ from blogfluence.corpus import (
     parse_access_log,
     parse_content_file,
 )
+from blogfluence import pipeline
 from blogfluence.pipeline import build_vectors
 from blogfluence.textvec import write_vocabulary
 
@@ -228,7 +229,7 @@ def _load_influence_links(cfg: PipelineConfig) -> tuple[list, str]:
     if not _path(cfg, "train.tsv").exists():
         return net.links, "full influence network"
     split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
-    return [l for l in net.links if (l.reader, l.author) in split.train_edges], "train edges"
+    return pipeline.training_links(net.links, split), "train edges"
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def cmd_influence(cfg: PipelineConfig, args) -> int:
     space = build_vectors(corpus, cfg.vocab_max_size)
     causality.annotate_similarity(net, space.vectors, cfg.min_tokens)
     influence = causality.extract_influence(net, cfg.tau_hours)
-    causality.write_influence_tsv(influence, _path(cfg, "influence.tsv"), _header(cfg, "influence"))
+    implicit.write_links_tsv(influence.links, _path(cfg, "influence.tsv"), _header(cfg, "influence"))
     print(
         f"influence: {influence.post_link_count} post links, "
         f"{influence.blogger_link_count} blogger links, {influence.post_count} posts, "
@@ -322,26 +323,16 @@ def cmd_topics(cfg: PipelineConfig, args) -> int:
     corpus = _load_clean(cfg)
     influence = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
     space = build_vectors(corpus, cfg.vocab_max_size)
-    if cfg.plsa_docs == "influence":
-        doc_urls = sorted({l.q for l in influence.links} | {l.p for l in influence.links})
-    else:
-        doc_urls = sorted(post.url for post in corpus.posts)
-    docs = {url: space.vectors[url] for url in doc_urls if space.vectors[url].token_count > 0}
-    doc_term = topics.build_doc_term(docs, len(space.vocab))
+    # Every post of the corpus is a key of space.vectors.
+    urls = implicit.link_posts(influence.links) if cfg.plsa_docs == "influence" else space.vectors
     try:
-        model = topics.fit_plsa(
-            doc_term,
-            cfg.n_topics,
-            max_iter=cfg.plsa_max_iter,
-            tol=cfg.tol,
-            seed=[cfg.seed, _STAGE_SEED["topics"]],
-            terms=space.vocab.terms,
-        )
+        model = pipeline.fit_topics(space, urls, cfg.n_topics, cfg.plsa_max_iter, cfg.tol,
+                                    [cfg.seed, _STAGE_SEED["topics"]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), _header(cfg, "topics"))
     print(
-        f"topics: {model.n_topics} topics over {doc_term.n_docs} docs, "
+        f"topics: {model.n_topics} topics over {len(model.doc_ids)} docs, "
         f"loglik {model.loglik_trace[-1]:.2f} -> {_path(cfg, 'plsa_model.tsv')}"
     )
     return 0
@@ -410,12 +401,9 @@ def cmd_iolap(cfg: PipelineConfig, args) -> int:
 
 
 def _blogger_graph(links) -> factor.BloggerGraph:
-    edges: dict[tuple[str, str], float] = {}
-    for l in links:
-        edges[(l.reader, l.author)] = edges.get((l.reader, l.author), 0.0) + 1.0
-    if not edges:
+    if not links:
         raise ConfigError("influence network has no links; nothing to fit")
-    return factor.BloggerGraph.from_edge_weights(edges)
+    return pipeline.blogger_graph(links)
 
 
 def cmd_pcldc(cfg: PipelineConfig, args) -> int:
@@ -423,21 +411,9 @@ def cmd_pcldc(cfg: PipelineConfig, args) -> int:
     links, source = _load_influence_links(cfg)
     graph = _blogger_graph(links)
     space = build_vectors(corpus, cfg.vocab_max_size)
-    content = factor.blogger_content_matrix(
-        graph.nodes,
-        ((post.user_id, space.vectors[post.url]) for post in corpus.posts),
-        len(space.vocab),
-    )
-    model = factor.fit_pcldc(
-        graph,
-        content,
-        cfg.communities(),
-        max_iter=cfg.pcldc_max_iter,
-        tol=cfg.tol,
-        l2=cfg.l2,
-        seed=[cfg.seed, _STAGE_SEED["pcldc"]],
-        terms=space.vocab.terms,
-    )
+    model = pipeline.fit_pcldc_model(graph, space, corpus.posts, cfg.communities(),
+                                     cfg.pcldc_max_iter, cfg.tol, cfg.l2,
+                                     [cfg.seed, _STAGE_SEED["pcldc"]])
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), _header(cfg, "pcldc"))
     print(
         f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
@@ -486,27 +462,14 @@ def cmd_idr(cfg: PipelineConfig, args) -> int:
 
 
 def _recommenders(cfg: PipelineConfig):
-    """Closures for every method, loading models lazily from artifacts."""
-    corpus = _load_clean(cfg)
-    space = build_vectors(corpus, cfg.vocab_max_size)
-    iolap_model = factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv")))
-    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), space.vocab.terms)
-    pcldc_model = factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv")))
-    pcl_model = factor.read_pcl_model(_require(_path(cfg, "pcl_model.tsv")))
-    return {
-        "tg": lambda member, kw, n, excl: analysis.recommend_tg(
-            iolap_model, topic_model, kw, n, excl
-        ),
-        "iolap": lambda member, kw, n, excl: analysis.recommend_iolap(
-            iolap_model, member, kw, n, excl
-        ),
-        "pcldc": lambda member, kw, n, excl: analysis.recommend_pcldc(
-            pcldc_model, member, kw, n, excl
-        ),
-        "pcl": lambda member, kw, n, excl: analysis.recommend_pcl(
-            pcl_model, member, kw, n, excl
-        ),
-    }
+    """The four recommenders over the fitted models, all read from artifacts first."""
+    space = build_vectors(_load_clean(cfg), cfg.vocab_max_size)
+    return analysis.recommenders(
+        factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv"))),
+        topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), space.vocab.terms),
+        factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv"))),
+        factor.read_pcl_model(_require(_path(cfg, "pcl_model.tsv"))),
+    )
 
 
 def cmd_recommend(cfg: PipelineConfig, args) -> int:

@@ -63,15 +63,12 @@ class InfluenceTensor:
         }
 
 
-def build_influence_tensor(net, vectors: dict[str, TermVector], n_terms: int) -> InfluenceTensor:
+def build_influence_tensor(links: list, vectors: dict[str, TermVector], n_terms: int) -> InfluenceTensor:
     """Accumulate one count per (influence link, shared vocabulary term).
 
-    ``net`` may be an influence network or a plain list of its links (to
-    build a tensor from a training subset).  Links whose posts share no
-    in-vocabulary term after truncation contribute nothing and are
-    counted in ``n_links_no_shared``.
+    Links whose posts share no in-vocabulary term after truncation
+    contribute nothing and are counted in ``n_links_no_shared``.
     """
-    links = getattr(net, "links", net)
     bloggers = sorted({l.reader for l in links} | {l.author for l in links})
     bmap = {b: i for i, b in enumerate(bloggers)}
     acc: dict[tuple[int, int, int], int] = {}

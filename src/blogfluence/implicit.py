@@ -40,11 +40,15 @@ class ImplicitNetwork:
     blogger_link_count: int
 
 
-def link_counts(links: list) -> dict[str, int]:
-    """Post, blogger, post-link and blogger-link counts of a link list whose
-    items carry ``q``, ``p``, ``reader`` and ``author``."""
+def link_posts(links: Iterable[ImplicitLink]) -> set[str]:
+    """The posts at either end of ``links``."""
+    return {post for l in links for post in (l.q, l.p)}
+
+
+def link_counts(links: list[ImplicitLink]) -> dict[str, int]:
+    """Post, blogger, post-link and blogger-link counts of a link list."""
     return {
-        "post_count": len({l.q for l in links} | {l.p for l in links}),
+        "post_count": len(link_posts(links)),
         "blogger_count": len({l.reader for l in links} | {l.author for l in links}),
         "post_link_count": len(links),
         "blogger_link_count": len({(l.reader, l.author) for l in links}),
@@ -145,10 +149,10 @@ def gap_histogram(net: ImplicitNetwork) -> list[int]:
     return counts
 
 
-def blogger_projection(net: ImplicitNetwork) -> dict[tuple[str, str], int]:
+def blogger_projection(links: Iterable[ImplicitLink]) -> dict[tuple[str, str], int]:
     """Weighted blogger digraph: (A, B) -> number of post links A reads B."""
     weights: Counter[tuple[str, str]] = Counter()
-    for link in net.links:
+    for link in links:
         weights[(link.reader, link.author)] += 1
     return dict(sorted(weights.items()))
 
@@ -162,6 +166,11 @@ def write_links_tsv(links: Iterable[ImplicitLink], path: str, header: str | None
     )
 
 
-def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
+def read_links(path: str) -> list[ImplicitLink]:
+    """The links of a file written by ``write_links_tsv``, similarity unset."""
     rows = artifacts.read_rows(path, (str, str, str, str, int), _LINK_COLUMNS)
-    return summarize_links([ImplicitLink(*row) for row in rows], window_hours)
+    return [ImplicitLink(*row) for row in rows]
+
+
+def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
+    return summarize_links(read_links(path), window_hours)

@@ -1,18 +1,21 @@
-"""In-memory composition of the detection pipeline.
+"""In-memory composition of the pipeline, shared by the CLI, the
+experiment scripts and the test suite so every entry point agrees on it.
 
-The CLI, the experiment scripts, and the test suite all run the same
-sequence: clean the corpus, vectorize the posts, build implicit links,
-attach similarities, run the forward and reversed bucket tests, and
-extract the influence network.  This module keeps that sequence in one
-place so every entry point agrees on it.
+Detection cleans the corpus, vectorizes the posts, builds implicit links,
+attaches similarities, runs the forward and reversed bucket tests, and
+extracts the influence network.  The model stages after it, up to the
+recommendation benchmark, exist here once; fits and recommenders are
+called through their modules (``factor.fit_iolap``, ...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from blogfluence import analysis, factor, implicit, topics
 from blogfluence.causality import (
     InfluenceNetwork,
     ZReport,
@@ -21,9 +24,9 @@ from blogfluence.causality import (
     forward_z_test,
     reversed_z_test,
 )
-from blogfluence.corpus import CleaningRules, Corpus, clean_accesses
+from blogfluence.corpus import BlogPost, CleaningRules, Corpus, clean_accesses
 from blogfluence.implicit import ImplicitNetwork, build_implicit_links
-from blogfluence.textvec import TermVector, TokenizerConfig, Vocabulary, build_vocabulary, tokenize, vectorize
+from blogfluence.textvec import TermVector, Vocabulary, build_vocabulary, tokenize, vectorize
 
 
 @dataclass
@@ -32,13 +35,9 @@ class VectorSpace:
     vectors: dict[str, TermVector]  # post url -> term vector
 
 
-def build_vectors(
-    corpus: Corpus,
-    max_size: int,
-    tokenizer: TokenizerConfig | None = None,
-) -> VectorSpace:
+def build_vectors(corpus: Corpus, max_size: int) -> VectorSpace:
     """Tokenize every post, build the capped vocabulary, vectorize."""
-    token_lists = {post.url: tokenize(post.body, tokenizer) for post in corpus.posts}
+    token_lists = {post.url: tokenize(post.body) for post in corpus.posts}
     vocab = build_vocabulary((token_lists[post.url] for post in corpus.posts), max_size)
     vectors = {url: vectorize(tokens, vocab) for url, tokens in sorted(token_lists.items())}
     return VectorSpace(vocab=vocab, vectors=vectors)
@@ -63,16 +62,14 @@ def run_detection(
     min_tokens: int = 10,
     min_bucket_n: int = 30,
     seed: int = 0,
-    rules: CleaningRules | None = None,
-    tokenizer: TokenizerConfig | None = None,
 ) -> DetectionResult:
     """Run cleaning through influence extraction on a parsed corpus.
 
     All randomness (coin tie faces) comes from one generator derived from
     ``seed``, so a run is bit-reproducible.
     """
-    cleaned, _ = clean_accesses(corpus, rules or CleaningRules(window_hours=window_hours))
-    space = build_vectors(cleaned, vocab_max_size, tokenizer)
+    cleaned, _ = clean_accesses(corpus, CleaningRules(window_hours=window_hours))
+    space = build_vectors(cleaned, vocab_max_size)
     net = build_implicit_links(cleaned, window_hours)
     annotate_similarity(net, space.vectors, min_tokens)
     rng = np.random.default_rng([seed, 1])
@@ -87,3 +84,62 @@ def run_detection(
         reversed_report=reversed_,
         influence=influence,
     )
+
+
+# --------------------------------------------------------------------------
+# model stages
+
+def training_links(links: list[implicit.ImplicitLink],
+                   split: analysis.TrainTestSplit) -> list[implicit.ImplicitLink]:
+    """The links whose (reader, author) pair is a training edge of ``split``."""
+    return [l for l in links if (l.reader, l.author) in split.train_edges]
+
+
+def fit_topics(space: VectorSpace, urls: Iterable[str], n_topics: int, max_iter: int,
+               tol: float, seed: list[int]) -> topics.TopicModel:
+    """PLSA over the posts ``urls`` that keep at least one vocabulary token."""
+    docs = {url: space.vectors[url] for url in urls if space.vectors[url].token_count > 0}
+    doc_term = topics.build_doc_term(docs, len(space.vocab))
+    return topics.fit_plsa(doc_term, n_topics, max_iter=max_iter, tol=tol, seed=seed,
+                           terms=space.vocab.terms)
+
+
+def blogger_graph(links: list[implicit.ImplicitLink]) -> factor.BloggerGraph:
+    """The blogger digraph of ``links``; an edge weighs its number of links."""
+    return factor.BloggerGraph.from_edge_weights(implicit.blogger_projection(links))
+
+
+def fit_pcldc_model(graph: factor.BloggerGraph, space: VectorSpace, posts: Iterable[BlogPost],
+                    n_communities: int, max_iter: int, tol: float, l2: float,
+                    seed: list[int]) -> factor.PcldcModel:
+    """pcldc on ``graph``, each blogger's content summed over ``posts``."""
+    content = factor.blogger_content_matrix(
+        graph.nodes, ((post.user_id, space.vectors[post.url]) for post in posts), len(space.vocab))
+    return factor.fit_pcldc(graph, content, n_communities, max_iter=max_iter, tol=tol, l2=l2,
+                            seed=seed, terms=space.vocab.terms)
+
+
+def recommendation_recall(
+    result: DetectionResult, seed: int, top_n: int
+) -> tuple[dict[str, float], list[list[float]]]:
+    """recall@``top_n`` per method on an edge-holdout split of ``result``, and
+    the objective traces of PLSA, every iolap restart, pcldc and pcl.  iolap
+    keeps the best restart by training log-likelihood, never seeing test edges.
+    """
+    space = result.space
+    split = analysis.split_train_test(result.influence, space.vectors, space.vocab, seed=[seed, 6])
+    links = training_links(result.influence.links, split)
+    topic_model = fit_topics(space, implicit.link_posts(links), 2, 150, topics.DEFAULT_TOL, [seed, 2])
+    tensor = factor.build_influence_tensor(links, space.vectors, len(space.vocab))
+    iolap_fits = [factor.fit_iolap(tensor, 2, 4, topic_model=topic_model, max_iter=300,
+                                   seed=[seed, 3, restart]) for restart in range(3)]
+    iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
+    graph = blogger_graph(links)
+    pcldc = fit_pcldc_model(graph, space, result.cleaned.posts, 2, 60,
+                            factor.DEFAULT_TOL, 0.0, [seed, 4])
+    pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, 5])
+    methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)
+    recall = {name: analysis.recall_at_n(split, rec, top_n) for name, rec in methods.items()}
+    traces = [topic_model.loglik_trace, *(m.loglik_trace for m in iolap_fits),
+              pcldc.objective_trace, pcl.objective_trace]
+    return recall, traces

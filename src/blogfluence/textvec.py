@@ -12,8 +12,6 @@ from blogfluence import artifacts
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
-# Small default list; a corpus-appropriate list can be loaded from a file
-# with one token per line (see load_stopwords).
 DEFAULT_STOPWORDS = frozenset(
     """a an and are as at be but by for from had has have he her his i if in is
     it its me my no not of on or our she so that the their them they this to
@@ -28,11 +26,6 @@ class TokenizerConfig:
 
 
 _DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def load_stopwords(path: str) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
 
 
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:

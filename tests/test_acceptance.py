@@ -21,15 +21,13 @@ from blogfluence.cli import main
 from blogfluence.factor import (
     BloggerGraph,
     InfluenceTensor,
-    blogger_content_matrix,
-    build_influence_tensor,
     fit_iolap,
     fit_pcl,
     fit_pcldc,
     pcldc_content_gradient,
     pcldc_objective,
 )
-from blogfluence.pipeline import run_detection
+from blogfluence.pipeline import recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.textvec import TermVector
 from blogfluence.topics import build_doc_term, fit_plsa
@@ -374,66 +372,15 @@ def recommendation_runs():
     runs = []
     for seed in range(5):
         start = time.perf_counter()
-        corpus, truth = generate(_benchmark_config(seed))
+        corpus, _ = generate(_benchmark_config(seed))
         result = run_detection(corpus, vocab_max_size=160, seed=seed)
-        space = result.space
-        split = analysis.split_train_test(
-            result.influence, space.vectors, space.vocab, seed=[seed, 6]
-        )
-        train_pairs = set(split.train_edges)
-        train_links = [
-            l for l in result.influence.links if (l.reader, l.author) in train_pairs
-        ]
-        doc_urls = sorted({l.q for l in train_links} | {l.p for l in train_links})
-        docs = {u: space.vectors[u] for u in doc_urls if space.vectors[u].token_count > 0}
-        topic_model = fit_plsa(
-            build_doc_term(docs, len(space.vocab)), 2, max_iter=150,
-            seed=[seed, 2], terms=space.vocab.terms,
-        )
-        tensor = build_influence_tensor(train_links, space.vectors, len(space.vocab))
-        iolap_fits = [
-            fit_iolap(tensor, 2, 4, topic_model=topic_model, max_iter=300,
-                      seed=[seed, 3, restart])
-            for restart in range(3)
-        ]
-        iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
-        edges = {}
-        for l in train_links:
-            edges[(l.reader, l.author)] = edges.get((l.reader, l.author), 0.0) + 1.0
-        graph = BloggerGraph.from_edge_weights(edges)
-        content = blogger_content_matrix(
-            graph.nodes,
-            ((p.user_id, space.vectors[p.url]) for p in result.cleaned.posts),
-            len(space.vocab),
-        )
-        pcldc = fit_pcldc(graph, content, 2, max_iter=60, seed=[seed, 4],
-                          terms=space.vocab.terms)
-        pcl = fit_pcl(graph, 2, max_iter=200, seed=[seed, 5])
-
-        recommenders = {
-            "tg": lambda a, kw, n, ex: analysis.recommend_tg(iolap, topic_model, kw, n, ex),
-            "iolap": lambda a, kw, n, ex: analysis.recommend_iolap(iolap, a, kw, n, ex),
-            "pcldc": lambda a, kw, n, ex: analysis.recommend_pcldc(pcldc, a, kw, n, ex),
-            "pcl": lambda a, kw, n, ex: analysis.recommend_pcl(pcl, a, kw, n, ex),
-        }
-        recall = {}
-        for name, rec in recommenders.items():
-            def guarded(a, kw, n, ex, rec=rec):
-                try:
-                    return rec(a, kw, n, ex)
-                except KeyError:
-                    return []
-            recall[name] = analysis.recall_at_n(split, guarded, 10)
+        recall, traces = recommendation_recall(result, seed, 10)
         runs.append(
             {
                 "seed": seed,
                 "recall": recall,
                 "elapsed": time.perf_counter() - start,
-                "truth": truth,
-                "models": {"iolap": iolap, "pcldc": pcldc, "pcl": pcl},
-                "traces": [topic_model.loglik_trace]
-                + [m.loglik_trace for m in iolap_fits]
-                + [pcldc.objective_trace, pcl.objective_trace],
+                "traces": traces,
             }
         )
     return runs

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blogfluence.analysis import (
@@ -18,21 +18,23 @@ from blogfluence.analysis import (
     recommend_tg,
     split_train_test,
     topic_posterior,
-    train_graph,
     write_split,
 )
-from blogfluence.causality import InfluenceLink, InfluenceNetwork
+from blogfluence.causality import InfluenceNetwork
 from blogfluence.factor import (
     BloggerGraph,
     InfluenceTensor,
     PcldcModel,
+    build_influence_tensor,
     fit_iolap,
     fit_pcl,
     fit_pcldc,
     iolap_topic_influencers,
 )
+from blogfluence.implicit import ImplicitLink
+from blogfluence.pipeline import blogger_graph, fit_topics, training_links
 from blogfluence.textvec import TermVector, Vocabulary
-from blogfluence.topics import build_doc_term, fit_plsa
+from blogfluence.topics import DEFAULT_TOL, build_doc_term, fit_plsa
 
 
 def _ranking(names):
@@ -94,9 +96,9 @@ class TestIdr:
 def _influence_net(pairs):
     """pairs: list of (reader, author, q_suffix, p_suffix)."""
     links = [
-        InfluenceLink(
+        ImplicitLink(
             q=f"/{r}/q{qs}", p=f"/{a}/p{ps}", reader=r, author=a,
-            gap_seconds=600, similarity=0.9, passed_time=True, passed_content=True,
+            gap_seconds=600, similarity=0.9,
         )
         for r, a, qs, ps in pairs
     ]
@@ -165,6 +167,31 @@ class TestSplit:
         assert set(split.train_edges) & test_edges == set()
         for a, _, _ in split.test:
             assert any(src == a for src, _ in split.train_edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"),
+                      st.integers(0, 3), st.integers(0, 3)),
+            min_size=2, max_size=30,
+        ),
+        seed=st.integers(0, 5),
+    )
+    def test_every_test_source_is_a_training_blogger(self, pairs, seed):
+        """A test source keeps a training out-edge, so the recommenders
+        always know it: it is a training graph node and a tensor blogger."""
+        net = _influence_net([(f"u{r}", f"u{a}", qs, ps) for r, a, qs, ps in pairs if r != a])
+        vectors = _uniform_vectors(net)
+        try:
+            split = split_train_test(net, vectors, _vocab(), seed=seed)
+        except ValueError:
+            assume(False)
+        train = training_links(net.links, split)
+        graph = blogger_graph(train)
+        tensor = build_influence_tensor(train, vectors, 4)
+        for a, _, _ in split.test:
+            assert any(l.reader == a for l in train)
+            assert a in graph.node_index and a in tensor.bloggers
 
     def test_keywords_union_of_shared_terms(self):
         net = _influence_net([("ua", "ub", 1, 1), ("ua", "uc", 2, 1)])
@@ -418,7 +445,7 @@ def test_personalized_top_pick_comes_from_own_expert_set():
     """Two member groups read disjoint expert pools on the same topics; the
     personalized tensor recommender should send each member to their own
     group's experts for the overwhelming majority of queries."""
-    from blogfluence.factor import build_influence_tensor
+    from blogfluence.implicit import link_posts
     from blogfluence.pipeline import run_detection
     from blogfluence.synth import SynthConfig, generate
     from blogfluence.topics import top_keywords
@@ -435,14 +462,7 @@ def test_personalized_top_pick_comes_from_own_expert_set():
         corpus, truth = generate(cfg)
         result = run_detection(corpus, vocab_max_size=160, seed=seed)
         links = result.influence.links
-        doc_urls = sorted({l.q for l in links} | {l.p for l in links})
-        docs = {
-            u: result.space.vectors[u]
-            for u in doc_urls
-            if result.space.vectors[u].token_count > 0
-        }
-        tm = fit_plsa(build_doc_term(docs, len(result.space.vocab)), 2, max_iter=120,
-                      seed=[seed, 2], terms=result.space.vocab.terms)
+        tm = fit_topics(result.space, link_posts(links), 2, 120, DEFAULT_TOL, [seed, 2])
         tensor = build_influence_tensor(links, result.space.vectors, len(result.space.vocab))
         model = max(
             (fit_iolap(tensor, 2, 4, topic_model=tm, max_iter=200, seed=[seed, 3, r])
@@ -557,11 +577,7 @@ class TestRecall:
 
 
 def test_train_graph_nodes_sorted():
-    split = TrainTestSplit(
-        train_edges={("b", "a"): 2, ("a", "c"): 1},
-        test=[("a", "d", frozenset({"w"}))],
-        nodes=["a", "b", "c"],
-    )
-    graph = train_graph(split)
+    net = _influence_net([("b", "a", "1", "1"), ("b", "a", "2", "2"), ("a", "c", "1", "1")])
+    graph = blogger_graph(net.links)
     assert graph.nodes == ["a", "b", "c"]
     assert graph.weight.sum() == 3.0

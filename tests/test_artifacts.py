@@ -10,11 +10,9 @@ from blogfluence import artifacts
 from blogfluence.analysis import TrainTestSplit, read_split, write_split
 from blogfluence.causality import (
     BucketStat,
-    InfluenceLink,
     InfluenceNetwork,
     ZReport,
     read_influence_tsv,
-    write_influence_tsv,
     write_zreport_tsv,
 )
 from blogfluence.corpus import FormatError
@@ -71,8 +69,8 @@ SPLIT = TrainTestSplit(
 )
 INFLUENCE = InfluenceNetwork(
     [
-        InfluenceLink("/ua/q1", "/ub/p1", "ua", "ub", 600, 0.8, True, True),
-        InfluenceLink("/ub/q2", "/ua/p1", "ub", "ua", 7200, 0.6, True, True),
+        ImplicitLink("/ua/q1", "/ub/p1", "ua", "ub", 600, 0.8),
+        ImplicitLink("/ub/q2", "/ua/p1", "ub", "ua", 7200, 0.6),
     ],
     2, 4, 2, 2, 2,
 )
@@ -138,9 +136,9 @@ CASES = {
         "# h\nsrc\tdst\tkeywords\nua\tuc\talpha,beta\nub\tuc\t\n",
     ),
     "influence": (
-        INFLUENCE, write_influence_tsv, read_influence_tsv,
-        "# h\nq\tp\treader\tauthor\tgap_seconds\tpassed_time\tpassed_content\n"
-        "/ua/q1\t/ub/p1\tua\tub\t600\t1\t1\n/ub/q2\t/ua/p1\tub\tua\t7200\t1\t1\n",
+        INFLUENCE, lambda net, p, h: write_links_tsv(net.links, p, h), read_influence_tsv,
+        "# h\nq\tp\treader\tauthor\tgap_seconds\n"
+        "/ua/q1\t/ub/p1\tua\tub\t600\n/ub/q2\t/ua/p1\tub\tua\t7200\n",
     ),
     "links": (
         LINKS, write_links_tsv, lambda p: read_links_tsv(p).links,
@@ -180,7 +178,7 @@ def test_round_trip_keeps_dtypes_and_network_counts(tmp_path):
     for name in ("influenced", "influencer", "term", "counts"):
         loaded, original = getattr(tensor, name), getattr(TENSOR, name)
         assert loaded.dtype == original.dtype and np.array_equal(loaded, original), name
-    write_influence_tsv(INFLUENCE, tmp_path / "i.tsv")
+    write_links_tsv(INFLUENCE.links, tmp_path / "i.tsv")
     net = read_influence_tsv(tmp_path / "i.tsv", tau_hours=2)
     assert (net.post_count, net.blogger_count, net.post_link_count, net.blogger_link_count) == (
         4, 2, 2, 2

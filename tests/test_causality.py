@@ -202,7 +202,6 @@ class TestExtractInfluence:
         influence = extract_influence(net, tau_hours=2)
         kept = {(l.q, l.p) for l in influence.links}
         assert kept == {("/a/q", "/b/p1")}  # p2 fails time, p3/p4 fail content
-        assert all(l.passed_time and l.passed_content for l in influence.links)
 
     def test_tie_at_median_dropped(self):
         net = self._net([("p1", 3600, 0.5), ("p2", 3600, 0.5)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blogfluence.causality import InfluenceLink
+from blogfluence.implicit import ImplicitLink
 from blogfluence.factor import (
     _E_STEP_BLOCK,
     BloggerGraph,
@@ -34,7 +34,7 @@ def _monotone(trace):
 
 
 def _ilink(q, p, reader, author, sim=0.5):
-    return InfluenceLink(q, p, reader, author, 600, sim, True, True)
+    return ImplicitLink(q, p, reader, author, 600, sim)
 
 
 class TestBuildTensor:

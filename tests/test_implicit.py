@@ -120,7 +120,7 @@ class TestProjection:
             ],
             12,
         )
-        assert blogger_projection(net) == {("a", "b"): 2}
+        assert blogger_projection(net.links) == {("a", "b"): 2}
 
     def test_direction_preserved(self):
         net = summarize_links(
@@ -130,12 +130,12 @@ class TestProjection:
             ],
             12,
         )
-        proj = blogger_projection(net)
+        proj = blogger_projection(net.links)
         assert proj == {("a", "b"): 1, ("b", "a"): 1}
 
     def test_matches_pair_enumeration(self):
         net = _random_network(9)
-        proj = blogger_projection(net)
+        proj = blogger_projection(net.links)
         for (a, b), w in proj.items():
             assert w == sum(1 for l in net.links if (l.reader, l.author) == (a, b))
         assert sum(proj.values()) == net.post_link_count

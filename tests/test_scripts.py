@@ -1,0 +1,47 @@
+"""The experiment scripts under scripts/, each run through its ``main`` at
+its smallest size, with the rows they print pinned."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(monkeypatch, capsys, name, *args):
+    """Lines printed by ``scripts/<name>.py`` run with ``args``."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main() == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def _without_seconds(row):
+    return row.rsplit("\t", 1)[0]
+
+
+def test_null_calibration(monkeypatch, capsys):
+    lines = _run(monkeypatch, capsys, "run_null_calibration",
+                 "--seeds", "1", "--bloggers", "60", "--days", "8")
+    assert lines[0] == "seed\tposts\tlinks\tz1_fwd\tz1_rev\texceed\tseconds"
+    assert _without_seconds(lines[1]) == "0\t486\t3669\t0.170\t-0.227\t0"
+    assert lines[-1] == "pooled exceedance: 0/12 = 0.000%"
+
+
+def test_planted_detection(monkeypatch, capsys):
+    lines = _run(monkeypatch, capsys, "run_planted_detection",
+                 "--rates", "0.3", "--seeds", "1", "--bloggers", "60", "--days", "8")
+    assert lines == [
+        "rate\tseed\tz1_fwd\tz1_rev\tprecision\trecall\tbase_prec\tbase_rec",
+        "0.3\t0\t2.00\t1.48\t0.262\t0.975\t0.024\t0.557",
+    ]
+
+
+def test_recommend_benchmark_seed_zero(monkeypatch, capsys):
+    lines = _run(monkeypatch, capsys, "run_recommend_benchmark", "--seeds", "1")
+    assert lines[0] == "seed\ttg\tiolap\tpcldc\tpcl\tseconds"
+    assert _without_seconds(lines[1]) == "0\t0.517\t0.717\t0.417\t0.183"
+    assert lines[-1] == "iolap > tg in 1/1 seeds; pcldc > pcl in 1/1 seeds"
