@@ -11,6 +11,7 @@ out-neighbors to avoid recommending already-read bloggers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -135,8 +136,13 @@ def read_split(train_path: str, test_path: str) -> TrainTestSplit:
 # --------------------------------------------------------------------------
 # recommenders
 
+@lru_cache(maxsize=8)
+def _term_index(terms: tuple[str, ...]) -> dict[str, int]:
+    return {t: i for i, t in enumerate(terms)}
+
+
 def _keyword_indices(terms: Sequence[str], keywords: Iterable[str]) -> list[int]:
-    index = {t: i for i, t in enumerate(terms)}
+    index = _term_index(tuple(terms))  # built once per model vocabulary
     found = sorted({index[w] for w in keywords if w in index})
     if not found:
         raise UnanswerableQuery("no query keyword is in the model vocabulary")

@@ -7,10 +7,15 @@ on reading.  Floats are written as ``repr(float(x))``, which reads back to
 the same float64.  Readers take one converter per field (``int``,
 ``float``, ``str``); a row with another field count, or a field its
 converter rejects, raises ``FormatError`` naming the file and the line.
+A section of integer fields only can be written from and read back into
+one int64 array, without per-row Python.
 """
 
 from __future__ import annotations
 
+import io
+import re
+from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -38,7 +43,11 @@ def _write(path: str | Path, header: str | None, blocks) -> None:
         for title, rows in blocks:
             if title:
                 fh.write(title + "\n")
-            fh.writelines(map(_line, rows))
+            if isinstance(rows, np.ndarray):  # integer columns: one format for the block
+                fh.write(("\t".join(["%d"] * rows.shape[1]) + "\n") * len(rows)
+                         % tuple(rows.ravel().tolist()))
+            else:
+                fh.writelines(map(_line, rows))
 
 
 def write_rows(path: str | Path, header: str | None, rows: Iterable[Sequence],
@@ -53,10 +62,10 @@ def write_sections(path: str | Path, header: str | None,
     _write(path, header, ((f"[{name}]", rows) for name, rows in sections.items()))
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    return ((n, line) for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#")
+def _rows(text: str, first: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, line) of the lines of ``text`` that are not blank or ``#``."""
+    return ((n, line) for n, line in enumerate(text.split("\n"), first)
+            if line.strip() and line[0] != "#")
 
 
 def _convert(path, lineno: int, fields: list[str], types: Types) -> list:
@@ -66,13 +75,25 @@ def _convert(path, lineno: int, fields: list[str], types: Types) -> list:
         )
     try:
         return [f if convert is str else convert(f) for convert, f in zip(types, fields)]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}:{lineno}: {exc}") from None
+
+
+def _int_columns(path, first: int, text: str, width: int) -> np.ndarray:
+    # np.loadtxt parses the whole block; if it fails, the row reader names the bad line.
+    with suppress(ValueError):
+        block = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None,
+                           ndmin=2) if text.strip() else None
+        if block is not None and block.shape[1] == width:
+            return block
+    rows = [_convert(path, n, line.split("\t"), (np.int64,) * width)
+            for n, line in _rows(text, first)]
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
 def read_rows(path: str | Path, types: Types, columns: Sequence[str] | None = None) -> list[list]:
     """Rows of a plain artifact; with ``columns``, the first line must name them."""
-    lines = _lines(path)
+    lines = _rows(Path(path).read_text(encoding="utf-8"))
     if columns:
         lineno, line = next(lines, (0, ""))
         if line != "\t".join(columns):
@@ -80,29 +101,41 @@ def read_rows(path: str | Path, types: Types, columns: Sequence[str] | None = No
     return [_convert(path, lineno, line.split("\t"), types) for lineno, line in lines]
 
 
-def read_sections(path: str | Path, specs: dict[str, Types | dict[str, Types]]) -> dict:
+# A "[name]" line after a newline; it has no tab, so a row starting with "[" stays a row.
+_SECTION = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
+
+
+def read_sections(path: str | Path, specs: dict[str, Types | dict[str, Types] | int]) -> dict:
     """Rows of each ``[section]`` named in ``specs``.
 
     A section given a tuple of types reads as a list of rows.  One given a
     dict is keyed: the first field of a row names it and selects the types
-    of the rest; it reads as key -> values, and every key must occur.
+    of the rest; it reads as key -> values, and every key must occur.  One
+    given a number n of integer fields reads as one (rows, n) int64 array.
     """
-    out = {name: {} if isinstance(spec, dict) else [] for name, spec in specs.items()}
-    section = None
-    for lineno, line in _lines(path):
-        if line.startswith("["):
-            section = line.strip("[]")
-            if section not in specs:
-                raise FormatError(f"{path}:{lineno}: unexpected section {line!r}")
-        elif section is None:
-            raise FormatError(f"{path}:{lineno}: row before the first [section]")
-        elif not isinstance(specs[section], dict):
-            out[section].append(_convert(path, lineno, line.split("\t"), specs[section]))
+    out = {name: {} if isinstance(spec, dict) else np.zeros((0, spec), np.int64)
+           if isinstance(spec, int) else [] for name, spec in specs.items()}
+    # [text before the first section, name, body, name, body, ...]
+    pieces = _SECTION.split("\n" + Path(path).read_text(encoding="utf-8"))
+    for lineno, _ in _rows(pieces[0], 0):
+        raise FormatError(f"{path}:{lineno}: row before the first [section]")
+    lineno = pieces[0].count("\n") + 1  # of the section line
+    for name, body in zip(pieces[1::2], pieces[2::2]):
+        spec = specs.get(name)
+        if spec is None:
+            raise FormatError(f"{path}:{lineno}: unexpected section '[{name}]'")
+        if isinstance(spec, int):
+            out[name] = np.concatenate([out[name], _int_columns(path, lineno, body, spec)])
+        elif isinstance(spec, dict):
+            for n, line in _rows(body, lineno):
+                key, *fields = line.split("\t")
+                if key not in spec:
+                    raise FormatError(f"{path}:{n}: unexpected key {key!r} in [{name}]")
+                out[name][key] = _convert(path, n, fields, spec[key])
         else:
-            key, *fields = line.split("\t")
-            if key not in specs[section]:
-                raise FormatError(f"{path}:{lineno}: unexpected key {key!r} in [{section}]")
-            out[section][key] = _convert(path, lineno, fields, specs[section][key])
+            out[name].extend(_convert(path, n, line.split("\t"), spec)
+                             for n, line in _rows(body, lineno))
+        lineno += body.count("\n") + 1
     for name, spec in specs.items():
         missing = sorted(spec.keys() - out[name].keys()) if isinstance(spec, dict) else []
         if missing:

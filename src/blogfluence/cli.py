@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from blogfluence import __version__, analysis, artifacts, causality, factor, implicit, synth, topics
+from blogfluence import __version__, analysis, artifacts, causality, factor, implicit
+from blogfluence import pipeline, synth, textvec, topics
 from blogfluence.corpus import (
     CleaningRules,
     Corpus,
@@ -44,9 +45,8 @@ from blogfluence.corpus import (
     parse_access_log,
     parse_content_file,
 )
-from blogfluence import pipeline
-from blogfluence.pipeline import build_vectors
-from blogfluence.textvec import write_vocabulary
+from blogfluence.pipeline import build_vectors  # noqa: F401  bench/tracing.py wraps it
+from blogfluence.textvec import VectorSpace, write_vocabulary
 
 
 class ConfigError(Exception):
@@ -211,15 +211,20 @@ def _write_corpus(cfg: PipelineConfig, corpus: Corpus, posts: str, access: str,
     artifacts.write_rows(_path(cfg, access), header, ((access_line(a),) for a in corpus.accesses))
 
 
-def _load_clean(cfg: PipelineConfig, accesses: bool = False) -> Corpus:
-    """The cleaned corpus; its accesses only when ``accesses`` is set."""
+def _load_clean(cfg: PipelineConfig) -> Corpus:
     with open(_require(_path(cfg, "clean_posts.tsv")), encoding="utf-8") as fh:
         posts, _ = parse_content_file(fh)
-    records = []
-    if accesses:
-        with open(_require(_path(cfg, "clean_accesses.tsv")), encoding="utf-8") as fh:
-            records, _ = parse_access_log(fh)
+    with open(_require(_path(cfg, "clean_accesses.tsv")), encoding="utf-8") as fh:
+        records, _ = parse_access_log(fh)
     return Corpus.from_records(posts, records)
+
+
+def _post_terms(cfg: PipelineConfig) -> textvec.PostTerms:
+    return textvec.read_post_terms(_require(_path(cfg, "post_terms.tsv")))
+
+
+def _space(cfg: PipelineConfig) -> VectorSpace:
+    return _post_terms(cfg).space(cfg.vocab_max_size)
 
 
 def _load_influence_links(cfg: PipelineConfig) -> tuple[list, str]:
@@ -260,7 +265,10 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     corpus = Corpus.from_records(posts, accesses)
     rules = CleaningRules(window_hours=cfg.window_hours)
     cleaned, removal = clean_accesses(corpus, rules)
-    _write_corpus(cfg, cleaned, "clean_posts.tsv", "clean_accesses.tsv", _header(cfg, "ingest"))
+    header = _header(cfg, "ingest")
+    _write_corpus(cfg, cleaned, "clean_posts.tsv", "clean_accesses.tsv", header)
+    textvec.write_post_terms(textvec.count_terms(cleaned.posts), _path(cfg, "post_terms.tsv"),
+                             header)
     print(
         f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped), "
         f"{access_report.n_ok} accesses ({access_report.n_skipped} skipped), "
@@ -270,7 +278,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_links(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg, accesses=True)
+    corpus = _load_clean(cfg)
     net = implicit.build_implicit_links(corpus, cfg.window_hours)
     header = _header(cfg, "links")
     implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
@@ -284,9 +292,8 @@ def cmd_links(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_causality(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    space = _space(cfg)
     net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
-    space = build_vectors(corpus, cfg.vocab_max_size)
     causality.annotate_similarity(net, space.vectors, cfg.min_tokens)
     rng = np.random.default_rng([cfg.seed, _STAGE_SEED["causality"]])
     forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
@@ -305,9 +312,8 @@ def cmd_causality(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_influence(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    space = _space(cfg)
     net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
-    space = build_vectors(corpus, cfg.vocab_max_size)
     causality.annotate_similarity(net, space.vectors, cfg.min_tokens)
     influence = causality.extract_influence(net, cfg.tau_hours)
     implicit.write_links_tsv(influence.links, _path(cfg, "influence.tsv"), _header(cfg, "influence"))
@@ -320,9 +326,8 @@ def cmd_influence(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_topics(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    space = _space(cfg)
     influence = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
-    space = build_vectors(corpus, cfg.vocab_max_size)
     # Every post of the corpus is a key of space.vectors.
     urls = implicit.link_posts(influence.links) if cfg.plsa_docs == "influence" else space.vectors
     try:
@@ -339,9 +344,8 @@ def cmd_topics(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_split(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    space = _space(cfg)
     influence = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
-    space = build_vectors(corpus, cfg.vocab_max_size)
     try:
         split = analysis.split_train_test(
             influence, space.vectors, space.vocab, seed=[cfg.seed, _STAGE_SEED["split"]]
@@ -359,9 +363,8 @@ def cmd_split(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_tensor(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    space = _space(cfg)
     links, source = _load_influence_links(cfg)
-    space = build_vectors(corpus, cfg.vocab_max_size)
     tensor = factor.build_influence_tensor(links, space.vectors, len(space.vocab))
     factor.write_tensor_tsv(tensor, _path(cfg, "tensor.tsv"), _header(cfg, "tensor"))
     print(
@@ -373,10 +376,9 @@ def cmd_tensor(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_iolap(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    terms = _post_terms(cfg).vocabulary(cfg.vocab_max_size).terms
     tensor = factor.read_tensor_tsv(_require(_path(cfg, "tensor.tsv")))
-    space = build_vectors(corpus, cfg.vocab_max_size)
-    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), space.vocab.terms)
+    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), terms)
     try:
         model = factor.fit_iolap(
             tensor,
@@ -407,13 +409,11 @@ def _blogger_graph(links) -> factor.BloggerGraph:
 
 
 def cmd_pcldc(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    space = _space(cfg)
     links, source = _load_influence_links(cfg)
     graph = _blogger_graph(links)
-    space = build_vectors(corpus, cfg.vocab_max_size)
-    model = pipeline.fit_pcldc_model(graph, space, corpus.posts, cfg.communities(),
-                                     cfg.pcldc_max_iter, cfg.tol, cfg.l2,
-                                     [cfg.seed, _STAGE_SEED["pcldc"]])
+    model = pipeline.fit_pcldc_model(graph, space, cfg.communities(), cfg.pcldc_max_iter,
+                                     cfg.tol, cfg.l2, [cfg.seed, _STAGE_SEED["pcldc"]])
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), _header(cfg, "pcldc"))
     print(
         f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
@@ -463,10 +463,10 @@ def cmd_idr(cfg: PipelineConfig, args) -> int:
 
 def _recommenders(cfg: PipelineConfig):
     """The four recommenders over the fitted models, all read from artifacts first."""
-    space = build_vectors(_load_clean(cfg), cfg.vocab_max_size)
+    terms = _post_terms(cfg).vocabulary(cfg.vocab_max_size).terms
     return analysis.recommenders(
         factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv"))),
-        topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), space.vocab.terms),
+        topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), terms),
         factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv"))),
         factor.read_pcl_model(_require(_path(cfg, "pcl_model.tsv"))),
     )
@@ -522,7 +522,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg, accesses=True)
+    corpus = _load_clean(cfg)
     report_dir = Path(cfg.out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     header = _header(cfg, "report")

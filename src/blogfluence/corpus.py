@@ -267,7 +267,8 @@ def parse_content_file(stream: Iterable[str]) -> tuple[list[BlogPost], ParseRepo
             except ValueError:
                 report.n_skipped += 1
                 continue
-            if not user_id or not url:
+            url = normalize_url(url)
+            if not user_id or not url:  # "" would not read back from clean_posts.tsv
                 report.n_skipped += 1
                 continue
             posts.append(
@@ -275,7 +276,7 @@ def parse_content_file(stream: Iterable[str]) -> tuple[list[BlogPost], ParseRepo
                     hashed_ip=ip,
                     upload_ts=ts,
                     user_id=user_id,
-                    url=normalize_url(url),
+                    url=url,
                     title=title,
                     blog_name=blog_name,
                     body=body,

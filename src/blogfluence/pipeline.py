@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from blogfluence import analysis, factor, implicit, topics
+from blogfluence import analysis, factor, implicit, textvec, topics
 from blogfluence.causality import (
     InfluenceNetwork,
     ZReport,
@@ -24,23 +24,14 @@ from blogfluence.causality import (
     forward_z_test,
     reversed_z_test,
 )
-from blogfluence.corpus import BlogPost, CleaningRules, Corpus, clean_accesses
+from blogfluence.corpus import CleaningRules, Corpus, clean_accesses
 from blogfluence.implicit import ImplicitNetwork, build_implicit_links
-from blogfluence.textvec import TermVector, Vocabulary, build_vocabulary, tokenize, vectorize
-
-
-@dataclass
-class VectorSpace:
-    vocab: Vocabulary
-    vectors: dict[str, TermVector]  # post url -> term vector
+from blogfluence.textvec import VectorSpace
 
 
 def build_vectors(corpus: Corpus, max_size: int) -> VectorSpace:
-    """Tokenize every post, build the capped vocabulary, vectorize."""
-    token_lists = {post.url: tokenize(post.body) for post in corpus.posts}
-    vocab = build_vocabulary((token_lists[post.url] for post in corpus.posts), max_size)
-    vectors = {url: vectorize(tokens, vocab) for url, tokens in sorted(token_lists.items())}
-    return VectorSpace(vocab=vocab, vectors=vectors)
+    """Count every post's terms, then keep the capped vocabulary's."""
+    return textvec.count_terms(corpus.posts).space(max_size)
 
 
 @dataclass
@@ -109,12 +100,12 @@ def blogger_graph(links: list[implicit.ImplicitLink]) -> factor.BloggerGraph:
     return factor.BloggerGraph.from_edge_weights(implicit.blogger_projection(links))
 
 
-def fit_pcldc_model(graph: factor.BloggerGraph, space: VectorSpace, posts: Iterable[BlogPost],
-                    n_communities: int, max_iter: int, tol: float, l2: float,
-                    seed: list[int]) -> factor.PcldcModel:
-    """pcldc on ``graph``, each blogger's content summed over ``posts``."""
+def fit_pcldc_model(graph: factor.BloggerGraph, space: VectorSpace, n_communities: int,
+                    max_iter: int, tol: float, l2: float, seed: list[int]) -> factor.PcldcModel:
+    """pcldc on ``graph``, each blogger's content summed over their posts in ``space``."""
     content = factor.blogger_content_matrix(
-        graph.nodes, ((post.user_id, space.vectors[post.url]) for post in posts), len(space.vocab))
+        graph.nodes, ((space.authors[url], vec) for url, vec in space.vectors.items()),
+        len(space.vocab))
     return factor.fit_pcldc(graph, content, n_communities, max_iter=max_iter, tol=tol, l2=l2,
                             seed=seed, terms=space.vocab.terms)
 
@@ -135,8 +126,7 @@ def recommendation_recall(
                                    seed=[seed, 3, restart]) for restart in range(3)]
     iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
     graph = blogger_graph(links)
-    pcldc = fit_pcldc_model(graph, space, result.cleaned.posts, 2, 60,
-                            factor.DEFAULT_TOL, 0.0, [seed, 4])
+    pcldc = fit_pcldc_model(graph, space, 2, 60, factor.DEFAULT_TOL, 0.0, [seed, 4])
     pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, 5])
     methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)
     recall = {name: analysis.recall_at_n(split, rec, top_n) for name, rec in methods.items()}

@@ -1,14 +1,17 @@
-"""Tokenization, vocabulary building, and sparse term-vector similarity."""
+"""Tokenization, post-term counts, and the capped vector spaces built on them."""
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 from blogfluence import artifacts
+from blogfluence.corpus import BlogPost, FormatError
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -19,22 +22,12 @@ DEFAULT_STOPWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    min_len: int = 2
-
-
-_DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
-    """Unicode-word tokens, lowercased, stopwords and short tokens dropped."""
-    cfg = config or _DEFAULT_TOKENIZER
+def tokenize(text: str) -> list[str]:
+    """Unicode-word tokens, lowercased, stopwords and one-letter tokens dropped."""
     return [
         tok
         for tok in map(str.lower, _WORD_RE.findall(text))
-        if len(tok) >= cfg.min_len and tok not in cfg.stopwords
+        if len(tok) >= 2 and tok not in DEFAULT_STOPWORDS
     ]
 
 
@@ -46,27 +39,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def build_vocabulary(docs: Iterable[Sequence[str]], max_size: int) -> Vocabulary:
-    """Keep the ``max_size`` terms with highest document frequency.
-
-    Ties are broken lexicographically, so truncation is deterministic and
-    never keeps a term with strictly lower document frequency than a
-    dropped one.
-    """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    df: Counter[str] = Counter()
-    for tokens in docs:
-        df.update(set(tokens))
-    ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
-    terms = [t for t, _ in ranked]
-    return Vocabulary(
-        terms=terms,
-        doc_freq=[c for _, c in ranked],
-        index={t: i for i, t in enumerate(terms)},
-    )
 
 
 def write_vocabulary(vocab: Vocabulary, path: str, header: str | None = None) -> None:
@@ -81,38 +53,75 @@ class TermVector:
     token_count: int  # sum of kept (in-vocabulary) token counts
 
 
-def vectorize(tokens: Sequence[str], vocab: Vocabulary) -> TermVector:
-    """Counts of the in-vocabulary tokens, keyed in order of first occurrence."""
-    index = vocab.index
-    entries = {index[tok]: n for tok, n in Counter(tokens).items() if tok in index}
-    return TermVector(entries=entries, token_count=sum(entries.values()))
-
-
-def cosine(u: TermVector, v: TermVector, idf: Sequence[float] | None = None) -> float:
-    """Cosine similarity in [0, 1]; zero when either vector is empty.
-
-    ``idf`` optionally reweights both vectors per term index; the default
-    uses raw term frequencies.
-    """
-    if not u.entries or not v.entries:
-        return 0.0
-    if idf is None:
-        nu = math.sqrt(sum(c * c for c in u.entries.values()))
-        nv = math.sqrt(sum(c * c for c in v.entries.values()))
-        small, large = (u.entries, v.entries) if len(u.entries) <= len(v.entries) else (v.entries, u.entries)
-        dot = sum(c * large.get(i, 0) for i, c in small.items())
-    else:
-        nu = math.sqrt(sum((c * idf[i]) ** 2 for i, c in u.entries.items()))
-        nv = math.sqrt(sum((c * idf[i]) ** 2 for i, c in v.entries.items()))
-        small, large = (u.entries, v.entries) if len(u.entries) <= len(v.entries) else (v.entries, u.entries)
-        dot = sum(c * large.get(i, 0) * idf[i] * idf[i] for i, c in small.items())
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return dot / (nu * nv)
-
-
 def shared_terms(u: TermVector, v: TermVector) -> list[int]:
     """Sorted vocabulary indices present in both vectors."""
     if len(u.entries) > len(v.entries):
         u, v = v, u
     return sorted(i for i in u.entries if i in v.entries)
+
+
+@dataclass
+class VectorSpace:
+    vocab: Vocabulary
+    vectors: dict[str, TermVector]  # post url -> term vector, in url order
+    authors: dict[str, str]  # post url -> author
+
+
+@dataclass
+class PostTerms:
+    """Every post's counts of every distinct token, from one tokenization.
+
+    ``terms`` are ranked as a capped vocabulary keeps them, so any cap's vocabulary
+    is a prefix.  A post's ``entries`` follow its terms' first occurrence."""
+
+    terms: list[tuple[str, int]]  # (term, document frequency) by (-frequency, term)
+    posts: list[tuple[str, str]]  # (url, author) in url order
+    entries: np.ndarray  # (n, 3) int64 rows: post index, term rank, count
+
+    def vocabulary(self, max_size: int) -> Vocabulary:
+        """The ``max_size`` terms of highest document frequency, ties by term."""
+        if max_size < 1:
+            raise ValueError("max_size must be >= 1")
+        terms = [t for t, _ in self.terms[:max_size]]
+        return Vocabulary(terms, [df for _, df in self.terms[:max_size]],
+                          {t: i for i, t in enumerate(terms)})
+
+    def space(self, max_size: int) -> VectorSpace:
+        """Each post's counts of the vocabulary's terms."""
+        post, term, count = self.entries[self.entries[:, 1] < max_size].T
+        bounds = np.searchsorted(post, np.arange(len(self.posts) + 1)).tolist()
+        term, count = term.tolist(), count.tolist()
+        vectors = {}
+        for (url, _), lo, hi in zip(self.posts, bounds, bounds[1:]):
+            entries = dict(zip(term[lo:hi], count[lo:hi]))
+            vectors[url] = TermVector(entries, sum(entries.values()))
+        return VectorSpace(self.vocabulary(max_size), vectors, dict(self.posts))
+
+
+def count_terms(posts: Iterable[BlogPost]) -> PostTerms:
+    """Tokenize every post's body and count its terms."""
+    by_url = {post.url: post for post in posts}
+    urls = sorted(by_url)
+    counts = [Counter(tokenize(by_url[url].body)) for url in urls]
+    ranked = sorted(Counter(chain.from_iterable(counts)).items(), key=lambda kv: (-kv[1], kv[0]))
+    rank = {t: i for i, (t, _) in enumerate(ranked)}
+    sizes = [len(c) for c in counts]
+    return PostTerms(ranked, [(url, by_url[url].user_id) for url in urls], np.column_stack([
+        np.repeat(np.arange(len(urls), dtype=np.int64), sizes),
+        np.fromiter(map(rank.__getitem__, chain.from_iterable(counts)), np.int64, sum(sizes)),
+        np.fromiter(chain.from_iterable(c.values() for c in counts), np.int64, sum(sizes)),
+    ]))
+
+
+def write_post_terms(counts: PostTerms, path: str, header: str | None = None) -> None:
+    artifacts.write_sections(path, header, vars(counts))
+
+
+def read_post_terms(path: str) -> PostTerms:
+    sections = artifacts.read_sections(path, {"terms": (str, int), "posts": (str, str), "entries": 3})
+    post, term, count = sections["entries"].T
+    artifacts.check_indices(path, "post", post, len(sections["posts"]))
+    artifacts.check_indices(path, "term", term, len(sections["terms"]))
+    if (np.diff(post) < 0).any() or (count < 1).any():
+        raise FormatError(f"{path}: [entries] needs post indices in order and counts >= 1")
+    return PostTerms(**sections)

@@ -32,7 +32,14 @@ from blogfluence.factor import (
 )
 from blogfluence.implicit import ImplicitLink, read_links_tsv, write_links_tsv
 from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
-from blogfluence.textvec import Vocabulary, write_vocabulary
+from blogfluence.textvec import (
+    PostTerms,
+    TermVector,
+    Vocabulary,
+    read_post_terms,
+    write_post_terms,
+    write_vocabulary,
+)
 from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
 
 TENSOR = InfluenceTensor(
@@ -88,6 +95,10 @@ ZREPORT = ZReport(
     5, 1,
 )
 VOCAB = Vocabulary(["alpha", "beta"], [3, 1], {"alpha": 0, "beta": 1})
+POST_TERMS = PostTerms(
+    [("beta", 2), ("alpha", 1), ("gamma", 1)], [("/ua/p1", "ua"), ("/ub/p1", "ub"), ("/ub/p2", "ub")],
+    np.array([[0, 1, 2], [0, 0, 1], [1, 0, 3], [1, 2, 1]]),
+)
 TRUTH = GroundTruth(
     {("/ub/q2", "/ua/p1"), ("/ua/q1", "/ub/p1")},
     {"ua": {1: ("ux", "uy"), 0: ("uz",)}, "ub": {0: ()}},
@@ -152,6 +163,11 @@ CASES = {
         "2\t0\t0\tnan\tnan\tnan\tunavailable\n3\t31\t31\t1.0\t0.0\tinf\tone,two\n",
     ),
     "vocab": (VOCAB, write_vocabulary, None, "# h\nalpha\t3\nbeta\t1\n"),
+    "post_terms": (
+        POST_TERMS, write_post_terms, read_post_terms,
+        "# h\n[terms]\nbeta\t2\nalpha\t1\ngamma\t1\n[posts]\n/ua/p1\tua\n/ub/p1\tub\n/ub/p2\tub\n"
+        "[entries]\n0\t1\t2\n0\t0\t1\n1\t0\t3\n1\t2\t1\n",
+    ),
     "truth": (TRUTH, write_truth_tsv, None, "# h\nq\tp\n/ua/q1\t/ub/p1\n/ub/q2\t/ua/p1\n"),
     "experts": (
         TRUTH, write_experts_tsv, None,
@@ -170,6 +186,43 @@ def test_writer_bytes_and_round_trip(name, tmp_path):
         again = tmp_path / "b.tsv"
         write(read(path), again, "# h")
         assert again.read_bytes() == text.encode()
+
+
+def test_post_terms_round_trip_keeps_int_columns_and_bracketed_urls(tmp_path):
+    counts = PostTerms([("aa", 1)], [("[a]/p1", "ua"), ("[b]", "ub")], np.array([[1, 0, 4]]))
+    write_post_terms(counts, tmp_path / "pt.tsv", "# h")
+    loaded = read_post_terms(tmp_path / "pt.tsv")
+    assert loaded.posts == [["[a]/p1", "ua"], ["[b]", "ub"]]
+    assert loaded.entries.dtype == np.int64 and loaded.entries.tolist() == [[1, 0, 4]]
+    assert loaded.space(1).vectors == {"[a]/p1": TermVector({}, 0), "[b]": TermVector({0: 4}, 4)}
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("1\t0\t3\n", "1\t0\n", "pt.tsv:13: expected 3 tab-separated fields, found 2"),
+        ("1\t0\t3\n", "1\t0\tthree\n", "pt.tsv:13: invalid literal for int()"),
+        ("1\t0\t3\n", "1\t0\t3.0\n", "pt.tsv:13: invalid literal for int()"),
+        ("1\t2\t1\n", "1\t3\t1\n", "pt.tsv: term index 3 is outside [0, 3)"),
+        ("1\t2\t1\n", "3\t2\t1\n", "pt.tsv: post index 3 is outside [0, 3)"),
+        ("0\t0\t1\n1\t0\t3\n", "1\t0\t3\n0\t0\t1\n", "pt.tsv: [entries] needs post indices in order"),
+        ("1\t2\t1\n", "1\t2\t0\n", "pt.tsv: [entries] needs post indices in order and counts >= 1"),
+        ("1\t2\t1\n", "1\t2\t99999999999999999999\n", "pt.tsv:14: Python int too large"),
+        ("[entries]\n", "[entries]\n# note\n\n", None),
+    ],
+)
+def test_malformed_post_terms_name_file_and_line(tmp_path, old, new, message):
+    path = tmp_path / "pt.tsv"
+    write_post_terms(POST_TERMS, path, "# h")
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    if message is None:  # comment and blank lines are skipped, as in every section
+        assert read_post_terms(path).entries.tolist() == POST_TERMS.entries.tolist()
+        return
+    with pytest.raises(FormatError) as info:
+        read_post_terms(path)
+    assert message in str(info.value)
 
 
 def test_round_trip_keeps_dtypes_and_network_counts(tmp_path):

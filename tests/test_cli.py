@@ -2,6 +2,7 @@ import shutil
 
 import pytest
 
+from blogfluence import textvec
 from blogfluence.cli import main
 
 SYNTH_KEYS = """
@@ -178,6 +179,42 @@ class TestExitCodes:
         assert main(["pcl", *argv]) == 0
         assert main(["links", *argv]) == 2
 
+    @pytest.mark.parametrize("damage", ["truncated row", "term rank", "post order"])
+    def test_malformed_post_terms_is_1(self, pipeline_copy, config_file, capsys, damage):
+        path = pipeline_copy / "post_terms.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        row = lines.index("[entries]") + 1
+        post, term, count = lines[row].split("\t")
+        n_terms = lines.index("[posts]") - lines.index("[terms]") - 1
+        lines[row] = {
+            "truncated row": f"{post}\t{term}",
+            "term rank": f"{post}\t{n_terms}\t{count}",
+            "post order": f"{int(post) + 1}\t{term}\t{count}",
+        }[damage]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["topics", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "post_terms.tsv" in err
+        assert "Traceback" not in err
+
+    def test_missing_post_terms_is_2(self, pipeline_copy, config_file):
+        (pipeline_copy / "post_terms.tsv").unlink()
+        assert main(["topics", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"]) == 2
+
+    def test_vector_stages_do_not_need_the_cleaned_posts(self, pipeline_copy, pipeline_dir,
+                                                         config_file):
+        (pipeline_copy / "clean_posts.tsv").unlink()
+        argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]
+        assert main(["topics", *argv]) == 0
+        assert (pipeline_copy / "plsa_model.tsv").read_bytes() == (
+            pipeline_dir / "plsa_model.tsv"
+        ).read_bytes()
+        assert main(["links", *argv]) == 2
+
     def test_invalid_iolap_rank_is_1(self, pipeline_copy, config_file, capsys):
         capsys.readouterr()
         code = main(["iolap", "--config", config_file, "--out-dir", str(pipeline_copy),
@@ -192,6 +229,32 @@ class TestExitCodes:
         printed = capsys.readouterr().out
         assert "loglik -" in printed  # the benchmark parses this token
         assert "(61 evals, hit max_iter 60)" in printed
+
+
+def test_posts_are_tokenized_once_per_run(tmp_path, config_file, monkeypatch):
+    """Only ingest tokenizes; every later stage reads post_terms.tsv."""
+    calls = []
+    stage = None
+    count_terms, tokenize = textvec.count_terms, textvec.tokenize
+
+    def spy_count_terms(posts):
+        calls.append(("count_terms", stage))
+        return count_terms(posts)
+
+    def spy_tokenize(text):
+        calls.append(("tokenize", stage))
+        return tokenize(text)
+
+    monkeypatch.setattr(textvec, "count_terms", spy_count_terms)
+    monkeypatch.setattr(textvec, "tokenize", spy_tokenize)
+    for stage in STAGES:
+        assert main([stage, "--config", config_file, "--out-dir", str(tmp_path),
+                     "--seed", "5"]) == 0
+    n_posts = sum(1 for line in (tmp_path / "clean_posts.tsv").read_text().splitlines()
+                  if not line.startswith("#"))
+    assert calls.count(("count_terms", "ingest")) == 1
+    assert calls.count(("tokenize", "ingest")) == n_posts
+    assert len(calls) == 1 + n_posts
 
 
 def test_full_pipeline_deterministic(tmp_path_factory, config_file):

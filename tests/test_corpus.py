@@ -56,6 +56,12 @@ class TestParseContent:
         posts, report = parse_content_file([CONTENT_LINE, bad])
         assert len(posts) == 1 and report.n_skipped == 1
 
+    def test_url_normalizing_to_empty_skipped(self):
+        # An empty url would not read back from clean_posts.tsv.
+        bad = CONTENT_LINE.replace("/u1/a1", "foo://host")
+        posts, report = parse_content_file([CONTENT_LINE, bad])
+        assert [p.url for p in posts] == ["/u1/a1"] and report.n_skipped == 1
+
     def test_mostly_malformed_raises(self):
         with pytest.raises(FormatError):
             parse_content_file([CONTENT_LINE, "junk", "more junk"])

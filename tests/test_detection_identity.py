@@ -8,11 +8,18 @@ oracles.
 """
 
 import hashlib
+import math
+import random
+import tempfile
 from bisect import bisect_right
+from collections import Counter
+from pathlib import Path
 from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blogfluence import causality
 from blogfluence.causality import (
@@ -24,7 +31,14 @@ from blogfluence.causality import (
 from blogfluence.implicit import ImplicitLink, build_implicit_links, summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
-from blogfluence.textvec import TermVector, cosine
+from blogfluence.textvec import (
+    TermVector,
+    Vocabulary,
+    count_terms,
+    read_post_terms,
+    tokenize,
+    write_post_terms,
+)
 
 from conftest import BASE_TS, make_access, make_corpus, make_post
 
@@ -121,6 +135,43 @@ def test_run_detection_digest(kind, planted_corpus):
 
 # --------------------------------------------------------------------------
 # per-record oracles
+
+def cosine(u, v):
+    """Cosine similarity of two term vectors; zero when either is empty."""
+    if not u.entries or not v.entries:
+        return 0.0
+    nu = math.sqrt(sum(c * c for c in u.entries.values()))
+    nv = math.sqrt(sum(c * c for c in v.entries.values()))
+    small, large = sorted((u.entries, v.entries), key=len)
+    dot = sum(c * large.get(i, 0) for i, c in small.items())
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return dot / (nu * nv)
+
+
+def build_vocabulary(docs, max_size):
+    """The ``max_size`` terms of highest document frequency, ties broken by term."""
+    df = Counter()
+    for tokens in docs:
+        df.update(set(tokens))
+    ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
+    terms = [t for t, _ in ranked]
+    return Vocabulary(terms, [c for _, c in ranked], {t: i for i, t in enumerate(terms)})
+
+
+def vectorize(tokens, vocab):
+    """Counts of the in-vocabulary tokens, keyed in order of first occurrence."""
+    entries = {vocab.index[tok]: n for tok, n in Counter(tokens).items() if tok in vocab.index}
+    return TermVector(entries, sum(entries.values()))
+
+
+def build_vectors(posts, max_size):
+    """Tokenize every post, build the capped vocabulary, vectorize each post."""
+    token_lists = {post.url: tokenize(post.body) for post in posts}
+    vocab = build_vocabulary((token_lists[post.url] for post in posts), max_size)
+    vectors = {url: vectorize(tokens, vocab) for url, tokens in sorted(token_lists.items())}
+    return vocab, vectors
+
 
 def _oracle_links(corpus, window_hours):
     window = window_hours * 3600
@@ -315,3 +366,35 @@ def test_similarity_blocks_match_cosine():
         assert got == expected
         assert n == sum(s is not None for s in expected)
         assert None in got and "0.0" in got and n > causality._SIMILARITY_BLOCK
+
+
+# Words whose tokens tie in document frequency, differ only in case, are
+# not ASCII, are stopwords or are one letter long (neither is ever kept).
+_WORDS = ["alpha", "Beta", "beta", "GAMMA", "zeta", "école", "École", "straße", "STRASSE",
+          "İstanbul", "日本語", "naïve", "Ωmega", "ǅemal", "ﬁle", "a1", "x", "the", "and", "é"]
+_BODIES = st.lists(
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from([" ", ", ", ". ", "-", "'", "—"])),
+    max_size=14,
+).map(lambda words: "".join(w + sep for w, sep in words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bodies=st.lists(_BODIES, min_size=1, max_size=12), shuffle=st.randoms(),
+       cap=st.integers(1, 24))
+def test_post_terms_space_matches_per_post_vectorize(bodies, shuffle, cap):
+    posts = [make_post(f"u{i % 3}", i, BASE_TS + i, body=body) for i, body in enumerate(bodies)]
+    shuffle.shuffle(posts)
+    vocab, vectors = build_vectors(posts, cap)
+    counts = count_terms(posts)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_post_terms(counts, Path(tmp) / "post_terms.tsv")
+        stored = read_post_terms(Path(tmp) / "post_terms.tsv")
+    for space in (counts.space(cap), stored.space(cap)):
+        assert space.vocab.terms == vocab.terms
+        assert space.vocab.doc_freq == vocab.doc_freq
+        assert space.vocab.index == vocab.index
+        assert list(space.vectors) == list(vectors)
+        for url, vec in vectors.items():
+            assert list(space.vectors[url].entries.items()) == list(vec.entries.items())
+            assert space.vectors[url].token_count == vec.token_count
+        assert space.authors == {post.url: post.user_id for post in posts}

@@ -5,40 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blogfluence.textvec import (
-    TermVector,
-    TokenizerConfig,
-    build_vocabulary,
-    cosine,
-    shared_terms,
-    tokenize,
-    vectorize,
-)
+from blogfluence.textvec import TermVector, count_terms, shared_terms, tokenize
+
+from conftest import BASE_TS, make_post
+from test_detection_identity import cosine
+
+
+def _post_terms(bodies):
+    return count_terms(make_post("ua", i, BASE_TS + i, body=body) for i, body in enumerate(bodies))
 
 
 class TestTokenize:
     def test_stopword_removed(self):
-        cfg = TokenizerConfig(stopwords=frozenset({"the"}))
-        assert tokenize("The cat saw the cat", cfg) == ["cat", "saw", "cat"]
+        assert tokenize("The cat saw the cat") == ["cat", "saw", "cat"]
 
     def test_empty(self):
         assert tokenize("") == []
 
     def test_min_len_and_lowercase(self):
-        cfg = TokenizerConfig(stopwords=frozenset(), min_len=2)
-        assert tokenize("A1 b2 A1", cfg) == ["a1", "b2", "a1"]
-        assert tokenize("a b c", cfg) == []
+        assert tokenize("A1 b2 A1") == ["a1", "b2", "a1"]
+        assert tokenize("a b c") == []
 
 
 class TestVocabulary:
     def test_tie_break_lexicographic(self):
-        vocab = build_vocabulary([["a", "b"], ["a", "c"]], max_size=2)
-        assert vocab.terms == ["a", "b"]
+        vocab = _post_terms(["aa bb", "aa cc"]).vocabulary(2)
+        assert vocab.terms == ["aa", "bb"]
         assert vocab.doc_freq == [2, 1]
 
     def test_no_truncation_when_large(self):
-        vocab = build_vocabulary([["a", "b"], ["c"]], max_size=10)
-        assert sorted(vocab.terms) == ["a", "b", "c"]
+        vocab = _post_terms(["aa bb", "cc"]).vocabulary(10)
+        assert sorted(vocab.terms) == ["aa", "bb", "cc"]
 
     def test_kept_df_dominates_dropped(self):
         rng = np.random.default_rng(7)
@@ -49,7 +46,7 @@ class TestVocabulary:
         df = Counter()
         for doc in docs:
             df.update(set(doc))
-        vocab = build_vocabulary(docs, max_size=25)
+        vocab = _post_terms(" ".join(doc) for doc in docs).vocabulary(25)
         kept_min = min(df[t] for t in vocab.terms)
         dropped = set(df) - set(vocab.terms)
         assert all(df[t] <= kept_min for t in dropped)
@@ -83,19 +80,12 @@ class TestCosine:
             assert cosine(tu, tu) == pytest.approx(1.0)
 
 
-def test_idf_weights_reduce_to_plain_cosine_when_uniform():
-    u = TermVector({0: 2, 1: 1}, 3)
-    v = TermVector({0: 1, 2: 2}, 3)
-    assert cosine(u, v, idf=[1.0, 1.0, 1.0]) == pytest.approx(cosine(u, v))
-    # a zero weight on the only shared term drives the similarity to zero
-    assert cosine(u, v, idf=[0.0, 1.0, 1.0]) == pytest.approx(0.0)
-
-
 def test_vectorize_counts_kept_tokens():
-    vocab = build_vocabulary([["aa", "bb"], ["aa"]], max_size=1)
-    vec = vectorize(["aa", "bb", "aa", "zz"], vocab)
+    space = _post_terms(["aa bb aa zz", "aa"]).space(1)
+    vec = space.vectors["/ua/p0"]
     assert vec.entries == {0: 2}
     assert vec.token_count == 2
+    assert space.vectors["/ua/p1"].entries == {0: 1}
 
 
 def test_shared_terms_sorted_intersection():
