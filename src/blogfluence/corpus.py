@@ -99,12 +99,8 @@ def normalize_url(url: str) -> str:
     Trailing slashes are stripped (except for the bare root) so that
     content-file URLs and access-log request paths join on equal keys.
     """
-    url = _SCHEME_HOST_RE.sub("", url)
-    for sep in ("?", "#"):
-        pos = url.find(sep)
-        if pos >= 0:
-            url = url[:pos]
-    url = url.lower()
+    # Lowercase first: a non-ASCII letter can lowercase to an ASCII scheme letter.
+    url = _SCHEME_HOST_RE.sub("", url.lower()).split("?", 1)[0].split("#", 1)[0]
     if len(url) > 1:
         url = url.rstrip("/") or "/"
     return url

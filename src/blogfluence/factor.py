@@ -25,12 +25,11 @@ from typing import Iterable
 import numpy as np
 
 from blogfluence import artifacts
+from blogfluence.corpus import FormatError
 from blogfluence.textvec import TermVector, shared_terms
 from blogfluence.topics import TopicModel, scatter_rows
 
 DEFAULT_TOL = 1e-7
-# Nonzeros per iolap E-step block: bounds the (block, J*K) temporaries.
-_E_STEP_BLOCK = 4096
 
 
 # --------------------------------------------------------------------------
@@ -105,22 +104,23 @@ def write_tensor_tsv(tensor: InfluenceTensor, path: str, header: str | None = No
 
 def read_tensor_tsv(path: str) -> InfluenceTensor:
     sections = artifacts.read_sections(path, {
-        "bloggers": (str,), "dims": {"n_terms": (int,)}, "entries": (int, int, int, float),
+        "bloggers": (str,), "dims": {"n_terms": (int,)}, "entries": 4,
     })
-    columns = np.array(sections["entries"], dtype=float).reshape(-1, 4).T.copy()
-    influenced, influencer, term = columns[:3].astype(np.int64)
+    influenced, influencer, term, counts = sections["entries"].T.copy()
     bloggers = [b for (b,) in sections["bloggers"]]
     n_terms = sections["dims"]["n_terms"][0]
     artifacts.check_indices(path, "influenced blogger", influenced, len(bloggers))
     artifacts.check_indices(path, "influencer blogger", influencer, len(bloggers))
     artifacts.check_indices(path, "term", term, n_terms)
+    if (counts < 1).any():
+        raise FormatError(f"{path}: [entries] needs counts >= 1")
     return InfluenceTensor(
         bloggers=bloggers,
         n_terms=n_terms,
         influenced=influenced,
         influencer=influencer,
         term=term,
-        counts=columns[3],
+        counts=counts.astype(float),
     )
 
 
@@ -148,48 +148,39 @@ def _column_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.nda
     return rng.dirichlet(np.ones(rows), size=cols).T
 
 
-def _iolap_e_step(tensor: InfluenceTensor, core, x_fac, y_fac, z_fac, *, free_z: bool):
+def _iolap_prob(pairs, z_n, core, x_fac, y_fac):
+    """P(i, j, k) = V_p . Z_k per nonzero, with V_p = XG_p x2 Y_j and XG_p = core x1 X_i
+    per pair p; also XG as (P, J, K) and each nonzero's V_p as (K, nnz), like ``z_n``."""
+    pi, pj, pair = pairs
+    n_i, n_j, n_k = core.shape
+    xg = (x_fac[pi] @ core.reshape(n_i, n_j * n_k)).reshape(-1, n_j, n_k)
+    v_n = np.take(np.einsum("pbc,pb->cp", xg, y_fac[pj]), pair, axis=1)
+    return np.einsum("cn,cn->n", v_n, z_n), xg, v_n
+
+
+def _iolap_e_step(tensor: InfluenceTensor, pairs, z_n, core, x_fac, y_fac, *, free_z: bool):
     """Log-likelihood and expected-count statistics of one EM step.
 
-    Returns (loglik, core_grad, x_num, y_num, z_num): core_grad[a, b, c]
-    is sum_n w_n X_ia Y_jb Z_kc with w_n = count_n / P(i, j, k), and the
-    *_num arrays are each factor's unnormalized M-step rows (z_num is
-    None unless ``free_z``).  ``fit_iolap`` describes the contraction
-    order and the blocking.
+    ``pairs`` holds the i and j of each distinct (i, j) pair and the pair of
+    each nonzero; ``z_n`` is each nonzero's Z_k as (K, nnz).  Returns
+    (loglik, core_grad, x_num, y_num, z_num): core_grad[a, b, c] is
+    sum_n w_n X_ia Y_jb Z_kc with w_n = count_n / P(i, j, k), and the *_num
+    arrays are each factor's unnormalized M-step rows (z_num is None unless
+    ``free_z``).  ``fit_iolap`` describes the contraction.
     """
-    ii, jj, kk, counts = tensor.influenced, tensor.influencer, tensor.term, tensor.counts
+    pi, pj, pair = pairs
     n_i, n_j, n_k = core.shape
-    unfolded = core.reshape(n_i, n_j * n_k)
-    nnz = counts.size
-    prob = np.empty(nnz)
-    x_rows = np.empty((nnz, n_i))
-    y_rows = np.empty((nnz, n_j))
-    z_rows = np.empty((nnz, n_k)) if free_z else None
-    core_grad = np.zeros((n_i, n_j * n_k))
-    for start in range(0, nnz, _E_STEP_BLOCK):
-        rows = slice(start, start + _E_STEP_BLOCK)
-        xi, yj, zk = x_fac[ii[rows]], y_fac[jj[rows]], z_fac[kk[rows]]
-        yz = (yj[:, :, None] * zk[:, None, :]).reshape(-1, n_j * n_k)
-        marg_x = yz @ unfolded.T  # core x2 Y x3 Z, per nonzero
-        p = (marg_x * xi).sum(axis=1)
-        prob[rows] = p
-        w = counts[rows] / p
-        wx = w[:, None] * xi
-        core_grad += wx.T @ yz
-        x_rows[rows] = wx * marg_x
-        xc = (xi @ unfolded).reshape(-1, n_j, n_k)  # core x1 X, per nonzero
-        y_rows[rows] = w[:, None] * yj * np.einsum("nbc,nc->nb", xc, zk)
-        if free_z:
-            z_rows[rows] = w[:, None] * zk * np.einsum("nbc,nb->nc", xc, yj)
-    loglik = float(counts @ np.log(prob))
-    z_num = scatter_rows(kk, z_rows, tensor.n_terms) if free_z else None
-    return (
-        loglik,
-        core_grad.reshape(core.shape),
-        scatter_rows(ii, x_rows, tensor.n_bloggers),
-        scatter_rows(jj, y_rows, tensor.n_bloggers),
-        z_num,
-    )
+    prob, xg, v_n = _iolap_prob(pairs, z_n, core, x_fac, y_fac)
+    w_z = tensor.counts / prob * z_n  # w_n Z_k, (K, nnz)
+    s = scatter_rows(pair, w_z.T, pi.size)  # S_p = sum_{n in p} w_n Z_k, from contiguous rows
+    xi, yj = x_fac[pi], y_fac[pj]
+    ys = np.einsum("pb,pc->pbc", yj, s).reshape(pi.size, n_j * n_k)  # Y_j (x) S_p
+    x_rows = xi * (ys @ core.reshape(n_i, n_j * n_k).T)
+    y_rows = yj * np.einsum("pbc,pc->pb", xg, s)
+    z_num = scatter_rows(tensor.term, (w_z * v_n).T, tensor.n_terms) if free_z else None
+    return (float(tensor.counts @ np.log(prob)), (xi.T @ ys).reshape(core.shape),
+            scatter_rows(pi, x_rows, tensor.n_bloggers),
+            scatter_rows(pj, y_rows, tensor.n_bloggers), z_num)
 
 
 def topic_factors_from_model(topic_model: TopicModel) -> np.ndarray:
@@ -220,15 +211,15 @@ def fit_iolap(
     Z from a random start.  All factors stay nonnegative and column
     stochastic after every step.
 
-    Each E-step follows the sparse tensor-times-matrix chain order (Kolda
-    and Bader, SIAM Review 2009) over the nonzeros n = (i, j, k): with
-    G the (I, J*K) unfolding of the core and YZ_n = Y_j (x) Z_k,
-    marg_x = YZ G^T gives P(i, j, k) = sum_a X_ia marg_x_a and the core
-    statistic sum_n w_n X_i (x) YZ_n is one GEMM; X_i G contracted with
-    Z_k (or with Y_j, for a free Z) gives the Y (or Z) statistic.  The
-    nonzeros go through in fixed blocks of ``_E_STEP_BLOCK`` rows, so the
-    (block, J*K) temporaries stay a few megabytes whatever the tensor
-    size; only per-nonzero rows of width I, J and K scale with nnz.
+    Each E-step evaluates the model only at the nonzeros (Kolda and
+    Bader, SIAM Review 2009) and does the I*J*K work once per distinct
+    (i, j) pair p, not per nonzero: with G the (I, J*K) core unfolding,
+    XG_p = X_i G and V_p = XG_p x2 Y_j give P(i, j, k) = V_p . Z_k, so a
+    nonzero costs O(K).  One scatter of w_n Z_k over the pairs gives S_p;
+    the core statistic is X_i^T (Y_j (x) S_p), one GEMM over the pairs,
+    and X and Y take theirs from (Y_j (x) S_p) G^T and XG_p S_p (a free Z
+    from w_n Z_k * V_p).  The pair index is built once per fit, for any
+    entry order, and no temporary is wider than (pairs, J*K) or (K, nnz).
     ``converged`` on the result records whether the fit stopped on
     ``tol`` (True) or ran out of ``max_iter`` (False).
     """
@@ -262,13 +253,16 @@ def fit_iolap(
         else:
             z_fac = _column_stochastic(rng, n_terms, n_topics)
     z_frozen = z_fac.copy() if fix_topics else None
+    keys, pair = np.unique(tensor.influenced * n_bloggers + tensor.influencer, return_inverse=True)
+    pairs = (keys // n_bloggers, keys % n_bloggers, pair)  # i, j per pair; pair per nonzero
+    z_n = np.take(z_fac.T, tensor.term, axis=1)
 
     trace: list[float] = []
     converged = False
     prev = None
     for iteration in range(max_iter):
         loglik, core_grad, x_num, y_num, z_num = _iolap_e_step(
-            tensor, core, x_fac, y_fac, z_fac, free_z=not fix_topics
+            tensor, pairs, z_n, core, x_fac, y_fac, free_z=not fix_topics
         )
         if not np.isfinite(loglik):
             raise ArithmeticError(f"non-finite log-likelihood at iteration {iteration}")
@@ -279,6 +273,7 @@ def fit_iolap(
         if not fix_topics:
             z_sums = z_num.sum(axis=0)
             z_fac = np.where(z_sums > 0, z_num / np.maximum(z_sums, 1e-300), z_fac)
+            z_n = np.take(z_fac.T, tensor.term, axis=1)
         x_sums = x_num.sum(axis=0)
         x_fac = np.where(x_sums > 0, x_num / np.maximum(x_sums, 1e-300), x_fac)
         y_sums = y_num.sum(axis=0)
@@ -290,7 +285,7 @@ def fit_iolap(
             break
         prev = loglik
 
-    final = _iolap_e_step(tensor, core, x_fac, y_fac, z_fac, free_z=False)[0]
+    final = float(tensor.counts @ np.log(_iolap_prob(pairs, z_n, core, x_fac, y_fac)[0]))
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after final step")
     trace.append(final)

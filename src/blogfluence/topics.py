@@ -111,13 +111,14 @@ def fit_plsa(
     trace: list[float] = []
     prev = None
     for _ in range(max_iter):
-        joint = doc_topic[rows] * word_topic[:, cols].T  # nnz x K
+        joint = doc_topic[rows]  # nnz x K, multiplied and then weighted in place
+        joint *= word_topic[:, cols].T
         prob = joint.sum(axis=1)
         loglik = float(counts @ np.log(prob))
         trace.append(loglik)
-        weighted = joint * (counts / prob)[:, None]
-        term_mass = scatter_rows(cols, weighted, n_terms)  # V x K
-        doc_mass = scatter_rows(rows, weighted, n_docs)  # D x K
+        joint *= (counts / prob)[:, None]
+        term_mass = scatter_rows(cols, joint, n_terms)  # V x K
+        doc_mass = scatter_rows(rows, joint, n_docs)  # D x K
         topic_totals = term_mass.sum(axis=0)
         word_topic = (term_mass / np.maximum(topic_totals, 1e-300)).T
         doc_topic = doc_mass / doc_term.doc_totals[:, None]

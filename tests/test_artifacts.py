@@ -246,6 +246,9 @@ def test_round_trip_keeps_dtypes_and_network_counts(tmp_path):
     "old, new, message",
     [
         ("1\t0\t0\t1\n", "1\t0\t0\n", "t.tsv:9: expected 4 tab-separated fields, found 3"),
+        ("1\t0\t0\t1\n", "1\t0\t0\t1.5\n", "t.tsv:9: invalid literal for int()"),
+        ("1\t0\t0\t1\n", "1\t0\t0\t0\n", "t.tsv: [entries] needs counts >= 1"),
+        ("1\t0\t0\t1\n", "1\t0\t0\t-2\n", "t.tsv: [entries] needs counts >= 1"),
         ("n_terms\t3", "n_terms\tthree", "t.tsv:6: invalid literal for int()"),
         ("[dims]", "[sizes]", "t.tsv:5: unexpected section '[sizes]'"),
         ("n_terms\t3\n", "n_terms_x\t3\n", "t.tsv:6: unexpected key 'n_terms_x' in [dims]"),

@@ -172,6 +172,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and "tensor.tsv" in err and "999" in err
         assert "Traceback" not in err
 
+    def test_tensor_count_below_one_is_1(self, pipeline_copy, config_file, capsys):
+        tensor = pipeline_copy / "tensor.tsv"
+        lines = tensor.read_text(encoding="utf-8").split("\n")
+        row = lines.index("[entries]") + 1
+        lines[row] = lines[row].rsplit("\t", 1)[0] + "\t0"
+        tensor.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["iolap", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "tensor.tsv" in err and "counts >= 1" in err
+        assert "Traceback" not in err
+
     def test_only_links_and_report_need_the_accesses(self, pipeline_copy, config_file):
         (pipeline_copy / "clean_accesses.tsv").unlink()
         argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]

@@ -109,6 +109,25 @@ def test_normalize_url():
     assert normalize_url("/") == "/"
 
 
+def test_normalize_url_lowercases_before_the_scheme_is_stripped():
+    # KELVIN SIGN lowercases to an ASCII "k": the URL has the scheme "k".
+    assert normalize_url("\u212a://host/p") == "/p"
+    assert normalize_url("\u212aTTP://HOST/A/?q") == "/a"
+
+
+_url_piece = st.one_of(
+    st.sampled_from(["://", "/", "?", "#", "Http", "\u212a", "\u0130", "\u00c9"]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_url_piece, max_size=8).map("".join))
+def test_normalize_url_is_idempotent(url):
+    once = normalize_url(url)
+    assert normalize_url(once) == once
+
+
 _safe_text = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r#,", blacklist_categories=("Cs",)),
     min_size=1,

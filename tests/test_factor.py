@@ -3,7 +3,6 @@ import pytest
 
 from blogfluence.implicit import ImplicitLink
 from blogfluence.factor import (
-    _E_STEP_BLOCK,
     BloggerGraph,
     InfluenceTensor,
     blogger_content_matrix,
@@ -128,19 +127,36 @@ def _dense_em_step(counts, core, x, y, z, free_z):
 
 
 class TestIolapEStepMatchesDenseReference:
-    """The blocked TTM-chain E-step equals a dense einsum EM step."""
+    """The pair-compressed E-step equals a dense einsum EM step, whatever
+    the entry order and however the nonzeros fall on (i, j) pairs."""
 
     B, V, RANKS = 30, 40, (2, 3, 4)
+    NNZ = 8969  # about ten nonzeros per (i, j) pair, as in the benchmark tensor
 
-    def _case(self):
+    def _cells(self, rng, layout):
+        """Flat (i, j, k) cell indices of the nonzeros, in entry order."""
+        if layout == "one_pair":  # every term of the single pair (7, 19)
+            return (7 * self.B + 19) * self.V + np.arange(self.V)
+        if layout == "one_per_pair":  # 600 pairs, one random term each
+            pairs = rng.choice(self.B * self.B, size=600, replace=False)
+            return pairs * self.V + rng.integers(0, self.V, size=pairs.size)
+        cells = np.sort(rng.choice(self.B * self.B * self.V, size=self.NNZ, replace=False))
+        return rng.permutation(cells) if layout == "shuffled" else cells
+
+    def _case(self, layout):
         rng = np.random.default_rng(31)
-        # two full blocks and a ragged third one
-        nnz = 2 * _E_STEP_BLOCK + 777
-        assert nnz > _E_STEP_BLOCK and nnz % _E_STEP_BLOCK != 0
-        assert nnz < self.B * self.B * self.V
-        cells = np.sort(rng.choice(self.B * self.B * self.V, size=nnz, replace=False))
+        cells = self._cells(rng, layout)
         i, j, k = np.unravel_index(cells, (self.B, self.B, self.V))
-        counts = rng.integers(1, 9, size=nnz).astype(float)
+        n_pairs = np.unique(i * self.B + j).size
+        if layout == "one_pair":
+            assert n_pairs == 1 and cells.size == self.V
+        elif layout == "one_per_pair":
+            assert n_pairs == cells.size
+        else:
+            assert cells.size > 5 * n_pairs
+        if layout == "shuffled":
+            assert (np.diff(cells) < 0).any()
+        counts = rng.integers(1, 9, size=cells.size).astype(float)
         tensor = InfluenceTensor(
             bloggers=[f"u{n:02d}" for n in range(self.B)], n_terms=self.V,
             influenced=i, influencer=j, term=k, counts=counts,
@@ -164,22 +180,32 @@ class TestIolapEStepMatchesDenseReference:
                           (model.influencer_factors, y), (model.topic_factors, z)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def _fit_one_step(self, layout, free_z):
+        tensor, dense, init = self._case(layout)
+        if free_z:
+            model = fit_iolap(tensor, 2, 3, n_topics=4, fix_topics=False, max_iter=1,
+                              init=init)
+        else:
+            tm = TopicModel(
+                n_topics=4, p_w_given_t=init[3].T, p_t=np.full(4, 0.25),
+                p_t_given_d=np.zeros((0, 4)), loglik_trace=[],
+                terms=[f"w{n:02d}" for n in range(self.V)], doc_ids=[],
+            )
+            model = fit_iolap(tensor, 2, 3, topic_model=tm, fix_topics=True, max_iter=1,
+                              init=init)
+            assert np.array_equal(model.topic_factors, init[3])
+        self._check(model, dense, init, free_z)
+
     def test_free_topics(self):
-        tensor, dense, init = self._case()
-        model = fit_iolap(tensor, 2, 3, n_topics=4, fix_topics=False, max_iter=1, init=init)
-        self._check(model, dense, init, free_z=True)
+        self._fit_one_step("sorted", free_z=True)
 
     def test_fixed_topics(self):
-        tensor, dense, init = self._case()
-        tm = TopicModel(
-            n_topics=4, p_w_given_t=init[3].T, p_t=np.full(4, 0.25),
-            p_t_given_d=np.zeros((0, 4)), loglik_trace=[],
-            terms=[f"w{n:02d}" for n in range(self.V)], doc_ids=[],
-        )
-        model = fit_iolap(tensor, 2, 3, topic_model=tm, fix_topics=True, max_iter=1,
-                          init=init)
-        self._check(model, dense, init, free_z=False)
-        assert np.array_equal(model.topic_factors, init[3])
+        self._fit_one_step("sorted", free_z=False)
+
+    @pytest.mark.parametrize("free_z", [False, True])
+    @pytest.mark.parametrize("layout", ["shuffled", "one_pair", "one_per_pair"])
+    def test_pair_layout(self, layout, free_z):
+        self._fit_one_step(layout, free_z)
 
 
 class TestFitIolap:
