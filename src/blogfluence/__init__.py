@@ -20,7 +20,7 @@ from blogfluence.corpus import (
     parse_access_log,
     parse_content_file,
 )
-from blogfluence.implicit import ImplicitLink, ImplicitNetwork, build_implicit_links
+from blogfluence.implicit import ImplicitLink, ImplicitNetwork, Links, build_implicit_links
 from blogfluence.causality import (
     InfluenceNetwork,
     ZReport,
@@ -50,6 +50,7 @@ __all__ = [
     "ImplicitNetwork",
     "InfluenceNetwork",
     "IolapModel",
+    "Links",
     "PcldcModel",
     "PclModel",
     "SynthConfig",

@@ -81,28 +81,28 @@ def split_train_test(
     unusable in training), so every test source retains at least one
     training out-edge.
     """
-    links_by_pair: dict[tuple[str, str], list] = {}
-    for link in influence_net.links:
-        links_by_pair.setdefault((link.reader, link.author), []).append(link)
-    out: dict[str, list[str]] = {}
-    for a, b in links_by_pair:
-        out.setdefault(a, []).append(b)
-    for targets in out.values():
-        targets.sort()
+    links = influence_net.links
+    pairs, which, counts = links.pairs()
+    out: dict[str, list[int]] = {}  # blogger -> its out-edges, as positions in pairs
+    for i, (a, _) in enumerate(pairs):  # ascending, so each list is in target order
+        out.setdefault(a, []).append(i)
     if not any(len(t) >= 2 for t in out.values()):
         raise ValueError("no blogger has out-degree >= 2; nothing to hold out")
 
     rng = np.random.default_rng(seed)
-    train_edges = {pair: len(links) for pair, links in sorted(links_by_pair.items())}
+    train_edges = dict(zip(pairs, counts.tolist()))
+    urls = links.urls
     test: list[tuple[str, str, frozenset[str]]] = []
     for a in sorted(out):
         targets = out[a]
         if len(targets) < 2:
             continue
-        b = targets[int(rng.integers(len(targets)))]
+        edge = targets[int(rng.integers(len(targets)))]
+        b = pairs[edge][1]
         keywords: set[str] = set()
-        for link in links_by_pair[(a, b)]:
-            for k in shared_terms(vectors[link.q], vectors[link.p]):
+        at = which == edge
+        for q, p in zip(links.q[at].tolist(), links.p[at].tolist()):
+            for k in shared_terms(vectors[urls[q]], vectors[urls[p]]):
                 keywords.add(vocab.terms[k])
         test.append((a, b, frozenset(keywords)))
         del train_edges[(a, b)]

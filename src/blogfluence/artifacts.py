@@ -8,7 +8,8 @@ the same float64.  Readers take one converter per field (``int``,
 ``float``, ``str``); a row with another field count, or a field its
 converter rejects, raises ``FormatError`` naming the file and the line.
 A section of integer fields only can be written from and read back into
-one int64 array, without per-row Python.
+one int64 array, and plain rows can be written from and read back into
+one list or int64 array per column, without per-row Python.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import io
 import re
 from contextlib import suppress
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,7 +45,9 @@ def _write(path: str | Path, header: str | None, blocks) -> None:
         for title, rows in blocks:
             if title:
                 fh.write(title + "\n")
-            if isinstance(rows, np.ndarray):  # integer columns: one format for the block
+            if isinstance(rows, str):  # lines joined already
+                fh.write(rows)
+            elif isinstance(rows, np.ndarray):  # integer columns: one format for the block
                 fh.write(("\t".join(["%d"] * rows.shape[1]) + "\n") * len(rows)
                          % tuple(rows.ravel().tolist()))
             else:
@@ -54,6 +58,14 @@ def write_rows(path: str | Path, header: str | None, rows: Iterable[Sequence],
                columns: Sequence[str] | None = None) -> None:
     """Write the header, the column-name line if any, and one line per row."""
     _write(path, header, [("\t".join(columns) if columns else None, rows)])
+
+
+def write_columns(path: str | Path, header: str | None, columns: Sequence[str],
+                  values: Sequence[list[str] | np.ndarray]) -> None:
+    """``write_rows`` from one list of strings or integer array per column."""
+    fields = [v if isinstance(v, list) else list(map(str, v.tolist())) for v in values]
+    lines = "".join(line + "\n" for line in map("\t".join, zip(*fields)))
+    _write(path, header, [("\t".join(columns), lines)])
 
 
 def write_sections(path: str | Path, header: str | None,
@@ -99,6 +111,23 @@ def read_rows(path: str | Path, types: Types, columns: Sequence[str] | None = No
         if line != "\t".join(columns):
             raise FormatError(f"{path}:{lineno}: expected the column names {list(columns)}")
     return [_convert(path, lineno, line.split("\t"), types) for lineno, line in lines]
+
+
+def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]) -> list:
+    """``read_rows`` by column: a list of strings per ``str`` field, an int64
+    array per ``int`` field.  The text is split as a whole; a row with
+    another field count, or a field ``int`` rejects, is left to
+    ``read_rows``, which names its line."""
+    lines = [line for _, line in _rows(Path(path).read_text(encoding="utf-8"))]
+    width, body = len(types), lines[1:]
+    if lines[:1] == ["\t".join(columns)] and set(map(str.count, body, repeat("\t"))) <= {width - 1}:
+        fields = "\t".join(body).split("\t") if body else []
+        with suppress(ValueError, OverflowError):
+            return [fields[i::width] if t is str else
+                    np.fromiter(map(int, fields[i::width]), np.int64, len(body))
+                    for i, t in enumerate(types)]
+    rows = read_rows(path, tuple(str if t is str else np.int64 for t in types), columns)
+    return [list(column) for column in zip(*rows)]  # unreached: read_rows names the bad row
 
 
 # A "[name]" line after a newline; it has no tab, so a row starting with "[" stays a row.

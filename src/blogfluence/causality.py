@@ -18,22 +18,30 @@ after p was read, keeping the original gaps.
 A link (q, p) counts as influence when the gap is at most ``tau_hours``
 and the similarity is strictly above the anchor's window median; ties at
 the median drop, biasing toward precision.
+
+Every step reads the columns of one ``implicit.Links`` table: the
+similarity column is filled from the post-term arrays, anchors are the
+table's post indices (whose order is URL order), and the influence
+network is a subset of the same table.  One kernel, ``_coin_faces``,
+turns the table into coins for both tests and for ``make_coins`` and
+``build_coin_series``; one statistic, ``_z_report``, pools coins per
+bucket for both tests and for ``z_test``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.implicit import (
-    ImplicitLink, ImplicitNetwork, expand_ranges, link_counts, link_posts, read_links,
+    ImplicitNetwork, Links, expand_ranges, link_counts, link_posts, read_links, sort_order,
 )
-from blogfluence.textvec import TermVector
-from blogfluence.topics import build_doc_term
+from blogfluence.textvec import PostTerms
 
 # Normal-approximation critical values at p = 0.01.
 Z_ONE_SIDED = 2.326
@@ -43,58 +51,60 @@ DEFAULT_MIN_TOKENS = 10
 DEFAULT_TAU_HOURS = 2
 
 
-# Links per block of the similarity kernel.  A block expands one entry per
-# term of each link's q post; at 256 links those arrays stay well under a
-# MB, which keeps the kernel from raising the process's peak memory.
-_SIMILARITY_BLOCK = 256
+# Distinct q posts per block of the similarity kernel.  A block holds a
+# dense row of counts per q (256 kB at 1000 terms) and an entry per term of
+# its links' p posts, so the kernel does not raise the process's peak memory.
+_SIMILARITY_BLOCK = 32
 
 
-def annotate_similarity(
-    net: ImplicitNetwork,
-    vectors: dict[str, TermVector],
-    min_tokens: int = DEFAULT_MIN_TOKENS,
-) -> int:
-    """Attach cosine similarity to links whose two posts both kept
-    at least ``min_tokens`` in-vocabulary tokens; others get None.
+def annotate_similarity(links: Links, terms: PostTerms, max_size: int,
+                        min_tokens: int = DEFAULT_MIN_TOKENS) -> int:
+    """Fill the similarity column: cosine similarity of the two posts'
+    counts of the ``max_size``-term vocabulary where both posts kept at
+    least ``min_tokens`` of its tokens, NaN elsewhere.
 
-    The dot products run over the document-term triplets of
-    ``topics.build_doc_term``: each term of q is looked up in p's sorted
-    (document, term) keys.  Counts are integers, exact in float64, so
-    every similarity is bit-identical to ``textvec.cosine``.
+    The links are taken in q order.  A block scatters the counts of each
+    of its q posts into a dense row once, and each term of each link's p
+    reads its q's row.  Counts are integers, so every dot product and
+    squared norm is an exact integer in float64 whatever the order of its
+    terms, and every similarity is bit-identical to the per-pair
+    ``dot / (|q| |p|)``.  A post that ``terms`` lacks has no similarity.
 
     Returns the number of links that received a similarity.
     """
-    n_terms = 1 + max((max(v.entries, default=-1) for v in vectors.values()), default=-1)
-    doc_term = build_doc_term(vectors, n_terms)
-    rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
-    n_docs = doc_term.n_docs
-    doc = {url: d for d, url in enumerate(doc_term.doc_ids)}
-    # Index n_docs stands for a post without a vector.
-    eligible = np.array([vectors[url].token_count >= min_tokens for url in doc_term.doc_ids] + [False])
-    starts = rows.searchsorted(np.arange(n_docs + 1))
-    norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=n_docs))
-    keys = rows * n_terms + cols
-    del doc_term, rows, cols  # the blocks read only keys, counts and starts
+    post, term, count = terms.entries[terms.entries[:, 1] < max_size].T
+    counts = count.astype(np.float64)
+    n_docs, n_terms = len(terms.posts), min(max_size, len(terms.terms))
+    starts = post.searchsorted(np.arange(n_docs + 1))
+    norms = np.sqrt(np.bincount(post, weights=counts * counts, minlength=n_docs))
+    # Index n_docs stands for a post without counts.
+    eligible = np.append(np.bincount(post, weights=counts, minlength=n_docs) >= min_tokens, False)
+    doc = {url: d for d, (url, _) in enumerate(terms.posts)}
+    post_doc = np.array([doc.get(url, n_docs) for url in links.urls], dtype=np.int64)
 
-    links = net.links
-    u = np.fromiter((doc.get(l.q, n_docs) for l in links), np.int64, len(links))
-    v = np.fromiter((doc.get(l.p, n_docs) for l in links), np.int64, len(links))
-    ok = eligible[u] & eligible[v]
-    sims = np.zeros(len(u))
-    todo = np.flatnonzero(ok)
-    for lo in range(0, len(todo), _SIMILARITY_BLOCK):
-        block = todo[lo:lo + _SIMILARITY_BLOCK]
-        bu, bv = u[block], v[block]
-        which, entry = expand_ranges(starts[bu], starts[bu + 1])
-        wanted = keys[entry] + (bv - bu)[which] * n_terms  # q's terms, keyed in p's row
-        at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
-        shared = keys[at] == wanted
-        dot = np.bincount(which[shared], weights=counts[entry[shared]] * counts[at[shared]],
+    u, v = post_doc[links.q], post_doc[links.p]
+    todo = np.flatnonzero(eligible[u] & eligible[v])
+    todo = todo[np.argsort(u[todo], kind="stable")]
+    new_q = np.diff(u[todo], prepend=-1) != 0
+    row = np.cumsum(new_q) - 1  # the link's q among the distinct q posts
+    n_q = int(row[-1]) + 1 if len(todo) else 0
+    edges = row.searchsorted(np.arange(0, n_q, _SIMILARITY_BLOCK)).tolist()
+    sims = np.full(len(u), np.nan)
+    dense = np.zeros(_SIMILARITY_BLOCK * n_terms)  # row-major (q in block, term)
+    for lo, hi in zip(edges, edges[1:] + [len(todo)]):
+        block = todo[lo:hi]
+        bu, bv, at = u[block], v[block], (row[lo:hi] - row[lo]) * n_terms
+        qs = bu[new_q[lo:hi]]
+        q_row, q_entry = expand_ranges(starts[qs], starts[qs + 1])
+        q_at = q_row * n_terms + term[q_entry]
+        dense[q_at] = counts[q_entry]
+        p_row, p_entry = expand_ranges(starts[bv], starts[bv + 1])
+        dot = np.bincount(p_row, weights=dense[at[p_row] + term[p_entry]] * counts[p_entry],
                           minlength=len(block))
+        dense[q_at] = 0.0
         norm = norms[bu] * norms[bv]
         sims[block] = np.divide(dot, norm, out=np.zeros(len(block)), where=norm > 0)
-    for link, sim, has in zip(links, sims.tolist(), ok.tolist()):
-        link.similarity = sim if has else None
+    links.similarity = sims
     return len(todo)
 
 
@@ -103,22 +113,6 @@ class CoinSeries:
     anchor: str
     coins: list[tuple[int, bool]]  # (hour bucket starting at 1, is_head)
     median_sim: float
-
-
-def _codes(names: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct names in ascending order, and the index of each name
-    among them."""
-    distinct = sorted(set(names))
-    index = {name: i for i, name in enumerate(distinct)}
-    return distinct, np.array([index[name] for name in names], dtype=np.int64)
-
-
-def _eligible(links: Sequence[ImplicitLink]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions, gaps and similarities of the links that carry a similarity."""
-    has = np.fromiter((l.similarity is not None for l in links), bool, len(links))
-    gap = np.fromiter((l.gap_seconds for l in links), np.int64, len(links))[has]
-    sim = np.array([l.similarity for l in links if l.similarity is not None], dtype=np.float64)
-    return np.flatnonzero(has), gap, sim
 
 
 def _run_bounds(codes: np.ndarray) -> np.ndarray:
@@ -141,55 +135,64 @@ def _run_medians(bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(sizes % 2 == 1, ordered[mid], (lower + ordered[mid]) / 2)
 
 
-def _coin_series(
-    anchors: list[str],
-    code: np.ndarray,
-    gap: np.ndarray,
-    p_rank: np.ndarray,
-    sim: np.ndarray,
-    rng: np.random.Generator,
-) -> list[CoinSeries]:
-    """Coin series of eligible links given as arrays, one per anchor with at
-    least two links; ``code`` indexes the ascending ``anchors``.
+def _coin_faces(links: Links, code: np.ndarray, rng: np.random.Generator) -> tuple:
+    """The coin series of the links that carry a similarity, ``code``
+    ordering their anchors; an anchor with fewer than two such links has
+    none.  In (anchor, gap, p) order: each coin's anchor code, hour bucket
+    and face, then the bounds of each series and its median similarity.
 
-    Links are ordered by (anchor, gap, p).  Faces strictly above/below the
-    anchor's median are forced; only anchors with tied faces draw from
-    ``rng``, in anchor order, with the draws of the per-anchor definition
-    (see ``make_coins``).
+    Faces strictly above/below the anchor's median are forced; only
+    series with tied faces draw from ``rng``, in anchor order, with the
+    draws of the per-anchor definition (see ``make_coins``).
     """
-    order = np.lexsort((p_rank, gap, code))
-    code, gap, sim = code[order], gap[order], sim[order]
+    has = np.flatnonzero(~np.isnan(links.similarity))
+    order = has[sort_order(code[has], links.gap[has], links.p[has])]
+    code, gap, sim = code[order], links.gap[order], links.similarity[order]
     bounds = _run_bounds(code)
     sizes = np.diff(bounds)
     med = _run_medians(bounds, sim)
     run = np.repeat(np.arange(len(sizes)), sizes)
     heads = sim > med[run]
-    tied = sim == med[run]
-    n_above = np.bincount(run[heads], minlength=len(sizes)).tolist()
-    tie_at = np.flatnonzero(tied)
-    tie_bounds = tie_at.searchsorted(bounds).tolist()
-    for r in np.flatnonzero((sizes >= 2) & (np.diff(tie_bounds) > 0)).tolist():
-        n, above = int(sizes[r]), n_above[r]
-        ties = tie_at[tie_bounds[r]:tie_bounds[r + 1]]
-        targets = sorted({n // 2, (n + 1) // 2})
-        achievable = [t for t in targets if 0 <= t - above <= len(ties)]
-        target = achievable[int(rng.integers(len(achievable)))] if len(achievable) > 1 else achievable[0]
-        heads[ties[rng.choice(len(ties), size=target - above, replace=False)]] = True
+    tie_at = np.flatnonzero(sim == med[run])
+    n_ties = np.bincount(run[tie_at], minlength=len(sizes))
+    # How many tied coins turn heads for the balanced head counts n // 2
+    # and (n + 1) // 2; an odd run where both are achievable draws one.
+    above = np.bincount(run[heads], minlength=len(sizes))
+    low, high = sizes // 2 - above, (sizes + 1) // 2 - above
+    low_ok = (low >= 0) & (low <= n_ties)
+    both = low_ok & (sizes % 2 == 1) & (high >= 0) & (high <= n_ties)
+    want = np.where(low_ok, low, high)
+    series = sizes >= 2
+    tie_start = np.cumsum(n_ties) - n_ties
+    picks: list[int] = []  # the tied coins that turn heads, as positions in tie_at
+    for start, n, k, k_high, two in zip(*(a[series & (n_ties > 0)].tolist() for a in (
+            tie_start, n_ties, want, high, both))):
+        size = k_high if two and rng.integers(2) else k
+        if n > 1 and size:  # a choice of none of the ties, or of 1 of 1, draws nothing
+            picks += (start + rng.choice(n, size=size, replace=False)).tolist()
+        else:
+            picks += range(start, start + size)
+    heads[tie_at[picks]] = True
+    coin = np.repeat(series, sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes[series])])
+    return code[coin], (gap[coin] + 3599) // 3600, heads[coin], bounds, med[series]
 
-    buckets = ((gap + 3599) // 3600).tolist()
-    faces = heads.tolist()
+
+def _coin_series(links: Links, code: np.ndarray, anchors: list[str],
+                 rng: np.random.Generator) -> list[CoinSeries]:
+    """The coin series of ``_coin_faces`` as objects; ``code`` gives each
+    link's index in the ascending ``anchors``."""
+    code, bucket, heads, bounds, med = _coin_faces(links, code, rng)
+    buckets, faces = bucket.tolist(), heads.tolist()
     return [
         CoinSeries(anchors[c], list(zip(buckets[lo:hi], faces[lo:hi])), m)
         for c, lo, hi, m in zip(
             code[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), med.tolist()
         )
-        if hi - lo >= 2
     ]
 
 
-def make_coins(
-    anchor: str, links: Sequence[ImplicitLink], rng: np.random.Generator
-) -> CoinSeries | None:
+def make_coins(anchor: str, links: Links, rng: np.random.Generator) -> CoinSeries | None:
     """Turn one anchor's links into coins; None if fewer than two are eligible.
 
     Faces strictly above/below the median are forced; tied faces are
@@ -200,9 +203,7 @@ def make_coins(
     ``rng.choice(n_ties, size=tie_heads, replace=False)`` picks the tied
     positions that become heads.
     """
-    _, gap, sim = _eligible(links)
-    _, p_rank = _codes([l.p for l in links if l.similarity is not None])
-    series = _coin_series([anchor], np.zeros(len(sim), dtype=np.int64), gap, p_rank, sim, rng)
+    series = _coin_series(links, np.zeros(len(links), dtype=np.int64), [anchor], rng)
     return series[0] if series else None
 
 
@@ -219,11 +220,9 @@ def build_coin_series(
     if anchor_side not in ("q", "p"):
         raise ValueError("anchor_side must be 'q' or 'p'")
     links = net.links
-    anchors, code = _codes([getattr(l, anchor_side) for l in links])
-    p_rank = code if anchor_side == "p" else _codes([l.p for l in links])[1]
-    at, gap, sim = _eligible(links)
-    series = _coin_series(anchors, code[at], gap, p_rank[at], sim, rng)
-    return series, len(anchors) - len(series)
+    code = links.q if anchor_side == "q" else links.p
+    series = _coin_series(links, code, links.urls, rng)
+    return series, np.unique(code).size - len(series)
 
 
 @dataclass
@@ -247,12 +246,8 @@ class BucketStat:
     def flag(self) -> str:
         if not self.available:
             return "unavailable"
-        marks = []
-        if self.one_sided_significant:
-            marks.append("one")
-        if self.two_sided_significant:
-            marks.append("two")
-        return ",".join(marks) if marks else "-"
+        marks = (("one", self.one_sided_significant), ("two", self.two_sided_significant))
+        return ",".join(mark for mark, on in marks if on) or "-"
 
 
 @dataclass
@@ -265,59 +260,60 @@ class ZReport:
         return [b for b in self.buckets if b.available]
 
 
-def z_test(
-    series: Iterable[CoinSeries],
-    window_hours: int = 12,
-    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
-    n_skipped_anchors: int = 0,
-) -> ZReport:
-    """Pool coins per bucket across anchors and z-test each bucket.
+def z_test(series: Iterable[CoinSeries], window_hours: int = 12,
+           min_bucket_n: int = DEFAULT_MIN_BUCKET_N, n_skipped_anchors: int = 0) -> ZReport:
+    """Pool the coins of ``series`` per bucket and z-test each bucket (see
+    ``_z_report``)."""
+    series = list(series)
+    coins = np.array([coin for s in series for coin in s.coins], dtype=np.int64).reshape(-1, 2)
+    return _z_report(coins[:, 0], coins[:, 1] == 1, window_hours, min_bucket_n, len(series),
+                     n_skipped_anchors)
+
+
+def _z_report(bucket: np.ndarray, heads: np.ndarray, window_hours: int, min_bucket_n: int,
+              n_series: int, n_skipped_anchors: int) -> ZReport:
+    """Pool coins, given by hour bucket and face, per bucket and z-test each bucket.
 
     z = (xbar - 1/2) / (sigma / sqrt(n)) with sigma = sqrt(xbar (1 - xbar)),
     the maximum-likelihood standard deviation of the 0/1 faces.  Buckets
     with fewer than ``min_bucket_n`` coins are reported but marked
     unavailable, the normal approximation being untrustworthy there.
     """
-    n = [0] * window_hours
-    heads = [0] * window_hours
-    n_series = 0
-    for s in series:
-        n_series += 1
-        for bucket, face in s.coins:
-            n[bucket - 1] += 1
-            heads[bucket - 1] += int(face)
+    n = np.bincount(bucket - 1, minlength=window_hours).tolist()
+    n_heads = np.bincount(bucket[heads] - 1, minlength=window_hours).tolist()
     stats: list[BucketStat] = []
-    for h in range(window_hours):
-        count = n[h]
+    for h, (count, up) in enumerate(zip(n, n_heads)):
         if count == 0:
             stats.append(BucketStat(h + 1, 0, 0, math.nan, math.nan, math.nan, False))
             continue
-        xbar = heads[h] / count
+        xbar = up / count
         sigma = math.sqrt(xbar * (1.0 - xbar))
         if sigma == 0.0:
             z = math.copysign(math.inf, xbar - 0.5) if xbar != 0.5 else 0.0
         else:
             z = (xbar - 0.5) / (sigma / math.sqrt(count))
-        stats.append(BucketStat(h + 1, count, heads[h], xbar, sigma, z, count >= min_bucket_n))
+        stats.append(BucketStat(h + 1, count, up, xbar, sigma, z, count >= min_bucket_n))
     return ZReport(buckets=stats, n_series=n_series, n_skipped_anchors=n_skipped_anchors)
 
 
-def forward_z_test(
-    net: ImplicitNetwork,
-    rng: np.random.Generator,
-    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
-) -> ZReport:
-    series, skipped = build_coin_series(net, rng, anchor_side="q")
-    return z_test(series, net.window_hours, min_bucket_n, skipped)
+def _anchored_z_test(net: ImplicitNetwork, code: np.ndarray, rng: np.random.Generator,
+                     min_bucket_n: int) -> ZReport:
+    """``z_test`` of the coin series anchored by ``code``, pooled from the
+    coin arrays of ``_coin_faces``."""
+    _, bucket, heads, bounds, _ = _coin_faces(net.links, code, rng)
+    n_series = len(bounds) - 1
+    return _z_report(bucket, heads, net.window_hours, min_bucket_n, n_series,
+                     np.unique(code).size - n_series)
 
 
-def reversed_z_test(
-    net: ImplicitNetwork,
-    rng: np.random.Generator,
-    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
-) -> ZReport:
-    series, skipped = build_coin_series(net, rng, anchor_side="p")
-    return z_test(series, net.window_hours, min_bucket_n, skipped)
+def forward_z_test(net: ImplicitNetwork, rng: np.random.Generator,
+                   min_bucket_n: int = DEFAULT_MIN_BUCKET_N) -> ZReport:
+    return _anchored_z_test(net, net.links.q, rng, min_bucket_n)
+
+
+def reversed_z_test(net: ImplicitNetwork, rng: np.random.Generator,
+                    min_bucket_n: int = DEFAULT_MIN_BUCKET_N) -> ZReport:
+    return _anchored_z_test(net, net.links.p, rng, min_bucket_n)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +321,7 @@ def reversed_z_test(
 
 @dataclass
 class InfluenceNetwork:
-    links: list[ImplicitLink]  # the kept implicit links
+    links: Links  # the kept implicit links
     tau_hours: int
     post_count: int
     blogger_count: int
@@ -343,14 +339,14 @@ def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) 
     (q, p).
     """
     links = net.links
-    at, gap, sim = _eligible(links)
-    _, q_code = _codes([l.q for l in links if l.similarity is not None])
-    by_q = np.argsort(q_code, kind="stable")
-    bounds = _run_bounds(q_code[by_q])
+    at = np.flatnonzero(~np.isnan(links.similarity))
+    q, sim = links.q[at], links.similarity[at]
+    by_q = np.argsort(q, kind="stable")
+    bounds = _run_bounds(q[by_q])
     med = np.empty(len(at))
     med[by_q] = np.repeat(_run_medians(bounds, sim[by_q]), np.diff(bounds))
-    keep = at[(gap <= tau_hours * 3600) & (sim > med)].tolist()
-    kept = sorted((links[i] for i in keep), key=lambda l: (l.q, l.p))
+    keep = at[(links.gap[at] <= tau_hours * 3600) & (sim > med)]
+    kept = links.take(keep[sort_order(links.q[keep], links.p[keep])])
     return InfluenceNetwork(links=kept, tau_hours=tau_hours, **link_counts(kept))
 
 
@@ -374,68 +370,51 @@ class RankShiftReport:
     bloggers: list[RankShift]
 
 
-def _ranks(counter: dict[str, int]) -> dict[str, int]:
-    ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {item: i + 1 for i, (item, _) in enumerate(ordered)}
+def _read_counts(links: Links) -> Counter[str]:
+    """How many links read each author."""
+    counts = np.bincount(links.author, minlength=len(links.bloggers)).tolist()
+    return Counter({b: n for b, n in zip(links.bloggers, counts) if n})
 
 
-def rank_shift_report(
-    posts: Sequence,
-    implicit_net: ImplicitNetwork,
-    influence_net: InfluenceNetwork,
-) -> RankShiftReport:
+def _theme_counts(posts: Iterable) -> Counter[str]:
+    return Counter(theme for post in posts for theme in post.themes)
+
+
+def _shifts(base: Counter[str], influence: Counter[str]) -> list[RankShift]:
+    """Every base item in rank order, by (-count, item), with its rank on
+    the influence side."""
+    def ranks(counter):
+        ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+        return {item: i + 1 for i, (item, _) in enumerate(ordered)}
+
+    rank_infl = ranks(influence)
+    sentinel = len(rank_infl) + 1
+    return [RankShift(item, rank, rank_infl.get(item, sentinel))
+            for item, rank in ranks(base).items()]
+
+
+def rank_shift_report(posts: Sequence, implicit_net: ImplicitNetwork,
+                      influence_net: InfluenceNetwork) -> RankShiftReport:
     by_url = {post.url: post for post in posts}
-    theme_all: dict[str, int] = {}
-    for post in posts:
-        for theme in post.themes:
-            theme_all[theme] = theme_all.get(theme, 0) + 1
-    infl_posts = sorted(link_posts(influence_net.links))
-    theme_infl: dict[str, int] = {}
-    for url in infl_posts:
-        post = by_url.get(url)
-        if post is None:
-            continue
-        for theme in post.themes:
-            theme_infl[theme] = theme_infl.get(theme, 0) + 1
-
-    read_impl: dict[str, int] = {}
-    for l in implicit_net.links:
-        read_impl[l.author] = read_impl.get(l.author, 0) + 1
-    read_infl: dict[str, int] = {}
-    for l in influence_net.links:
-        read_infl[l.author] = read_infl.get(l.author, 0) + 1
-
-    theme_rank_all = _ranks(theme_all)
-    theme_rank_infl = _ranks(theme_infl)
-    theme_sentinel = len(theme_rank_infl) + 1
-    themes = [
-        RankShift(t, theme_rank_all[t], theme_rank_infl.get(t, theme_sentinel))
-        for t in sorted(theme_rank_all, key=theme_rank_all.get)
-    ]
-
-    blog_rank_impl = _ranks(read_impl)
-    blog_rank_infl = _ranks(read_infl)
-    blog_sentinel = len(blog_rank_infl) + 1
-    bloggers = [
-        RankShift(b, blog_rank_impl[b], blog_rank_infl.get(b, blog_sentinel))
-        for b in sorted(blog_rank_impl, key=blog_rank_impl.get)
-    ]
-    return RankShiftReport(themes=themes, bloggers=bloggers)
+    infl_posts = [by_url[url] for url in link_posts(influence_net.links) if url in by_url]
+    return RankShiftReport(
+        themes=_shifts(_theme_counts(posts), _theme_counts(infl_posts)),
+        bloggers=_shifts(_read_counts(implicit_net.links), _read_counts(influence_net.links)),
+    )
 
 
 # --------------------------------------------------------------------------
 # TSV export
 
 def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> None:
-    artifacts.write_rows(
-        path,
-        header,
-        ((b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets),
-        ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"),
-    )
+    artifacts.write_rows(path, header, (
+        (b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets
+    ), ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"))
 
 
-def read_influence_tsv(path: str, tau_hours: int = DEFAULT_TAU_HOURS) -> InfluenceNetwork:
-    """An influence network written with ``implicit.write_links_tsv``."""
-    links = read_links(path)
+def read_influence_tsv(path: str, tau_hours: int = DEFAULT_TAU_HOURS,
+                       posts: Collection[str] | None = None) -> InfluenceNetwork:
+    """An influence network written with ``implicit.write_links_tsv``; its
+    gaps must lie in (0, ``tau_hours``] hours (see ``implicit.read_links``)."""
+    links = read_links(path, tau_hours * 3600, posts)
     return InfluenceNetwork(links=links, tau_hours=tau_hours, **link_counts(links))

@@ -227,10 +227,29 @@ def _space(cfg: PipelineConfig) -> VectorSpace:
     return _post_terms(cfg).space(cfg.vocab_max_size)
 
 
-def _load_influence_links(cfg: PipelineConfig) -> tuple[list, str]:
+def _scored_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int,
+                                                 textvec.PostTerms]:
+    """links.tsv with its similarity column filled from post_terms.tsv, the
+    number of links that got a similarity, and the post terms."""
+    terms = _post_terms(cfg)
+    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours,
+                                  dict(terms.posts))
+    return net, causality.annotate_similarity(net.links, terms, cfg.vocab_max_size,
+                                              cfg.min_tokens), terms
+
+
+def _read_influence(cfg: PipelineConfig,
+                    space: VectorSpace | None = None) -> causality.InfluenceNetwork:
+    """influence.tsv; given ``space``, every post must have a vector in it."""
+    return causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours,
+                                        None if space is None else space.vectors)
+
+
+def _load_influence_links(cfg: PipelineConfig, space: VectorSpace | None = None
+                          ) -> tuple[implicit.Links, str]:
     """Influence links, filtered to the blogger pairs in train.tsv if it
     exists, and which of the two they are."""
-    net = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
+    net = _read_influence(cfg, space)
     if not _path(cfg, "train.tsv").exists():
         return net.links, "full influence network"
     split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
@@ -292,42 +311,40 @@ def cmd_links(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_causality(cfg: PipelineConfig, args) -> int:
-    space = _space(cfg)
-    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
-    causality.annotate_similarity(net, space.vectors, cfg.min_tokens)
+    net, n_scored, terms = _scored_links(cfg)
     rng = np.random.default_rng([cfg.seed, _STAGE_SEED["causality"]])
     forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
     reversed_ = causality.reversed_z_test(net, rng, cfg.min_bucket_n)
     header = _header(cfg, "causality")
-    write_vocabulary(space.vocab, _path(cfg, "vocab.tsv"), header)
+    write_vocabulary(terms.vocabulary(cfg.vocab_max_size), _path(cfg, "vocab.tsv"), header)
     causality.write_zreport_tsv(forward, _path(cfg, "zreport_forward.tsv"), header)
     causality.write_zreport_tsv(reversed_, _path(cfg, "zreport_reversed.tsv"), header)
     sig_f = [b.bucket for b in forward.available() if b.one_sided_significant]
     sig_r = [b.bucket for b in reversed_.available() if b.one_sided_significant]
     print(
         f"causality: forward heads-enriched buckets {sig_f or 'none'}, "
-        f"reversed {sig_r or 'none'} -> {_path(cfg, 'zreport_forward.tsv')}"
+        f"reversed {sig_r or 'none'}, over {n_scored} of {len(net.links)} links with a "
+        f"similarity -> {_path(cfg, 'zreport_forward.tsv')}"
     )
     return 0
 
 
 def cmd_influence(cfg: PipelineConfig, args) -> int:
-    space = _space(cfg)
-    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
-    causality.annotate_similarity(net, space.vectors, cfg.min_tokens)
+    net, n_scored, _ = _scored_links(cfg)
     influence = causality.extract_influence(net, cfg.tau_hours)
     implicit.write_links_tsv(influence.links, _path(cfg, "influence.tsv"), _header(cfg, "influence"))
     print(
         f"influence: {influence.post_link_count} post links, "
         f"{influence.blogger_link_count} blogger links, {influence.post_count} posts, "
-        f"{influence.blogger_count} bloggers -> {_path(cfg, 'influence.tsv')}"
+        f"{influence.blogger_count} bloggers, over {n_scored} of {len(net.links)} links with a "
+        f"similarity -> {_path(cfg, 'influence.tsv')}"
     )
     return 0
 
 
 def cmd_topics(cfg: PipelineConfig, args) -> int:
     space = _space(cfg)
-    influence = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
+    influence = _read_influence(cfg, space)
     # Every post of the corpus is a key of space.vectors.
     urls = implicit.link_posts(influence.links) if cfg.plsa_docs == "influence" else space.vectors
     try:
@@ -345,7 +362,7 @@ def cmd_topics(cfg: PipelineConfig, args) -> int:
 
 def cmd_split(cfg: PipelineConfig, args) -> int:
     space = _space(cfg)
-    influence = causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours)
+    influence = _read_influence(cfg, space)
     try:
         split = analysis.split_train_test(
             influence, space.vectors, space.vocab, seed=[cfg.seed, _STAGE_SEED["split"]]
@@ -364,7 +381,7 @@ def cmd_split(cfg: PipelineConfig, args) -> int:
 
 def cmd_tensor(cfg: PipelineConfig, args) -> int:
     space = _space(cfg)
-    links, source = _load_influence_links(cfg)
+    links, source = _load_influence_links(cfg, space)
     tensor = factor.build_influence_tensor(links, space.vectors, len(space.vocab))
     factor.write_tensor_tsv(tensor, _path(cfg, "tensor.tsv"), _header(cfg, "tensor"))
     print(
@@ -410,7 +427,7 @@ def _blogger_graph(links) -> factor.BloggerGraph:
 
 def cmd_pcldc(cfg: PipelineConfig, args) -> int:
     space = _space(cfg)
-    links, source = _load_influence_links(cfg)
+    links, source = _load_influence_links(cfg, space)
     graph = _blogger_graph(links)
     model = pipeline.fit_pcldc_model(graph, space, cfg.communities(), cfg.pcldc_max_iter,
                                      cfg.tol, cfg.l2, [cfg.seed, _STAGE_SEED["pcldc"]])
@@ -488,7 +505,7 @@ def cmd_recommend(cfg: PipelineConfig, args) -> int:
             exclude |= {b for (a, b) in split.train_edges if a == args.member}
         elif _path(cfg, "influence.tsv").exists():
             net = causality.read_influence_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
-            exclude |= {l.author for l in net.links if l.reader == args.member}
+            exclude |= {b for a, b in implicit.blogger_projection(net.links) if a == args.member}
     try:
         ranked = recommenders[method](args.member, keywords, cfg.top_n, exclude)
     except analysis.UnanswerableQuery as exc:

@@ -26,6 +26,7 @@ import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.corpus import FormatError
+from blogfluence.implicit import Links
 from blogfluence.textvec import TermVector, shared_terms
 from blogfluence.topics import TopicModel, scatter_rows
 
@@ -62,35 +63,30 @@ class InfluenceTensor:
         }
 
 
-def build_influence_tensor(links: list, vectors: dict[str, TermVector], n_terms: int) -> InfluenceTensor:
+def build_influence_tensor(links: Links, vectors: dict[str, TermVector],
+                           n_terms: int) -> InfluenceTensor:
     """Accumulate one count per (influence link, shared vocabulary term).
 
     Links whose posts share no in-vocabulary term after truncation
     contribute nothing and are counted in ``n_links_no_shared``.
     """
-    bloggers = sorted({l.reader for l in links} | {l.author for l in links})
-    bmap = {b: i for i, b in enumerate(bloggers)}
+    present, code = np.unique(np.concatenate([links.reader, links.author]), return_inverse=True)
+    bloggers = [links.bloggers[b] for b in present.tolist()]
+    urls, n = links.urls, len(links)
     acc: dict[tuple[int, int, int], int] = {}
     no_shared = 0
-    for link in sorted(links, key=lambda l: (l.q, l.p)):
-        terms = shared_terms(vectors[link.q], vectors[link.p])
+    for q, p, i, j in zip(links.q.tolist(), links.p.tolist(), code[:n].tolist(), code[n:].tolist()):
+        terms = shared_terms(vectors[urls[q]], vectors[urls[p]])
         if not terms:
             no_shared += 1
             continue
-        i, j = bmap[link.reader], bmap[link.author]
         for k in terms:
             key = (i, j, k)
             acc[key] = acc.get(key, 0) + 1
     keys = sorted(acc)
-    return InfluenceTensor(
-        bloggers=bloggers,
-        n_terms=n_terms,
-        influenced=np.array([k[0] for k in keys], dtype=np.int64),
-        influencer=np.array([k[1] for k in keys], dtype=np.int64),
-        term=np.array([k[2] for k in keys], dtype=np.int64),
-        counts=np.array([float(acc[k]) for k in keys]),
-        n_links_no_shared=no_shared,
-    )
+    influenced, influencer, term = np.array(keys, dtype=np.int64).reshape(-1, 3).T.copy()
+    return InfluenceTensor(bloggers, n_terms, influenced, influencer, term,
+                           np.array([float(acc[k]) for k in keys]), n_links_no_shared=no_shared)
 
 
 def write_tensor_tsv(tensor: InfluenceTensor, path: str, header: str | None = None) -> None:

@@ -1,16 +1,19 @@
 """In-memory composition of the pipeline, shared by the CLI, the
 experiment scripts and the test suite so every entry point agrees on it.
 
-Detection cleans the corpus, vectorizes the posts, builds implicit links,
-attaches similarities, runs the forward and reversed bucket tests, and
-extracts the influence network.  The model stages after it, up to the
-recommendation benchmark, exist here once; fits and recommenders are
-called through their modules (``factor.fit_iolap``, ...).
+Detection cleans the corpus, counts the posts' terms, builds the
+implicit ``Links`` table, fills its similarity column from the term
+counts, runs the forward and reversed bucket tests, and extracts the
+influence network.  It builds no per-post vector dicts; the model stages
+after it, up to the recommendation benchmark, ask for them.  Those
+stages exist here once; fits and recommenders are called through their
+modules (``factor.fit_iolap``, ...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -26,22 +29,29 @@ from blogfluence.causality import (
 )
 from blogfluence.corpus import CleaningRules, Corpus, clean_accesses
 from blogfluence.implicit import ImplicitNetwork, build_implicit_links
-from blogfluence.textvec import VectorSpace
+from blogfluence.textvec import PostTerms, VectorSpace
 
 
-def build_vectors(corpus: Corpus, max_size: int) -> VectorSpace:
-    """Count every post's terms, then keep the capped vocabulary's."""
-    return textvec.count_terms(corpus.posts).space(max_size)
+def build_vectors(corpus: Corpus) -> PostTerms:
+    """Count every post's terms once; ``PostTerms.space`` derives the
+    vectors of any vocabulary cap from the counts."""
+    return textvec.count_terms(corpus.posts)
 
 
 @dataclass
 class DetectionResult:
     cleaned: Corpus
-    space: VectorSpace
+    terms: PostTerms
+    vocab_max_size: int
     implicit: ImplicitNetwork
     forward_report: ZReport
     reversed_report: ZReport
     influence: InfluenceNetwork
+
+    @cached_property
+    def space(self) -> VectorSpace:
+        """The posts' vectors over the capped vocabulary, built on first use."""
+        return self.terms.space(self.vocab_max_size)
 
 
 def run_detection(
@@ -60,30 +70,24 @@ def run_detection(
     ``seed``, so a run is bit-reproducible.
     """
     cleaned, _ = clean_accesses(corpus, CleaningRules(window_hours=window_hours))
-    space = build_vectors(cleaned, vocab_max_size)
+    terms = build_vectors(cleaned)
     net = build_implicit_links(cleaned, window_hours)
-    annotate_similarity(net, space.vectors, min_tokens)
+    annotate_similarity(net.links, terms, vocab_max_size, min_tokens)
     rng = np.random.default_rng([seed, 1])
     forward = forward_z_test(net, rng, min_bucket_n)
     reversed_ = reversed_z_test(net, rng, min_bucket_n)
-    influence = extract_influence(net, tau_hours)
-    return DetectionResult(
-        cleaned=cleaned,
-        space=space,
-        implicit=net,
-        forward_report=forward,
-        reversed_report=reversed_,
-        influence=influence,
-    )
+    return DetectionResult(cleaned, terms, vocab_max_size, net, forward, reversed_,
+                           extract_influence(net, tau_hours))
 
 
 # --------------------------------------------------------------------------
 # model stages
 
-def training_links(links: list[implicit.ImplicitLink],
-                   split: analysis.TrainTestSplit) -> list[implicit.ImplicitLink]:
+def training_links(links: implicit.Links, split: analysis.TrainTestSplit) -> implicit.Links:
     """The links whose (reader, author) pair is a training edge of ``split``."""
-    return [l for l in links if (l.reader, l.author) in split.train_edges]
+    pairs, which, _ = links.pairs()
+    train = np.array([pair in split.train_edges for pair in pairs], dtype=bool)
+    return links.take(train[which])
 
 
 def fit_topics(space: VectorSpace, urls: Iterable[str], n_topics: int, max_iter: int,
@@ -95,7 +99,7 @@ def fit_topics(space: VectorSpace, urls: Iterable[str], n_topics: int, max_iter:
                            terms=space.vocab.terms)
 
 
-def blogger_graph(links: list[implicit.ImplicitLink]) -> factor.BloggerGraph:
+def blogger_graph(links: implicit.Links) -> factor.BloggerGraph:
     """The blogger digraph of ``links``; an edge weighs its number of links."""
     return factor.BloggerGraph.from_edge_weights(implicit.blogger_projection(links))
 

@@ -31,10 +31,11 @@ from blogfluence.factor import (
     fit_pcldc,
     iolap_topic_influencers,
 )
-from blogfluence.implicit import ImplicitLink
 from blogfluence.pipeline import blogger_graph, fit_topics, training_links
 from blogfluence.textvec import TermVector, Vocabulary
 from blogfluence.topics import DEFAULT_TOL, build_doc_term, fit_plsa
+
+from conftest import links_table
 
 
 def _ranking(names):
@@ -95,13 +96,9 @@ class TestIdr:
 
 def _influence_net(pairs):
     """pairs: list of (reader, author, q_suffix, p_suffix)."""
-    links = [
-        ImplicitLink(
-            q=f"/{r}/q{qs}", p=f"/{a}/p{ps}", reader=r, author=a,
-            gap_seconds=600, similarity=0.9,
-        )
-        for r, a, qs, ps in pairs
-    ]
+    links = links_table(
+        (f"/{r}/q{qs}", f"/{a}/p{ps}", r, a, 600, 0.9) for r, a, qs, ps in pairs
+    )
     posts = {l.q for l in links} | {l.p for l in links}
     bloggers = {l.reader for l in links} | {l.author for l in links}
     return InfluenceNetwork(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blogfluence import artifacts
 from blogfluence.analysis import TrainTestSplit, read_split, write_split
@@ -30,7 +32,7 @@ from blogfluence.factor import (
     write_pcldc_model,
     write_tensor_tsv,
 )
-from blogfluence.implicit import ImplicitLink, read_links_tsv, write_links_tsv
+from blogfluence.implicit import read_links_tsv, write_links_tsv
 from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
 from blogfluence.textvec import (
     PostTerms,
@@ -41,6 +43,8 @@ from blogfluence.textvec import (
     write_vocabulary,
 )
 from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
+
+from conftest import links_table
 
 TENSOR = InfluenceTensor(
     ["ua", "ub"], 3, np.array([0, 1]), np.array([1, 0]), np.array([2, 0]), np.array([2.0, 1.0])
@@ -75,16 +79,16 @@ SPLIT = TrainTestSplit(
     ["ua", "ub"],
 )
 INFLUENCE = InfluenceNetwork(
-    [
-        ImplicitLink("/ua/q1", "/ub/p1", "ua", "ub", 600, 0.8),
-        ImplicitLink("/ub/q2", "/ua/p1", "ub", "ua", 7200, 0.6),
-    ],
+    links_table([
+        ("/ua/q1", "/ub/p1", "ua", "ub", 600, 0.8),
+        ("/ub/q2", "/ua/p1", "ub", "ua", 7200, 0.6),
+    ]),
     2, 4, 2, 2, 2,
 )
-LINKS = [
-    ImplicitLink("/ua/q1", "/ub/p1", "ua", "ub", 600),
-    ImplicitLink("/ua/q1", "/uc/p3", "ua", "uc", 3601),
-]
+LINKS = links_table([
+    ("/ua/q1", "/ub/p1", "ua", "ub", 600),
+    ("/ua/q1", "/uc/p3", "ua", "uc", 3601),
+])
 _Z1 = 0.25 / (math.sqrt(0.1875) / math.sqrt(40))
 ZREPORT = ZReport(
     [
@@ -238,7 +242,7 @@ def test_round_trip_keeps_dtypes_and_network_counts(tmp_path):
     )
     write_links_tsv(LINKS, tmp_path / "l.tsv")
     links = read_links_tsv(tmp_path / "l.tsv", window_hours=12)
-    assert links.links == LINKS
+    assert list(links.links) == list(LINKS)
     assert (links.post_count, links.blogger_count, links.blogger_link_count) == (3, 3, 2)
 
 
@@ -265,12 +269,44 @@ def test_malformed_section_row_names_file_and_line(tmp_path, old, new, message):
     assert message in str(info.value)
 
 
+# Tab- and newline-free fields that do not open a comment, with non-ASCII
+# characters and brackets; half of them open with "[", as a section line does.
+_TEXT = st.text(
+    st.one_of(st.sampled_from("[]é日本\u212aß "), st.characters(
+        blacklist_categories=("Cs",), blacklist_characters="\t\n\r")),
+    max_size=8,
+)
+_FIELDS = st.one_of(_TEXT, _TEXT.map("[{}".format)).filter(lambda field: not field.startswith("#"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(_FIELDS, _FIELDS, _FIELDS, _FIELDS, st.integers(1, 43200)),
+                     max_size=12))
+def test_links_codec_round_trip(rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("links") / "l.tsv"
+    write_links_tsv(links_table(rows), path, "# h")
+    text = path.read_bytes()
+    links = read_links_tsv(path)
+    assert [tuple(link)[:5] for link in links.links] == rows
+    write_links_tsv(links.links, path, "# h")
+    assert path.read_bytes() == text
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
         ("\t3601\n", "\n", "l.tsv:4: expected 5 tab-separated fields, found 4"),
         ("\t3601\n", "\t1h\n", "l.tsv:4: invalid literal for int()"),
         ("gap_seconds\n", "gap\n", "l.tsv:2: expected the column names"),
+        ("\t3601\n", "\t99999999999999999999\n", "l.tsv:4: Python int too large"),
+        ("\tuc\t3601\n", "\tuc\t3601\tx\n",
+         "l.tsv:4: expected 5 tab-separated fields, found 6"),
+        # One field too many and one too few: the split alone would still
+        # read an integer gap column.
+        ("\t600\n/ua/q1\t/uc/p3\tua\tuc\t3601\n", "\t600\t7\n/ua/q1\t/uc/p3\tua\t3601\n",
+         "l.tsv:3: expected 5 tab-separated fields, found 6"),
+        ("\t3601\n", "\t43201\n", "l.tsv: gap_seconds 43201 is outside (0, 43200]"),
+        ("\t3601\n", "\t0\n", "l.tsv: gap_seconds 0 is outside (0, 43200]"),
     ],
 )
 def test_malformed_row_names_file_and_line(tmp_path, old, new, message):

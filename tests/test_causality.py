@@ -15,17 +15,17 @@ from blogfluence.causality import (
     z_test,
 )
 from blogfluence.corpus import Corpus
-from blogfluence.implicit import ImplicitLink, summarize_links
+from blogfluence.implicit import summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.textvec import TermVector
 
+from conftest import links_table, post_terms
+
 
 def _links(entries):
     """entries: list of (p, gap_seconds, similarity) sharing one anchor q."""
-    return [
-        ImplicitLink("/a/q", f"/b/{p}", "a", "b", gap, sim) for p, gap, sim in entries
-    ]
+    return links_table(("/a/q", f"/b/{p}", "a", "b", gap, sim) for p, gap, sim in entries)
 
 
 class TestMakeCoins:
@@ -180,10 +180,10 @@ class TestOnSyntheticData:
         assert exceed / total <= 0.05
 
     def test_reversed_skips_single_read(self):
-        links = [
-            ImplicitLink("/a/q1", "/b/p1", "a", "b", 100, 0.4),
-            ImplicitLink("/a/q1", "/b/p2", "a", "b", 200, 0.6),
-        ]
+        links = links_table([
+            ("/a/q1", "/b/p1", "a", "b", 100, 0.4),
+            ("/a/q1", "/b/p2", "a", "b", 200, 0.6),
+        ])
         net = summarize_links(links, 12)
         rng = np.random.default_rng(0)
         series, skipped = build_coin_series(net, rng, anchor_side="p")
@@ -205,7 +205,7 @@ class TestExtractInfluence:
 
     def test_tie_at_median_dropped(self):
         net = self._net([("p1", 3600, 0.5), ("p2", 3600, 0.5)])
-        assert extract_influence(net, tau_hours=2).links == []
+        assert len(extract_influence(net, tau_hours=2).links) == 0
 
     def test_gap_boundary(self):
         net = self._net(
@@ -235,25 +235,26 @@ class TestExtractInfluence:
         )
         net = summarize_links(links, 12)
         base = {(l.q, l.p) for l in extract_influence(net, 2).links}
-        for l in net.links:
-            l.similarity = l.similarity**2  # monotone on [0, 1]
+        net.links.similarity = net.links.similarity**2  # monotone on [0, 1]
         transformed = {(l.q, l.p) for l in extract_influence(net, 2).links}
         assert base == transformed
 
 
 class TestAnnotateSimilarity:
     def test_token_floor(self):
-        links = [ImplicitLink("/a/q", "/b/p", "a", "b", 100)]
+        links = links_table([("/a/q", "/b/p", "a", "b", 100)])
         net = summarize_links(links, 12)
         vectors = {
             "/a/q": TermVector({0: 12}, 12),
             "/b/p": TermVector({0: 9}, 9),
         }
-        assert annotate_similarity(net, vectors, min_tokens=10) == 0
-        assert net.links[0].similarity is None
+        assert annotate_similarity(net.links, post_terms(vectors, 1), 1, min_tokens=10) == 0
+        [link] = net.links
+        assert link.similarity is None
         vectors["/b/p"] = TermVector({0: 10}, 10)
-        assert annotate_similarity(net, vectors, min_tokens=10) == 1
-        assert net.links[0].similarity == pytest.approx(1.0)
+        assert annotate_similarity(net.links, post_terms(vectors, 1), 1, min_tokens=10) == 1
+        [link] = net.links
+        assert link.similarity == pytest.approx(1.0)
 
 
 class TestRankShift:
@@ -269,14 +270,14 @@ class TestRankShift:
 
     def test_identical_networks_on_diagonal(self):
         posts = self._posts()
-        links = [ImplicitLink("/ua/p0", "/ub/p0", "ua", "ub", 100, 0.9)]
+        links = links_table([("/ua/p0", "/ub/p0", "ua", "ub", 100, 0.9)])
         net = summarize_links(links, 12)
         influence = extract_influence(
             summarize_links(
-                [
-                    ImplicitLink("/ua/p0", "/ub/p0", "ua", "ub", 100, 0.9),
-                    ImplicitLink("/ua/p0", "/ub/p1", "ua", "ub", 200, 0.1),
-                ],
+                links_table([
+                    ("/ua/p0", "/ub/p0", "ua", "ub", 100, 0.9),
+                    ("/ua/p0", "/ub/p1", "ua", "ub", 200, 0.1),
+                ]),
                 12,
             ),
             2,
@@ -290,14 +291,14 @@ class TestRankShift:
 
         posts = self._posts()
         posts += [make_post("uc", i, BASE_TS + i, themes=("cooking",)) for i in range(2)]
-        links = [ImplicitLink("/ua/p0", "/ub/p0", "ua", "ub", 100, 0.9)]
+        links = links_table([("/ua/p0", "/ub/p0", "ua", "ub", 100, 0.9)])
         net = summarize_links(links, 12)
         influence = extract_influence(
             summarize_links(
-                [
-                    ImplicitLink("/uc/p0", "/ua/p2", "uc", "ua", 100, 0.9),
-                    ImplicitLink("/uc/p0", "/ua/p3", "uc", "ua", 200, 0.1),
-                ],
+                links_table([
+                    ("/uc/p0", "/ua/p2", "uc", "ua", 100, 0.9),
+                    ("/uc/p0", "/ua/p3", "uc", "ua", 200, 0.1),
+                ]),
                 12,
             ),
             2,
@@ -310,17 +311,17 @@ class TestRankShift:
     def test_boosted_theme_promoted(self):
         # "games" is rare overall but dominates the influence network
         posts = self._posts()
-        all_links = [
-            ImplicitLink("/ua/p0", "/ua/p1", "ua2", "ua", 100, 0.9),
-            ImplicitLink("/ub/p0", "/ub/p1", "ub2", "ub", 100, 0.9),
-        ]
+        all_links = links_table([
+            ("/ua/p0", "/ua/p1", "ua2", "ua", 100, 0.9),
+            ("/ub/p0", "/ub/p1", "ub2", "ub", 100, 0.9),
+        ])
         net = summarize_links(all_links, 12)
         influence = extract_influence(
             summarize_links(
-                [
-                    ImplicitLink("/ub/p0", "/ub/p1", "ub2", "ub", 100, 0.9),
-                    ImplicitLink("/ub/p0", "/ub/p2", "ub2", "ub", 200, 0.1),
-                ],
+                links_table([
+                    ("/ub/p0", "/ub/p1", "ub2", "ub", 100, 0.9),
+                    ("/ub/p0", "/ub/p2", "ub2", "ub", 200, 0.1),
+                ]),
                 12,
             ),
             2,

@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import pytest
@@ -106,6 +107,21 @@ class TestPipeline:
         assert "recommend: iolap top-5" in out
 
 
+    def test_detection_summaries_count_links_with_a_similarity(self, pipeline_copy,
+                                                               config_file, capsys):
+        rows = (pipeline_copy / "links.tsv").read_text(encoding="utf-8").splitlines()[2:]
+        counted = []
+        for stage in ("causality", "influence"):
+            capsys.readouterr()
+            assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                         "--seed", "5"]) == 0
+            found = re.search(r"over (\d+) of (\d+) links with a similarity",
+                              capsys.readouterr().out)
+            counted.append((int(found.group(1)), int(found.group(2))))
+        n_scored, n_links = counted[0]
+        assert counted == [(n_scored, len(rows))] * 2 and 0 < n_scored <= n_links
+
+
 class TestExitCodes:
     def test_missing_dependency_is_2(self, tmp_path, config_file):
         assert main(["causality", "--config", config_file, "--out-dir", str(tmp_path)]) == 2
@@ -184,6 +200,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "tensor.tsv" in err and "counts >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, stage, damage, message", [
+        ("links.tsv", "causality", "gap 999999", "gap_seconds 999999 is outside (0, 43200]"),
+        ("links.tsv", "causality", "gap 0", "gap_seconds 0 is outside (0, 43200]"),
+        ("links.tsv", "causality", "gap -5", "gap_seconds -5 is outside (0, 43200]"),
+        ("links.tsv", "influence", "gap -60", "gap_seconds -60 is outside (0, 43200]"),
+        ("links.tsv", "causality", "post /nobody/p0", "post '/nobody/p0' is not among"),
+        ("influence.tsv", "topics", "gap 7201", "gap_seconds 7201 is outside (0, 7200]"),
+        ("influence.tsv", "tensor", "post /nobody/p0", "post '/nobody/p0' is not among"),
+    ])
+    def test_bad_link_row_is_1(self, pipeline_copy, config_file, capsys, name, stage, damage,
+                               message):
+        path = pipeline_copy / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        fields = lines[2].split("\t")
+        what, value = damage.split(" ")
+        fields[4 if what == "gap" else 1] = value
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and message in err
         assert "Traceback" not in err
 
     def test_only_links_and_report_need_the_accesses(self, pipeline_copy, config_file):

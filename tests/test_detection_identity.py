@@ -4,7 +4,7 @@ The synthetic corpus, the implicit links, the similarities, the coin
 faces (and the random stream they consume) and the extracted influence
 links are pinned two ways: sha256 digests recorded from the per-record
 implementation, and small per-record transcriptions kept here as
-oracles.
+oracles.  The CLI's link artifacts are pinned by digests of their bytes.
 """
 
 import hashlib
@@ -22,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blogfluence import causality
+from blogfluence.cli import main
 from blogfluence.causality import (
     annotate_similarity,
     build_coin_series,
     extract_influence,
     make_coins,
 )
-from blogfluence.implicit import ImplicitLink, build_implicit_links, summarize_links
+from blogfluence.implicit import build_implicit_links, summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.textvec import (
@@ -40,7 +41,8 @@ from blogfluence.textvec import (
     write_post_terms,
 )
 
-from conftest import BASE_TS, make_access, make_corpus, make_post
+from conftest import BASE_TS, links_table, make_access, make_corpus, make_post, post_terms
+from test_acceptance import PIPELINE_CONFIG
 
 
 def _detection_config(rho, seed):
@@ -76,6 +78,17 @@ SYNTH_DIGESTS = {
 DETECTION_DIGESTS = {
     "null": "fc5944bc58c8a957dcfe9ba002e3b3c6b7819e2c860562104189fc1ce27af2e6",
     "planted": "bdeb593c0ff977fb61c4254f064ba6d2eade1e926c87e2681cf2766a3dafa4ac",
+}
+# sha256 of the link artifacts of the CLI at the acceptance PIPELINE_CONFIG,
+# seed 17, recorded from the per-link-object implementation.
+CLI_LINK_DIGESTS = {
+    "links.tsv": "34f6fb65240f0ee1a537581e85bb9e40b2e999e24785b202efa06d1155d70a0b",
+    "influence.tsv": "bc819618c60d2018f470c87979ea9913b51524ee07523f7b3511694634717859",
+    "gap_hist.tsv": "aa727d693a3c361caf95dbef69d6087cc3592fb657144e5b1bc6a92ff9efaf6e",
+    "zreport_forward.tsv": "e72ad61786620ab581b1191303fc111f8243b2e0a004b9c8445c2bdd26ed9c16",
+    "zreport_reversed.tsv": "2e4b0fb89d379a9c6c264841ae4b4280a30995f433c3a89135283960e7a41a03",
+    "report/rankshift_themes.tsv": "699d9b32d26aa1c958b38008462c48fe4a0d2f3a2fe643692f22e0779daf4537",
+    "report/rankshift_bloggers.tsv": "728186bfdd4f5e56854e3712fe6ff4b7df7ffaf5928bd6e3b4e01882665575e9",
 }
 
 
@@ -131,6 +144,17 @@ def test_run_detection_digest(kind, planted_corpus):
     result = run_detection(corpus, vocab_max_size=400, seed=seed)
     assert result.influence.links
     assert detection_digest(result) == DETECTION_DIGESTS[kind]
+
+
+def test_cli_link_artifacts_digest(tmp_path):
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(PIPELINE_CONFIG)
+    out = tmp_path / "out"
+    for stage in ("synth", "ingest", "links", "causality", "influence", "report"):
+        assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "17"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in CLI_LINK_DIGESTS}
+    assert digests == CLI_LINK_DIGESTS
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +222,7 @@ def _oracle_links(corpus, window_hours):
                 prev = best.get((q_url, target.url))
                 if prev is None or gap < prev[0]:
                     best[(q_url, target.url)] = (gap, reader, target.user_id)
-    return [ImplicitLink(q, p, r, a, g) for (q, p), (g, r, a) in sorted(best.items())]
+    return [(q, p, r, a, g, None) for (q, p), (g, r, a) in sorted(best.items())]
 
 
 def _oracle_make_coins(anchor, links, rng):
@@ -266,20 +290,21 @@ def _oracle_extract(links, tau_hours):
 def _tie_heavy_links(seed, n_anchors=300):
     """Links of many q and p anchors, odd and even sizes, similarities
     rounded to 0.1 (so most anchors have ties), some without a similarity,
-    a few signed zeros, and gaps in half hours (so equal gaps are common)."""
+    a few signed zeros, and gaps in half hours (so equal gaps are common);
+    the rows are shuffled before they become a table."""
     rng = np.random.default_rng(seed)
-    links = []
+    rows = []
     for a in range(n_anchors):
         size = int(rng.integers(1, 10))
         for j in rng.choice(40, size=size, replace=False):
             roll = rng.random()
             sim = None if roll < 0.1 else -0.0 if roll < 0.15 else round(float(rng.random()), 1)
-            links.append(ImplicitLink(
+            rows.append((
                 f"/u{a % 37}/q{a}", f"/v{int(j) % 7}/p{int(j)}", f"u{a % 37}", f"v{int(j) % 7}",
                 int(rng.integers(1, 25)) * 1800, sim,
             ))
-    rng.shuffle(links)
-    return links
+    rng.shuffle(rows)
+    return links_table(rows)
 
 
 @pytest.mark.parametrize("side", ["q", "p"])
@@ -289,7 +314,7 @@ def test_coin_series_match_per_anchor_oracle(side, seed):
     net = summarize_links(links, 12)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     series, skipped = build_coin_series(net, rng, anchor_side=side)
-    expected, expected_skipped = _oracle_coin_series(links, oracle_rng, side)
+    expected, expected_skipped = _oracle_coin_series(list(links), oracle_rng, side)
     assert skipped == expected_skipped
     assert [(s.anchor, s.coins, repr(s.median_sim)) for s in series] == [
         (s.anchor, s.coins, repr(s.median_sim)) for s in expected
@@ -300,11 +325,12 @@ def test_coin_series_match_per_anchor_oracle(side, seed):
 
 def test_make_coins_matches_oracle_per_anchor():
     rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
-    links = _tie_heavy_links(9, n_anchors=60)
+    rows = list(_tie_heavy_links(9, n_anchors=60))
     for size in range(0, 12):
-        chunk = links[:size]
-        links = links[size:] + chunk
-        got, want = make_coins("/a/q", chunk, rng), _oracle_make_coins("/a/q", chunk, oracle_rng)
+        chunk = rows[:size]
+        rows = rows[size:] + chunk
+        got = make_coins("/a/q", links_table(chunk), rng)
+        want = _oracle_make_coins("/a/q", chunk, oracle_rng)
         assert (got is None) == (want is None)
         if got is not None:
             assert (got.coins, repr(got.median_sim)) == (want.coins, repr(want.median_sim))
@@ -316,7 +342,7 @@ def test_extract_influence_matches_oracle(seed):
     links = _tie_heavy_links(seed)
     got = extract_influence(summarize_links(links, 12), tau_hours=3)
     assert [(l.q, l.p, l.reader, l.author, l.gap_seconds, l.similarity) for l in got.links] == (
-        _oracle_extract(links, 3)
+        _oracle_extract(list(links), 3)
     )
 
 
@@ -338,7 +364,7 @@ def test_implicit_links_match_oracle_with_shared_ips():
         got = build_implicit_links(corpus, window).links
         want = _oracle_links(corpus, window)
         assert len(want) > 50
-        assert [vars(l) for l in got] == [vars(l) for l in want]
+        assert list(got) == want
         assert all(type(l.gap_seconds) is int for l in got)
 
 
@@ -350,13 +376,13 @@ def test_similarity_blocks_match_cosine():
         vectors[f"/u/p{d}"] = TermVector(entries, sum(entries.values()))
     urls = sorted(vectors) + ["/missing/p0"]
     n_links = 2 * causality._SIMILARITY_BLOCK + 777
-    links = [
-        ImplicitLink(urls[int(rng.integers(len(urls)))], urls[int(rng.integers(len(urls)))], "a", "b", 60)
+    links = links_table(
+        (urls[int(rng.integers(len(urls)))], urls[int(rng.integers(len(urls)))], "a", "b", 60)
         for _ in range(n_links)
-    ]
+    )
     net = summarize_links(links, 12)
     for min_tokens in (0, 10):
-        n = annotate_similarity(net, vectors, min_tokens)
+        n = annotate_similarity(net.links, post_terms(vectors, 50), 50, min_tokens)
         expected = []
         for l in links:
             u, v = vectors.get(l.q), vectors.get(l.p)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from blogfluence.implicit import ImplicitLink
 from blogfluence.factor import (
     BloggerGraph,
     InfluenceTensor,
@@ -26,19 +25,22 @@ from blogfluence.factor import (
 from blogfluence.textvec import TermVector
 from blogfluence.topics import TopicModel, build_doc_term, fit_plsa
 
+from conftest import links_table
+
 
 def _monotone(trace):
     trace = np.asarray(trace)
     return np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
 
 
-def _ilink(q, p, reader, author, sim=0.5):
-    return ImplicitLink(q, p, reader, author, 600, sim)
+def _links(*rows):
+    """A table of (q, p, reader, author) links, each 600 s and similarity 0.5."""
+    return links_table((q, p, reader, author, 600, 0.5) for q, p, reader, author in rows)
 
 
 class TestBuildTensor:
     def test_single_link_shared_terms(self):
-        links = [_ilink("/a/q", "/b/p", "ua", "ub")]
+        links = _links(("/a/q", "/b/p", "ua", "ub"))
         vectors = {
             "/a/q": TermVector({1: 2, 3: 1, 5: 1}, 4),
             "/b/p": TermVector({1: 1, 3: 4, 7: 2}, 7),
@@ -48,7 +50,7 @@ class TestBuildTensor:
         assert tensor.to_dict() == {(0, 1, 1): 1, (0, 1, 3): 1}
 
     def test_accumulation(self):
-        links = [_ilink("/a/q1", "/b/p1", "ua", "ub"), _ilink("/a/q2", "/b/p2", "ua", "ub")]
+        links = _links(("/a/q1", "/b/p1", "ua", "ub"), ("/a/q2", "/b/p2", "ua", "ub"))
         vectors = {
             "/a/q1": TermVector({1: 1}, 1),
             "/b/p1": TermVector({1: 1}, 1),
@@ -59,7 +61,7 @@ class TestBuildTensor:
         assert tensor.to_dict() == {(0, 1, 1): 2}
 
     def test_no_shared_terms_counted(self):
-        links = [_ilink("/a/q", "/b/p", "ua", "ub")]
+        links = _links(("/a/q", "/b/p", "ua", "ub"))
         vectors = {"/a/q": TermVector({0: 1}, 1), "/b/p": TermVector({1: 1}, 1)}
         tensor = build_influence_tensor(links, vectors, 2)
         assert tensor.counts.size == 0 and tensor.n_links_no_shared == 1
@@ -67,7 +69,7 @@ class TestBuildTensor:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         vectors = {}
-        links = []
+        rows = []
         for i in range(60):
             reader, author = f"u{rng.integers(0, 5)}", f"v{rng.integers(0, 5)}"
             q, p = f"/q{i}", f"/p{i}"
@@ -77,7 +79,8 @@ class TestBuildTensor:
                     for w in rng.choice(10, size=rng.integers(1, 5), replace=False)
                 }
                 vectors[url] = TermVector(entries, sum(entries.values()))
-            links.append(_ilink(q, p, reader, author))
+            rows.append((q, p, reader, author))
+        links = _links(*rows)
         tensor = build_influence_tensor(links, vectors, 10)
         expected = {}
         index = {b: i for i, b in enumerate(tensor.bloggers)}

@@ -3,14 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blogfluence.implicit import (
-    ImplicitLink,
     blogger_projection,
     build_implicit_links,
     gap_histogram,
+    sort_order,
     summarize_links,
 )
 
-from conftest import BASE_TS, make_access, make_corpus, make_post
+from conftest import BASE_TS, links_table, make_access, make_corpus, make_post
 
 
 def _two_blogger_corpus(accesses):
@@ -28,8 +28,7 @@ class TestBuildLinks:
             [make_access("ha", BASE_TS + 50 * 3600 - 5400, "/ub/p0")]
         )
         net = build_implicit_links(corpus)
-        assert len(net.links) == 1
-        link = net.links[0]
+        [link] = net.links
         assert (link.q, link.p) == ("/ua/p0", "/ub/p0")
         assert (link.reader, link.author) == ("ua", "ub")
         assert link.gap_seconds == 5400
@@ -38,20 +37,20 @@ class TestBuildLinks:
         corpus = _two_blogger_corpus(
             [make_access("ha", BASE_TS + 50 * 3600 - 13 * 3600, "/ub/p0")]
         )
-        assert build_implicit_links(corpus, window_hours=12).links == []
+        assert len(build_implicit_links(corpus, window_hours=12).links) == 0
 
     def test_gap_exactly_window_included(self):
         corpus = _two_blogger_corpus(
             [make_access("ha", BASE_TS + 50 * 3600 - 12 * 3600, "/ub/p0")]
         )
-        net = build_implicit_links(corpus, window_hours=12)
-        assert len(net.links) == 1 and net.links[0].gap_seconds == 12 * 3600
+        [link] = build_implicit_links(corpus, window_hours=12).links
+        assert link.gap_seconds == 12 * 3600
 
     def test_own_post_click_excluded(self):
         corpus = _two_blogger_corpus(
             [make_access("ha", BASE_TS + 50 * 3600 - 3600, "/ua/p0")]
         )
-        assert build_implicit_links(corpus).links == []
+        assert len(build_implicit_links(corpus).links) == 0
 
     def test_duplicate_clicks_keep_min_gap(self):
         corpus = _two_blogger_corpus(
@@ -60,41 +59,39 @@ class TestBuildLinks:
                 make_access("ha", BASE_TS + 50 * 3600 - 1800, "/ub/p0"),
             ]
         )
-        net = build_implicit_links(corpus)
-        assert len(net.links) == 1 and net.links[0].gap_seconds == 1800
+        [link] = build_implicit_links(corpus).links
+        assert link.gap_seconds == 1800
 
 
 def _random_network(seed, n=200):
     rng = np.random.default_rng(seed)
-    links = []
+    rows = []
     for i in range(n):
         reader = f"u{rng.integers(0, 8)}"
         author = f"v{rng.integers(0, 8)}"
-        links.append(
-            ImplicitLink(
-                q=f"/{reader}/q{i}",
-                p=f"/{author}/p{rng.integers(0, 30)}",
-                reader=reader,
-                author=author,
-                gap_seconds=int(rng.integers(1, 12 * 3600 + 1)),
-            )
-        )
-    return summarize_links(links, 12)
+        rows.append((
+            f"/{reader}/q{i}",
+            f"/{author}/p{rng.integers(0, 30)}",
+            reader,
+            author,
+            int(rng.integers(1, 12 * 3600 + 1)),
+        ))
+    return summarize_links(links_table(rows), 12)
 
 
 class TestGapHistogram:
     def test_half_hour_and_ninety_minutes(self):
         net = summarize_links(
-            [
-                ImplicitLink("/a/q", "/b/p1", "a", "b", 1800),
-                ImplicitLink("/a/q", "/b/p2", "a", "b", 5400),
-            ],
+            links_table([
+                ("/a/q", "/b/p1", "a", "b", 1800),
+                ("/a/q", "/b/p2", "a", "b", 5400),
+            ]),
             12,
         )
         assert gap_histogram(net) == [1, 1] + [0] * 10
 
     def test_empty(self):
-        assert gap_histogram(summarize_links([], 12)) == [0] * 12
+        assert gap_histogram(summarize_links(links_table([]), 12)) == [0] * 12
 
     def test_matches_brute_force(self):
         net = _random_network(3)
@@ -107,27 +104,27 @@ class TestGapHistogram:
         assert sum(hist) == net.post_link_count
 
     def test_boundary_lands_in_lower_bucket(self):
-        net = summarize_links([ImplicitLink("/a/q", "/b/p", "a", "b", 3600)], 12)
+        net = summarize_links(links_table([("/a/q", "/b/p", "a", "b", 3600)]), 12)
         assert gap_histogram(net)[0] == 1
 
 
 class TestProjection:
     def test_aggregation(self):
         net = summarize_links(
-            [
-                ImplicitLink("/a/q1", "/b/p1", "a", "b", 100),
-                ImplicitLink("/a/q2", "/b/p2", "a", "b", 200),
-            ],
+            links_table([
+                ("/a/q1", "/b/p1", "a", "b", 100),
+                ("/a/q2", "/b/p2", "a", "b", 200),
+            ]),
             12,
         )
         assert blogger_projection(net.links) == {("a", "b"): 2}
 
     def test_direction_preserved(self):
         net = summarize_links(
-            [
-                ImplicitLink("/a/q", "/b/p", "a", "b", 100),
-                ImplicitLink("/b/q", "/a/p", "b", "a", 100),
-            ],
+            links_table([
+                ("/a/q", "/b/p", "a", "b", 100),
+                ("/b/q", "/a/p", "b", "a", 100),
+            ]),
             12,
         )
         proj = blogger_projection(net.links)
@@ -145,8 +142,18 @@ class TestProjection:
 @settings(max_examples=40, deadline=None)
 @given(gaps=st.lists(st.integers(1, 12 * 3600), min_size=1, max_size=60))
 def test_histogram_total_invariant(gaps):
-    links = [
-        ImplicitLink(f"/a/q{i}", f"/b/p{i}", "a", "b", g) for i, g in enumerate(gaps)
-    ]
+    links = links_table((f"/a/q{i}", f"/b/p{i}", "a", "b", g) for i, g in enumerate(gaps))
     net = summarize_links(links, 12)
     assert sum(gap_histogram(net)) == net.post_link_count
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 3), st.integers(-2**62, 2**62)),
+                     max_size=40),
+       wide=st.booleans())
+def test_sort_order_is_lexsort(rows, wide):
+    """One combined int64 key where the ranges fit (narrow), np.lexsort
+    where they do not (wide); equal rows keep their order either way."""
+    keys = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(3)]
+    keys = keys if wide else keys[:2]
+    assert sort_order(*keys).tolist() == np.lexsort(keys[::-1]).tolist()
