@@ -126,8 +126,9 @@ def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]
             return [fields[i::width] if t is str else
                     np.fromiter(map(int, fields[i::width]), np.int64, len(body))
                     for i, t in enumerate(types)]
-    rows = read_rows(path, tuple(str if t is str else np.int64 for t in types), columns)
-    return [list(column) for column in zip(*rows)]  # unreached: read_rows names the bad row
+    # int64 bounds ``int`` here as the arrays do, so read_rows rejects what they rejected.
+    read_rows(path, tuple(str if t is str else np.int64 for t in types), columns)
+    raise AssertionError(f"{path}: read_rows accepted what read_columns rejected")
 
 
 # A "[name]" line after a newline; it has no tab, so a row starting with "[" stays a row.

@@ -31,7 +31,6 @@ bucket for both tests and for ``z_test``.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.implicit import (
-    ImplicitNetwork, Links, expand_ranges, link_counts, link_posts, read_links, sort_order,
+    ImplicitNetwork, Links, expand_ranges, link_counts, link_posts, read_links,
 )
 from blogfluence.textvec import PostTerms
 
@@ -57,8 +56,12 @@ DEFAULT_TAU_HOURS = 2
 _SIMILARITY_BLOCK = 32
 
 
-def annotate_similarity(links: Links, terms: PostTerms, max_size: int,
-                        min_tokens: int = DEFAULT_MIN_TOKENS) -> int:
+def annotate_similarity(
+    links: Links,
+    terms: PostTerms,
+    max_size: int,
+    min_tokens: int = DEFAULT_MIN_TOKENS,
+) -> int:
     """Fill the similarity column: cosine similarity of the two posts'
     counts of the ``max_size``-term vocabulary where both posts kept at
     least ``min_tokens`` of its tokens, NaN elsewhere.
@@ -72,10 +75,9 @@ def annotate_similarity(links: Links, terms: PostTerms, max_size: int,
 
     Returns the number of links that received a similarity.
     """
-    post, term, count = terms.entries[terms.entries[:, 1] < max_size].T
+    post, term, count, starts = terms.capped(max_size)
     counts = count.astype(np.float64)
     n_docs, n_terms = len(terms.posts), min(max_size, len(terms.terms))
-    starts = post.searchsorted(np.arange(n_docs + 1))
     norms = np.sqrt(np.bincount(post, weights=counts * counts, minlength=n_docs))
     # Index n_docs stands for a post without counts.
     eligible = np.append(np.bincount(post, weights=counts, minlength=n_docs) >= min_tokens, False)
@@ -135,7 +137,9 @@ def _run_medians(bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(sizes % 2 == 1, ordered[mid], (lower + ordered[mid]) / 2)
 
 
-def _coin_faces(links: Links, code: np.ndarray, rng: np.random.Generator) -> tuple:
+def _coin_faces(
+    links: Links, code: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The coin series of the links that carry a similarity, ``code``
     ordering their anchors; an anchor with fewer than two such links has
     none.  In (anchor, gap, p) order: each coin's anchor code, hour bucket
@@ -146,7 +150,7 @@ def _coin_faces(links: Links, code: np.ndarray, rng: np.random.Generator) -> tup
     draws of the per-anchor definition (see ``make_coins``).
     """
     has = np.flatnonzero(~np.isnan(links.similarity))
-    order = has[sort_order(code[has], links.gap[has], links.p[has])]
+    order = has[np.lexsort((links.p[has], links.gap[has], code[has]))]
     code, gap, sim = code[order], links.gap[order], links.similarity[order]
     bounds = _run_bounds(code)
     sizes = np.diff(bounds)
@@ -178,8 +182,12 @@ def _coin_faces(links: Links, code: np.ndarray, rng: np.random.Generator) -> tup
     return code[coin], (gap[coin] + 3599) // 3600, heads[coin], bounds, med[series]
 
 
-def _coin_series(links: Links, code: np.ndarray, anchors: list[str],
-                 rng: np.random.Generator) -> list[CoinSeries]:
+def _coin_series(
+    links: Links,
+    code: np.ndarray,
+    anchors: list[str],
+    rng: np.random.Generator,
+) -> list[CoinSeries]:
     """The coin series of ``_coin_faces`` as objects; ``code`` gives each
     link's index in the ascending ``anchors``."""
     code, bucket, heads, bounds, med = _coin_faces(links, code, rng)
@@ -192,7 +200,9 @@ def _coin_series(links: Links, code: np.ndarray, anchors: list[str],
     ]
 
 
-def make_coins(anchor: str, links: Links, rng: np.random.Generator) -> CoinSeries | None:
+def make_coins(
+    anchor: str, links: Links, rng: np.random.Generator
+) -> CoinSeries | None:
     """Turn one anchor's links into coins; None if fewer than two are eligible.
 
     Faces strictly above/below the median are forced; tied faces are
@@ -246,8 +256,12 @@ class BucketStat:
     def flag(self) -> str:
         if not self.available:
             return "unavailable"
-        marks = (("one", self.one_sided_significant), ("two", self.two_sided_significant))
-        return ",".join(mark for mark, on in marks if on) or "-"
+        marks = []
+        if self.one_sided_significant:
+            marks.append("one")
+        if self.two_sided_significant:
+            marks.append("two")
+        return ",".join(marks) if marks else "-"
 
 
 @dataclass
@@ -260,8 +274,12 @@ class ZReport:
         return [b for b in self.buckets if b.available]
 
 
-def z_test(series: Iterable[CoinSeries], window_hours: int = 12,
-           min_bucket_n: int = DEFAULT_MIN_BUCKET_N, n_skipped_anchors: int = 0) -> ZReport:
+def z_test(
+    series: Iterable[CoinSeries],
+    window_hours: int = 12,
+    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
+    n_skipped_anchors: int = 0,
+) -> ZReport:
     """Pool the coins of ``series`` per bucket and z-test each bucket (see
     ``_z_report``)."""
     series = list(series)
@@ -270,8 +288,14 @@ def z_test(series: Iterable[CoinSeries], window_hours: int = 12,
                      n_skipped_anchors)
 
 
-def _z_report(bucket: np.ndarray, heads: np.ndarray, window_hours: int, min_bucket_n: int,
-              n_series: int, n_skipped_anchors: int) -> ZReport:
+def _z_report(
+    bucket: np.ndarray,
+    heads: np.ndarray,
+    window_hours: int,
+    min_bucket_n: int,
+    n_series: int,
+    n_skipped_anchors: int,
+) -> ZReport:
     """Pool coins, given by hour bucket and face, per bucket and z-test each bucket.
 
     z = (xbar - 1/2) / (sigma / sqrt(n)) with sigma = sqrt(xbar (1 - xbar)),
@@ -282,22 +306,27 @@ def _z_report(bucket: np.ndarray, heads: np.ndarray, window_hours: int, min_buck
     n = np.bincount(bucket - 1, minlength=window_hours).tolist()
     n_heads = np.bincount(bucket[heads] - 1, minlength=window_hours).tolist()
     stats: list[BucketStat] = []
-    for h, (count, up) in enumerate(zip(n, n_heads)):
+    for h in range(window_hours):
+        count = n[h]
         if count == 0:
             stats.append(BucketStat(h + 1, 0, 0, math.nan, math.nan, math.nan, False))
             continue
-        xbar = up / count
+        xbar = n_heads[h] / count
         sigma = math.sqrt(xbar * (1.0 - xbar))
         if sigma == 0.0:
             z = math.copysign(math.inf, xbar - 0.5) if xbar != 0.5 else 0.0
         else:
             z = (xbar - 0.5) / (sigma / math.sqrt(count))
-        stats.append(BucketStat(h + 1, count, up, xbar, sigma, z, count >= min_bucket_n))
+        stats.append(BucketStat(h + 1, count, n_heads[h], xbar, sigma, z, count >= min_bucket_n))
     return ZReport(buckets=stats, n_series=n_series, n_skipped_anchors=n_skipped_anchors)
 
 
-def _anchored_z_test(net: ImplicitNetwork, code: np.ndarray, rng: np.random.Generator,
-                     min_bucket_n: int) -> ZReport:
+def _anchored_z_test(
+    net: ImplicitNetwork,
+    code: np.ndarray,
+    rng: np.random.Generator,
+    min_bucket_n: int,
+) -> ZReport:
     """``z_test`` of the coin series anchored by ``code``, pooled from the
     coin arrays of ``_coin_faces``."""
     _, bucket, heads, bounds, _ = _coin_faces(net.links, code, rng)
@@ -306,13 +335,19 @@ def _anchored_z_test(net: ImplicitNetwork, code: np.ndarray, rng: np.random.Gene
                      np.unique(code).size - n_series)
 
 
-def forward_z_test(net: ImplicitNetwork, rng: np.random.Generator,
-                   min_bucket_n: int = DEFAULT_MIN_BUCKET_N) -> ZReport:
+def forward_z_test(
+    net: ImplicitNetwork,
+    rng: np.random.Generator,
+    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
+) -> ZReport:
     return _anchored_z_test(net, net.links.q, rng, min_bucket_n)
 
 
-def reversed_z_test(net: ImplicitNetwork, rng: np.random.Generator,
-                    min_bucket_n: int = DEFAULT_MIN_BUCKET_N) -> ZReport:
+def reversed_z_test(
+    net: ImplicitNetwork,
+    rng: np.random.Generator,
+    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
+) -> ZReport:
     return _anchored_z_test(net, net.links.p, rng, min_bucket_n)
 
 
@@ -346,7 +381,7 @@ def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) 
     med = np.empty(len(at))
     med[by_q] = np.repeat(_run_medians(bounds, sim[by_q]), np.diff(bounds))
     keep = at[(links.gap[at] <= tau_hours * 3600) & (sim > med)]
-    kept = links.take(keep[sort_order(links.q[keep], links.p[keep])])
+    kept = links.take(keep[np.lexsort((links.p[keep], links.q[keep]))])
     return InfluenceNetwork(links=kept, tau_hours=tau_hours, **link_counts(kept))
 
 
@@ -370,46 +405,67 @@ class RankShiftReport:
     bloggers: list[RankShift]
 
 
-def _read_counts(links: Links) -> Counter[str]:
+def _ranks(counter: dict[str, int]) -> dict[str, int]:
+    ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {item: i + 1 for i, (item, _) in enumerate(ordered)}
+
+
+def _read_counts(links: Links) -> dict[str, int]:
     """How many links read each author."""
     counts = np.bincount(links.author, minlength=len(links.bloggers)).tolist()
-    return Counter({b: n for b, n in zip(links.bloggers, counts) if n})
+    return {b: n for b, n in zip(links.bloggers, counts) if n}
 
 
-def _theme_counts(posts: Iterable) -> Counter[str]:
-    return Counter(theme for post in posts for theme in post.themes)
-
-
-def _shifts(base: Counter[str], influence: Counter[str]) -> list[RankShift]:
-    """Every base item in rank order, by (-count, item), with its rank on
-    the influence side."""
-    def ranks(counter):
-        ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-        return {item: i + 1 for i, (item, _) in enumerate(ordered)}
-
-    rank_infl = ranks(influence)
-    sentinel = len(rank_infl) + 1
-    return [RankShift(item, rank, rank_infl.get(item, sentinel))
-            for item, rank in ranks(base).items()]
-
-
-def rank_shift_report(posts: Sequence, implicit_net: ImplicitNetwork,
-                      influence_net: InfluenceNetwork) -> RankShiftReport:
+def rank_shift_report(
+    posts: Sequence,
+    implicit_net: ImplicitNetwork,
+    influence_net: InfluenceNetwork,
+) -> RankShiftReport:
     by_url = {post.url: post for post in posts}
-    infl_posts = [by_url[url] for url in link_posts(influence_net.links) if url in by_url]
-    return RankShiftReport(
-        themes=_shifts(_theme_counts(posts), _theme_counts(infl_posts)),
-        bloggers=_shifts(_read_counts(implicit_net.links), _read_counts(influence_net.links)),
-    )
+    theme_all: dict[str, int] = {}
+    for post in posts:
+        for theme in post.themes:
+            theme_all[theme] = theme_all.get(theme, 0) + 1
+    infl_posts = link_posts(influence_net.links)
+    theme_infl: dict[str, int] = {}
+    for url in infl_posts:
+        post = by_url.get(url)
+        if post is None:
+            continue
+        for theme in post.themes:
+            theme_infl[theme] = theme_infl.get(theme, 0) + 1
+
+    read_impl = _read_counts(implicit_net.links)
+    read_infl = _read_counts(influence_net.links)
+
+    theme_rank_all = _ranks(theme_all)
+    theme_rank_infl = _ranks(theme_infl)
+    theme_sentinel = len(theme_rank_infl) + 1
+    themes = [
+        RankShift(t, theme_rank_all[t], theme_rank_infl.get(t, theme_sentinel))
+        for t in sorted(theme_rank_all, key=theme_rank_all.get)
+    ]
+
+    blog_rank_impl = _ranks(read_impl)
+    blog_rank_infl = _ranks(read_infl)
+    blog_sentinel = len(blog_rank_infl) + 1
+    bloggers = [
+        RankShift(b, blog_rank_impl[b], blog_rank_infl.get(b, blog_sentinel))
+        for b in sorted(blog_rank_impl, key=blog_rank_impl.get)
+    ]
+    return RankShiftReport(themes=themes, bloggers=bloggers)
 
 
 # --------------------------------------------------------------------------
 # TSV export
 
 def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> None:
-    artifacts.write_rows(path, header, (
-        (b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets
-    ), ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"))
+    artifacts.write_rows(
+        path,
+        header,
+        ((b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets),
+        ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"),
+    )
 
 
 def read_influence_tsv(path: str, tau_hours: int = DEFAULT_TAU_HOURS,

@@ -63,8 +63,7 @@ class InfluenceTensor:
         }
 
 
-def build_influence_tensor(links: Links, vectors: dict[str, TermVector],
-                           n_terms: int) -> InfluenceTensor:
+def build_influence_tensor(links: Links, vectors: dict[str, TermVector], n_terms: int) -> InfluenceTensor:
     """Accumulate one count per (influence link, shared vocabulary term).
 
     Links whose posts share no in-vocabulary term after truncation
@@ -84,9 +83,15 @@ def build_influence_tensor(links: Links, vectors: dict[str, TermVector],
             key = (i, j, k)
             acc[key] = acc.get(key, 0) + 1
     keys = sorted(acc)
-    influenced, influencer, term = np.array(keys, dtype=np.int64).reshape(-1, 3).T.copy()
-    return InfluenceTensor(bloggers, n_terms, influenced, influencer, term,
-                           np.array([float(acc[k]) for k in keys]), n_links_no_shared=no_shared)
+    return InfluenceTensor(
+        bloggers=bloggers,
+        n_terms=n_terms,
+        influenced=np.array([k[0] for k in keys], dtype=np.int64),
+        influencer=np.array([k[1] for k in keys], dtype=np.int64),
+        term=np.array([k[2] for k in keys], dtype=np.int64),
+        counts=np.array([float(acc[k]) for k in keys]),
+        n_links_no_shared=no_shared,
+    )
 
 
 def write_tensor_tsv(tensor: InfluenceTensor, path: str, header: str | None = None) -> None:

@@ -134,20 +134,6 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return which, np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
-def sort_order(*keys: np.ndarray) -> np.ndarray:
-    """``np.lexsort`` with the first of the integer ``keys`` most significant.
-    Keys whose value ranges fit together in an int64 sort as one key."""
-    key, span = np.zeros(len(keys[0]), dtype=np.int64), 1
-    for k in reversed(keys):
-        lo = int(k.min(initial=0))
-        width = int(k.max(initial=0)) - lo + 1
-        if span * width >= 2**63:
-            return np.lexsort(keys[::-1])
-        key += (k - lo) * span
-        span *= width
-    return np.argsort(key, kind="stable")
-
-
 def build_implicit_links(corpus: Corpus, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
     """Pair every cleaned access with the reader's posts that follow it.
 
@@ -214,7 +200,7 @@ def build_implicit_links(corpus: Corpus, window_hours: int = DEFAULT_WINDOW_HOUR
     pair, pos = expand_ranges(window_edge(t), window_edge(t + window))
     q, p = by_key[pos], p[pair]
     gap = upload[q] - t[pair]
-    first = sort_order(url_rank[q], url_rank[p], gap)
+    first = np.lexsort((gap, url_rank[p], url_rank[q]))
     q, p, gap = q[first], p[first], gap[first]
     new_pair = np.ones(len(q), dtype=bool)
     new_pair[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1])

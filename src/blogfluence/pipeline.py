@@ -76,8 +76,16 @@ def run_detection(
     rng = np.random.default_rng([seed, 1])
     forward = forward_z_test(net, rng, min_bucket_n)
     reversed_ = reversed_z_test(net, rng, min_bucket_n)
-    return DetectionResult(cleaned, terms, vocab_max_size, net, forward, reversed_,
-                           extract_influence(net, tau_hours))
+    influence = extract_influence(net, tau_hours)
+    return DetectionResult(
+        cleaned=cleaned,
+        terms=terms,
+        vocab_max_size=vocab_max_size,
+        implicit=net,
+        forward_report=forward,
+        reversed_report=reversed_,
+        influence=influence,
+    )
 
 
 # --------------------------------------------------------------------------

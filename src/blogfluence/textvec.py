@@ -86,11 +86,17 @@ class PostTerms:
         return Vocabulary(terms, [df for _, df in self.terms[:max_size]],
                           {t: i for i, t in enumerate(terms)})
 
+    def capped(self, max_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The post, term and count columns of the entries whose term is in
+        the ``max_size``-term vocabulary, and where each post's entries
+        start among them, then their number."""
+        post, term, count = self.entries[self.entries[:, 1] < max_size].T
+        return post, term, count, np.searchsorted(post, np.arange(len(self.posts) + 1))
+
     def space(self, max_size: int) -> VectorSpace:
         """Each post's counts of the vocabulary's terms."""
-        post, term, count = self.entries[self.entries[:, 1] < max_size].T
-        bounds = np.searchsorted(post, np.arange(len(self.posts) + 1)).tolist()
-        term, count = term.tolist(), count.tolist()
+        _, term, count, bounds = self.capped(max_size)
+        bounds, term, count = bounds.tolist(), term.tolist(), count.tolist()
         vectors = {}
         for (url, _), lo, hi in zip(self.posts, bounds, bounds[1:]):
             entries = dict(zip(term[lo:hi], count[lo:hi]))

@@ -6,7 +6,6 @@ from blogfluence.implicit import (
     blogger_projection,
     build_implicit_links,
     gap_histogram,
-    sort_order,
     summarize_links,
 )
 
@@ -145,15 +144,3 @@ def test_histogram_total_invariant(gaps):
     links = links_table((f"/a/q{i}", f"/b/p{i}", "a", "b", g) for i, g in enumerate(gaps))
     net = summarize_links(links, 12)
     assert sum(gap_histogram(net)) == net.post_link_count
-
-
-@settings(max_examples=80, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 3), st.integers(-2**62, 2**62)),
-                     max_size=40),
-       wide=st.booleans())
-def test_sort_order_is_lexsort(rows, wide):
-    """One combined int64 key where the ranges fit (narrow), np.lexsort
-    where they do not (wide); equal rows keep their order either way."""
-    keys = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(3)]
-    keys = keys if wide else keys[:2]
-    assert sort_order(*keys).tolist() == np.lexsort(keys[::-1]).tolist()
