@@ -19,7 +19,7 @@ import numpy as np
 from blogfluence import artifacts
 from blogfluence.causality import InfluenceNetwork
 from blogfluence.factor import IolapModel, PcldcModel, PclModel
-from blogfluence.textvec import TermVector, Vocabulary, shared_terms
+from blogfluence.textvec import PostTerms, shared_terms
 from blogfluence.topics import TopicModel
 
 
@@ -69,17 +69,17 @@ class TrainTestSplit:
 
 def split_train_test(
     influence_net: InfluenceNetwork,
-    vectors: dict[str, TermVector],
-    vocab: Vocabulary,
+    terms: PostTerms,
+    max_size: int,
     seed: int | Sequence[int] = 0,
 ) -> TrainTestSplit:
     """Hold out one random out-edge per blogger with out-degree >= 2.
 
-    The held-out keyword set is the union of shared vocabulary terms over
-    all post-level influence pairs underlying the removed blogger edge.
-    Bloggers with a single out-edge keep it (removing it would leave them
-    unusable in training), so every test source retains at least one
-    training out-edge.
+    The held-out keyword set is the union of the shared terms of the
+    ``max_size``-term vocabulary over all post-level influence pairs
+    underlying the removed blogger edge.  Bloggers with a single out-edge
+    keep it (removing it would leave them unusable in training), so every
+    test source retains at least one training out-edge.
     """
     links = influence_net.links
     pairs, which, counts = links.pairs()
@@ -89,22 +89,24 @@ def split_train_test(
     if not any(len(t) >= 2 for t in out.values()):
         raise ValueError("no blogger has out-degree >= 2; nothing to hold out")
 
+    # The shared terms of every edge's links, as one run per edge.
+    link, term = shared_terms(links, terms, max_size)
+    edge = which[link]
+    order = np.argsort(edge, kind="stable")
+    term = term[order].tolist()
+    bounds = edge[order].searchsorted(np.arange(len(pairs) + 1)).tolist()
+
     rng = np.random.default_rng(seed)
     train_edges = dict(zip(pairs, counts.tolist()))
-    urls = links.urls
     test: list[tuple[str, str, frozenset[str]]] = []
     for a in sorted(out):
         targets = out[a]
         if len(targets) < 2:
             continue
-        edge = targets[int(rng.integers(len(targets)))]
-        b = pairs[edge][1]
-        keywords: set[str] = set()
-        at = which == edge
-        for q, p in zip(links.q[at].tolist(), links.p[at].tolist()):
-            for k in shared_terms(vectors[urls[q]], vectors[urls[p]]):
-                keywords.add(vocab.terms[k])
-        test.append((a, b, frozenset(keywords)))
+        held = targets[int(rng.integers(len(targets)))]
+        b = pairs[held][1]
+        keywords = frozenset(terms.terms[k][0] for k in term[bounds[held]:bounds[held + 1]])
+        test.append((a, b, keywords))
         del train_edges[(a, b)]
     nodes = sorted({x for pair in train_edges for x in pair})
     return TrainTestSplit(train_edges=train_edges, test=test, nodes=nodes)

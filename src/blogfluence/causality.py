@@ -81,8 +81,7 @@ def annotate_similarity(
     norms = np.sqrt(np.bincount(post, weights=counts * counts, minlength=n_docs))
     # Index n_docs stands for a post without counts.
     eligible = np.append(np.bincount(post, weights=counts, minlength=n_docs) >= min_tokens, False)
-    doc = {url: d for d, (url, _) in enumerate(terms.posts)}
-    post_doc = np.array([doc.get(url, n_docs) for url in links.urls], dtype=np.int64)
+    post_doc = terms.post_index(links.urls)
 
     u, v = post_doc[links.q], post_doc[links.p]
     todo = np.flatnonzero(eligible[u] & eligible[v])

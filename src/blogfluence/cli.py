@@ -46,7 +46,7 @@ from blogfluence.corpus import (
     parse_content_file,
 )
 from blogfluence.pipeline import build_vectors  # noqa: F401  bench/tracing.py wraps it
-from blogfluence.textvec import VectorSpace, write_vocabulary
+from blogfluence.textvec import PostTerms, write_vocabulary
 
 
 class ConfigError(Exception):
@@ -219,16 +219,11 @@ def _load_clean(cfg: PipelineConfig) -> Corpus:
     return Corpus.from_records(posts, records)
 
 
-def _post_terms(cfg: PipelineConfig) -> textvec.PostTerms:
+def _post_terms(cfg: PipelineConfig) -> PostTerms:
     return textvec.read_post_terms(_require(_path(cfg, "post_terms.tsv")))
 
 
-def _space(cfg: PipelineConfig) -> VectorSpace:
-    return _post_terms(cfg).space(cfg.vocab_max_size)
-
-
-def _scored_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int,
-                                                 textvec.PostTerms]:
+def _scored_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int, PostTerms]:
     """links.tsv with its similarity column filled from post_terms.tsv, the
     number of links that got a similarity, and the post terms."""
     terms = _post_terms(cfg)
@@ -239,17 +234,17 @@ def _scored_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int,
 
 
 def _read_influence(cfg: PipelineConfig,
-                    space: VectorSpace | None = None) -> causality.InfluenceNetwork:
-    """influence.tsv; given ``space``, every post must have a vector in it."""
+                    terms: PostTerms | None = None) -> causality.InfluenceNetwork:
+    """influence.tsv; given ``terms``, every post must have counts in it."""
     return causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours,
-                                        None if space is None else space.vectors)
+                                        None if terms is None else dict(terms.posts))
 
 
-def _load_influence_links(cfg: PipelineConfig, space: VectorSpace | None = None
+def _load_influence_links(cfg: PipelineConfig, terms: PostTerms | None = None
                           ) -> tuple[implicit.Links, str]:
     """Influence links, filtered to the blogger pairs in train.tsv if it
     exists, and which of the two they are."""
-    net = _read_influence(cfg, space)
+    net = _read_influence(cfg, terms)
     if not _path(cfg, "train.tsv").exists():
         return net.links, "full influence network"
     split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
@@ -343,13 +338,14 @@ def cmd_influence(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_topics(cfg: PipelineConfig, args) -> int:
-    space = _space(cfg)
-    influence = _read_influence(cfg, space)
-    # Every post of the corpus is a key of space.vectors.
-    urls = implicit.link_posts(influence.links) if cfg.plsa_docs == "influence" else space.vectors
+    terms = _post_terms(cfg)
+    influence = _read_influence(cfg, terms)
+    # _read_influence checked that every post of the links has counts.
+    urls = (implicit.link_posts(influence.links) if cfg.plsa_docs == "influence"
+            else [url for url, _ in terms.posts])
     try:
-        model = pipeline.fit_topics(space, urls, cfg.n_topics, cfg.plsa_max_iter, cfg.tol,
-                                    [cfg.seed, _STAGE_SEED["topics"]])
+        model = pipeline.fit_topics(terms, cfg.vocab_max_size, urls, cfg.n_topics,
+                                    cfg.plsa_max_iter, cfg.tol, [cfg.seed, _STAGE_SEED["topics"]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), _header(cfg, "topics"))
@@ -361,11 +357,11 @@ def cmd_topics(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_split(cfg: PipelineConfig, args) -> int:
-    space = _space(cfg)
-    influence = _read_influence(cfg, space)
+    terms = _post_terms(cfg)
+    influence = _read_influence(cfg, terms)
     try:
         split = analysis.split_train_test(
-            influence, space.vectors, space.vocab, seed=[cfg.seed, _STAGE_SEED["split"]]
+            influence, terms, cfg.vocab_max_size, seed=[cfg.seed, _STAGE_SEED["split"]]
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -380,9 +376,9 @@ def cmd_split(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_tensor(cfg: PipelineConfig, args) -> int:
-    space = _space(cfg)
-    links, source = _load_influence_links(cfg, space)
-    tensor = factor.build_influence_tensor(links, space.vectors, len(space.vocab))
+    terms = _post_terms(cfg)
+    links, source = _load_influence_links(cfg, terms)
+    tensor = factor.build_influence_tensor(links, terms, cfg.vocab_max_size)
     factor.write_tensor_tsv(tensor, _path(cfg, "tensor.tsv"), _header(cfg, "tensor"))
     print(
         f"tensor: {tensor.counts.size} nonzeros, total {tensor.total():.0f}, "
@@ -426,11 +422,12 @@ def _blogger_graph(links) -> factor.BloggerGraph:
 
 
 def cmd_pcldc(cfg: PipelineConfig, args) -> int:
-    space = _space(cfg)
-    links, source = _load_influence_links(cfg, space)
+    terms = _post_terms(cfg)
+    links, source = _load_influence_links(cfg, terms)
     graph = _blogger_graph(links)
-    model = pipeline.fit_pcldc_model(graph, space, cfg.communities(), cfg.pcldc_max_iter,
-                                     cfg.tol, cfg.l2, [cfg.seed, _STAGE_SEED["pcldc"]])
+    model = pipeline.fit_pcldc_model(graph, terms, cfg.vocab_max_size, cfg.communities(),
+                                     cfg.pcldc_max_iter, cfg.tol, cfg.l2,
+                                     [cfg.seed, _STAGE_SEED["pcldc"]])
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), _header(cfg, "pcldc"))
     print(
         f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "

@@ -20,14 +20,13 @@ content weights only accept improving moves).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.corpus import FormatError
 from blogfluence.implicit import Links
-from blogfluence.textvec import TermVector, shared_terms
+from blogfluence.textvec import PostTerms, shared_terms
 from blogfluence.topics import TopicModel, scatter_rows
 
 DEFAULT_TOL = 1e-7
@@ -63,34 +62,27 @@ class InfluenceTensor:
         }
 
 
-def build_influence_tensor(links: Links, vectors: dict[str, TermVector], n_terms: int) -> InfluenceTensor:
-    """Accumulate one count per (influence link, shared vocabulary term).
+def build_influence_tensor(links: Links, terms: PostTerms, max_size: int) -> InfluenceTensor:
+    """Accumulate one count per (influence link, term of the ``max_size``-term
+    vocabulary that both its posts hold).
 
-    Links whose posts share no in-vocabulary term after truncation
-    contribute nothing and are counted in ``n_links_no_shared``.
+    Links whose posts share no such term contribute nothing and are
+    counted in ``n_links_no_shared``.
     """
     present, code = np.unique(np.concatenate([links.reader, links.author]), return_inverse=True)
-    bloggers = [links.bloggers[b] for b in present.tolist()]
-    urls, n = links.urls, len(links)
-    acc: dict[tuple[int, int, int], int] = {}
-    no_shared = 0
-    for q, p, i, j in zip(links.q.tolist(), links.p.tolist(), code[:n].tolist(), code[n:].tolist()):
-        terms = shared_terms(vectors[urls[q]], vectors[urls[p]])
-        if not terms:
-            no_shared += 1
-            continue
-        for k in terms:
-            key = (i, j, k)
-            acc[key] = acc.get(key, 0) + 1
-    keys = sorted(acc)
+    n, n_b, n_terms = len(links), len(present), min(max_size, len(terms.terms))
+    link, term = shared_terms(links, terms, max_size)
+    keys, counts = np.unique((code[link] * n_b + code[n + link]) * n_terms + term,
+                             return_counts=True)
+    pair, term = np.divmod(keys, n_terms)
     return InfluenceTensor(
-        bloggers=bloggers,
+        bloggers=[links.bloggers[b] for b in present.tolist()],
         n_terms=n_terms,
-        influenced=np.array([k[0] for k in keys], dtype=np.int64),
-        influencer=np.array([k[1] for k in keys], dtype=np.int64),
-        term=np.array([k[2] for k in keys], dtype=np.int64),
-        counts=np.array([float(acc[k]) for k in keys]),
-        n_links_no_shared=no_shared,
+        influenced=pair // n_b,
+        influencer=pair % n_b,
+        term=term,
+        counts=counts.astype(np.float64),
+        n_links_no_shared=n - np.unique(link).size,
     )
 
 
@@ -98,8 +90,8 @@ def write_tensor_tsv(tensor: InfluenceTensor, path: str, header: str | None = No
     artifacts.write_sections(path, header, {
         "bloggers": ((b,) for b in tensor.bloggers),
         "dims": [("n_terms", tensor.n_terms)],
-        "entries": zip(tensor.influenced.tolist(), tensor.influencer.tolist(),
-                       tensor.term.tolist(), tensor.counts.astype(np.int64).tolist()),
+        "entries": np.column_stack([tensor.influenced, tensor.influencer, tensor.term,
+                                    tensor.counts.astype(np.int64)]),
     })
 
 
@@ -367,20 +359,18 @@ class BloggerGraph:
         return {self.nodes[int(j)] for j in self.dst[self.src == i]}
 
 
-def blogger_content_matrix(
-    nodes: list[str], post_vectors: Iterable[tuple[str, TermVector]], n_terms: int
-) -> np.ndarray:
-    """Per-blogger L1-normalized aggregate term counts, rows aligned to nodes."""
+def blogger_content_matrix(nodes: list[str], terms: PostTerms, max_size: int) -> np.ndarray:
+    """Per-blogger L1-normalized sums of their posts' counts of the
+    ``max_size``-term vocabulary, rows aligned to nodes."""
+    post, term, count, _ = terms.capped(max_size)
+    n_terms = min(max_size, len(terms.terms))
     index = {b: i for i, b in enumerate(nodes)}
-    mat = np.zeros((len(nodes), n_terms))
-    for author, vec in post_vectors:
-        row = index.get(author)
-        if row is None:
-            continue
-        for k, c in vec.entries.items():
-            mat[row, k] += c
+    row = np.array([index.get(author, -1) for _, author in terms.posts], dtype=np.int64)[post]
+    at = row >= 0
+    mat = np.bincount(row[at] * n_terms + term[at], weights=count[at],
+                      minlength=len(nodes) * n_terms).reshape(len(nodes), n_terms)
     sums = mat.sum(axis=1, keepdims=True)
-    return np.divide(mat, sums, out=np.zeros_like(mat), where=sums > 0)
+    return np.divide(mat, sums, out=np.zeros(mat.shape), where=sums > 0)
 
 
 @dataclass

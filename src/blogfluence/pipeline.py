@@ -4,8 +4,8 @@ experiment scripts and the test suite so every entry point agrees on it.
 Detection cleans the corpus, counts the posts' terms, builds the
 implicit ``Links`` table, fills its similarity column from the term
 counts, runs the forward and reversed bucket tests, and extracts the
-influence network.  It builds no per-post vector dicts; the model stages
-after it, up to the recommendation benchmark, ask for them.  Those
+influence network.  The model stages after it, up to the recommendation
+benchmark, read the same term counts capped to the vocabulary.  Those
 stages exist here once; fits and recommenders are called through their
 modules (``factor.fit_iolap``, ...).
 """
@@ -13,7 +13,6 @@ modules (``factor.fit_iolap``, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -29,12 +28,12 @@ from blogfluence.causality import (
 )
 from blogfluence.corpus import CleaningRules, Corpus, clean_accesses
 from blogfluence.implicit import ImplicitNetwork, build_implicit_links
-from blogfluence.textvec import PostTerms, VectorSpace
+from blogfluence.textvec import PostTerms
 
 
 def build_vectors(corpus: Corpus) -> PostTerms:
-    """Count every post's terms once; ``PostTerms.space`` derives the
-    vectors of any vocabulary cap from the counts."""
+    """Count every post's terms once; every stage caps the counts to the
+    vocabulary it asks for."""
     return textvec.count_terms(corpus.posts)
 
 
@@ -47,11 +46,6 @@ class DetectionResult:
     forward_report: ZReport
     reversed_report: ZReport
     influence: InfluenceNetwork
-
-    @cached_property
-    def space(self) -> VectorSpace:
-        """The posts' vectors over the capped vocabulary, built on first use."""
-        return self.terms.space(self.vocab_max_size)
 
 
 def run_detection(
@@ -98,13 +92,13 @@ def training_links(links: implicit.Links, split: analysis.TrainTestSplit) -> imp
     return links.take(train[which])
 
 
-def fit_topics(space: VectorSpace, urls: Iterable[str], n_topics: int, max_iter: int,
-               tol: float, seed: list[int]) -> topics.TopicModel:
-    """PLSA over the posts ``urls`` that keep at least one vocabulary token."""
-    docs = {url: space.vectors[url] for url in urls if space.vectors[url].token_count > 0}
-    doc_term = topics.build_doc_term(docs, len(space.vocab))
+def fit_topics(terms: PostTerms, max_size: int, urls: Iterable[str], n_topics: int,
+               max_iter: int, tol: float, seed: list[int]) -> topics.TopicModel:
+    """PLSA over the posts ``urls`` that keep at least one token of the
+    ``max_size``-term vocabulary."""
+    doc_term = topics.build_doc_term(terms, max_size, urls)
     return topics.fit_plsa(doc_term, n_topics, max_iter=max_iter, tol=tol, seed=seed,
-                           terms=space.vocab.terms)
+                           terms=terms.vocabulary(max_size).terms)
 
 
 def blogger_graph(links: implicit.Links) -> factor.BloggerGraph:
@@ -112,14 +106,14 @@ def blogger_graph(links: implicit.Links) -> factor.BloggerGraph:
     return factor.BloggerGraph.from_edge_weights(implicit.blogger_projection(links))
 
 
-def fit_pcldc_model(graph: factor.BloggerGraph, space: VectorSpace, n_communities: int,
-                    max_iter: int, tol: float, l2: float, seed: list[int]) -> factor.PcldcModel:
-    """pcldc on ``graph``, each blogger's content summed over their posts in ``space``."""
-    content = factor.blogger_content_matrix(
-        graph.nodes, ((space.authors[url], vec) for url, vec in space.vectors.items()),
-        len(space.vocab))
+def fit_pcldc_model(graph: factor.BloggerGraph, terms: PostTerms, max_size: int,
+                    n_communities: int, max_iter: int, tol: float, l2: float,
+                    seed: list[int]) -> factor.PcldcModel:
+    """pcldc on ``graph``, each blogger's content summed over their posts'
+    counts of the ``max_size``-term vocabulary."""
+    content = factor.blogger_content_matrix(graph.nodes, terms, max_size)
     return factor.fit_pcldc(graph, content, n_communities, max_iter=max_iter, tol=tol, l2=l2,
-                            seed=seed, terms=space.vocab.terms)
+                            seed=seed, terms=terms.vocabulary(max_size).terms)
 
 
 def recommendation_recall(
@@ -129,16 +123,17 @@ def recommendation_recall(
     the objective traces of PLSA, every iolap restart, pcldc and pcl.  iolap
     keeps the best restart by training log-likelihood, never seeing test edges.
     """
-    space = result.space
-    split = analysis.split_train_test(result.influence, space.vectors, space.vocab, seed=[seed, 6])
+    terms, cap = result.terms, result.vocab_max_size
+    split = analysis.split_train_test(result.influence, terms, cap, seed=[seed, 6])
     links = training_links(result.influence.links, split)
-    topic_model = fit_topics(space, implicit.link_posts(links), 2, 150, topics.DEFAULT_TOL, [seed, 2])
-    tensor = factor.build_influence_tensor(links, space.vectors, len(space.vocab))
+    topic_model = fit_topics(terms, cap, implicit.link_posts(links), 2, 150, topics.DEFAULT_TOL,
+                             [seed, 2])
+    tensor = factor.build_influence_tensor(links, terms, cap)
     iolap_fits = [factor.fit_iolap(tensor, 2, 4, topic_model=topic_model, max_iter=300,
                                    seed=[seed, 3, restart]) for restart in range(3)]
     iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
     graph = blogger_graph(links)
-    pcldc = fit_pcldc_model(graph, space, 2, 60, factor.DEFAULT_TOL, 0.0, [seed, 4])
+    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, factor.DEFAULT_TOL, 0.0, [seed, 4])
     pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, 5])
     methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)
     recall = {name: analysis.recall_at_n(split, rec, top_n) for name, rec in methods.items()}

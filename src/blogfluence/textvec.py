@@ -1,4 +1,7 @@
-"""Tokenization, post-term counts, and the capped vector spaces built on them."""
+"""Tokenization and post-term counts.
+
+A run tokenizes its posts once; every later stage reads the counts as
+integer columns, capped to the vocabulary it asks for."""
 
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.corpus import BlogPost, FormatError
+from blogfluence.implicit import Links, expand_ranges
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -46,28 +50,6 @@ def write_vocabulary(vocab: Vocabulary, path: str, header: str | None = None) ->
 
 
 @dataclass
-class TermVector:
-    """Sparse raw term-frequency vector over vocabulary indices."""
-
-    entries: dict[int, int]
-    token_count: int  # sum of kept (in-vocabulary) token counts
-
-
-def shared_terms(u: TermVector, v: TermVector) -> list[int]:
-    """Sorted vocabulary indices present in both vectors."""
-    if len(u.entries) > len(v.entries):
-        u, v = v, u
-    return sorted(i for i in u.entries if i in v.entries)
-
-
-@dataclass
-class VectorSpace:
-    vocab: Vocabulary
-    vectors: dict[str, TermVector]  # post url -> term vector, in url order
-    authors: dict[str, str]  # post url -> author
-
-
-@dataclass
 class PostTerms:
     """Every post's counts of every distinct token, from one tokenization.
 
@@ -93,15 +75,29 @@ class PostTerms:
         post, term, count = self.entries[self.entries[:, 1] < max_size].T
         return post, term, count, np.searchsorted(post, np.arange(len(self.posts) + 1))
 
-    def space(self, max_size: int) -> VectorSpace:
-        """Each post's counts of the vocabulary's terms."""
-        _, term, count, bounds = self.capped(max_size)
-        bounds, term, count = bounds.tolist(), term.tolist(), count.tolist()
-        vectors = {}
-        for (url, _), lo, hi in zip(self.posts, bounds, bounds[1:]):
-            entries = dict(zip(term[lo:hi], count[lo:hi]))
-            vectors[url] = TermVector(entries, sum(entries.values()))
-        return VectorSpace(self.vocabulary(max_size), vectors, dict(self.posts))
+    def post_index(self, urls: Iterable[str]) -> np.ndarray:
+        """The index of each of ``urls`` among the posts; ``len(posts)``
+        stands for a url that has no counts."""
+        index = {url: d for d, (url, _) in enumerate(self.posts)}
+        return np.array([index.get(url, len(self.posts)) for url in urls], dtype=np.int64)
+
+
+def shared_terms(links: Links, terms: PostTerms, max_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(link, term) for every term of the ``max_size``-term vocabulary that
+    both posts of a link hold, by link and then term; a post without counts
+    holds none."""
+    post, term, _, _ = terms.capped(max_size)
+    n_terms, n_docs = min(max_size, len(terms.terms)), len(terms.posts)
+    keys = np.sort(post * n_terms + term)
+    # Index n_docs, a post without counts, gets an empty range.
+    starts = keys.searchsorted(np.arange(n_docs + 2) * n_terms)
+    ids = terms.post_index(links.urls)
+    q, p = ids[links.q], ids[links.p]
+    link, at = expand_ranges(starts[q], starts[q + 1])
+    want = p[link] * n_terms + keys[at] % n_terms
+    found = keys.searchsorted(want)
+    hit = keys[np.minimum(found, len(keys) - 1)] == want
+    return link[hit], want[hit] % n_terms
 
 
 def count_terms(posts: Iterable[BlogPost]) -> PostTerms:
@@ -130,4 +126,7 @@ def read_post_terms(path: str) -> PostTerms:
     artifacts.check_indices(path, "term", term, len(sections["terms"]))
     if (np.diff(post) < 0).any() or (count < 1).any():
         raise FormatError(f"{path}: [entries] needs post indices in order and counts >= 1")
+    urls = [url for url, _ in sections["posts"]]
+    if any(a >= b for a, b in zip(urls, urls[1:])):
+        raise FormatError(f"{path}: [posts] needs urls in strictly ascending order")
     return PostTerms(**sections)

@@ -7,14 +7,13 @@ per-topic results stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.corpus import FormatError
-from blogfluence.textvec import TermVector
+from blogfluence.textvec import PostTerms
 
 DEFAULT_TOPICS = 50
 DEFAULT_TOL = 1e-7
@@ -36,23 +35,29 @@ class DocTermMatrix:
         return len(self.doc_ids)
 
 
-def build_doc_term(vectors: dict[str, TermVector] | Iterable[tuple[str, TermVector]],
-                   n_terms: int) -> DocTermMatrix:
-    """Nonzero triplets by document, terms ascending within a document."""
-    items = sorted(vectors.items()) if isinstance(vectors, dict) else list(vectors)
-    rows = np.repeat(np.arange(len(items), dtype=np.int64), [len(vec.entries) for _, vec in items])
-    cols = np.fromiter(chain.from_iterable(vec.entries for _, vec in items), np.int64, len(rows))
-    counts = np.fromiter(
-        chain.from_iterable(vec.entries.values() for _, vec in items), np.float64, len(rows)
-    )
+def build_doc_term(terms: PostTerms, max_size: int, urls: Iterable[str]) -> DocTermMatrix:
+    """The posts ``urls`` that keep at least one of the ``max_size``-term
+    vocabulary's tokens, in url order, as nonzero triplets by document,
+    terms ascending within a document."""
+    # One mask over the entries rather than a copy of the capped ones:
+    # freeing that copy before PLSA raised the topics stage's peak RSS (glibc).
+    post, term, count = terms.entries.T
+    capped = term < max_size
+    tokens = np.bincount(post[capped], weights=count[capped], minlength=len(terms.posts))
+    wanted = np.zeros(len(terms.posts) + 1, dtype=bool)
+    wanted[terms.post_index(urls)] = True
+    keep = wanted[:-1] & (tokens > 0)
+    doc = np.cumsum(keep) - 1
+    at = keep[post] & capped
+    rows, cols = doc[post[at]], term[at]
     order = np.lexsort((cols, rows))
     return DocTermMatrix(
-        doc_ids=[doc_id for doc_id, _ in items],
-        n_terms=n_terms,
-        rows=rows,
+        doc_ids=[terms.posts[d][0] for d in np.flatnonzero(keep).tolist()],
+        n_terms=min(max_size, len(terms.terms)),
+        rows=rows[order],
         cols=cols[order],
-        counts=counts[order],
-        doc_totals=np.array([float(sum(vec.entries.values())) for _, vec in items]),
+        counts=count[at][order].astype(np.float64),
+        doc_totals=tokens[keep].astype(np.float64),
     )
 
 

@@ -29,8 +29,9 @@ from blogfluence.factor import (
 )
 from blogfluence.pipeline import recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
-from blogfluence.textvec import TermVector
-from blogfluence.topics import build_doc_term, fit_plsa
+from blogfluence.topics import fit_plsa
+
+from conftest import TermVector, doc_term
 
 N_SEEDS = 20
 SECONDS_PER_DETECTION_SEED = 120.0
@@ -156,7 +157,7 @@ def _tiny_doc_term(seed=0, n_docs=30):
             w = int(rng.integers(0, 4)) + grp * 4
             counts[w] = counts.get(w, 0) + 1
         docs[f"d{d:02d}"] = TermVector(counts, 25)
-    return build_doc_term(docs, 8)
+    return doc_term(docs, 8)
 
 
 def _random_tensor(seed, b=4, v=5, nnz=14):
@@ -230,7 +231,7 @@ def test_c06_rank_one_closed_forms():
         assert np.abs(factors[:, 0] - marginal).max() <= 1e-10
 
     vecs = {"d1": TermVector({0: 2, 1: 1}, 3), "d2": TermVector({1: 3, 2: 1}, 4)}
-    plsa = fit_plsa(build_doc_term(vecs, 3), 1, max_iter=10, seed=0)
+    plsa = fit_plsa(doc_term(vecs, 3), 1, max_iter=10, seed=0)
     expected = np.array([2.0, 4.0, 1.0]) / 7.0
     assert np.abs(plsa.p_w_given_t[0] - expected).max() <= 1e-10
     _ok(6, "rank-1 closed forms reproduce mode marginals and term frequencies")

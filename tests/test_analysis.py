@@ -32,10 +32,9 @@ from blogfluence.factor import (
     iolap_topic_influencers,
 )
 from blogfluence.pipeline import blogger_graph, fit_topics, training_links
-from blogfluence.textvec import TermVector, Vocabulary
-from blogfluence.topics import DEFAULT_TOL, build_doc_term, fit_plsa
+from blogfluence.topics import DEFAULT_TOL, fit_plsa
 
-from conftest import links_table
+from conftest import TermVector, doc_term, links_table, post_terms
 
 
 def _ranking(names):
@@ -111,18 +110,12 @@ def _influence_net(pairs):
     )
 
 
-def _uniform_vectors(net, n_terms=4):
+def _uniform_terms(net, n_terms=4):
     vectors = {}
     for link in net.links:
         vectors.setdefault(link.q, TermVector({0: 2, 1: 1}, 3))
         vectors.setdefault(link.p, TermVector({0: 1, 2: 1}, 2))
-    return vectors
-
-
-def _vocab(n_terms=4):
-    terms = [f"w{i}" for i in range(n_terms)]
-    return Vocabulary(terms=terms, doc_freq=[1] * n_terms,
-                      index={t: i for i, t in enumerate(terms)})
+    return post_terms(vectors, n_terms)
 
 
 class TestSplit:
@@ -138,26 +131,26 @@ class TestSplit:
 
     def test_degree_two_moves_one_edge(self):
         net = self._net()
-        split = split_train_test(net, _uniform_vectors(net), _vocab(), seed=0)
+        split = split_train_test(net, _uniform_terms(net), 4, seed=0)
         test_sources = [a for a, _, _ in split.test]
         assert test_sources == ["ua"]  # only ua has out-degree >= 2
         assert len(split.train_edges) == 3
 
     def test_single_out_edge_untouched(self):
         net = self._net()
-        split = split_train_test(net, _uniform_vectors(net), _vocab(), seed=0)
+        split = split_train_test(net, _uniform_terms(net), 4, seed=0)
         assert ("ub", "uc") in split.train_edges
         assert ("ud", "ua") in split.train_edges
 
     def test_deterministic_for_seed(self):
         net = self._net()
-        a = split_train_test(net, _uniform_vectors(net), _vocab(), seed=42)
-        b = split_train_test(net, _uniform_vectors(net), _vocab(), seed=42)
+        a = split_train_test(net, _uniform_terms(net), 4, seed=42)
+        b = split_train_test(net, _uniform_terms(net), 4, seed=42)
         assert a.train_edges == b.train_edges and a.test == b.test
 
     def test_partition_of_edges(self):
         net = self._net()
-        split = split_train_test(net, _uniform_vectors(net), _vocab(), seed=1)
+        split = split_train_test(net, _uniform_terms(net), 4, seed=1)
         all_edges = {(l.reader, l.author) for l in net.links}
         test_edges = {(a, b) for a, b, _ in split.test}
         assert set(split.train_edges) | test_edges == all_edges
@@ -178,14 +171,14 @@ class TestSplit:
         """A test source keeps a training out-edge, so the recommenders
         always know it: it is a training graph node and a tensor blogger."""
         net = _influence_net([(f"u{r}", f"u{a}", qs, ps) for r, a, qs, ps in pairs if r != a])
-        vectors = _uniform_vectors(net)
+        terms = _uniform_terms(net)
         try:
-            split = split_train_test(net, vectors, _vocab(), seed=seed)
+            split = split_train_test(net, terms, 4, seed=seed)
         except ValueError:
             assume(False)
         train = training_links(net.links, split)
         graph = blogger_graph(train)
-        tensor = build_influence_tensor(train, vectors, 4)
+        tensor = build_influence_tensor(train, terms, 4)
         for a, _, _ in split.test:
             assert any(l.reader == a for l in train)
             assert a in graph.node_index and a in tensor.bloggers
@@ -198,19 +191,19 @@ class TestSplit:
             "/ua/q2": TermVector({0: 1, 3: 1}, 2),
             "/uc/p1": TermVector({3: 1}, 1),
         }
-        split = split_train_test(net, vectors, _vocab(), seed=3)
+        split = split_train_test(net, post_terms(vectors, 4), 4, seed=3)
         (a, b, kws) = split.test[0]
-        expected = {"w1"} if b == "ub" else {"w3"}
+        expected = {"t1"} if b == "ub" else {"t3"}
         assert kws == frozenset(expected)
 
     def test_no_splittable_node_raises(self):
         net = _influence_net([("ua", "ub", 1, 1)])
         with pytest.raises(ValueError):
-            split_train_test(net, _uniform_vectors(net), _vocab(), seed=0)
+            split_train_test(net, _uniform_terms(net), 4, seed=0)
 
     def test_round_trip(self, tmp_path):
         net = self._net()
-        split = split_train_test(net, _uniform_vectors(net), _vocab(), seed=5)
+        split = split_train_test(net, _uniform_terms(net), 4, seed=5)
         write_split(split, tmp_path / "train.tsv", tmp_path / "test.tsv", "# h")
         loaded = read_split(tmp_path / "train.tsv", tmp_path / "test.tsv")
         assert loaded.train_edges == split.train_edges
@@ -229,7 +222,7 @@ def _toy_models(seed=0):
             counts[w] = counts.get(w, 0) + 1
         docs[f"d{d:02d}"] = TermVector(counts, 20)
     terms = [f"w{i}" for i in range(6)]
-    tm = fit_plsa(build_doc_term(docs, 6), 2, max_iter=80, seed=seed, terms=terms)
+    tm = fit_plsa(doc_term(docs, 6), 2, max_iter=80, seed=seed, terms=terms)
     keys = []
     counts = []
     # bloggers u0, u1 influenced by u2 on topic-0 terms, by u3 on topic-1 terms
@@ -400,7 +393,7 @@ class TestCollapseCases:
             )
             for d in range(8)
         }
-        tm = fit_plsa(build_doc_term(docs, 4), 1, max_iter=20, seed=0,
+        tm = fit_plsa(doc_term(docs, 4), 1, max_iter=20, seed=0,
                       terms=[f"w{i}" for i in range(4)])
         tensor = InfluenceTensor(
             bloggers=["u0", "u1", "u2"],
@@ -459,8 +452,9 @@ def test_personalized_top_pick_comes_from_own_expert_set():
         corpus, truth = generate(cfg)
         result = run_detection(corpus, vocab_max_size=160, seed=seed)
         links = result.influence.links
-        tm = fit_topics(result.space, link_posts(links), 2, 120, DEFAULT_TOL, [seed, 2])
-        tensor = build_influence_tensor(links, result.space.vectors, len(result.space.vocab))
+        tm = fit_topics(result.terms, result.vocab_max_size, link_posts(links), 2, 120,
+                        DEFAULT_TOL, [seed, 2])
+        tensor = build_influence_tensor(links, result.terms, result.vocab_max_size)
         model = max(
             (fit_iolap(tensor, 2, 4, topic_model=tm, max_iter=200, seed=[seed, 3, r])
              for r in range(3)),

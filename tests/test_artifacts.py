@@ -36,7 +36,6 @@ from blogfluence.implicit import read_links_tsv, write_links_tsv
 from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
 from blogfluence.textvec import (
     PostTerms,
-    TermVector,
     Vocabulary,
     read_post_terms,
     write_post_terms,
@@ -44,7 +43,7 @@ from blogfluence.textvec import (
 )
 from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
 
-from conftest import links_table
+from conftest import TermVector, links_table, space
 
 TENSOR = InfluenceTensor(
     ["ua", "ub"], 3, np.array([0, 1]), np.array([1, 0]), np.array([2, 0]), np.array([2.0, 1.0])
@@ -198,7 +197,7 @@ def test_post_terms_round_trip_keeps_int_columns_and_bracketed_urls(tmp_path):
     loaded = read_post_terms(tmp_path / "pt.tsv")
     assert loaded.posts == [["[a]/p1", "ua"], ["[b]", "ub"]]
     assert loaded.entries.dtype == np.int64 and loaded.entries.tolist() == [[1, 0, 4]]
-    assert loaded.space(1).vectors == {"[a]/p1": TermVector({}, 0), "[b]": TermVector({0: 4}, 4)}
+    assert space(loaded, 1).vectors == {"[a]/p1": TermVector({}, 0), "[b]": TermVector({0: 4}, 4)}
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,8 @@ from blogfluence.corpus import Corpus
 from blogfluence.implicit import summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
-from blogfluence.textvec import TermVector
 
-from conftest import links_table, post_terms
+from conftest import TermVector, links_table, post_terms
 
 
 def _links(entries):

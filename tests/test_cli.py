@@ -235,18 +235,25 @@ class TestExitCodes:
         assert main(["pcl", *argv]) == 0
         assert main(["links", *argv]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated row", "term rank", "post order"])
+    @pytest.mark.parametrize("damage", ["truncated row", "term rank", "post order",
+                                        "swapped urls", "repeated url"])
     def test_malformed_post_terms_is_1(self, pipeline_copy, config_file, capsys, damage):
         path = pipeline_copy / "post_terms.tsv"
         lines = path.read_text(encoding="utf-8").split("\n")
         row = lines.index("[entries]") + 1
         post, term, count = lines[row].split("\t")
         n_terms = lines.index("[posts]") - lines.index("[terms]") - 1
-        lines[row] = {
-            "truncated row": f"{post}\t{term}",
-            "term rank": f"{post}\t{n_terms}\t{count}",
-            "post order": f"{int(post) + 1}\t{term}\t{count}",
-        }[damage]
+        url = lines.index("[posts]") + 1
+        if damage == "swapped urls":
+            lines[url], lines[url + 1] = lines[url + 1], lines[url]
+        elif damage == "repeated url":
+            lines[url + 1] = lines[url]
+        else:
+            lines[row] = {
+                "truncated row": f"{post}\t{term}",
+                "term rank": f"{post}\t{n_terms}\t{count}",
+                "post order": f"{int(post) + 1}\t{term}\t{count}",
+            }[damage]
         path.write_text("\n".join(lines), encoding="utf-8")
         capsys.readouterr()
         code = main(["topics", "--config", config_file, "--out-dir", str(pipeline_copy),

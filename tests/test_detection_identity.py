@@ -4,7 +4,10 @@ The synthetic corpus, the implicit links, the similarities, the coin
 faces (and the random stream they consume) and the extracted influence
 links are pinned two ways: sha256 digests recorded from the per-record
 implementation, and small per-record transcriptions kept here as
-oracles.  The CLI's link artifacts are pinned by digests of their bytes.
+oracles.  The CLI's link artifacts and the model stages' inputs are
+pinned by digests of their bytes, and the model inputs built from the
+post-term columns are checked against the loops over per-post dict
+vectors that they replaced.
 """
 
 import hashlib
@@ -13,15 +16,17 @@ import random
 import tempfile
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from statistics import median
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blogfluence import causality
+from blogfluence.analysis import split_train_test
 from blogfluence.cli import main
 from blogfluence.causality import (
     annotate_similarity,
@@ -29,11 +34,12 @@ from blogfluence.causality import (
     extract_influence,
     make_coins,
 )
-from blogfluence.implicit import build_implicit_links, summarize_links
+from blogfluence.factor import blogger_content_matrix, build_influence_tensor
+from blogfluence.implicit import build_implicit_links, link_counts, link_posts, summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
+from blogfluence.topics import build_doc_term
 from blogfluence.textvec import (
-    TermVector,
     Vocabulary,
     count_terms,
     read_post_terms,
@@ -41,7 +47,17 @@ from blogfluence.textvec import (
     write_post_terms,
 )
 
-from conftest import BASE_TS, links_table, make_access, make_corpus, make_post, post_terms
+from conftest import (
+    BASE_TS,
+    TermVector,
+    links_table,
+    make_access,
+    make_corpus,
+    make_post,
+    post_terms,
+    shared_terms,
+    space,
+)
 from test_acceptance import PIPELINE_CONFIG
 
 
@@ -90,6 +106,16 @@ CLI_LINK_DIGESTS = {
     "report/rankshift_themes.tsv": "699d9b32d26aa1c958b38008462c48fe4a0d2f3a2fe643692f22e0779daf4537",
     "report/rankshift_bloggers.tsv": "728186bfdd4f5e56854e3712fe6ff4b7df7ffaf5928bd6e3b4e01882665575e9",
 }
+# sha256 of the model stages' inputs and of the pcldc model, which read the
+# post terms, at the same config and seed, recorded from the dict-vector
+# implementation.
+CLI_MODEL_INPUT_DIGESTS = {
+    "plsa_model.tsv": "3ca0a40ea9a778635a00bd88216b4f021048e3fdf93fa07a6684b4995d6538d9",
+    "train.tsv": "517a2e5775d017341d32c51cc3adb185db68f7e693d6abfd8994ccae5f261831",
+    "test.tsv": "bc801960249e08933d9dfe280575f6f4b96c0c5dfefa3a89d72c29dce143c942",
+    "tensor.tsv": "a0dd836fa323cd813112bf4c284986af59f490f2857456c27fd281512b56c853",
+    "pcldc_model.tsv": "6e7b855a56baddfef642219abd5c62a868121d2d9087fd8e2b56c9238ddc5c5b",
+}
 
 
 def _sha(lines):
@@ -110,8 +136,9 @@ def corpus_digest(corpus, truth):
 
 
 def detection_digest(result):
-    lines = [(result.space.vocab.terms, result.space.vocab.doc_freq)]
-    lines += [(url, sorted(v.entries.items()), v.token_count) for url, v in result.space.vectors.items()]
+    oracle = space(result.terms, result.vocab_max_size)
+    lines = [(oracle.vocab.terms, oracle.vocab.doc_freq)]
+    lines += [(url, sorted(v.entries.items()), v.token_count) for url, v in oracle.vectors.items()]
     lines += [(l.q, l.p, l.reader, l.author, l.gap_seconds, repr(l.similarity))
               for l in result.implicit.links]
     for report in (result.forward_report, result.reversed_report):
@@ -150,11 +177,12 @@ def test_cli_link_artifacts_digest(tmp_path):
     config = tmp_path / "pipeline.cfg"
     config.write_text(PIPELINE_CONFIG)
     out = tmp_path / "out"
-    for stage in ("synth", "ingest", "links", "causality", "influence", "report"):
+    for stage in ("synth", "ingest", "links", "causality", "influence", "topics", "split",
+                  "tensor", "pcldc", "report"):
         assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "17"]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in CLI_LINK_DIGESTS}
-    assert digests == CLI_LINK_DIGESTS
+    for pinned in (CLI_LINK_DIGESTS, CLI_MODEL_INPUT_DIGESTS):
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+        assert digests == pinned
 
 
 # --------------------------------------------------------------------------
@@ -415,12 +443,121 @@ def test_post_terms_space_matches_per_post_vectorize(bodies, shuffle, cap):
     with tempfile.TemporaryDirectory() as tmp:
         write_post_terms(counts, Path(tmp) / "post_terms.tsv")
         stored = read_post_terms(Path(tmp) / "post_terms.tsv")
-    for space in (counts.space(cap), stored.space(cap)):
-        assert space.vocab.terms == vocab.terms
-        assert space.vocab.doc_freq == vocab.doc_freq
-        assert space.vocab.index == vocab.index
-        assert list(space.vectors) == list(vectors)
+    for got in (space(counts, cap), space(stored, cap)):
+        assert got.vocab.terms == vocab.terms
+        assert got.vocab.doc_freq == vocab.doc_freq
+        assert got.vocab.index == vocab.index
+        assert list(got.vectors) == list(vectors)
         for url, vec in vectors.items():
-            assert list(space.vectors[url].entries.items()) == list(vec.entries.items())
-            assert space.vectors[url].token_count == vec.token_count
-        assert space.authors == {post.url: post.user_id for post in posts}
+            assert list(got.vectors[url].entries.items()) == list(vec.entries.items())
+            assert got.vectors[url].token_count == vec.token_count
+        assert got.authors == {post.url: post.user_id for post in posts}
+
+
+
+# --------------------------------------------------------------------------
+# The model stages' inputs, built from the post-term columns, against the
+# per-link and per-post loops over the dict vectors that they replace.
+
+def _oracle_tensor(links, vectors):
+    """(i, j, k) -> count over the shared terms of every link, the bloggers
+    and the number of links that share no term."""
+    bloggers = sorted({l.reader for l in links} | {l.author for l in links})
+    index = {b: i for i, b in enumerate(bloggers)}
+    acc, no_shared = {}, 0
+    for l in links:
+        terms = shared_terms(vectors[l.q], vectors[l.p])
+        if not terms:
+            no_shared += 1
+        for k in terms:
+            key = (index[l.reader], index[l.author], k)
+            acc[key] = acc.get(key, 0) + 1
+    return acc, bloggers, no_shared
+
+
+def _oracle_content(nodes, post_vectors, n_terms):
+    index = {b: i for i, b in enumerate(nodes)}
+    mat = np.zeros((len(nodes), n_terms))
+    for author, vec in post_vectors:
+        row = index.get(author)
+        if row is None:
+            continue
+        for k, c in vec.entries.items():
+            mat[row, k] += c
+    sums = mat.sum(axis=1, keepdims=True)
+    return np.divide(mat, sums, out=np.zeros_like(mat), where=sums > 0)
+
+
+def _oracle_doc_term(vectors, urls):
+    """doc ids, rows, cols, counts and doc totals of the posts ``urls`` that
+    keep a token, by url and then term."""
+    items = sorted((url, vectors[url]) for url in urls if vectors[url].token_count > 0)
+    rows = np.repeat(np.arange(len(items), dtype=np.int64), [len(vec.entries) for _, vec in items])
+    cols = np.fromiter(chain.from_iterable(vec.entries for _, vec in items), np.int64, len(rows))
+    counts = np.fromiter(
+        chain.from_iterable(vec.entries.values() for _, vec in items), np.float64, len(rows)
+    )
+    order = np.lexsort((cols, rows))
+    totals = np.array([float(sum(vec.entries.values())) for _, vec in items])
+    return [url for url, _ in items], rows, cols[order], counts[order], totals
+
+
+def _oracle_keywords(links, reader, author, vectors, vocab):
+    keywords = set()
+    for l in links:
+        if (l.reader, l.author) == (reader, author):
+            for k in shared_terms(vectors[l.q], vectors[l.p]):
+                keywords.add(vocab.terms[k])
+    return frozenset(keywords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bodies=st.lists(_BODIES, min_size=1, max_size=10),
+       ends=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+       cap=st.integers(1, 24), seed=st.integers(0, 3))
+@example(bodies=["alpha beta", "beta gamma alpha"], ends=[(0, 1), (1, 0)], cap=1, seed=0)
+@example(bodies=["alpha beta", "beta gamma alpha"], ends=[(0, 1), (1, 0)], cap=24, seed=0)
+def test_model_inputs_match_dict_oracles(bodies, ends, cap, seed):
+    # Entries follow first occurrence.  The last two posts keep no token at
+    # any cap and no token at small caps, and links from the first of them
+    # share no term.
+    bodies = bodies + ["", "Zymurgy zymurgy"]
+    posts = [make_post(f"u{i % 4}", i, BASE_TS + i, body=body) for i, body in enumerate(bodies)]
+    terms = count_terms(posts)
+    n = len(posts)
+    ends = [(q % n, p % n) for q, p in ends] + [(n - 2, p) for p in range(n - 2)]
+    rows = [(posts[q].url, posts[p].url, posts[q].user_id, posts[p].user_id, 60)
+            for q, p in ends if posts[q].user_id != posts[p].user_id]
+    if not rows:
+        return
+    links = links_table(rows)
+    oracle = space(terms, cap)
+
+    tensor = build_influence_tensor(links, terms, cap)
+    acc, bloggers, no_shared = _oracle_tensor(links, oracle.vectors)
+    assert tensor.to_dict() == acc and tensor.bloggers == bloggers
+    assert tensor.n_links_no_shared == no_shared and no_shared > 0
+    assert tensor.n_terms == len(oracle.vocab)
+    assert list(zip(tensor.influenced, tensor.influencer, tensor.term)) == sorted(acc)
+
+    nodes = sorted({p.user_id for p in posts})[1:] + ["nobody"]
+    content = blogger_content_matrix(nodes, terms, cap)
+    assert (content == _oracle_content(
+        nodes, ((oracle.authors[url], vec) for url, vec in oracle.vectors.items()),
+        len(oracle.vocab))).all()
+
+    urls = link_posts(links)
+    doc_term = build_doc_term(terms, cap, urls)
+    doc_ids, rows, cols, counts, totals = _oracle_doc_term(oracle.vectors, urls)
+    assert doc_term.doc_ids == doc_ids and doc_term.n_terms == len(oracle.vocab)
+    for got, want in ((doc_term.rows, rows), (doc_term.cols, cols),
+                      (doc_term.counts, counts), (doc_term.doc_totals, totals)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    net = causality.InfluenceNetwork(links=links, tau_hours=2, **link_counts(links))
+    try:
+        split = split_train_test(net, terms, cap, seed=seed)
+    except ValueError:
+        return
+    for reader, author, keywords in split.test:
+        assert keywords == _oracle_keywords(links, reader, author, oracle.vectors, oracle.vocab)

@@ -22,10 +22,9 @@ from blogfluence.factor import (
     write_pcl_model,
     write_pcldc_model,
 )
-from blogfluence.textvec import TermVector
-from blogfluence.topics import TopicModel, build_doc_term, fit_plsa
+from blogfluence.topics import TopicModel, fit_plsa
 
-from conftest import links_table
+from conftest import TermVector, doc_term, links_table, post_terms
 
 
 def _monotone(trace):
@@ -45,7 +44,7 @@ class TestBuildTensor:
             "/a/q": TermVector({1: 2, 3: 1, 5: 1}, 4),
             "/b/p": TermVector({1: 1, 3: 4, 7: 2}, 7),
         }
-        tensor = build_influence_tensor(links, vectors, 8)
+        tensor = build_influence_tensor(links, post_terms(vectors, 8), 8)
         assert tensor.bloggers == ["ua", "ub"]
         assert tensor.to_dict() == {(0, 1, 1): 1, (0, 1, 3): 1}
 
@@ -57,13 +56,13 @@ class TestBuildTensor:
             "/a/q2": TermVector({1: 2}, 2),
             "/b/p2": TermVector({1: 3}, 3),
         }
-        tensor = build_influence_tensor(links, vectors, 4)
+        tensor = build_influence_tensor(links, post_terms(vectors, 4), 4)
         assert tensor.to_dict() == {(0, 1, 1): 2}
 
     def test_no_shared_terms_counted(self):
         links = _links(("/a/q", "/b/p", "ua", "ub"))
         vectors = {"/a/q": TermVector({0: 1}, 1), "/b/p": TermVector({1: 1}, 1)}
-        tensor = build_influence_tensor(links, vectors, 2)
+        tensor = build_influence_tensor(links, post_terms(vectors, 2), 2)
         assert tensor.counts.size == 0 and tensor.n_links_no_shared == 1
 
     def test_matches_brute_force(self):
@@ -81,7 +80,7 @@ class TestBuildTensor:
                 vectors[url] = TermVector(entries, sum(entries.values()))
             rows.append((q, p, reader, author))
         links = _links(*rows)
-        tensor = build_influence_tensor(links, vectors, 10)
+        tensor = build_influence_tensor(links, post_terms(vectors, 10), 10)
         expected = {}
         index = {b: i for i, b in enumerate(tensor.bloggers)}
         for l in links:
@@ -251,7 +250,7 @@ class TestFitIolap:
 
     def test_fixed_topics_untouched(self):
         docs = {f"d{i}": TermVector({i % 5: 3, (i + 1) % 5: 1}, 4) for i in range(6)}
-        tm = fit_plsa(build_doc_term(docs, 5), 2, max_iter=30, seed=0,
+        tm = fit_plsa(doc_term(docs, 5), 2, max_iter=30, seed=0,
                       terms=[f"w{i}" for i in range(5)])
         tensor = _random_tensor(7)
         expected = topic_factors_from_model(tm)
@@ -541,9 +540,10 @@ def test_pcldc_topic_influencers_ranking():
 
 
 def test_blogger_content_matrix_rows_normalized():
-    vectors = [("ua", TermVector({0: 2, 1: 2}, 4)), ("ub", TermVector({2: 5}, 5)),
-               ("ua", TermVector({0: 4}, 4))]
-    mat = blogger_content_matrix(["ua", "ub", "uc"], vectors, 3)
+    vectors = {"/ua/p0": TermVector({0: 2, 1: 2}, 4), "/ub/p0": TermVector({2: 5}, 5),
+               "/ua/p1": TermVector({0: 4}, 4)}
+    terms = post_terms(vectors, 3, {url: url.split("/")[1] for url in vectors})
+    mat = blogger_content_matrix(["ua", "ub", "uc"], terms, 3)
     assert np.allclose(mat[0], [0.75, 0.25, 0.0])
     assert np.allclose(mat[1], [0.0, 0.0, 1.0])
     assert np.allclose(mat[2], 0.0)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blogfluence.textvec import TermVector, count_terms, shared_terms, tokenize
+from blogfluence.textvec import count_terms, shared_terms, tokenize
 
-from conftest import BASE_TS, make_post
+from conftest import BASE_TS, TermVector, links_table, make_post, post_terms
 from test_detection_identity import cosine
 
 
@@ -81,14 +81,14 @@ class TestCosine:
 
 
 def test_vectorize_counts_kept_tokens():
-    space = _post_terms(["aa bb aa zz", "aa"]).space(1)
-    vec = space.vectors["/ua/p0"]
-    assert vec.entries == {0: 2}
-    assert vec.token_count == 2
-    assert space.vectors["/ua/p1"].entries == {0: 1}
+    post, term, count, starts = _post_terms(["aa bb aa zz", "aa"]).capped(1)
+    assert (post.tolist(), term.tolist(), count.tolist()) == ([0, 1], [0, 0], [2, 1])
+    assert starts.tolist() == [0, 1, 2]
 
 
 def test_shared_terms_sorted_intersection():
-    u = TermVector({4: 1, 1: 2, 7: 1}, 4)
-    v = TermVector({1: 1, 7: 3, 9: 1}, 5)
-    assert shared_terms(u, v) == [1, 7]
+    vectors = {"/a/q": TermVector({4: 1, 1: 2, 7: 1}, 4),
+               "/b/p": TermVector({1: 1, 7: 3, 9: 1}, 5)}
+    links = links_table([("/b/p", "/a/q", "b", "a", 60), ("/a/q", "/b/p", "a", "b", 60)])
+    link, term = shared_terms(links, post_terms(vectors, 10), 10)
+    assert (link.tolist(), term.tolist()) == ([0, 0, 1, 1], [1, 7, 1, 7])
