@@ -8,8 +8,9 @@ the same float64.  Readers take one converter per field (``int``,
 ``float``, ``str``); a row with another field count, or a field its
 converter rejects, raises ``FormatError`` naming the file and the line.
 A section of integer fields only can be written from and read back into
-one int64 array, and plain rows can be written from and read back into
-one list or int64 array per column, without per-row Python.
+one int64 array.  Plain rows can be written from one list or int64 array
+per column, and plain rows or a section of string and integer fields read
+back into them, without per-row conversion.
 """
 
 from __future__ import annotations
@@ -113,32 +114,42 @@ def read_rows(path: str | Path, types: Types, columns: Sequence[str] | None = No
     return [_convert(path, lineno, line.split("\t"), types) for lineno, line in lines]
 
 
-def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]) -> list:
-    """``read_rows`` by column: a list of strings per ``str`` field, an int64
-    array per ``int`` field.  The text is split as a whole; a row with
-    another field count, or a field ``int`` rejects, is left to
-    ``read_rows``, which names its line."""
-    lines = [line for _, line in _rows(Path(path).read_text(encoding="utf-8"))]
-    width, body = len(types), lines[1:]
-    if lines[:1] == ["\t".join(columns)] and set(map(str.count, body, repeat("\t"))) <= {width - 1}:
+def _columns(path, lines: list[tuple[int, str]], types: Sequence[type]) -> list:
+    """(line number, line) rows by column: a list of strings per ``str`` field, an
+    int64 array per ``int`` field.  The rows are split as a whole; a row with
+    another field count, or a field ``int`` rejects, is left to the row reader."""
+    width, body = len(types), [line for _, line in lines]
+    if set(map(str.count, body, repeat("\t"))) <= {width - 1}:
         fields = "\t".join(body).split("\t") if body else []
         with suppress(ValueError, OverflowError):
             return [fields[i::width] if t is str else
                     np.fromiter(map(int, fields[i::width]), np.int64, len(body))
                     for i, t in enumerate(types)]
-    # int64 bounds ``int`` here as the arrays do, so read_rows rejects what they rejected.
-    read_rows(path, tuple(str if t is str else np.int64 for t in types), columns)
-    raise AssertionError(f"{path}: read_rows accepted what read_columns rejected")
+    # int64 bounds ``int`` here as the arrays do, so the row reader rejects what they rejected.
+    for lineno, line in lines:
+        _convert(path, lineno, line.split("\t"), [str if t is str else np.int64 for t in types])
+    raise AssertionError(f"{path}: the row reader accepted what the column reader rejected")
+
+
+def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]) -> list:
+    """``read_rows`` by column (see ``_columns``)."""
+    lines = list(_rows(Path(path).read_text(encoding="utf-8")))
+    lineno, line = lines[0] if lines else (0, "")
+    if line != "\t".join(columns):
+        raise FormatError(f"{path}:{lineno}: expected the column names {list(columns)}")
+    return _columns(path, lines[1:], types)
 
 
 # A "[name]" line after a newline; it has no tab, so a row starting with "[" stays a row.
 _SECTION = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
 
 
-def read_sections(path: str | Path, specs: dict[str, Types | dict[str, Types] | int]) -> dict:
+def read_sections(path: str | Path,
+                  specs: dict[str, Types | list[type] | dict[str, Types] | int]) -> dict:
     """Rows of each ``[section]`` named in ``specs``.
 
-    A section given a tuple of types reads as a list of rows.  One given a
+    A section given a tuple of types reads as a list of rows, one given a
+    list of ``str`` and ``int`` as its columns (``_columns``).  One given a
     dict is keyed: the first field of a row names it and selects the types
     of the rest; it reads as key -> values, and every key must occur.  One
     given a number n of integer fields reads as one (rows, n) int64 array.
@@ -156,6 +167,8 @@ def read_sections(path: str | Path, specs: dict[str, Types | dict[str, Types] | 
             raise FormatError(f"{path}:{lineno}: unexpected section '[{name}]'")
         if isinstance(spec, int):
             out[name] = np.concatenate([out[name], _int_columns(path, lineno, body, spec)])
+        elif isinstance(spec, list):
+            out[name].extend(_rows(body, lineno))  # converted below, as a whole
         elif isinstance(spec, dict):
             for n, line in _rows(body, lineno):
                 key, *fields = line.split("\t")
@@ -167,6 +180,8 @@ def read_sections(path: str | Path, specs: dict[str, Types | dict[str, Types] | 
                              for n, line in _rows(body, lineno))
         lineno += body.count("\n") + 1
     for name, spec in specs.items():
+        if isinstance(spec, list):
+            out[name] = _columns(path, out[name], spec)
         missing = sorted(spec.keys() - out[name].keys()) if isinstance(spec, dict) else []
         if missing:
             raise FormatError(f"{path}: [{name}] lacks {', '.join(missing)}")

@@ -37,6 +37,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from blogfluence import artifacts
+from blogfluence.corpus import Activity
 from blogfluence.implicit import (
     ImplicitNetwork, Links, expand_ranges, link_counts, link_posts, read_links,
 )
@@ -404,55 +405,38 @@ class RankShiftReport:
     bloggers: list[RankShift]
 
 
-def _ranks(counter: dict[str, int]) -> dict[str, int]:
-    ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {item: i + 1 for i, (item, _) in enumerate(ordered)}
+def _counts(names: Sequence[str], index: np.ndarray) -> dict[str, int]:
+    """How often ``index`` holds each of ``names`` that it holds."""
+    return {name: n for name, n in zip(names, np.bincount(index, minlength=len(names)).tolist())
+            if n}
 
 
-def _read_counts(links: Links) -> dict[str, int]:
-    """How many links read each author."""
-    counts = np.bincount(links.author, minlength=len(links.bloggers)).tolist()
-    return {b: n for b, n in zip(links.bloggers, counts) if n}
+def _shifts(base: dict[str, int], influence: dict[str, int]) -> list[RankShift]:
+    """The items of ``base`` by their rank in it, each with its rank in
+    ``influence`` (max + 1 if absent); equal counts rank by item."""
+    base, influence = ({item: rank for rank, (_, item) in enumerate(sorted(
+        (-n, item) for item, n in counts.items()), 1)} for counts in (base, influence))
+    return [RankShift(item, rank, influence.get(item, len(influence) + 1))
+            for item, rank in base.items()]
 
 
 def rank_shift_report(
-    posts: Sequence,
+    activity: Activity,
     implicit_net: ImplicitNetwork,
     influence_net: InfluenceNetwork,
 ) -> RankShiftReport:
-    by_url = {post.url: post for post in posts}
-    theme_all: dict[str, int] = {}
-    for post in posts:
-        for theme in post.themes:
-            theme_all[theme] = theme_all.get(theme, 0) + 1
-    infl_posts = link_posts(influence_net.links)
-    theme_infl: dict[str, int] = {}
-    for url in infl_posts:
-        post = by_url.get(url)
-        if post is None:
-            continue
-        for theme in post.themes:
-            theme_infl[theme] = theme_infl.get(theme, 0) + 1
-
-    read_impl = _read_counts(implicit_net.links)
-    read_infl = _read_counts(influence_net.links)
-
-    theme_rank_all = _ranks(theme_all)
-    theme_rank_infl = _ranks(theme_infl)
-    theme_sentinel = len(theme_rank_infl) + 1
-    themes = [
-        RankShift(t, theme_rank_all[t], theme_rank_infl.get(t, theme_sentinel))
-        for t in sorted(theme_rank_all, key=theme_rank_all.get)
-    ]
-
-    blog_rank_impl = _ranks(read_impl)
-    blog_rank_infl = _ranks(read_infl)
-    blog_sentinel = len(blog_rank_infl) + 1
-    bloggers = [
-        RankShift(b, blog_rank_impl[b], blog_rank_infl.get(b, blog_sentinel))
-        for b in sorted(blog_rank_impl, key=blog_rank_impl.get)
-    ]
-    return RankShiftReport(themes=themes, bloggers=bloggers)
+    """Themes ranked by their posts in ``activity`` against those of the
+    influence network's posts, and bloggers ranked by how many links read
+    them in either network."""
+    post, theme = activity.post_themes.T
+    post_of = {url: i for i, url in enumerate(activity.urls)}
+    infl_posts = [post_of[url] for url in link_posts(influence_net.links) if url in post_of]
+    return RankShiftReport(
+        themes=_shifts(_counts(activity.themes, theme),
+                       _counts(activity.themes, theme[np.isin(post, infl_posts)])),
+        bloggers=_shifts(*(_counts(net.links.bloggers, net.links.author)
+                           for net in (implicit_net, influence_net))),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 from blogfluence import __version__, analysis, artifacts, causality, factor, implicit
 from blogfluence import pipeline, synth, textvec, topics
 from blogfluence.corpus import (
+    Activity,
     CleaningRules,
     Corpus,
     FormatError,
@@ -205,20 +206,6 @@ def _header(cfg: PipelineConfig, subcommand: str) -> str:
     )
 
 
-def _write_corpus(cfg: PipelineConfig, corpus: Corpus, posts: str, access: str,
-                  header: str) -> None:
-    artifacts.write_rows(_path(cfg, posts), header, ((content_line(p),) for p in corpus.posts))
-    artifacts.write_rows(_path(cfg, access), header, ((access_line(a),) for a in corpus.accesses))
-
-
-def _load_clean(cfg: PipelineConfig) -> Corpus:
-    with open(_require(_path(cfg, "clean_posts.tsv")), encoding="utf-8") as fh:
-        posts, _ = parse_content_file(fh)
-    with open(_require(_path(cfg, "clean_accesses.tsv")), encoding="utf-8") as fh:
-        records, _ = parse_access_log(fh)
-    return Corpus.from_records(posts, records)
-
-
 def _post_terms(cfg: PipelineConfig) -> PostTerms:
     return textvec.read_post_terms(_require(_path(cfg, "post_terms.tsv")))
 
@@ -257,7 +244,8 @@ def _load_influence_links(cfg: PipelineConfig, terms: PostTerms | None = None
 def cmd_synth(cfg: PipelineConfig, args) -> int:
     corpus, truth = synth.generate(replace(cfg.synth, seed=cfg.seed))
     header = _header(cfg, "synth")
-    _write_corpus(cfg, corpus, "posts.tsv", "access.log", header)
+    artifacts.write_rows(_path(cfg, "posts.tsv"), header, zip(map(content_line, corpus.posts)))
+    artifacts.write_rows(_path(cfg, "access.log"), header, zip(map(access_line, corpus.accesses)))
     synth.write_truth_tsv(truth, _path(cfg, "truth.tsv"), header)
     synth.write_experts_tsv(truth, _path(cfg, "experts.tsv"), header)
     print(
@@ -280,7 +268,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     rules = CleaningRules(window_hours=cfg.window_hours)
     cleaned, removal = clean_accesses(corpus, rules)
     header = _header(cfg, "ingest")
-    _write_corpus(cfg, cleaned, "clean_posts.tsv", "clean_accesses.tsv", header)
+    implicit.write_activity(Activity.from_corpus(cleaned), _path(cfg, "activity.tsv"), header)
     textvec.write_post_terms(textvec.count_terms(cleaned.posts), _path(cfg, "post_terms.tsv"),
                              header)
     print(
@@ -292,8 +280,8 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_links(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
-    net = implicit.build_implicit_links(corpus, cfg.window_hours)
+    activity = implicit.read_activity(_require(_path(cfg, "activity.tsv")))
+    net = implicit.build_implicit_links(activity, cfg.window_hours)
     header = _header(cfg, "links")
     implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
@@ -536,11 +524,11 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
-    corpus = _load_clean(cfg)
+    activity = implicit.read_activity(_require(_path(cfg, "activity.tsv")))
     report_dir = Path(cfg.out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     header = _header(cfg, "report")
-    hist = activity_histograms(corpus, cfg.tz_offset_hours)
+    hist = activity_histograms(activity, cfg.tz_offset_hours)
     tables = {
         "hist_posts_hour.tsv": enumerate(hist.posts_by_hour),
         "hist_posts_weekday.tsv": enumerate(hist.posts_by_weekday),
@@ -571,7 +559,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
     if _path(cfg, "links.tsv").exists() and _path(cfg, "influence.tsv").exists():
         links_net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
         influence = causality.read_influence_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
-        shift = causality.rank_shift_report(corpus.posts, links_net, influence)
+        shift = causality.rank_shift_report(activity, links_net, influence)
         for name, ranks, base in (("themes", shift.themes, "rank_all"),
                                   ("bloggers", shift.bloggers, "rank_implicit")):
             artifacts.write_rows(

@@ -12,17 +12,19 @@ Two input formats are supported:
 
 Server logs are noisy, so malformed lines are skipped and counted rather
 than aborting the run; a stream where more than half of the lines are
-malformed is rejected as being in the wrong format altogether.
+malformed is rejected as being in the wrong format altogether.  Only
+``ingest`` parses them: the cleaned corpus becomes one ``Activity`` table
+of integer rows, which later stages read back from ``activity.tsv``.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +49,7 @@ _MONTHS = {
 _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 
 _APACHE_TS_RE = re.compile(
-    r"^(\d{2})/([A-Z][a-z]{2})/(\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2})$"
+    r"^(\d{2}/(?:" + "|".join(_MONTHS) + r")/\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2})$"
 )
 _APACHE_LINE_RE = re.compile(
     r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\S+) (\S+) "([^"]*)" "([^"]*)"\s*$'
@@ -67,6 +69,11 @@ def format_iso_ts(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# Each "dd/Mon/yyyy" day of a log is converted with datetime once, when first seen.
+_DAY_START: dict[str, int] = {}  # day -> UTC epoch seconds of its midnight
+_DAY_TEXT: dict[int, str] = {}  # days since the epoch -> day
+
+
 def parse_apache_ts(text: str) -> int:
     """Parse a combined-format timestamp like ``01/Sep/2008:10:30:00 +0000``.
 
@@ -76,21 +83,26 @@ def parse_apache_ts(text: str) -> int:
     m = _APACHE_TS_RE.match(text)
     if m is None:
         raise ValueError(f"bad timestamp: {text!r}")
-    day, mon, year, hh, mm, ss, sign, oh, om = m.groups()
-    month = _MONTHS.get(mon)
-    if month is None:
-        raise ValueError(f"bad month: {mon!r}")
-    dt = datetime(int(year), month, int(day), int(hh), int(mm), int(ss), tzinfo=timezone.utc)
+    day, hh, mm, ss, sign, oh, om = m.groups()
+    start = _DAY_START.get(day)
+    if start is None:
+        d, mon, year = day.split("/")
+        start = _DAY_START[day] = int(
+            datetime(int(year), _MONTHS[mon], int(d), tzinfo=timezone.utc).timestamp())
+    hh, mm, ss = int(hh), int(mm), int(ss)
+    if hh > 23 or mm > 59 or ss > 59:
+        raise ValueError(f"bad time of day: {text!r}")
     offset = (int(oh) * 3600 + int(om) * 60) * (1 if sign == "+" else -1)
-    return int(dt.timestamp()) - offset
+    return start + hh * 3600 + mm * 60 + ss - offset
 
 
 def format_apache_ts(ts: int) -> str:
-    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    return (
-        f"{dt.day:02d}/{_MONTH_NAMES[dt.month]}/{dt.year:04d}"
-        f":{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d} +0000"
-    )
+    days, seconds = divmod(ts, 86400)
+    day = _DAY_TEXT.get(days)
+    if day is None:
+        dt = datetime.fromtimestamp(days * 86400, tz=timezone.utc)
+        day = _DAY_TEXT[days] = f"{dt.day:02d}/{_MONTH_NAMES[dt.month]}/{dt.year:04d}"
+    return "%s:%02d:%02d:%02d +0000" % (day, seconds // 3600, seconds // 60 % 60, seconds % 60)
 
 
 def normalize_url(url: str) -> str:
@@ -222,6 +234,46 @@ class Corpus:
         )
 
 
+def coded(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The distinct names of ``columns``, ascending, and each column as indices among them."""
+    names = sorted(set().union(*columns))
+    code = {name: i for i, name in enumerate(names)}
+    return names, [np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in columns]
+
+
+@dataclass(eq=False)
+class Activity:
+    """Posts and accesses as int64 rows over ascending name tables: post i is
+    ``urls[i]``, a post's themes are in order, and author, IP, post and theme
+    indices are into ``bloggers``, ``ips``, ``urls`` and ``themes``."""
+
+    urls: list[str]
+    bloggers: list[str]
+    ips: list[str]
+    themes: list[str]
+    posts: np.ndarray  # (n, 3): author, upload, ip
+    post_themes: np.ndarray  # (n, 2): post, theme
+    accesses: np.ndarray  # (n, 3): post, ip, access time
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus) -> Activity:
+        """The rows of a corpus, less the accesses to urls that name no post."""
+        posts = sorted(corpus.posts, key=attrgetter("url"))
+        urls = [post.url for post in posts]
+        post_of = {url: i for i, url in enumerate(urls)}
+        accesses = [a for a in corpus.accesses if a.request in post_of]
+        bloggers, (author,) = coded([post.user_id for post in posts])
+        ips, (ip, access_ip) = coded([post.hashed_ip for post in posts],
+                                     [a.hashed_ip for a in accesses])
+        themes, (theme,) = coded([theme for post in posts for theme in post.themes])
+        upload, target, read_at = (np.array(values, dtype=np.int64) for values in (
+            [post.upload_ts for post in posts], [post_of[a.request] for a in accesses],
+            [a.access_ts for a in accesses]))
+        post = np.repeat(np.arange(len(posts)), [len(post.themes) for post in posts])
+        return cls(urls, bloggers, ips, themes, np.column_stack([author, upload, ip]),
+                   np.column_stack([post, theme]), np.column_stack([target, access_ip, read_at]))
+
+
 # --------------------------------------------------------------------------
 # parsing and serialization
 
@@ -264,7 +316,7 @@ def parse_content_file(stream: Iterable[str]) -> tuple[list[BlogPost], ParseRepo
                 report.n_skipped += 1
                 continue
             url = normalize_url(url)
-            if not user_id or not url:  # "" would not read back from clean_posts.tsv
+            if not user_id or not url:  # "" names no post or blogger
                 report.n_skipped += 1
                 continue
             posts.append(
@@ -442,29 +494,16 @@ class HistogramReport:
     n_bloggers: int
 
 
-def _local(ts: int, tz_offset_hours: int) -> datetime:
-    return datetime.fromtimestamp(ts + tz_offset_hours * 3600, tz=timezone.utc)
-
-
 def activity_histograms(
-    corpus: Corpus, tz_offset_hours: int = DEFAULT_TZ_OFFSET_HOURS
+    activity: Activity, tz_offset_hours: int = DEFAULT_TZ_OFFSET_HOURS
 ) -> HistogramReport:
-    """Hour-of-day and day-of-week activity counts plus per-blogger stats."""
-    posts_hour = [0] * 24
-    posts_wd = [0] * 7
-    acc_hour = [0] * 24
-    acc_wd = [0] * 7
-    per_blogger: Counter[str] = Counter()
-    for post in corpus.posts:
-        dt = _local(post.upload_ts, tz_offset_hours)
-        posts_hour[dt.hour] += 1
-        posts_wd[dt.weekday()] += 1
-        per_blogger[post.user_id] += 1
-    for a in corpus.accesses:
-        dt = _local(a.access_ts, tz_offset_hours)
-        acc_hour[dt.hour] += 1
-        acc_wd[dt.weekday()] += 1
-    counts = np.array(sorted(per_blogger.values()), dtype=float)
+    """Hour-of-day and day-of-week activity counts plus per-blogger stats.
+    Day 0 of the epoch, 1970-01-01, was a Thursday: weekday 3."""
+    local = [ts + tz_offset_hours * 3600 for ts in (activity.posts[:, 1], activity.accesses[:, 2])]
+    posts_hour, acc_hour = (np.bincount(ts // 3600 % 24, minlength=24).tolist() for ts in local)
+    posts_wd, acc_wd = (np.bincount((ts // 86400 + 3) % 7, minlength=7).tolist() for ts in local)
+    per_blogger = np.bincount(activity.posts[:, 0], minlength=len(activity.bloggers))
+    counts = np.sort(per_blogger[per_blogger > 0]).astype(float)
     if counts.size:
         q1, med, q3 = np.percentile(counts, [25.0, 50.0, 75.0])
         mean = float(counts.mean())
@@ -480,5 +519,5 @@ def activity_histograms(
         posts_per_blogger_median=float(med),
         posts_per_blogger_q1=float(q1),
         posts_per_blogger_q3=float(q3),
-        n_bloggers=len(per_blogger),
+        n_bloggers=counts.size,
     )

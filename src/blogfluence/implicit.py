@@ -5,23 +5,23 @@ within a time window before uploading q.  Duplicate clicks on the same p
 before the same q collapse to the smallest gap, the most recent read
 being the most plausible influence carrier.
 
-Links travel between stages as one ``Links`` table of columns: q and p
-index an ascending table of post URLs, reader and author an ascending
-table of bloggers, so index order is string order.  ``links.tsv`` and
-``influence.tsv`` are read and written as whole columns.
+The links are built from the ``corpus.Activity`` rows, which
+``activity.tsv`` stores, and travel between stages as one ``Links`` table
+of columns: q and p index an ascending table of post URLs, reader and
+author an ascending table of bloggers, so index order is string order.
+``links.tsv`` and ``influence.tsv`` are read and written as whole columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
-from operator import attrgetter
+from itertools import compress
 from typing import Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Corpus, FormatError
+from blogfluence.corpus import Activity, FormatError, coded
 
 DEFAULT_WINDOW_HOURS = 12
 
@@ -35,14 +35,6 @@ class ImplicitLink(NamedTuple):
     author: str  # author of p
     gap_seconds: int  # upload_ts(q) - access_ts, in (0, window]
     similarity: float | None  # None where the table holds NaN
-
-
-def _coded(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
-    """The distinct names of ``columns`` in ascending order, and each
-    column as indices among them."""
-    names = sorted(set().union(*columns))
-    code = {name: i for i, name in enumerate(names)}
-    return names, [np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in columns]
 
 
 _COLUMNS = ("q", "p", "reader", "author", "gap", "similarity")
@@ -70,8 +62,8 @@ class Links:
     def from_columns(cls, q: Sequence[str], p: Sequence[str], reader: Sequence[str],
                      author: Sequence[str], gap: Sequence[int]) -> Links:
         """The table of string columns and gaps, with no similarities."""
-        urls, (q, p) = _coded(q, p)
-        bloggers, (reader, author) = _coded(reader, author)
+        urls, (q, p) = coded(q, p)
+        bloggers, (reader, author) = coded(reader, author)
         return cls(urls, bloggers, q, p, reader, author, np.array(gap, dtype=np.int64),
                    np.full(len(q), np.nan))
 
@@ -134,8 +126,9 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return which, np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
-def build_implicit_links(corpus: Corpus, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
-    """Pair every cleaned access with the reader's posts that follow it.
+def build_implicit_links(activity: Activity,
+                         window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
+    """Pair every access with the reader's posts that follow it.
 
     For each access from an IP owned by blogger A to a post p by B != A,
     every post q by A with 0 < upload_ts(q) - access_ts <= window yields
@@ -147,40 +140,15 @@ def build_implicit_links(corpus: Corpus, window_hours: int = DEFAULT_WINDOW_HOUR
     kept.  The table indexes every post's URL and every author.
     """
     window = window_hours * 3600
-    posts = corpus.posts
-    bloggers = sorted({post.user_id for post in posts})
-    user_code = {u: i for i, u in enumerate(bloggers)}
-    owner = np.array([user_code[post.user_id] for post in posts], dtype=np.int64)
-    upload = np.array([post.upload_ts for post in posts], dtype=np.int64)
-    by_url = sorted(range(len(posts)), key=lambda i: posts[i].url)
-    urls = [posts[i].url for i in by_url]
-    url_rank = np.empty(len(posts), dtype=np.int64)
-    url_rank[by_url] = np.arange(len(posts))
-
-    # Readers per IP as ranges of one flat array; one more, empty, range
-    # stands for every IP that owns no post.
-    ip_code: dict[str, int] = {}
-    flat_readers: list[int] = []
-    bounds = [0]
-    for ip, owners in corpus.ip_to_bloggers.items():
-        ip_code[ip] = len(ip_code)
-        flat_readers += [user_code[u] for u in owners if u in user_code]
-        bounds.append(len(flat_readers))
-    bounds.append(len(flat_readers))
-    bounds = np.array(bounds, dtype=np.int64)
-
-    accesses, n = corpus.accesses, len(corpus.accesses)
-    target, ip, access_ts = (np.fromiter(map(*args), np.int64, n) for args in (
-        (corpus.url_to_post.get, map(attrgetter("request"), accesses), repeat(-1)),
-        (ip_code.get, map(attrgetter("hashed_ip"), accesses), repeat(len(ip_code))),
-        (attrgetter("access_ts"), accesses),
-    ))
-    found = target >= 0
-    target, ip, access_ts = target[found], ip[found], access_ts[found]
-    if not posts or not len(target):
+    (owner, upload, post_ip), n_bloggers = activity.posts.T, len(activity.bloggers)
+    target, ip, access_ts = activity.accesses.T
+    if not len(upload) or not len(target):
         return summarize_links(Links.from_columns([], [], [], [], []), window_hours)
+    # An IP's readers, who posted from it, are one range of the posts' (IP, author) pairs.
+    pairs = np.unique(post_ip * n_bloggers + owner)
+    bounds = (pairs // n_bloggers).searchsorted(np.arange(len(activity.ips) + 1))
     which, pos = expand_ranges(bounds[ip], bounds[ip + 1])
-    reader = np.array(flat_readers, dtype=np.int64)[pos]
+    reader = pairs[pos] % n_bloggers
     keep = reader != owner[target[which]]
     which, reader = which[keep], reader[keep]
     p, t = target[which], access_ts[which]
@@ -200,12 +168,12 @@ def build_implicit_links(corpus: Corpus, window_hours: int = DEFAULT_WINDOW_HOUR
     pair, pos = expand_ranges(window_edge(t), window_edge(t + window))
     q, p = by_key[pos], p[pair]
     gap = upload[q] - t[pair]
-    first = np.lexsort((gap, url_rank[p], url_rank[q]))
+    first = np.lexsort((gap, p, q))
     q, p, gap = q[first], p[first], gap[first]
     new_pair = np.ones(len(q), dtype=bool)
     new_pair[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1])
     q, p, gap = q[new_pair], p[new_pair], gap[new_pair]
-    links = Links(urls, bloggers, url_rank[q], url_rank[p], owner[q], owner[p], gap,
+    links = Links(activity.urls, activity.bloggers, q, p, owner[q], owner[p], gap,
                   np.full(len(q), np.nan))
     return summarize_links(links, window_hours)
 
@@ -254,3 +222,41 @@ def read_links(path: str, max_gap: int, posts: Collection[str] | None = None) ->
 def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS,
                    posts: Collection[str] | None = None) -> ImplicitNetwork:
     return summarize_links(read_links(path, window_hours * 3600, posts), window_hours)
+
+
+# activity.tsv tags each name row with its table, so that no name (blank, opening
+# with "#", or shaped like a "[section]" line) can read back as anything but a row.
+_NAME_TABLES = ("url", "blogger", "ip", "theme")
+
+
+def write_activity(activity: Activity, path: str, header: str | None = None) -> None:
+    tables = (activity.urls, activity.bloggers, activity.ips, activity.themes)
+    artifacts.write_sections(path, header, {
+        "names": ((tag, name) for tag, names in zip(_NAME_TABLES, tables) for name in names),
+        "posts": activity.posts, "post_themes": activity.post_themes, "accesses": activity.accesses,
+    })
+
+
+def read_activity(path: str) -> Activity:
+    """The table of ``write_activity``; a malformed row, an untagged name, a name
+    table not strictly ascending or an index out of range raises ``FormatError``."""
+    sections = artifacts.read_sections(path, {
+        "names": [str, str], "posts": 3, "post_themes": 2, "accesses": 3,
+    })
+    tags, names = sections["names"]
+    tables = [list(compress(names, map(tag.__eq__, tags))) for tag in _NAME_TABLES]
+    if sum(map(len, tables)) < len(names):
+        raise FormatError(f"{path}: [names] has a row tagged none of {', '.join(_NAME_TABLES)}")
+    for tag, table in zip(_NAME_TABLES, tables):
+        if any(a >= b for a, b in zip(table, table[1:])):
+            raise FormatError(f"{path}: [names] needs each {tag} once, in ascending order")
+    urls, bloggers, ips, themes = tables
+    posts, post_themes, accesses = (sections[name] for name in ("posts", "post_themes", "accesses"))
+    if len(posts) != len(urls):
+        raise FormatError(f"{path}: [posts] has {len(posts)} rows for {len(urls)} urls")
+    for what, index, table in (("blogger", posts[:, 0], bloggers), ("IP", posts[:, 2], ips),
+                               ("post", accesses[:, 0], urls), ("IP", accesses[:, 1], ips),
+                               ("post", post_themes[:, 0], urls),
+                               ("theme", post_themes[:, 1], themes)):
+        artifacts.check_indices(path, what, index, len(table))
+    return Activity(urls, bloggers, ips, themes, posts, post_themes, accesses)

@@ -2,10 +2,11 @@
 experiment scripts and the test suite so every entry point agrees on it.
 
 Detection cleans the corpus, counts the posts' terms, builds the
-implicit ``Links`` table, fills its similarity column from the term
-counts, runs the forward and reversed bucket tests, and extracts the
-influence network.  The model stages after it, up to the recommendation
-benchmark, read the same term counts capped to the vocabulary.  Those
+implicit ``Links`` table from the cleaned ``Activity`` rows, fills its
+similarity column from the term counts, runs the forward and reversed
+bucket tests, and extracts the influence network.  The model stages
+after it, up to the recommendation benchmark, read the same term counts
+capped to the vocabulary.  Those
 stages exist here once; fits and recommenders are called through their
 modules (``factor.fit_iolap``, ...).
 """
@@ -26,7 +27,7 @@ from blogfluence.causality import (
     forward_z_test,
     reversed_z_test,
 )
-from blogfluence.corpus import CleaningRules, Corpus, clean_accesses
+from blogfluence.corpus import Activity, CleaningRules, Corpus, clean_accesses
 from blogfluence.implicit import ImplicitNetwork, build_implicit_links
 from blogfluence.textvec import PostTerms
 
@@ -65,7 +66,7 @@ def run_detection(
     """
     cleaned, _ = clean_accesses(corpus, CleaningRules(window_hours=window_hours))
     terms = build_vectors(cleaned)
-    net = build_implicit_links(cleaned, window_hours)
+    net = build_implicit_links(Activity.from_corpus(cleaned), window_hours)
     annotate_similarity(net.links, terms, vocab_max_size, min_tokens)
     rng = np.random.default_rng([seed, 1])
     forward = forward_z_test(net, rng, min_bucket_n)

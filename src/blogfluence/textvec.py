@@ -39,7 +39,6 @@ def tokenize(text: str) -> list[str]:
 class Vocabulary:
     terms: list[str]
     doc_freq: list[int]
-    index: dict[str, int]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -64,9 +63,8 @@ class PostTerms:
         """The ``max_size`` terms of highest document frequency, ties by term."""
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
-        terms = [t for t, _ in self.terms[:max_size]]
-        return Vocabulary(terms, [df for _, df in self.terms[:max_size]],
-                          {t: i for i, t in enumerate(terms)})
+        return Vocabulary([t for t, _ in self.terms[:max_size]],
+                          [df for _, df in self.terms[:max_size]])
 
     def capped(self, max_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The post, term and count columns of the entries whose term is in
@@ -120,13 +118,15 @@ def write_post_terms(counts: PostTerms, path: str, header: str | None = None) ->
 
 
 def read_post_terms(path: str) -> PostTerms:
-    sections = artifacts.read_sections(path, {"terms": (str, int), "posts": (str, str), "entries": 3})
+    sections = artifacts.read_sections(path, {"terms": [str, int], "posts": [str, str],
+                                              "entries": 3})
+    (terms, doc_freq), (urls, authors) = sections["terms"], sections["posts"]
     post, term, count = sections["entries"].T
-    artifacts.check_indices(path, "post", post, len(sections["posts"]))
-    artifacts.check_indices(path, "term", term, len(sections["terms"]))
+    artifacts.check_indices(path, "post", post, len(urls))
+    artifacts.check_indices(path, "term", term, len(terms))
     if (np.diff(post) < 0).any() or (count < 1).any():
         raise FormatError(f"{path}: [entries] needs post indices in order and counts >= 1")
-    urls = [url for url, _ in sections["posts"]]
     if any(a >= b for a, b in zip(urls, urls[1:])):
         raise FormatError(f"{path}: [posts] needs urls in strictly ascending order")
-    return PostTerms(**sections)
+    return PostTerms(list(zip(terms, doc_freq.tolist())), list(zip(urls, authors)),
+                     sections["entries"])

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from blogfluence.corpus import AccessRecord, BlogPost, Corpus
+from blogfluence.corpus import AccessRecord, Activity, BlogPost, Corpus
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, Vocabulary
 from blogfluence.topics import build_doc_term
@@ -31,6 +31,10 @@ def make_access(ip, ts, request, referrer=""):
 
 def make_corpus(posts, accesses):
     return Corpus.from_records(posts, accesses)
+
+
+def make_activity(posts, accesses=()):
+    return Activity.from_corpus(make_corpus(posts, accesses))
 
 
 def links_table(rows):

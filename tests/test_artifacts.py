@@ -17,7 +17,7 @@ from blogfluence.causality import (
     read_influence_tsv,
     write_zreport_tsv,
 )
-from blogfluence.corpus import FormatError
+from blogfluence.corpus import AccessRecord, Activity, BlogPost, Corpus, FormatError
 from blogfluence.factor import (
     InfluenceTensor,
     IolapModel,
@@ -32,7 +32,7 @@ from blogfluence.factor import (
     write_pcldc_model,
     write_tensor_tsv,
 )
-from blogfluence.implicit import read_links_tsv, write_links_tsv
+from blogfluence.implicit import read_activity, read_links_tsv, write_activity, write_links_tsv
 from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
 from blogfluence.textvec import (
     PostTerms,
@@ -97,10 +97,15 @@ ZREPORT = ZReport(
     ],
     5, 1,
 )
-VOCAB = Vocabulary(["alpha", "beta"], [3, 1], {"alpha": 0, "beta": 1})
+VOCAB = Vocabulary(["alpha", "beta"], [3, 1])
 POST_TERMS = PostTerms(
     [("beta", 2), ("alpha", 1), ("gamma", 1)], [("/ua/p1", "ua"), ("/ub/p1", "ub"), ("/ub/p2", "ub")],
     np.array([[0, 1, 2], [0, 0, 1], [1, 0, 3], [1, 2, 1]]),
+)
+ACTIVITY = Activity(
+    ["/ua/p1", "/ub/p1"], ["ua", "ub"], ["h1", "h2"], ["#tag", "diary"],
+    np.array([[0, 1220227200, 0], [1, 1220230800, 1]]), np.array([[0, 1], [1, 0], [1, 1]]),
+    np.array([[1, 0, 1220227100]]),
 )
 TRUTH = GroundTruth(
     {("/ub/q2", "/ua/p1"), ("/ua/q1", "/ub/p1")},
@@ -171,6 +176,12 @@ CASES = {
         "# h\n[terms]\nbeta\t2\nalpha\t1\ngamma\t1\n[posts]\n/ua/p1\tua\n/ub/p1\tub\n/ub/p2\tub\n"
         "[entries]\n0\t1\t2\n0\t0\t1\n1\t0\t3\n1\t2\t1\n",
     ),
+    "activity": (
+        ACTIVITY, write_activity, read_activity,
+        "# h\n[names]\nurl\t/ua/p1\nurl\t/ub/p1\nblogger\tua\nblogger\tub\nip\th1\nip\th2\n"
+        "theme\t#tag\ntheme\tdiary\n[posts]\n0\t1220227200\t0\n1\t1220230800\t1\n"
+        "[post_themes]\n0\t1\n1\t0\n1\t1\n[accesses]\n1\t0\t1220227100\n",
+    ),
     "truth": (TRUTH, write_truth_tsv, None, "# h\nq\tp\n/ua/q1\t/ub/p1\n/ub/q2\t/ua/p1\n"),
     "experts": (
         TRUTH, write_experts_tsv, None,
@@ -195,7 +206,7 @@ def test_post_terms_round_trip_keeps_int_columns_and_bracketed_urls(tmp_path):
     counts = PostTerms([("aa", 1)], [("[a]/p1", "ua"), ("[b]", "ub")], np.array([[1, 0, 4]]))
     write_post_terms(counts, tmp_path / "pt.tsv", "# h")
     loaded = read_post_terms(tmp_path / "pt.tsv")
-    assert loaded.posts == [["[a]/p1", "ua"], ["[b]", "ub"]]
+    assert loaded.posts == counts.posts and loaded.terms == counts.terms
     assert loaded.entries.dtype == np.int64 and loaded.entries.tolist() == [[1, 0, 4]]
     assert space(loaded, 1).vectors == {"[a]/p1": TermVector({}, 0), "[b]": TermVector({0: 4}, 4)}
 
@@ -288,6 +299,42 @@ def test_links_codec_round_trip(rows, tmp_path_factory):
     links = read_links_tsv(path)
     assert [tuple(link)[:5] for link in links.links] == rows
     write_links_tsv(links.links, path, "# h")
+    assert path.read_bytes() == text
+
+
+# Names that a one-field row could not carry: blank, a comment, a section line.
+_NAMES = st.one_of(_TEXT, st.sampled_from(["", " ", "#", "#x", "[x]", "[names]", "url"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(posts=st.lists(st.tuples(_NAMES, _NAMES, _NAMES, st.lists(_NAMES, max_size=3),
+                                st.integers(-2**40, 2**40)), max_size=10,
+                      unique_by=lambda post: post[0]),
+       reads=st.lists(st.tuples(_NAMES, st.integers(0, 12), st.integers(-2**40, 2**40)),
+                      max_size=12))
+def test_activity_round_trip(posts, reads, tmp_path_factory):
+    urls = [url for url, *_ in posts]
+    corpus = Corpus.from_records(
+        [BlogPost(ip, ts, user, url, "", "", "", tuple(themes))
+         for url, user, ip, themes, ts in posts],
+        # A read of a url that names no post is dropped.
+        [AccessRecord(ip, ts, urls[i] if i < len(urls) else "/nowhere", "")
+         for ip, i, ts in reads])
+    path = tmp_path_factory.mktemp("activity") / "a.tsv"
+    write_activity(Activity.from_corpus(corpus), path, "# h")
+    text = path.read_bytes()
+    activity = read_activity(path)
+    assert activity.urls == sorted(urls)
+    assert [(url, activity.bloggers[a], t, activity.ips[ip])
+            for url, (a, t, ip) in zip(activity.urls, activity.posts.tolist())
+            ] == [(url, user, ts, ip) for url, user, ip, _, ts in sorted(posts)]
+    themes = [[] for _ in urls]
+    for post, theme in activity.post_themes.tolist():
+        themes[post].append(activity.themes[theme])
+    assert themes == [list(themes) for _, _, _, themes, _ in sorted(posts)]
+    assert [(activity.ips[ip], activity.urls[p], t) for p, ip, t in activity.accesses.tolist()
+            ] == [(ip, urls[i], ts) for ip, i, ts in reads if i < len(urls)]
+    write_activity(activity, path, "# h")
     assert path.read_bytes() == text
 
 

@@ -19,7 +19,7 @@ from blogfluence.implicit import summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 
-from conftest import TermVector, links_table, post_terms
+from conftest import TermVector, links_table, make_activity, post_terms
 
 
 def _links(entries):
@@ -281,7 +281,7 @@ class TestRankShift:
             ),
             2,
         )
-        report = rank_shift_report(posts, net, influence)
+        report = rank_shift_report(make_activity(posts), net, influence)
         bloggers = {r.item: (r.rank_base, r.rank_influence) for r in report.bloggers}
         assert bloggers["ub"] == (1, 1)
 
@@ -302,7 +302,7 @@ class TestRankShift:
             ),
             2,
         )
-        report = rank_shift_report(posts, net, influence)
+        report = rank_shift_report(make_activity(posts), net, influence)
         themes = {r.item: r for r in report.themes}
         # influence posts carry only cooking and travel; games is absent
         assert themes["games"].rank_influence == 2 + 1
@@ -325,7 +325,7 @@ class TestRankShift:
             ),
             2,
         )
-        report = rank_shift_report(posts, net, influence)
+        report = rank_shift_report(make_activity(posts), net, influence)
         themes = {r.item: r for r in report.themes}
         assert themes["games"].rank_influence < themes["games"].rank_base
 

@@ -5,6 +5,7 @@ import pytest
 
 from blogfluence import textvec
 from blogfluence.cli import main
+from blogfluence.implicit import read_activity
 
 SYNTH_KEYS = """
 # small but complete pipeline configuration
@@ -229,11 +230,71 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_only_links_and_report_need_the_accesses(self, pipeline_copy, config_file):
-        (pipeline_copy / "clean_accesses.tsv").unlink()
+        (pipeline_copy / "activity.tsv").unlink()
         argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]
         assert main(["topics", *argv]) == 0
         assert main(["pcl", *argv]) == 0
         assert main(["links", *argv]) == 2
+        assert main(["report", *argv]) == 2
+
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated row", "expected 3 tab-separated fields, found 2"),
+        ("text in a column", "invalid literal for int()"),
+        ("blogger index", "blogger index 999 is outside"),
+        ("post IP index", "IP index 99999 is outside"),
+        ("theme index", "theme index 999 is outside"),
+        ("theme post index", "post index"),
+        ("access post index", "post index"),
+        ("access IP index", "IP index 99999 is outside"),
+        ("negative index", "post index -1 is outside"),
+        ("swapped urls", "needs each url once, in ascending order"),
+        ("repeated url", "needs each url once, in ascending order"),
+        ("unknown name table", "has a row tagged none of url, blogger, ip, theme"),
+        ("missing post row", "rows for"),
+    ])
+    def test_malformed_activity_is_1(self, pipeline_copy, config_file, capsys, damage, message):
+        path = pipeline_copy / "activity.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        url, post, theme, access = (lines.index(f"[{name}]") + 1 for name in (
+            "names", "posts", "post_themes", "accesses"))
+        n_posts = theme - 1 - post
+
+        def field(row, i, value):
+            fields = lines[row].split("\t")
+            fields[i] = value
+            lines[row] = "\t".join(fields)
+
+        if damage == "swapped urls":
+            lines[url], lines[url + 1] = lines[url + 1], lines[url]
+        elif damage == "repeated url":
+            lines[url + 1] = lines[url]
+        elif damage == "unknown name table":
+            field(url, 0, "page")
+        elif damage == "missing post row":
+            del lines[post]
+        elif damage == "truncated row":
+            lines[access] = lines[access].rsplit("\t", 1)[0]
+        else:
+            row, i, value = {
+                "text in a column": (post, 2, "noon"),
+                "blogger index": (post, 0, "999"),
+                "post IP index": (post, 2, "99999"),
+                "theme index": (theme, 1, "999"),
+                "theme post index": (theme, 0, str(n_posts)),
+                "access post index": (access, 0, str(n_posts)),
+                "access IP index": (access, 1, "99999"),
+                "negative index": (access, 0, "-1"),
+            }[damage]
+            field(row, i, value)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        for stage in ("links", "report"):
+            capsys.readouterr()
+            code = main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                         "--seed", "5"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(f"error: {path}") and message in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["truncated row", "term rank", "post order",
                                         "swapped urls", "repeated url"])
@@ -270,7 +331,7 @@ class TestExitCodes:
 
     def test_vector_stages_do_not_need_the_cleaned_posts(self, pipeline_copy, pipeline_dir,
                                                          config_file):
-        (pipeline_copy / "clean_posts.tsv").unlink()
+        (pipeline_copy / "activity.tsv").unlink()
         argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]
         assert main(["topics", *argv]) == 0
         assert (pipeline_copy / "plsa_model.tsv").read_bytes() == (
@@ -313,8 +374,7 @@ def test_posts_are_tokenized_once_per_run(tmp_path, config_file, monkeypatch):
     for stage in STAGES:
         assert main([stage, "--config", config_file, "--out-dir", str(tmp_path),
                      "--seed", "5"]) == 0
-    n_posts = sum(1 for line in (tmp_path / "clean_posts.tsv").read_text().splitlines()
-                  if not line.startswith("#"))
+    n_posts = len(read_activity(tmp_path / "activity.tsv").urls)
     assert calls.count(("count_terms", "ingest")) == 1
     assert calls.count(("tokenize", "ingest")) == n_posts
     assert len(calls) == 1 + n_posts

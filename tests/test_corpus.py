@@ -1,4 +1,4 @@
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from blogfluence.corpus import (
     AccessRecord,
+    Activity,
     BlogPost,
     CleaningRules,
     Corpus,
@@ -14,14 +15,16 @@ from blogfluence.corpus import (
     activity_histograms,
     clean_accesses,
     content_line,
+    format_apache_ts,
     normalize_url,
+    parse_apache_ts,
     parse_access_log,
     parse_content_file,
     parse_iso_ts,
 )
 from blogfluence.synth import SynthConfig, generate
 
-from conftest import BASE_TS, make_access, make_corpus, make_post
+from conftest import BASE_TS, make_access, make_activity, make_corpus, make_post
 
 
 CONTENT_LINE = (
@@ -57,7 +60,7 @@ class TestParseContent:
         assert len(posts) == 1 and report.n_skipped == 1
 
     def test_url_normalizing_to_empty_skipped(self):
-        # An empty url would not read back from clean_posts.tsv.
+        # A url that normalizes to "" names no post.
         bad = CONTENT_LINE.replace("/u1/a1", "foo://host")
         posts, report = parse_content_file([CONTENT_LINE, bad])
         assert [p.url for p in posts] == ["/u1/a1"] and report.n_skipped == 1
@@ -163,6 +166,61 @@ def test_access_round_trip(ts, path, referrer):
     assert once == twice == [rec]
 
 
+_MONTH_ABBR = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
+
+
+def _stamp(when, offset):
+    return (f"{when.day:02d}/{_MONTH_ABBR[when.month - 1]}/{when.year:04d}"
+            f":{when.hour:02d}:{when.minute:02d}:{when.second:02d} {offset}")
+
+
+def _oracle_parse_apache_ts(when, offset):
+    """The per-stamp datetime conversion that the day lookup replaced."""
+    sign = 1 if offset[0] == "+" else -1
+    return (int(when.replace(tzinfo=timezone.utc).timestamp())
+            - sign * (int(offset[1:3]) * 3600 + int(offset[3:]) * 60))
+
+
+# Instants on either side of month and year ends and of leap days, and
+# anywhere else.
+_EDGES = st.sampled_from([
+    datetime(2008, 2, 29), datetime(2008, 3, 1), datetime(2009, 1, 1), datetime(2000, 2, 29),
+    datetime(1900, 3, 1), datetime(2100, 3, 1), datetime(1970, 1, 1), datetime(2008, 10, 1),
+])
+_INSTANTS = st.one_of(
+    st.builds(lambda edge, s: edge + timedelta(seconds=s), _EDGES, st.integers(-90000, 90000)),
+    st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30)),
+).map(lambda when: when.replace(microsecond=0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(when=_INSTANTS, sign=st.sampled_from("+-"), oh=st.integers(0, 23), om=st.integers(0, 59))
+def test_apache_ts_day_lookup_matches_datetime(when, sign, oh, om):
+    offset = f"{sign}{oh:02d}{om:02d}"
+    text = _stamp(when, offset)
+    # The second call finds the day in the lookup.
+    assert parse_apache_ts(text) == parse_apache_ts(text) == _oracle_parse_apache_ts(when, offset)
+    utc = _oracle_parse_apache_ts(when, "+0000")
+    assert format_apache_ts(utc) == format_apache_ts(utc) == _stamp(when, "+0000")
+    assert parse_apache_ts(format_apache_ts(utc)) == utc
+
+
+@pytest.mark.parametrize("text", [
+    "31/Feb/2008:10:00:00 +0000", "29/Feb/2009:10:00:00 +0000", "29/Feb/1900:10:00:00 +0000",
+    "00/Sep/2008:10:00:00 +0000", "31/Sep/2008:10:00:00 +0000", "01/Sep/0000:10:00:00 +0000",
+    "01/Sep/2008:24:00:00 +0000", "01/Sep/2008:10:60:00 +0000", "01/Sep/2008:10:00:60 +0000",
+    "01/Sap/2008:10:00:00 +0000", "01/sep/2008:10:00:00 +0000", "1/Sep/2008:10:00:00 +0000",
+])
+def test_impossible_apache_ts_raises(text):
+    parse_apache_ts("01/Sep/2008:10:00:00 +0000")  # its day is in the lookup now
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_apache_ts(text)
+    line = ACCESS_LINE.replace("01/Sep/2008:10:30:00 +0000", text)
+    records, report = parse_access_log([ACCESS_LINE, line])
+    assert len(records) == 1 and report.n_skipped == 1
+
+
 class TestCleaning:
     def _corpus(self):
         posts = [
@@ -233,14 +291,14 @@ class TestHistograms:
     def test_hour_bin_counts(self):
         # 23:00 local with a +9h offset means 14:00 UTC
         posts = [make_post("u1", i, BASE_TS + i * 86400 + 14 * 3600) for i in range(3)]
-        report = activity_histograms(make_corpus(posts, []), tz_offset_hours=9)
+        report = activity_histograms(make_activity(posts), tz_offset_hours=9)
         assert report.posts_by_hour[23] == 3
         assert sum(report.posts_by_hour) == 3
         assert all(c == 0 for h, c in enumerate(report.posts_by_hour) if h != 23)
 
     def test_sunday_heavy_generator(self):
         corpus, _ = generate(SynthConfig(n_bloggers=60, n_days=21, seed=5))
-        report = activity_histograms(corpus, tz_offset_hours=9)
+        report = activity_histograms(Activity.from_corpus(corpus), tz_offset_hours=9)
         # direct count oracle over the generated timestamps
         oracle = [0] * 7
         for post in corpus.posts:
@@ -252,18 +310,32 @@ class TestHistograms:
     def test_per_blogger_stats(self):
         posts = [make_post("u1", i, BASE_TS + i * 3600) for i in range(3)]
         posts += [make_post("u2", i, BASE_TS + i * 3600) for i in range(7)]
-        report = activity_histograms(make_corpus(posts, []))
+        report = activity_histograms(make_activity(posts))
         assert report.posts_per_blogger_mean == 5.0
         assert report.posts_per_blogger_median == 5.0
 
     def test_totals_match_records(self):
         corpus, _ = generate(SynthConfig(n_bloggers=25, n_days=5, seed=3))
         cleaned, _ = clean_accesses(corpus, CleaningRules())
-        report = activity_histograms(cleaned)
+        report = activity_histograms(Activity.from_corpus(cleaned))
         assert sum(report.posts_by_hour) == len(cleaned.posts)
         assert sum(report.posts_by_weekday) == len(cleaned.posts)
         assert sum(report.accesses_by_hour) == len(cleaned.accesses)
         assert sum(report.accesses_by_weekday) == len(cleaned.accesses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(times=st.lists(st.integers(-2**35, 2**35), min_size=1, max_size=20),
+       tz=st.integers(-12, 14))
+def test_histograms_match_datetime(times, tz):
+    posts = [make_post(f"u{i % 3}", i, ts) for i, ts in enumerate(times)]
+    reads = [make_access("ip-u0", ts, posts[-1 - i].url) for i, ts in enumerate(times)]
+    report = activity_histograms(make_activity(posts, reads), tz_offset_hours=tz)
+    local = [datetime(1970, 1, 1) + timedelta(seconds=ts + tz * 3600) for ts in times]
+    hours = [sum(when.hour == h for when in local) for h in range(24)]
+    weekdays = [sum(when.weekday() == d for when in local) for d in range(7)]
+    assert report.posts_by_hour == report.accesses_by_hour == hours
+    assert report.posts_by_weekday == report.accesses_by_weekday == weekdays
 
 
 def test_duplicate_urls_dropped():

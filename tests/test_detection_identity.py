@@ -34,6 +34,7 @@ from blogfluence.causality import (
     extract_influence,
     make_coins,
 )
+from blogfluence.corpus import Activity
 from blogfluence.factor import blogger_content_matrix, build_influence_tensor
 from blogfluence.implicit import build_implicit_links, link_counts, link_posts, summarize_links
 from blogfluence.pipeline import run_detection
@@ -116,6 +117,20 @@ CLI_MODEL_INPUT_DIGESTS = {
     "tensor.tsv": "a0dd836fa323cd813112bf4c284986af59f490f2857456c27fd281512b56c853",
     "pcldc_model.tsv": "6e7b855a56baddfef642219abd5c62a868121d2d9087fd8e2b56c9238ddc5c5b",
 }
+# sha256 of the synthetic logs, the post terms and the activity histograms
+# at the same config and seed, recorded while the cleaned logs were still
+# written back out as text and re-parsed by links and report.
+CLI_ACTIVITY_DIGESTS = {
+    "posts.tsv": "2deb72586384598e5c890a4ebce8b2d541d3759779bf5fc1ca7cfb1cebbef8da",
+    "access.log": "de41d6ec930c05a5a4f4b63887e29a2a0ca9d4dbec6af7b7f9d27b661b3a9245",
+    "post_terms.tsv": "d07708a86a5dc83310598b13d2495b4b078e503121070e2496572381226acbc8",
+    "report/hist_access_hour.tsv": "2af8ba8abbe209180a736b3b937b622828376155707e4dc3cef41281b887ba69",
+    "report/hist_access_weekday.tsv": "aea32fbf6588bea0e24cf4086187fd5b5f7d010f08a3a5a914a9c6a1c6665c5b",
+    "report/hist_posts_hour.tsv": "e626bf1b3ac8c12f2b366287e6ed32d08f8db825ed8ab51d11c720d5b28f0d8a",
+    "report/hist_posts_per_blogger.tsv":
+        "cae3964bf9d5895cf8c47465275e93f576e26ed30685d8a6909adb15397d0770",
+    "report/hist_posts_weekday.tsv": "9edf454f3532252812ea27ff60e361df416ba898670c7c491b39f710b5c01c07",
+}
 
 
 def _sha(lines):
@@ -180,7 +195,7 @@ def test_cli_link_artifacts_digest(tmp_path):
     for stage in ("synth", "ingest", "links", "causality", "influence", "topics", "split",
                   "tensor", "pcldc", "report"):
         assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "17"]) == 0
-    for pinned in (CLI_LINK_DIGESTS, CLI_MODEL_INPUT_DIGESTS):
+    for pinned in (CLI_LINK_DIGESTS, CLI_MODEL_INPUT_DIGESTS, CLI_ACTIVITY_DIGESTS):
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
         assert digests == pinned
 
@@ -202,26 +217,27 @@ def cosine(u, v):
 
 
 def build_vocabulary(docs, max_size):
-    """The ``max_size`` terms of highest document frequency, ties broken by term."""
+    """The ``max_size`` terms of highest document frequency, ties broken by
+    term, and each term's rank."""
     df = Counter()
     for tokens in docs:
         df.update(set(tokens))
     ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
     terms = [t for t, _ in ranked]
-    return Vocabulary(terms, [c for _, c in ranked], {t: i for i, t in enumerate(terms)})
+    return Vocabulary(terms, [c for _, c in ranked]), {t: i for i, t in enumerate(terms)}
 
 
-def vectorize(tokens, vocab):
+def vectorize(tokens, index):
     """Counts of the in-vocabulary tokens, keyed in order of first occurrence."""
-    entries = {vocab.index[tok]: n for tok, n in Counter(tokens).items() if tok in vocab.index}
+    entries = {index[tok]: n for tok, n in Counter(tokens).items() if tok in index}
     return TermVector(entries, sum(entries.values()))
 
 
 def build_vectors(posts, max_size):
     """Tokenize every post, build the capped vocabulary, vectorize each post."""
     token_lists = {post.url: tokenize(post.body) for post in posts}
-    vocab = build_vocabulary((token_lists[post.url] for post in posts), max_size)
-    vectors = {url: vectorize(tokens, vocab) for url, tokens in sorted(token_lists.items())}
+    vocab, index = build_vocabulary((token_lists[post.url] for post in posts), max_size)
+    vectors = {url: vectorize(tokens, index) for url, tokens in sorted(token_lists.items())}
     return vocab, vectors
 
 
@@ -389,7 +405,7 @@ def test_implicit_links_match_oracle_with_shared_ips():
     ]
     corpus = make_corpus(posts, accesses)
     for window in (1, 12):
-        got = build_implicit_links(corpus, window).links
+        got = build_implicit_links(Activity.from_corpus(corpus), window).links
         want = _oracle_links(corpus, window)
         assert len(want) > 50
         assert list(got) == want
@@ -446,7 +462,6 @@ def test_post_terms_space_matches_per_post_vectorize(bodies, shuffle, cap):
     for got in (space(counts, cap), space(stored, cap)):
         assert got.vocab.terms == vocab.terms
         assert got.vocab.doc_freq == vocab.doc_freq
-        assert got.vocab.index == vocab.index
         assert list(got.vectors) == list(vectors)
         for url, vec in vectors.items():
             assert list(got.vectors[url].entries.items()) == list(vec.entries.items())

@@ -9,56 +9,56 @@ from blogfluence.implicit import (
     summarize_links,
 )
 
-from conftest import BASE_TS, links_table, make_access, make_corpus, make_post
+from conftest import BASE_TS, links_table, make_access, make_activity, make_post
 
 
-def _two_blogger_corpus(accesses):
+def _two_blogger_activity(accesses):
     posts = [
         make_post("ua", 0, BASE_TS + 50 * 3600, ip="ha"),
         make_post("ub", 0, BASE_TS + 10 * 3600, ip="hb"),
     ]
-    return make_corpus(posts, accesses)
+    return make_activity(posts, accesses)
 
 
 class TestBuildLinks:
     def test_basic_gap(self):
         # ua clicks /ub/p0 90 minutes before uploading /ua/p0
-        corpus = _two_blogger_corpus(
+        activity = _two_blogger_activity(
             [make_access("ha", BASE_TS + 50 * 3600 - 5400, "/ub/p0")]
         )
-        net = build_implicit_links(corpus)
+        net = build_implicit_links(activity)
         [link] = net.links
         assert (link.q, link.p) == ("/ua/p0", "/ub/p0")
         assert (link.reader, link.author) == ("ua", "ub")
         assert link.gap_seconds == 5400
 
     def test_gap_beyond_window_excluded(self):
-        corpus = _two_blogger_corpus(
+        activity = _two_blogger_activity(
             [make_access("ha", BASE_TS + 50 * 3600 - 13 * 3600, "/ub/p0")]
         )
-        assert len(build_implicit_links(corpus, window_hours=12).links) == 0
+        assert len(build_implicit_links(activity, window_hours=12).links) == 0
 
     def test_gap_exactly_window_included(self):
-        corpus = _two_blogger_corpus(
+        activity = _two_blogger_activity(
             [make_access("ha", BASE_TS + 50 * 3600 - 12 * 3600, "/ub/p0")]
         )
-        [link] = build_implicit_links(corpus, window_hours=12).links
+        [link] = build_implicit_links(activity, window_hours=12).links
         assert link.gap_seconds == 12 * 3600
 
     def test_own_post_click_excluded(self):
-        corpus = _two_blogger_corpus(
+        activity = _two_blogger_activity(
             [make_access("ha", BASE_TS + 50 * 3600 - 3600, "/ua/p0")]
         )
-        assert len(build_implicit_links(corpus).links) == 0
+        assert len(build_implicit_links(activity).links) == 0
 
     def test_duplicate_clicks_keep_min_gap(self):
-        corpus = _two_blogger_corpus(
+        activity = _two_blogger_activity(
             [
                 make_access("ha", BASE_TS + 50 * 3600 - 7200, "/ub/p0"),
                 make_access("ha", BASE_TS + 50 * 3600 - 1800, "/ub/p0"),
             ]
         )
-        [link] = build_implicit_links(corpus).links
+        [link] = build_implicit_links(activity).links
         assert link.gap_seconds == 1800
 
 
