@@ -3,10 +3,12 @@
 An artifact is UTF-8 text: an optional ``# blogfluence ...`` header line,
 then either plain rows (an optional column-name line, then tab-separated
 rows) or ``[section]`` blocks of rows.  Blank and ``#`` lines are skipped
-on reading.  Floats are written as ``repr(float(x))``, which reads back to
-the same float64.  Readers take one converter per field (``int``,
-``float``, ``str``); a row with another field count, or a field its
-converter rejects, raises ``FormatError`` naming the file and the line.
+on reading, so writing a row that would read back as one, or as a
+``[section]`` line, raises ``FormatError``.  Floats are written as
+``repr(float(x))``, which reads back to the same float64.  Readers take
+one converter per field (``int``, ``float``, ``str``); a row with another
+field count, or a field its converter rejects, raises ``FormatError``
+naming the file and the line.
 A section of integer fields only can be written from and read back into
 one int64 array.  Plain rows can be written from one list or int64 array
 per column, and plain rows or a section of string and integer fields read
@@ -18,7 +20,7 @@ from __future__ import annotations
 import io
 import re
 from contextlib import suppress
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,20 +41,41 @@ def _line(row: Sequence) -> str:
     ]) + "\n"
 
 
+# After a newline, a line that reads back as blank, as a comment or as "[section]".
+_UNREADABLE = re.compile(r"\n(?:[^\S\n]*\n|#|\[[^\t\n]*\]\n)")
+
+
+def _readable(path, lines: str) -> str:
+    """``lines`` (whole lines), unless one of them would not read back as a row."""
+    bad = _UNREADABLE.search("\n" + lines)
+    if bad:
+        first = lines[bad.start():].split("\n", 1)[0].split("\t", 1)[0]
+        raise FormatError(f"{path}: cannot write a row that opens with {first!r}: it would "
+                          "read back as a blank, comment or [section] line")
+    return lines
+
+
 def _write(path: str | Path, header: str | None, blocks) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        for title, rows in blocks:
-            if title:
-                fh.write(title + "\n")
-            if isinstance(rows, str):  # lines joined already
-                fh.write(rows)
-            elif isinstance(rows, np.ndarray):  # integer columns: one format for the block
-                fh.write(("\t".join(["%d"] * rows.shape[1]) + "\n") * len(rows)
-                         % tuple(rows.ravel().tolist()))
-            else:
-                fh.writelines(map(_line, rows))
+    """Write the blocks; a refused row raises ``FormatError`` and removes the file."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            if header:
+                fh.write(header + "\n")
+            for title, rows in blocks:
+                if title:
+                    fh.write(title + "\n")
+                if isinstance(rows, str):  # lines joined already
+                    fh.write(_readable(path, rows))
+                elif isinstance(rows, np.ndarray):  # integer columns: one format for the block
+                    fh.write(("\t".join(["%d"] * rows.shape[1]) + "\n") * len(rows)
+                             % tuple(rows.ravel().tolist()))
+                else:
+                    lines = map(_line, rows)
+                    while chunk := "".join(islice(lines, 4096)):
+                        fh.write(_readable(path, chunk))
+    except FormatError:
+        Path(path).unlink()
+        raise
 
 
 def write_rows(path: str | Path, header: str | None, rows: Iterable[Sequence],

@@ -489,8 +489,12 @@ def _solve_membership_rows(alpha: np.ndarray, cost: np.ndarray, y_old: np.ndarra
         mid = 0.5 * (lo + hi)
         h = (a / (mid + c)).sum(axis=1, keepdims=True)
         too_big = h > 1.0
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
+        new_lo = np.where(too_big, mid, lo)
+        new_hi = np.where(too_big, hi, mid)
+        # The brackets are the whole state: a step that moves neither is the fixed point.
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     lam = 0.5 * (lo + hi)
     rows = np.where(act, a / (lam + c), 0.0)
     rows /= rows.sum(axis=1, keepdims=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain
 
 import numpy as np
 
@@ -275,17 +276,23 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     # everything its author read within the copy gap before it.  Sources
     # are always uploaded (and finalized) earlier, because read targets
     # predate the reading post's whole window.
+    # Each reading blogger's history as (access ts, target post index) columns.
+    history = {
+        b: np.fromiter(chain.from_iterable(reads), np.int64, 2 * len(reads)).reshape(-1, 2).T
+        for b, reads in reads_by_blogger.items()
+    }
     pairs: set[tuple[str, str]] = set()
     for post in posts:
         if cfg.experts_per_group_topic and is_expert[post.blogger]:
             continue
         if rng.random() >= cfg.copy_prob:
             continue
-        history = reads_by_blogger.get(post.blogger, ())
-        eligible = [r for r in history if 0 < post.ts - r[0] <= copy_gap_max]
-        if not eligible:
+        read_ts, read_target = history[post.blogger]  # the read pass saw every non-expert
+        gap = post.ts - read_ts
+        eligible = np.flatnonzero((gap > 0) & (gap <= copy_gap_max))
+        if not eligible.size:
             continue
-        _, source_idx = eligible[int(rng.integers(len(eligible)))]
+        source_idx = int(read_target[eligible[int(rng.integers(eligible.size))]])
         n_replace = int(round(cfg.copy_fraction * len(post.tokens)))
         if n_replace > 0:
             positions = rng.choice(len(post.tokens), size=n_replace, replace=False)

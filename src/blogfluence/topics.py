@@ -76,12 +76,46 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """Sum the rows of an (n, K) array into (size, K) by target row index.
 
     One ``bincount`` per column: the same sums, in the same order, as
-    ``np.add.at`` into zeros, at a fraction of its cost.
+    ``np.add.at`` into zeros, at a fraction of its cost.  Pass the
+    transpose of a K-major (K, n) array, so each column is a contiguous row.
     """
     out = np.empty((size, rows.shape[1]))
     for k in range(rows.shape[1]):
         out[:, k] = np.bincount(index, weights=rows[:, k], minlength=size)
     return out
+
+
+def row_sum(columns: np.ndarray) -> np.ndarray:
+    """``columns.T.sum(axis=1)`` of a (K, n) array, bit for bit.
+
+    numpy sums each contiguous row of length K of an (n, K) array in
+    sequence below 8; up to 128 it keeps 8 accumulators
+    ``r_j = a[j] + a[j+8] + ...``, adds them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the rest in sequence;
+    above 128 it splits the row at a multiple of 8 and adds the halves
+    (``tests/test_topics.py`` checks this against numpy).  The
+    accumulators are built in turn, so at most a few length-n temporaries
+    are live.
+    """
+    k = len(columns)
+    if k < 8:
+        return columns.sum(axis=0)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return row_sum(columns[:half]) + row_sum(columns[half:])
+    m = k - k % 8
+
+    def acc(j: int) -> np.ndarray:
+        return columns[j] if m == 8 else columns[j:m:8].sum(axis=0)
+
+    total = acc(0) + acc(1)
+    total += acc(2) + acc(3)
+    right = acc(4) + acc(5)
+    right += acc(6) + acc(7)
+    total += right
+    for rest in columns[m:]:
+        total += rest
+    return total
 
 
 def fit_plsa(
@@ -113,17 +147,22 @@ def fit_plsa(
     doc_topic = rng.dirichlet(np.ones(n_topics), size=n_docs)  # D x K
     rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
 
+    def joint_of(doc_topic: np.ndarray, word_topic: np.ndarray) -> np.ndarray:
+        # K x nnz: P(t|d) P(w|t) per nonzero, gathered from (K, D) and (K, V) copies
+        joint = np.take(doc_topic.T, rows, axis=1)
+        joint *= np.take(word_topic, cols, axis=1)
+        return joint
+
     trace: list[float] = []
     prev = None
     for _ in range(max_iter):
-        joint = doc_topic[rows]  # nnz x K, multiplied and then weighted in place
-        joint *= word_topic[:, cols].T
-        prob = joint.sum(axis=1)
+        joint = joint_of(doc_topic, word_topic)  # weighted in place below
+        prob = row_sum(joint)
         loglik = float(counts @ np.log(prob))
         trace.append(loglik)
-        joint *= (counts / prob)[:, None]
-        term_mass = scatter_rows(cols, joint, n_terms)  # V x K
-        doc_mass = scatter_rows(rows, joint, n_docs)  # D x K
+        joint *= counts / prob
+        term_mass = scatter_rows(cols, joint.T, n_terms)  # V x K
+        doc_mass = scatter_rows(rows, joint.T, n_docs)  # D x K
         topic_totals = term_mass.sum(axis=0)
         word_topic = (term_mass / np.maximum(topic_totals, 1e-300)).T
         doc_topic = doc_mass / doc_term.doc_totals[:, None]
@@ -131,8 +170,7 @@ def fit_plsa(
             break
         prev = loglik
 
-    joint = doc_topic[rows] * word_topic[:, cols].T
-    final = float(counts @ np.log(joint.sum(axis=1)))
+    final = float(counts @ np.log(row_sum(joint_of(doc_topic, word_topic))))
     trace.append(final)
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after PLSA fit")

@@ -2,6 +2,7 @@
 readers, and malformed rows raising FormatError with file and line."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -424,3 +425,66 @@ def test_matrix_rows_must_match_the_given_labels():
     assert labels == ["ua", "uz"] and matrix.tolist() == [[0.5], [0.5]]
     with pytest.raises(FormatError, match="column -1 is negative"):
         artifacts.labelled_matrix([["ua", 0, 0.5], ["ua", -1, 0.5]])
+
+
+# name -> write(artifact whose first row opens with the name, path): each writer
+# whose rows can open with a blogger, url or term name.
+NAMED_WRITERS = {
+    "tensor": lambda bad, p: write_tensor_tsv(replace(TENSOR, bloggers=[bad, "ub"]), p, "# h"),
+    "iolap": lambda bad, p: write_iolap_model(replace(IOLAP, bloggers=[bad, "ub"]), p, "# h"),
+    "pcldc": lambda bad, p: write_pcldc_model(replace(PCLDC, nodes=[bad, "ub"]), p, "# h"),
+    "pcl": lambda bad, p: write_pcl_model(replace(PCL, nodes=[bad, "ub"]), p, "# h"),
+    "train": lambda bad, p: write_split(TrainTestSplit({(bad, "ua"): 1}, [], [bad, "ua"]),
+                                        p, p.with_suffix(".test"), "# h"),
+    "test": lambda bad, p: write_split(TrainTestSplit({}, [(bad, "uc", frozenset())], []),
+                                       p.with_suffix(".train"), p, "# h"),
+    "links": lambda bad, p: write_links_tsv(links_table([(bad, "/ub/p1", "ua", "ub", 60)]), p,
+                                            "# h"),
+    "vocab": lambda bad, p: write_vocabulary(Vocabulary([bad, "beta"], [3, 1]), p, "# h"),
+    "post_terms": lambda bad, p: write_post_terms(
+        PostTerms([("beta", 2)], [(bad, "ua")], np.zeros((0, 3), np.int64)), p, "# h"),
+    "experts": lambda bad, p: write_experts_tsv(GroundTruth(set(), {bad: {0: ("ux",)}}), p,
+                                                "# h"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_WRITERS))
+def test_writer_refuses_a_row_that_reads_back_as_a_comment(name, tmp_path):
+    path = tmp_path / "a.tsv"
+    with pytest.raises(FormatError) as info:
+        NAMED_WRITERS[name]("#a", path)
+    assert str(path) in str(info.value) and "'#a'" in str(info.value)
+    assert not path.exists()  # no truncated artifact is left behind
+    NAMED_WRITERS[name]("a#", path)  # a "#" inside a name is written
+    assert "a#" in path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad", ["", "  ", "\x0b", "\u3000", "#", "[a]", "[]", "[a b]"])
+def test_one_field_row_refused_as_blank_comment_or_section(bad, tmp_path):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(FormatError, match="would read back as a blank, comment or"):
+        write_tensor_tsv(replace(TENSOR, bloggers=["ua", bad]), path, "# h")
+    with pytest.raises(FormatError):
+        artifacts.write_rows(path, None, [("ua",), (bad,)], ("name",))
+    with pytest.raises(FormatError):
+        artifacts.write_columns(path, None, ("name",), [["ua", bad]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(names=st.lists(st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+            max_size=4),
+    st.sampled_from(["#", "[", "]", " ", "\x1c", "\u2028"]).flatmap(
+        lambda c: st.text(st.sampled_from(c + "a[]"), max_size=3).map(c.__add__)),
+), min_size=1, max_size=6, unique=True))
+def test_names_are_refused_or_read_back(names, tmp_path_factory):
+    path = tmp_path_factory.mktemp("names") / "t.tsv"
+    tensor = InfluenceTensor(names, 1, *(np.zeros(0, np.int64),) * 3, np.zeros(0))
+    unreadable = [n for n in names if not n.strip() or n[0] == "#"
+                  or (n[0] == "[" and n[-1] == "]")]
+    if unreadable:
+        with pytest.raises(FormatError):
+            write_tensor_tsv(tensor, path, "# h")
+    else:
+        write_tensor_tsv(tensor, path, "# h")
+        assert read_tensor_tsv(path).bloggers == names

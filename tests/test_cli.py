@@ -229,6 +229,29 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("user_id, stage, name", [
+        ("#a", "split", "train.tsv"),  # would read back as a comment
+        ("  ", "tensor", "tensor.tsv"),  # a one-field [bloggers] row would read back as blank
+    ])
+    def test_name_that_reads_back_as_no_row_is_1(self, pipeline_copy, config_file, capsys,
+                                                 user_id, stage, name):
+        posts = pipeline_copy / "posts.tsv"
+        author = posts.read_text(encoding="utf-8").split("\n")[1].split("\t")[2]
+        posts.write_text(posts.read_text(encoding="utf-8").replace(f"\t{author}\t",
+                                                                   f"\t{user_id}\t"),
+                         encoding="utf-8")
+        argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]
+        for upstream in ("ingest", "links", "causality", "influence", "split"):
+            if upstream == stage:
+                break
+            assert main([upstream, *argv]) == 0, upstream
+        capsys.readouterr()
+        assert main([stage, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pipeline_copy / name}: ") and repr(user_id) in err
+        assert "Traceback" not in err
+        assert not (pipeline_copy / name).exists()
+
     def test_only_links_and_report_need_the_accesses(self, pipeline_copy, config_file):
         (pipeline_copy / "activity.tsv").unlink()
         argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]

@@ -117,6 +117,10 @@ CLI_MODEL_INPUT_DIGESTS = {
     "tensor.tsv": "a0dd836fa323cd813112bf4c284986af59f490f2857456c27fd281512b56c853",
     "pcldc_model.tsv": "6e7b855a56baddfef642219abd5c62a868121d2d9087fd8e2b56c9238ddc5c5b",
 }
+# sha256 of plsa_model.tsv at the same config and seed but n_topics = 8, where
+# numpy sums each nonzero's K topic terms pairwise; recorded from the
+# (nnz, K) EM loop, before its per-nonzero arrays became topic-major.
+CLI_PLSA_K8_DIGEST = "c011004e4a3905a602cc1f5f8bd15c24966d61722e4410c1fc1bbd893e290453"
 # sha256 of the synthetic logs, the post terms and the activity histograms
 # at the same config and seed, recorded while the cleaned logs were still
 # written back out as text and re-parsed by links and report.
@@ -198,6 +202,10 @@ def test_cli_link_artifacts_digest(tmp_path):
     for pinned in (CLI_LINK_DIGESTS, CLI_MODEL_INPUT_DIGESTS, CLI_ACTIVITY_DIGESTS):
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
         assert digests == pinned
+    k8 = tmp_path / "k8.cfg"
+    k8.write_text(PIPELINE_CONFIG.replace("\nn_topics = 2\n", "\nn_topics = 8\n"))
+    assert main(["topics", "--config", str(k8), "--out-dir", str(out), "--seed", "17"]) == 0
+    assert hashlib.sha256((out / "plsa_model.tsv").read_bytes()).hexdigest() == CLI_PLSA_K8_DIGEST
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from blogfluence.factor import (
     BloggerGraph,
+    _solve_membership_rows,
     InfluenceTensor,
     blogger_content_matrix,
     build_influence_tensor,
@@ -497,6 +498,52 @@ class TestPcl:
                 pcl.memberships, pcl.popularity
             )
         assert held_out_gap / 3 >= 0.0
+
+
+def solve_membership_rows_100_steps(alpha, cost, y_old):
+    """``factor._solve_membership_rows`` as it was before its bisection stopped
+    at the fixed point: always 100 steps.  The oracle of the test below."""
+    y = y_old.copy()
+    totals = alpha.sum(axis=1)
+    live = np.flatnonzero(totals > 0)
+    if live.size == 0:
+        return y
+    a = alpha[live]
+    tot = totals[live][:, None]
+    act = a > tot * 1e-15
+    a = np.where(act, a, 0.0)
+    c = np.where(act, cost[live], np.inf)
+    cmin = c.min(axis=1, keepdims=True)
+    near_min = c <= cmin + 1e-12 * (1.0 + np.abs(cmin))
+    mass_at_min = (a * near_min).sum(axis=1, keepdims=True)
+    lo = -cmin + 0.5 * mass_at_min
+    hi = -cmin + tot
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        h = (a / (mid + c)).sum(axis=1, keepdims=True)
+        too_big = h > 1.0
+        lo = np.where(too_big, mid, lo)
+        hi = np.where(too_big, hi, mid)
+    lam = 0.5 * (lo + hi)
+    rows = np.where(act, a / (lam + c), 0.0)
+    rows /= rows.sum(axis=1, keepdims=True)
+    y[live] = rows
+    return y
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_membership_bisection_stops_at_the_100_step_answer(seed):
+    rng = np.random.default_rng(seed)
+    n, k = 40, 1 + seed
+    alpha = rng.random((n, k)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    alpha[rng.random((n, k)) < 0.3] = 0.0  # zero mass entries and whole rows
+    alpha[0] = 1e-20  # entries below the row total's 1e-15 get no mass
+    alpha[0, 0] = 1.0
+    cost = rng.random((n, k)) * 10.0 ** rng.integers(-2, 3, size=(n, 1))
+    cost[2] = cost[2, 0]  # one cost for the whole row: all near the minimum
+    y_old = rng.dirichlet(np.ones(k), size=n)
+    got = _solve_membership_rows(alpha, cost, y_old)
+    assert np.array_equal(got, solve_membership_rows_100_steps(alpha, cost, y_old))
 
 
 class TestModelRoundTrips:

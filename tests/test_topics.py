@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blogfluence.topics import (
+    DocTermMatrix,
+    row_sum,
     scatter_rows,
     fit_plsa,
     read_topic_model,
@@ -146,3 +150,80 @@ def test_scatter_rows_bit_identical_to_add_at():
     assert got.shape == (52, 8)
     assert np.array_equal(got, expected)
     assert not got[7].any()
+
+
+# --------------------------------------------------------------------------
+# the topic-major E-step against the (nnz, K) loop it replaced
+
+
+def fit_plsa_nnz_major(doc_term, n_topics, max_iter, tol, seed):
+    """The EM loop over an (nnz, K) array, as ``fit_plsa`` ran it before its
+    per-nonzero arrays became topic-major; the oracle of the tests below."""
+    rng = np.random.default_rng(seed)
+    n_docs, n_terms = doc_term.n_docs, doc_term.n_terms
+    word_topic = rng.dirichlet(np.ones(n_terms), size=n_topics)
+    doc_topic = rng.dirichlet(np.ones(n_topics), size=n_docs)
+    rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
+    trace, prev = [], None
+    for _ in range(max_iter):
+        joint = doc_topic[rows]
+        joint *= word_topic[:, cols].T
+        prob = joint.sum(axis=1)
+        loglik = float(counts @ np.log(prob))
+        trace.append(loglik)
+        joint *= (counts / prob)[:, None]
+        term_mass = scatter_rows(cols, joint, n_terms)
+        doc_mass = scatter_rows(rows, joint, n_docs)
+        topic_totals = term_mass.sum(axis=0)
+        word_topic = (term_mass / np.maximum(topic_totals, 1e-300)).T
+        doc_topic = doc_mass / doc_term.doc_totals[:, None]
+        if prev is not None and abs(loglik - prev) <= tol * abs(prev):
+            break
+        prev = loglik
+    joint = doc_topic[rows] * word_topic[:, cols].T
+    trace.append(float(counts @ np.log(joint.sum(axis=1))))
+    p_t = (doc_term.doc_totals[:, None] * doc_topic).sum(axis=0) / doc_term.doc_totals.sum()
+    return word_topic, p_t, doc_topic, trace
+
+
+def _random_doc_term(seed, n_docs, n_terms, density):
+    """Counts from 1 to 5 at random (document, term) cells, at least one per document."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_docs, n_terms)) < density
+    mask[np.arange(n_docs), rng.integers(n_terms, size=n_docs)] = True
+    rows, cols = np.nonzero(mask)
+    counts = rng.integers(1, 6, size=rows.size).astype(np.float64)
+    return DocTermMatrix(
+        doc_ids=[f"d{d}" for d in range(n_docs)], n_terms=n_terms, rows=rows, cols=cols,
+        counts=counts, doc_totals=np.bincount(rows, weights=counts, minlength=n_docs),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_topics=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 129]),
+    seed=st.integers(0, 2**32 - 1),
+    extra_docs=st.integers(0, 20),
+    n_terms=st.integers(1, 40),
+    density=st.floats(0.0, 0.6),
+    max_iter=st.integers(1, 6),
+    tol=st.sampled_from([0.0, 1e-7, 1e-2]),
+)
+def test_fit_plsa_is_bit_identical_to_the_nnz_major_loop(n_topics, seed, extra_docs, n_terms,
+                                                       density, max_iter, tol):
+    dt = _random_doc_term(seed, n_topics + extra_docs, n_terms, density)
+    model = fit_plsa(dt, n_topics, max_iter=max_iter, tol=tol, seed=seed)
+    word_topic, p_t, doc_topic, trace = fit_plsa_nnz_major(dt, n_topics, max_iter, tol, seed)
+    assert np.array_equal(model.p_w_given_t, word_topic)
+    assert np.array_equal(model.p_t, p_t)
+    assert np.array_equal(model.p_t_given_d, doc_topic)
+    assert model.loglik_trace == trace
+
+
+def test_row_sum_is_numpys_row_sum():
+    rng = np.random.default_rng(13)
+    for k in range(1, 301):
+        rows = rng.standard_normal((9, k)) * 10.0 ** rng.integers(-8, 9, size=(9, k))
+        got = row_sum(np.ascontiguousarray(rows.T))
+        assert np.array_equal(got, rows.sum(axis=1)), k
+        assert got.base is None, k  # a new array: fit_plsa scales its input in place next
