@@ -95,6 +95,8 @@ class PipelineConfig:
             raise ConfigError("tau_hours cannot exceed window_hours")
         if self.vocab_max_size < 1 or self.top_n < 1 or self.n_topics < 1:
             raise ConfigError("vocab_max_size, top_n, n_topics must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.plsa_docs not in ("influence", "all"):
             raise ConfigError("plsa_docs must be 'influence' or 'all'")
 
@@ -242,7 +244,10 @@ def _load_influence_links(cfg: PipelineConfig, terms: PostTerms | None = None
 # subcommands
 
 def cmd_synth(cfg: PipelineConfig, args) -> int:
-    corpus, truth = synth.generate(replace(cfg.synth, seed=cfg.seed))
+    try:
+        corpus, truth = synth.generate(replace(cfg.synth, seed=cfg.seed))
+    except synth.SynthesisError as exc:
+        raise ConfigError(f"synth: {exc}") from exc
     header = _header(cfg, "synth")
     artifacts.write_rows(_path(cfg, "posts.tsv"), header, zip(map(content_line, corpus.posts)))
     artifacts.write_rows(_path(cfg, "access.log"), header, zip(map(access_line, corpus.accesses)))

@@ -171,7 +171,7 @@ def _iolap_e_step(tensor: InfluenceTensor, pairs, z_n, core, x_fac, y_fac, *, fr
     x_rows = xi * (ys @ core.reshape(n_i, n_j * n_k).T)
     y_rows = yj * np.einsum("pbc,pc->pb", xg, s)
     z_num = scatter_rows(tensor.term, (w_z * v_n).T, tensor.n_terms) if free_z else None
-    return (float(tensor.counts @ np.log(prob)), (xi.T @ ys).reshape(core.shape),
+    return (float((tensor.counts * np.log(prob)).sum()), (xi.T @ ys).reshape(core.shape),
             scatter_rows(pi, x_rows, tensor.n_bloggers),
             scatter_rows(pj, y_rows, tensor.n_bloggers), z_num)
 
@@ -278,7 +278,7 @@ def fit_iolap(
             break
         prev = loglik
 
-    final = float(tensor.counts @ np.log(_iolap_prob(pairs, z_n, core, x_fac, y_fac)[0]))
+    final = float((tensor.counts * np.log(_iolap_prob(pairs, z_n, core, x_fac, y_fac)[0])).sum())
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after final step")
     trace.append(final)

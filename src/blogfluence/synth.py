@@ -11,14 +11,44 @@ window even opens, and the read-to-upload gap is drawn independently of
 the target.  With no copying this makes similarity exactly independent
 of the gap, so the time-shuffle null holds by construction; copying then
 couples the two only through the planted pairs.
+
+The law, draw by draw.  Each pass draws its randomness as arrays from
+one seeded ``Generator``; the stream, not the law, depends on how the
+draws are batched.
+
+- Topics and bloggers: each topic's word distribution mixes a Dirichlet
+  over its own vocabulary slice with a Dirichlet background; each
+  blogger's topic mixture is a flat Dirichlet, except that a planted
+  expert puts 0.9 on its topic.  Reader -> author weights are
+  ``exp(confounder_strength * cosine(mixtures))``, zero on self.
+- Posts: each blogger writes Poisson(``posts_per_blogger_rate * n_days``)
+  posts.  A post's day and hour are drawn by the weekday and hour
+  profiles, its minute and second uniformly, its topic from its
+  blogger's mixture, and its ``tokens_per_post`` tokens iid from that
+  topic's word distribution.
+- Reads: each post of a non-expert draws Poisson(``reads_per_post_rate``)
+  reads by its author, each at a gap uniform in [60 s, window] before the
+  post, of a target uploaded before the window opens.  With planted
+  experts, a read first takes the expert path with ``expert_read_prob``:
+  the expert is uniform among the reader's personal experts for the
+  post's topic that have an available post.  Otherwise, or when none
+  has, up to 8 confounder rounds draw an author by the reader's author
+  weights; then up to 8 fallback rounds draw a post uniformly among all
+  those available and keep it unless the reader wrote it; then the read
+  is dropped.  In every round the target is uniform among the chosen
+  author's available posts.
+- Copies: each post of a non-expert copies with ``copy_prob``, from a
+  source uniform among its author's reads within ``copy_gap_max_hours``
+  before it (it copies nothing when there is none).  The copy replaces
+  ``round(copy_fraction * tokens_per_post)`` distinct positions with
+  tokens drawn uniformly from the source as it stands after its own copy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass, field
-from datetime import datetime
-from itertools import chain
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -32,6 +62,7 @@ DEFAULT_HOUR_PROFILE = (
 )
 # Monday..Sunday, Sunday-heavy.
 DEFAULT_WEEKDAY_PROFILE = (0.95, 0.9, 0.9, 0.95, 1.0, 1.25, 1.55)
+_ROUNDS = 8  # confounder rounds, then as many uniform-fallback rounds
 
 
 class SynthesisError(ValueError):
@@ -64,32 +95,49 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.copy_prob <= 1.0:
-            raise ValueError("copy_prob must be in [0, 1]")
+        at_least = {
+            "n_bloggers": 2, "n_days": 1, "n_topics": 1, "copy_gap_max_hours": 1,
+            "tokens_per_post": 1, "n_groups": 1, "experts_per_group_topic": 0,
+            "experts_read_per_member": 1, "read_window_hours": 1, "seed": 0,
+        }
+        for name, low in at_least.items():
+            if getattr(self, name) < low:
+                raise SynthesisError(f"{name} must be >= {low}")
         for name in ("posts_per_blogger_rate", "reads_per_post_rate", "confounder_strength"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise SynthesisError(f"{name} must be finite and >= 0")
+        for name in ("copy_prob", "copy_fraction", "topic_sharpness", "expert_read_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise SynthesisError(f"{name} must be in [0, 1]")
         if self.vocab_size < self.n_topics:
-            raise ValueError("vocab_size must be >= n_topics")
-        if not 0.0 <= self.copy_fraction <= 1.0:
-            raise ValueError("copy_fraction must be in [0, 1]")
+            raise SynthesisError("vocab_size must be >= n_topics")
+        if not -24 < self.tz_offset_hours < 24:
+            raise SynthesisError("tz_offset_hours must be in (-24, 24)")
         if len(self.hour_profile) != 24 or len(self.weekday_profile) != 7:
-            raise ValueError("hour_profile needs 24 weights, weekday_profile 7")
+            raise SynthesisError("hour_profile needs 24 weights, weekday_profile 7")
+        for name in ("hour_profile", "weekday_profile"):
+            if not all(0 <= w < math.inf for w in getattr(self, name)):
+                raise SynthesisError(f"{name} weights must be finite and >= 0")
+        try:  # a date whose posts and reads stay within the years 1..9999
+            start = datetime.fromisoformat(self.start_date + "T00:00:00+00:00")
+            start - timedelta(hours=self.read_window_hours + 24)
+            start + timedelta(days=self.n_days + 1)
+        except (ValueError, OverflowError) as exc:
+            raise SynthesisError(f"start_date must be a date YYYY-MM-DD in range: {exc}") from None
+        weekday = start.weekday()
+        days = range(min(self.n_days, 7))
+        if not sum(self.hour_profile) > 0 or not sum(
+                self.weekday_profile[(weekday + d) % 7] for d in days) > 0:
+            raise SynthesisError("the hour and weekday profiles need weight on some drawn slot")
+        n_slots = self.n_groups * self.n_topics * self.experts_per_group_topic
+        if n_slots > self.n_bloggers // 2:
+            raise SynthesisError("expert slots exceed half the blogger population")
 
 
 @dataclass
 class GroundTruth:
     influence_pairs: set[tuple[str, str]]  # (q url, p url) copy events
     member_expert_map: dict[str, dict[int, tuple[str, ...]]] = field(default_factory=dict)
-
-
-@dataclass
-class _Post:
-    blogger: int
-    url: str
-    ts: int
-    topic: int
-    tokens: np.ndarray
 
 
 def _topic_word_dists(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
@@ -107,226 +155,207 @@ def _topic_word_dists(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """The table ``Generator.choice(len(p), p=p)`` builds on every call.
-
-    ``cdf.searchsorted(rng.random(size), side="right")`` then draws what
-    that ``choice`` call would, from the same stream; for one draw,
-    ``bisect_right(cdf.tolist(), rng.random())`` is the same index.
-    """
+    """The normalised CDF of the weights ``p``, which ends at exactly 1.0:
+    ``cdf.searchsorted(u, side="right")`` for ``u`` uniform on [0, 1) draws
+    index i with probability ``p[i] / p.sum()``."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
 
 
+def _row_cdfs(weights: np.ndarray) -> np.ndarray:
+    """Each row's normalised CDF plus the row index, laid end to end: one
+    ascending array that ``_draw_rows`` searches for every row at once."""
+    cdf = weights.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    cdf += np.arange(len(cdf))[:, None]
+    return cdf.ravel()
+
+
+def _draw_rows(flat_cdf: np.ndarray, n_cols: int, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A column drawn by weight from each ``row`` of ``_row_cdfs``, given
+    uniforms ``u`` on [0, 1).  ``row + u`` can round up to ``row + 1``,
+    which is clamped below it so that the draw stays in its row."""
+    x = np.minimum(row + u, np.nextafter(row + 1.0, 0.0))
+    return flat_cdf.searchsorted(x, side="right") - row * n_cols
+
+
 def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     """Build a corpus and its planted ground truth from one seeded stream."""
     rng = np.random.default_rng(cfg.seed)
-    n_expert_slots = cfg.n_groups * cfg.n_topics * cfg.experts_per_group_topic
-    if cfg.experts_per_group_topic and n_expert_slots > cfg.n_bloggers // 2:
-        raise SynthesisError("expert slots exceed half the blogger population")
-
+    n_bloggers, n_topics, n_tokens = cfg.n_bloggers, cfg.n_topics, cfg.tokens_per_post
     terms = [f"w{i:04d}" for i in range(cfg.vocab_size)]
     topic_word = _topic_word_dists(rng, cfg)
-    blogger_ids = [f"u{b:04d}" for b in range(cfg.n_bloggers)]
+    blogger_ids = [f"u{b:04d}" for b in range(n_bloggers)]
+    ips = [f"ip{b:04d}" for b in range(n_bloggers)]
 
-    # The first n_expert_slots bloggers become experts, laid out as
-    # (group, topic, slot); everyone else is an ordinary member.
-    expert_of: dict[tuple[int, int], tuple[int, ...]] = {}
-    is_expert = np.zeros(cfg.n_bloggers, dtype=bool)
-    expert_topic = {}
-    slot = 0
-    if cfg.experts_per_group_topic:
-        for g in range(cfg.n_groups):
-            for t in range(cfg.n_topics):
-                ids = tuple(range(slot, slot + cfg.experts_per_group_topic))
-                expert_of[(g, t)] = ids
-                for e in ids:
-                    is_expert[e] = True
-                    expert_topic[e] = t
-                slot += cfg.experts_per_group_topic
-    group = np.array([b % cfg.n_groups for b in range(cfg.n_bloggers)])
+    # The first n_slots bloggers become experts, laid out as (group,
+    # topic, slot); everyone else is an ordinary member of group b % n_groups.
+    per_slot = cfg.experts_per_group_topic
+    n_slots = cfg.n_groups * n_topics * per_slot
+    is_expert = np.arange(n_bloggers) < n_slots
+    group = np.arange(n_bloggers) % cfg.n_groups
 
-    mixtures = rng.dirichlet(np.ones(cfg.n_topics), size=cfg.n_bloggers)
-    for b in range(cfg.n_bloggers):
-        if is_expert[b]:
-            peak = np.full(cfg.n_topics, 0.1 / max(cfg.n_topics - 1, 1))
-            peak[expert_topic[b]] = 0.9
-            mixtures[b] = peak
+    mixtures = rng.dirichlet(np.ones(n_topics), size=n_bloggers)
+    if n_slots:
+        mixtures[:n_slots] = 0.1 / max(n_topics - 1, 1)
+        mixtures[np.arange(n_slots), np.arange(n_slots) // per_slot % n_topics] = 0.9
 
-    # similarity-biased reader -> author weights, zero on self
+    # Similarity-biased reader -> author weights, zero on self.  Each row
+    # is scaled so that its largest weight is 1, which keeps the row sums
+    # finite and positive at any confounder strength.
     norms = np.linalg.norm(mixtures, axis=1, keepdims=True)
     sim = (mixtures @ mixtures.T) / (norms * norms.T)
-    author_weights = np.exp(cfg.confounder_strength * sim)
+    np.fill_diagonal(sim, 0.0)  # cosines of nonnegative mixtures are >= 0
+    author_weights = np.exp(cfg.confounder_strength * (sim - sim.max(axis=1, keepdims=True)))
     np.fill_diagonal(author_weights, 0.0)
-    author_cum = author_weights.cumsum(axis=1)
 
+    # -- posts ------------------------------------------------------------
     base_utc = parse_iso_ts(cfg.start_date + "T00:00:00Z") - cfg.tz_offset_hours * 3600
     start_weekday = datetime.fromisoformat(cfg.start_date).weekday()
-    day_w = np.array(
-        [cfg.weekday_profile[(start_weekday + d) % 7] for d in range(cfg.n_days)], dtype=float
-    )
-    day_w /= day_w.sum()
+    day_w = np.array([cfg.weekday_profile[(start_weekday + d) % 7] for d in range(cfg.n_days)])
     hour_w = np.asarray(cfg.hour_profile, dtype=float)
-    hour_w /= hour_w.sum()
 
-    day_cdf, hour_cdf = _choice_cdf(day_w).tolist(), _choice_cdf(hour_w).tolist()
-    topic_cdf = [_choice_cdf(row) for row in topic_word]
-    mixture_cdf = [_choice_cdf(row).tolist() for row in mixtures]
-    posts: list[_Post] = []
-    for b in range(cfg.n_bloggers):
-        n_posts = int(rng.poisson(cfg.posts_per_blogger_rate * cfg.n_days))
-        for serial in range(n_posts):
-            day = bisect_right(day_cdf, rng.random())
-            hour = bisect_right(hour_cdf, rng.random())
-            minute, second = int(rng.integers(60)), int(rng.integers(60))
-            ts = base_utc + day * 86400 + hour * 3600 + minute * 60 + second
-            topic = bisect_right(mixture_cdf[b], rng.random())
-            tokens = topic_cdf[topic].searchsorted(rng.random(cfg.tokens_per_post), side="right")
-            posts.append(_Post(b, f"/u{b:04d}/p{serial}", ts, topic, tokens))
-    if not posts:
+    per_blogger = rng.poisson(cfg.posts_per_blogger_rate * cfg.n_days, size=n_bloggers)
+    n_posts = int(per_blogger.sum())
+    if not n_posts:
         raise SynthesisError("configuration produced zero posts")
-    posts.sort(key=lambda p: (p.ts, p.url))
+    blogger = np.repeat(np.arange(n_bloggers), per_blogger)
+    serial = np.arange(n_posts) - np.repeat(per_blogger.cumsum() - per_blogger, per_blogger)
+    day = _choice_cdf(day_w).searchsorted(rng.random(n_posts), side="right")
+    hour = _choice_cdf(hour_w).searchsorted(rng.random(n_posts), side="right")
+    minute, second = rng.integers(60, size=(2, n_posts))
+    ts = base_utc + day * 86400 + hour * 3600 + minute * 60 + second
+    topic = _draw_rows(_row_cdfs(mixtures), n_topics, blogger, rng.random(n_posts))
+    tokens = _draw_rows(_row_cdfs(topic_word), cfg.vocab_size, topic[:, None],
+                        rng.random((n_posts, n_tokens)))
 
-    # Sorted upload times per author and overall; bisect_left on them
-    # counts the posts uploaded before a cutoff.
-    by_author_times: list[list[int]] = [[] for _ in range(cfg.n_bloggers)]
-    by_author_idx: list[list[int]] = [[] for _ in range(cfg.n_bloggers)]
-    for idx, post in enumerate(posts):
-        by_author_times[post.blogger].append(post.ts)
-        by_author_idx[post.blogger].append(idx)
-    all_times = [p.ts for p in posts]
-    author_cum_rows = list(author_cum)
+    # Upload order: by time, then url.  ``post_rank`` ranks the url strings.
+    urls = np.array([f"/u{b:04d}/p{s}" for b, s in zip(blogger.tolist(), serial.tolist())])
+    post_rank = np.unique(urls, return_inverse=True)[1]
+    order = np.lexsort((post_rank, ts))
+    blogger, ts, topic, tokens = blogger[order], ts[order], topic[order], tokens[order]
+    urls, post_rank = urls[order].tolist(), post_rank[order]
 
-    # personal expert subsets: which of the group's experts a member reads
-    personal: dict[tuple[int, int], tuple[int, ...]] = {}
-    if cfg.experts_per_group_topic:
-        n_pick = min(cfg.experts_read_per_member, cfg.experts_per_group_topic)
-        for b in range(cfg.n_bloggers):
-            if is_expert[b]:
-                continue
-            for t in range(cfg.n_topics):
-                pool = expert_of[(int(group[b]), t)]
-                picks = rng.choice(len(pool), size=n_pick, replace=False)
-                personal[(b, t)] = tuple(pool[int(i)] for i in sorted(picks))
+    # -- reads ------------------------------------------------------------
+    # Each author's posts in upload order, under int64 keys that sort by
+    # (author, time): ``n_before`` counts an author's posts before a cutoff,
+    # and ``uniform_post`` draws one of them.
+    t0, span = int(ts[0]), int(ts[-1] - ts[0]) + 1
+    by_author = np.argsort(blogger, kind="stable")
+    n_own = np.bincount(blogger, minlength=n_bloggers)
+    author_start = n_own.cumsum() - n_own
+    author_key = blogger[by_author] * span + (ts[by_author] - t0)
 
-    def pick_author_post(author: int, cutoff: int) -> int | None:
-        n_avail = bisect_left(by_author_times[author], cutoff)
-        if n_avail == 0:
-            return None
-        return by_author_idx[author][int(rng.integers(n_avail))]
+    def n_before(author: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
+        key = author * span + np.clip(cutoff - t0, 0, span)
+        return author_key.searchsorted(key) - author_start[author]
+
+    def uniform_post(author: np.ndarray, n_avail: np.ndarray) -> np.ndarray:
+        """A post uniform among the first ``n_avail`` (>= 1) of each author's."""
+        return by_author[author_start[author] + rng.integers(n_avail)]
 
     window = cfg.read_window_hours * 3600
-    copy_gap_max = cfg.copy_gap_max_hours * 3600
-    accesses: list[AccessRecord] = []
-    reads_by_blogger: dict[int, list[tuple[int, int]]] = {}
+    reading = np.flatnonzero(~is_expert[blogger])  # planted experts are read, they do not read
+    read_post = np.repeat(reading, rng.poisson(cfg.reads_per_post_rate, size=reading.size))
+    n_reads = read_post.size
+    reader = blogger[read_post]
+    cutoff = ts[read_post] - window  # targets predate the whole link window
+    read_ts = ts[read_post] - rng.integers(60, window + 1, size=n_reads)
+    target = np.full(n_reads, -1)
+    pending = np.arange(n_reads)
 
-    # First pass: reads.  Each post draws reads for its author inside the
-    # link window before it; the pooled per-author read history is what
-    # copies later select from.
-    for post in posts:
-        reader = post.blogger
-        if cfg.experts_per_group_topic and is_expert[reader]:
-            continue  # planted experts are read, they do not read
-        cutoff = post.ts - window  # targets predate the whole link window
-        n_reads = int(rng.poisson(cfg.reads_per_post_rate))
-        reads: list[tuple[int, int]] = []  # (access ts, target post index)
-        for _ in range(n_reads):
-            gap = int(rng.integers(60, window + 1))
-            target = None
-            if cfg.experts_per_group_topic and rng.random() < cfg.expert_read_prob:
-                pool = personal[(reader, post.topic)]
-                order = rng.permutation(len(pool))
-                for i in order:
-                    target = pick_author_post(pool[int(i)], cutoff)
-                    if target is not None:
-                        break
-            if target is None:
-                cum = author_cum_rows[reader]
-                for _ in range(8):
-                    author = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
-                    target = pick_author_post(author, cutoff)
-                    if target is not None:
-                        break
-            if target is None:
-                n_avail = bisect_left(all_times, cutoff)
-                for _ in range(8):
-                    if n_avail == 0:
-                        break
-                    cand = int(rng.integers(n_avail))
-                    if posts[cand].blogger != reader:
-                        target = cand
-                        break
-            if target is None:
-                continue
-            reads.append((post.ts - gap, target))
+    if n_slots:
+        # personal[b, t]: the experts of (b's group, t) that member b reads
+        n_pick = min(cfg.experts_read_per_member, per_slot)
+        picks = np.argsort(rng.random((n_bloggers, n_topics, per_slot)), axis=2)[:, :, :n_pick]
+        first_slot = (group[:, None] * n_topics + np.arange(n_topics)) * per_slot
+        personal = first_slot[:, :, None] + picks
+        expert_reads = np.flatnonzero(rng.random(n_reads) < cfg.expert_read_prob)
+        pool = personal[reader[expert_reads], topic[read_post[expert_reads]]]
+        avail = n_before(pool, cutoff[expert_reads, None])
+        is_open = avail > 0
+        n_open = is_open.sum(axis=1)
+        kth = rng.integers(np.maximum(n_open, 1))  # the open expert each read takes
+        col = (is_open.cumsum(axis=1) <= kth[:, None]).sum(axis=1)
+        rows = np.flatnonzero(n_open)
+        col = col[rows]
+        target[expert_reads[rows]] = uniform_post(pool[rows, col], avail[rows, col])
+        pending = np.flatnonzero(target < 0)
 
-        reads_by_blogger.setdefault(reader, []).extend(reads)
-        ip = f"ip{reader:04d}"
-        for ts_read, target in reads:
-            accesses.append(
-                AccessRecord(
-                    hashed_ip=ip,
-                    access_ts=ts_read,
-                    request=posts[target].url,
-                    referrer="",
-                )
-            )
+    author_cdf = _row_cdfs(author_weights)
+    for _ in range(_ROUNDS):
+        if pending.size:
+            author = _draw_rows(author_cdf, n_bloggers, reader[pending], rng.random(pending.size))
+            n_avail = n_before(author, cutoff[pending])
+            ok = n_avail > 0
+            target[pending[ok]] = uniform_post(author[ok], n_avail[ok])
+            pending = pending[~ok]
+    n_any = ts.searchsorted(cutoff[pending])  # posts uploaded before the cutoff
+    pending, n_any = pending[n_any > 0], n_any[n_any > 0]
+    for _ in range(_ROUNDS):
+        if pending.size:
+            cand = rng.integers(n_any)
+            ok = blogger[cand] != reader[pending]
+            target[pending[ok]] = cand[ok]
+            pending, n_any = pending[~ok], n_any[~ok]
+    kept = target >= 0
+    reader, read_ts, target = reader[kept], read_ts[kept], target[kept]
 
-    # Second pass, in upload order: a copying post picks uniformly among
-    # everything its author read within the copy gap before it.  Sources
-    # are always uploaded (and finalized) earlier, because read targets
-    # predate the reading post's whole window.
-    # Each reading blogger's history as (access ts, target post index) columns.
-    history = {
-        b: np.fromiter(chain.from_iterable(reads), np.int64, 2 * len(reads)).reshape(-1, 2).T
-        for b, reads in reads_by_blogger.items()
-    }
+    # -- copies, in upload order -------------------------------------------
+    # A source was uploaded before its reader's window opened, so before
+    # the copying post: applying copies in upload order copies each source
+    # as it stands after its own copy.
     pairs: set[tuple[str, str]] = set()
-    for post in posts:
-        if cfg.experts_per_group_topic and is_expert[post.blogger]:
-            continue
-        if rng.random() >= cfg.copy_prob:
-            continue
-        read_ts, read_target = history[post.blogger]  # the read pass saw every non-expert
-        gap = post.ts - read_ts
-        eligible = np.flatnonzero((gap > 0) & (gap <= copy_gap_max))
-        if not eligible.size:
-            continue
-        source_idx = int(read_target[eligible[int(rng.integers(eligible.size))]])
-        n_replace = int(round(cfg.copy_fraction * len(post.tokens)))
-        if n_replace > 0:
-            positions = rng.choice(len(post.tokens), size=n_replace, replace=False)
-            source_tokens = posts[source_idx].tokens
-            post.tokens[positions] = source_tokens[
-                rng.integers(len(source_tokens), size=n_replace)
-            ]
-        pairs.add((post.url, posts[source_idx].url))
+    copier = reading[rng.random(reading.size) < cfg.copy_prob]
+    if copier.size and reader.size:
+        copy_gap_max = cfg.copy_gap_max_hours * 3600
+        lo_t = min(int(read_ts.min()), int(ts[0]) - copy_gap_max)
+        r_span = max(int(read_ts.max()), int(ts[-1])) - lo_t + 1
+        history = np.lexsort((read_ts, reader))  # each reader's reads, in time order
+        read_key = reader[history] * r_span + (read_ts[history] - lo_t)
+        q_key = blogger[copier] * r_span + (ts[copier] - lo_t)
+        first = read_key.searchsorted(q_key - copy_gap_max)  # read at or after q - gap max
+        n_eligible = read_key.searchsorted(q_key) - first  # ... and before q
+        copying = n_eligible > 0
+        copier, first, n_eligible = copier[copying], first[copying], n_eligible[copying]
+        source = target[history[first + rng.integers(np.maximum(n_eligible, 1))]]
+        n_replace = int(round(cfg.copy_fraction * n_tokens))
+        positions = np.argsort(rng.random((copier.size, n_tokens)), axis=1)[:, :n_replace]
+        drawn = rng.integers(n_tokens, size=(copier.size, n_replace))
+        for q, p, pos, take in zip(copier.tolist(), source.tolist(), positions, drawn):
+            tokens[q, pos] = tokens[p, take]
+            pairs.add((urls[q], urls[p]))
 
-    accesses.sort(key=lambda a: (a.access_ts, a.hashed_ip, a.request))
+    # -- records ------------------------------------------------------------
+    ip_rank = np.unique(np.array(ips), return_inverse=True)[1]
+    order = np.lexsort((post_rank[target], ip_rank[reader], read_ts))
+    accesses = [
+        AccessRecord(hashed_ip=ips[r], access_ts=t, request=urls[p], referrer="")
+        for r, t, p in zip(reader[order].tolist(), read_ts[order].tolist(), target[order].tolist())
+    ]
     blog_posts = [
         BlogPost(
-            hashed_ip=f"ip{p.blogger:04d}",
-            upload_ts=p.ts,
-            user_id=blogger_ids[p.blogger],
-            url=p.url,
-            title=f"post {p.url}",
-            blog_name=f"blog-{blogger_ids[p.blogger]}",
-            body=" ".join([terms[t] for t in p.tokens.tolist()]),
-            themes=(f"t{p.topic}",),
+            hashed_ip=ips[b],
+            upload_ts=t,
+            user_id=blogger_ids[b],
+            url=url,
+            title=f"post {url}",
+            blog_name=f"blog-{blogger_ids[b]}",
+            body=" ".join(map(terms.__getitem__, row)),
+            themes=(f"t{k}",),
         )
-        for p in posts
+        for b, t, url, k, row in zip(blogger.tolist(), ts.tolist(), urls, topic.tolist(),
+                                     tokens.tolist())
     ]
     corpus = Corpus.from_records(blog_posts, accesses)
 
     expert_map: dict[str, dict[int, tuple[str, ...]]] = {}
-    if cfg.experts_per_group_topic:
-        for b in range(cfg.n_bloggers):
-            if is_expert[b]:
-                continue
-            expert_map[blogger_ids[b]] = {
-                t: tuple(blogger_ids[e] for e in expert_of[(int(group[b]), t)])
-                for t in range(cfg.n_topics)
-            }
+    for b in range(n_slots, n_bloggers if n_slots else 0):  # the members
+        expert_map[blogger_ids[b]] = {
+            t: tuple(blogger_ids[first_slot[b, t]:first_slot[b, t] + per_slot])
+            for t in range(n_topics)
+        }
     return corpus, GroundTruth(influence_pairs=pairs, member_expert_map=expert_map)
 
 

@@ -158,7 +158,7 @@ def fit_plsa(
     for _ in range(max_iter):
         joint = joint_of(doc_topic, word_topic)  # weighted in place below
         prob = row_sum(joint)
-        loglik = float(counts @ np.log(prob))
+        loglik = float((counts * np.log(prob)).sum())  # numpy's pairwise sum, not BLAS
         trace.append(loglik)
         joint *= counts / prob
         term_mass = scatter_rows(cols, joint.T, n_terms)  # V x K
@@ -170,7 +170,7 @@ def fit_plsa(
             break
         prev = loglik
 
-    final = float(counts @ np.log(row_sum(joint_of(doc_topic, word_topic))))
+    final = float((counts * np.log(row_sum(joint_of(doc_topic, word_topic)))).sum())
     trace.append(final)
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after PLSA fit")

@@ -1,9 +1,19 @@
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from datetime import datetime
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from blogfluence.corpus import AccessRecord, Activity, BlogPost, Corpus
+from blogfluence.corpus import AccessRecord, Activity, BlogPost, Corpus, parse_iso_ts
+from blogfluence.synth import (
+    GroundTruth,
+    SynthConfig,
+    SynthesisError,
+    _choice_cdf,
+    _topic_word_dists,
+)
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, Vocabulary
 from blogfluence.topics import build_doc_term
@@ -103,3 +113,227 @@ def doc_term(docs, n_terms):
 @pytest.fixture
 def hour():
     return 3600
+
+
+# --------------------------------------------------------------------------
+# The per-record synthetic generator that ``synth.generate`` replaced: it
+# draws the same law from a different random stream, and is kept as the
+# oracle the array generator's summaries are checked against.
+
+@dataclass
+class _Post:
+    blogger: int
+    url: str
+    ts: int
+    topic: int
+    tokens: np.ndarray
+
+
+def generate_per_record(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
+    """The per-record generator: scalar draws per post and per read, with
+    the retries drawn one at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    terms = [f"w{i:04d}" for i in range(cfg.vocab_size)]
+    topic_word = _topic_word_dists(rng, cfg)
+    blogger_ids = [f"u{b:04d}" for b in range(cfg.n_bloggers)]
+
+    # The first n_groups * n_topics * experts_per_group_topic bloggers
+    # become experts, laid out as (group, topic, slot); everyone else is an
+    # ordinary member.
+    expert_of: dict[tuple[int, int], tuple[int, ...]] = {}
+    is_expert = np.zeros(cfg.n_bloggers, dtype=bool)
+    expert_topic = {}
+    slot = 0
+    if cfg.experts_per_group_topic:
+        for g in range(cfg.n_groups):
+            for t in range(cfg.n_topics):
+                ids = tuple(range(slot, slot + cfg.experts_per_group_topic))
+                expert_of[(g, t)] = ids
+                for e in ids:
+                    is_expert[e] = True
+                    expert_topic[e] = t
+                slot += cfg.experts_per_group_topic
+    group = np.array([b % cfg.n_groups for b in range(cfg.n_bloggers)])
+
+    mixtures = rng.dirichlet(np.ones(cfg.n_topics), size=cfg.n_bloggers)
+    for b in range(cfg.n_bloggers):
+        if is_expert[b]:
+            peak = np.full(cfg.n_topics, 0.1 / max(cfg.n_topics - 1, 1))
+            peak[expert_topic[b]] = 0.9
+            mixtures[b] = peak
+
+    # similarity-biased reader -> author weights, zero on self
+    norms = np.linalg.norm(mixtures, axis=1, keepdims=True)
+    sim = (mixtures @ mixtures.T) / (norms * norms.T)
+    author_weights = np.exp(cfg.confounder_strength * sim)
+    np.fill_diagonal(author_weights, 0.0)
+    author_cum = author_weights.cumsum(axis=1)
+
+    base_utc = parse_iso_ts(cfg.start_date + "T00:00:00Z") - cfg.tz_offset_hours * 3600
+    start_weekday = datetime.fromisoformat(cfg.start_date).weekday()
+    day_w = np.array(
+        [cfg.weekday_profile[(start_weekday + d) % 7] for d in range(cfg.n_days)], dtype=float
+    )
+    day_w /= day_w.sum()
+    hour_w = np.asarray(cfg.hour_profile, dtype=float)
+    hour_w /= hour_w.sum()
+
+    day_cdf, hour_cdf = _choice_cdf(day_w).tolist(), _choice_cdf(hour_w).tolist()
+    topic_cdf = [_choice_cdf(row) for row in topic_word]
+    mixture_cdf = [_choice_cdf(row).tolist() for row in mixtures]
+    posts: list[_Post] = []
+    for b in range(cfg.n_bloggers):
+        n_posts = int(rng.poisson(cfg.posts_per_blogger_rate * cfg.n_days))
+        for serial in range(n_posts):
+            day = bisect_right(day_cdf, rng.random())
+            hour = bisect_right(hour_cdf, rng.random())
+            minute, second = int(rng.integers(60)), int(rng.integers(60))
+            ts = base_utc + day * 86400 + hour * 3600 + minute * 60 + second
+            topic = bisect_right(mixture_cdf[b], rng.random())
+            tokens = topic_cdf[topic].searchsorted(rng.random(cfg.tokens_per_post), side="right")
+            posts.append(_Post(b, f"/u{b:04d}/p{serial}", ts, topic, tokens))
+    if not posts:
+        raise SynthesisError("configuration produced zero posts")
+    posts.sort(key=lambda p: (p.ts, p.url))
+
+    # Sorted upload times per author and overall; bisect_left on them
+    # counts the posts uploaded before a cutoff.
+    by_author_times: list[list[int]] = [[] for _ in range(cfg.n_bloggers)]
+    by_author_idx: list[list[int]] = [[] for _ in range(cfg.n_bloggers)]
+    for idx, post in enumerate(posts):
+        by_author_times[post.blogger].append(post.ts)
+        by_author_idx[post.blogger].append(idx)
+    all_times = [p.ts for p in posts]
+    author_cum_rows = list(author_cum)
+
+    # personal expert subsets: which of the group's experts a member reads
+    personal: dict[tuple[int, int], tuple[int, ...]] = {}
+    if cfg.experts_per_group_topic:
+        n_pick = min(cfg.experts_read_per_member, cfg.experts_per_group_topic)
+        for b in range(cfg.n_bloggers):
+            if is_expert[b]:
+                continue
+            for t in range(cfg.n_topics):
+                pool = expert_of[(int(group[b]), t)]
+                picks = rng.choice(len(pool), size=n_pick, replace=False)
+                personal[(b, t)] = tuple(pool[int(i)] for i in sorted(picks))
+
+    def pick_author_post(author: int, cutoff: int) -> int | None:
+        n_avail = bisect_left(by_author_times[author], cutoff)
+        if n_avail == 0:
+            return None
+        return by_author_idx[author][int(rng.integers(n_avail))]
+
+    window = cfg.read_window_hours * 3600
+    copy_gap_max = cfg.copy_gap_max_hours * 3600
+    accesses: list[AccessRecord] = []
+    reads_by_blogger: dict[int, list[tuple[int, int]]] = {}
+
+    # First pass: reads.  Each post draws reads for its author inside the
+    # link window before it; the pooled per-author read history is what
+    # copies later select from.
+    for post in posts:
+        reader = post.blogger
+        if cfg.experts_per_group_topic and is_expert[reader]:
+            continue  # planted experts are read, they do not read
+        cutoff = post.ts - window  # targets predate the whole link window
+        n_reads = int(rng.poisson(cfg.reads_per_post_rate))
+        reads: list[tuple[int, int]] = []  # (access ts, target post index)
+        for _ in range(n_reads):
+            gap = int(rng.integers(60, window + 1))
+            target = None
+            if cfg.experts_per_group_topic and rng.random() < cfg.expert_read_prob:
+                pool = personal[(reader, post.topic)]
+                order = rng.permutation(len(pool))
+                for i in order:
+                    target = pick_author_post(pool[int(i)], cutoff)
+                    if target is not None:
+                        break
+            if target is None:
+                cum = author_cum_rows[reader]
+                for _ in range(8):
+                    author = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+                    target = pick_author_post(author, cutoff)
+                    if target is not None:
+                        break
+            if target is None:
+                n_avail = bisect_left(all_times, cutoff)
+                for _ in range(8):
+                    if n_avail == 0:
+                        break
+                    cand = int(rng.integers(n_avail))
+                    if posts[cand].blogger != reader:
+                        target = cand
+                        break
+            if target is None:
+                continue
+            reads.append((post.ts - gap, target))
+
+        reads_by_blogger.setdefault(reader, []).extend(reads)
+        ip = f"ip{reader:04d}"
+        for ts_read, target in reads:
+            accesses.append(
+                AccessRecord(
+                    hashed_ip=ip,
+                    access_ts=ts_read,
+                    request=posts[target].url,
+                    referrer="",
+                )
+            )
+
+    # Second pass, in upload order: a copying post picks uniformly among
+    # everything its author read within the copy gap before it.  Sources
+    # are always uploaded (and finalized) earlier, because read targets
+    # predate the reading post's whole window.
+    # Each reading blogger's history as (access ts, target post index) columns.
+    history = {
+        b: np.fromiter(chain.from_iterable(reads), np.int64, 2 * len(reads)).reshape(-1, 2).T
+        for b, reads in reads_by_blogger.items()
+    }
+    pairs: set[tuple[str, str]] = set()
+    for post in posts:
+        if cfg.experts_per_group_topic and is_expert[post.blogger]:
+            continue
+        if rng.random() >= cfg.copy_prob:
+            continue
+        read_ts, read_target = history[post.blogger]  # the read pass saw every non-expert
+        gap = post.ts - read_ts
+        eligible = np.flatnonzero((gap > 0) & (gap <= copy_gap_max))
+        if not eligible.size:
+            continue
+        source_idx = int(read_target[eligible[int(rng.integers(eligible.size))]])
+        n_replace = int(round(cfg.copy_fraction * len(post.tokens)))
+        if n_replace > 0:
+            positions = rng.choice(len(post.tokens), size=n_replace, replace=False)
+            source_tokens = posts[source_idx].tokens
+            post.tokens[positions] = source_tokens[
+                rng.integers(len(source_tokens), size=n_replace)
+            ]
+        pairs.add((post.url, posts[source_idx].url))
+
+    accesses.sort(key=lambda a: (a.access_ts, a.hashed_ip, a.request))
+    blog_posts = [
+        BlogPost(
+            hashed_ip=f"ip{p.blogger:04d}",
+            upload_ts=p.ts,
+            user_id=blogger_ids[p.blogger],
+            url=p.url,
+            title=f"post {p.url}",
+            blog_name=f"blog-{blogger_ids[p.blogger]}",
+            body=" ".join([terms[t] for t in p.tokens.tolist()]),
+            themes=(f"t{p.topic}",),
+        )
+        for p in posts
+    ]
+    corpus = Corpus.from_records(blog_posts, accesses)
+
+    expert_map: dict[str, dict[int, tuple[str, ...]]] = {}
+    if cfg.experts_per_group_topic:
+        for b in range(cfg.n_bloggers):
+            if is_expert[b]:
+                continue
+            expert_map[blogger_ids[b]] = {
+                t: tuple(blogger_ids[e] for e in expert_of[(int(group[b]), t)])
+                for t in range(cfg.n_topics)
+            }
+    return corpus, GroundTruth(influence_pairs=pairs, member_expert_map=expert_map)

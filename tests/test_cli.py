@@ -137,6 +137,39 @@ class TestExitCodes:
         bad.write_text("tau_hours = 20\nwindow_hours = 12\n")
         assert main(["synth", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("setting, message", [
+        ("synth.n_bloggers = 0", "n_bloggers must be >= 2"),
+        ("synth.n_days = 0", "n_days must be >= 1"),
+        ("synth.read_window_hours = 0", "read_window_hours must be >= 1"),
+        ("synth.tokens_per_post = -1", "tokens_per_post must be >= 1"),
+        ("synth.n_topics = 0", "n_topics must be >= 1"),
+        ("synth.n_groups = 0", "n_groups must be >= 1"),
+        ("synth.expert_read_prob = 2", "expert_read_prob must be in [0, 1]"),
+        ("synth.topic_sharpness = 2", "topic_sharpness must be in [0, 1]"),
+        ("synth.copy_gap_max_hours = -1", "copy_gap_max_hours must be >= 1"),
+        ("synth.confounder_strength = nan", "confounder_strength must be finite"),
+        ("synth.experts_per_group_topic = 40", "expert slots exceed half"),
+        ("synth.start_date = 9999-12-20", "start_date must be a date"),
+        ("synth.weekday_profile = 0,0,0,0,0,0,0", "profiles need weight"),
+        ("synth.posts_per_blogger_rate = 0", "synth: configuration produced zero posts"),
+    ])
+    def test_synth_value_outside_its_domain_is_1(self, tmp_path, capsys, setting, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{setting}\n")
+        capsys.readouterr()
+        assert main(["synth", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "posts.tsv").exists()
+
+    @pytest.mark.parametrize("stage", ["synth", "causality"])
+    def test_negative_seed_is_1(self, pipeline_copy, config_file, capsys, stage):
+        capsys.readouterr()
+        assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
     def test_missing_config_file_is_1(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "nope.cfg"),
                      "--out-dir", str(tmp_path)]) == 1

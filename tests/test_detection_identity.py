@@ -2,12 +2,12 @@
 
 The synthetic corpus, the implicit links, the similarities, the coin
 faces (and the random stream they consume) and the extracted influence
-links are pinned two ways: sha256 digests recorded from the per-record
-implementation, and small per-record transcriptions kept here as
-oracles.  The CLI's link artifacts and the model stages' inputs are
-pinned by digests of their bytes, and the model inputs built from the
-post-term columns are checked against the loops over per-post dict
-vectors that they replaced.
+links are pinned two ways: sha256 digests, each with the generator whose
+corpus it was recorded on, and small per-record transcriptions kept here
+as oracles, run on random tables and on a synthetic corpus.  The CLI's
+link artifacts and the model stages' inputs are pinned by digests of
+their bytes, and the model inputs built from the post-term columns are
+checked against the loops over per-post dict vectors that they replaced.
 """
 
 import hashlib
@@ -51,6 +51,7 @@ from blogfluence.textvec import (
 from conftest import (
     BASE_TS,
     TermVector,
+    generate_per_record,
     links_table,
     make_access,
     make_corpus,
@@ -86,54 +87,69 @@ SYNTH_CONFIGS = {
     "default": SynthConfig(seed=3),
 }
 
-# Recorded from the per-record implementation.
-SYNTH_DIGESTS = {
+# sha256 of each config's corpus and truth (``corpus_digest``), recorded from
+# the per-record generator that tests/conftest.py keeps as the law oracle,
+# ``generate_per_record``; synth.generate drew this stream until it drew in
+# array rounds.
+PER_RECORD_SYNTH_DIGESTS = {
     "detect_planted": "dba28c931f37affc9352265963d08573f76e30499d9458afd78e09976e9e90e0",
     "experts": "bb3f7eddc589cff4329da5562742a5b5bbb8a7568408657553e252790a8dba0a",
     "default": "23907fa3b713068b06f37b1cf8a83a149b47133ab6b66d24053e0a485b3142ac",
 }
+# The same digests recorded from the array-round synth.generate.
+SYNTH_DIGESTS = {
+    "detect_planted": "ac881c5868841fb0a28f9e3a17635fbb57e6185f0f5fce8bd97a0c2cf0ea6376",
+    "experts": "feae7bf41b611f4bd175fa20f0cf6988e8426bd98bc77978f0ae9f8d95278dfd",
+    "default": "1801421c0a5047368adae2fd5f8f5c01471249841387b5eaf7d2423651b4180a",
+}
+# sha256 of run_detection's outputs (``detection_digest``) on the corpora of
+# the array-round synth.generate at the c01/c02 scale, seeds 4 (null) and 5
+# (planted); the detection kernels they pin were first checked against the
+# per-link implementation on the per-record generator's corpora.
 DETECTION_DIGESTS = {
-    "null": "fc5944bc58c8a957dcfe9ba002e3b3c6b7819e2c860562104189fc1ce27af2e6",
-    "planted": "bdeb593c0ff977fb61c4254f064ba6d2eade1e926c87e2681cf2766a3dafa4ac",
+    "null": "832fb7fa7d55fe758dc6cd0bf1770a37916dfe3b56bf07ca3e9e72c2ce4b6cd1",
+    "planted": "9eb5966370f9099d06295509d3cfee0673d6597e24c7e6654455783749af5b32",
 }
 # sha256 of the link artifacts of the CLI at the acceptance PIPELINE_CONFIG,
-# seed 17, recorded from the per-link-object implementation.
+# seed 17, with synth from the array-round synth.generate.  With the
+# per-record generator's posts.tsv and access.log as ingest's inputs, every
+# stage after synth wrote the bytes it wrote at the per-link-object,
+# dict-vector and text-log implementations these pins first recorded.
 CLI_LINK_DIGESTS = {
-    "links.tsv": "34f6fb65240f0ee1a537581e85bb9e40b2e999e24785b202efa06d1155d70a0b",
-    "influence.tsv": "bc819618c60d2018f470c87979ea9913b51524ee07523f7b3511694634717859",
-    "gap_hist.tsv": "aa727d693a3c361caf95dbef69d6087cc3592fb657144e5b1bc6a92ff9efaf6e",
-    "zreport_forward.tsv": "e72ad61786620ab581b1191303fc111f8243b2e0a004b9c8445c2bdd26ed9c16",
-    "zreport_reversed.tsv": "2e4b0fb89d379a9c6c264841ae4b4280a30995f433c3a89135283960e7a41a03",
+    "links.tsv": "91be73159d6680e9f3b56decd2e513501b252fcc4cb777021e2caf1287b04a56",
+    "influence.tsv": "56710bd18be3863c46a40a8919bff13ae0b7eefc9ccbfd2a4ff4fcce631e7bdb",
+    "gap_hist.tsv": "95f35b43dabf5c110c50b35afd125162f6f2fa43aec10e0236fdd4b61a9d0e16",
+    "zreport_forward.tsv": "104d5242a9730f5bfa0799289a9aa3c242bdfa99a697fa40d247398fa0d2be46",
+    "zreport_reversed.tsv": "c2963febe16835eeb3c59c6ce97128b8a43ec28e267b97607ec3dc9102ea2b6d",
     "report/rankshift_themes.tsv": "699d9b32d26aa1c958b38008462c48fe4a0d2f3a2fe643692f22e0779daf4537",
-    "report/rankshift_bloggers.tsv": "728186bfdd4f5e56854e3712fe6ff4b7df7ffaf5928bd6e3b4e01882665575e9",
+    "report/rankshift_bloggers.tsv": "bb034eae1a61f7679b95759f4497f2fee2b956936e76b1e5050d21246f310461",
 }
 # sha256 of the model stages' inputs and of the pcldc model, which read the
-# post terms, at the same config and seed, recorded from the dict-vector
-# implementation.
+# post terms, at the same config and seed, from the array-round synth.generate.
 CLI_MODEL_INPUT_DIGESTS = {
-    "plsa_model.tsv": "3ca0a40ea9a778635a00bd88216b4f021048e3fdf93fa07a6684b4995d6538d9",
-    "train.tsv": "517a2e5775d017341d32c51cc3adb185db68f7e693d6abfd8994ccae5f261831",
-    "test.tsv": "bc801960249e08933d9dfe280575f6f4b96c0c5dfefa3a89d72c29dce143c942",
-    "tensor.tsv": "a0dd836fa323cd813112bf4c284986af59f490f2857456c27fd281512b56c853",
-    "pcldc_model.tsv": "6e7b855a56baddfef642219abd5c62a868121d2d9087fd8e2b56c9238ddc5c5b",
+    "plsa_model.tsv": "11b1c2f596788bd1873e2c502e0b5265839bf8dbc981011689873d8e6fb27dae",
+    "train.tsv": "0d1063606e4c335ee00dcae9b494258e73f4ce798b66bc56868b693d977b4d84",
+    "test.tsv": "0b001185a391e4d498308305c1f9d4fc89ef637f3a66932b371c3d3ed0c62719",
+    "tensor.tsv": "96bf672d8fdf194e5ee40d575c5810c8829857303dcdca57cd5acd6c67fbdc97",
+    "pcldc_model.tsv": "21697602b56a481ce1a5e212aed33053c9938a357e7a253d1c6206d58328ae0c",
 }
 # sha256 of plsa_model.tsv at the same config and seed but n_topics = 8, where
-# numpy sums each nonzero's K topic terms pairwise; recorded from the
-# (nnz, K) EM loop, before its per-nonzero arrays became topic-major.
-CLI_PLSA_K8_DIGEST = "c011004e4a3905a602cc1f5f8bd15c24966d61722e4410c1fc1bbd893e290453"
+# numpy sums each nonzero's K topic terms pairwise, from the array-round
+# synth.generate; fit_plsa's topic-major loop wrote the bytes of the (nnz, K)
+# loop on the per-record generator's corpus.
+CLI_PLSA_K8_DIGEST = "de9f80461d4977575e7da18b810515955b1ba2a89ba72b018c1947953be9a3d8"
 # sha256 of the synthetic logs, the post terms and the activity histograms
-# at the same config and seed, recorded while the cleaned logs were still
-# written back out as text and re-parsed by links and report.
+# at the same config and seed, from the array-round synth.generate.
 CLI_ACTIVITY_DIGESTS = {
-    "posts.tsv": "2deb72586384598e5c890a4ebce8b2d541d3759779bf5fc1ca7cfb1cebbef8da",
-    "access.log": "de41d6ec930c05a5a4f4b63887e29a2a0ca9d4dbec6af7b7f9d27b661b3a9245",
-    "post_terms.tsv": "d07708a86a5dc83310598b13d2495b4b078e503121070e2496572381226acbc8",
-    "report/hist_access_hour.tsv": "2af8ba8abbe209180a736b3b937b622828376155707e4dc3cef41281b887ba69",
-    "report/hist_access_weekday.tsv": "aea32fbf6588bea0e24cf4086187fd5b5f7d010f08a3a5a914a9c6a1c6665c5b",
-    "report/hist_posts_hour.tsv": "e626bf1b3ac8c12f2b366287e6ed32d08f8db825ed8ab51d11c720d5b28f0d8a",
+    "posts.tsv": "f6be4ca653aded3141b29415e3041da14a49b117205bf8d9819baec3c432a1e3",
+    "access.log": "428259b0415eaa7ab3549084b9c887596064f977c09c5c7fe34e83d9a368bc67",
+    "post_terms.tsv": "b403a2e16c76e9303310ab3a2fb56cc3f3b1b3510ece238ccbc0d3d055dd2e42",
+    "report/hist_access_hour.tsv": "f194f3f192e4ad35ab0b3714957166566222845941df3d5df12c11faabd47d76",
+    "report/hist_access_weekday.tsv": "dc744e065c913b146313a5faeb03d99eed10fbb439653fe3b7e94834e5558c4e",
+    "report/hist_posts_hour.tsv": "c3f89ba110e6922afae7af067fd233794c2285696bd941ccd2f40600db675d2b",
     "report/hist_posts_per_blogger.tsv":
-        "cae3964bf9d5895cf8c47465275e93f576e26ed30685d8a6909adb15397d0770",
-    "report/hist_posts_weekday.tsv": "9edf454f3532252812ea27ff60e361df416ba898670c7c491b39f710b5c01c07",
+        "a4068c1cbfa50ac35b531cca23af912bf706a363a0d4c136cd1dfe5b85f0813a",
+    "report/hist_posts_weekday.tsv": "40afd4353a527e77637f3104cc66c927b9545bc2b2f25a123ee762727535b424",
 }
 
 
@@ -181,6 +197,12 @@ def test_generate_digest(name, planted_corpus):
     assert corpus_digest(corpus, truth) == SYNTH_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SYNTH_CONFIGS))
+def test_per_record_oracle_digest(name):
+    corpus, truth = generate_per_record(SYNTH_CONFIGS[name])
+    assert corpus_digest(corpus, truth) == PER_RECORD_SYNTH_DIGESTS[name]
+
+
 @pytest.mark.parametrize("kind", ["null", "planted"])
 def test_run_detection_digest(kind, planted_corpus):
     if kind == "planted":
@@ -190,6 +212,26 @@ def test_run_detection_digest(kind, planted_corpus):
     result = run_detection(corpus, vocab_max_size=400, seed=seed)
     assert result.influence.links
     assert detection_digest(result) == DETECTION_DIGESTS[kind]
+
+
+def test_kernels_match_oracles_on_the_planted_corpus(planted_corpus):
+    """The per-record oracles below, on the c01/c02-scale planted corpus:
+    implicit links, both sides' coin series and the extracted links."""
+    corpus = planted_corpus[0]
+    links = build_implicit_links(Activity.from_corpus(corpus), 12).links
+    assert list(links) == _oracle_links(corpus, 12)
+    result = run_detection(corpus, vocab_max_size=400, seed=5)
+    scored = list(result.implicit.links)
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for side in ("q", "p"):
+        series, skipped = build_coin_series(result.implicit, rng, anchor_side=side)
+        expected, expected_skipped = _oracle_coin_series(scored, oracle_rng, side)
+        assert skipped == expected_skipped
+        assert [(s.anchor, s.coins, repr(s.median_sim)) for s in series] == [
+            (s.anchor, s.coins, repr(s.median_sim)) for s in expected
+        ]
+    assert [(l.q, l.p, l.reader, l.author, l.gap_seconds, l.similarity)
+            for l in result.influence.links] == _oracle_extract(scored, 2)
 
 
 def test_cli_link_artifacts_digest(tmp_path):

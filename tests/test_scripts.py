@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/, each run through its ``main`` at
-its smallest size, with the rows they print pinned."""
+its smallest size, with the rows they print pinned.  The rows were
+recorded on corpora from the array-round ``synth.generate``."""
 
 import importlib.util
 import sys
@@ -27,7 +28,7 @@ def test_null_calibration(monkeypatch, capsys):
     lines = _run(monkeypatch, capsys, "run_null_calibration",
                  "--seeds", "1", "--bloggers", "60", "--days", "8")
     assert lines[0] == "seed\tposts\tlinks\tz1_fwd\tz1_rev\texceed\tseconds"
-    assert _without_seconds(lines[1]) == "0\t486\t3669\t0.170\t-0.227\t0"
+    assert _without_seconds(lines[1]) == "0\t526\t3662\t-0.217\t1.528\t0"
     assert lines[-1] == "pooled exceedance: 0/12 = 0.000%"
 
 
@@ -36,12 +37,12 @@ def test_planted_detection(monkeypatch, capsys):
                  "--rates", "0.3", "--seeds", "1", "--bloggers", "60", "--days", "8")
     assert lines == [
         "rate\tseed\tz1_fwd\tz1_rev\tprecision\trecall\tbase_prec\tbase_rec",
-        "0.3\t0\t2.00\t1.48\t0.262\t0.975\t0.024\t0.557",
+        "0.3\t0\t1.74\t2.19\t0.307\t0.980\t0.026\t0.480",
     ]
 
 
 def test_recommend_benchmark_seed_zero(monkeypatch, capsys):
     lines = _run(monkeypatch, capsys, "run_recommend_benchmark", "--seeds", "1")
     assert lines[0] == "seed\ttg\tiolap\tpcldc\tpcl\tseconds"
-    assert _without_seconds(lines[1]) == "0\t0.517\t0.717\t0.417\t0.183"
+    assert _without_seconds(lines[1]) == "0\t0.417\t0.717\t0.417\t0.250"
     assert lines[-1] == "iolap > tg in 1/1 seeds; pcldc > pcl in 1/1 seeds"

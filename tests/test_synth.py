@@ -1,9 +1,17 @@
+import functools
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blogfluence.corpus import parse_access_log, parse_content_file, access_line, content_line
 from blogfluence.pipeline import run_detection
-from blogfluence.synth import SynthConfig, SynthesisError, generate
+from blogfluence.synth import SynthConfig, SynthesisError, _topic_word_dists, generate
+
+from conftest import generate_per_record
+from test_detection_identity import SYNTH_CONFIGS
 
 
 def _eligible_reads(corpus, max_gap_seconds):
@@ -67,6 +75,14 @@ class TestStructure:
         with pytest.raises(SynthesisError):
             generate(SynthConfig(n_bloggers=3, n_days=2, posts_per_blogger_rate=0.0, seed=5))
 
+    def test_any_finite_confounder_strength_draws_reads(self):
+        # exp(1e6 * similarity) overflows; the weights are scaled per row.
+        corpus, _ = generate(SynthConfig(n_bloggers=20, n_days=4, confounder_strength=1e6, seed=8))
+        _, _, reader, _, target = _columns(corpus)
+        authors = [int(p.user_id[1:]) for p in corpus.posts]
+        assert reader.size
+        assert all(authors[t] != r for r, t in zip(reader.tolist(), target.tolist()))
+
     def test_expert_map_populated(self):
         cfg = SynthConfig(
             n_bloggers=40, n_days=6, n_topics=2, n_groups=2,
@@ -104,3 +120,206 @@ def test_detection_strength_increases_with_copy_rate():
             zs.append(res.forward_report.buckets[0].z)
         means.append(float(np.mean(zs)))
     assert means[1] >= means[0]
+
+
+# --------------------------------------------------------------------------
+# The array generator against the per-record one it replaced: the same law
+# from a different stream, so summaries of their output agree within
+# standard errors at fixed seeds, and exact invariants hold.
+
+LAW_SEEDS = {"detect_planted": 3, "experts": 24, "default": 12}  # runs per config
+Z_TOLERANCE = 4.0  # standard errors of the difference
+
+
+def _expert_count(cfg):
+    return cfg.n_groups * cfg.n_topics * cfg.experts_per_group_topic
+
+
+def _author_weights(cfg):
+    """The reader -> author weights of ``cfg``, replayed from the draws that
+    open both generators' streams: topic-word rows, then mixtures."""
+    rng = np.random.default_rng(cfg.seed)
+    _topic_word_dists(rng, cfg)
+    mixtures = rng.dirichlet(np.ones(cfg.n_topics), size=cfg.n_bloggers)
+    n_slots = _expert_count(cfg)
+    for e in range(n_slots):
+        mixtures[e] = 0.1 / max(cfg.n_topics - 1, 1)
+        mixtures[e, e // cfg.experts_per_group_topic % cfg.n_topics] = 0.9
+    norms = np.linalg.norm(mixtures, axis=1, keepdims=True)
+    weights = np.exp(cfg.confounder_strength * (mixtures @ mixtures.T) / (norms * norms.T))
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def _columns(corpus):
+    """Post (blogger, ts) and access (reader, ts, target post) columns."""
+    post_of = {p.url: i for i, p in enumerate(corpus.posts)}
+    author = np.array([int(p.user_id[1:]) for p in corpus.posts], dtype=np.int64)
+    upload = np.array([p.upload_ts for p in corpus.posts], dtype=np.int64)
+    reader = np.array([int(a.hashed_ip[2:]) for a in corpus.accesses], dtype=np.int64)
+    read_ts = np.array([a.access_ts for a in corpus.accesses], dtype=np.int64)
+    target = np.array([post_of[a.request] for a in corpus.accesses], dtype=np.int64)
+    return author, upload, reader, read_ts, target
+
+
+def _next_own_gap(author, upload, reader, read_ts, min_gap=60):
+    """Seconds from each read to its reader's first upload at least
+    ``min_gap`` later (-1 when there is none)."""
+    span = int(max(upload.max(), read_ts.max()) - min(upload.min(), read_ts.min())) + min_gap + 1
+    base = int(min(upload.min(), read_ts.min()))
+    order = np.lexsort((upload, author))
+    keys = author[order] * span + (upload[order] - base)
+    at = keys.searchsorted(reader * span + (read_ts + min_gap - base))
+    found = at < keys.size
+    found[found] &= author[order][at[found]] == reader[found]
+    return np.where(found, upload[order][np.minimum(at, keys.size - 1)] - read_ts, -1)
+
+
+def _summary(cfg, corpus, truth):
+    author, upload, reader, read_ts, target = _columns(corpus)
+    window = cfg.read_window_hours * 3600
+    reading = author >= _expert_count(cfg)
+    first_open = upload.min() + window  # a post's window opens after the first upload
+    counts = np.zeros((cfg.n_bloggers, cfg.n_bloggers))
+    np.add.at(counts, (reader, author[target]), 1)
+    off = ~np.eye(cfg.n_bloggers, dtype=bool)
+    return {
+        "posts_per_blogger": np.bincount(author, minlength=cfg.n_bloggers),
+        "hour": np.bincount((upload + cfg.tz_offset_hours * 3600) // 3600 % 24, minlength=24),
+        "reading_posts": int(reading.sum()),
+        "late_reading_posts": int((reading & (upload > first_open)).sum()),
+        "reads": reader.size,
+        "gap": np.bincount((_next_own_gap(author, upload, reader, read_ts) - 1) // 3600,
+                           minlength=cfg.read_window_hours),
+        "pairs": len(truth.influence_pairs),
+        "expert_reads": int((author[target] < _expert_count(cfg)).sum()),
+        "read_counts": counts[off],
+        "weights": _author_weights(cfg)[off],
+    }
+
+
+@functools.cache
+def _pooled(generator, name):
+    base = SYNTH_CONFIGS[name]
+    runs = [_summary(cfg, *generator(cfg)) for cfg in
+            (replace(base, seed=base.seed + i) for i in range(LAW_SEEDS[name]))]
+    pooled = {key: sum(run[key] for run in runs) for key in runs[0] if key not in
+              ("posts_per_blogger", "read_counts", "weights")}
+    for key in ("posts_per_blogger", "read_counts", "weights"):
+        pooled[key] = np.concatenate([run[key] for run in runs])
+    return pooled
+
+
+def _law_mismatches(a, b, rate):
+    """Summaries of ``a`` and ``b`` whose difference exceeds Z_TOLERANCE
+    standard errors, as messages."""
+    out = []
+
+    def compare(what, x, y, se_x, se_y):
+        if abs(x - y) > Z_TOLERANCE * math.hypot(se_x, se_y):
+            out.append(f"{what}: {x:.5g} vs {y:.5g} (se {se_x:.2g}, {se_y:.2g})")
+
+    def share(what, hits_x, n_x, hits_y, n_y):
+        """Binomial shares, with the standard error of the pooled share."""
+        p = (hits_x + hits_y) / (n_x + n_y)
+        compare(what, hits_x / n_x, hits_y / n_y, math.sqrt(p * (1 - p) / n_x),
+                math.sqrt(p * (1 - p) / n_y))
+
+    def histogram(what, x, y):
+        for i in range(len(x)):
+            share(f"{what}[{i}]", x[i], x.sum(), y[i], y.sum())
+
+    s, t = a["posts_per_blogger"], b["posts_per_blogger"]
+    compare("posts per blogger", s.mean(), t.mean(), s.std() / math.sqrt(s.size),
+            t.std() / math.sqrt(t.size))
+    histogram("hour-of-day share", a["hour"], b["hour"])
+    # Kept reads per post are near Poisson counts: standard error
+    # sqrt(reads) / posts.  Every read of a post whose window opens before
+    # the first upload is dropped, so the kept reads belong to the later posts.
+    compare("reads per late post", a["reads"] / a["late_reading_posts"],
+            b["reads"] / b["late_reading_posts"], math.sqrt(a["reads"]) / a["late_reading_posts"],
+            math.sqrt(b["reads"]) / b["late_reading_posts"])
+    # The output keeps no dropped read: the share is 1 - kept / (rate * posts).
+    compare("dropped share", 1 - a["reads"] / (rate * a["reading_posts"]),
+            1 - b["reads"] / (rate * b["reading_posts"]),
+            math.sqrt(a["reads"]) / (rate * a["reading_posts"]),
+            math.sqrt(b["reads"]) / (rate * b["reading_posts"]))
+    histogram("next-own-upload gap share, by hour", a["gap"], b["gap"])
+    share("copy pairs per post", a["pairs"], a["reading_posts"], b["pairs"], b["reading_posts"])
+    if a["expert_reads"] or b["expert_reads"]:
+        share("expert-read share", a["expert_reads"], a["reads"], b["expert_reads"], b["reads"])
+    # Fisher z of the Pearson correlation of read counts with author weights
+    # over the (reader, author) cells; its standard error is 1 / sqrt(n - 3).
+    z = [np.arctanh(np.corrcoef(s["read_counts"], s["weights"])[0, 1]) for s in (a, b)]
+    n = a["weights"].size
+    compare("Fisher z of corr(read counts, author weights)", z[0], z[1],
+            1 / math.sqrt(n - 3), 1 / math.sqrt(n - 3))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LAW_SEEDS))
+def test_array_generator_draws_the_per_record_law(name):
+    cfg = SYNTH_CONFIGS[name]
+    new, old = _pooled(generate, name), _pooled(generate_per_record, name)
+    assert not _law_mismatches(new, old, cfg.reads_per_post_rate)
+    if cfg.experts_per_group_topic:
+        assert new["expert_reads"] > 0.5 * new["reads"]
+    if cfg.copy_prob:
+        assert new["pairs"] > 0
+
+
+def test_law_comparison_sees_a_changed_law():
+    """The comparison fails on a generator with a different read rate."""
+    name = "default"
+    old = _pooled(generate_per_record, name)
+    faster = _pooled(lambda cfg: generate(replace(cfg, reads_per_post_rate=4.4)), name)
+    mismatches = _law_mismatches(faster, old, SYNTH_CONFIGS[name].reads_per_post_rate)
+    assert any(m.startswith("reads per late post") for m in mismatches)
+
+
+# SYNTH_CONFIGS, and a few bloggers who read mostly their one most similar
+# author, so that many reads take the uniform fallback.
+INVARIANT_CONFIGS = dict(SYNTH_CONFIGS, fallback=SynthConfig(
+    n_bloggers=12, n_days=4, confounder_strength=30.0, reads_per_post_rate=6.0, copy_prob=0.5,
+    seed=21))
+
+
+@pytest.fixture(scope="module")
+def synth_runs():
+    return {name: (cfg, *generate(cfg)) for name, cfg in INVARIANT_CONFIGS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CONFIGS))
+def test_read_invariants(name, synth_runs):
+    """No read targets its reader's own post, and every read has a post of
+    its reader, 60 s to the window after it, whose window opens after the
+    target's upload."""
+    cfg, corpus, _ = synth_runs[name]
+    author, upload, reader, read_ts, target = _columns(corpus)
+    window = cfg.read_window_hours * 3600
+    assert reader.size and (author[target] != reader).all()
+    by_reader = {}
+    for b, t in zip(author.tolist(), upload.tolist()):
+        by_reader.setdefault(b, []).append(t)
+    for r, a, p in zip(reader.tolist(), read_ts.tolist(), upload[target].tolist()):
+        times = sorted(by_reader[r])
+        reading = times[bisect_left(times, a + 60):bisect_right(times, a + window)]
+        assert reading, (r, a)  # every gap is in [60, window]
+        assert p < reading[-1] - window, (r, a, p)
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CONFIGS))
+def test_copy_sources_were_read_within_the_copy_gap(name, synth_runs):
+    cfg, corpus, truth = synth_runs[name]
+    eligible = _eligible_reads(corpus, cfg.copy_gap_max_hours * 3600)
+    assert truth.influence_pairs or not cfg.copy_prob
+    for q, p in truth.influence_pairs:
+        assert p in eligible[q]
+
+
+def test_experts_never_read(synth_runs):
+    cfg, corpus, truth = synth_runs["experts"]
+    experts = {f"ip{e:04d}" for e in range(_expert_count(cfg))}
+    readers = {a.hashed_ip for a in corpus.accesses}
+    assert readers and not readers & experts
+    assert all(f"u{e:04d}" not in truth.member_expert_map for e in range(_expert_count(cfg)))

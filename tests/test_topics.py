@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +163,8 @@ def test_scatter_rows_bit_identical_to_add_at():
 
 def fit_plsa_nnz_major(doc_term, n_topics, max_iter, tol, seed):
     """The EM loop over an (nnz, K) array, as ``fit_plsa`` ran it before its
-    per-nonzero arrays became topic-major; the oracle of the tests below."""
+    per-nonzero arrays became topic-major, with the log-likelihood summed as
+    ``fit_plsa`` sums it; the oracle of the tests below."""
     rng = np.random.default_rng(seed)
     n_docs, n_terms = doc_term.n_docs, doc_term.n_terms
     word_topic = rng.dirichlet(np.ones(n_terms), size=n_topics)
@@ -169,7 +175,7 @@ def fit_plsa_nnz_major(doc_term, n_topics, max_iter, tol, seed):
         joint = doc_topic[rows]
         joint *= word_topic[:, cols].T
         prob = joint.sum(axis=1)
-        loglik = float(counts @ np.log(prob))
+        loglik = float((counts * np.log(prob)).sum())
         trace.append(loglik)
         joint *= (counts / prob)[:, None]
         term_mass = scatter_rows(cols, joint, n_terms)
@@ -181,7 +187,7 @@ def fit_plsa_nnz_major(doc_term, n_topics, max_iter, tol, seed):
             break
         prev = loglik
     joint = doc_topic[rows] * word_topic[:, cols].T
-    trace.append(float(counts @ np.log(joint.sum(axis=1))))
+    trace.append(float((counts * np.log(joint.sum(axis=1))).sum()))
     p_t = (doc_term.doc_totals[:, None] * doc_topic).sum(axis=0) / doc_term.doc_totals.sum()
     return word_topic, p_t, doc_topic, trace
 
@@ -227,3 +233,41 @@ def test_row_sum_is_numpys_row_sum():
         got = row_sum(np.ascontiguousarray(rows.T))
         assert np.array_equal(got, rows.sum(axis=1)), k
         assert got.base is None, k  # a new array: fit_plsa scales its input in place next
+
+
+_TRACES_SCRIPT = """
+import numpy as np
+from blogfluence.factor import InfluenceTensor, fit_iolap
+from blogfluence.topics import DocTermMatrix, fit_plsa
+rng = np.random.default_rng(0)
+n_docs, n_terms, per_doc = 2000, 1000, 60
+rows = np.repeat(np.arange(n_docs), per_doc)
+cols = np.concatenate([np.sort(rng.choice(n_terms, per_doc, replace=False))
+                       for _ in range(n_docs)])
+counts = rng.integers(1, 5, rows.size).astype(float)
+docs = DocTermMatrix([f"d{i:05d}" for i in range(n_docs)], n_terms, rows, cols, counts,
+                     np.bincount(rows, weights=counts))
+print(repr(fit_plsa(docs, 8, max_iter=4, seed=1).loglik_trace))
+keys = np.unique(rng.integers(0, [300, 300, 1000], size=(120000, 3)), axis=0)
+keys = keys[keys[:, 0] != keys[:, 1]]
+tensor = InfluenceTensor([f"u{i}" for i in range(300)], 1000, keys[:, 0], keys[:, 1],
+                         keys[:, 2], rng.integers(1, 5, len(keys)).astype(float))
+print(len(keys), repr(fit_iolap(tensor, 8, 8, n_topics=8, fix_topics=False, max_iter=4,
+                                seed=1).loglik_trace))
+"""
+
+
+def test_fit_traces_do_not_depend_on_the_blas_thread_count():
+    """PLSA over 120,000 nonzeros and iolap over about 119,500 give bit-equal
+    log-likelihood traces with 1 and 2 BLAS threads: the log-likelihood is
+    numpy's own sum, whose order no thread count changes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _TRACES_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert int(outputs[0].split("\n")[1].split(" ", 1)[0]) >= 100_000
+    assert outputs[0] == outputs[1]
