@@ -46,7 +46,7 @@ from blogfluence.corpus import (
     parse_access_log,
     parse_content_file,
 )
-from blogfluence.pipeline import build_vectors  # noqa: F401  bench/tracing.py wraps it
+from blogfluence.pipeline import build_vectors
 from blogfluence.textvec import PostTerms, write_vocabulary
 
 
@@ -274,8 +274,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     cleaned, removal = clean_accesses(corpus, rules)
     header = _header(cfg, "ingest")
     implicit.write_activity(Activity.from_corpus(cleaned), _path(cfg, "activity.tsv"), header)
-    textvec.write_post_terms(textvec.count_terms(cleaned.posts), _path(cfg, "post_terms.tsv"),
-                             header)
+    textvec.write_post_terms(build_vectors(cleaned), _path(cfg, "post_terms.tsv"), header)
     print(
         f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped), "
         f"{access_report.n_ok} accesses ({access_report.n_skipped} skipped), "

@@ -1,15 +1,17 @@
 """Tokenization and post-term counts.
 
-A run tokenizes its posts once; every later stage reads the counts as
-integer columns, capped to the vocabulary it asks for."""
+A run tokenizes its posts once, in ``ingest`` or detection, and each
+distinct whitespace-separated word of the bodies once; every later stage
+reads the counts as integer columns, capped to the vocabulary it asks
+for."""
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable
+from itertools import chain, count
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -98,19 +100,50 @@ def shared_terms(links: Links, terms: PostTerms, max_size: int) -> tuple[np.ndar
     return link[hit], want[hit] % n_terms
 
 
+def _chain(lists: Iterable[list], lengths: list[int]) -> Iterator:
+    """The items of ``lists`` in turn; each list's length is appended to ``lengths``."""
+    def note(items: list) -> list:
+        lengths.append(len(items))
+        return items
+    return chain.from_iterable(map(note, lists))
+
+
 def count_terms(posts: Iterable[BlogPost]) -> PostTerms:
-    """Tokenize every post's body and count its terms."""
+    """Tokenize every post's body and count its terms.
+
+    No whitespace character is a word character, so a body's tokens are
+    its whitespace-separated words' tokens in turn: the bodies are read as
+    interned word ids, and each distinct word is tokenized once."""
     by_url = {post.url: post for post in posts}
     urls = sorted(by_url)
-    counts = [Counter(tokenize(by_url[url].body)) for url in urls]
-    ranked = sorted(Counter(chain.from_iterable(counts)).items(), key=lambda kv: (-kv[1], kv[0]))
-    rank = {t: i for i, (t, _) in enumerate(ranked)}
-    sizes = [len(c) for c in counts]
-    return PostTerms(ranked, [(url, by_url[url].user_id) for url in urls], np.column_stack([
-        np.repeat(np.arange(len(urls), dtype=np.int64), sizes),
-        np.fromiter(map(rank.__getitem__, chain.from_iterable(counts)), np.int64, sum(sizes)),
-        np.fromiter(chain.from_iterable(c.values() for c in counts), np.int64, sum(sizes)),
-    ]))
+    word_id, n_words = defaultdict(count().__next__), []
+    words = np.fromiter(map(word_id.__getitem__, _chain(
+        (by_url[url].body.split() for url in urls), n_words)), np.int64)
+    # Each distinct word's tokens as term ids, one range of ``word_terms``.
+    term_id, n_tokens = defaultdict(count().__next__), []
+    word_terms = np.fromiter(map(term_id.__getitem__, _chain(map(tokenize, word_id), n_tokens)),
+                             np.int64)
+    del word_id
+    n_tokens = np.array(n_tokens, np.int64)
+    ends = n_tokens.cumsum()
+    word, at = expand_ranges((ends - n_tokens)[words], ends[words])
+    n_terms = len(term_id)
+    keys = np.repeat(np.arange(len(urls), dtype=np.int64), n_words)[word] * n_terms + word_terms[at]
+    del words, word, at
+    # Each (post, term) once, in the order of its first token.
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    keys, counts = keys[order], counts[order]
+    terms = list(term_id)
+    doc_freq = np.bincount(keys % n_terms, minlength=n_terms)
+    ranked = np.array(sorted(range(n_terms), key=terms.__getitem__), np.int64)
+    ranked = ranked[np.argsort(-doc_freq[ranked], kind="stable")]
+    rank = np.empty(n_terms, np.int64)
+    rank[ranked] = np.arange(n_terms)
+    return PostTerms(list(zip(map(terms.__getitem__, ranked.tolist()),
+                              doc_freq[ranked].tolist())),
+                     [(url, by_url[url].user_id) for url in urls],
+                     np.column_stack([keys // n_terms, rank[keys % n_terms], counts]))
 
 
 def write_post_terms(counts: PostTerms, path: str, header: str | None = None) -> None:
@@ -128,5 +161,15 @@ def read_post_terms(path: str) -> PostTerms:
         raise FormatError(f"{path}: [entries] needs post indices in order and counts >= 1")
     if any(a >= b for a, b in zip(urls, urls[1:])):
         raise FormatError(f"{path}: [posts] needs urls in strictly ascending order")
+    # A capped vocabulary is a prefix of [terms], so the ranking must hold.
+    ranked = list(zip((-doc_freq).tolist(), terms))
+    if any(a >= b for a, b in zip(ranked, ranked[1:])):
+        raise FormatError(f"{path}: [terms] needs terms ranked by descending frequency, "
+                          "ties by ascending term, each term once")
+    keys = np.sort(post * len(terms) + term)
+    if (keys[1:] == keys[:-1]).any():
+        raise FormatError(f"{path}: [entries] holds a term twice for one post")
+    if (np.bincount(term, minlength=len(terms)) != doc_freq).any():
+        raise FormatError(f"{path}: [terms] frequencies must count the posts that hold each term")
     return PostTerms(list(zip(terms, doc_freq.tolist())), list(zip(urls, authors)),
                      sections["entries"])

@@ -1,4 +1,5 @@
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
@@ -15,7 +16,7 @@ from blogfluence.synth import (
     _topic_word_dists,
 )
 from blogfluence.implicit import Links
-from blogfluence.textvec import PostTerms, Vocabulary
+from blogfluence.textvec import PostTerms, Vocabulary, tokenize
 from blogfluence.topics import build_doc_term
 
 # 2008-09-01T00:00:00Z, a Monday.
@@ -113,6 +114,27 @@ def doc_term(docs, n_terms):
 @pytest.fixture
 def hour():
     return 3600
+
+
+# --------------------------------------------------------------------------
+# The per-post term counter that ``textvec.count_terms`` replaced: it
+# tokenizes every body whole, and is kept as the oracle the interned-word
+# counter is checked against.
+
+def count_terms_per_post(posts):
+    """Each post's ``Counter`` of its tokens, ranked and laid out as
+    ``textvec.count_terms`` lays them out."""
+    by_url = {post.url: post for post in posts}
+    urls = sorted(by_url)
+    counts = [Counter(tokenize(by_url[url].body)) for url in urls]
+    ranked = sorted(Counter(chain.from_iterable(counts)).items(), key=lambda kv: (-kv[1], kv[0]))
+    rank = {t: i for i, (t, _) in enumerate(ranked)}
+    sizes = [len(c) for c in counts]
+    return PostTerms(ranked, [(url, by_url[url].user_id) for url in urls], np.column_stack([
+        np.repeat(np.arange(len(urls), dtype=np.int64), sizes),
+        np.fromiter(map(rank.__getitem__, chain.from_iterable(counts)), np.int64, sum(sizes)),
+        np.fromiter(chain.from_iterable(c.values() for c in counts), np.int64, sum(sizes)),
+    ]))
 
 
 # --------------------------------------------------------------------------

@@ -223,6 +223,12 @@ def test_post_terms_round_trip_keeps_int_columns_and_bracketed_urls(tmp_path):
         ("0\t0\t1\n1\t0\t3\n", "1\t0\t3\n0\t0\t1\n", "pt.tsv: [entries] needs post indices in order"),
         ("1\t2\t1\n", "1\t2\t0\n", "pt.tsv: [entries] needs post indices in order and counts >= 1"),
         ("1\t2\t1\n", "1\t2\t99999999999999999999\n", "pt.tsv:14: Python int too large"),
+        ("beta\t2\nalpha\t1\n", "alpha\t1\nbeta\t2\n", "pt.tsv: [terms] needs terms ranked"),
+        ("alpha\t1\ngamma\t1\n", "gamma\t1\nalpha\t1\n", "pt.tsv: [terms] needs terms ranked"),
+        ("gamma\t1\n", "alpha\t1\n", "pt.tsv: [terms] needs terms ranked"),
+        ("beta\t2\n", "beta\t3\n", "pt.tsv: [terms] frequencies must count the posts"),
+        ("gamma\t1\n", "gamma\t0\n", "pt.tsv: [terms] frequencies must count the posts"),
+        ("1\t2\t1\n", "1\t0\t1\n", "pt.tsv: [entries] holds a term twice for one post"),
         ("[entries]\n", "[entries]\n# note\n\n", None),
     ],
 )

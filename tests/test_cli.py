@@ -5,6 +5,7 @@ import pytest
 
 from blogfluence import textvec
 from blogfluence.cli import main
+from blogfluence.corpus import parse_content_file
 from blogfluence.implicit import read_activity
 
 SYNTH_KEYS = """
@@ -353,7 +354,8 @@ class TestExitCodes:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["truncated row", "term rank", "post order",
-                                        "swapped urls", "repeated url"])
+                                        "swapped urls", "repeated url", "swapped terms",
+                                        "term frequency"])
     def test_malformed_post_terms_is_1(self, pipeline_copy, config_file, capsys, damage):
         path = pipeline_copy / "post_terms.tsv"
         lines = path.read_text(encoding="utf-8").split("\n")
@@ -361,7 +363,13 @@ class TestExitCodes:
         post, term, count = lines[row].split("\t")
         n_terms = lines.index("[posts]") - lines.index("[terms]") - 1
         url = lines.index("[posts]") + 1
-        if damage == "swapped urls":
+        first_term = lines.index("[terms]") + 1
+        if damage == "swapped terms":
+            lines[first_term], lines[first_term + 1] = lines[first_term + 1], lines[first_term]
+        elif damage == "term frequency":
+            name, freq = lines[first_term].split("\t")
+            lines[first_term] = f"{name}\t{int(freq) + 1}"
+        elif damage == "swapped urls":
             lines[url], lines[url + 1] = lines[url + 1], lines[url]
         elif damage == "repeated url":
             lines[url + 1] = lines[url]
@@ -412,7 +420,8 @@ class TestExitCodes:
 
 
 def test_posts_are_tokenized_once_per_run(tmp_path, config_file, monkeypatch):
-    """Only ingest tokenizes; every later stage reads post_terms.tsv."""
+    """Only ingest tokenizes, each distinct word of the posts once; every
+    later stage reads post_terms.tsv."""
     calls = []
     stage = None
     count_terms, tokenize = textvec.count_terms, textvec.tokenize
@@ -430,10 +439,14 @@ def test_posts_are_tokenized_once_per_run(tmp_path, config_file, monkeypatch):
     for stage in STAGES:
         assert main([stage, "--config", config_file, "--out-dir", str(tmp_path),
                      "--seed", "5"]) == 0
-    n_posts = len(read_activity(tmp_path / "activity.tsv").urls)
+    with open(tmp_path / "posts.tsv", encoding="utf-8") as fh:
+        posts = {post.url: post for post in parse_content_file(fh)[0]}
+    assert len(posts) == len(read_activity(tmp_path / "activity.tsv").urls)
+    n_words = len({word for post in posts.values() for word in post.body.split()})
+    assert n_words < sum(len(post.body.split()) for post in posts.values())
     assert calls.count(("count_terms", "ingest")) == 1
-    assert calls.count(("tokenize", "ingest")) == n_posts
-    assert len(calls) == 1 + n_posts
+    assert calls.count(("tokenize", "ingest")) == n_words
+    assert len(calls) == 1 + n_words
 
 
 def test_full_pipeline_deterministic(tmp_path_factory, config_file):

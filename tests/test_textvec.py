@@ -1,13 +1,24 @@
+import sys
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blogfluence.textvec import count_terms, shared_terms, tokenize
+from blogfluence.synth import SynthConfig, generate
+from blogfluence.textvec import _WORD_RE, count_terms, shared_terms, tokenize
 
-from conftest import BASE_TS, TermVector, links_table, make_post, post_terms
+from conftest import (
+    BASE_TS,
+    TermVector,
+    count_terms_per_post,
+    links_table,
+    make_post,
+    post_terms,
+)
 from test_detection_identity import cosine
 
 
@@ -92,3 +103,57 @@ def test_shared_terms_sorted_intersection():
     links = links_table([("/b/p", "/a/q", "b", "a", 60), ("/a/q", "/b/p", "a", "b", 60)])
     link, term = shared_terms(links, post_terms(vectors, 10), 10)
     assert (link.tolist(), term.tolist()) == ([0, 0, 1, 1], [1, 7, 1, 7])
+
+
+def assert_same_post_terms(got, want):
+    assert got.terms == want.terms
+    assert got.posts == want.posts
+    assert got.entries.dtype == want.entries.dtype == np.int64
+    assert got.entries.shape == want.entries.shape
+    assert got.entries.tolist() == want.entries.tolist()
+
+
+# Whitespace that str.split() splits on, and characters that are not.
+_SEPARATORS = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+               "\x85", "\xa0", "\u1680", "\u2003", "\u2028", "\u3000", "  ", "\t\n"]
+_PIECES = ["alpha", "Beta", "BETA", "the", "The", "a", "I", "x", "1", "42", "a1", "_", "x_y",
+           "-", ",", ".", "'", "—", "İ", "İx", "ß", "SS", "ﬃ", "ﬃx", "e\u0301", "\u0301",
+           "é", "か", "かな", "Ⅻ", "²", "٣", "\u200b"]
+_BODY = st.lists(st.sampled_from(_PIECES + _SEPARATORS), max_size=16).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(posts=st.lists(st.tuples(st.integers(0, 5), st.sampled_from("uvw"), _BODY), max_size=10))
+@example(posts=[])
+@example(posts=[(0, "u", ""), (1, "v", "the a I")])
+@example(posts=[(0, "u", "İx\x1cİX ß\x85SS"), (0, "v", "ﬃ\xa0ﬃx\u3000e\u0301"), (1, "w", "")])
+def test_count_terms_matches_the_per_post_oracle(posts):
+    # A repeated url keeps its last post, author and body both.
+    posts = [replace(make_post(user, i, BASE_TS + i, body=body), url=f"/p{k}")
+             for i, (k, user, body) in enumerate(posts)]
+    assert_same_post_terms(count_terms(posts), count_terms_per_post(posts))
+
+
+def test_no_whitespace_character_is_a_word_character():
+    # Why a body's tokens are its whitespace-separated words' tokens in turn.
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(c for c in chars if c.isspace())
+    assert "".join(chars.split()) == "".join(c for c in chars if not c.isspace())
+    assert 20 < len(spaces) < 40 and _WORD_RE.search(spaces) is None
+
+
+def test_count_terms_peaks_below_the_per_post_oracle():
+    # The c01/c02 detection scale: about 5,000 posts of 40 tokens.
+    corpus, _ = generate(SynthConfig(n_bloggers=260, n_days=20, posts_per_blogger_rate=1.05,
+                                     reads_per_post_rate=5.0, copy_prob=0.3, copy_fraction=0.45,
+                                     vocab_size=400, tokens_per_post=40, seed=1001))
+    peaks = []
+    for count in (count_terms_per_post, count_terms):
+        tracemalloc.start()
+        try:
+            count(corpus.posts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(corpus.posts) > 5000
+    assert peaks[1] <= peaks[0]
