@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from blogfluence.corpus import (
     AccessRecord,
     BlogPost,
-    CleaningRules,
     Corpus,
     clean_accesses,
     parse_access_log,
@@ -44,7 +43,6 @@ from blogfluence.synth import SynthConfig, generate
 __all__ = [
     "AccessRecord",
     "BlogPost",
-    "CleaningRules",
     "Corpus",
     "ImplicitLink",
     "ImplicitNetwork",

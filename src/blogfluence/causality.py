@@ -37,10 +37,8 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Activity
-from blogfluence.implicit import (
-    ImplicitNetwork, Links, expand_ranges, link_counts, link_posts, read_links,
-)
+from blogfluence.corpus import Activity, distinct, expand_ranges
+from blogfluence.implicit import ImplicitNetwork, Links, link_counts, link_posts, read_links
 from blogfluence.textvec import PostTerms
 
 # Normal-approximation critical values at p = 0.01.
@@ -232,7 +230,7 @@ def build_coin_series(
     links = net.links
     code = links.q if anchor_side == "q" else links.p
     series = _coin_series(links, code, links.urls, rng)
-    return series, np.unique(code).size - len(series)
+    return series, distinct(code).size - len(series)
 
 
 @dataclass
@@ -332,7 +330,7 @@ def _anchored_z_test(
     _, bucket, heads, bounds, _ = _coin_faces(net.links, code, rng)
     n_series = len(bounds) - 1
     return _z_report(bucket, heads, net.window_hours, min_bucket_n, n_series,
-                     np.unique(code).size - n_series)
+                     distinct(code).size - n_series)
 
 
 def forward_z_test(

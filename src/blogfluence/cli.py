@@ -34,8 +34,6 @@ import numpy as np
 from blogfluence import __version__, analysis, artifacts, causality, factor, implicit
 from blogfluence import pipeline, synth, textvec, topics
 from blogfluence.corpus import (
-    Activity,
-    CleaningRules,
     Corpus,
     FormatError,
     IngestError,
@@ -270,15 +268,16 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     with open(access, encoding="utf-8") as fh:
         accesses, access_report = parse_access_log(fh)
     corpus = Corpus.from_records(posts, accesses)
-    rules = CleaningRules(window_hours=cfg.window_hours)
-    cleaned, removal = clean_accesses(corpus, rules)
+    activity, removal = clean_accesses(corpus, cfg.window_hours)
     header = _header(cfg, "ingest")
-    implicit.write_activity(Activity.from_corpus(cleaned), _path(cfg, "activity.tsv"), header)
-    textvec.write_post_terms(build_vectors(cleaned), _path(cfg, "post_terms.tsv"), header)
+    implicit.write_activity(activity, _path(cfg, "activity.tsv"), header)
+    textvec.write_post_terms(build_vectors(corpus), _path(cfg, "post_terms.tsv"), header)
+    dropped = ", ".join(f"{rule} {n}" for rule, n in dataclasses.asdict(removal).items())
     print(
-        f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped), "
+        f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped, "
+        f"{corpus.duplicate_urls_dropped} duplicate URLs dropped), "
         f"{access_report.n_ok} accesses ({access_report.n_skipped} skipped), "
-        f"{removal.total()} removed by cleaning -> {len(cleaned.accesses)} kept"
+        f"{removal.total()} removed by cleaning ({dropped}) -> {len(activity.accesses)} kept"
     )
     return 0
 

@@ -13,15 +13,16 @@ Two input formats are supported:
 Server logs are noisy, so malformed lines are skipped and counted rather
 than aborting the run; a stream where more than half of the lines are
 malformed is rejected as being in the wrong format altogether.  Only
-``ingest`` parses them: the cleaned corpus becomes one ``Activity`` table
-of integer rows, which later stages read back from ``activity.tsv``.
+``ingest`` parses them.  ``clean_accesses`` codes the parsed posts and
+accesses once into one ``Activity`` table of integer rows and drops the
+accesses that cannot carry influence, each rule a boolean mask over those
+codes; later stages read the table back from ``activity.tsv``.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -148,22 +149,6 @@ class ParseReport:
 
 
 @dataclass
-class CleaningRules:
-    """Which access-log records to drop, applied in a fixed order."""
-
-    window_hours: int = 12
-    drop_non_blogger_ips: bool = True
-    drop_self_access: bool = True
-    drop_index_html: bool = True
-    drop_non_html: bool = True
-    robot_referrer_patterns: tuple[str, ...] = ("rss", "feed", "bot", "crawler", "spider")
-
-    def __post_init__(self) -> None:
-        if self.window_hours < 1:
-            raise ValueError("window_hours must be >= 1")
-
-
-@dataclass
 class CleaningReport:
     """Records removed per rule, in application order."""
 
@@ -175,70 +160,25 @@ class CleaningReport:
     outside_window: int = 0
 
     def total(self) -> int:
-        return (
-            self.non_blogger_ip + self.robot_referrer + self.index_html
-            + self.unknown_url + self.self_access + self.outside_window
-        )
+        return sum(astuple(self))
 
 
 @dataclass
 class Corpus:
-    """Parsed posts and accesses plus the derived join keys.
-
-    ``ip_to_bloggers`` maps each hashed IP to every user id that uploaded
-    from it; an access from a shared IP is attributed to all of its
-    owners, and the cleaning window is what keeps that over-attribution
-    in check.  ``url_to_post`` maps each normalized post URL to its index
-    in ``posts``.
-    """
+    """Parsed posts, one per URL, and parsed accesses."""
 
     posts: list[BlogPost]
     accesses: list[AccessRecord]
-    ip_to_bloggers: dict[str, frozenset[str]]
-    url_to_post: dict[str, int]
     duplicate_urls_dropped: int = 0
 
     @classmethod
-    def from_records(
-        cls,
-        posts: Iterable[BlogPost],
-        accesses: Iterable[AccessRecord],
-        period: tuple[int, int] | None = None,
-    ) -> "Corpus":
-        """Build a corpus, dropping posts with duplicate URLs (first wins).
-
-        When ``period`` is given, posts uploaded outside it are dropped
-        as well (logs occasionally bleed past the collection window).
-        """
-        kept: list[BlogPost] = []
-        url_to_post: dict[str, int] = {}
-        dropped = 0
+    def from_records(cls, posts: Iterable[BlogPost], accesses: Iterable[AccessRecord]) -> Corpus:
+        """Build a corpus, dropping posts with duplicate URLs (first wins)."""
+        posts = list(posts)
+        first: dict[str, BlogPost] = {}
         for post in posts:
-            if period is not None and not (period[0] <= post.upload_ts <= period[1]):
-                dropped += 1
-                continue
-            if post.url in url_to_post:
-                dropped += 1
-                continue
-            url_to_post[post.url] = len(kept)
-            kept.append(post)
-        owners: dict[str, set[str]] = {}
-        for post in kept:
-            owners.setdefault(post.hashed_ip, set()).add(post.user_id)
-        return cls(
-            posts=kept,
-            accesses=list(accesses),
-            ip_to_bloggers={ip: frozenset(us) for ip, us in owners.items()},
-            url_to_post=url_to_post,
-            duplicate_urls_dropped=dropped,
-        )
-
-
-def coded(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
-    """The distinct names of ``columns``, ascending, and each column as indices among them."""
-    names = sorted(set().union(*columns))
-    code = {name: i for i, name in enumerate(names)}
-    return names, [np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in columns]
+            first.setdefault(post.url, post)
+        return cls(list(first.values()), list(accesses), len(posts) - len(first))
 
 
 @dataclass(eq=False)
@@ -255,23 +195,62 @@ class Activity:
     post_themes: np.ndarray  # (n, 2): post, theme
     accesses: np.ndarray  # (n, 3): post, ip, access time
 
-    @classmethod
-    def from_corpus(cls, corpus: Corpus) -> Activity:
-        """The rows of a corpus, less the accesses to urls that name no post."""
-        posts = sorted(corpus.posts, key=attrgetter("url"))
-        urls = [post.url for post in posts]
-        post_of = {url: i for i, url in enumerate(urls)}
-        accesses = [a for a in corpus.accesses if a.request in post_of]
-        bloggers, (author,) = coded([post.user_id for post in posts])
-        ips, (ip, access_ip) = coded([post.hashed_ip for post in posts],
-                                     [a.hashed_ip for a in accesses])
-        themes, (theme,) = coded([theme for post in posts for theme in post.themes])
-        upload, target, read_at = (np.array(values, dtype=np.int64) for values in (
-            [post.upload_ts for post in posts], [post_of[a.request] for a in accesses],
-            [a.access_ts for a in accesses]))
-        post = np.repeat(np.arange(len(posts)), [len(post.themes) for post in posts])
-        return cls(urls, bloggers, ips, themes, np.column_stack([author, upload, ip]),
-                   np.column_stack([post, theme]), np.column_stack([target, access_ip, read_at]))
+
+# --------------------------------------------------------------------------
+# integer tables
+
+def coded(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The distinct names of ``columns``, ascending, and each column as indices among them."""
+    names = sorted(set().union(*columns))
+    code = {name: i for i, name in enumerate(names)}
+    return names, [np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in columns]
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending, as ``np.unique`` gives
+    them, from one sort and a compare of neighbours."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges [lo[i], hi[i]), concatenated, and the i
+    each one comes from; a range with hi <= lo is empty."""
+    counts = np.maximum(hi - lo, 0)
+    which = np.repeat(np.arange(len(lo)), counts)
+    return which, np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+
+
+class PostKeys:
+    """Sorted int64 keys over posts: (IP, author) pairs, to find the readers
+    behind an IP, who are every blogger that posted from it; and (author,
+    upload time), to find a reader's posts near a time."""
+
+    def __init__(self, author: np.ndarray, upload: np.ndarray, post_ip: np.ndarray,
+                 n_bloggers: int):
+        self.n_bloggers = n_bloggers
+        self.owners = distinct(post_ip * n_bloggers + author)
+        self.owner_ip = self.owners // n_bloggers
+        # A query time is clipped into its author's key range so that it never
+        # reaches a neighbour's.
+        self.t0, last = (int(upload.min()), int(upload.max())) if len(upload) else (0, 0)
+        self.span = last - self.t0 + 2
+        post_key = author * self.span + (upload - self.t0)
+        self.by_time = np.argsort(post_key)
+        self.keys = post_key[self.by_time]
+
+    def readers(self, ip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each (i, reader) pair of a reader behind ``ip[i]``, as two columns."""
+        which, pos = expand_ranges(self.owner_ip.searchsorted(ip),
+                                   self.owner_ip.searchsorted(ip, side="right"))
+        return which, self.owners[pos] % self.n_bloggers
+
+    def edge(self, reader: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The end, in ``by_time`` order, of each reader's posts uploaded at or before ``ts``."""
+        clipped = np.clip(ts - self.t0, -1, self.span - 1)
+        return self.keys.searchsorted(reader * self.span + clipped, side="right")
 
 
 # --------------------------------------------------------------------------
@@ -403,76 +382,63 @@ def parse_access_log(stream: Iterable[str]) -> tuple[list[AccessRecord], ParseRe
 # --------------------------------------------------------------------------
 # cleaning
 
-def clean_accesses(corpus: Corpus, rules: CleaningRules) -> tuple[Corpus, CleaningReport]:
-    """Drop access records that cannot carry reader-to-author influence.
+ROBOT_REFERRER_PATTERNS = ("rss", "feed", "bot", "crawler", "spider")
 
-    Rules are applied in order: unknown reader IPs, robot/feed referrers,
-    index pages, requests that do not resolve to a known post, accesses
-    to the reader's own posts, and finally accesses with no post by the
-    reader within +/- ``window_hours``.  The filter is total and
-    idempotent; posts are never touched.
+
+def clean_accesses(corpus: Corpus, window_hours: int) -> tuple[Activity, CleaningReport]:
+    """The corpus as one ``Activity`` table, less the accesses that cannot
+    carry reader-to-author influence, and how many each rule dropped.
+
+    Rules apply in order: unknown reader IPs, referrers that name a robot or
+    a feed (in any case), index pages, requests that resolve to no post,
+    reads of a post by one of the reader IP's own bloggers, and reads with
+    no post by any of them within +/- ``window_hours``.  String rules are
+    worked out once per distinct referrer or request, and every rule is a
+    mask over integer codes.  The filter is idempotent; posts are never
+    dropped.
     """
+    if window_hours < 1:
+        raise ValueError("window_hours must be >= 1")
+    posts, accesses = sorted(corpus.posts, key=attrgetter("url")), corpus.accesses
+    urls = [post.url for post in posts]
+    bloggers, (author,) = coded([post.user_id for post in posts])
+    ips, (post_ip,) = coded([post.hashed_ip for post in posts])
+    themes, (theme,) = coded([theme for post in posts for theme in post.themes])
+    upload = np.array([post.upload_ts for post in posts], dtype=np.int64)
+    read_at = np.array([a.access_ts for a in accesses], dtype=np.int64)
+    ip_of = {name: i for i, name in enumerate(ips)}
+    post_of = {url: i for i, url in enumerate(urls)}
+    names, (ip,) = coded([a.hashed_ip for a in accesses])
+    ip = np.array([ip_of.get(name, -1) for name in names], dtype=np.int64)[ip]
+    names, (referrer,) = coded([a.referrer for a in accesses])
+    robot = np.array([any(pattern in name.lower() for pattern in ROBOT_REFERRER_PATTERNS)
+                      for name in names], dtype=bool)[referrer]
+    names, (request,) = coded([a.request for a in accesses])
+    target = np.array([post_of.get(name, -1) for name in names], dtype=np.int64)[request]
+    index_page = np.array([name.endswith("index.html") for name in names], dtype=bool)[request]
+
+    # Each access of a known IP to a known post, once per reader behind the IP.
+    window = window_hours * 3600
+    known = np.flatnonzero((ip >= 0) & (target >= 0))
+    keys = PostKeys(author, upload, post_ip, len(bloggers))
+    which, reader = keys.readers(ip[known])
+    access = known[which]
+    t = read_at[access]
+    self_read, near = np.zeros((2, len(accesses)), dtype=bool)
+    self_read[access[reader == author[target[access]]]] = True
+    near[access[keys.edge(reader, t + window) > keys.edge(reader, t - window - 1)]] = True
+
     report = CleaningReport()
-    user_post_ts: dict[str, list[int]] = {}
-    for post in corpus.posts:
-        user_post_ts.setdefault(post.user_id, []).append(post.upload_ts)
-    for times in user_post_ts.values():
-        times.sort()
-    window = rules.window_hours * 3600
-    patterns = tuple(p.lower() for p in rules.robot_referrer_patterns)
-
-    survivors = corpus.accesses
-    if rules.drop_non_blogger_ips:
-        kept = [a for a in survivors if a.hashed_ip in corpus.ip_to_bloggers]
-        report.non_blogger_ip = len(survivors) - len(kept)
-        survivors = kept
-    if patterns:
-        kept = [
-            a for a in survivors
-            if not a.referrer or not any(p in a.referrer.lower() for p in patterns)
-        ]
-        report.robot_referrer = len(survivors) - len(kept)
-        survivors = kept
-    if rules.drop_index_html:
-        kept = [a for a in survivors if not a.request.endswith("index.html")]
-        report.index_html = len(survivors) - len(kept)
-        survivors = kept
-    if rules.drop_non_html:
-        kept = [a for a in survivors if a.request in corpus.url_to_post]
-        report.unknown_url = len(survivors) - len(kept)
-        survivors = kept
-    if rules.drop_self_access:
-        kept = []
-        for a in survivors:
-            idx = corpus.url_to_post.get(a.request)
-            if idx is not None:
-                author = corpus.posts[idx].user_id
-                if author in corpus.ip_to_bloggers.get(a.hashed_ip, frozenset()):
-                    report.self_access += 1
-                    continue
-            kept.append(a)
-        survivors = kept
-
-    kept = []
-    for a in survivors:
-        near = False
-        for reader in corpus.ip_to_bloggers.get(a.hashed_ip, frozenset()):
-            times = user_post_ts.get(reader)
-            if not times:
-                continue
-            lo = bisect_left(times, a.access_ts - window)
-            hi = bisect_right(times, a.access_ts + window)
-            if hi > lo:
-                near = True
-                break
-        if near:
-            kept.append(a)
-        else:
-            report.outside_window += 1
-    survivors = kept
-
-    cleaned = Corpus.from_records(corpus.posts, survivors)
-    return cleaned, report
+    alive = np.ones(len(accesses), dtype=bool)
+    for rule, drop in (("non_blogger_ip", ip < 0), ("robot_referrer", robot),
+                       ("index_html", index_page), ("unknown_url", target < 0),
+                       ("self_access", self_read), ("outside_window", ~near)):
+        setattr(report, rule, int((alive & drop).sum()))
+        alive &= ~drop
+    post = np.repeat(np.arange(len(posts)), [len(post.themes) for post in posts])
+    return Activity(urls, bloggers, ips, themes, np.column_stack([author, upload, post_ip]),
+                    np.column_stack([post, theme]),
+                    np.column_stack([target[alive], ip[alive], read_at[alive]])), report
 
 
 # --------------------------------------------------------------------------

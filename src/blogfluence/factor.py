@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import FormatError
+from blogfluence.corpus import FormatError, distinct
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, shared_terms
 from blogfluence.topics import TopicModel, scatter_rows
@@ -82,7 +82,7 @@ def build_influence_tensor(links: Links, terms: PostTerms, max_size: int) -> Inf
         influencer=pair % n_b,
         term=term,
         counts=counts.astype(np.float64),
-        n_links_no_shared=n - np.unique(link).size,
+        n_links_no_shared=n - distinct(link).size,
     )
 
 

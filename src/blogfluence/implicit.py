@@ -21,7 +21,7 @@ from typing import Collection, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Activity, FormatError, coded
+from blogfluence.corpus import Activity, FormatError, PostKeys, coded, distinct, expand_ranges
 
 DEFAULT_WINDOW_HOURS = 12
 
@@ -101,29 +101,21 @@ class ImplicitNetwork:
 
 def link_posts(links: Links) -> list[str]:
     """The posts at either end of ``links``, ascending."""
-    return [links.urls[i] for i in np.unique(np.concatenate([links.q, links.p])).tolist()]
+    return [links.urls[i] for i in distinct(np.concatenate([links.q, links.p])).tolist()]
 
 
 def link_counts(links: Links) -> dict[str, int]:
     """Post, blogger, post-link and blogger-link counts of a link table."""
     return {
-        "post_count": np.unique(np.concatenate([links.q, links.p])).size,
-        "blogger_count": np.unique(np.concatenate([links.reader, links.author])).size,
+        "post_count": distinct(np.concatenate([links.q, links.p])).size,
+        "blogger_count": distinct(np.concatenate([links.reader, links.author])).size,
         "post_link_count": len(links),
-        "blogger_link_count": np.unique(links.reader * len(links.bloggers) + links.author).size,
+        "blogger_link_count": distinct(links.reader * len(links.bloggers) + links.author).size,
     }
 
 
 def summarize_links(links: Links, window_hours: int) -> ImplicitNetwork:
     return ImplicitNetwork(links=links, window_hours=window_hours, **link_counts(links))
-
-
-def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index of the ranges [lo[i], hi[i]), concatenated, and the i
-    each one comes from; a range with hi <= lo is empty."""
-    counts = np.maximum(hi - lo, 0)
-    which = np.repeat(np.arange(len(lo)), counts)
-    return which, np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
 def build_implicit_links(activity: Activity,
@@ -140,33 +132,17 @@ def build_implicit_links(activity: Activity,
     kept.  The table indexes every post's URL and every author.
     """
     window = window_hours * 3600
-    (owner, upload, post_ip), n_bloggers = activity.posts.T, len(activity.bloggers)
+    owner, upload, post_ip = activity.posts.T
     target, ip, access_ts = activity.accesses.T
     if not len(upload) or not len(target):
         return summarize_links(Links.from_columns([], [], [], [], []), window_hours)
-    # An IP's readers, who posted from it, are one range of the posts' (IP, author) pairs.
-    pairs = np.unique(post_ip * n_bloggers + owner)
-    bounds = (pairs // n_bloggers).searchsorted(np.arange(len(activity.ips) + 1))
-    which, pos = expand_ranges(bounds[ip], bounds[ip + 1])
-    reader = pairs[pos] % n_bloggers
+    keys = PostKeys(owner, upload, post_ip, len(activity.bloggers))
+    which, reader = keys.readers(ip)
     keep = reader != owner[target[which]]
     which, reader = which[keep], reader[keep]
     p, t = target[which], access_ts[which]
-
-    # One key per post, (author, upload time) in one int64; a query time
-    # is clipped into its author's key range so that it never reaches a
-    # neighbour's.
-    t0 = int(upload.min())
-    span = int(upload.max()) - t0 + 2
-    post_key = owner * span + (upload - t0)
-    by_key = np.argsort(post_key)
-    keys = post_key[by_key]
-
-    def window_edge(ts: np.ndarray) -> np.ndarray:
-        return keys.searchsorted(reader * span + np.clip(ts - t0, -1, span - 1), side="right")
-
-    pair, pos = expand_ranges(window_edge(t), window_edge(t + window))
-    q, p = by_key[pos], p[pair]
+    pair, pos = expand_ranges(keys.edge(reader, t), keys.edge(reader, t + window))
+    q, p = keys.by_time[pos], p[pair]
     gap = upload[q] - t[pair]
     first = np.lexsort((gap, p, q))
     q, p, gap = q[first], p[first], gap[first]

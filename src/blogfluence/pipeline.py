@@ -1,13 +1,12 @@
 """In-memory composition of the pipeline, shared by the CLI, the
 experiment scripts and the test suite so every entry point agrees on it.
 
-Detection cleans the corpus, counts the posts' terms, builds the
-implicit ``Links`` table from the cleaned ``Activity`` rows, fills its
-similarity column from the term counts, runs the forward and reversed
-bucket tests, and extracts the influence network.  The model stages
-after it, up to the recommendation benchmark, read the same term counts
-capped to the vocabulary.  Those
-stages exist here once; fits and recommenders are called through their
+Detection cleans the corpus's accesses into one ``Activity`` table,
+counts the posts' terms, builds the implicit ``Links`` table from the
+activity rows, fills its similarity column from the term counts, runs the
+forward and reversed bucket tests, and extracts the influence network.
+The model stages after it, up to the recommendation benchmark, read the
+same term counts capped to the vocabulary.  Those stages exist here once; fits and recommenders are called through their
 modules (``factor.fit_iolap``, ...).
 """
 
@@ -27,7 +26,7 @@ from blogfluence.causality import (
     forward_z_test,
     reversed_z_test,
 )
-from blogfluence.corpus import Activity, CleaningRules, Corpus, clean_accesses
+from blogfluence.corpus import Activity, Corpus, clean_accesses
 from blogfluence.implicit import ImplicitNetwork, build_implicit_links
 from blogfluence.textvec import PostTerms
 
@@ -40,7 +39,7 @@ def build_vectors(corpus: Corpus) -> PostTerms:
 
 @dataclass
 class DetectionResult:
-    cleaned: Corpus
+    cleaned: Activity
     terms: PostTerms
     vocab_max_size: int
     implicit: ImplicitNetwork
@@ -64,9 +63,9 @@ def run_detection(
     All randomness (coin tie faces) comes from one generator derived from
     ``seed``, so a run is bit-reproducible.
     """
-    cleaned, _ = clean_accesses(corpus, CleaningRules(window_hours=window_hours))
-    terms = build_vectors(cleaned)
-    net = build_implicit_links(Activity.from_corpus(cleaned), window_hours)
+    cleaned, _ = clean_accesses(corpus, window_hours)
+    terms = build_vectors(corpus)
+    net = build_implicit_links(cleaned, window_hours)
     annotate_similarity(net.links, terms, vocab_max_size, min_tokens)
     rng = np.random.default_rng([seed, 1])
     forward = forward_z_test(net, rng, min_bucket_n)

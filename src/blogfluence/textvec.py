@@ -16,8 +16,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import BlogPost, FormatError
-from blogfluence.implicit import Links, expand_ranges
+from blogfluence.corpus import BlogPost, FormatError, expand_ranges
+from blogfluence.implicit import Links
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 

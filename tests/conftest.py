@@ -7,7 +7,15 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from blogfluence.corpus import AccessRecord, Activity, BlogPost, Corpus, parse_iso_ts
+from blogfluence.corpus import (
+    AccessRecord,
+    Activity,
+    BlogPost,
+    CleaningReport,
+    Corpus,
+    coded,
+    parse_iso_ts,
+)
 from blogfluence.synth import (
     GroundTruth,
     SynthConfig,
@@ -45,7 +53,96 @@ def make_corpus(posts, accesses):
 
 
 def make_activity(posts, accesses=()):
-    return Activity.from_corpus(make_corpus(posts, accesses))
+    return activity_of(make_corpus(posts, accesses))
+
+
+# --------------------------------------------------------------------------
+# The per-record cleaner and the corpus-to-rows coding that the masks of
+# ``corpus.clean_accesses`` replaced, kept as the oracle they are checked
+# against.
+
+def ip_to_bloggers(posts):
+    """Each hashed IP -> every user id that uploaded from it."""
+    owners = {}
+    for post in posts:
+        owners.setdefault(post.hashed_ip, set()).add(post.user_id)
+    return {ip: frozenset(users) for ip, users in owners.items()}
+
+
+def url_to_post(posts):
+    """Each post URL -> its index in ``posts``."""
+    return {post.url: i for i, post in enumerate(posts)}
+
+
+def activity_of(corpus):
+    """The rows of a corpus, less the accesses to urls that name no post."""
+    posts = sorted(corpus.posts, key=lambda post: post.url)
+    urls = [post.url for post in posts]
+    post_of = {url: i for i, url in enumerate(urls)}
+    accesses = [a for a in corpus.accesses if a.request in post_of]
+    bloggers, (author,) = coded([post.user_id for post in posts])
+    ips, (ip, access_ip) = coded([post.hashed_ip for post in posts],
+                                 [a.hashed_ip for a in accesses])
+    themes, (theme,) = coded([theme for post in posts for theme in post.themes])
+    upload, target, read_at = (np.array(values, dtype=np.int64) for values in (
+        [post.upload_ts for post in posts], [post_of[a.request] for a in accesses],
+        [a.access_ts for a in accesses]))
+    post = np.repeat(np.arange(len(posts)), [len(post.themes) for post in posts])
+    return Activity(urls, bloggers, ips, themes, np.column_stack([author, upload, ip]),
+                    np.column_stack([post, theme]), np.column_stack([target, access_ip, read_at]))
+
+
+def clean_per_record(corpus, window_hours):
+    """The accesses of ``corpus`` that survive the cleaning rules, applied in
+    order one record at a time, as a corpus, and the count per rule."""
+    owners, post_of = ip_to_bloggers(corpus.posts), url_to_post(corpus.posts)
+    report = CleaningReport()
+    user_post_ts = {}
+    for post in corpus.posts:
+        user_post_ts.setdefault(post.user_id, []).append(post.upload_ts)
+    for times in user_post_ts.values():
+        times.sort()
+    window = window_hours * 3600
+    patterns = ("rss", "feed", "bot", "crawler", "spider")
+
+    survivors = corpus.accesses
+    kept = [a for a in survivors if a.hashed_ip in owners]
+    report.non_blogger_ip = len(survivors) - len(kept)
+    survivors = kept
+    kept = [a for a in survivors
+            if not a.referrer or not any(p in a.referrer.lower() for p in patterns)]
+    report.robot_referrer = len(survivors) - len(kept)
+    survivors = kept
+    kept = [a for a in survivors if not a.request.endswith("index.html")]
+    report.index_html = len(survivors) - len(kept)
+    survivors = kept
+    kept = [a for a in survivors if a.request in post_of]
+    report.unknown_url = len(survivors) - len(kept)
+    survivors = kept
+    kept = []
+    for a in survivors:
+        if corpus.posts[post_of[a.request]].user_id in owners[a.hashed_ip]:
+            report.self_access += 1
+        else:
+            kept.append(a)
+    survivors = kept
+    kept = []
+    for a in survivors:
+        if any(bisect_right(times, a.access_ts + window) > bisect_left(times, a.access_ts - window)
+               for times in (user_post_ts[reader] for reader in owners[a.hashed_ip])):
+            kept.append(a)
+        else:
+            report.outside_window += 1
+    return Corpus(corpus.posts, kept, corpus.duplicate_urls_dropped), report
+
+
+def assert_same_activity(got, want):
+    for name in ("urls", "bloggers", "ips", "themes"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("posts", "post_themes", "accesses"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape, name
+        assert (a == b).all(), name
 
 
 def links_table(rows):

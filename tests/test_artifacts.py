@@ -44,7 +44,7 @@ from blogfluence.textvec import (
 )
 from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
 
-from conftest import TermVector, links_table, space
+from conftest import TermVector, activity_of, links_table, space
 
 TENSOR = InfluenceTensor(
     ["ua", "ub"], 3, np.array([0, 1]), np.array([1, 0]), np.array([2, 0]), np.array([2.0, 1.0])
@@ -328,7 +328,7 @@ def test_activity_round_trip(posts, reads, tmp_path_factory):
         [AccessRecord(ip, ts, urls[i] if i < len(urls) else "/nowhere", "")
          for ip, i, ts in reads])
     path = tmp_path_factory.mktemp("activity") / "a.tsv"
-    write_activity(Activity.from_corpus(corpus), path, "# h")
+    write_activity(activity_of(corpus), path, "# h")
     text = path.read_bytes()
     activity = read_activity(path)
     assert activity.urls == sorted(urls)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -6,9 +7,7 @@ from hypothesis import strategies as st
 
 from blogfluence.corpus import (
     AccessRecord,
-    Activity,
     BlogPost,
-    CleaningRules,
     Corpus,
     FormatError,
     access_line,
@@ -24,7 +23,16 @@ from blogfluence.corpus import (
 )
 from blogfluence.synth import SynthConfig, generate
 
-from conftest import BASE_TS, make_access, make_activity, make_corpus, make_post
+from conftest import (
+    BASE_TS,
+    activity_of,
+    assert_same_activity,
+    clean_per_record,
+    make_access,
+    make_activity,
+    make_corpus,
+    make_post,
+)
 
 
 CONTENT_LINE = (
@@ -221,6 +229,12 @@ def test_impossible_apache_ts_raises(text):
     assert len(records) == 1 and report.n_skipped == 1
 
 
+def access_records(activity):
+    """The accesses of an ``Activity`` as records, referrers blank."""
+    return [AccessRecord(activity.ips[ip], t, activity.urls[post], "")
+            for post, ip, t in activity.accesses.tolist()]
+
+
 class TestCleaning:
     def _corpus(self):
         posts = [
@@ -233,58 +247,106 @@ class TestCleaning:
     def test_non_blogger_ip_removed(self):
         posts = self._corpus()
         corpus = make_corpus(posts, [make_access("stranger", BASE_TS + 99 * 3600, "/u2/p0")])
-        cleaned, report = clean_accesses(corpus, CleaningRules())
-        assert cleaned.accesses == [] and report.non_blogger_ip == 1
+        cleaned, report = clean_accesses(corpus, 12)
+        assert len(cleaned.accesses) == 0 and report.non_blogger_ip == 1
 
     def test_self_access_removed(self):
         posts = self._corpus()
         corpus = make_corpus(posts, [make_access("h1", BASE_TS + 99 * 3600, "/u1/p0")])
-        cleaned, report = clean_accesses(corpus, CleaningRules())
-        assert cleaned.accesses == [] and report.self_access == 1
+        cleaned, report = clean_accesses(corpus, 12)
+        assert len(cleaned.accesses) == 0 and report.self_access == 1
 
     def test_access_outside_window_removed(self):
         posts = self._corpus()
         # u1's nearest post is 13h after the access; window is 12h
         corpus = make_corpus(posts, [make_access("h1", BASE_TS + 87 * 3600, "/u2/p0")])
-        cleaned, report = clean_accesses(corpus, CleaningRules(window_hours=12))
-        assert cleaned.accesses == [] and report.outside_window == 1
-        cleaned13, _ = clean_accesses(corpus, CleaningRules(window_hours=13))
+        cleaned, report = clean_accesses(corpus, 12)
+        assert len(cleaned.accesses) == 0 and report.outside_window == 1
+        cleaned13, _ = clean_accesses(corpus, 13)
         assert len(cleaned13.accesses) == 1
 
     def test_robot_referrer_removed(self):
         posts = self._corpus()
         acc = make_access("h1", BASE_TS + 99 * 3600, "/u2/p0", referrer="http://x/rss.xml")
-        cleaned, report = clean_accesses(make_corpus(posts, [acc]), CleaningRules())
-        assert cleaned.accesses == [] and report.robot_referrer == 1
+        cleaned, report = clean_accesses(make_corpus(posts, [acc]), 12)
+        assert len(cleaned.accesses) == 0 and report.robot_referrer == 1
 
     def test_index_html_removed(self):
         posts = self._corpus()
         acc = make_access("h1", BASE_TS + 99 * 3600, "/u2/index.html")
-        cleaned, report = clean_accesses(make_corpus(posts, [acc]), CleaningRules())
-        assert cleaned.accesses == [] and report.index_html == 1
+        cleaned, report = clean_accesses(make_corpus(posts, [acc]), 12)
+        assert len(cleaned.accesses) == 0 and report.index_html == 1
 
     def test_unknown_url_removed(self):
         posts = self._corpus()
         acc = make_access("h1", BASE_TS + 99 * 3600, "/u9/nope")
-        cleaned, report = clean_accesses(make_corpus(posts, [acc]), CleaningRules())
-        assert cleaned.accesses == [] and report.unknown_url == 1
+        cleaned, report = clean_accesses(make_corpus(posts, [acc]), 12)
+        assert len(cleaned.accesses) == 0 and report.unknown_url == 1
 
     def test_good_access_survives_and_resolves(self):
         posts = self._corpus()
         acc = make_access("h1", BASE_TS + 99 * 3600, "/u2/p0")
-        cleaned, _ = clean_accesses(make_corpus(posts, [acc]), CleaningRules())
-        assert len(cleaned.accesses) == 1
-        for a in cleaned.accesses:
-            assert a.request in cleaned.url_to_post
-            assert a.hashed_ip in cleaned.ip_to_bloggers
+        cleaned, report = clean_accesses(make_corpus(posts, [acc]), 12)
+        assert report.total() == 0
+        assert access_records(cleaned) == [acc]
+        assert cleaned.urls == ["/u1/p0", "/u1/p1", "/u2/p0"] and cleaned.ips == ["h1", "h2"]
 
     def test_idempotent_and_subset_on_synth(self):
         corpus, _ = generate(SynthConfig(n_bloggers=30, n_days=6, seed=11))
-        rules = CleaningRules()
-        once, _ = clean_accesses(corpus, rules)
-        twice, _ = clean_accesses(once, rules)
-        assert twice.accesses == once.accesses
-        assert set(once.accesses) <= set(corpus.accesses)
+        once, _ = clean_accesses(corpus, 12)
+        twice, report = clean_accesses(Corpus(corpus.posts, access_records(once)), 12)
+        assert_same_activity(twice, once)
+        assert report.total() == 0
+        assert set(access_records(once)) <= {replace(a, referrer="") for a in corpus.accesses}
+
+    def test_window_hours_below_one_raises(self):
+        with pytest.raises(ValueError):
+            clean_accesses(make_corpus(self._corpus(), []), 0)
+
+
+_REFERRERS = ["", "", "", "http://friend.example/u2", "http://blog/rssless", "-",
+              "http://x/RSS.xml", "http://reader/Feed/atom", "Googlebot", "http://CRAWLER.example",
+              "spider"]
+
+
+@st.composite
+def _logs(draw):
+    """Posts from a few bloggers over a few IPs, one of which two bloggers
+    share, and accesses that trip every cleaning rule; most come from the IP
+    of a post, some exactly that post's time +/- the window away from it."""
+    window_hours = draw(st.sampled_from([1, 2, 12]))
+    window = window_hours * 3600
+    shared = [make_post("u0", 90, BASE_TS, ip="ip-shared"),
+              make_post("u1", 90, BASE_TS + 3 * 3600, ip="ip-shared")]
+    posts = shared + [
+        make_post(f"u{user}", serial, BASE_TS + offset, ip=f"ip{ip}", themes=themes)
+        for user, serial, offset, ip, themes in draw(st.lists(st.tuples(
+            st.integers(0, 3), st.integers(0, 3), st.integers(-2 * window, 30 * 3600),
+            st.integers(0, 3), st.lists(st.sampled_from(["a", "b", "c"]), max_size=2)),
+            max_size=12))]
+    ips = ["ip-shared", "ip0", "ip1", "ip2", "ip3", "stranger"]
+    urls = [post.url for post in posts]
+    requests = urls * 3 + ["/u1/index.html", "/index.html", "/u9/nope"]
+    # A self read through the shared IP: u0 reads u1's post near u0's own.
+    accesses = [make_access("ip-shared", BASE_TS + 3600, "/u1/p90")]
+    for anchor, from_anchor, ip, request, referrer, shift in draw(st.lists(st.tuples(
+            st.sampled_from(posts), st.booleans(), st.sampled_from(ips),
+            st.sampled_from(requests), st.sampled_from(_REFERRERS),
+            st.sampled_from([-window - 1, -window, 0, window, window + 1, 5 * window])),
+            max_size=40)):
+        ip = anchor.hashed_ip if from_anchor else ip
+        accesses.append(make_access(ip, anchor.upload_ts + shift, request, referrer))
+    return make_corpus(posts, accesses), window_hours
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logs())
+def test_clean_masks_match_per_record_oracle(logs):
+    corpus, window_hours = logs
+    got, report = clean_accesses(corpus, window_hours)
+    survivors, want = clean_per_record(corpus, window_hours)
+    assert report == want
+    assert_same_activity(got, activity_of(survivors))
 
 
 class TestHistograms:
@@ -298,7 +360,7 @@ class TestHistograms:
 
     def test_sunday_heavy_generator(self):
         corpus, _ = generate(SynthConfig(n_bloggers=60, n_days=21, seed=5))
-        report = activity_histograms(Activity.from_corpus(corpus), tz_offset_hours=9)
+        report = activity_histograms(clean_accesses(corpus, 12)[0], tz_offset_hours=9)
         # direct count oracle over the generated timestamps
         oracle = [0] * 7
         for post in corpus.posts:
@@ -316,10 +378,10 @@ class TestHistograms:
 
     def test_totals_match_records(self):
         corpus, _ = generate(SynthConfig(n_bloggers=25, n_days=5, seed=3))
-        cleaned, _ = clean_accesses(corpus, CleaningRules())
-        report = activity_histograms(Activity.from_corpus(cleaned))
-        assert sum(report.posts_by_hour) == len(cleaned.posts)
-        assert sum(report.posts_by_weekday) == len(cleaned.posts)
+        cleaned, _ = clean_accesses(corpus, 12)
+        report = activity_histograms(cleaned)
+        assert sum(report.posts_by_hour) == len(corpus.posts)
+        assert sum(report.posts_by_weekday) == len(corpus.posts)
         assert sum(report.accesses_by_hour) == len(cleaned.accesses)
         assert sum(report.accesses_by_weekday) == len(cleaned.accesses)
 
@@ -343,11 +405,3 @@ def test_duplicate_urls_dropped():
     p2 = make_post("u1", 0, BASE_TS + 10)  # same url
     corpus = Corpus.from_records([p1, p2], [])
     assert len(corpus.posts) == 1 and corpus.duplicate_urls_dropped == 1
-
-
-def test_collection_period_filter():
-    inside = make_post("u1", 0, BASE_TS + 100)
-    outside = make_post("u1", 1, BASE_TS + 10_000_000)
-    corpus = Corpus.from_records([inside, outside], [], period=(BASE_TS, BASE_TS + 86400))
-    assert [p.url for p in corpus.posts] == [inside.url]
-    assert corpus.duplicate_urls_dropped == 1

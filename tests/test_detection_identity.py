@@ -28,13 +28,13 @@ from hypothesis import strategies as st
 from blogfluence import causality
 from blogfluence.analysis import split_train_test
 from blogfluence.cli import main
+from blogfluence.corpus import format_apache_ts, parse_iso_ts
 from blogfluence.causality import (
     annotate_similarity,
     build_coin_series,
     extract_influence,
     make_coins,
 )
-from blogfluence.corpus import Activity
 from blogfluence.factor import blogger_content_matrix, build_influence_tensor
 from blogfluence.implicit import build_implicit_links, link_counts, link_posts, summarize_links
 from blogfluence.pipeline import run_detection
@@ -51,7 +51,9 @@ from blogfluence.textvec import (
 from conftest import (
     BASE_TS,
     TermVector,
+    activity_of,
     generate_per_record,
+    ip_to_bloggers,
     links_table,
     make_access,
     make_corpus,
@@ -59,6 +61,7 @@ from conftest import (
     post_terms,
     shared_terms,
     space,
+    url_to_post,
 )
 from test_acceptance import PIPELINE_CONFIG
 
@@ -152,6 +155,14 @@ CLI_ACTIVITY_DIGESTS = {
     "report/hist_posts_weekday.tsv": "40afd4353a527e77637f3104cc66c927b9545bc2b2f25a123ee762727535b424",
 }
 
+# sha256 of activity.tsv and ingest's count per cleaning rule at the same
+# config and seed, with one duplicate-URL post and one access line per rule
+# added to the synthetic logs (``test_cli_cleaning_digest``), recorded with
+# the per-record cleaner that tests/conftest.py keeps as the oracle.
+CLI_CLEANING_ACTIVITY_DIGEST = "5f0ff5a0712edacb13f0516e2d30e14ad32fe9980357bafbcd7573be7e772563"
+CLI_CLEANING_COUNTS = {"non_blogger_ip": 1, "robot_referrer": 1, "index_html": 1,
+                       "unknown_url": 1, "self_access": 1, "outside_window": 1}
+
 
 def _sha(lines):
     h = hashlib.sha256()
@@ -218,7 +229,7 @@ def test_kernels_match_oracles_on_the_planted_corpus(planted_corpus):
     """The per-record oracles below, on the c01/c02-scale planted corpus:
     implicit links, both sides' coin series and the extracted links."""
     corpus = planted_corpus[0]
-    links = build_implicit_links(Activity.from_corpus(corpus), 12).links
+    links = build_implicit_links(activity_of(corpus), 12).links
     assert list(links) == _oracle_links(corpus, 12)
     result = run_detection(corpus, vocab_max_size=400, seed=5)
     scored = list(result.implicit.links)
@@ -248,6 +259,43 @@ def test_cli_link_artifacts_digest(tmp_path):
     k8.write_text(PIPELINE_CONFIG.replace("\nn_topics = 2\n", "\nn_topics = 8\n"))
     assert main(["topics", "--config", str(k8), "--out-dir", str(out), "--seed", "17"]) == 0
     assert hashlib.sha256((out / "plsa_model.tsv").read_bytes()).hexdigest() == CLI_PLSA_K8_DIGEST
+
+
+def _log_line(ip, request, referrer="-", stamp="31/Aug/2008:15:51:14 +0000"):
+    return f'{ip} - - [{stamp}] "GET {request} HTTP/1.1" 200 0 "{referrer}" "-"\n'
+
+
+def test_cli_cleaning_digest(tmp_path, capsys):
+    """ingest of the synthetic logs plus a post that repeats a URL and one
+    access that each cleaning rule drops, in rule order."""
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(PIPELINE_CONFIG)
+    out = tmp_path / "out"
+    args = ["--config", str(config), "--out-dir", str(out), "--seed", "17"]
+    assert main(["synth", *args]) == 0
+    rows = [line.split("\t") for line in (out / "posts.tsv").read_text().splitlines()[1:]]
+    last_u0032 = max(parse_iso_ts(row[1]) for row in rows if row[2] == "u0032")
+    with open(out / "posts.tsv", "a") as fh:
+        # u0054's first URL again, from a blogger and an IP that post nothing else.
+        fh.write("ip9999\t2008-09-02T00:00:00Z\tu9999\t/u0054/p0\tdup\tblog-dup\tw0001\tdiary\n")
+    with open(out / "access.log", "a") as fh:
+        fh.writelines([
+            _log_line("ip9999", "/u0054/p0"),
+            _log_line("ip0032", "/u0054/p0", "http://reader.example/FEED/atom"),
+            _log_line("ip0032", "/x/index.html"),
+            _log_line("ip0032", "/nobody/p0"),
+            _log_line("ip0054", "/u0054/p0"),
+            # One second past the window after u0032's last post.
+            _log_line("ip0032", "/u0054/p0", stamp=format_apache_ts(last_u0032 + 12 * 3600 + 1)),
+        ])
+    capsys.readouterr()
+    assert main(["ingest", *args]) == 0
+    printed = capsys.readouterr().out
+    digest = hashlib.sha256((out / "activity.tsv").read_bytes()).hexdigest()
+    assert digest == CLI_CLEANING_ACTIVITY_DIGEST
+    counts = ", ".join(f"{rule} {n}" for rule, n in CLI_CLEANING_COUNTS.items())
+    assert "(0 skipped, 1 duplicate URLs dropped)" in printed
+    assert f"6 removed by cleaning ({counts}) -> 2704 kept" in printed
 
 
 # --------------------------------------------------------------------------
@@ -299,12 +347,13 @@ def _oracle_links(corpus, window_hours):
     for entries in by_user.values():
         entries.sort()
     best = {}
+    post_of, owners = url_to_post(corpus.posts), ip_to_bloggers(corpus.posts)
     for access in corpus.accesses:
-        idx = corpus.url_to_post.get(access.request)
+        idx = post_of.get(access.request)
         if idx is None:
             continue
         target = corpus.posts[idx]
-        for reader in sorted(corpus.ip_to_bloggers.get(access.hashed_ip, frozenset())):
+        for reader in sorted(owners.get(access.hashed_ip, frozenset())):
             if reader == target.user_id or reader not in by_user:
                 continue
             entries = by_user[reader]
@@ -455,7 +504,7 @@ def test_implicit_links_match_oracle_with_shared_ips():
     ]
     corpus = make_corpus(posts, accesses)
     for window in (1, 12):
-        got = build_implicit_links(Activity.from_corpus(corpus), window).links
+        got = build_implicit_links(activity_of(corpus), window).links
         want = _oracle_links(corpus, window)
         assert len(want) > 50
         assert list(got) == want
