@@ -12,8 +12,6 @@ truth backs the statistical tests.
 __version__ = "0.1.0"
 
 from blogfluence.corpus import (
-    AccessRecord,
-    BlogPost,
     Corpus,
     clean_accesses,
     parse_access_log,
@@ -41,8 +39,6 @@ from blogfluence.analysis import idr, recall_at_n, split_train_test
 from blogfluence.synth import SynthConfig, generate
 
 __all__ = [
-    "AccessRecord",
-    "BlogPost",
     "Corpus",
     "ImplicitLink",
     "ImplicitNetwork",

@@ -169,7 +169,12 @@ _SECTION = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
 
 def read_sections(path: str | Path,
                   specs: dict[str, Types | list[type] | dict[str, Types] | int]) -> dict:
-    """Rows of each ``[section]`` named in ``specs``.
+    return parse_sections(path, Path(path).read_text(encoding="utf-8"), specs)
+
+
+def parse_sections(path: str | Path, text: str,
+                   specs: dict[str, Types | list[type] | dict[str, Types] | int]) -> dict:
+    """Rows of each ``[section]`` of ``text``, read from ``path``, named in ``specs``.
 
     A section given a tuple of types reads as a list of rows, one given a
     list of ``str`` and ``int`` as its columns (``_columns``).  One given a
@@ -180,7 +185,7 @@ def read_sections(path: str | Path,
     out = {name: {} if isinstance(spec, dict) else np.zeros((0, spec), np.int64)
            if isinstance(spec, int) else [] for name, spec in specs.items()}
     # [text before the first section, name, body, name, body, ...]
-    pieces = _SECTION.split("\n" + Path(path).read_text(encoding="utf-8"))
+    pieces = _SECTION.split("\n" + text)
     for lineno, _ in _rows(pieces[0], 0):
         raise FormatError(f"{path}:{lineno}: row before the first [section]")
     lineno = pieces[0].count("\n") + 1  # of the section line

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import shutil
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -37,10 +39,10 @@ from blogfluence.corpus import (
     Corpus,
     FormatError,
     IngestError,
-    access_line,
+    access_lines,
     activity_histograms,
     clean_accesses,
-    content_line,
+    content_lines,
     parse_access_log,
     parse_content_file,
 )
@@ -118,28 +120,6 @@ class PipelineConfig:
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:12]
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
-def _convert(raw: str, annotation: type):
-    if annotation is bool:
-        low = raw.strip().lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if annotation is int:
-        return int(raw)
-    if annotation is float:
-        return float(raw)
-    if annotation is str:
-        return raw
-    # tuple-of-float profiles
-    return tuple(float(x) for x in raw.split(","))
-
-
 def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfig:
     cfg = PipelineConfig()
     synth_fields = {f.name: f for f in dataclasses.fields(synth.SynthConfig)}
@@ -160,9 +140,9 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
                     name = key[len("synth."):]
                     if name not in synth_fields:
                         raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                    synth_updates[name] = _convert(value, _field_type(synth_fields[name]))
+                    synth_updates[name] = _parser(synth_fields[name])(value)
                 elif key in top_fields and key != "synth":
-                    setattr(cfg, key, _convert(value, _field_type(top_fields[key])))
+                    setattr(cfg, key, _parser(top_fields[key])(value))
                 else:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             except ValueError as exc:
@@ -180,10 +160,11 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
     return cfg
 
 
-def _field_type(f: dataclasses.Field) -> type:
-    mapping = {"int": int, "float": float, "str": str, "bool": bool}
+def _parser(f: dataclasses.Field) -> Callable[[str], object]:
+    """How a config value of the field ``f`` is read; profiles are comma-separated floats."""
     name = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "")
-    return mapping.get(name, tuple)
+    return {"int": int, "float": float, "str": str}.get(
+        name, lambda raw: tuple(float(x) for x in raw.split(",")))
 
 
 # --------------------------------------------------------------------------
@@ -247,8 +228,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
     except synth.SynthesisError as exc:
         raise ConfigError(f"synth: {exc}") from exc
     header = _header(cfg, "synth")
-    artifacts.write_rows(_path(cfg, "posts.tsv"), header, zip(map(content_line, corpus.posts)))
-    artifacts.write_rows(_path(cfg, "access.log"), header, zip(map(access_line, corpus.accesses)))
+    artifacts.write_rows(_path(cfg, "posts.tsv"), header, zip(content_lines(corpus.posts)))
+    artifacts.write_rows(_path(cfg, "access.log"), header, zip(access_lines(corpus.accesses)))
     synth.write_truth_tsv(truth, _path(cfg, "truth.tsv"), header)
     synth.write_experts_tsv(truth, _path(cfg, "experts.tsv"), header)
     print(
@@ -259,15 +240,13 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
-    content = Path(cfg.content_path) if cfg.content_path else _path(cfg, "posts.tsv")
-    access = Path(cfg.access_path) if cfg.access_path else _path(cfg, "access.log")
-    _require(content)
-    _require(access)
+    content = _require(Path(cfg.content_path) if cfg.content_path else _path(cfg, "posts.tsv"))
+    access = _require(Path(cfg.access_path) if cfg.access_path else _path(cfg, "access.log"))
     with open(content, encoding="utf-8") as fh:
         posts, posts_report = parse_content_file(fh)
     with open(access, encoding="utf-8") as fh:
         accesses, access_report = parse_access_log(fh)
-    corpus = Corpus.from_records(posts, accesses)
+    corpus = Corpus(posts, accesses)
     activity, removal = clean_accesses(corpus, cfg.window_hours)
     header = _header(cfg, "ingest")
     implicit.write_activity(activity, _path(cfg, "activity.tsv"), header)
@@ -275,7 +254,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     dropped = ", ".join(f"{rule} {n}" for rule, n in dataclasses.asdict(removal).items())
     print(
         f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped, "
-        f"{corpus.duplicate_urls_dropped} duplicate URLs dropped), "
+        f"{posts_report.n_duplicate} duplicate URLs dropped), "
         f"{access_report.n_ok} accesses ({access_report.n_skipped} skipped), "
         f"{removal.total()} removed by cleaning ({dropped}) -> {len(activity.accesses)} kept"
     )
@@ -380,7 +359,7 @@ def cmd_tensor(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_iolap(cfg: PipelineConfig, args) -> int:
-    terms = _post_terms(cfg).vocabulary(cfg.vocab_max_size).terms
+    terms = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
     tensor = factor.read_tensor_tsv(_require(_path(cfg, "tensor.tsv")))
     topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), terms)
     try:
@@ -468,7 +447,7 @@ def cmd_idr(cfg: PipelineConfig, args) -> int:
 
 def _recommenders(cfg: PipelineConfig):
     """The four recommenders over the fitted models, all read from artifacts first."""
-    terms = _post_terms(cfg).vocabulary(cfg.vocab_max_size).terms
+    terms = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
     return analysis.recommenders(
         factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv"))),
         topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), terms),
@@ -595,6 +574,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value configuration file")
@@ -625,8 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     overrides: dict[str, object] = {
         "seed": args.seed,
         "out_dir": args.out_dir,

@@ -7,25 +7,28 @@ Two input formats are supported:
   user id, URL, title, blog name, body, comma-joined themes.  Bodies and
   titles must not contain tabs or newlines.
 * access log: Apache combined format, with the hashed IP in the
-  remote-host field.  Only GET requests produce records; the request is
+  remote-host field.  Only GET requests are kept; the request is
   reduced to a normalized URL path with the query string stripped.
 
 Server logs are noisy, so malformed lines are skipped and counted rather
 than aborting the run; a stream where more than half of the lines are
 malformed is rejected as being in the wrong format altogether.  Only
-``ingest`` parses them.  ``clean_accesses`` codes the parsed posts and
-accesses once into one ``Activity`` table of integer rows and drops the
-accesses that cannot carry influence, each rule a boolean mask over those
-codes; later stages read the table back from ``activity.tsv``.
+``ingest`` parses them, into the ``Corpus`` of column tables that
+``synth`` gives too.  A string column that repeats is held as its
+distinct names and an int64 code per row, so each value is converted
+once.  ``clean_accesses`` remaps the codes into one ``Activity`` table of
+integer rows, less the accesses that cannot carry influence (each rule a
+mask over the codes), which later stages read from ``activity.tsv``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict, namedtuple
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
-from operator import attrgetter
-from typing import Iterable, Sequence
+from itertools import chain, count
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,32 +123,109 @@ def normalize_url(url: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# record types
+# column tables
 
-@dataclass(frozen=True)
-class BlogPost:
-    hashed_ip: str
-    upload_ts: int  # UTC epoch seconds
-    user_id: str
-    url: str  # normalized path, unique per post
-    title: str
-    blog_name: str
-    body: str
-    themes: tuple[str, ...]
+@dataclass(eq=False)
+class Strings:
+    """A string column as its distinct ``names`` and each row's int64 index
+    among them, so that work on a value is done once per distinct value."""
+
+    names: list[str]
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, values: Iterable[str]) -> Strings:
+        """``values`` coded in order of first appearance."""
+        code = defaultdict(count().__next__)
+        codes = np.fromiter(map(code.__getitem__, values), np.int64)
+        return cls(list(code), codes)
+
+    def values(self) -> list[str]:
+        return list(map(self.names.__getitem__, self.codes.tolist()))
+
+    def take(self, rows: np.ndarray) -> Strings:
+        return Strings(self.names, self.codes[rows])
+
+    def map(self, fn: Callable[[str], str]) -> Strings:
+        """``fn`` of every row, called once per name."""
+        return Strings.of(map(fn, self.names)).take(self.codes)
+
+    def per_name(self, fn: Callable[[str], object], dtype: type) -> np.ndarray:
+        """``fn`` of every row as an array, called once per name."""
+        return np.array([fn(name) for name in self.names], dtype=dtype)[self.codes]
+
+    def ranked(self, rows: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The names that ``rows`` hold, ascending, and each row's index among them."""
+        codes = self.codes[rows]
+        used = sorted(distinct(codes).tolist(), key=self.names.__getitem__)
+        rank = np.zeros(len(self.names), np.int64)
+        rank[used] = np.arange(len(used))
+        return [self.names[c] for c in used], rank[codes]
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    hashed_ip: str
-    access_ts: int
-    request: str  # normalized path
-    referrer: str  # empty string when the log field was "-"
+def _themes(field: str) -> tuple[str, ...]:
+    return tuple(theme for theme in field.split(",") if theme)
+
+
+Post = namedtuple("Post", "hashed_ip upload_ts user_id url title blog_name body themes")
+Access = namedtuple("Access", "hashed_ip access_ts request referrer")
+
+
+@dataclass(eq=False)
+class Posts:
+    """Posts as columns in file order, one row per URL, ``themes`` comma-joined;
+    iterating yields one ``Post`` per row, its themes a tuple."""
+
+    hashed_ip: Strings
+    upload_ts: np.ndarray  # int64 UTC epoch seconds
+    user_id: Strings
+    url: list[str]  # normalized path
+    title: list[str]
+    blog_name: Strings
+    body: list[str]
+    themes: Strings
+
+    def __len__(self) -> int:
+        return len(self.url)
+
+    def __iter__(self) -> Iterator[Post]:
+        themes = list(map(_themes, self.themes.names))
+        return map(Post._make, zip(
+            self.hashed_ip.values(), self.upload_ts.tolist(), self.user_id.values(), self.url,
+            self.title, self.blog_name.values(), self.body,
+            map(themes.__getitem__, self.themes.codes.tolist())))
+
+
+@dataclass(eq=False)
+class Accesses:
+    """GET accesses as columns, in log order; iterating yields ``Access`` rows."""
+
+    hashed_ip: Strings
+    access_ts: np.ndarray  # int64
+    request: Strings  # normalized path
+    referrer: Strings  # empty where the log field was "-"
+
+    def __len__(self) -> int:
+        return len(self.access_ts)
+
+    def __iter__(self) -> Iterator[Access]:
+        return map(Access._make, zip(self.hashed_ip.values(), self.access_ts.tolist(),
+                                     self.request.values(), self.referrer.values()))
+
+
+@dataclass(eq=False)
+class Corpus:
+    """Parsed posts, one per URL, and parsed accesses, as column tables."""
+
+    posts: Posts
+    accesses: Accesses
 
 
 @dataclass
 class ParseReport:
     n_ok: int = 0
     n_skipped: int = 0
+    n_duplicate: int = 0  # well-formed posts dropped for a URL seen before
 
 
 @dataclass
@@ -161,24 +241,6 @@ class CleaningReport:
 
     def total(self) -> int:
         return sum(astuple(self))
-
-
-@dataclass
-class Corpus:
-    """Parsed posts, one per URL, and parsed accesses."""
-
-    posts: list[BlogPost]
-    accesses: list[AccessRecord]
-    duplicate_urls_dropped: int = 0
-
-    @classmethod
-    def from_records(cls, posts: Iterable[BlogPost], accesses: Iterable[AccessRecord]) -> Corpus:
-        """Build a corpus, dropping posts with duplicate URLs (first wins)."""
-        posts = list(posts)
-        first: dict[str, BlogPost] = {}
-        for post in posts:
-            first.setdefault(post.url, post)
-        return cls(list(first.values()), list(accesses), len(posts) - len(first))
 
 
 @dataclass(eq=False)
@@ -198,13 +260,6 @@ class Activity:
 
 # --------------------------------------------------------------------------
 # integer tables
-
-def coded(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
-    """The distinct names of ``columns``, ascending, and each column as indices among them."""
-    names = sorted(set().union(*columns))
-    code = {name: i for i, name in enumerate(names)}
-    return names, [np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in columns]
-
 
 def distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-d array, ascending, as ``np.unique`` gives
@@ -256,127 +311,88 @@ class PostKeys:
 # --------------------------------------------------------------------------
 # parsing and serialization
 
-def content_line(post: BlogPost) -> str:
-    return "\t".join(
-        (
-            post.hashed_ip,
-            format_iso_ts(post.upload_ts),
-            post.user_id,
-            post.url,
-            post.title,
-            post.blog_name,
-            post.body,
-            ",".join(post.themes),
-        )
-    )
-
-
-def parse_content_file(stream: Iterable[str]) -> tuple[list[BlogPost], ParseReport]:
-    """Parse the eight-column posts TSV; skip and count malformed lines.
-
-    Blank lines and ``#`` comment/header lines are ignored without
-    counting.
-    """
-    posts: list[BlogPost] = []
-    report = ParseReport()
+def _lines(stream: Iterable[str], what: str) -> Iterator[str]:
+    """The lines of ``stream`` without line ends, less blank and ``#`` lines."""
     try:
         for raw in stream:
             line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 8:
-                report.n_skipped += 1
-                continue
-            ip, ts_text, user_id, url, title, blog_name, body, themes = fields
-            try:
-                ts = parse_iso_ts(ts_text)
-            except ValueError:
-                report.n_skipped += 1
-                continue
-            url = normalize_url(url)
-            if not user_id or not url:  # "" names no post or blogger
-                report.n_skipped += 1
-                continue
-            posts.append(
-                BlogPost(
-                    hashed_ip=ip,
-                    upload_ts=ts,
-                    user_id=user_id,
-                    url=url,
-                    title=title,
-                    blog_name=blog_name,
-                    body=body,
-                    themes=tuple(t for t in themes.split(",") if t),
-                )
-            )
-            report.n_ok += 1
+            if line and not line.startswith("#"):
+                yield line
     except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read content stream: {exc}") from exc
+        raise IngestError(f"cannot read {what} stream: {exc}") from exc
+
+
+def _stamps(parse: Callable[[str], int], stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each stamp in epoch seconds and whether it parsed, one ``parse`` per distinct stamp."""
+    stamps = Strings.of(stamps)
+    seconds, ok = np.zeros(len(stamps.names), np.int64), np.ones(len(stamps.names), bool)
+    for i, text in enumerate(stamps.names):
+        try:
+            seconds[i] = parse(text)
+        except ValueError:
+            ok[i] = False
+    return seconds[stamps.codes], ok[stamps.codes]
+
+
+def parse_content_file(stream: Iterable[str]) -> tuple[Posts, ParseReport]:
+    """Parse the eight-column posts TSV, keeping the first post of each URL; skip
+    and count malformed lines, and ignore blank and ``#`` lines without counting."""
+    lines = [line.split("\t") for line in _lines(stream, "content")]
+    ip, stamp, user, url, title, blog_name, body, themes = list(
+        zip(*(fields for fields in lines if len(fields) == 8))) or [()] * 8
+    upload, parsed = _stamps(parse_iso_ts, stamp)
+    user, url = Strings.of(user), Strings.of(url).map(normalize_url)
+    # "" names no post or blogger
+    ok = np.flatnonzero(parsed & user.per_name(bool, bool) & url.per_name(bool, bool))
+    keep = np.sort(ok[np.unique(url.codes[ok], return_index=True)[1]])
+    report = ParseReport(len(ok), len(lines) - len(ok), len(ok) - len(keep))
     if report.n_skipped > report.n_ok:
-        raise FormatError(
-            f"{report.n_skipped} of {report.n_ok + report.n_skipped} lines malformed; "
-            "not a posts TSV?"
-        )
-    return posts, report
+        raise FormatError(f"{report.n_skipped} of {len(lines)} lines malformed; not a posts TSV?")
+    return Posts(Strings.of(ip).take(keep), upload[keep], user.take(keep),
+                 url.take(keep).values(), [title[i] for i in keep.tolist()],
+                 Strings.of(blog_name).take(keep), [body[i] for i in keep.tolist()],
+                 Strings.of(themes).map(lambda field: ",".join(_themes(field))).take(keep)), report
 
 
-def access_line(rec: AccessRecord) -> str:
-    referrer = rec.referrer if rec.referrer else "-"
-    return (
-        f'{rec.hashed_ip} - - [{format_apache_ts(rec.access_ts)}] '
-        f'"GET {rec.request} HTTP/1.1" 200 0 "{referrer}" "-"'
-    )
+def content_lines(posts: Posts) -> Iterator[str]:
+    """The posts as lines of the posts TSV, without line ends."""
+    return map("\t".join, zip(
+        posts.hashed_ip.values(), map(format_iso_ts, posts.upload_ts.tolist()),
+        posts.user_id.values(), posts.url, posts.title, posts.blog_name.values(), posts.body,
+        posts.themes.values()))
 
 
-def parse_access_log(stream: Iterable[str]) -> tuple[list[AccessRecord], ParseReport]:
-    """Parse Apache combined-format lines into access records.
+def parse_access_log(stream: Iterable[str]) -> tuple[Accesses, ParseReport]:
+    """Parse Apache combined-format lines into access columns.
 
     Non-GET requests and lines that do not match the combined format are
     skipped and counted.  Query strings are stripped from the request.
     """
-    records: list[AccessRecord] = []
-    report = ParseReport()
-    malformed = 0  # pattern mismatches only; well-formed non-GET lines are
-    # skipped without suggesting the stream is in the wrong format
-    try:
-        for raw in stream:
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            m = _APACHE_LINE_RE.match(line)
-            if m is None:
-                report.n_skipped += 1
-                malformed += 1
-                continue
-            host, _ident, _user, ts_text, request, _status, _size, referrer, _agent = m.groups()
-            try:
-                ts = parse_apache_ts(ts_text)
-            except ValueError:
-                report.n_skipped += 1
-                malformed += 1
-                continue
-            parts = request.split(" ")
-            if len(parts) != 3 or parts[0] != "GET":
-                report.n_skipped += 1
-                continue
-            records.append(
-                AccessRecord(
-                    hashed_ip=host,
-                    access_ts=ts,
-                    request=normalize_url(parts[1]),
-                    referrer="" if referrer == "-" else referrer,
-                )
-            )
-            report.n_ok += 1
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read access log stream: {exc}") from exc
+    lines = [_APACHE_LINE_RE.match(line) for line in _lines(stream, "access log")]
+    host, stamp, request, referrer = list(
+        zip(*(m.group(1, 4, 5, 8) for m in lines if m))) or [()] * 4
+    access_ts, parsed = _stamps(parse_apache_ts, stamp)
+    request = Strings.of(request)
+    parts = [name.split(" ") for name in request.names]
+    is_get = [len(p) == 3 and p[0] == "GET" for p in parts]
+    ok = np.flatnonzero(parsed & np.array(is_get, dtype=bool)[request.codes])
+    # Pattern mismatches and bad stamps only: a well-formed non-GET line
+    # does not suggest that the stream is in the wrong format.
+    malformed = len(lines) - len(stamp) + int((~parsed).sum())
+    report = ParseReport(len(ok), len(lines) - len(ok))
     if malformed > report.n_ok:
         raise FormatError(
-            f"{malformed} of {report.n_ok + report.n_skipped} lines malformed; "
-            "not an Apache combined log?"
-        )
-    return records, report
+            f"{malformed} of {len(lines)} lines malformed; not an Apache combined log?")
+    path = Strings.of(normalize_url(p[1]) if get else "" for p, get in zip(parts, is_get))
+    return Accesses(Strings.of(host).take(ok), access_ts[ok], path.take(request.codes[ok]),
+                    Strings.of(referrer).map(lambda r: "" if r == "-" else r).take(ok)), report
+
+
+def access_lines(accesses: Accesses) -> Iterator[str]:
+    """The accesses as GET lines of an Apache combined log, without line ends."""
+    return map('%s - - [%s] "GET %s HTTP/1.1" 200 0 "%s" "-"'.__mod__, zip(
+        accesses.hashed_ip.values(), map(format_apache_ts, accesses.access_ts.tolist()),
+        accesses.request.values(), accesses.referrer.map(lambda r: r or "-").values()))
 
 
 # --------------------------------------------------------------------------
@@ -399,23 +415,24 @@ def clean_accesses(corpus: Corpus, window_hours: int) -> tuple[Activity, Cleanin
     """
     if window_hours < 1:
         raise ValueError("window_hours must be >= 1")
-    posts, accesses = sorted(corpus.posts, key=attrgetter("url")), corpus.accesses
-    urls = [post.url for post in posts]
-    bloggers, (author,) = coded([post.user_id for post in posts])
-    ips, (post_ip,) = coded([post.hashed_ip for post in posts])
-    themes, (theme,) = coded([theme for post in posts for theme in post.themes])
-    upload = np.array([post.upload_ts for post in posts], dtype=np.int64)
-    read_at = np.array([a.access_ts for a in accesses], dtype=np.int64)
-    ip_of = {name: i for i, name in enumerate(ips)}
-    post_of = {url: i for i, url in enumerate(urls)}
-    names, (ip,) = coded([a.hashed_ip for a in accesses])
-    ip = np.array([ip_of.get(name, -1) for name in names], dtype=np.int64)[ip]
-    names, (referrer,) = coded([a.referrer for a in accesses])
-    robot = np.array([any(pattern in name.lower() for pattern in ROBOT_REFERRER_PATTERNS)
-                      for name in names], dtype=bool)[referrer]
-    names, (request,) = coded([a.request for a in accesses])
-    target = np.array([post_of.get(name, -1) for name in names], dtype=np.int64)[request]
-    index_page = np.array([name.endswith("index.html") for name in names], dtype=bool)[request]
+    posts, accesses = corpus.posts, corpus.accesses
+    order = np.array(sorted(range(len(posts)), key=posts.url.__getitem__), dtype=np.int64)
+    urls = [posts.url[i] for i in order.tolist()]
+    bloggers, author = posts.user_id.ranked(order)
+    ips, post_ip = posts.hashed_ip.ranked(order)
+    upload, read_at = posts.upload_ts[order], accesses.access_ts
+    # Each post's themes are one range of the themes of every name, in turn.
+    split = list(map(_themes, posts.themes.names))
+    n_themes = np.array(list(map(len, split)), dtype=np.int64)
+    ends, joined = n_themes.cumsum(), posts.themes.codes[order]
+    post, at = expand_ranges((ends - n_themes)[joined], ends[joined])
+    themes, theme = Strings.of(chain.from_iterable(split)).ranked(at)
+    ip_of, post_of = ({name: i for i, name in enumerate(names)} for names in (ips, urls))
+    ip = accesses.hashed_ip.per_name(lambda name: ip_of.get(name, -1), np.int64)
+    robot = accesses.referrer.per_name(
+        lambda name: any(pattern in name.lower() for pattern in ROBOT_REFERRER_PATTERNS), bool)
+    target = accesses.request.per_name(lambda name: post_of.get(name, -1), np.int64)
+    index_page = accesses.request.per_name(lambda name: name.endswith("index.html"), bool)
 
     # Each access of a known IP to a known post, once per reader behind the IP.
     window = window_hours * 3600
@@ -435,7 +452,6 @@ def clean_accesses(corpus: Corpus, window_hours: int) -> tuple[Activity, Cleanin
                        ("self_access", self_read), ("outside_window", ~near)):
         setattr(report, rule, int((alive & drop).sum()))
         alive &= ~drop
-    post = np.repeat(np.arange(len(posts)), [len(post.themes) for post in posts])
     return Activity(urls, bloggers, ips, themes, np.column_stack([author, upload, post_ip]),
                     np.column_stack([post, theme]),
                     np.column_stack([target[alive], ip[alive], read_at[alive]])), report

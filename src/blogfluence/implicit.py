@@ -15,13 +15,13 @@ author an ascending table of bloggers, so index order is string order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress
 from typing import Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Activity, FormatError, PostKeys, coded, distinct, expand_ranges
+from blogfluence.corpus import Activity, FormatError, PostKeys, Strings, distinct, expand_ranges
 
 DEFAULT_WINDOW_HOURS = 12
 
@@ -62,10 +62,10 @@ class Links:
     def from_columns(cls, q: Sequence[str], p: Sequence[str], reader: Sequence[str],
                      author: Sequence[str], gap: Sequence[int]) -> Links:
         """The table of string columns and gaps, with no similarities."""
-        urls, (q, p) = coded(q, p)
-        bloggers, (reader, author) = coded(reader, author)
-        return cls(urls, bloggers, q, p, reader, author, np.array(gap, dtype=np.int64),
-                   np.full(len(q), np.nan))
+        urls, qp = Strings.of(chain(q, p)).ranked(slice(None))
+        bloggers, ra = Strings.of(chain(reader, author)).ranked(slice(None))
+        return cls(urls, bloggers, *np.split(qp, 2), *np.split(ra, 2),
+                   np.array(gap, dtype=np.int64), np.full(len(gap), np.nan))
 
     def __len__(self) -> int:
         return len(self.q)

@@ -1,10 +1,12 @@
 """Synthetic blog corpora with planted influence and known ground truth.
 
-The generator plays the roles the real service data cannot: it emits the
-exact posts-TSV and combined-log formats, plants copy events whose
-(q, p) pairs are recorded as ground truth, and injects a correlation
-confounder (readers prefer topically similar authors) so the causality
-tests have something to reject.
+The generator plays the roles the real service data cannot: it returns
+the ``Corpus`` column tables that the parsers of the posts-TSV and
+combined-log formats return, with the IP, user and url columns coded
+straight from its integer draws, plants copy events whose (q, p) pairs
+are recorded as ground truth, and injects a correlation confounder
+(readers prefer topically similar authors) so the causality tests have
+something to reject.
 
 Read targets are drawn from the posts uploaded before the reader's link
 window even opens, and the read-to-upload gap is drawn independently of
@@ -53,7 +55,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import AccessRecord, BlogPost, Corpus, parse_iso_ts
+from blogfluence.corpus import Accesses, Corpus, Posts, Strings, parse_iso_ts
 
 # Relative weights; posting peaks late evening local time.
 DEFAULT_HOUR_PROFILE = (
@@ -327,28 +329,17 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
             tokens[q, pos] = tokens[p, take]
             pairs.add((urls[q], urls[p]))
 
-    # -- records ------------------------------------------------------------
+    # -- columns ------------------------------------------------------------
+    # Accesses by (time, IP, url); IP and url codes index ``ips`` and ``urls``.
     ip_rank = np.unique(np.array(ips), return_inverse=True)[1]
     order = np.lexsort((post_rank[target], ip_rank[reader], read_ts))
-    accesses = [
-        AccessRecord(hashed_ip=ips[r], access_ts=t, request=urls[p], referrer="")
-        for r, t, p in zip(reader[order].tolist(), read_ts[order].tolist(), target[order].tolist())
-    ]
-    blog_posts = [
-        BlogPost(
-            hashed_ip=ips[b],
-            upload_ts=t,
-            user_id=blogger_ids[b],
-            url=url,
-            title=f"post {url}",
-            blog_name=f"blog-{blogger_ids[b]}",
-            body=" ".join(map(terms.__getitem__, row)),
-            themes=(f"t{k}",),
-        )
-        for b, t, url, k, row in zip(blogger.tolist(), ts.tolist(), urls, topic.tolist(),
-                                     tokens.tolist())
-    ]
-    corpus = Corpus.from_records(blog_posts, accesses)
+    accesses = Accesses(Strings(ips, reader[order]), read_ts[order], Strings(urls, target[order]),
+                        Strings([""], np.zeros(order.size, np.int64)))
+    posts = Posts(Strings(ips, blogger), ts, Strings(blogger_ids, blogger), urls,
+                  [f"post {url}" for url in urls],
+                  Strings([f"blog-{b}" for b in blogger_ids], blogger),
+                  [" ".join(map(terms.__getitem__, row)) for row in tokens.tolist()],
+                  Strings([f"t{k}" for k in range(n_topics)], topic))
 
     expert_map: dict[str, dict[int, tuple[str, ...]]] = {}
     for b in range(n_slots, n_bloggers if n_slots else 0):  # the members
@@ -356,7 +347,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
             t: tuple(blogger_ids[first_slot[b, t]:first_slot[b, t] + per_slot])
             for t in range(n_topics)
         }
-    return corpus, GroundTruth(influence_pairs=pairs, member_expert_map=expert_map)
+    return Corpus(posts, accesses), GroundTruth(pairs, expert_map)
 
 
 # --------------------------------------------------------------------------

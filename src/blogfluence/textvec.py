@@ -10,13 +10,13 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, takewhile
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import BlogPost, FormatError, expand_ranges
+from blogfluence.corpus import FormatError, Posts, expand_ranges
 from blogfluence.implicit import Links
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -108,17 +108,17 @@ def _chain(lists: Iterable[list], lengths: list[int]) -> Iterator:
     return chain.from_iterable(map(note, lists))
 
 
-def count_terms(posts: Iterable[BlogPost]) -> PostTerms:
+def count_terms(posts: Posts) -> PostTerms:
     """Tokenize every post's body and count its terms.
 
     No whitespace character is a word character, so a body's tokens are
     its whitespace-separated words' tokens in turn: the bodies are read as
     interned word ids, and each distinct word is tokenized once."""
-    by_url = {post.url: post for post in posts}
-    urls = sorted(by_url)
+    by_url = sorted(range(len(posts)), key=posts.url.__getitem__)
+    urls, body, authors = [posts.url[i] for i in by_url], posts.body, posts.user_id.values()
     word_id, n_words = defaultdict(count().__next__), []
     words = np.fromiter(map(word_id.__getitem__, _chain(
-        (by_url[url].body.split() for url in urls), n_words)), np.int64)
+        (body[i].split() for i in by_url), n_words)), np.int64)
     # Each distinct word's tokens as term ids, one range of ``word_terms``.
     term_id, n_tokens = defaultdict(count().__next__), []
     word_terms = np.fromiter(map(term_id.__getitem__, _chain(map(tokenize, word_id), n_tokens)),
@@ -142,12 +142,29 @@ def count_terms(posts: Iterable[BlogPost]) -> PostTerms:
     rank[ranked] = np.arange(n_terms)
     return PostTerms(list(zip(map(terms.__getitem__, ranked.tolist()),
                               doc_freq[ranked].tolist())),
-                     [(url, by_url[url].user_id) for url in urls],
+                     [(url, authors[i]) for url, i in zip(urls, by_url)],
                      np.column_stack([keys // n_terms, rank[keys % n_terms], counts]))
 
 
 def write_post_terms(counts: PostTerms, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, vars(counts))
+
+
+def _check_ranking(path: str, terms: list[str], doc_freq: np.ndarray) -> None:
+    # A capped vocabulary is a prefix of [terms], so the ranking must hold.
+    ranked = list(zip((-doc_freq).tolist(), terms))
+    if any(a >= b for a, b in zip(ranked, ranked[1:])):
+        raise FormatError(f"{path}: [terms] needs terms ranked by descending frequency, "
+                          "ties by ascending term, each term once")
+
+
+def read_vocabulary(path: str, max_size: int) -> list[str]:
+    """``read_post_terms(path).vocabulary(max_size).terms``, read up to ``[posts]``."""
+    with open(path, encoding="utf-8") as fh:
+        head = "".join(takewhile(lambda line: line.rstrip("\n") != "[posts]", fh))
+    terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int]})["terms"]
+    _check_ranking(path, terms, doc_freq)
+    return terms[:max_size]
 
 
 def read_post_terms(path: str) -> PostTerms:
@@ -161,11 +178,7 @@ def read_post_terms(path: str) -> PostTerms:
         raise FormatError(f"{path}: [entries] needs post indices in order and counts >= 1")
     if any(a >= b for a, b in zip(urls, urls[1:])):
         raise FormatError(f"{path}: [posts] needs urls in strictly ascending order")
-    # A capped vocabulary is a prefix of [terms], so the ranking must hold.
-    ranked = list(zip((-doc_freq).tolist(), terms))
-    if any(a >= b for a, b in zip(ranked, ranked[1:])):
-        raise FormatError(f"{path}: [terms] needs terms ranked by descending frequency, "
-                          "ties by ascending term, each term once")
+    _check_ranking(path, terms, doc_freq)
     keys = np.sort(post * len(terms) + term)
     if (keys[1:] == keys[:-1]).any():
         raise FormatError(f"{path}: [entries] holds a term twice for one post")

@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 from blogfluence.corpus import (
-    AccessRecord,
+    _APACHE_LINE_RE,
+    Accesses,
     Activity,
-    BlogPost,
     CleaningReport,
     Corpus,
-    coded,
+    FormatError,
+    IngestError,
+    ParseReport,
+    Posts,
+    Strings,
+    format_apache_ts,
+    format_iso_ts,
+    normalize_url,
+    parse_apache_ts,
     parse_iso_ts,
 )
 from blogfluence.synth import (
@@ -29,6 +37,130 @@ from blogfluence.topics import build_doc_term
 
 # 2008-09-01T00:00:00Z, a Monday.
 BASE_TS = 1220227200
+
+
+# --------------------------------------------------------------------------
+# The per-record types, parsers and line writers that the column tables of
+# ``blogfluence.corpus`` replaced, kept as the oracles they are checked
+# against.
+
+@dataclass(frozen=True)
+class BlogPost:
+    hashed_ip: str
+    upload_ts: int  # UTC epoch seconds
+    user_id: str
+    url: str  # normalized path, unique per post
+    title: str
+    blog_name: str
+    body: str
+    themes: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class AccessRecord:
+    hashed_ip: str
+    access_ts: int
+    request: str  # normalized path
+    referrer: str  # empty string when the log field was "-"
+
+
+def make_corpus(posts, accesses):
+    """The column corpus of records; of posts that share a URL, the first is kept."""
+    first = {}
+    for post in posts:
+        first.setdefault(post.url, post)
+    posts, accesses = list(first.values()), list(accesses)
+    return Corpus(
+        Posts(Strings.of(p.hashed_ip for p in posts),
+              np.array([p.upload_ts for p in posts], dtype=np.int64),
+              Strings.of(p.user_id for p in posts), [p.url for p in posts],
+              [p.title for p in posts], Strings.of(p.blog_name for p in posts),
+              [p.body for p in posts], Strings.of(",".join(p.themes) for p in posts)),
+        Accesses(Strings.of(a.hashed_ip for a in accesses),
+                 np.array([a.access_ts for a in accesses], dtype=np.int64),
+                 Strings.of(a.request for a in accesses), Strings.of(a.referrer for a in accesses)))
+
+
+def content_line(post):
+    return "\t".join((post.hashed_ip, format_iso_ts(post.upload_ts), post.user_id, post.url,
+                      post.title, post.blog_name, post.body, ",".join(post.themes)))
+
+
+def access_line(rec):
+    referrer = rec.referrer if rec.referrer else "-"
+    return (f'{rec.hashed_ip} - - [{format_apache_ts(rec.access_ts)}] '
+            f'"GET {rec.request} HTTP/1.1" 200 0 "{referrer}" "-"')
+
+
+def parse_content_per_record(stream):
+    """The posts of a posts TSV as records, every well-formed line's, and the report."""
+    posts = []
+    report = ParseReport()
+    try:
+        for raw in stream:
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 8:
+                report.n_skipped += 1
+                continue
+            ip, ts_text, user_id, url, title, blog_name, body, themes = fields
+            try:
+                ts = parse_iso_ts(ts_text)
+            except ValueError:
+                report.n_skipped += 1
+                continue
+            url = normalize_url(url)
+            if not user_id or not url:
+                report.n_skipped += 1
+                continue
+            posts.append(BlogPost(ip, ts, user_id, url, title, blog_name, body,
+                                  tuple(t for t in themes.split(",") if t)))
+            report.n_ok += 1
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read content stream: {exc}") from exc
+    if report.n_skipped > report.n_ok:
+        raise FormatError(f"{report.n_skipped} of {report.n_ok + report.n_skipped} lines "
+                          "malformed; not a posts TSV?")
+    return posts, report
+
+
+def parse_access_per_record(stream):
+    """The GET accesses of a combined log as records, and the report."""
+    records = []
+    report = ParseReport()
+    malformed = 0
+    try:
+        for raw in stream:
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
+                continue
+            m = _APACHE_LINE_RE.match(line)
+            if m is None:
+                report.n_skipped += 1
+                malformed += 1
+                continue
+            host, _ident, _user, ts_text, request, _status, _size, referrer, _agent = m.groups()
+            try:
+                ts = parse_apache_ts(ts_text)
+            except ValueError:
+                report.n_skipped += 1
+                malformed += 1
+                continue
+            parts = request.split(" ")
+            if len(parts) != 3 or parts[0] != "GET":
+                report.n_skipped += 1
+                continue
+            records.append(AccessRecord(host, ts, normalize_url(parts[1]),
+                                        "" if referrer == "-" else referrer))
+            report.n_ok += 1
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read access log stream: {exc}") from exc
+    if malformed > report.n_ok:
+        raise FormatError(f"{malformed} of {report.n_ok + report.n_skipped} lines malformed; "
+                          "not an Apache combined log?")
+    return records, report
 
 
 def make_post(user, serial, ts, body="alpha beta gamma", ip=None, themes=("diary",)):
@@ -48,12 +180,14 @@ def make_access(ip, ts, request, referrer=""):
     return AccessRecord(hashed_ip=ip, access_ts=ts, request=request, referrer=referrer)
 
 
-def make_corpus(posts, accesses):
-    return Corpus.from_records(posts, accesses)
+def make_posts(posts):
+    """The ``Posts`` table of records, the first post of each URL."""
+    return make_corpus(posts, []).posts
 
 
 def make_activity(posts, accesses=()):
-    return activity_of(make_corpus(posts, accesses))
+    corpus = make_corpus(posts, accesses)
+    return activity_of(corpus.posts, corpus.accesses)
 
 
 # --------------------------------------------------------------------------
@@ -74,12 +208,20 @@ def url_to_post(posts):
     return {post.url: i for i, post in enumerate(posts)}
 
 
-def activity_of(corpus):
-    """The rows of a corpus, less the accesses to urls that name no post."""
-    posts = sorted(corpus.posts, key=lambda post: post.url)
+def coded(*columns):
+    """The distinct names of ``columns``, ascending, and each column as indices among them."""
+    names = sorted(set().union(*columns))
+    code = {name: i for i, name in enumerate(names)}
+    return names, [np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in columns]
+
+
+def activity_of(posts, accesses):
+    """The rows of posts (one per url) and accesses, as records or rows,
+    less the accesses to urls that name no post."""
+    posts = sorted(posts, key=lambda post: post.url)
     urls = [post.url for post in posts]
     post_of = {url: i for i, url in enumerate(urls)}
-    accesses = [a for a in corpus.accesses if a.request in post_of]
+    accesses = [a for a in accesses if a.request in post_of]
     bloggers, (author,) = coded([post.user_id for post in posts])
     ips, (ip, access_ip) = coded([post.hashed_ip for post in posts],
                                  [a.hashed_ip for a in accesses])
@@ -94,18 +236,19 @@ def activity_of(corpus):
 
 def clean_per_record(corpus, window_hours):
     """The accesses of ``corpus`` that survive the cleaning rules, applied in
-    order one record at a time, as a corpus, and the count per rule."""
-    owners, post_of = ip_to_bloggers(corpus.posts), url_to_post(corpus.posts)
+    order one row at a time, and the count per rule."""
+    posts = list(corpus.posts)
+    owners, post_of = ip_to_bloggers(posts), url_to_post(posts)
     report = CleaningReport()
     user_post_ts = {}
-    for post in corpus.posts:
+    for post in posts:
         user_post_ts.setdefault(post.user_id, []).append(post.upload_ts)
     for times in user_post_ts.values():
         times.sort()
     window = window_hours * 3600
     patterns = ("rss", "feed", "bot", "crawler", "spider")
 
-    survivors = corpus.accesses
+    survivors = list(corpus.accesses)
     kept = [a for a in survivors if a.hashed_ip in owners]
     report.non_blogger_ip = len(survivors) - len(kept)
     survivors = kept
@@ -121,7 +264,7 @@ def clean_per_record(corpus, window_hours):
     survivors = kept
     kept = []
     for a in survivors:
-        if corpus.posts[post_of[a.request]].user_id in owners[a.hashed_ip]:
+        if posts[post_of[a.request]].user_id in owners[a.hashed_ip]:
             report.self_access += 1
         else:
             kept.append(a)
@@ -133,7 +276,7 @@ def clean_per_record(corpus, window_hours):
             kept.append(a)
         else:
             report.outside_window += 1
-    return Corpus(corpus.posts, kept, corpus.duplicate_urls_dropped), report
+    return kept, report
 
 
 def assert_same_activity(got, want):
@@ -444,7 +587,7 @@ def generate_per_record(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
         )
         for p in posts
     ]
-    corpus = Corpus.from_records(blog_posts, accesses)
+    corpus = make_corpus(blog_posts, accesses)
 
     expert_map: dict[str, dict[int, tuple[str, ...]]] = {}
     if cfg.experts_per_group_topic:

@@ -18,7 +18,7 @@ from blogfluence.causality import (
     read_influence_tsv,
     write_zreport_tsv,
 )
-from blogfluence.corpus import AccessRecord, Activity, BlogPost, Corpus, FormatError
+from blogfluence.corpus import Activity, FormatError
 from blogfluence.factor import (
     InfluenceTensor,
     IolapModel,
@@ -44,7 +44,7 @@ from blogfluence.textvec import (
 )
 from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
 
-from conftest import TermVector, activity_of, links_table, space
+from conftest import AccessRecord, BlogPost, TermVector, activity_of, links_table, space
 
 TENSOR = InfluenceTensor(
     ["ua", "ub"], 3, np.array([0, 1]), np.array([1, 0]), np.array([2, 0]), np.array([2.0, 1.0])
@@ -321,14 +321,14 @@ _NAMES = st.one_of(_TEXT, st.sampled_from(["", " ", "#", "#x", "[x]", "[names]",
                       max_size=12))
 def test_activity_round_trip(posts, reads, tmp_path_factory):
     urls = [url for url, *_ in posts]
-    corpus = Corpus.from_records(
+    activity = activity_of(
         [BlogPost(ip, ts, user, url, "", "", "", tuple(themes))
          for url, user, ip, themes, ts in posts],
         # A read of a url that names no post is dropped.
         [AccessRecord(ip, ts, urls[i] if i < len(urls) else "/nowhere", "")
          for ip, i, ts in reads])
     path = tmp_path_factory.mktemp("activity") / "a.tsv"
-    write_activity(activity_of(corpus), path, "# h")
+    write_activity(activity, path, "# h")
     text = path.read_bytes()
     activity = read_activity(path)
     assert activity.urls == sorted(urls)

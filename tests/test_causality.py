@@ -14,12 +14,11 @@ from blogfluence.causality import (
     rank_shift_report,
     z_test,
 )
-from blogfluence.corpus import Corpus
 from blogfluence.implicit import summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 
-from conftest import TermVector, links_table, make_activity, post_terms
+from conftest import TermVector, links_table, make_activity, make_corpus, post_terms
 
 
 def _links(entries):
@@ -167,10 +166,9 @@ class TestOnSyntheticData:
             times = np.array([a.access_ts for a in corpus.accesses])
             perm = rng.permutation(len(times))
             shuffled = [
-                type(a)(a.hashed_ip, int(times[perm[i]]), a.request, a.referrer)
-                for i, a in enumerate(corpus.accesses)
+                a._replace(access_ts=int(times[perm[i]])) for i, a in enumerate(corpus.accesses)
             ]
-            null_corpus = Corpus.from_records(corpus.posts, shuffled)
+            null_corpus = make_corpus(corpus.posts, shuffled)
             res = run_detection(null_corpus, vocab_max_size=200, seed=shuffle_seed)
             for b in res.forward_report.available():
                 total += 1

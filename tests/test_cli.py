@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from blogfluence import textvec
+from blogfluence import cli, textvec
 from blogfluence.cli import main
 from blogfluence.corpus import parse_content_file
 from blogfluence.implicit import read_activity
@@ -388,6 +388,38 @@ class TestExitCodes:
         assert err.startswith("error: ") and "post_terms.tsv" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage", ["iolap", "eval"])
+    @pytest.mark.parametrize("damage", ["swapped terms", "truncated term row"])
+    def test_malformed_vocabulary_is_1(self, pipeline_copy, config_file, capsys, stage, damage):
+        path = pipeline_copy / "post_terms.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        first = lines.index("[terms]") + 1
+        if damage == "swapped terms":
+            lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        else:
+            lines[first] = lines[first].split("\t")[0]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "post_terms.tsv" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["iolap", "eval"])
+    def test_missing_vocabulary_is_2(self, pipeline_copy, config_file, stage):
+        (pipeline_copy / "post_terms.tsv").unlink()
+        assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"]) == 2
+
+    def test_vocabulary_reader_matches_the_whole_file(self, pipeline_dir):
+        path = pipeline_dir / "post_terms.tsv"
+        whole = textvec.read_post_terms(path)
+        for cap in (1, 7, 159, 10**6):
+            assert textvec.read_vocabulary(path, cap) == whole.vocabulary(cap).terms
+        assert len(whole.terms) > 159
+
     def test_missing_post_terms_is_2(self, pipeline_copy, config_file):
         (pipeline_copy / "post_terms.tsv").unlink()
         assert main(["topics", "--config", config_file, "--out-dir", str(pipeline_copy),
@@ -468,3 +500,33 @@ def test_flag_overrides_config(tmp_path, config_file, capsys):
     assert code == 0
     header = (tmp_path / "posts.tsv").read_text().splitlines()[0]
     assert "seed=3" in header
+
+
+def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path, monkeypatch):
+    """main parses with one cached parser; no flag or subcommand option of
+    one call reaches the next, and a usage error still exits 2."""
+    calls = []
+    for name in ("ingest", "links", "recommend"):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda cfg, args: calls.append((cfg, args)) or 0)
+    out = str(tmp_path)
+    assert main(["ingest", "--out-dir", out, "--seed", "3", "--window-hours", "6",
+                 "--content", "c.tsv", "--access", "a.log", "--rank", "2,3"]) == 0
+    assert main(["links", "--out-dir", out]) == 0
+    assert main(["recommend", "--out-dir", out, "--method", "tg", "--keywords", "x"]) == 0
+    assert main(["ingest", "--out-dir", out]) == 0
+    for argv in (["links", "--no-such-flag"], ["recommend", "--out-dir", out], ["nothing"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert main(["links", "--out-dir", out, "--top-n", "4"]) == 0
+    (first, a1), (links, a2), (recommend, a3), (again, a4), (last, a5) = calls
+    assert (first.seed, first.window_hours, first.content_path, first.access_path,
+            first.rank_influenced, first.rank_influencer) == (3, 6, "c.tsv", "a.log", 2, 3)
+    for cfg in (links, recommend, again):
+        assert (cfg.seed, cfg.window_hours, cfg.content_path, cfg.access_path,
+                cfg.rank_influenced, cfg.top_n) == (0, 12, "", "", 8, 10)
+    assert not hasattr(a2, "content") and not hasattr(a2, "method")
+    assert (a3.method, a3.member, a3.keywords) == ("tg", None, "x")
+    assert (a4.content, a4.access, a4.seed, a4.rank) == (None, None, None, None)
+    assert (last.top_n, last.seed, a5.top_n) == (4, 0, 4)
+    assert cli.build_parser() is cli.build_parser()

@@ -1,19 +1,17 @@
-from dataclasses import replace
+import re
+from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blogfluence.corpus import (
-    AccessRecord,
-    BlogPost,
-    Corpus,
     FormatError,
-    access_line,
+    access_lines,
     activity_histograms,
     clean_accesses,
-    content_line,
+    content_lines,
     format_apache_ts,
     normalize_url,
     parse_apache_ts,
@@ -25,13 +23,20 @@ from blogfluence.synth import SynthConfig, generate
 
 from conftest import (
     BASE_TS,
+    AccessRecord,
+    BlogPost,
+    access_line,
     activity_of,
     assert_same_activity,
     clean_per_record,
+    content_line,
     make_access,
     make_activity,
     make_corpus,
     make_post,
+    make_posts,
+    parse_access_per_record,
+    parse_content_per_record,
 )
 
 
@@ -48,7 +53,7 @@ class TestParseContent:
     def test_well_formed_line(self):
         posts, report = parse_content_file([CONTENT_LINE])
         assert report.n_ok == 1 and report.n_skipped == 0
-        post = posts[0]
+        [post] = posts
         assert post.hashed_ip == "h1"
         assert post.upload_ts == parse_iso_ts("2008-09-01T10:00:00Z")
         assert post.user_id == "u1"
@@ -60,7 +65,7 @@ class TestParseContent:
 
     def test_empty_stream(self):
         posts, report = parse_content_file([])
-        assert posts == [] and report.n_skipped == 0
+        assert len(posts) == 0 and report.n_skipped == 0
 
     def test_seven_fields_skipped(self):
         bad = "\t".join(CONTENT_LINE.split("\t")[:7])
@@ -86,7 +91,7 @@ class TestParseAccess:
     def test_combined_line(self):
         records, report = parse_access_log([ACCESS_LINE])
         assert report.n_ok == 1
-        rec = records[0]
+        [rec] = records
         assert rec.hashed_ip == "h1"
         assert rec.access_ts == parse_iso_ts("2008-09-01T10:30:00Z")
         assert rec.request == "/u2/p7"
@@ -95,7 +100,7 @@ class TestParseAccess:
     def test_query_string_stripped(self):
         line = ACCESS_LINE.replace("/u2/p7", "/u2/p7?page=2")
         records, _ = parse_access_log([line])
-        assert records[0].request == "/u2/p7"
+        assert records.request.values() == ["/u2/p7"]
 
     def test_missing_timestamp_skipped(self):
         line = 'h1 - - "GET /u2/p7 HTTP/1.1" 200 512 "-" "-"'
@@ -105,12 +110,12 @@ class TestParseAccess:
     def test_dash_referrer_empty(self):
         line = ACCESS_LINE.replace('"http://site/u2"', '"-"')
         records, _ = parse_access_log([line])
-        assert records[0].referrer == ""
+        assert records.referrer.values() == [""]
 
     def test_non_get_skipped(self):
         line = ACCESS_LINE.replace("GET", "POST")
         records, report = parse_access_log([line])
-        assert records == [] and report.n_skipped == 1
+        assert len(records) == 0 and report.n_skipped == 1
 
 
 def test_normalize_url():
@@ -156,8 +161,8 @@ _safe_text = st.text(
 )
 def test_content_round_trip(user, ts, title, body, themes):
     post = BlogPost("iphash", ts, user, f"/{user}/p0", title, "blog", body, tuple(themes))
-    once, _ = parse_content_file([content_line(post)])
-    twice, _ = parse_content_file([content_line(once[0])])
+    once = list(parse_content_file([content_line(post)])[0])
+    twice = list(parse_content_file([content_line(once[0])])[0])
     assert once == twice and once[0].upload_ts == ts
 
 
@@ -169,9 +174,9 @@ def test_content_round_trip(user, ts, title, body, themes):
 )
 def test_access_round_trip(ts, path, referrer):
     rec = AccessRecord("h9", ts, path, referrer)
-    once, _ = parse_access_log([access_line(rec)])
-    twice, _ = parse_access_log([access_line(once[0])])
-    assert once == twice == [rec]
+    once = list(parse_access_log([access_line(rec)])[0])
+    twice = list(parse_access_log([access_line(once[0])])[0])
+    assert once == twice == [astuple(rec)]
 
 
 _MONTH_ABBR = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
@@ -227,6 +232,86 @@ def test_impossible_apache_ts_raises(text):
     line = ACCESS_LINE.replace("01/Sep/2008:10:30:00 +0000", text)
     records, report = parse_access_log([ACCESS_LINE, line])
     assert len(records) == 1 and report.n_skipped == 1
+
+
+# --------------------------------------------------------------------------
+# The column parsers against the per-record parsers they replaced.
+
+_FIELD = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+                 max_size=5)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", ""])
+# Repeated and malformed values, so that each field is coded over few names.
+_ISO = st.sampled_from(["2008-09-01T10:00:00Z", "2008-09-01T10:00:00+09:00", "2008-09-01",
+                        "2008-09-02 23:59:59", "2008-13-01T00:00:00Z", "yesterday", ""])
+_URLS = st.sampled_from(["/u1/p1", "/U1/P1/", "http://Host/u1/p1?x=1", "/u1/p1#top", "/u2/p2",
+                         "/u2/p2?page=2", "/", "", "foo://host", "/u1/index.html"])
+_USERS = st.sampled_from(["u1", "u2", "u3", ""])
+_THEMES = st.sampled_from(["diary", "a,,b", ",", "", "b,a", "diary,"])
+_CONTENT_ROW = st.tuples(st.sampled_from(["h1", "h2", "#h"]), _ISO, _USERS, _URLS, _FIELD,
+                         _FIELD, _FIELD, _THEMES)
+_CONTENT_LINES = st.lists(st.one_of(
+    st.tuples(_CONTENT_ROW, st.sampled_from([8, 8, 8, 7, 9]), _LINE_ENDS).map(
+        lambda r: "\t".join((r[0] + ("extra",))[:r[1]]) + r[2]),
+    st.sampled_from(["", "\n", "\r\n", "# header\n", "junk\n"])), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONTENT_LINES)
+@example(["junk", "h1\t2008-09-01\tu1\t/a\tt\tb\tx\td", "# c", "", "junk"])
+def test_content_columns_match_per_record_oracle(lines):
+    try:
+        records, want = parse_content_per_record(lines)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+            parse_content_file(lines)
+        return
+    posts, report = parse_content_file(lines)
+    kept = list(make_posts(records))
+    assert (report.n_ok, report.n_skipped) == (want.n_ok, want.n_skipped)
+    assert report.n_duplicate == len(records) - len(kept)
+    assert list(posts) == kept  # the first post of each url, in file order
+    # Columns -> lines -> columns, and the lines are the per-record writer's.
+    written = list(content_lines(posts))
+    assert written == [content_line(post) for post in kept]
+    again, report = parse_content_file(written)
+    assert list(again) == kept and report.n_skipped == report.n_duplicate == 0
+
+
+_STAMPS = st.one_of(
+    st.sampled_from(["01/Sep/2008:10:30:00 +0000", "01/Sep/2008:10:30:00 +0900",
+                     "31/Aug/2008:23:59:59 -0130", "31/Feb/2008:10:00:00 +0000",
+                     "01/sep/2008:10:00:00 +0000", "01/Sep/2008:24:00:00 +0000", "nonsense"]),
+    st.builds(lambda when: _stamp(when, "+0000"), _INSTANTS))
+_REQUESTS = st.sampled_from(["GET /u2/p7 HTTP/1.1", "GET /u2/p7?page=2 HTTP/1.1",
+                             "GET http://Site/U2/P7/ HTTP/1.0", "GET /u1/index.html HTTP/1.1",
+                             "GET /a#frag HTTP/1.1", "POST /u2/p7 HTTP/1.1", "HEAD / HTTP/1.1",
+                             "GET /u2/p7", "GET  HTTP/1.1", "-"])
+_ACCESS_ROW = st.tuples(st.sampled_from(["h1", "h2", "1.2.3.4"]), _STAMPS, _REQUESTS,
+                        st.sampled_from(["-", "", "http://x/rss.xml", "http://friend/u2"]),
+                        _LINE_ENDS)
+_ACCESS_LINES = st.lists(st.one_of(
+    _ACCESS_ROW.map(lambda r: f'{r[0]} - - [{r[1]}] "{r[2]}" 200 512 "{r[3]}" "Mozilla"{r[4]}'),
+    st.sampled_from(["", "\r\n", "# comment\n", "junk\n", 'h1 - - "GET /a HTTP/1.1" 200 0\n'])),
+    max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ACCESS_LINES)
+@example([ACCESS_LINE, "junk", ACCESS_LINE.replace("GET", "POST"), "junk"])
+def test_access_columns_match_per_record_oracle(lines):
+    try:
+        records, want = parse_access_per_record(lines)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+            parse_access_log(lines)
+        return
+    accesses, report = parse_access_log(lines)
+    assert (report.n_ok, report.n_skipped, report.n_duplicate) == (want.n_ok, want.n_skipped, 0)
+    assert list(accesses) == list(map(astuple, records))
+    written = list(access_lines(accesses))
+    assert written == list(map(access_line, records))
+    again, report = parse_access_log(written)
+    assert list(again) == list(accesses) and report.n_skipped == 0
 
 
 def access_records(activity):
@@ -294,10 +379,11 @@ class TestCleaning:
     def test_idempotent_and_subset_on_synth(self):
         corpus, _ = generate(SynthConfig(n_bloggers=30, n_days=6, seed=11))
         once, _ = clean_accesses(corpus, 12)
-        twice, report = clean_accesses(Corpus(corpus.posts, access_records(once)), 12)
+        twice, report = clean_accesses(make_corpus(corpus.posts, access_records(once)), 12)
         assert_same_activity(twice, once)
         assert report.total() == 0
-        assert set(access_records(once)) <= {replace(a, referrer="") for a in corpus.accesses}
+        assert set(map(astuple, access_records(once))) <= {a._replace(referrer="")
+                                                           for a in corpus.accesses}
 
     def test_window_hours_below_one_raises(self):
         with pytest.raises(ValueError):
@@ -346,7 +432,7 @@ def test_clean_masks_match_per_record_oracle(logs):
     got, report = clean_accesses(corpus, window_hours)
     survivors, want = clean_per_record(corpus, window_hours)
     assert report == want
-    assert_same_activity(got, activity_of(survivors))
+    assert_same_activity(got, activity_of(corpus.posts, survivors))
 
 
 class TestHistograms:
@@ -403,5 +489,6 @@ def test_histograms_match_datetime(times, tz):
 def test_duplicate_urls_dropped():
     p1 = make_post("u1", 0, BASE_TS)
     p2 = make_post("u1", 0, BASE_TS + 10)  # same url
-    corpus = Corpus.from_records([p1, p2], [])
-    assert len(corpus.posts) == 1 and corpus.duplicate_urls_dropped == 1
+    posts, report = parse_content_file([content_line(p1), content_line(p2)])
+    assert list(posts) == [astuple(p1)]
+    assert (report.n_ok, report.n_skipped, report.n_duplicate) == (2, 0, 1)

@@ -58,6 +58,7 @@ from conftest import (
     make_access,
     make_corpus,
     make_post,
+    make_posts,
     post_terms,
     shared_terms,
     space,
@@ -174,8 +175,8 @@ def _sha(lines):
 
 def corpus_digest(corpus, truth):
     return _sha(
-        [tuple(vars(p).values()) for p in corpus.posts]
-        + [tuple(vars(a).values()) for a in corpus.accesses]
+        [tuple(p) for p in corpus.posts]
+        + [tuple(a) for a in corpus.accesses]
         + sorted(truth.influence_pairs)
         + sorted((m, sorted(e.items())) for m, e in truth.member_expert_map.items())
     )
@@ -229,7 +230,7 @@ def test_kernels_match_oracles_on_the_planted_corpus(planted_corpus):
     """The per-record oracles below, on the c01/c02-scale planted corpus:
     implicit links, both sides' coin series and the extracted links."""
     corpus = planted_corpus[0]
-    links = build_implicit_links(activity_of(corpus), 12).links
+    links = build_implicit_links(activity_of(corpus.posts, corpus.accesses), 12).links
     assert list(links) == _oracle_links(corpus, 12)
     result = run_detection(corpus, vocab_max_size=400, seed=5)
     scored = list(result.implicit.links)
@@ -341,18 +342,19 @@ def build_vectors(posts, max_size):
 
 def _oracle_links(corpus, window_hours):
     window = window_hours * 3600
+    posts = list(corpus.posts)
     by_user = {}
-    for post in corpus.posts:
+    for post in posts:
         by_user.setdefault(post.user_id, []).append((post.upload_ts, post.url))
     for entries in by_user.values():
         entries.sort()
     best = {}
-    post_of, owners = url_to_post(corpus.posts), ip_to_bloggers(corpus.posts)
+    post_of, owners = url_to_post(posts), ip_to_bloggers(posts)
     for access in corpus.accesses:
         idx = post_of.get(access.request)
         if idx is None:
             continue
-        target = corpus.posts[idx]
+        target = posts[idx]
         for reader in sorted(owners.get(access.hashed_ip, frozenset())):
             if reader == target.user_id or reader not in by_user:
                 continue
@@ -504,7 +506,7 @@ def test_implicit_links_match_oracle_with_shared_ips():
     ]
     corpus = make_corpus(posts, accesses)
     for window in (1, 12):
-        got = build_implicit_links(activity_of(corpus), window).links
+        got = build_implicit_links(activity_of(corpus.posts, corpus.accesses), window).links
         want = _oracle_links(corpus, window)
         assert len(want) > 50
         assert list(got) == want
@@ -554,7 +556,7 @@ def test_post_terms_space_matches_per_post_vectorize(bodies, shuffle, cap):
     posts = [make_post(f"u{i % 3}", i, BASE_TS + i, body=body) for i, body in enumerate(bodies)]
     shuffle.shuffle(posts)
     vocab, vectors = build_vectors(posts, cap)
-    counts = count_terms(posts)
+    counts = count_terms(make_posts(posts))
     with tempfile.TemporaryDirectory() as tmp:
         write_post_terms(counts, Path(tmp) / "post_terms.tsv")
         stored = read_post_terms(Path(tmp) / "post_terms.tsv")
@@ -637,7 +639,7 @@ def test_model_inputs_match_dict_oracles(bodies, ends, cap, seed):
     # share no term.
     bodies = bodies + ["", "Zymurgy zymurgy"]
     posts = [make_post(f"u{i % 4}", i, BASE_TS + i, body=body) for i, body in enumerate(bodies)]
-    terms = count_terms(posts)
+    terms = count_terms(make_posts(posts))
     n = len(posts)
     ends = [(q % n, p % n) for q, p in ends] + [(n - 2, p) for p in range(n - 2)]
     rows = [(posts[q].url, posts[p].url, posts[q].user_id, posts[p].user_id, 60)

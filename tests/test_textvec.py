@@ -17,13 +17,15 @@ from conftest import (
     count_terms_per_post,
     links_table,
     make_post,
+    make_posts,
     post_terms,
 )
 from test_detection_identity import cosine
 
 
 def _post_terms(bodies):
-    return count_terms(make_post("ua", i, BASE_TS + i, body=body) for i, body in enumerate(bodies))
+    return count_terms(make_posts(make_post("ua", i, BASE_TS + i, body=body)
+                                  for i, body in enumerate(bodies)))
 
 
 class TestTokenize:
@@ -128,10 +130,10 @@ _BODY = st.lists(st.sampled_from(_PIECES + _SEPARATORS), max_size=16).map("".joi
 @example(posts=[(0, "u", ""), (1, "v", "the a I")])
 @example(posts=[(0, "u", "İx\x1cİX ß\x85SS"), (0, "v", "ﬃ\xa0ﬃx\u3000e\u0301"), (1, "w", "")])
 def test_count_terms_matches_the_per_post_oracle(posts):
-    # A repeated url keeps its last post, author and body both.
-    posts = [replace(make_post(user, i, BASE_TS + i, body=body), url=f"/p{k}")
-             for i, (k, user, body) in enumerate(posts)]
-    assert_same_post_terms(count_terms(posts), count_terms_per_post(posts))
+    # A repeated url keeps its first post, author and body both.
+    table = make_posts(replace(make_post(user, i, BASE_TS + i, body=body), url=f"/p{k}")
+                       for i, (k, user, body) in enumerate(posts))
+    assert_same_post_terms(count_terms(table), count_terms_per_post(table))
 
 
 def test_no_whitespace_character_is_a_word_character():
