@@ -19,7 +19,6 @@ from blogfluence.corpus import (
 )
 from blogfluence.implicit import ImplicitLink, ImplicitNetwork, Links, build_implicit_links
 from blogfluence.causality import (
-    InfluenceNetwork,
     ZReport,
     extract_influence,
     forward_z_test,
@@ -42,7 +41,6 @@ __all__ = [
     "Corpus",
     "ImplicitLink",
     "ImplicitNetwork",
-    "InfluenceNetwork",
     "IolapModel",
     "Links",
     "PcldcModel",

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.causality import InfluenceNetwork
 from blogfluence.factor import IolapModel, PcldcModel, PclModel
+from blogfluence.implicit import ImplicitNetwork
 from blogfluence.textvec import PostTerms, shared_terms
 from blogfluence.topics import TopicModel
 
@@ -68,7 +68,7 @@ class TrainTestSplit:
 
 
 def split_train_test(
-    influence_net: InfluenceNetwork,
+    influence_net: ImplicitNetwork,
     terms: PostTerms,
     max_size: int,
     seed: int | Sequence[int] = 0,

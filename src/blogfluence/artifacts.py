@@ -10,9 +10,9 @@ one converter per field (``int``, ``float``, ``str``); a row with another
 field count, or a field its converter rejects, raises ``FormatError``
 naming the file and the line.
 A section of integer fields only can be written from and read back into
-one int64 array.  Plain rows can be written from one list or int64 array
-per column, and plain rows or a section of string and integer fields read
-back into them, without per-row conversion.
+one int64 array.  Plain rows can be written from one list, int64 array or
+float64 array per column, and plain rows or a section of string, integer
+and float fields read back into them, without per-row conversion.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def write_rows(path: str | Path, header: str | None, rows: Iterable[Sequence],
 
 def write_columns(path: str | Path, header: str | None, columns: Sequence[str],
                   values: Sequence[list[str] | np.ndarray]) -> None:
-    """``write_rows`` from one list of strings or integer array per column."""
+    """``write_rows`` from one list of strings, integer array or float array per column."""
     fields = [v if isinstance(v, list) else list(map(str, v.tolist())) for v in values]
     lines = "".join(line + "\n" for line in map("\t".join, zip(*fields)))
     _write(path, header, [("\t".join(columns), lines)])
@@ -139,18 +139,20 @@ def read_rows(path: str | Path, types: Types, columns: Sequence[str] | None = No
 
 def _columns(path, lines: list[tuple[int, str]], types: Sequence[type]) -> list:
     """(line number, line) rows by column: a list of strings per ``str`` field, an
-    int64 array per ``int`` field.  The rows are split as a whole; a row with
-    another field count, or a field ``int`` rejects, is left to the row reader."""
+    int64 or float64 array per ``int`` or ``float`` field.  The rows are split as a
+    whole; a row with another field count, or a field its type rejects, is left to
+    the row reader."""
     width, body = len(types), [line for _, line in lines]
     if set(map(str.count, body, repeat("\t"))) <= {width - 1}:
         fields = "\t".join(body).split("\t") if body else []
         with suppress(ValueError, OverflowError):
             return [fields[i::width] if t is str else
-                    np.fromiter(map(int, fields[i::width]), np.int64, len(body))
+                    np.fromiter(map(t, fields[i::width]), np.int64 if t is int else np.float64,
+                                len(body))
                     for i, t in enumerate(types)]
     # int64 bounds ``int`` here as the arrays do, so the row reader rejects what they rejected.
     for lineno, line in lines:
-        _convert(path, lineno, line.split("\t"), [str if t is str else np.int64 for t in types])
+        _convert(path, lineno, line.split("\t"), [np.int64 if t is int else t for t in types])
     raise AssertionError(f"{path}: the row reader accepted what the column reader rejected")
 
 
@@ -177,7 +179,7 @@ def parse_sections(path: str | Path, text: str,
     """Rows of each ``[section]`` of ``text``, read from ``path``, named in ``specs``.
 
     A section given a tuple of types reads as a list of rows, one given a
-    list of ``str`` and ``int`` as its columns (``_columns``).  One given a
+    list of ``str``, ``int`` and ``float`` as its columns (``_columns``).  One given a
     dict is keyed: the first field of a row names it and selects the types
     of the rest; it reads as key -> values, and every key must occur.  One
     given a number n of integer fields reads as one (rows, n) int64 array.

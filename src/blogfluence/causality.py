@@ -20,25 +20,27 @@ and the similarity is strictly above the anchor's window median; ties at
 the median drop, biasing toward precision.
 
 Every step reads the columns of one ``implicit.Links`` table: the
-similarity column is filled from the post-term arrays, anchors are the
-table's post indices (whose order is URL order), and the influence
-network is a subset of the same table.  One kernel, ``_coin_faces``,
-turns the table into coins for both tests and for ``make_coins`` and
-``build_coin_series``; one statistic, ``_z_report``, pools coins per
-bucket for both tests and for ``z_test``.
+similarity column is filled once from the post-term arrays (``links.tsv``
+stores it), anchors are the table's post indices (whose order is URL
+order), and the influence network is a subset of the same table, with tau
+as its window.  One helper, ``_anchor_runs``, gives each anchor's run of
+links and median similarity to the coins and to the extraction.  One
+kernel, ``_coin_faces``, turns the table into coins for both tests and for
+``make_coins`` and ``build_coin_series``; one statistic, ``_z_report``,
+pools coins per bucket for both tests and for ``z_test``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from blogfluence import artifacts
 from blogfluence.corpus import Activity, distinct, expand_ranges
-from blogfluence.implicit import ImplicitNetwork, Links, link_counts, link_posts, read_links
+from blogfluence.implicit import ImplicitNetwork, Links, link_posts, summarize_links
 from blogfluence.textvec import PostTerms
 
 # Normal-approximation critical values at p = 0.01.
@@ -135,6 +137,16 @@ def _run_medians(bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(sizes % 2 == 1, ordered[mid], (lower + ordered[mid]) / 2)
 
 
+def _anchor_runs(links: Links, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions of the links that carry a similarity in (anchor, gap,
+    p) order, ``code`` ordering their anchors; the bounds of each anchor's
+    run among them; and each run's median similarity."""
+    has = np.flatnonzero(~np.isnan(links.similarity))
+    order = has[np.lexsort((links.p[has], links.gap[has], code[has]))]
+    bounds = _run_bounds(code[order])
+    return order, bounds, _run_medians(bounds, links.similarity[order])
+
+
 def _coin_faces(
     links: Links, code: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,12 +159,9 @@ def _coin_faces(
     series with tied faces draw from ``rng``, in anchor order, with the
     draws of the per-anchor definition (see ``make_coins``).
     """
-    has = np.flatnonzero(~np.isnan(links.similarity))
-    order = has[np.lexsort((links.p[has], links.gap[has], code[has]))]
+    order, bounds, med = _anchor_runs(links, code)
     code, gap, sim = code[order], links.gap[order], links.similarity[order]
-    bounds = _run_bounds(code)
     sizes = np.diff(bounds)
-    med = _run_medians(bounds, sim)
     run = np.repeat(np.arange(len(sizes)), sizes)
     heads = sim > med[run]
     tie_at = np.flatnonzero(sim == med[run])
@@ -352,35 +361,21 @@ def reversed_z_test(
 # --------------------------------------------------------------------------
 # influence extraction
 
-@dataclass
-class InfluenceNetwork:
-    links: Links  # the kept implicit links
-    tau_hours: int
-    post_count: int
-    blogger_count: int
-    post_link_count: int
-    blogger_link_count: int
-
-
-def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) -> InfluenceNetwork:
+def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) -> ImplicitNetwork:
     """Keep (q, p) iff gap <= tau and similarity strictly above q's median.
 
     The median is taken over q's window links that carry a similarity
     (deduplicated links, one per read post).  Only comparisons against
     the median are used, so the result is invariant under any monotone
     transform of the similarity function.  Kept links are ordered by
-    (q, p).
+    (q, p); the network's window is ``tau_hours``.
     """
     links = net.links
-    at = np.flatnonzero(~np.isnan(links.similarity))
-    q, sim = links.q[at], links.similarity[at]
-    by_q = np.argsort(q, kind="stable")
-    bounds = _run_bounds(q[by_q])
-    med = np.empty(len(at))
-    med[by_q] = np.repeat(_run_medians(bounds, sim[by_q]), np.diff(bounds))
-    keep = at[(links.gap[at] <= tau_hours * 3600) & (sim > med)]
+    order, bounds, med = _anchor_runs(links, links.q)
+    above = links.similarity[order] > np.repeat(med, np.diff(bounds))
+    keep = order[(links.gap[order] <= tau_hours * 3600) & above]
     kept = links.take(keep[np.lexsort((links.p[keep], links.q[keep]))])
-    return InfluenceNetwork(links=kept, tau_hours=tau_hours, **link_counts(kept))
+    return summarize_links(kept, tau_hours)
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +416,7 @@ def _shifts(base: dict[str, int], influence: dict[str, int]) -> list[RankShift]:
 def rank_shift_report(
     activity: Activity,
     implicit_net: ImplicitNetwork,
-    influence_net: InfluenceNetwork,
+    influence_net: ImplicitNetwork,
 ) -> RankShiftReport:
     """Themes ranked by their posts in ``activity`` against those of the
     influence network's posts, and bloggers ranked by how many links read
@@ -448,10 +443,3 @@ def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> 
         ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"),
     )
 
-
-def read_influence_tsv(path: str, tau_hours: int = DEFAULT_TAU_HOURS,
-                       posts: Collection[str] | None = None) -> InfluenceNetwork:
-    """An influence network written with ``implicit.write_links_tsv``; its
-    gaps must lie in (0, ``tau_hours``] hours (see ``implicit.read_links``)."""
-    links = read_links(path, tau_hours * 3600, posts)
-    return InfluenceNetwork(links=links, tau_hours=tau_hours, **link_counts(links))

@@ -5,6 +5,9 @@
 Every subcommand reads its declared inputs from the output directory,
 writes versioned artifacts whose first line records the tool version,
 subcommand, config hash, and seed, and prints a one-line summary.
+``links`` is the one stage that scores links: it builds them from
+``activity.tsv``, fills their similarity from ``post_terms.tsv`` and writes
+both to ``links.tsv``, which ``causality`` and ``influence`` read as is.
 Configuration comes from flat ``key = value`` files ("synth." keys reach
 the generator); command-line flags override file values.  Re-running a
 subcommand with unchanged inputs and seed reproduces its outputs byte
@@ -191,21 +194,17 @@ def _post_terms(cfg: PipelineConfig) -> PostTerms:
     return textvec.read_post_terms(_require(_path(cfg, "post_terms.tsv")))
 
 
-def _scored_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int, PostTerms]:
-    """links.tsv with its similarity column filled from post_terms.tsv, the
-    number of links that got a similarity, and the post terms."""
-    terms = _post_terms(cfg)
-    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours,
-                                  dict(terms.posts))
-    return net, causality.annotate_similarity(net.links, terms, cfg.vocab_max_size,
-                                              cfg.min_tokens), terms
+def _read_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int]:
+    """links.tsv and the number of its links that carry a similarity."""
+    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
+    return net, int(np.count_nonzero(~np.isnan(net.links.similarity)))
 
 
 def _read_influence(cfg: PipelineConfig,
-                    terms: PostTerms | None = None) -> causality.InfluenceNetwork:
+                    terms: PostTerms | None = None) -> implicit.ImplicitNetwork:
     """influence.tsv; given ``terms``, every post must have counts in it."""
-    return causality.read_influence_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours,
-                                        None if terms is None else dict(terms.posts))
+    return implicit.read_links_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours,
+                                   None if terms is None else dict(terms.posts))
 
 
 def _load_influence_links(cfg: PipelineConfig, terms: PostTerms | None = None
@@ -263,7 +262,12 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 def cmd_links(cfg: PipelineConfig, args) -> int:
     activity = implicit.read_activity(_require(_path(cfg, "activity.tsv")))
+    terms = _post_terms(cfg)
+    if [url for url, _ in terms.posts] != activity.urls:
+        raise FormatError(f"{_path(cfg, 'post_terms.tsv')}: [posts] urls differ from the "
+                          f"{len(activity.urls)} post urls of activity.tsv")
     net = implicit.build_implicit_links(activity, cfg.window_hours)
+    causality.annotate_similarity(net.links, terms, cfg.vocab_max_size, cfg.min_tokens)
     header = _header(cfg, "links")
     implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
@@ -276,12 +280,13 @@ def cmd_links(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_causality(cfg: PipelineConfig, args) -> int:
-    net, n_scored, terms = _scored_links(cfg)
+    net, n_scored = _read_links(cfg)
+    vocab = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
     rng = np.random.default_rng([cfg.seed, _STAGE_SEED["causality"]])
     forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
     reversed_ = causality.reversed_z_test(net, rng, cfg.min_bucket_n)
     header = _header(cfg, "causality")
-    write_vocabulary(terms.vocabulary(cfg.vocab_max_size), _path(cfg, "vocab.tsv"), header)
+    write_vocabulary(vocab, _path(cfg, "vocab.tsv"), header)
     causality.write_zreport_tsv(forward, _path(cfg, "zreport_forward.tsv"), header)
     causality.write_zreport_tsv(reversed_, _path(cfg, "zreport_reversed.tsv"), header)
     sig_f = [b.bucket for b in forward.available() if b.one_sided_significant]
@@ -295,7 +300,7 @@ def cmd_causality(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_influence(cfg: PipelineConfig, args) -> int:
-    net, n_scored, _ = _scored_links(cfg)
+    net, n_scored = _read_links(cfg)
     influence = causality.extract_influence(net, cfg.tau_hours)
     implicit.write_links_tsv(influence.links, _path(cfg, "influence.tsv"), _header(cfg, "influence"))
     print(
@@ -359,9 +364,9 @@ def cmd_tensor(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_iolap(cfg: PipelineConfig, args) -> int:
-    terms = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
+    vocab = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
     tensor = factor.read_tensor_tsv(_require(_path(cfg, "tensor.tsv")))
-    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), terms)
+    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), vocab.terms)
     try:
         model = factor.fit_iolap(
             tensor,
@@ -447,10 +452,10 @@ def cmd_idr(cfg: PipelineConfig, args) -> int:
 
 def _recommenders(cfg: PipelineConfig):
     """The four recommenders over the fitted models, all read from artifacts first."""
-    terms = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
+    vocab = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
     return analysis.recommenders(
         factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv"))),
-        topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), terms),
+        topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), vocab.terms),
         factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv"))),
         factor.read_pcl_model(_require(_path(cfg, "pcl_model.tsv"))),
     )
@@ -471,7 +476,7 @@ def cmd_recommend(cfg: PipelineConfig, args) -> int:
             split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
             exclude |= {b for (a, b) in split.train_edges if a == args.member}
         elif _path(cfg, "influence.tsv").exists():
-            net = causality.read_influence_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
+            net = implicit.read_links_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
             exclude |= {b for a, b in implicit.blogger_projection(net.links) if a == args.member}
     try:
         ranked = recommenders[method](args.member, keywords, cfg.top_n, exclude)
@@ -540,7 +545,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
             bundled.append(src.name)
     if _path(cfg, "links.tsv").exists() and _path(cfg, "influence.tsv").exists():
         links_net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
-        influence = causality.read_influence_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
+        influence = implicit.read_links_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
         shift = causality.rank_shift_report(activity, links_net, influence)
         for name, ranks, base in (("themes", shift.themes, "rank_all"),
                                   ("bloggers", shift.bloggers, "rank_implicit")):

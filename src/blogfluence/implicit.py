@@ -9,7 +9,9 @@ The links are built from the ``corpus.Activity`` rows, which
 ``activity.tsv`` stores, and travel between stages as one ``Links`` table
 of columns: q and p index an ascending table of post URLs, reader and
 author an ascending table of bloggers, so index order is string order.
-``links.tsv`` and ``influence.tsv`` are read and written as whole columns.
+One ``ImplicitNetwork`` holds the implicit links or the influence network
+drawn from them, and ``links.tsv`` and ``influence.tsv`` store either as
+the same whole columns, each link's similarity included.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ class Links:
 
 @dataclass
 class ImplicitNetwork:
+    """A link table, the window in hours that bounds its gaps (the link
+    window, or tau for an influence network) and its counts."""
+
     links: Links
     window_hours: int
     post_count: int
@@ -104,18 +109,11 @@ def link_posts(links: Links) -> list[str]:
     return [links.urls[i] for i in distinct(np.concatenate([links.q, links.p])).tolist()]
 
 
-def link_counts(links: Links) -> dict[str, int]:
-    """Post, blogger, post-link and blogger-link counts of a link table."""
-    return {
-        "post_count": distinct(np.concatenate([links.q, links.p])).size,
-        "blogger_count": distinct(np.concatenate([links.reader, links.author])).size,
-        "post_link_count": len(links),
-        "blogger_link_count": distinct(links.reader * len(links.bloggers) + links.author).size,
-    }
-
-
 def summarize_links(links: Links, window_hours: int) -> ImplicitNetwork:
-    return ImplicitNetwork(links=links, window_hours=window_hours, **link_counts(links))
+    """``links`` with their window and their post, blogger, post-link and blogger-link counts."""
+    return ImplicitNetwork(links, window_hours, distinct(np.concatenate([links.q, links.p])).size,
+                           distinct(np.concatenate([links.reader, links.author])).size, len(links),
+                           distinct(links.reader * len(links.bloggers) + links.author).size)
 
 
 def build_implicit_links(activity: Activity,
@@ -166,38 +164,44 @@ def blogger_projection(links: Links) -> dict[tuple[str, str], int]:
     return dict(zip(pairs, counts.tolist()))
 
 
-_LINK_COLUMNS = ("q", "p", "reader", "author", "gap_seconds")
+_LINK_COLUMNS = ("q", "p", "reader", "author", "gap_seconds", "similarity")
+# A float64 cosine of two parallel count vectors can round past 1 by an ulp.
+_MAX_SIMILARITY = 1 + 4 * np.finfo(np.float64).eps
 
 
 def write_links_tsv(links: Links, path: str, header: str | None = None) -> None:
+    """One row per link; the similarity as its shortest ``repr``, ``nan`` where none."""
     urls, bloggers = links.urls, links.bloggers
     artifacts.write_columns(path, header, _LINK_COLUMNS, [
         [urls[i] for i in links.q.tolist()], [urls[i] for i in links.p.tolist()],
         [bloggers[i] for i in links.reader.tolist()], [bloggers[i] for i in links.author.tolist()],
-        links.gap,
+        links.gap, links.similarity,
     ])
-
-
-def read_links(path: str, max_gap: int, posts: Collection[str] | None = None) -> Links:
-    """The links of a file written by ``write_links_tsv``, similarity unset.
-
-    Every gap must lie in (0, ``max_gap``] seconds and, given ``posts``,
-    every post must be one of them; ``FormatError`` names the file if not.
-    """
-    links = Links.from_columns(*artifacts.read_columns(path, (str, str, str, str, int),
-                                                       _LINK_COLUMNS))
-    bad = np.flatnonzero((links.gap <= 0) | (links.gap > max_gap))
-    if bad.size:
-        raise FormatError(f"{path}: gap_seconds {links.gap[bad[0]]} is outside (0, {max_gap}]")
-    unknown = [url for url in links.urls if url not in posts] if posts is not None else []
-    if unknown:
-        raise FormatError(f"{path}: post {unknown[0]!r} is not among the {len(posts)} known posts")
-    return links
 
 
 def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS,
                    posts: Collection[str] | None = None) -> ImplicitNetwork:
-    return summarize_links(read_links(path, window_hours * 3600, posts), window_hours)
+    """The network of a file written by ``write_links_tsv``.
+
+    Every gap must lie in (0, ``window_hours``] hours, every similarity be
+    NaN or in [0, 1] and, given ``posts``, every post be one of them;
+    ``FormatError`` names the file if not.
+    """
+    *names, gap, similarity = artifacts.read_columns(path, (str, str, str, str, int, float),
+                                                     _LINK_COLUMNS)
+    links = Links.from_columns(*names, gap)
+    links.similarity = similarity
+    max_gap = window_hours * 3600
+    bad = np.flatnonzero((links.gap <= 0) | (links.gap > max_gap))
+    if bad.size:
+        raise FormatError(f"{path}: gap_seconds {links.gap[bad[0]]} is outside (0, {max_gap}]")
+    bad = np.flatnonzero((similarity < 0) | (similarity > _MAX_SIMILARITY))
+    if bad.size:
+        raise FormatError(f"{path}: similarity {similarity[bad[0]].item()!r} is outside [0, 1]")
+    unknown = [url for url in links.urls if url not in posts] if posts is not None else []
+    if unknown:
+        raise FormatError(f"{path}: post {unknown[0]!r} is not among the {len(posts)} known posts")
+    return summarize_links(links, window_hours)
 
 
 # activity.tsv tags each name row with its table, so that no name (blank, opening

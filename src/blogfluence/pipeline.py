@@ -3,11 +3,12 @@ experiment scripts and the test suite so every entry point agrees on it.
 
 Detection cleans the corpus's accesses into one ``Activity`` table,
 counts the posts' terms, builds the implicit ``Links`` table from the
-activity rows, fills its similarity column from the term counts, runs the
-forward and reversed bucket tests, and extracts the influence network.
-The model stages after it, up to the recommendation benchmark, read the
-same term counts capped to the vocabulary.  Those stages exist here once; fits and recommenders are called through their
-modules (``factor.fit_iolap``, ...).
+activity rows, fills its similarity column from the term counts (as the
+CLI's ``links`` stage does), runs the forward and reversed bucket tests,
+and extracts the influence network.  The model stages after it, up to the
+recommendation benchmark, read the same term counts capped to the
+vocabulary.  Those stages exist here once; fits and recommenders are
+called through their modules (``factor.fit_iolap``, ...).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from blogfluence import analysis, factor, implicit, textvec, topics
 from blogfluence.causality import (
-    InfluenceNetwork,
     ZReport,
     annotate_similarity,
     extract_influence,
@@ -45,7 +45,7 @@ class DetectionResult:
     implicit: ImplicitNetwork
     forward_report: ZReport
     reversed_report: ZReport
-    influence: InfluenceNetwork
+    influence: ImplicitNetwork  # its window is tau
 
 
 def run_detection(

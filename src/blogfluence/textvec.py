@@ -158,13 +158,13 @@ def _check_ranking(path: str, terms: list[str], doc_freq: np.ndarray) -> None:
                           "ties by ascending term, each term once")
 
 
-def read_vocabulary(path: str, max_size: int) -> list[str]:
-    """``read_post_terms(path).vocabulary(max_size).terms``, read up to ``[posts]``."""
+def read_vocabulary(path: str, max_size: int) -> Vocabulary:
+    """``read_post_terms(path).vocabulary(max_size)``, read up to ``[posts]``."""
     with open(path, encoding="utf-8") as fh:
         head = "".join(takewhile(lambda line: line.rstrip("\n") != "[posts]", fh))
     terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int]})["terms"]
     _check_ranking(path, terms, doc_freq)
-    return terms[:max_size]
+    return Vocabulary(terms[:max_size], doc_freq[:max_size].tolist())
 
 
 def read_post_terms(path: str) -> PostTerms:

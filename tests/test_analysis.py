@@ -20,7 +20,6 @@ from blogfluence.analysis import (
     topic_posterior,
     write_split,
 )
-from blogfluence.causality import InfluenceNetwork
 from blogfluence.factor import (
     BloggerGraph,
     InfluenceTensor,
@@ -31,6 +30,7 @@ from blogfluence.factor import (
     fit_pcldc,
     iolap_topic_influencers,
 )
+from blogfluence.implicit import ImplicitNetwork
 from blogfluence.pipeline import blogger_graph, fit_topics, training_links
 from blogfluence.topics import DEFAULT_TOL, fit_plsa
 
@@ -100,9 +100,9 @@ def _influence_net(pairs):
     )
     posts = {l.q for l in links} | {l.p for l in links}
     bloggers = {l.reader for l in links} | {l.author for l in links}
-    return InfluenceNetwork(
+    return ImplicitNetwork(
         links=links,
-        tau_hours=2,
+        window_hours=2,
         post_count=len(posts),
         blogger_count=len(bloggers),
         post_link_count=len(links),

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 from blogfluence import artifacts
 from blogfluence.analysis import TrainTestSplit, read_split, write_split
-from blogfluence.causality import (
-    BucketStat,
-    InfluenceNetwork,
-    ZReport,
-    read_influence_tsv,
-    write_zreport_tsv,
-)
+from blogfluence.causality import BucketStat, ZReport, write_zreport_tsv
 from blogfluence.corpus import Activity, FormatError
 from blogfluence.factor import (
     InfluenceTensor,
@@ -33,7 +27,13 @@ from blogfluence.factor import (
     write_pcldc_model,
     write_tensor_tsv,
 )
-from blogfluence.implicit import read_activity, read_links_tsv, write_activity, write_links_tsv
+from blogfluence.implicit import (
+    ImplicitNetwork,
+    read_activity,
+    read_links_tsv,
+    write_activity,
+    write_links_tsv,
+)
 from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
 from blogfluence.textvec import (
     PostTerms,
@@ -78,7 +78,7 @@ SPLIT = TrainTestSplit(
     [("ua", "uc", frozenset({"beta", "alpha"})), ("ub", "uc", frozenset())],
     ["ua", "ub"],
 )
-INFLUENCE = InfluenceNetwork(
+INFLUENCE = ImplicitNetwork(
     links_table([
         ("/ua/q1", "/ub/p1", "ua", "ub", 600, 0.8),
         ("/ub/q2", "/ua/p1", "ub", "ua", 7200, 0.6),
@@ -156,14 +156,15 @@ CASES = {
         "# h\nsrc\tdst\tkeywords\nua\tuc\talpha,beta\nub\tuc\t\n",
     ),
     "influence": (
-        INFLUENCE, lambda net, p, h: write_links_tsv(net.links, p, h), read_influence_tsv,
-        "# h\nq\tp\treader\tauthor\tgap_seconds\n"
-        "/ua/q1\t/ub/p1\tua\tub\t600\n/ub/q2\t/ua/p1\tub\tua\t7200\n",
+        INFLUENCE, lambda net, p, h: write_links_tsv(net.links, p, h),
+        lambda p: read_links_tsv(p, 2),
+        "# h\nq\tp\treader\tauthor\tgap_seconds\tsimilarity\n"
+        "/ua/q1\t/ub/p1\tua\tub\t600\t0.8\n/ub/q2\t/ua/p1\tub\tua\t7200\t0.6\n",
     ),
     "links": (
         LINKS, write_links_tsv, lambda p: read_links_tsv(p).links,
-        "# h\nq\tp\treader\tauthor\tgap_seconds\n"
-        "/ua/q1\t/ub/p1\tua\tub\t600\n/ua/q1\t/uc/p3\tua\tuc\t3601\n",
+        "# h\nq\tp\treader\tauthor\tgap_seconds\tsimilarity\n"
+        "/ua/q1\t/ub/p1\tua\tub\t600\tnan\n/ua/q1\t/uc/p3\tua\tuc\t3601\tnan\n",
     ),
     "zreport": (
         ZREPORT, write_zreport_tsv, None,
@@ -253,13 +254,14 @@ def test_round_trip_keeps_dtypes_and_network_counts(tmp_path):
         loaded, original = getattr(tensor, name), getattr(TENSOR, name)
         assert loaded.dtype == original.dtype and np.array_equal(loaded, original), name
     write_links_tsv(INFLUENCE.links, tmp_path / "i.tsv")
-    net = read_influence_tsv(tmp_path / "i.tsv", tau_hours=2)
+    net = read_links_tsv(tmp_path / "i.tsv", window_hours=2)
     assert (net.post_count, net.blogger_count, net.post_link_count, net.blogger_link_count) == (
         4, 2, 2, 2
     )
     write_links_tsv(LINKS, tmp_path / "l.tsv")
     links = read_links_tsv(tmp_path / "l.tsv", window_hours=12)
     assert list(links.links) == list(LINKS)
+    assert list(net.links) == list(INFLUENCE.links)
     assert (links.post_count, links.blogger_count, links.blogger_link_count) == (3, 3, 2)
 
 
@@ -297,14 +299,14 @@ _FIELDS = st.one_of(_TEXT, _TEXT.map("[{}".format)).filter(lambda field: not fie
 
 
 @settings(max_examples=80, deadline=None)
-@given(rows=st.lists(st.tuples(_FIELDS, _FIELDS, _FIELDS, _FIELDS, st.integers(1, 43200)),
-                     max_size=12))
+@given(rows=st.lists(st.tuples(_FIELDS, _FIELDS, _FIELDS, _FIELDS, st.integers(1, 43200),
+                               st.one_of(st.none(), st.floats(0, 1))), max_size=12))
 def test_links_codec_round_trip(rows, tmp_path_factory):
     path = tmp_path_factory.mktemp("links") / "l.tsv"
     write_links_tsv(links_table(rows), path, "# h")
     text = path.read_bytes()
     links = read_links_tsv(path)
-    assert [tuple(link)[:5] for link in links.links] == rows
+    assert [tuple(link) for link in links.links] == rows
     write_links_tsv(links.links, path, "# h")
     assert path.read_bytes() == text
 
@@ -348,18 +350,23 @@ def test_activity_round_trip(posts, reads, tmp_path_factory):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("\t3601\n", "\n", "l.tsv:4: expected 5 tab-separated fields, found 4"),
-        ("\t3601\n", "\t1h\n", "l.tsv:4: invalid literal for int()"),
-        ("gap_seconds\n", "gap\n", "l.tsv:2: expected the column names"),
-        ("\t3601\n", "\t99999999999999999999\n", "l.tsv:4: Python int too large"),
-        ("\tuc\t3601\n", "\tuc\t3601\tx\n",
-         "l.tsv:4: expected 5 tab-separated fields, found 6"),
+        ("\t3601\tnan\n", "\t3601\n", "l.tsv:4: expected 6 tab-separated fields, found 5"),
+        ("\t3601\tnan\n", "\t1h\tnan\n", "l.tsv:4: invalid literal for int()"),
+        ("similarity\n", "sim\n", "l.tsv:2: expected the column names"),
+        ("\t3601\tnan\n", "\t99999999999999999999\tnan\n", "l.tsv:4: Python int too large"),
+        ("\tuc\t3601\tnan\n", "\tuc\t3601\tnan\tx\n",
+         "l.tsv:4: expected 6 tab-separated fields, found 7"),
         # One field too many and one too few: the split alone would still
-        # read an integer gap column.
-        ("\t600\n/ua/q1\t/uc/p3\tua\tuc\t3601\n", "\t600\t7\n/ua/q1\t/uc/p3\tua\t3601\n",
-         "l.tsv:3: expected 5 tab-separated fields, found 6"),
-        ("\t3601\n", "\t43201\n", "l.tsv: gap_seconds 43201 is outside (0, 43200]"),
-        ("\t3601\n", "\t0\n", "l.tsv: gap_seconds 0 is outside (0, 43200]"),
+        # read an integer gap column and a float similarity column.
+        ("\t600\tnan\n/ua/q1\t/uc/p3\tua\tuc\t3601\tnan\n",
+         "\t600\t7\tnan\n/ua/q1\t/uc/p3\tua\t3601\tnan\n",
+         "l.tsv:3: expected 6 tab-separated fields, found 7"),
+        ("\t3601\tnan\n", "\t43201\tnan\n", "l.tsv: gap_seconds 43201 is outside (0, 43200]"),
+        ("\t3601\tnan\n", "\t0\tnan\n", "l.tsv: gap_seconds 0 is outside (0, 43200]"),
+        ("\t3601\tnan\n", "\t3601\t0.5x\n", "l.tsv:4: could not convert string to float"),
+        ("\t3601\tnan\n", "\t3601\t1.5\n", "l.tsv: similarity 1.5 is outside [0, 1]"),
+        ("\t3601\tnan\n", "\t3601\t-0.25\n", "l.tsv: similarity -0.25 is outside [0, 1]"),
+        ("\t3601\tnan\n", "\t3601\tinf\n", "l.tsv: similarity inf is outside [0, 1]"),
     ],
 )
 def test_malformed_row_names_file_and_line(tmp_path, old, new, message):

@@ -52,3 +52,4 @@ def test_tracer_hooks_every_layer(tracing, tmp_path):
         assert metrics[name] > 0, name
     assert metrics["textvec.build_vectors_calls"] == 2  # detection, then ingest
     assert metrics["corpus.parse_calls"] == 2  # ingest's posts and access log
+    assert metrics["causality.similarity_calls"] == 2  # detection, then links

@@ -14,7 +14,7 @@ from blogfluence.causality import (
     rank_shift_report,
     z_test,
 )
-from blogfluence.implicit import summarize_links
+from blogfluence.implicit import read_links_tsv, summarize_links, write_links_tsv
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 
@@ -223,7 +223,7 @@ class TestExtractInfluence:
         implicit_pairs = {(l.q, l.p) for l in res.implicit.links}
         for link in res.influence.links:
             assert (link.q, link.p) in implicit_pairs
-            assert link.gap_seconds <= res.influence.tau_hours * 3600
+            assert link.gap_seconds <= res.influence.window_hours * 3600
 
     def test_invariant_under_monotone_similarity_transform(self):
         rng = np.random.default_rng(8)
@@ -252,6 +252,22 @@ class TestAnnotateSimilarity:
         assert annotate_similarity(net.links, post_terms(vectors, 1), 1, min_tokens=10) == 1
         [link] = net.links
         assert link.similarity == pytest.approx(1.0)
+
+    def test_links_tsv_keeps_each_similarity_bit_for_bit(self, tmp_path):
+        """A link to a post below ``min_tokens`` keeps NaN through links.tsv,
+        and so does a cosine of equal counts that rounds past 1."""
+        links = links_table([("/a/q", "/b/p", "a", "b", 100), ("/a/q", "/c/r", "a", "c", 200),
+                             ("/a/q", "/d/s", "a", "d", 300)])
+        vectors = {"/a/q": TermVector({0: 1, 1: 1, 2: 1}, 3),
+                   "/b/p": TermVector({0: 1, 1: 1, 2: 1}, 3),
+                   "/c/r": TermVector({0: 2}, 2),
+                   "/d/s": TermVector({0: 2, 1: 1}, 3)}
+        assert annotate_similarity(links, post_terms(vectors, 3), 3, min_tokens=3) == 2
+        assert links.similarity[0] > 1 and np.isnan(links.similarity[1])
+        write_links_tsv(links, tmp_path / "l.tsv", "# h")
+        again = read_links_tsv(tmp_path / "l.tsv").links
+        assert list(again) == list(links)
+        assert again.similarity.tobytes() == links.similarity.tobytes()
 
 
 class TestRankShift:

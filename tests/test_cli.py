@@ -242,7 +242,8 @@ class TestExitCodes:
         ("links.tsv", "causality", "gap 0", "gap_seconds 0 is outside (0, 43200]"),
         ("links.tsv", "causality", "gap -5", "gap_seconds -5 is outside (0, 43200]"),
         ("links.tsv", "influence", "gap -60", "gap_seconds -60 is outside (0, 43200]"),
-        ("links.tsv", "causality", "post /nobody/p0", "post '/nobody/p0' is not among"),
+        ("links.tsv", "causality", "similarity 1.5", "similarity 1.5 is outside [0, 1]"),
+        ("links.tsv", "influence", "similarity x", "could not convert string to float: 'x'"),
         ("influence.tsv", "topics", "gap 7201", "gap_seconds 7201 is outside (0, 7200]"),
         ("influence.tsv", "tensor", "post /nobody/p0", "post '/nobody/p0' is not among"),
     ])
@@ -252,7 +253,7 @@ class TestExitCodes:
         lines = path.read_text(encoding="utf-8").split("\n")
         fields = lines[2].split("\t")
         what, value = damage.split(" ")
-        fields[4 if what == "gap" else 1] = value
+        fields[{"post": 1, "gap": 4, "similarity": 5}[what]] = value
         lines[2] = "\t".join(fields)
         path.write_text("\n".join(lines), encoding="utf-8")
         capsys.readouterr()
@@ -260,7 +261,27 @@ class TestExitCodes:
                      "--seed", "5"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {path}: ") and message in err
+        # A field that does not parse is named with its line number.
+        assert re.match(rf"error: {re.escape(str(path))}:(3:)? ", err) and message in err
+        assert "Traceback" not in err
+
+    def test_post_terms_of_another_ingest_is_1(self, pipeline_copy, config_file, tmp_path,
+                                               capsys):
+        """links refuses post_terms.tsv from an ingest of other posts than
+        activity.tsv's: it scores every link from those counts."""
+        other = tmp_path / "other"
+        for stage in ("synth", "ingest"):
+            assert main([stage, "--config", config_file, "--out-dir", str(other),
+                         "--seed", "6"]) == 0
+        assert read_activity(other / "activity.tsv").urls != read_activity(
+            pipeline_copy / "activity.tsv").urls
+        path = pipeline_copy / "post_terms.tsv"
+        shutil.copyfile(other / "post_terms.tsv", path)
+        capsys.readouterr()
+        assert main(["links", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "urls differ from the" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("user_id, stage, name", [
@@ -417,8 +438,21 @@ class TestExitCodes:
         path = pipeline_dir / "post_terms.tsv"
         whole = textvec.read_post_terms(path)
         for cap in (1, 7, 159, 10**6):
-            assert textvec.read_vocabulary(path, cap) == whole.vocabulary(cap).terms
+            assert textvec.read_vocabulary(path, cap) == whole.vocabulary(cap)
         assert len(whole.terms) > 159
+
+    def test_only_links_and_causality_need_the_post_terms(self, pipeline_copy, pipeline_dir,
+                                                          config_file):
+        """influence reads the similarities that links stored; causality still
+        reads the vocabulary, and links the counts."""
+        (pipeline_copy / "post_terms.tsv").unlink()
+        argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]
+        assert main(["influence", *argv]) == 0
+        assert (pipeline_copy / "influence.tsv").read_bytes() == (
+            pipeline_dir / "influence.tsv"
+        ).read_bytes()
+        assert main(["causality", *argv]) == 2
+        assert main(["links", *argv]) == 2
 
     def test_missing_post_terms_is_2(self, pipeline_copy, config_file):
         (pipeline_copy / "post_terms.tsv").unlink()

@@ -28,7 +28,13 @@ from hypothesis import strategies as st
 from blogfluence import causality
 from blogfluence.analysis import split_train_test
 from blogfluence.cli import main
-from blogfluence.corpus import format_apache_ts, parse_iso_ts
+from blogfluence.corpus import (
+    Corpus,
+    format_apache_ts,
+    parse_access_log,
+    parse_content_file,
+    parse_iso_ts,
+)
 from blogfluence.causality import (
     annotate_similarity,
     build_coin_series,
@@ -36,7 +42,7 @@ from blogfluence.causality import (
     make_coins,
 )
 from blogfluence.factor import blogger_content_matrix, build_influence_tensor
-from blogfluence.implicit import build_implicit_links, link_counts, link_posts, summarize_links
+from blogfluence.implicit import build_implicit_links, link_posts, read_links_tsv, summarize_links
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import build_doc_term
@@ -119,14 +125,22 @@ DETECTION_DIGESTS = {
 # per-record generator's posts.tsv and access.log as ingest's inputs, every
 # stage after synth wrote the bytes it wrote at the per-link-object,
 # dict-vector and text-log implementations these pins first recorded.
+# links.tsv and influence.tsv were re-pinned when they gained the similarity
+# column; without it they keep the bytes of CLI_LINK_ROW_DIGESTS.
 CLI_LINK_DIGESTS = {
-    "links.tsv": "91be73159d6680e9f3b56decd2e513501b252fcc4cb777021e2caf1287b04a56",
-    "influence.tsv": "56710bd18be3863c46a40a8919bff13ae0b7eefc9ccbfd2a4ff4fcce631e7bdb",
+    "links.tsv": "1ea780a7bc34c0d564e3b29782eeb6b8d7245a445e2dff2d16254144040e4e53",
+    "influence.tsv": "8a3f8e1d2d7448826d27885145ac4b49a0d8f64230547a2ad1ffa47f109fc3ab",
     "gap_hist.tsv": "95f35b43dabf5c110c50b35afd125162f6f2fa43aec10e0236fdd4b61a9d0e16",
     "zreport_forward.tsv": "104d5242a9730f5bfa0799289a9aa3c242bdfa99a697fa40d247398fa0d2be46",
     "zreport_reversed.tsv": "c2963febe16835eeb3c59c6ce97128b8a43ec28e267b97607ec3dc9102ea2b6d",
     "report/rankshift_themes.tsv": "699d9b32d26aa1c958b38008462c48fe4a0d2f3a2fe643692f22e0779daf4537",
     "report/rankshift_bloggers.tsv": "bb034eae1a61f7679b95759f4497f2fee2b956936e76b1e5050d21246f310461",
+}
+# sha256 of links.tsv and influence.tsv with their similarity column dropped,
+# at the same config and seed: the pins of the five-column files.
+CLI_LINK_ROW_DIGESTS = {
+    "links.tsv": "91be73159d6680e9f3b56decd2e513501b252fcc4cb777021e2caf1287b04a56",
+    "influence.tsv": "56710bd18be3863c46a40a8919bff13ae0b7eefc9ccbfd2a4ff4fcce631e7bdb",
 }
 # sha256 of the model stages' inputs and of the pcldc model, which read the
 # post terms, at the same config and seed, from the array-round synth.generate.
@@ -260,6 +274,29 @@ def test_cli_link_artifacts_digest(tmp_path):
     k8.write_text(PIPELINE_CONFIG.replace("\nn_topics = 2\n", "\nn_topics = 8\n"))
     assert main(["topics", "--config", str(k8), "--out-dir", str(out), "--seed", "17"]) == 0
     assert hashlib.sha256((out / "plsa_model.tsv").read_bytes()).hexdigest() == CLI_PLSA_K8_DIGEST
+
+
+def test_cli_links_carry_the_detection_similarity(tmp_path):
+    """links.tsv and influence.tsv hold run_detection's links and their
+    similarities bit for bit (NaN included), and without the similarity
+    column they keep the bytes they had before they stored it."""
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(PIPELINE_CONFIG)
+    out = tmp_path / "out"
+    for stage in ("synth", "ingest", "links", "influence"):
+        assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "17"]) == 0
+    with open(out / "posts.tsv", encoding="utf-8") as fh:
+        posts = parse_content_file(fh)[0]
+    with open(out / "access.log", encoding="utf-8") as fh:
+        accesses = parse_access_log(fh)[0]
+    result = run_detection(Corpus(posts, accesses), vocab_max_size=160, seed=17)
+    for name, net in (("links.tsv", result.implicit), ("influence.tsv", result.influence)):
+        links = read_links_tsv(out / name, net.window_hours).links
+        assert list(links) == list(net.links)
+        assert links.similarity.tobytes() == net.links.similarity.tobytes()
+        rows = "".join(line.rsplit("\t", 1)[0] + "\n"
+                       for line in (out / name).read_text(encoding="utf-8").splitlines())
+        assert hashlib.sha256(rows.encode()).hexdigest() == CLI_LINK_ROW_DIGESTS[name]
 
 
 def _log_line(ip, request, referrer="-", stamp="31/Aug/2008:15:51:14 +0000"):
@@ -670,7 +707,7 @@ def test_model_inputs_match_dict_oracles(bodies, ends, cap, seed):
                       (doc_term.counts, counts), (doc_term.doc_totals, totals)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
-    net = causality.InfluenceNetwork(links=links, tau_hours=2, **link_counts(links))
+    net = summarize_links(links, 2)
     try:
         split = split_train_test(net, terms, cap, seed=seed)
     except ValueError:
