@@ -25,21 +25,20 @@ stores it), anchors are the table's post indices (whose order is URL
 order), and the influence network is a subset of the same table, with tau
 as its window.  One helper, ``_anchor_runs``, gives each anchor's run of
 links and median similarity to the coins and to the extraction.  One
-kernel, ``_coin_faces``, turns the table into coins for both tests and for
-``make_coins`` and ``build_coin_series``; one statistic, ``_z_report``,
-pools coins per bucket for both tests and for ``z_test``.
+kernel, ``_coin_faces``, turns the table into coins for both tests, and one
+statistic, ``_z_report``, pools them per bucket.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Activity, distinct, expand_ranges
+from blogfluence.corpus import Activity, distinct, expand_ranges, lexorder
 from blogfluence.implicit import ImplicitNetwork, Links, link_posts, summarize_links
 from blogfluence.textvec import PostTerms
 
@@ -110,13 +109,6 @@ def annotate_similarity(
     return len(todo)
 
 
-@dataclass
-class CoinSeries:
-    anchor: str
-    coins: list[tuple[int, bool]]  # (hour bucket starting at 1, is_head)
-    median_sim: float
-
-
 def _run_bounds(codes: np.ndarray) -> np.ndarray:
     """Start of every run of equal values in ``codes``, then ``len(codes)``."""
     change = np.ones(len(codes) + 1, dtype=bool)
@@ -127,11 +119,15 @@ def _run_bounds(codes: np.ndarray) -> np.ndarray:
 def _run_medians(bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``statistics.median`` of each run ``values[bounds[i]:bounds[i + 1]]``.
 
-    One stable sort by (run, value) orders every run at once; an even run
-    takes ``(a + b) / 2`` of its middle pair, the same float as ``median``.
+    The values' stable ranks, sorted with their runs as one key, order
+    every run at once, equal values in place as ``sorted`` keeps them; an
+    even run takes ``(a + b) / 2`` of its middle pair, the same float as
+    ``median``.
     """
     sizes = np.diff(bounds)
-    ordered = values[np.lexsort((values, np.repeat(np.arange(len(sizes)), sizes)))]
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[np.argsort(values, kind="stable")] = np.arange(len(values))
+    ordered = values[lexorder(np.repeat(np.arange(len(sizes)), sizes), rank)]
     mid = bounds[:-1] + sizes // 2
     lower = ordered[mid - 1 + sizes % 2]
     return np.where(sizes % 2 == 1, ordered[mid], (lower + ordered[mid]) / 2)
@@ -142,7 +138,7 @@ def _anchor_runs(links: Links, code: np.ndarray) -> tuple[np.ndarray, np.ndarray
     p) order, ``code`` ordering their anchors; the bounds of each anchor's
     run among them; and each run's median similarity."""
     has = np.flatnonzero(~np.isnan(links.similarity))
-    order = has[np.lexsort((links.p[has], links.gap[has], code[has]))]
+    order = has[lexorder(code[has], links.gap[has], links.p[has])]
     bounds = _run_bounds(code[order])
     return order, bounds, _run_medians(bounds, links.similarity[order])
 
@@ -155,9 +151,14 @@ def _coin_faces(
     none.  In (anchor, gap, p) order: each coin's anchor code, hour bucket
     and face, then the bounds of each series and its median similarity.
 
-    Faces strictly above/below the anchor's median are forced; only
-    series with tied faces draw from ``rng``, in anchor order, with the
-    draws of the per-anchor definition (see ``make_coins``).
+    Faces strictly above/below the anchor's median are forced; tied faces
+    are randomized subject to per-anchor balance (|heads - tails| <= 1),
+    which is always achievable because at most half the values can sit
+    strictly on either side of the median.  Only series with tied faces
+    draw from ``rng``, in anchor order: when both balanced head counts are
+    achievable, ``rng.integers(2)`` picks one; then
+    ``rng.choice(n_ties, size=tie_heads, replace=False)`` picks the tied
+    positions that become heads.
     """
     order, bounds, med = _anchor_runs(links, code)
     code, gap, sim = code[order], links.gap[order], links.similarity[order]
@@ -187,59 +188,6 @@ def _coin_faces(
     coin = np.repeat(series, sizes)
     bounds = np.concatenate([[0], np.cumsum(sizes[series])])
     return code[coin], (gap[coin] + 3599) // 3600, heads[coin], bounds, med[series]
-
-
-def _coin_series(
-    links: Links,
-    code: np.ndarray,
-    anchors: list[str],
-    rng: np.random.Generator,
-) -> list[CoinSeries]:
-    """The coin series of ``_coin_faces`` as objects; ``code`` gives each
-    link's index in the ascending ``anchors``."""
-    code, bucket, heads, bounds, med = _coin_faces(links, code, rng)
-    buckets, faces = bucket.tolist(), heads.tolist()
-    return [
-        CoinSeries(anchors[c], list(zip(buckets[lo:hi], faces[lo:hi])), m)
-        for c, lo, hi, m in zip(
-            code[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), med.tolist()
-        )
-    ]
-
-
-def make_coins(
-    anchor: str, links: Links, rng: np.random.Generator
-) -> CoinSeries | None:
-    """Turn one anchor's links into coins; None if fewer than two are eligible.
-
-    Faces strictly above/below the median are forced; tied faces are
-    randomized subject to per-anchor balance (|heads - tails| <= 1), which
-    is always achievable because at most half the values can sit strictly
-    on either side of the median.  When both balanced head counts are
-    achievable, ``rng.integers(2)`` picks one; then
-    ``rng.choice(n_ties, size=tie_heads, replace=False)`` picks the tied
-    positions that become heads.
-    """
-    series = _coin_series(links, np.zeros(len(links), dtype=np.int64), [anchor], rng)
-    return series[0] if series else None
-
-
-def build_coin_series(
-    net: ImplicitNetwork, rng: np.random.Generator, anchor_side: str = "q"
-) -> tuple[list[CoinSeries], int]:
-    """Group links by anchor post and build a coin series per anchor.
-
-    ``anchor_side`` is "q" for the forward test and "p" for the reversed
-    one.  Anchors are visited in ascending order, each as ``make_coins``
-    would.  Returns (series, number of anchors skipped for having fewer
-    than two eligible links).
-    """
-    if anchor_side not in ("q", "p"):
-        raise ValueError("anchor_side must be 'q' or 'p'")
-    links = net.links
-    code = links.q if anchor_side == "q" else links.p
-    series = _coin_series(links, code, links.urls, rng)
-    return series, distinct(code).size - len(series)
 
 
 @dataclass
@@ -281,20 +229,6 @@ class ZReport:
         return [b for b in self.buckets if b.available]
 
 
-def z_test(
-    series: Iterable[CoinSeries],
-    window_hours: int = 12,
-    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
-    n_skipped_anchors: int = 0,
-) -> ZReport:
-    """Pool the coins of ``series`` per bucket and z-test each bucket (see
-    ``_z_report``)."""
-    series = list(series)
-    coins = np.array([coin for s in series for coin in s.coins], dtype=np.int64).reshape(-1, 2)
-    return _z_report(coins[:, 0], coins[:, 1] == 1, window_hours, min_bucket_n, len(series),
-                     n_skipped_anchors)
-
-
 def _z_report(
     bucket: np.ndarray,
     heads: np.ndarray,
@@ -334,7 +268,7 @@ def _anchored_z_test(
     rng: np.random.Generator,
     min_bucket_n: int,
 ) -> ZReport:
-    """``z_test`` of the coin series anchored by ``code``, pooled from the
+    """The z-test of the coin series anchored by ``code``, pooled from the
     coin arrays of ``_coin_faces``."""
     _, bucket, heads, bounds, _ = _coin_faces(net.links, code, rng)
     n_series = len(bounds) - 1
@@ -374,7 +308,7 @@ def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) 
     order, bounds, med = _anchor_runs(links, links.q)
     above = links.similarity[order] > np.repeat(med, np.diff(bounds))
     keep = order[(links.gap[order] <= tau_hours * 3600) & above]
-    kept = links.take(keep[np.lexsort((links.p[keep], links.q[keep]))])
+    kept = links.take(keep[lexorder(links.q[keep], links.p[keep])])
     return summarize_links(kept, tau_hours)
 
 

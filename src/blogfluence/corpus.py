@@ -23,6 +23,7 @@ mask over the codes), which later stages read from ``activity.tsv``.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import defaultdict, namedtuple
 from dataclasses import astuple, dataclass
@@ -268,6 +269,25 @@ def distinct(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
+
+
+def lexorder(*columns: np.ndarray) -> np.ndarray:
+    """The stable order of the rows of int64 ``columns``, primary key
+    first: the order ``np.lexsort(columns[::-1])`` gives.
+
+    When the columns' spans multiply below 2**63, the columns pack into one
+    int64 key, and one stable argsort of it replaces the multi-key sort."""
+    if not len(columns[0]):
+        return np.arange(0)
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
+    if math.prod(spans) >= 2**63:
+        return np.lexsort(columns[::-1])
+    key = columns[0] - lows[0]
+    for c, lo, span in zip(columns[1:], lows[1:], spans[1:]):
+        key *= span
+        key += c - lo
+    return np.argsort(key, kind="stable")
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

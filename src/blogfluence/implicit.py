@@ -23,7 +23,8 @@ from typing import Collection, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Activity, FormatError, PostKeys, Strings, distinct, expand_ranges
+from blogfluence.corpus import (
+    Activity, FormatError, PostKeys, Strings, distinct, expand_ranges, lexorder)
 
 DEFAULT_WINDOW_HOURS = 12
 
@@ -142,7 +143,7 @@ def build_implicit_links(activity: Activity,
     pair, pos = expand_ranges(keys.edge(reader, t), keys.edge(reader, t + window))
     q, p = keys.by_time[pos], p[pair]
     gap = upload[q] - t[pair]
-    first = np.lexsort((gap, p, q))
+    first = lexorder(q, p, gap)
     q, p, gap = q[first], p[first], gap[first]
     new_pair = np.ones(len(q), dtype=bool)
     new_pair[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1])

@@ -55,7 +55,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Accesses, Corpus, Posts, Strings, parse_iso_ts
+from blogfluence.corpus import Accesses, Corpus, Posts, Strings, lexorder, parse_iso_ts
 
 # Relative weights; posting peaks late evening local time.
 DEFAULT_HOUR_PROFILE = (
@@ -235,7 +235,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     # Upload order: by time, then url.  ``post_rank`` ranks the url strings.
     urls = np.array([f"/u{b:04d}/p{s}" for b, s in zip(blogger.tolist(), serial.tolist())])
     post_rank = np.unique(urls, return_inverse=True)[1]
-    order = np.lexsort((post_rank, ts))
+    order = lexorder(ts, post_rank)
     blogger, ts, topic, tokens = blogger[order], ts[order], topic[order], tokens[order]
     urls, post_rank = urls[order].tolist(), post_rank[order]
 
@@ -314,7 +314,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
         copy_gap_max = cfg.copy_gap_max_hours * 3600
         lo_t = min(int(read_ts.min()), int(ts[0]) - copy_gap_max)
         r_span = max(int(read_ts.max()), int(ts[-1])) - lo_t + 1
-        history = np.lexsort((read_ts, reader))  # each reader's reads, in time order
+        history = lexorder(reader, read_ts)  # each reader's reads, in time order
         read_key = reader[history] * r_span + (read_ts[history] - lo_t)
         q_key = blogger[copier] * r_span + (ts[copier] - lo_t)
         first = read_key.searchsorted(q_key - copy_gap_max)  # read at or after q - gap max
@@ -332,7 +332,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     # -- columns ------------------------------------------------------------
     # Accesses by (time, IP, url); IP and url codes index ``ips`` and ``urls``.
     ip_rank = np.unique(np.array(ips), return_inverse=True)[1]
-    order = np.lexsort((post_rank[target], ip_rank[reader], read_ts))
+    order = lexorder(read_ts, ip_rank[reader], post_rank[target])
     accesses = Accesses(Strings(ips, reader[order]), read_ts[order], Strings(urls, target[order]),
                         Strings([""], np.zeros(order.size, np.int64)))
     posts = Posts(Strings(ips, blogger), ts, Strings(blogger_ids, blogger), urls,

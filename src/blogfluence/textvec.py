@@ -130,10 +130,20 @@ def count_terms(posts: Posts) -> PostTerms:
     n_terms = len(term_id)
     keys = np.repeat(np.arange(len(urls), dtype=np.int64), n_words)[word] * n_terms + word_terms[at]
     del words, word, at
-    # Each (post, term) once, in the order of its first token.
-    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    keys, counts = keys[order], counts[order]
+    # Each (post, term) once, in the order of its first token: a stable sort
+    # groups equal keys with their first token in front.
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    starts = np.flatnonzero(new)
+    del new
+    size = np.zeros(len(keys), dtype=np.int64)  # each key's count, at its first token
+    size[order[starts]] = np.diff(starts, append=len(keys))
+    del order, starts
+    first = size > 0
+    keys, counts = keys[first], size[first]
     terms = list(term_id)
     doc_freq = np.bincount(keys % n_terms, minlength=n_terms)
     ranked = np.array(sorted(range(n_terms), key=terms.__getitem__), np.int64)

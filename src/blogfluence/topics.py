@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import FormatError
+from blogfluence.corpus import FormatError, lexorder
 from blogfluence.textvec import PostTerms
 
 DEFAULT_TOPICS = 50
@@ -50,7 +50,7 @@ def build_doc_term(terms: PostTerms, max_size: int, urls: Iterable[str]) -> DocT
     doc = np.cumsum(keep) - 1
     at = keep[post] & capped
     rows, cols = doc[post[at]], term[at]
-    order = np.lexsort((cols, rows))
+    order = lexorder(rows, cols)
     return DocTermMatrix(
         doc_ids=[terms.posts[d][0] for d in np.flatnonzero(keep).tolist()],
         n_terms=min(max_size, len(terms.terms)),

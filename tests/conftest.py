@@ -18,6 +18,7 @@ from blogfluence.corpus import (
     ParseReport,
     Posts,
     Strings,
+    distinct,
     format_apache_ts,
     format_iso_ts,
     normalize_url,
@@ -31,6 +32,7 @@ from blogfluence.synth import (
     _choice_cdf,
     _topic_word_dists,
 )
+from blogfluence import causality
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, Vocabulary, tokenize
 from blogfluence.topics import build_doc_term
@@ -296,6 +298,60 @@ def links_table(rows):
     table.similarity = np.array(
         [np.nan if len(row) < 6 or row[5] is None else row[5] for row in rows], dtype=float)
     return table
+
+
+# --------------------------------------------------------------------------
+# The coin series as objects, which ``blogfluence.causality`` computes only
+# as the coin arrays of ``_coin_faces``; the tests build and pool them
+# through the same kernel and statistic as the two z-tests.
+
+@dataclass
+class CoinSeries:
+    anchor: str
+    coins: list[tuple[int, bool]]  # (hour bucket starting at 1, is_head)
+    median_sim: float
+
+
+def coin_series(links, code, anchors, rng):
+    """The coin series of ``causality._coin_faces`` as objects; ``code``
+    gives each link's index in the ascending ``anchors``."""
+    code, bucket, heads, bounds, med = causality._coin_faces(links, code, rng)
+    buckets, faces = bucket.tolist(), heads.tolist()
+    return [
+        CoinSeries(anchors[c], list(zip(buckets[lo:hi], faces[lo:hi])), m)
+        for c, lo, hi, m in zip(
+            code[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), med.tolist()
+        )
+    ]
+
+
+def make_coins(anchor, links, rng):
+    """One anchor's links as coins; None if fewer than two carry a similarity."""
+    series = coin_series(links, np.zeros(len(links), dtype=np.int64), [anchor], rng)
+    return series[0] if series else None
+
+
+def build_coin_series(net, rng, anchor_side="q"):
+    """A coin series per anchor post, anchors ascending, each as
+    ``make_coins`` would give it: "q" for the forward test, "p" for the
+    reversed one.  Returns (series, anchors skipped for having fewer than
+    two links with a similarity)."""
+    if anchor_side not in ("q", "p"):
+        raise ValueError("anchor_side must be 'q' or 'p'")
+    links = net.links
+    code = links.q if anchor_side == "q" else links.p
+    series = coin_series(links, code, links.urls, rng)
+    return series, distinct(code).size - len(series)
+
+
+def z_test(series, window_hours=12, min_bucket_n=causality.DEFAULT_MIN_BUCKET_N,
+           n_skipped_anchors=0):
+    """Pool the coins of ``series`` per bucket and z-test each bucket, as
+    ``causality._z_report`` does for the two z-tests."""
+    series = list(series)
+    coins = np.array([coin for s in series for coin in s.coins], dtype=np.int64).reshape(-1, 2)
+    return causality._z_report(coins[:, 0], coins[:, 1] == 1, window_hours, min_bucket_n,
+                               len(series), n_skipped_anchors)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from blogfluence import analysis
-from blogfluence.causality import CoinSeries, z_test
 from blogfluence.cli import main
 from blogfluence.factor import (
     BloggerGraph,
@@ -31,7 +30,7 @@ from blogfluence.pipeline import recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import fit_plsa
 
-from conftest import TermVector, doc_term
+from conftest import CoinSeries, TermVector, doc_term, z_test
 
 N_SEEDS = 20
 SECONDS_PER_DETECTION_SEED = 120.0

@@ -1,24 +1,32 @@
 import math
+from statistics import median
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blogfluence.causality import (
-    CoinSeries,
+    _run_medians,
     annotate_similarity,
-    build_coin_series,
     extract_influence,
-    make_coins,
     rank_shift_report,
-    z_test,
 )
 from blogfluence.implicit import read_links_tsv, summarize_links, write_links_tsv
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 
-from conftest import TermVector, links_table, make_activity, make_corpus, post_terms
+from conftest import (
+    CoinSeries,
+    TermVector,
+    build_coin_series,
+    links_table,
+    make_activity,
+    make_coins,
+    make_corpus,
+    post_terms,
+    z_test,
+)
 
 
 def _links(entries):
@@ -351,3 +359,19 @@ def test_forward_and_reversed_share_coin_pool():
     rev_total = sum(b.n for b in res.reversed_report.buckets)
     eligible = sum(1 for l in res.implicit.links if l.similarity is not None)
     assert fwd_total <= eligible and rev_total <= eligible
+
+
+_RUN_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.lists(_RUN_VALUES, min_size=1, max_size=9), max_size=12))
+@example(runs=[[0.5]])
+@example(runs=[[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+@example(runs=[[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.5, -0.0, 0.0, 0.5, -0.0]])
+@example(runs=[[0.25, 0.25, 0.25, 0.5], [1.0], [0.5, 0.25, 0.5]])
+def test_run_medians_are_statistics_median(runs):
+    values = np.array([v for run in runs for v in run], dtype=np.float64)
+    bounds = np.cumsum([0] + [len(run) for run in runs])
+    got = _run_medians(bounds, values)
+    assert list(map(repr, got.tolist())) == [repr(median(run)) for run in runs]

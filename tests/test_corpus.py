@@ -1,11 +1,15 @@
+import inspect
 import re
 from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blogfluence import corpus
 from blogfluence.corpus import (
     FormatError,
     access_lines,
@@ -13,6 +17,7 @@ from blogfluence.corpus import (
     clean_accesses,
     content_lines,
     format_apache_ts,
+    lexorder,
     normalize_url,
     parse_apache_ts,
     parse_access_log,
@@ -492,3 +497,52 @@ def test_duplicate_urls_dropped():
     posts, report = parse_content_file([content_line(p1), content_line(p2)])
     assert list(posts) == [astuple(p1)]
     assert (report.n_ok, report.n_skipped, report.n_duplicate) == (2, 0, 1)
+
+
+# --------------------------------------------------------------------------
+# lexorder: the one multi-key sort
+
+_SORT_VALUES = st.integers(-3, 3) | st.integers(-2**20, 2**20) | st.integers(-2**62, 2**62)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(*[_SORT_VALUES] * k), max_size=40))))
+@example(table=(1, []))
+@example(table=(3, []))
+def test_lexorder_is_the_lexsort_order(table):
+    n_columns, rows = table
+    columns = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(n_columns)]
+    got = lexorder(*columns)
+    assert got.tolist() == np.lexsort(columns[::-1]).tolist()
+
+
+@pytest.mark.parametrize("columns, packed", [
+    # One column spanning 2**63 - 1 values packs; one more value does not.
+    ([[-2**62, 2**62 - 2, 0]], True),
+    ([[-2**62, 2**62 - 1, 0]], False),
+    ([[2**62, -2**62, 0, 2**62, -2**62], [1, 0, 1, 0, 1]], False),
+    # Spans of 2**32 + 1 each: every column fits, their product does not.
+    ([[2**32, 0, 2**32, 7], [0, 2**32, 5, 5], [3, 3, 1, 1]], False),
+    ([[2**32, 0, 2**32, 7], [0, 2**30, 5, 5]], True),
+])
+def test_lexorder_falls_back_to_lexsort_past_int64(columns, packed):
+    columns = [np.array(c, dtype=np.int64) for c in columns]
+    lexsort, calls = np.lexsort, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+        got = lexorder(*columns)
+    assert (not calls) == packed
+    assert got.tolist() == lexsort(columns[::-1]).tolist()
+
+
+def test_only_lexorder_sorts_by_several_keys():
+    """Every multi-key sort in the package goes through ``corpus.lexorder``,
+    so the package keeps one sort path."""
+    helper = inspect.getsource(lexorder)
+    for path in sorted(Path(corpus.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "corpus.py":
+            assert helper in text
+            text = text.replace(helper, "")
+        assert "lexsort" not in text, path.name

@@ -35,12 +35,7 @@ from blogfluence.corpus import (
     parse_content_file,
     parse_iso_ts,
 )
-from blogfluence.causality import (
-    annotate_similarity,
-    build_coin_series,
-    extract_influence,
-    make_coins,
-)
+from blogfluence.causality import annotate_similarity, extract_influence
 from blogfluence.factor import blogger_content_matrix, build_influence_tensor
 from blogfluence.implicit import build_implicit_links, link_posts, read_links_tsv, summarize_links
 from blogfluence.pipeline import run_detection
@@ -56,12 +51,15 @@ from blogfluence.textvec import (
 
 from conftest import (
     BASE_TS,
+    CoinSeries,
     TermVector,
     activity_of,
+    build_coin_series,
     generate_per_record,
     ip_to_bloggers,
     links_table,
     make_access,
+    make_coins,
     make_corpus,
     make_post,
     make_posts,
@@ -434,7 +432,7 @@ def _oracle_make_coins(anchor, links, rng):
         for pos in ties:
             faces[pos] = pos in chosen
     coins = [((l.gap_seconds + 3599) // 3600, bool(f)) for l, f in zip(eligible, faces)]
-    return causality.CoinSeries(anchor=anchor, coins=coins, median_sim=med)
+    return CoinSeries(anchor=anchor, coins=coins, median_sim=med)
 
 
 def _oracle_coin_series(links, rng, side):
