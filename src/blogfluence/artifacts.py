@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import re
 from contextlib import suppress
-from itertools import islice, repeat
+from itertools import islice, repeat, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -98,6 +98,17 @@ def write_sections(path: str | Path, header: str | None,
     _write(path, header, ((f"[{name}]", rows) for name, rows in sections.items()))
 
 
+def read_text(path: str | Path, until: str | None = None) -> str:
+    """The text of ``path``, or its lines before the first line ``until``; bytes
+    that are not UTF-8 raise ``FormatError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read() if until is None else "".join(
+                takewhile(lambda line: line.rstrip("\n") != until, fh))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def _rows(text: str, first: int = 1) -> Iterator[tuple[int, str]]:
     """(line number, line) of the lines of ``text`` that are not blank or ``#``."""
     return ((n, line) for n, line in enumerate(text.split("\n"), first)
@@ -129,7 +140,7 @@ def _int_columns(path, first: int, text: str, width: int) -> np.ndarray:
 
 def read_rows(path: str | Path, types: Types, columns: Sequence[str] | None = None) -> list[list]:
     """Rows of a plain artifact; with ``columns``, the first line must name them."""
-    lines = _rows(Path(path).read_text(encoding="utf-8"))
+    lines = _rows(read_text(path))
     if columns:
         lineno, line = next(lines, (0, ""))
         if line != "\t".join(columns):
@@ -158,7 +169,7 @@ def _columns(path, lines: list[tuple[int, str]], types: Sequence[type]) -> list:
 
 def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]) -> list:
     """``read_rows`` by column (see ``_columns``)."""
-    lines = list(_rows(Path(path).read_text(encoding="utf-8")))
+    lines = list(_rows(read_text(path)))
     lineno, line = lines[0] if lines else (0, "")
     if line != "\t".join(columns):
         raise FormatError(f"{path}:{lineno}: expected the column names {list(columns)}")
@@ -171,7 +182,7 @@ _SECTION = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
 
 def read_sections(path: str | Path,
                   specs: dict[str, Types | list[type] | dict[str, Types] | int]) -> dict:
-    return parse_sections(path, Path(path).read_text(encoding="utf-8"), specs)
+    return parse_sections(path, read_text(path), specs)
 
 
 def parse_sections(path: str | Path, text: str,

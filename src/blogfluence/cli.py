@@ -2,9 +2,18 @@
 -> topics -> split -> tensor -> iolap -> pcldc -> pcl -> idr -> recommend
 -> eval -> report.
 
-Every subcommand reads its declared inputs from the output directory,
-writes versioned artifacts whose first line records the tool version,
-subcommand, config hash, and seed, and prints a one-line summary.
+``STAGES`` declares each subcommand once, in pipeline order: its body, the
+artifacts it reads from the output directory (some optional), and the
+config keys its outputs depend on beyond those of its inputs.  ``main``
+runs every stage alike.  A missing required input exits 2.  The first line
+of each input present must equal the header its producing stage would
+write now, or the stage exits 1 naming the file and the stage to rerun.
+A header records the tool version, the subcommand, a hash over the keys
+of the stage's closure (its own keys and the closures of the stages that
+write its inputs) and the seed, so that one comparison checks all four.
+``ingest`` reads raw logs, which carry no header.  The body writes its
+artifacts under its own header and returns the summary ``main`` prints.
+
 ``links`` is the one stage that scores links: it builds them from
 ``activity.tsv``, fills their similarity from ``post_terms.tsv`` and writes
 both to ``links.tsv``, which ``causality`` and ``influence`` read as is.
@@ -32,7 +41,7 @@ import shutil
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -57,10 +66,6 @@ class ConfigError(Exception):
     pass
 
 
-class MissingArtifact(Exception):
-    pass
-
-
 # Per-stage offsets mixed into the seed so stages draw independent streams.
 _STAGE_SEED = {"synth": 0, "causality": 1, "topics": 2, "iolap": 3, "pcldc": 4, "pcl": 5, "split": 6}
 
@@ -79,8 +84,6 @@ class PipelineConfig:
     n_topics: int = 50
     rank_influenced: int = 8
     rank_influencer: int = 8
-    n_communities: int = 0  # 0 -> follow n_topics
-    plsa_docs: str = "influence"  # or "all"
     plsa_max_iter: int = 200
     iolap_max_iter: int = 200
     pcldc_max_iter: int = 60
@@ -100,26 +103,13 @@ class PipelineConfig:
             raise ConfigError("vocab_max_size, top_n, n_topics must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.plsa_docs not in ("influence", "all"):
-            raise ConfigError("plsa_docs must be 'influence' or 'all'")
 
-    def communities(self) -> int:
-        return self.n_communities if self.n_communities > 0 else self.n_topics
-
-    def config_hash(self) -> str:
-        # Path-like fields stay out of the hash so the same semantic run
-        # is recognizable across directories.
-        skip = {"out_dir", "content_path", "access_path"}
+    def config_hash(self, keys: Iterable[str]) -> str:
+        """A hash of the values of ``keys``; a "synth." key names a generator field."""
         parts = []
-        for f in sorted(dataclasses.fields(self), key=lambda f: f.name):
-            if f.name in skip:
-                continue
-            value = getattr(self, f.name)
-            if dataclasses.is_dataclass(value):
-                for sf in sorted(dataclasses.fields(value), key=lambda sf: sf.name):
-                    parts.append(f"synth.{sf.name}={getattr(value, sf.name)!r}")
-            else:
-                parts.append(f"{f.name}={value!r}")
+        for key in sorted(keys):
+            owner, name = (self.synth, key[6:]) if key.startswith("synth.") else (self, key)
+            parts.append(f"{key}={getattr(owner, name)!r}")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:12]
 
 
@@ -131,7 +121,7 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
         synth_updates: dict[str, object] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(artifacts.read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -141,6 +131,8 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
             try:
                 if key.startswith("synth."):
                     name = key[len("synth."):]
+                    if name == "seed":
+                        raise ConfigError(f"{path}:{lineno}: synth.seed is not read; set seed")
                     if name not in synth_fields:
                         raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                     synth_updates[name] = _parser(synth_fields[name])(value)
@@ -177,33 +169,20 @@ def _path(cfg: PipelineConfig, name: str) -> Path:
     return Path(cfg.out_dir) / name
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise MissingArtifact(str(path))
-    return path
-
-
-def _header(cfg: PipelineConfig, subcommand: str) -> str:
-    return (
-        f"# blogfluence {__version__} subcommand={subcommand} "
-        f"config={cfg.config_hash()} seed={cfg.seed}"
-    )
-
-
 def _post_terms(cfg: PipelineConfig) -> PostTerms:
-    return textvec.read_post_terms(_require(_path(cfg, "post_terms.tsv")))
+    return textvec.read_post_terms(_path(cfg, "post_terms.tsv"))
 
 
 def _read_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int]:
     """links.tsv and the number of its links that carry a similarity."""
-    net = implicit.read_links_tsv(_require(_path(cfg, "links.tsv")), cfg.window_hours)
+    net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
     return net, int(np.count_nonzero(~np.isnan(net.links.similarity)))
 
 
 def _read_influence(cfg: PipelineConfig,
                     terms: PostTerms | None = None) -> implicit.ImplicitNetwork:
     """influence.tsv; given ``terms``, every post must have counts in it."""
-    return implicit.read_links_tsv(_require(_path(cfg, "influence.tsv")), cfg.tau_hours,
+    return implicit.read_links_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours,
                                    None if terms is None else dict(terms.posts))
 
 
@@ -219,119 +198,95 @@ def _load_influence_links(cfg: PipelineConfig, terms: PostTerms | None = None
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its artifacts under ``header`` and returns what it prints
 
-def cmd_synth(cfg: PipelineConfig, args) -> int:
+def cmd_synth(cfg: PipelineConfig, args, header: str) -> str:
     try:
         corpus, truth = synth.generate(replace(cfg.synth, seed=cfg.seed))
     except synth.SynthesisError as exc:
         raise ConfigError(f"synth: {exc}") from exc
-    header = _header(cfg, "synth")
     artifacts.write_rows(_path(cfg, "posts.tsv"), header, zip(content_lines(corpus.posts)))
     artifacts.write_rows(_path(cfg, "access.log"), header, zip(access_lines(corpus.accesses)))
     synth.write_truth_tsv(truth, _path(cfg, "truth.tsv"), header)
     synth.write_experts_tsv(truth, _path(cfg, "experts.tsv"), header)
-    print(
-        f"synth: {len(corpus.posts)} posts, {len(corpus.accesses)} accesses, "
-        f"{len(truth.influence_pairs)} planted pairs -> {cfg.out_dir}"
-    )
-    return 0
+    return (f"synth: {len(corpus.posts)} posts, {len(corpus.accesses)} accesses, "
+            f"{len(truth.influence_pairs)} planted pairs -> {cfg.out_dir}")
 
 
-def cmd_ingest(cfg: PipelineConfig, args) -> int:
-    content = _require(Path(cfg.content_path) if cfg.content_path else _path(cfg, "posts.tsv"))
-    access = _require(Path(cfg.access_path) if cfg.access_path else _path(cfg, "access.log"))
+def cmd_ingest(cfg: PipelineConfig, args, header: str) -> str:
+    content = Path(cfg.content_path) if cfg.content_path else _path(cfg, "posts.tsv")
+    access = Path(cfg.access_path) if cfg.access_path else _path(cfg, "access.log")
     with open(content, encoding="utf-8") as fh:
         posts, posts_report = parse_content_file(fh)
     with open(access, encoding="utf-8") as fh:
         accesses, access_report = parse_access_log(fh)
     corpus = Corpus(posts, accesses)
     activity, removal = clean_accesses(corpus, cfg.window_hours)
-    header = _header(cfg, "ingest")
     implicit.write_activity(activity, _path(cfg, "activity.tsv"), header)
     textvec.write_post_terms(build_vectors(corpus), _path(cfg, "post_terms.tsv"), header)
     dropped = ", ".join(f"{rule} {n}" for rule, n in dataclasses.asdict(removal).items())
-    print(
-        f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped, "
-        f"{posts_report.n_duplicate} duplicate URLs dropped), "
-        f"{access_report.n_ok} accesses ({access_report.n_skipped} skipped), "
-        f"{removal.total()} removed by cleaning ({dropped}) -> {len(activity.accesses)} kept"
-    )
-    return 0
+    return (f"ingest: {posts_report.n_ok} posts ({posts_report.n_skipped} skipped, "
+            f"{posts_report.n_duplicate} duplicate URLs dropped), "
+            f"{access_report.n_ok} accesses ({access_report.n_skipped} skipped), "
+            f"{removal.total()} removed by cleaning ({dropped}) -> {len(activity.accesses)} kept")
 
 
-def cmd_links(cfg: PipelineConfig, args) -> int:
-    activity = implicit.read_activity(_require(_path(cfg, "activity.tsv")))
+def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
+    activity = implicit.read_activity(_path(cfg, "activity.tsv"))
     terms = _post_terms(cfg)
     if [url for url, _ in terms.posts] != activity.urls:
         raise FormatError(f"{_path(cfg, 'post_terms.tsv')}: [posts] urls differ from the "
                           f"{len(activity.urls)} post urls of activity.tsv")
     net = implicit.build_implicit_links(activity, cfg.window_hours)
     causality.annotate_similarity(net.links, terms, cfg.vocab_max_size, cfg.min_tokens)
-    header = _header(cfg, "links")
     implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
     artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, enumerate(hist, 1), ("bin", "count"))
-    print(
-        f"links: {net.post_link_count} post links, {net.blogger_link_count} blogger links, "
-        f"{net.post_count} posts, {net.blogger_count} bloggers -> {_path(cfg, 'links.tsv')}"
-    )
-    return 0
+    return (f"links: {net.post_link_count} post links, {net.blogger_link_count} blogger links, "
+            f"{net.post_count} posts, {net.blogger_count} bloggers -> {_path(cfg, 'links.tsv')}")
 
 
-def cmd_causality(cfg: PipelineConfig, args) -> int:
+def cmd_causality(cfg: PipelineConfig, args, header: str) -> str:
     net, n_scored = _read_links(cfg)
-    vocab = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
+    vocab = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
     rng = np.random.default_rng([cfg.seed, _STAGE_SEED["causality"]])
     forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
     reversed_ = causality.reversed_z_test(net, rng, cfg.min_bucket_n)
-    header = _header(cfg, "causality")
     write_vocabulary(vocab, _path(cfg, "vocab.tsv"), header)
     causality.write_zreport_tsv(forward, _path(cfg, "zreport_forward.tsv"), header)
     causality.write_zreport_tsv(reversed_, _path(cfg, "zreport_reversed.tsv"), header)
     sig_f = [b.bucket for b in forward.available() if b.one_sided_significant]
     sig_r = [b.bucket for b in reversed_.available() if b.one_sided_significant]
-    print(
-        f"causality: forward heads-enriched buckets {sig_f or 'none'}, "
-        f"reversed {sig_r or 'none'}, over {n_scored} of {len(net.links)} links with a "
-        f"similarity -> {_path(cfg, 'zreport_forward.tsv')}"
-    )
-    return 0
+    return (f"causality: forward heads-enriched buckets {sig_f or 'none'}, "
+            f"reversed {sig_r or 'none'}, over {n_scored} of {len(net.links)} links with a "
+            f"similarity -> {_path(cfg, 'zreport_forward.tsv')}")
 
 
-def cmd_influence(cfg: PipelineConfig, args) -> int:
+def cmd_influence(cfg: PipelineConfig, args, header: str) -> str:
     net, n_scored = _read_links(cfg)
     influence = causality.extract_influence(net, cfg.tau_hours)
-    implicit.write_links_tsv(influence.links, _path(cfg, "influence.tsv"), _header(cfg, "influence"))
-    print(
-        f"influence: {influence.post_link_count} post links, "
-        f"{influence.blogger_link_count} blogger links, {influence.post_count} posts, "
-        f"{influence.blogger_count} bloggers, over {n_scored} of {len(net.links)} links with a "
-        f"similarity -> {_path(cfg, 'influence.tsv')}"
-    )
-    return 0
+    implicit.write_links_tsv(influence.links, _path(cfg, "influence.tsv"), header)
+    return (f"influence: {influence.post_link_count} post links, "
+            f"{influence.blogger_link_count} blogger links, {influence.post_count} posts, "
+            f"{influence.blogger_count} bloggers, over {n_scored} of {len(net.links)} links with a "
+            f"similarity -> {_path(cfg, 'influence.tsv')}")
 
 
-def cmd_topics(cfg: PipelineConfig, args) -> int:
+def cmd_topics(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
-    influence = _read_influence(cfg, terms)
-    # _read_influence checked that every post of the links has counts.
-    urls = (implicit.link_posts(influence.links) if cfg.plsa_docs == "influence"
-            else [url for url, _ in terms.posts])
+    # _read_influence checks that every post of the links has counts.
+    urls = implicit.link_posts(_read_influence(cfg, terms).links)
     try:
         model = pipeline.fit_topics(terms, cfg.vocab_max_size, urls, cfg.n_topics,
                                     cfg.plsa_max_iter, cfg.tol, [cfg.seed, _STAGE_SEED["topics"]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), _header(cfg, "topics"))
-    print(
-        f"topics: {model.n_topics} topics over {len(model.doc_ids)} docs, "
-        f"loglik {model.loglik_trace[-1]:.2f} -> {_path(cfg, 'plsa_model.tsv')}"
-    )
-    return 0
+    topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), header)
+    return (f"topics: {model.n_topics} topics over {len(model.doc_ids)} docs, "
+            f"loglik {model.loglik_trace[-1]:.2f} -> {_path(cfg, 'plsa_model.tsv')}")
 
 
-def cmd_split(cfg: PipelineConfig, args) -> int:
+def cmd_split(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     influence = _read_influence(cfg, terms)
     try:
@@ -340,33 +295,25 @@ def cmd_split(cfg: PipelineConfig, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    analysis.write_split(
-        split, _path(cfg, "train.tsv"), _path(cfg, "test.tsv"), _header(cfg, "split")
-    )
-    print(
-        f"split: {len(split.train_edges)} train edges, {len(split.test)} test pairs "
-        f"-> {_path(cfg, 'train.tsv')}"
-    )
-    return 0
+    analysis.write_split(split, _path(cfg, "train.tsv"), _path(cfg, "test.tsv"), header)
+    return (f"split: {len(split.train_edges)} train edges, {len(split.test)} test pairs "
+            f"-> {_path(cfg, 'train.tsv')}")
 
 
-def cmd_tensor(cfg: PipelineConfig, args) -> int:
+def cmd_tensor(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     links, source = _load_influence_links(cfg, terms)
     tensor = factor.build_influence_tensor(links, terms, cfg.vocab_max_size)
-    factor.write_tensor_tsv(tensor, _path(cfg, "tensor.tsv"), _header(cfg, "tensor"))
-    print(
-        f"tensor: {tensor.counts.size} nonzeros, total {tensor.total():.0f}, "
-        f"{tensor.n_bloggers} bloggers x {tensor.n_terms} terms ({source}) "
-        f"-> {_path(cfg, 'tensor.tsv')}"
-    )
-    return 0
+    factor.write_tensor_tsv(tensor, _path(cfg, "tensor.tsv"), header)
+    return (f"tensor: {tensor.counts.size} nonzeros, total {tensor.total():.0f}, "
+            f"{tensor.n_bloggers} bloggers x {tensor.n_terms} terms ({source}) "
+            f"-> {_path(cfg, 'tensor.tsv')}")
 
 
-def cmd_iolap(cfg: PipelineConfig, args) -> int:
-    vocab = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
-    tensor = factor.read_tensor_tsv(_require(_path(cfg, "tensor.tsv")))
-    topic_model = topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), vocab.terms)
+def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
+    vocab = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
+    tensor = factor.read_tensor_tsv(_path(cfg, "tensor.tsv"))
+    topic_model = topics.read_topic_model(_path(cfg, "plsa_model.tsv"), vocab.terms)
     try:
         model = factor.fit_iolap(
             tensor,
@@ -380,14 +327,11 @@ def cmd_iolap(cfg: PipelineConfig, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    factor.write_iolap_model(model, _path(cfg, "iolap_model.tsv"), _header(cfg, "iolap"))
+    factor.write_iolap_model(model, _path(cfg, "iolap_model.tsv"), header)
     stop = "converged" if model.converged else f"hit max_iter {cfg.iolap_max_iter}"
-    print(
-        f"iolap: rank {cfg.rank_influenced}x{cfg.rank_influencer}x{model.n_topics}, "
-        f"loglik {model.loglik_trace[-1]:.2f} ({len(model.loglik_trace)} evals, {stop}) "
-        f"-> {_path(cfg, 'iolap_model.tsv')}"
-    )
-    return 0
+    return (f"iolap: rank {cfg.rank_influenced}x{cfg.rank_influencer}x{model.n_topics}, "
+            f"loglik {model.loglik_trace[-1]:.2f} ({len(model.loglik_trace)} evals, {stop}) "
+            f"-> {_path(cfg, 'iolap_model.tsv')}")
 
 
 def _blogger_graph(links) -> factor.BloggerGraph:
@@ -396,42 +340,36 @@ def _blogger_graph(links) -> factor.BloggerGraph:
     return pipeline.blogger_graph(links)
 
 
-def cmd_pcldc(cfg: PipelineConfig, args) -> int:
+def cmd_pcldc(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     links, source = _load_influence_links(cfg, terms)
     graph = _blogger_graph(links)
-    model = pipeline.fit_pcldc_model(graph, terms, cfg.vocab_max_size, cfg.communities(),
+    model = pipeline.fit_pcldc_model(graph, terms, cfg.vocab_max_size, cfg.n_topics,
                                      cfg.pcldc_max_iter, cfg.tol, cfg.l2,
                                      [cfg.seed, _STAGE_SEED["pcldc"]])
-    factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), _header(cfg, "pcldc"))
-    print(
-        f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
-        f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc_model.tsv')}"
-    )
-    return 0
+    factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), header)
+    return (f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
+            f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc_model.tsv')}")
 
 
-def cmd_pcl(cfg: PipelineConfig, args) -> int:
+def cmd_pcl(cfg: PipelineConfig, args, header: str) -> str:
     links, source = _load_influence_links(cfg)
     graph = _blogger_graph(links)
     model = factor.fit_pcl(
         graph,
-        cfg.communities(),
+        cfg.n_topics,
         max_iter=cfg.pcl_max_iter,
         tol=cfg.tol,
         seed=[cfg.seed, _STAGE_SEED["pcl"]],
     )
-    factor.write_pcl_model(model, _path(cfg, "pcl_model.tsv"), _header(cfg, "pcl"))
-    print(
-        f"pcl: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
-        f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcl_model.tsv')}"
-    )
-    return 0
+    factor.write_pcl_model(model, _path(cfg, "pcl_model.tsv"), header)
+    return (f"pcl: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
+            f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcl_model.tsv')}")
 
 
-def cmd_idr(cfg: PipelineConfig, args) -> int:
-    iolap_model = factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv")))
-    pcldc_model = factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv")))
+def cmd_idr(cfg: PipelineConfig, args, header: str) -> str:
+    iolap_model = factor.read_iolap_model(_path(cfg, "iolap_model.tsv"))
+    pcldc_model = factor.read_pcldc_model(_path(cfg, "pcldc_model.tsv"))
     if iolap_model.n_topics < 2 or pcldc_model.n_communities < 2:
         raise ConfigError("diversity needs at least two topics")
     rows = []
@@ -445,23 +383,22 @@ def cmd_idr(cfg: PipelineConfig, args) -> int:
     ]
     for n, value in analysis.idr_curve(rankings, cfg.top_n):
         rows.append(("pcldc", n, value))
-    artifacts.write_rows(_path(cfg, "idr.tsv"), _header(cfg, "idr"), rows, ("method", "N", "idr"))
-    print(f"idr: {len(rows)} rows for methods iolap, pcldc -> {_path(cfg, 'idr.tsv')}")
-    return 0
+    artifacts.write_rows(_path(cfg, "idr.tsv"), header, rows, ("method", "N", "idr"))
+    return f"idr: {len(rows)} rows for methods iolap, pcldc -> {_path(cfg, 'idr.tsv')}"
 
 
 def _recommenders(cfg: PipelineConfig):
     """The four recommenders over the fitted models, all read from artifacts first."""
-    vocab = textvec.read_vocabulary(_require(_path(cfg, "post_terms.tsv")), cfg.vocab_max_size)
+    vocab = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
     return analysis.recommenders(
-        factor.read_iolap_model(_require(_path(cfg, "iolap_model.tsv"))),
-        topics.read_topic_model(_require(_path(cfg, "plsa_model.tsv")), vocab.terms),
-        factor.read_pcldc_model(_require(_path(cfg, "pcldc_model.tsv"))),
-        factor.read_pcl_model(_require(_path(cfg, "pcl_model.tsv"))),
+        factor.read_iolap_model(_path(cfg, "iolap_model.tsv")),
+        topics.read_topic_model(_path(cfg, "plsa_model.tsv"), vocab.terms),
+        factor.read_pcldc_model(_path(cfg, "pcldc_model.tsv")),
+        factor.read_pcl_model(_path(cfg, "pcl_model.tsv")),
     )
 
 
-def cmd_recommend(cfg: PipelineConfig, args) -> int:
+def cmd_recommend(cfg: PipelineConfig, args, header: str) -> str:
     method = args.method
     keywords = [w for w in (args.keywords or "").split(",") if w]
     if method != "tg" and not args.member:
@@ -476,8 +413,8 @@ def cmd_recommend(cfg: PipelineConfig, args) -> int:
             split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
             exclude |= {b for (a, b) in split.train_edges if a == args.member}
         elif _path(cfg, "influence.tsv").exists():
-            net = implicit.read_links_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
-            exclude |= {b for a, b in implicit.blogger_projection(net.links) if a == args.member}
+            links = _read_influence(cfg).links
+            exclude |= {b for a, b in implicit.blogger_projection(links) if a == args.member}
     try:
         ranked = recommenders[method](args.member, keywords, cfg.top_n, exclude)
     except analysis.UnanswerableQuery as exc:
@@ -486,17 +423,13 @@ def cmd_recommend(cfg: PipelineConfig, args) -> int:
         raise ConfigError(str(exc)) from exc
     out = Path(cfg.out_dir) / f"recommend_{method}.tsv"
     rows = ((i, b, s) for i, (b, s) in enumerate(ranked, 1))
-    artifacts.write_rows(out, _header(cfg, "recommend"), rows, ("rank", "blogger", "score"))
-    for i, (blogger, score) in enumerate(ranked):
-        print(f"{i + 1}\t{blogger}\t{score:.6f}")
-    print(f"recommend: {method} top-{cfg.top_n} -> {out}")
-    return 0
+    artifacts.write_rows(out, header, rows, ("rank", "blogger", "score"))
+    lines = [f"{i}\t{blogger}\t{score:.6f}" for i, (blogger, score) in enumerate(ranked, 1)]
+    return "\n".join([*lines, f"recommend: {method} top-{cfg.top_n} -> {out}"])
 
 
-def cmd_eval(cfg: PipelineConfig, args) -> int:
-    split = analysis.read_split(
-        _require(_path(cfg, "train.tsv")), _require(_path(cfg, "test.tsv"))
-    )
+def cmd_eval(cfg: PipelineConfig, args, header: str) -> str:
+    split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
     recommenders = _recommenders(cfg)
     rows = []
     summary = []
@@ -504,17 +437,17 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
         curve = analysis.recall_curve(split, recommenders[method], cfg.top_n)
         rows.extend((method, n, value) for n, value in enumerate(curve, 1))
         summary.append(f"{method}={curve[-1]:.3f}")
-    artifacts.write_rows(_path(cfg, "recall.tsv"), _header(cfg, "eval"), rows,
-                         ("method", "N", "recall"))
-    print(f"eval: recall@{cfg.top_n} {' '.join(summary)} -> {_path(cfg, 'recall.tsv')}")
-    return 0
+    artifacts.write_rows(_path(cfg, "recall.tsv"), header, rows, ("method", "N", "recall"))
+    return f"eval: recall@{cfg.top_n} {' '.join(summary)} -> {_path(cfg, 'recall.tsv')}"
 
 
-def cmd_report(cfg: PipelineConfig, args) -> int:
-    activity = implicit.read_activity(_require(_path(cfg, "activity.tsv")))
+_BUNDLED = ("gap_hist.tsv", "zreport_forward.tsv", "zreport_reversed.tsv", "idr.tsv", "recall.tsv")
+
+
+def cmd_report(cfg: PipelineConfig, args, header: str) -> str:
+    activity = implicit.read_activity(_path(cfg, "activity.tsv"))
     report_dir = Path(cfg.out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    header = _header(cfg, "report")
     hist = activity_histograms(activity, cfg.tz_offset_hours)
     tables = {
         "hist_posts_hour.tsv": enumerate(hist.posts_by_hour),
@@ -537,16 +470,13 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         ("stat", "value"),
     )
     bundled = ["activity histograms"]
-    for name in ("gap_hist.tsv", "zreport_forward.tsv", "zreport_reversed.tsv", "idr.tsv",
-                 "recall.tsv"):
+    for name in _BUNDLED:
         src = _path(cfg, name)
         if src.exists():
             shutil.copyfile(src, report_dir / src.name)
             bundled.append(src.name)
     if _path(cfg, "links.tsv").exists() and _path(cfg, "influence.tsv").exists():
-        links_net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
-        influence = implicit.read_links_tsv(_path(cfg, "influence.tsv"), cfg.tau_hours)
-        shift = causality.rank_shift_report(activity, links_net, influence)
+        shift = causality.rank_shift_report(activity, _read_links(cfg)[0], _read_influence(cfg))
         for name, ranks, base in (("themes", shift.themes, "rank_all"),
                                   ("bloggers", shift.bloggers, "rank_implicit")):
             artifacts.write_rows(
@@ -556,27 +486,83 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
                 ("item", base, "rank_influence"),
             )
         bundled.append("rank shifts")
-    print(f"report: bundled {', '.join(bundled)} -> {report_dir}")
-    return 0
+    return f"report: bundled {', '.join(bundled)} -> {report_dir}"
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "links": cmd_links,
-    "causality": cmd_causality,
-    "influence": cmd_influence,
-    "topics": cmd_topics,
-    "split": cmd_split,
-    "tensor": cmd_tensor,
-    "iolap": cmd_iolap,
-    "pcldc": cmd_pcldc,
-    "pcl": cmd_pcl,
-    "idr": cmd_idr,
-    "recommend": cmd_recommend,
-    "eval": cmd_eval,
-    "report": cmd_report,
+# --------------------------------------------------------------------------
+# the stage table
+
+class Stage(NamedTuple):
+    """A subcommand: its body, the artifacts it reads (a trailing "?" marks
+    an optional one), and the config keys its outputs depend on beyond those
+    of its inputs."""
+    run: Callable[[PipelineConfig, argparse.Namespace, str], str]
+    reads: tuple[str, ...] = ()
+    keys: tuple[str, ...] = ()
+
+
+_SPLIT = ("train.tsv?", "test.tsv?")
+_MODELS = ("post_terms.tsv", "iolap_model.tsv", "plsa_model.tsv", "pcldc_model.tsv",
+           "pcl_model.tsv")
+# synth.seed is not a key: synth draws from ``seed``.
+_SYNTH_KEYS = tuple(f"synth.{f.name}" for f in dataclasses.fields(synth.SynthConfig)
+                    if f.name != "seed")
+
+# In pipeline order.  ingest reads raw logs, which carry no header.
+STAGES = {
+    "synth": Stage(cmd_synth, (), _SYNTH_KEYS),
+    "ingest": Stage(cmd_ingest, (), ("window_hours",)),
+    "links": Stage(cmd_links, ("activity.tsv", "post_terms.tsv"), ("vocab_max_size", "min_tokens")),
+    "causality": Stage(cmd_causality, ("links.tsv", "post_terms.tsv"), ("min_bucket_n",)),
+    "influence": Stage(cmd_influence, ("links.tsv",), ("tau_hours",)),
+    "topics": Stage(cmd_topics, ("post_terms.tsv", "influence.tsv"),
+                    ("n_topics", "plsa_max_iter", "tol")),
+    "split": Stage(cmd_split, ("post_terms.tsv", "influence.tsv")),
+    "tensor": Stage(cmd_tensor, ("post_terms.tsv", "influence.tsv", *_SPLIT)),
+    "iolap": Stage(cmd_iolap, ("post_terms.tsv", "plsa_model.tsv", "tensor.tsv"),
+                   ("rank_influenced", "rank_influencer", "iolap_max_iter", "tol")),
+    "pcldc": Stage(cmd_pcldc, ("post_terms.tsv", "influence.tsv", *_SPLIT),
+                   ("n_topics", "pcldc_max_iter", "tol", "l2")),
+    "pcl": Stage(cmd_pcl, ("influence.tsv", *_SPLIT), ("n_topics", "pcl_max_iter", "tol")),
+    "idr": Stage(cmd_idr, ("iolap_model.tsv", "pcldc_model.tsv"), ("top_n",)),
+    "recommend": Stage(cmd_recommend, (*_MODELS, *_SPLIT, "influence.tsv?"), ("top_n",)),
+    "eval": Stage(cmd_eval, ("train.tsv", "test.tsv", *_MODELS), ("top_n",)),
+    "report": Stage(cmd_report, ("activity.tsv", *(f"{name}?" for name in _BUNDLED),
+                                 "links.tsv?", "influence.tsv?"), ("tz_offset_hours",)),
 }
+
+# The stage that writes each artifact another stage reads.
+_PRODUCER = {
+    "activity.tsv": "ingest", "post_terms.tsv": "ingest", "links.tsv": "links",
+    "gap_hist.tsv": "links", "zreport_forward.tsv": "causality",
+    "zreport_reversed.tsv": "causality", "influence.tsv": "influence",
+    "plsa_model.tsv": "topics", "train.tsv": "split", "test.tsv": "split",
+    "tensor.tsv": "tensor", "iolap_model.tsv": "iolap", "pcldc_model.tsv": "pcldc",
+    "pcl_model.tsv": "pcl", "idr.tsv": "idr", "recall.tsv": "eval",
+}
+
+
+def closure(stage: str) -> set[str]:
+    """The config keys the outputs of ``stage`` depend on: its own and those
+    of the stages that write its inputs."""
+    keys = set(STAGES[stage].keys)
+    return keys.union(*(closure(_PRODUCER[name.rstrip("?")]) for name in STAGES[stage].reads))
+
+
+def _header(cfg: PipelineConfig, stage: str) -> str:
+    return (f"# blogfluence {__version__} subcommand={stage} "
+            f"config={cfg.config_hash(closure(stage))} seed={cfg.seed}")
+
+
+def _check_header(cfg: PipelineConfig, path: Path) -> None:
+    """Refuse an input whose first line is not the one its stage would write now."""
+    with open(path, "rb") as fh:
+        found = fh.readline().rstrip(b"\n").decode("utf-8", "replace")
+    producer = _PRODUCER[path.name]
+    expected = _header(cfg, producer)
+    if found != expected:
+        raise FormatError(f"{path}: first line {found!r} is not {expected!r}, which {producer} "
+                          f"writes under this version, seed and config; rerun {producer}")
 
 
 @functools.cache
@@ -597,11 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="influence detection and topic-aware influence models for blog event logs",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
+    for name in STAGES:
         sub = subparsers.add_parser(name, parents=[common])
         if name == "ingest":
-            sub.add_argument("--content", default=None, help="posts TSV path")
-            sub.add_argument("--access", default=None, help="Apache combined log path")
+            sub.add_argument("--content", dest="content_path", help="posts TSV path")
+            sub.add_argument("--access", dest="access_path", help="Apache combined log path")
         if name == "recommend":
             sub.add_argument("--method", choices=("tg", "iolap", "pcldc", "pcl"), required=True)
             sub.add_argument("--member", default=None)
@@ -611,36 +597,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict[str, object] = {
-        "seed": args.seed,
-        "out_dir": args.out_dir,
-        "window_hours": args.window_hours,
-        "tau_hours": args.tau_hours,
-        "n_topics": args.n_topics,
-        "top_n": args.top_n,
-        "vocab_max_size": args.vocab_max_size,
-    }
-    if getattr(args, "content", None):
-        overrides["content_path"] = args.content
-    if getattr(args, "access", None):
-        overrides["access_path"] = args.access
+    # Each flag's dest names the config field it overrides.
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(PipelineConfig)}
     try:
         if args.rank is not None:
             try:
                 i, j = (int(x) for x in args.rank.split(","))
             except ValueError as exc:
                 raise ConfigError("--rank expects two integers as I,J") from exc
-            overrides["rank_influenced"] = i
-            overrides["rank_influencer"] = j
+            overrides.update(rank_influenced=i, rank_influencer=j)
         cfg = load_config(args.config, overrides)
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, args)
-    except MissingArtifact as exc:
-        print(f"missing upstream artifact: {exc} (run the producing subcommand first)",
+        stage = STAGES[args.subcommand]
+        for name in stage.reads:
+            path = _path(cfg, name.rstrip("?"))
+            if path.exists() or not name.endswith("?"):
+                _check_header(cfg, path)
+        print(stage.run(cfg, args, _header(cfg, args.subcommand)))
+        return 0
+    except FileNotFoundError as exc:  # a required input, or a raw log of ingest
+        print(f"missing upstream artifact: {exc.filename} (run the producing subcommand first)",
               file=sys.stderr)
         return 2
     except (ConfigError, FormatError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an input that cannot be read, an output that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

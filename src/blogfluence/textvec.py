@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, takewhile
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -170,8 +170,7 @@ def _check_ranking(path: str, terms: list[str], doc_freq: np.ndarray) -> None:
 
 def read_vocabulary(path: str, max_size: int) -> Vocabulary:
     """``read_post_terms(path).vocabulary(max_size)``, read up to ``[posts]``."""
-    with open(path, encoding="utf-8") as fh:
-        head = "".join(takewhile(lambda line: line.rstrip("\n") != "[posts]", fh))
+    head = artifacts.read_text(path, until="[posts]")
     terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int]})["terms"]
     _check_ranking(path, terms, doc_freq)
     return Vocabulary(terms[:max_size], doc_freq[:max_size].tolist())

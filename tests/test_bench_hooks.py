@@ -53,3 +53,9 @@ def test_tracer_hooks_every_layer(tracing, tmp_path):
     assert metrics["textvec.build_vectors_calls"] == 2  # detection, then ingest
     assert metrics["corpus.parse_calls"] == 2  # ingest's posts and access log
     assert metrics["causality.similarity_calls"] == 2  # detection, then links
+
+
+def test_bench_runs_the_stage_table_in_order(tracing):
+    """bench/ pins the 14 stages of a full run; they are the CLI's table in
+    its order, less recommend, which answers one query."""
+    assert list(tracing.STAGES) == [name for name in cli.STAGES if name != "recommend"]

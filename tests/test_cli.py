@@ -1,9 +1,11 @@
+import dataclasses
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
-from blogfluence import cli, textvec
+from blogfluence import cli, synth, textvec
 from blogfluence.cli import main
 from blogfluence.corpus import parse_content_file
 from blogfluence.implicit import read_activity
@@ -31,11 +33,9 @@ synth.copy_prob = 0.6
 synth.copy_fraction = 0.45
 """
 
-STAGES = [
-    "synth", "ingest", "links", "causality", "influence",
-    "topics", "split", "tensor", "iolap", "pcldc", "pcl",
-    "idr", "eval", "report",
-]
+# The full run in pipeline order; recommend answers one query and writes no
+# input of another stage.
+STAGES = [name for name in cli.STAGES if name != "recommend"]
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,22 @@ def pipeline_copy(pipeline_dir, tmp_path):
     return out
 
 
+def _files(out_dir):
+    return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+
+def _stage_argv(stage, out_dir):
+    """The subcommand and its own options: recommend asks for a held-out pair."""
+    if stage != "recommend":
+        return [stage]
+    test_lines = [
+        l for l in (out_dir / "test.tsv").read_text().splitlines()
+        if l and not l.startswith("#") and not l.startswith("src\t")
+    ]
+    member, _, keywords = test_lines[0].split("\t")
+    return [stage, "--method", "iolap", "--member", member, "--keywords", keywords]
+
+
 class TestPipeline:
     def test_artifacts_exist_and_non_empty(self, pipeline_dir):
         for name in ("posts.tsv", "access.log", "links.tsv", "influence.tsv",
@@ -94,16 +110,8 @@ class TestPipeline:
             assert (report / name).exists(), name
 
     def test_recommend_subcommand(self, pipeline_dir, config_file, capsys):
-        test_lines = [
-            l for l in (pipeline_dir / "test.tsv").read_text().splitlines()
-            if l and not l.startswith("#") and not l.startswith("src\t")
-        ]
-        member, _, keywords = test_lines[0].split("\t")
-        code = main([
-            "recommend", "--config", config_file, "--out-dir", str(pipeline_dir),
-            "--seed", "5", "--method", "iolap", "--member", member,
-            "--keywords", keywords,
-        ])
+        code = main([*_stage_argv("recommend", pipeline_dir), "--config", config_file,
+                     "--out-dir", str(pipeline_dir), "--seed", "5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "recommend: iolap top-5" in out
@@ -132,6 +140,26 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("no_such_key = 3\n")
         assert main(["synth", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("setting, message", [
+        ("synth.seed = 123", "synth.seed is not read; set seed"),  # synth draws from seed
+        ("plsa_docs = all", "unknown key 'plsa_docs'"),
+        ("n_communities = 3", "unknown key 'n_communities'"),
+    ])
+    def test_key_that_would_do_nothing_is_1(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"{setting}\n")
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+        assert not (tmp_path / "posts.tsv").exists()
+
+    def test_config_file_not_utf8_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_bytes(b"seed = 3\n\xff\n")
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text")
 
     def test_invalid_value_is_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -268,7 +296,8 @@ class TestExitCodes:
     def test_post_terms_of_another_ingest_is_1(self, pipeline_copy, config_file, tmp_path,
                                                capsys):
         """links refuses post_terms.tsv from an ingest of other posts than
-        activity.tsv's: it scores every link from those counts."""
+        activity.tsv's: it scores every link from those counts.  The file is
+        refused by its first line and, given this run's, by its posts."""
         other = tmp_path / "other"
         for stage in ("synth", "ingest"):
             assert main([stage, "--config", config_file, "--out-dir", str(other),
@@ -276,13 +305,17 @@ class TestExitCodes:
         assert read_activity(other / "activity.tsv").urls != read_activity(
             pipeline_copy / "activity.tsv").urls
         path = pipeline_copy / "post_terms.tsv"
-        shutil.copyfile(other / "post_terms.tsv", path)
-        capsys.readouterr()
-        assert main(["links", "--config", config_file, "--out-dir", str(pipeline_copy),
-                     "--seed", "5"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and "urls differ from the" in err
-        assert "Traceback" not in err
+        own_header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        lines = (other / "post_terms.tsv").read_text(encoding="utf-8").split("\n")
+        for first, message in ((lines[0], "seed=6' is not '# blogfluence"),
+                               (own_header, "urls differ from the")):
+            path.write_text("\n".join([first, *lines[1:]]), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["links", "--config", config_file, "--out-dir", str(pipeline_copy),
+                         "--seed", "5"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and message in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("user_id, stage, name", [
         ("#a", "split", "train.tsv"),  # would read back as a comment
@@ -484,6 +517,108 @@ class TestExitCodes:
         assert "loglik -" in printed  # the benchmark parses this token
         assert "(61 evals, hit max_iter 60)" in printed
 
+    @pytest.mark.parametrize("name, stage, damage", [
+        ("links.tsv", "influence", "bytes"),
+        ("activity.tsv", "links", "bytes"),
+        ("post_terms.tsv", "topics", "bytes"),
+        ("tensor.tsv", "iolap", "bytes"),
+        ("links.tsv", "influence", "directory"),
+        ("posts.tsv", "synth", "out-dir"),
+    ])
+    def test_unreadable_artifact_is_1(self, pipeline_copy, config_file, capsys, name, stage,
+                                      damage):
+        path = pipeline_copy / name
+        out_dir = pipeline_copy
+        if damage == "bytes":  # not UTF-8, past the header line
+            lines = path.read_bytes().split(b"\n")
+            lines[2] = b"\xff\xfe" + lines[2]
+            path.write_bytes(b"\n".join(lines))
+        elif damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            out_dir = path
+        capsys.readouterr()
+        assert main([stage, "--config", config_file, "--out-dir", str(out_dir),
+                     "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestProvenance:
+    """Every stage compares the first line of each input with the line its
+    producer would write under the current version, seed and config keys."""
+
+    @pytest.mark.parametrize("stage, flag, value, upstream, producer", [
+        ("eval", "--seed", "99", "train.tsv", "split"),
+        ("tensor", "--vocab-max-size", "100", "influence.tsv", "influence"),
+        ("pcldc", "--vocab-max-size", "100", "influence.tsv", "influence"),
+        ("causality", "--window-hours", "6", "links.tsv", "links"),
+    ])
+    def test_input_of_another_run_is_1(self, pipeline_copy, config_file, capsys, stage, flag,
+                                       value, upstream, producer):
+        before = _files(pipeline_copy)
+        capsys.readouterr()
+        assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pipeline_copy / upstream}: first line ")
+        assert err.endswith(f"rerun {producer}\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert _files(pipeline_copy) == before
+
+    @pytest.mark.parametrize("stage, flag, value", [
+        ("eval", "--top-n", "3"),
+        ("idr", "--top-n", "3"),
+        ("recommend", "--top-n", "3"),
+        ("topics", "--topics", "3"),
+    ])
+    def test_key_of_the_stage_itself_is_0(self, pipeline_copy, config_file, stage, flag, value):
+        assert main([*_stage_argv(stage, pipeline_copy), "--config", config_file,
+                     "--out-dir", str(pipeline_copy), "--seed", "5", flag, value]) == 0
+
+    @pytest.mark.parametrize("stage", list(cli.STAGES))
+    def test_keys_outside_the_closure_change_no_byte(self, pipeline_copy, config_file, tmp_path,
+                                                     stage):
+        """A stage rerun with every key outside its closure changed writes
+        what it wrote: it declares every key it reads."""
+        keys = [f.name for f in dataclasses.fields(cli.PipelineConfig)
+                if f.name not in ("out_dir", "content_path", "access_path", "seed", "synth")]
+        keys += [f"synth.{f.name}" for f in dataclasses.fields(synth.SynthConfig)
+                 if f.name != "seed"]
+        assert sorted(OTHER_VALUES) == sorted(keys)
+        assert cli.closure(stage) <= set(keys)  # the table names only real keys
+        other = tmp_path / "other.cfg"
+        other.write_text(Path(config_file).read_text() + "".join(
+            f"{key} = {OTHER_VALUES[key]}\n" for key in keys if key not in cli.closure(stage)))
+        argv = [*_stage_argv(stage, pipeline_copy), "--out-dir", str(pipeline_copy), "--seed", "5"]
+        assert main([*argv, "--config", config_file]) == 0
+        before = _files(pipeline_copy)
+        assert main([*argv, "--config", str(other)]) == 0
+        assert _files(pipeline_copy) == before
+
+
+# Another valid value of each config key (bar the seed and the paths), far
+# enough from the test config's that a stage reading the key writes other
+# bytes; a synth profile gains weight 1 in every slot.
+OTHER_VALUES = {
+    "window_hours": "6", "tau_hours": "1", "vocab_max_size": "80", "min_tokens": "60",
+    "min_bucket_n": "1000", "tz_offset_hours": "0", "n_topics": "3", "rank_influenced": "3",
+    "rank_influencer": "2", "plsa_max_iter": "5", "iolap_max_iter": "5", "pcldc_max_iter": "5",
+    "pcl_max_iter": "5", "tol": "0.5", "l2": "0.5", "top_n": "3",
+    "synth.n_bloggers": "50", "synth.n_days": "8", "synth.vocab_size": "120",
+    "synth.n_topics": "3", "synth.posts_per_blogger_rate": "0.8",
+    "synth.reads_per_post_rate": "3.0", "synth.copy_prob": "0.3",
+    "synth.copy_gap_max_hours": "1", "synth.copy_fraction": "0.2",
+    "synth.confounder_strength": "0.5", "synth.tokens_per_post": "30",
+    "synth.topic_sharpness": "0.5", "synth.n_groups": "2", "synth.experts_per_group_topic": "1",
+    "synth.experts_read_per_member": "2", "synth.expert_read_prob": "0.5",
+    "synth.read_window_hours": "6", "synth.hour_profile": ",".join(["1"] * 24),
+    "synth.weekday_profile": ",".join(["1"] * 7), "synth.tz_offset_hours": "0",
+    "synth.start_date": "2008-09-02",
+}
+
 
 def test_posts_are_tokenized_once_per_run(tmp_path, config_file, monkeypatch):
     """Only ingest tokenizes, each distinct word of the posts once; every
@@ -541,7 +676,8 @@ def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path, monkeypatc
     one call reaches the next, and a usage error still exits 2."""
     calls = []
     for name in ("ingest", "links", "recommend"):
-        monkeypatch.setitem(cli._COMMANDS, name, lambda cfg, args: calls.append((cfg, args)) or 0)
+        monkeypatch.setitem(cli.STAGES, name,
+                            cli.Stage(lambda cfg, args, header: calls.append((cfg, args)) or ""))
     out = str(tmp_path)
     assert main(["ingest", "--out-dir", out, "--seed", "3", "--window-hours", "6",
                  "--content", "c.tsv", "--access", "a.log", "--rank", "2,3"]) == 0
@@ -559,8 +695,8 @@ def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path, monkeypatc
     for cfg in (links, recommend, again):
         assert (cfg.seed, cfg.window_hours, cfg.content_path, cfg.access_path,
                 cfg.rank_influenced, cfg.top_n) == (0, 12, "", "", 8, 10)
-    assert not hasattr(a2, "content") and not hasattr(a2, "method")
+    assert not hasattr(a2, "content_path") and not hasattr(a2, "method")
     assert (a3.method, a3.member, a3.keywords) == ("tg", None, "x")
-    assert (a4.content, a4.access, a4.seed, a4.rank) == (None, None, None, None)
+    assert (a4.content_path, a4.access_path, a4.seed, a4.rank) == (None, None, None, None)
     assert (last.top_n, last.seed, a5.top_n) == (4, 0, 4)
     assert cli.build_parser() is cli.build_parser()

@@ -124,55 +124,58 @@ DETECTION_DIGESTS = {
 # stage after synth wrote the bytes it wrote at the per-link-object,
 # dict-vector and text-log implementations these pins first recorded.
 # links.tsv and influence.tsv were re-pinned when they gained the similarity
-# column; without it they keep the bytes of CLI_LINK_ROW_DIGESTS.
+# column; without it they keep the bytes of CLI_LINK_ROW_DIGESTS.  Every CLI
+# pin below was re-pinned once more when the config hash on an artifact's
+# first line came to cover only the keys its stage depends on; each line
+# after the first kept its bytes.
 CLI_LINK_DIGESTS = {
-    "links.tsv": "1ea780a7bc34c0d564e3b29782eeb6b8d7245a445e2dff2d16254144040e4e53",
-    "influence.tsv": "8a3f8e1d2d7448826d27885145ac4b49a0d8f64230547a2ad1ffa47f109fc3ab",
-    "gap_hist.tsv": "95f35b43dabf5c110c50b35afd125162f6f2fa43aec10e0236fdd4b61a9d0e16",
-    "zreport_forward.tsv": "104d5242a9730f5bfa0799289a9aa3c242bdfa99a697fa40d247398fa0d2be46",
-    "zreport_reversed.tsv": "c2963febe16835eeb3c59c6ce97128b8a43ec28e267b97607ec3dc9102ea2b6d",
-    "report/rankshift_themes.tsv": "699d9b32d26aa1c958b38008462c48fe4a0d2f3a2fe643692f22e0779daf4537",
-    "report/rankshift_bloggers.tsv": "bb034eae1a61f7679b95759f4497f2fee2b956936e76b1e5050d21246f310461",
+    "links.tsv": "82168133ce378e08d19c2cce2d102c028ce2dc3706e8fcbd6437db21a1457295",
+    "influence.tsv": "3e87a05d794359a1f68394adc4ef8a242373f078db725ac31e4becd5cc1e339a",
+    "gap_hist.tsv": "74ad50453c805c9da97f778b3b13f1cd8922593e3e5b2e2ac7087d9fb3e0f96b",
+    "zreport_forward.tsv": "6449935b3adfeaf7727f10018490a66266c369cb75284e86ad74d164a63c8ace",
+    "zreport_reversed.tsv": "bd346c7b971205d4f05008f3c63c802f4a704aebe459bcc821df13c8e44f615b",
+    "report/rankshift_themes.tsv": "a9951ecaa930c71866529e5a266ba6e03f1d91cdbfe3511a684fcd790356d412",
+    "report/rankshift_bloggers.tsv": "dfe9d0e5f8703d92efd51523c591767c6710a08b6f71ef4274bce1f41e6d65cf",
 }
 # sha256 of links.tsv and influence.tsv with their similarity column dropped,
 # at the same config and seed: the pins of the five-column files.
 CLI_LINK_ROW_DIGESTS = {
-    "links.tsv": "91be73159d6680e9f3b56decd2e513501b252fcc4cb777021e2caf1287b04a56",
-    "influence.tsv": "56710bd18be3863c46a40a8919bff13ae0b7eefc9ccbfd2a4ff4fcce631e7bdb",
+    "links.tsv": "ad954be1ae4193330e8957d823dfb08ccf354999dce1989faf5e81ec342621bc",
+    "influence.tsv": "5d2340f23065e1b195887e5c047be738440df589758149d7739f74faa9799666",
 }
 # sha256 of the model stages' inputs and of the pcldc model, which read the
 # post terms, at the same config and seed, from the array-round synth.generate.
 CLI_MODEL_INPUT_DIGESTS = {
-    "plsa_model.tsv": "11b1c2f596788bd1873e2c502e0b5265839bf8dbc981011689873d8e6fb27dae",
-    "train.tsv": "0d1063606e4c335ee00dcae9b494258e73f4ce798b66bc56868b693d977b4d84",
-    "test.tsv": "0b001185a391e4d498308305c1f9d4fc89ef637f3a66932b371c3d3ed0c62719",
-    "tensor.tsv": "96bf672d8fdf194e5ee40d575c5810c8829857303dcdca57cd5acd6c67fbdc97",
-    "pcldc_model.tsv": "21697602b56a481ce1a5e212aed33053c9938a357e7a253d1c6206d58328ae0c",
+    "plsa_model.tsv": "1b12370902139a38a22d55eef1c129af85a039850ea6afb6cd78199e7a61a3eb",
+    "train.tsv": "37929527dc53a6a5d9c2bf24c5a4b1bb8d8a0854fcbdecfd45228107a4a9ccae",
+    "test.tsv": "e246089411b7909ee859a4bc9ab4dac295c9b59cf2a3c8202c8667827dafe571",
+    "tensor.tsv": "6fe6893d2eeca2a3a06985fc2cd616eac680702b18e5fb62baf4c9e5409887df",
+    "pcldc_model.tsv": "9209eea9210fe23844f1be872eb7958973a798b6eb94b02b5f3339b16745cb7b",
 }
 # sha256 of plsa_model.tsv at the same config and seed but n_topics = 8, where
 # numpy sums each nonzero's K topic terms pairwise, from the array-round
 # synth.generate; fit_plsa's topic-major loop wrote the bytes of the (nnz, K)
 # loop on the per-record generator's corpus.
-CLI_PLSA_K8_DIGEST = "de9f80461d4977575e7da18b810515955b1ba2a89ba72b018c1947953be9a3d8"
+CLI_PLSA_K8_DIGEST = "4ddd70d8dc3d30543b9381ea87691faef1302fa8efbbe1161dbb73581d5ea3c0"
 # sha256 of the synthetic logs, the post terms and the activity histograms
 # at the same config and seed, from the array-round synth.generate.
 CLI_ACTIVITY_DIGESTS = {
-    "posts.tsv": "f6be4ca653aded3141b29415e3041da14a49b117205bf8d9819baec3c432a1e3",
-    "access.log": "428259b0415eaa7ab3549084b9c887596064f977c09c5c7fe34e83d9a368bc67",
-    "post_terms.tsv": "b403a2e16c76e9303310ab3a2fb56cc3f3b1b3510ece238ccbc0d3d055dd2e42",
-    "report/hist_access_hour.tsv": "f194f3f192e4ad35ab0b3714957166566222845941df3d5df12c11faabd47d76",
-    "report/hist_access_weekday.tsv": "dc744e065c913b146313a5faeb03d99eed10fbb439653fe3b7e94834e5558c4e",
-    "report/hist_posts_hour.tsv": "c3f89ba110e6922afae7af067fd233794c2285696bd941ccd2f40600db675d2b",
+    "posts.tsv": "2006dbed5dad0013c772a30782e4cff54c63bbfa6dd798bff0f832018595e6ad",
+    "access.log": "21ac39f803bc5d75cd2a11dd5d176a3293a196b782c13f6aa58e44757ee2c854",
+    "post_terms.tsv": "31605865e429b9b1730ef153cd26990e96a584343b41beeb73a81fdf19558e15",
+    "report/hist_access_hour.tsv": "404303ecbff40648ae8f379b335dd3c70162acaea2f3f3802aea6b99457519f0",
+    "report/hist_access_weekday.tsv": "81f20f292680181f33d009d158085870036e6129ba1cf43ec6f5cc49bf3e3a83",
+    "report/hist_posts_hour.tsv": "b1514121f85c122d98127b96054b70750467c5a40657d97530db0eb405cf2df8",
     "report/hist_posts_per_blogger.tsv":
-        "a4068c1cbfa50ac35b531cca23af912bf706a363a0d4c136cd1dfe5b85f0813a",
-    "report/hist_posts_weekday.tsv": "40afd4353a527e77637f3104cc66c927b9545bc2b2f25a123ee762727535b424",
+        "a86da937fc690250f139c66278c55edab9ae229da7a5a4c269487cad36000b40",
+    "report/hist_posts_weekday.tsv": "0203824d17ba64c1ef1b013aa56d4cf3903dd1db5665dbd9acb437e10fd7a3f5",
 }
 
 # sha256 of activity.tsv and ingest's count per cleaning rule at the same
 # config and seed, with one duplicate-URL post and one access line per rule
 # added to the synthetic logs (``test_cli_cleaning_digest``), recorded with
 # the per-record cleaner that tests/conftest.py keeps as the oracle.
-CLI_CLEANING_ACTIVITY_DIGEST = "5f0ff5a0712edacb13f0516e2d30e14ad32fe9980357bafbcd7573be7e772563"
+CLI_CLEANING_ACTIVITY_DIGEST = "ee623ce84edd900f1c6b322507a7974f5dcfa006d5981c47c2ef6469832297d5"
 CLI_CLEANING_COUNTS = {"non_blogger_ip": 1, "robot_referrer": 1, "index_html": 1,
                        "unknown_url": 1, "self_access": 1, "outside_window": 1}
 
