@@ -125,11 +125,11 @@ def write_split(split: TrainTestSplit, train_path: str, test_path: str,
 
 
 def read_split(train_path: str, test_path: str) -> TrainTestSplit:
-    train_rows = artifacts.read_rows(train_path, (str, str, int), _TRAIN_COLUMNS)
-    train_edges = {(a, b): w for a, b, w in train_rows}
+    src, dst, weight = artifacts.read_columns(train_path, (str, str, int), _TRAIN_COLUMNS)
+    train_edges = dict(zip(zip(src, dst), weight.tolist()))
     test = [
         (a, b, frozenset(k for k in kws.split(",") if k))
-        for a, b, kws in artifacts.read_rows(test_path, (str, str, str), _TEST_COLUMNS)
+        for a, b, kws in zip(*artifacts.read_columns(test_path, (str, str, str), _TEST_COLUMNS))
     ]
     nodes = sorted({x for pair in train_edges for x in pair})
     return TrainTestSplit(train_edges=train_edges, test=test, nodes=nodes)

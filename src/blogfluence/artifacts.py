@@ -5,14 +5,12 @@ then either plain rows (an optional column-name line, then tab-separated
 rows) or ``[section]`` blocks of rows.  Blank and ``#`` lines are skipped
 on reading, so writing a row that would read back as one, or as a
 ``[section]`` line, raises ``FormatError``.  Floats are written as
-``repr(float(x))``, which reads back to the same float64.  Readers take
-one converter per field (``int``, ``float``, ``str``); a row with another
-field count, or a field its converter rejects, raises ``FormatError``
-naming the file and the line.
-A section of integer fields only can be written from and read back into
-one int64 array.  Plain rows can be written from one list, int64 array or
-float64 array per column, and plain rows or a section of string, integer
-and float fields read back into them, without per-row conversion.
+``repr(float(x))``, which reads back to the same float64.  A section of
+integer fields only is written from one int64 array, plain rows from one
+list, int64 array or float64 array per column.  Every table reads as whole
+columns (``_line_columns``); a row with another field count, or a field its
+type rejects, raises ``FormatError`` naming the file and the line.  Only the
+rows of keyed sections (``[meta]``, ``[dims]``) are read one by one.
 """
 
 from __future__ import annotations
@@ -26,11 +24,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from blogfluence.corpus import FormatError
+from blogfluence.corpus import FormatError, Strings
 
 Types = tuple[Callable[[str], object], ...]
-# Rows of a labelled matrix: row label, column index, value.
-MATRIX: Types = (str, int, float)
+# Columns of a labelled matrix: row label, column index, value.
+MATRIX = [str, int, float]
 
 
 def _line(row: Sequence) -> str:
@@ -126,77 +124,73 @@ def _convert(path, lineno: int, fields: list[str], types: Types) -> list:
         raise FormatError(f"{path}:{lineno}: {exc}") from None
 
 
-def _int_columns(path, first: int, text: str, width: int) -> np.ndarray:
-    # np.loadtxt parses the whole block; if it fails, the row reader names the bad line.
-    with suppress(ValueError):
-        block = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None,
-                           ndmin=2) if text.strip() else None
-        if block is not None and block.shape[1] == width:
-            return block
-    rows = [_convert(path, n, line.split("\t"), (np.int64,) * width)
-            for n, line in _rows(text, first)]
-    return np.array(rows, dtype=np.int64).reshape(-1, width)
-
-
-def read_rows(path: str | Path, types: Types, columns: Sequence[str] | None = None) -> list[list]:
-    """Rows of a plain artifact; with ``columns``, the first line must name them."""
-    lines = _rows(read_text(path))
-    if columns:
-        lineno, line = next(lines, (0, ""))
-        if line != "\t".join(columns):
-            raise FormatError(f"{path}:{lineno}: expected the column names {list(columns)}")
-    return [_convert(path, lineno, line.split("\t"), types) for lineno, line in lines]
-
-
-def _columns(path, lines: list[tuple[int, str]], types: Sequence[type]) -> list:
+def _line_columns(path, lines: list[tuple[int, str]], types: Sequence[type]):
     """(line number, line) rows by column: a list of strings per ``str`` field, an
-    int64 or float64 array per ``int`` or ``float`` field.  The rows are split as a
-    whole; a row with another field count, or a field its type rejects, is left to
-    the row reader."""
+    int64 or float64 array per ``int`` or ``float`` field, one (fields, rows) int64
+    array if every field is ``int``.  A row with another field count, or a field
+    its type rejects, is left to the row reader, which names it."""
     width, body = len(types), [line for _, line in lines]
     if set(map(str.count, body, repeat("\t"))) <= {width - 1}:
         fields = "\t".join(body).split("\t") if body else []
         with suppress(ValueError, OverflowError):
-            return [fields[i::width] if t is str else
-                    np.fromiter(map(t, fields[i::width]), np.int64 if t is int else np.float64,
-                                len(body))
-                    for i, t in enumerate(types)]
+            columns = [fields[i::width] if t is str else
+                       np.fromiter(map(t, fields[i::width]), np.int64 if t is int else np.float64,
+                                   len(body))
+                       for i, t in enumerate(types)]
+            return np.array(columns) if set(types) == {int} else columns
     # int64 bounds ``int`` here as the arrays do, so the row reader rejects what they rejected.
     for lineno, line in lines:
         _convert(path, lineno, line.split("\t"), [np.int64 if t is int else t for t in types])
     raise AssertionError(f"{path}: the row reader accepted what the column reader rejected")
 
 
+def _columns(path, bodies: list[tuple[int, str]], types: Sequence[type]):
+    """``_line_columns`` of the texts ``bodies`` (each after the number of its first
+    line).  Fields of ``int`` only are first tried by one ``np.loadtxt`` over the
+    raw text; a blank or ``#`` line makes it fail."""
+    if set(types) == {int}:
+        text = "".join(body for _, body in bodies)
+        with suppress(ValueError):
+            block = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None,
+                               ndmin=2) if text.strip() else np.zeros((0, len(types)), np.int64)
+            if block.shape[1] == len(types):
+                # A copy: keeping loadtxt's grown buffer left the heap of a 14-stage
+                # run in one process about 6 MB higher.
+                return block.copy().T
+    return _line_columns(path, [row for first, body in bodies for row in _rows(body, first)],
+                         types)
+
+
 def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]) -> list:
-    """``read_rows`` by column (see ``_columns``)."""
+    """The rows of a plain artifact by column (see ``_line_columns``); its first
+    row must name the ``columns``."""
     lines = list(_rows(read_text(path)))
     lineno, line = lines[0] if lines else (0, "")
     if line != "\t".join(columns):
         raise FormatError(f"{path}:{lineno}: expected the column names {list(columns)}")
-    return _columns(path, lines[1:], types)
+    return _line_columns(path, lines[1:], types)
 
 
 # A "[name]" line after a newline; it has no tab, so a row starting with "[" stays a row.
 _SECTION = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
 
+Spec = list[type] | dict[str, Types]
 
-def read_sections(path: str | Path,
-                  specs: dict[str, Types | list[type] | dict[str, Types] | int]) -> dict:
+
+def read_sections(path: str | Path, specs: dict[str, Spec]) -> dict:
     return parse_sections(path, read_text(path), specs)
 
 
-def parse_sections(path: str | Path, text: str,
-                   specs: dict[str, Types | list[type] | dict[str, Types] | int]) -> dict:
-    """Rows of each ``[section]`` of ``text``, read from ``path``, named in ``specs``.
+def parse_sections(path: str | Path, text: str, specs: dict[str, Spec]) -> dict:
+    """The rows of each ``[section]`` of ``text``, read from ``path``, named in ``specs``.
 
-    A section given a tuple of types reads as a list of rows, one given a
-    list of ``str``, ``int`` and ``float`` as its columns (``_columns``).  One given a
-    dict is keyed: the first field of a row names it and selects the types
-    of the rest; it reads as key -> values, and every key must occur.  One
-    given a number n of integer fields reads as one (rows, n) int64 array.
+    A section given a list of ``str``, ``int`` and ``float`` reads as its
+    columns (``_columns``).  One given a dict is keyed: the first field of a
+    row names it and selects the types of the rest; it reads as key -> values,
+    and every key must occur.
     """
-    out = {name: {} if isinstance(spec, dict) else np.zeros((0, spec), np.int64)
-           if isinstance(spec, int) else [] for name, spec in specs.items()}
+    # Keyed rows are converted as they are read, column sections once all their bodies are.
+    out = {name: {} if isinstance(spec, dict) else [] for name, spec in specs.items()}
     # [text before the first section, name, body, name, body, ...]
     pieces = _SECTION.split("\n" + text)
     for lineno, _ in _rows(pieces[0], 0):
@@ -206,25 +200,19 @@ def parse_sections(path: str | Path, text: str,
         spec = specs.get(name)
         if spec is None:
             raise FormatError(f"{path}:{lineno}: unexpected section '[{name}]'")
-        if isinstance(spec, int):
-            out[name] = np.concatenate([out[name], _int_columns(path, lineno, body, spec)])
-        elif isinstance(spec, list):
-            out[name].extend(_rows(body, lineno))  # converted below, as a whole
-        elif isinstance(spec, dict):
+        if isinstance(spec, dict):
             for n, line in _rows(body, lineno):
                 key, *fields = line.split("\t")
                 if key not in spec:
                     raise FormatError(f"{path}:{n}: unexpected key {key!r} in [{name}]")
                 out[name][key] = _convert(path, n, fields, spec[key])
         else:
-            out[name].extend(_convert(path, n, line.split("\t"), spec)
-                             for n, line in _rows(body, lineno))
+            out[name].append((lineno, body))
         lineno += body.count("\n") + 1
     for name, spec in specs.items():
-        if isinstance(spec, list):
+        if not isinstance(spec, dict):
             out[name] = _columns(path, out[name], spec)
-        missing = sorted(spec.keys() - out[name].keys()) if isinstance(spec, dict) else []
-        if missing:
+        elif missing := sorted(spec.keys() - out[name].keys()):
             raise FormatError(f"{path}: [{name}] lacks {', '.join(missing)}")
     return out
 
@@ -243,20 +231,22 @@ def check_indices(path: str | Path, what: str, indices: np.ndarray, size: int) -
         raise FormatError(f"{path}: {what} index {indices[bad[0]]} is outside [0, {size})")
 
 
-def labelled_matrix(rows: list[list], labels: list[str] | None = None,
+def labelled_matrix(row_labels: list[str], cols: np.ndarray, values: np.ndarray,
+                    labels: list[str] | None = None,
                     path: str | Path = "matrix") -> tuple[list[str], np.ndarray]:
-    """Inverse of ``matrix_rows``: labels in first-seen order unless given."""
+    """Inverse of ``matrix_rows``, from its three columns: labels in first-seen
+    order unless given."""
+    rows = Strings.of(row_labels)
     if labels is None:
-        labels = list(dict.fromkeys(row[0] for row in rows))
+        labels = rows.names
+    if cols.size and cols.min() < 0:
+        raise FormatError(f"{path}: matrix column {cols.min()} is negative")
     index = {label: i for i, label in enumerate(labels)}
-    cols = [row[1] for row in rows]
-    if cols and min(cols) < 0:
-        raise FormatError(f"{path}: matrix column {min(cols)} is negative")
-    mat = np.zeros((len(labels), max(cols, default=-1) + 1))
-    for label, col, value in rows:
+    for label in rows.names:
         if label not in index:
             raise FormatError(
                 f"{path}: matrix row label {label!r} is not among the {len(labels)} expected"
             )
-        mat[index[label], col] = value
+    mat = np.zeros((len(labels), cols.max(initial=-1) + 1))
+    mat[np.array([index[label] for label in rows.names], np.int64)[rows.codes], cols] = values
     return labels, mat

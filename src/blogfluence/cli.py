@@ -58,16 +58,12 @@ from blogfluence.corpus import (
     parse_access_log,
     parse_content_file,
 )
-from blogfluence.pipeline import build_vectors
+from blogfluence.pipeline import STAGE_SEED, build_vectors
 from blogfluence.textvec import PostTerms, write_vocabulary
 
 
 class ConfigError(Exception):
     pass
-
-
-# Per-stage offsets mixed into the seed so stages draw independent streams.
-_STAGE_SEED = {"synth": 0, "causality": 1, "topics": 2, "iolap": 3, "pcldc": 4, "pcl": 5, "split": 6}
 
 
 @dataclass
@@ -216,10 +212,14 @@ def cmd_synth(cfg: PipelineConfig, args, header: str) -> str:
 def cmd_ingest(cfg: PipelineConfig, args, header: str) -> str:
     content = Path(cfg.content_path) if cfg.content_path else _path(cfg, "posts.tsv")
     access = Path(cfg.access_path) if cfg.access_path else _path(cfg, "access.log")
-    with open(content, encoding="utf-8") as fh:
-        posts, posts_report = parse_content_file(fh)
-    with open(access, encoding="utf-8") as fh:
-        accesses, access_report = parse_access_log(fh)
+    parsed = []
+    for path, parse in ((content, parse_content_file), (access, parse_access_log)):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                parsed.append(parse(fh))
+            except IngestError as exc:  # the parsers see a stream, not its path
+                raise type(exc)(f"{path}: {exc}") from None
+    (posts, posts_report), (accesses, access_report) = parsed
     corpus = Corpus(posts, accesses)
     activity, removal = clean_accesses(corpus, cfg.window_hours)
     implicit.write_activity(activity, _path(cfg, "activity.tsv"), header)
@@ -249,7 +249,7 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
 def cmd_causality(cfg: PipelineConfig, args, header: str) -> str:
     net, n_scored = _read_links(cfg)
     vocab = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
-    rng = np.random.default_rng([cfg.seed, _STAGE_SEED["causality"]])
+    rng = np.random.default_rng([cfg.seed, STAGE_SEED["causality"]])
     forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
     reversed_ = causality.reversed_z_test(net, rng, cfg.min_bucket_n)
     write_vocabulary(vocab, _path(cfg, "vocab.tsv"), header)
@@ -278,7 +278,7 @@ def cmd_topics(cfg: PipelineConfig, args, header: str) -> str:
     urls = implicit.link_posts(_read_influence(cfg, terms).links)
     try:
         model = pipeline.fit_topics(terms, cfg.vocab_max_size, urls, cfg.n_topics,
-                                    cfg.plsa_max_iter, cfg.tol, [cfg.seed, _STAGE_SEED["topics"]])
+                                    cfg.plsa_max_iter, cfg.tol, [cfg.seed, STAGE_SEED["topics"]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), header)
@@ -291,7 +291,7 @@ def cmd_split(cfg: PipelineConfig, args, header: str) -> str:
     influence = _read_influence(cfg, terms)
     try:
         split = analysis.split_train_test(
-            influence, terms, cfg.vocab_max_size, seed=[cfg.seed, _STAGE_SEED["split"]]
+            influence, terms, cfg.vocab_max_size, seed=[cfg.seed, STAGE_SEED["split"]]
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -323,7 +323,7 @@ def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
             fix_topics=True,
             max_iter=cfg.iolap_max_iter,
             tol=cfg.tol,
-            seed=[cfg.seed, _STAGE_SEED["iolap"]],
+            seed=[cfg.seed, STAGE_SEED["iolap"]],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -346,7 +346,7 @@ def cmd_pcldc(cfg: PipelineConfig, args, header: str) -> str:
     graph = _blogger_graph(links)
     model = pipeline.fit_pcldc_model(graph, terms, cfg.vocab_max_size, cfg.n_topics,
                                      cfg.pcldc_max_iter, cfg.tol, cfg.l2,
-                                     [cfg.seed, _STAGE_SEED["pcldc"]])
+                                     [cfg.seed, STAGE_SEED["pcldc"]])
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), header)
     return (f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
             f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc_model.tsv')}")
@@ -360,7 +360,7 @@ def cmd_pcl(cfg: PipelineConfig, args, header: str) -> str:
         cfg.n_topics,
         max_iter=cfg.pcl_max_iter,
         tol=cfg.tol,
-        seed=[cfg.seed, _STAGE_SEED["pcl"]],
+        seed=[cfg.seed, STAGE_SEED["pcl"]],
     )
     factor.write_pcl_model(model, _path(cfg, "pcl_model.tsv"), header)
     return (f"pcl: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "

@@ -97,10 +97,11 @@ def write_tensor_tsv(tensor: InfluenceTensor, path: str, header: str | None = No
 
 def read_tensor_tsv(path: str) -> InfluenceTensor:
     sections = artifacts.read_sections(path, {
-        "bloggers": (str,), "dims": {"n_terms": (int,)}, "entries": 4,
+        "bloggers": [str], "dims": {"n_terms": (int,)}, "entries": [int] * 4,
     })
-    influenced, influencer, term, counts = sections["entries"].T.copy()
-    bloggers = [b for (b,) in sections["bloggers"]]
+    # Contiguous columns: every fit iteration reads them.
+    influenced, influencer, term, counts = sections["entries"].copy()
+    (bloggers,) = sections["bloggers"]
     n_terms = sections["dims"]["n_terms"][0]
     artifacts.check_indices(path, "influenced blogger", influenced, len(bloggers))
     artifacts.check_indices(path, "influencer blogger", influencer, len(bloggers))
@@ -686,20 +687,19 @@ def write_iolap_model(model: IolapModel, path: str, header: str | None = None) -
 def read_iolap_model(path: str) -> IolapModel:
     sections = artifacts.read_sections(path, {
         "meta": {"shape": (int, int, int), "topics_fixed": (int,)},
-        "core": (int, int, int, float),
+        "core": [int, int, int, float],
         "influenced_factors": artifacts.MATRIX,
         "influencer_factors": artifacts.MATRIX,
         "topic_factors": artifacts.MATRIX,
     })
     core = np.zeros(sections["meta"]["shape"])
-    at = np.array([row[:3] for row in sections["core"]], dtype=np.int64).reshape(-1, 3)
+    *at, value = sections["core"]
     for axis, name in enumerate(("core influenced", "core influencer", "core topic")):
-        artifacts.check_indices(path, name, at[:, axis], core.shape[axis])
-    for a, b, c, v in sections["core"]:
-        core[a, b, c] = v
-    bloggers, x_fac = artifacts.labelled_matrix(sections["influenced_factors"], path=path)
-    _, y_fac = artifacts.labelled_matrix(sections["influencer_factors"], bloggers, path)
-    terms, z_fac = artifacts.labelled_matrix(sections["topic_factors"], path=path)
+        artifacts.check_indices(path, name, at[axis], core.shape[axis])
+    core[tuple(at)] = value
+    bloggers, x_fac = artifacts.labelled_matrix(*sections["influenced_factors"], path=path)
+    _, y_fac = artifacts.labelled_matrix(*sections["influencer_factors"], bloggers, path)
+    terms, z_fac = artifacts.labelled_matrix(*sections["topic_factors"], path=path)
     return IolapModel(
         core=core,
         influenced_factors=x_fac,
@@ -722,15 +722,15 @@ def write_pcldc_model(model: PcldcModel, path: str, header: str | None = None) -
 
 def read_pcldc_model(path: str) -> PcldcModel:
     sections = artifacts.read_sections(path, {
-        "popularity": (str, float),
+        "popularity": [str, float],
         "memberships": artifacts.MATRIX,
         "content_weights": artifacts.MATRIX,
     })
-    nodes = [node for node, _ in sections["popularity"]]
-    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes, path)
-    terms, weights = artifacts.labelled_matrix(sections["content_weights"], path=path)
+    nodes, popularity = sections["popularity"]
+    _, memberships = artifacts.labelled_matrix(*sections["memberships"], nodes, path)
+    terms, weights = artifacts.labelled_matrix(*sections["content_weights"], path=path)
     return PcldcModel(
-        popularity=np.array([b for _, b in sections["popularity"]]),
+        popularity=popularity,
         content_weights=weights,
         memberships=memberships,
         blogger_content=np.zeros((len(nodes), len(terms))),
@@ -749,11 +749,10 @@ def write_pcl_model(model: PclModel, path: str, header: str | None = None) -> No
 
 def read_pcl_model(path: str) -> PclModel:
     sections = artifacts.read_sections(
-        path, {"popularity": (str, float), "memberships": artifacts.MATRIX}
+        path, {"popularity": [str, float], "memberships": artifacts.MATRIX}
     )
-    nodes = [node for node, _ in sections["popularity"]]
-    _, memberships = artifacts.labelled_matrix(sections["memberships"], nodes, path)
-    popularity = np.array([b for _, b in sections["popularity"]])
+    nodes, popularity = sections["popularity"]
+    _, memberships = artifacts.labelled_matrix(*sections["memberships"], nodes, path)
     return PclModel(
         popularity=popularity, memberships=memberships, objective_trace=[], nodes=nodes
     )

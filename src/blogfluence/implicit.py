@@ -222,7 +222,7 @@ def read_activity(path: str) -> Activity:
     """The table of ``write_activity``; a malformed row, an untagged name, a name
     table not strictly ascending or an index out of range raises ``FormatError``."""
     sections = artifacts.read_sections(path, {
-        "names": [str, str], "posts": 3, "post_themes": 2, "accesses": 3,
+        "names": [str, str], "posts": [int] * 3, "post_themes": [int] * 2, "accesses": [int] * 3,
     })
     tags, names = sections["names"]
     tables = [list(compress(names, map(tag.__eq__, tags))) for tag in _NAME_TABLES]
@@ -232,7 +232,8 @@ def read_activity(path: str) -> Activity:
         if any(a >= b for a, b in zip(table, table[1:])):
             raise FormatError(f"{path}: [names] needs each {tag} once, in ascending order")
     urls, bloggers, ips, themes = tables
-    posts, post_themes, accesses = (sections[name] for name in ("posts", "post_themes", "accesses"))
+    posts, post_themes, accesses = (sections[name].T
+                                    for name in ("posts", "post_themes", "accesses"))
     if len(posts) != len(urls):
         raise FormatError(f"{path}: [posts] has {len(posts)} rows for {len(urls)} urls")
     for what, index, table in (("blogger", posts[:, 0], bloggers), ("IP", posts[:, 2], ips),

@@ -30,6 +30,10 @@ from blogfluence.corpus import Activity, Corpus, clean_accesses
 from blogfluence.implicit import ImplicitNetwork, build_implicit_links
 from blogfluence.textvec import PostTerms
 
+# Per-stage offsets mixed into the seed so stages draw independent streams;
+# synth draws from the seed itself.
+STAGE_SEED = {"causality": 1, "topics": 2, "iolap": 3, "pcldc": 4, "pcl": 5, "split": 6}
+
 
 def build_vectors(corpus: Corpus) -> PostTerms:
     """Count every post's terms once; every stage caps the counts to the
@@ -67,7 +71,7 @@ def run_detection(
     terms = build_vectors(corpus)
     net = build_implicit_links(cleaned, window_hours)
     annotate_similarity(net.links, terms, vocab_max_size, min_tokens)
-    rng = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([seed, STAGE_SEED["causality"]])
     forward = forward_z_test(net, rng, min_bucket_n)
     reversed_ = reversed_z_test(net, rng, min_bucket_n)
     influence = extract_influence(net, tau_hours)
@@ -124,17 +128,20 @@ def recommendation_recall(
     keeps the best restart by training log-likelihood, never seeing test edges.
     """
     terms, cap = result.terms, result.vocab_max_size
-    split = analysis.split_train_test(result.influence, terms, cap, seed=[seed, 6])
+    split = analysis.split_train_test(result.influence, terms, cap,
+                                      seed=[seed, STAGE_SEED["split"]])
     links = training_links(result.influence.links, split)
     topic_model = fit_topics(terms, cap, implicit.link_posts(links), 2, 150, topics.DEFAULT_TOL,
-                             [seed, 2])
+                             [seed, STAGE_SEED["topics"]])
     tensor = factor.build_influence_tensor(links, terms, cap)
     iolap_fits = [factor.fit_iolap(tensor, 2, 4, topic_model=topic_model, max_iter=300,
-                                   seed=[seed, 3, restart]) for restart in range(3)]
+                                   seed=[seed, STAGE_SEED["iolap"], restart])
+                  for restart in range(3)]
     iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
     graph = blogger_graph(links)
-    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, factor.DEFAULT_TOL, 0.0, [seed, 4])
-    pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, 5])
+    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, factor.DEFAULT_TOL, 0.0,
+                            [seed, STAGE_SEED["pcldc"]])
+    pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, STAGE_SEED["pcl"]])
     methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)
     recall = {name: analysis.recall_at_n(split, rec, top_n) for name, rec in methods.items()}
     traces = [topic_model.loglik_trace, *(m.loglik_trace for m in iolap_fits),

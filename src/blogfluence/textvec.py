@@ -178,9 +178,9 @@ def read_vocabulary(path: str, max_size: int) -> Vocabulary:
 
 def read_post_terms(path: str) -> PostTerms:
     sections = artifacts.read_sections(path, {"terms": [str, int], "posts": [str, str],
-                                              "entries": 3})
+                                              "entries": [int] * 3})
     (terms, doc_freq), (urls, authors) = sections["terms"], sections["posts"]
-    post, term, count = sections["entries"].T
+    post, term, count = sections["entries"]
     artifacts.check_indices(path, "post", post, len(urls))
     artifacts.check_indices(path, "term", term, len(terms))
     if (np.diff(post) < 0).any() or (count < 1).any():
@@ -194,4 +194,4 @@ def read_post_terms(path: str) -> PostTerms:
     if (np.bincount(term, minlength=len(terms)) != doc_freq).any():
         raise FormatError(f"{path}: [terms] frequencies must count the posts that hold each term")
     return PostTerms(list(zip(terms, doc_freq.tolist())), list(zip(urls, authors)),
-                     sections["entries"])
+                     sections["entries"].T)

@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import FormatError, lexorder
+from blogfluence.corpus import FormatError, Strings, lexorder
 from blogfluence.textvec import PostTerms
 
 DEFAULT_TOPICS = 50
@@ -212,33 +212,33 @@ def write_topic_model(model: TopicModel, path: str, header: str | None = None) -
 def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
     """Load the exported topic-term blocks; document rows are not exported."""
     sections = artifacts.read_sections(model_path, {
-        "meta": {"n_topics": (int,)}, "p_t": (int, float), "p_w_given_t": (int, str, float),
+        "meta": {"n_topics": (int,)}, "p_t": [int, float], "p_w_given_t": [int, str, float],
     })
     (n_topics,) = sections["meta"]["n_topics"]
-    for name in ("p_t", "p_w_given_t"):
-        ks = np.array([row[0] for row in sections[name]], dtype=np.int64)
+    (p_t_topic, p_t), (topic, words, values) = sections["p_t"], sections["p_w_given_t"]
+    for name, ks in (("p_t", p_t_topic), ("p_w_given_t", topic)):
         artifacts.check_indices(model_path, f"[{name}] topic", ks, n_topics)
+    words = Strings.of(words)
     index = {t: i for i, t in enumerate(terms)}
-    word_topic = np.zeros((n_topics, len(terms)))
-    covered: set[str] = set()
-    for k, term, value in sections["p_w_given_t"]:
+    for term in words.names:
         if term not in index:
             raise FormatError(
                 f"{model_path}: term {term!r} is not in the current vocabulary "
                 f"({len(terms)} terms); was the topic model fitted with another "
                 "vocab_max_size?"
             )
-        word_topic[k, index[term]] = value
-        covered.add(term)
-    if len(covered) != len(terms):
+    if len(words.names) != len(terms):
         raise FormatError(
-            f"{model_path}: the topic model covers {len(covered)} of the {len(terms)} "
+            f"{model_path}: the topic model covers {len(words.names)} of the {len(terms)} "
             "vocabulary terms; was it fitted with another vocab_max_size?"
         )
-    p_t = dict(sections["p_t"])
-    if len(p_t) != n_topics:
-        raise FormatError(f"{model_path}: [p_t] has {len(p_t)} of the {n_topics} topics")
-    prior = np.array([p_t[k] for k in range(n_topics)])
+    word_topic = np.zeros((n_topics, len(terms)))
+    word_topic[topic, np.array([index[t] for t in words.names], np.int64)[words.codes]] = values
+    n_found = np.unique(p_t_topic).size
+    if n_found != n_topics:
+        raise FormatError(f"{model_path}: [p_t] has {n_found} of the {n_topics} topics")
+    prior = np.zeros(n_topics)
+    prior[p_t_topic] = p_t
     return TopicModel(
         n_topics=n_topics,
         p_w_given_t=word_topic,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blogfluence import artifacts
@@ -213,6 +213,26 @@ def test_post_terms_round_trip_keeps_int_columns_and_bracketed_urls(tmp_path):
     assert space(loaded, 1).vectors == {"[a]/p1": TermVector({}, 0), "[b]": TermVector({0: 4}, 4)}
 
 
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items() if case[2]))
+def test_only_keyed_rows_take_the_row_reader(name, tmp_path, monkeypatch):
+    """Every table of a valid artifact reads as whole columns: the row reader
+    converts the rows of the keyed sections only, each once."""
+    obj, write, read, text = CASES[name]
+    path = tmp_path / "a.tsv"
+    write(obj, path, "# h")
+    converted, convert = [], artifacts._convert
+    monkeypatch.setattr(artifacts, "_convert", lambda path, lineno, fields, types: (
+        converted.append(lineno) or convert(path, lineno, fields, types)))
+    read(path)
+    keyed, section = [], None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line.startswith("[") and line.endswith("]"):
+            section = line
+        elif line and section in ("[meta]", "[dims]"):
+            keyed.append(lineno)
+    assert converted == keyed
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -277,6 +297,9 @@ def test_round_trip_keeps_dtypes_and_network_counts(tmp_path):
         ("n_terms\t3\n", "n_terms_x\t3\n", "t.tsv:6: unexpected key 'n_terms_x' in [dims]"),
         ("n_terms\t3\n", "", "t.tsv: [dims] lacks n_terms"),
         ("# h\n[bloggers]\n", "# h\nua\n[bloggers]\n", "t.tsv:2: row before the first [section]"),
+        # Every row one field too many: the block parses, at another width.
+        ("0\t1\t2\t2\n1\t0\t0\t1\n", "0\t1\t2\t2\t9\n1\t0\t0\t1\t9\n",
+         "t.tsv:8: expected 4 tab-separated fields, found 5"),
     ],
 )
 def test_malformed_section_row_names_file_and_line(tmp_path, old, new, message):
@@ -296,6 +319,58 @@ _TEXT = st.text(
     max_size=8,
 )
 _FIELDS = st.one_of(_TEXT, _TEXT.map("[{}".format)).filter(lambda field: not field.startswith("#"))
+
+
+_TYPED = {
+    str: _FIELDS,
+    int: st.integers(-2**63, 2**63 - 1),
+    float: st.floats(width=64),
+}
+# A field that a row's own type may or may not accept, often a number and a tail.
+_TAIL = st.text(st.sampled_from("0123456789 -+._e#[]\t\r\x0b\x1c\u3000\u0663naif"), max_size=22)
+_DAMAGE = st.one_of(_TAIL, st.tuples(st.integers(-9, 99), _TAIL).map("{0[0]}{0[1]}".format))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), types=st.one_of(  # half of the tables of int fields only
+    st.lists(st.just(int), min_size=1, max_size=4),
+    st.lists(st.sampled_from([str, int, float]), min_size=1, max_size=4)))
+def test_columns_match_the_row_reader(data, types):
+    """A section read as columns holds what the row reader makes of each row,
+    and a row it rejects raises the row reader's error."""
+    rows = data.draw(st.lists(st.tuples(*(_TYPED[t] for t in types)), max_size=8))
+    lines = [artifacts._line(row)[:-1] for row in rows]
+    if lines and data.draw(st.booleans()):  # one field of one row replaced
+        row = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[row].split("\t")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_DAMAGE)
+        lines[row] = "\t".join(fields)
+    for _ in range(data.draw(st.integers(0, 3))):  # skipped lines anywhere
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["", " ", "\x0b", "#", "# 1\t2", "#\t3"])))
+    # A tab-free "[name]" row would open a section.
+    assume(not any(line.startswith("[") and line.endswith("]") and "\t" not in line
+                   for line in lines))
+    text = "".join(f"{line}\n" for line in ["[t]", *lines])
+    oracle = [np.int64 if t is int else t for t in types]
+    try:
+        expected = [artifacts._convert("t.tsv", n, line.split("\t"), oracle)
+                    for n, line in enumerate(lines, 2) if line.strip() and line[0] != "#"]
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            artifacts.parse_sections("t.tsv", text, {"t": types})
+        assert str(info.value) == str(exc)
+        return
+    columns = artifacts.parse_sections("t.tsv", text, {"t": types})["t"]
+    if set(types) == {int}:
+        assert columns.dtype == np.int64 and columns.shape == (len(types), len(expected))
+    for i, (t, column) in enumerate(zip(types, columns)):
+        want = [row[i] for row in expected]
+        if t is str:
+            assert column == want
+        else:
+            assert column.dtype == (np.int64 if t is int else np.float64)
+            assert list(map(repr, column.tolist())) == list(map(repr, map(t, want)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -431,13 +506,13 @@ def test_topic_model_index_out_of_range(tmp_path, old, new, message):
 
 
 def test_matrix_rows_must_match_the_given_labels():
-    rows = [["ua", 0, 0.5], ["uz", 0, 0.5]]
-    with pytest.raises(FormatError):
-        artifacts.labelled_matrix(rows, ["ua", "ub"])
-    labels, matrix = artifacts.labelled_matrix(rows)
+    columns = (["ua", "uz"], np.array([0, 0]), np.array([0.5, 0.5]))
+    with pytest.raises(FormatError, match="label 'uz' is not among the 2 expected"):
+        artifacts.labelled_matrix(*columns, ["ua", "ub"])
+    labels, matrix = artifacts.labelled_matrix(*columns)
     assert labels == ["ua", "uz"] and matrix.tolist() == [[0.5], [0.5]]
     with pytest.raises(FormatError, match="column -1 is negative"):
-        artifacts.labelled_matrix([["ua", 0, 0.5], ["ua", -1, 0.5]])
+        artifacts.labelled_matrix(["ua", "ua"], np.array([0, -1]), np.array([0.5, 0.5]))
 
 
 # name -> write(artifact whose first row opens with the name, path): each writer

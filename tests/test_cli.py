@@ -545,6 +545,25 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, damage, message", [
+        ("posts.tsv", "bytes", "cannot read content stream: 'utf-8' codec can't decode"),
+        ("access.log", "bytes", "cannot read access log stream: 'utf-8' codec can't decode"),
+        ("posts.tsv", "rows", "3 of 3 lines malformed; not a posts TSV?"),
+        ("access.log", "rows", "3 of 3 lines malformed; not an Apache combined log?"),
+    ])
+    def test_unreadable_raw_log_names_it(self, pipeline_copy, config_file, capsys, name,
+                                         damage, message):
+        path = pipeline_copy / name
+        if damage == "bytes":
+            path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        else:
+            path.write_text("not a row\n" * 3, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
 
 class TestProvenance:
     """Every stage compares the first line of each input with the line its
@@ -583,20 +602,33 @@ class TestProvenance:
                                                      stage):
         """A stage rerun with every key outside its closure changed writes
         what it wrote: it declares every key it reads."""
-        keys = [f.name for f in dataclasses.fields(cli.PipelineConfig)
-                if f.name not in ("out_dir", "content_path", "access_path", "seed", "synth")]
-        keys += [f"synth.{f.name}" for f in dataclasses.fields(synth.SynthConfig)
-                 if f.name != "seed"]
-        assert sorted(OTHER_VALUES) == sorted(keys)
-        assert cli.closure(stage) <= set(keys)  # the table names only real keys
-        other = tmp_path / "other.cfg"
-        other.write_text(Path(config_file).read_text() + "".join(
-            f"{key} = {OTHER_VALUES[key]}\n" for key in keys if key not in cli.closure(stage)))
-        argv = [*_stage_argv(stage, pipeline_copy), "--out-dir", str(pipeline_copy), "--seed", "5"]
-        assert main([*argv, "--config", config_file]) == 0
-        before = _files(pipeline_copy)
-        assert main([*argv, "--config", str(other)]) == 0
-        assert _files(pipeline_copy) == before
+        _rerun_outside_closure(stage, config_file, pipeline_copy, tmp_path)
+
+    def test_expert_keys_outside_the_closure_change_no_byte(self, tmp_path):
+        """The same for synth with experts planted, where the expert keys change
+        its bytes.  Three experts per slot, so that the default and the other
+        experts_read_per_member (4 and 2) pick different numbers of them."""
+        config = tmp_path / "experts.cfg"
+        config.write_text(SYNTH_KEYS + "synth.experts_per_group_topic = 3\n")
+        _rerun_outside_closure("synth", config, tmp_path / "run", tmp_path)
+
+
+def _rerun_outside_closure(stage, config, out_dir, tmp_path):
+    """Run ``stage`` in ``out_dir`` under ``config``, then again with every key
+    outside its closure set to its ``OTHER_VALUES`` entry; both write the same bytes."""
+    keys = [f.name for f in dataclasses.fields(cli.PipelineConfig)
+            if f.name not in ("out_dir", "content_path", "access_path", "seed", "synth")]
+    keys += [f"synth.{f.name}" for f in dataclasses.fields(synth.SynthConfig) if f.name != "seed"]
+    assert sorted(OTHER_VALUES) == sorted(keys)
+    assert cli.closure(stage) <= set(keys)  # the table names only real keys
+    other = tmp_path / "other.cfg"
+    other.write_text(Path(config).read_text() + "".join(
+        f"{key} = {OTHER_VALUES[key]}\n" for key in keys if key not in cli.closure(stage)))
+    argv = [*_stage_argv(stage, out_dir), "--out-dir", str(out_dir), "--seed", "5"]
+    assert main([*argv, "--config", str(config)]) == 0
+    before = _files(out_dir)
+    assert main([*argv, "--config", str(other)]) == 0
+    assert _files(out_dir) == before
 
 
 # Another valid value of each config key (bar the seed and the paths), far
