@@ -317,12 +317,12 @@ def recall_curve(split: TrainTestSplit, recommender: Recommender, top_n: int) ->
         raise ValueError("empty test set")
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    out_neighbors: dict[str, set[str]] = {}
+    followed: dict[str, set[str]] = {}
     for a, b in split.train_edges:
-        out_neighbors.setdefault(a, set()).add(b)
+        followed.setdefault(a, set()).add(b)
     hits_at_rank = [0] * top_n
     for a, b, keywords in split.test:
-        exclude = {a} | out_neighbors.get(a, set())
+        exclude = {a} | followed.get(a, set())
         try:
             recs = recommender(a, sorted(keywords), top_n, exclude)
         except UnanswerableQuery:

@@ -319,8 +319,7 @@ def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
             tensor,
             cfg.rank_influenced,
             cfg.rank_influencer,
-            topic_model=topic_model,
-            fix_topics=True,
+            topic_model,
             max_iter=cfg.iolap_max_iter,
             tol=cfg.tol,
             seed=[cfg.seed, STAGE_SEED["iolap"]],

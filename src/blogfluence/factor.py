@@ -5,7 +5,7 @@ Two model families are implemented:
 * ``fit_iolap``: a probabilistic nonnegative Tucker decomposition of the
   sparse (influenced blogger, influencing blogger, keyword) count tensor,
   fitted by EM on the multinomial log-likelihood.  The keyword-mode
-  factor can be pinned to a previously fitted topic model so that every
+  factor is always the shared PLSA topics, held fixed, so that every
   downstream per-topic result uses the same topics.
 * ``fit_pcldc`` / ``fit_pcl``: a conditional link model with a per-blogger
   popularity weight and community memberships; memberships are either
@@ -54,12 +54,6 @@ class InfluenceTensor:
 
     def total(self) -> float:
         return float(self.counts.sum())
-
-    def to_dict(self) -> dict[tuple[int, int, int], int]:
-        return {
-            (int(i), int(j), int(k)): int(c)
-            for i, j, k, c in zip(self.influenced, self.influencer, self.term, self.counts)
-        }
 
 
 def build_influence_tensor(links: Links, terms: PostTerms, max_size: int) -> InfluenceTensor:
@@ -126,8 +120,7 @@ class IolapModel:
     core: np.ndarray  # (I, J, K), sums to 1
     influenced_factors: np.ndarray  # (b, I), columns sum to 1
     influencer_factors: np.ndarray  # (b, J), columns sum to 1
-    topic_factors: np.ndarray  # (v, K), columns sum to 1
-    topics_fixed: bool
+    topic_factors: np.ndarray  # (v, K), the topic model's topics, columns sum to 1
     loglik_trace: list[float]
     bloggers: list[str]
     terms: list[str]
@@ -144,37 +137,36 @@ def _column_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.nda
 
 def _iolap_prob(pairs, z_n, core, x_fac, y_fac):
     """P(i, j, k) = V_p . Z_k per nonzero, with V_p = XG_p x2 Y_j and XG_p = core x1 X_i
-    per pair p; also XG as (P, J, K) and each nonzero's V_p as (K, nnz), like ``z_n``."""
+    per pair p; also XG as (P, J, K)."""
     pi, pj, pair = pairs
     n_i, n_j, n_k = core.shape
     xg = (x_fac[pi] @ core.reshape(n_i, n_j * n_k)).reshape(-1, n_j, n_k)
     v_n = np.take(np.einsum("pbc,pb->cp", xg, y_fac[pj]), pair, axis=1)
-    return np.einsum("cn,cn->n", v_n, z_n), xg, v_n
+    return np.einsum("cn,cn->n", v_n, z_n), xg
 
 
-def _iolap_e_step(tensor: InfluenceTensor, pairs, z_n, core, x_fac, y_fac, *, free_z: bool):
+def _iolap_e_step(tensor: InfluenceTensor, pairs, z_n, core, x_fac, y_fac):
     """Log-likelihood and expected-count statistics of one EM step.
 
     ``pairs`` holds the i and j of each distinct (i, j) pair and the pair of
     each nonzero; ``z_n`` is each nonzero's Z_k as (K, nnz).  Returns
-    (loglik, core_grad, x_num, y_num, z_num): core_grad[a, b, c] is
-    sum_n w_n X_ia Y_jb Z_kc with w_n = count_n / P(i, j, k), and the *_num
-    arrays are each factor's unnormalized M-step rows (z_num is None unless
-    ``free_z``).  ``fit_iolap`` describes the contraction.
+    (loglik, core_grad, x_num, y_num): core_grad[a, b, c] is
+    sum_n w_n X_ia Y_jb Z_kc with w_n = count_n / P(i, j, k), and x_num and
+    y_num are X's and Y's unnormalized M-step rows.  ``fit_iolap``
+    describes the contraction.
     """
     pi, pj, pair = pairs
     n_i, n_j, n_k = core.shape
-    prob, xg, v_n = _iolap_prob(pairs, z_n, core, x_fac, y_fac)
+    prob, xg = _iolap_prob(pairs, z_n, core, x_fac, y_fac)
     w_z = tensor.counts / prob * z_n  # w_n Z_k, (K, nnz)
     s = scatter_rows(pair, w_z.T, pi.size)  # S_p = sum_{n in p} w_n Z_k, from contiguous rows
     xi, yj = x_fac[pi], y_fac[pj]
     ys = np.einsum("pb,pc->pbc", yj, s).reshape(pi.size, n_j * n_k)  # Y_j (x) S_p
     x_rows = xi * (ys @ core.reshape(n_i, n_j * n_k).T)
     y_rows = yj * np.einsum("pbc,pc->pb", xg, s)
-    z_num = scatter_rows(tensor.term, (w_z * v_n).T, tensor.n_terms) if free_z else None
     return (float((tensor.counts * np.log(prob)).sum()), (xi.T @ ys).reshape(core.shape),
             scatter_rows(pi, x_rows, tensor.n_bloggers),
-            scatter_rows(pj, y_rows, tensor.n_bloggers), z_num)
+            scatter_rows(pj, y_rows, tensor.n_bloggers))
 
 
 def topic_factors_from_model(topic_model: TopicModel) -> np.ndarray:
@@ -188,22 +180,19 @@ def fit_iolap(
     tensor: InfluenceTensor,
     n_influenced_groups: int,
     n_influencer_groups: int,
+    topic_model: TopicModel,
     *,
-    topic_model: TopicModel | None = None,
-    n_topics: int | None = None,
-    fix_topics: bool = True,
     max_iter: int = 200,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> IolapModel:
     """EM for P(i,j,k) = sum_{abc} core_abc X_ia Y_jb Z_kc on sparse counts.
 
-    The keyword factor Z comes from ``topic_model`` and is held fixed by
-    default (``fix_topics``), so the tensor groups interact through the
-    shared topics; pass ``n_topics`` without a topic model to fit a free
-    Z from a random start.  All factors stay nonnegative and column
-    stochastic after every step.
+    The keyword factor Z is ``topic_model``'s topics, held fixed, so the
+    tensor groups interact through the shared topics.  The core, X and Y
+    start from seeded Dirichlet(1) draws, or from ``init`` = (core, X, Y),
+    and stay nonnegative and column stochastic after every step.
 
     Each E-step evaluates the model only at the nonzeros (Kolda and
     Bader, SIAM Review 2009) and does the I*J*K work once per distinct
@@ -211,42 +200,28 @@ def fit_iolap(
     XG_p = X_i G and V_p = XG_p x2 Y_j give P(i, j, k) = V_p . Z_k, so a
     nonzero costs O(K).  One scatter of w_n Z_k over the pairs gives S_p;
     the core statistic is X_i^T (Y_j (x) S_p), one GEMM over the pairs,
-    and X and Y take theirs from (Y_j (x) S_p) G^T and XG_p S_p (a free Z
-    from w_n Z_k * V_p).  The pair index is built once per fit, for any
-    entry order, and no temporary is wider than (pairs, J*K) or (K, nnz).
-    ``converged`` on the result records whether the fit stopped on
-    ``tol`` (True) or ran out of ``max_iter`` (False).
+    and X and Y take theirs from (Y_j (x) S_p) G^T and XG_p S_p.  The pair
+    index is built once per fit, for any entry order, and no temporary is
+    wider than (pairs, J*K) or (K, nnz).  ``converged`` on the result
+    records whether the fit stopped on ``tol`` (True) or ran out of
+    ``max_iter`` (False).
     """
     if tensor.counts.size == 0:
         raise ValueError("empty influence tensor")
     if n_influenced_groups < 1 or n_influencer_groups < 1:
         raise ValueError("group counts must be >= 1")
-    n_bloggers, n_terms = tensor.n_bloggers, tensor.n_terms
-    if topic_model is not None:
-        if len(topic_model.terms) != n_terms:
-            raise ValueError("topic model vocabulary does not match tensor terms")
-        n_topics = topic_model.n_topics
-        terms = list(topic_model.terms)
-    else:
-        if n_topics is None:
-            raise ValueError("n_topics required when no topic model is given")
-        if fix_topics:
-            raise ValueError("fixing the topic factor requires a topic model")
-        terms = [str(i) for i in range(n_terms)]
-
-    rng = np.random.default_rng(seed)
+    if len(topic_model.terms) != tensor.n_terms:
+        raise ValueError("topic model vocabulary does not match tensor terms")
+    n_bloggers = tensor.n_bloggers
+    z_fac = topic_factors_from_model(topic_model)
     if init is not None:
-        core, x_fac, y_fac, z_fac = (np.array(m, dtype=float) for m in init)
+        core, x_fac, y_fac = (np.array(m, dtype=float) for m in init)
     else:
-        core = rng.dirichlet(np.ones(n_influenced_groups * n_influencer_groups * n_topics))
-        core = core.reshape(n_influenced_groups, n_influencer_groups, n_topics)
+        rng = np.random.default_rng(seed)
+        shape = (n_influenced_groups, n_influencer_groups, topic_model.n_topics)
+        core = rng.dirichlet(np.ones(np.prod(shape))).reshape(shape)
         x_fac = _column_stochastic(rng, n_bloggers, n_influenced_groups)
         y_fac = _column_stochastic(rng, n_bloggers, n_influencer_groups)
-        if topic_model is not None:
-            z_fac = topic_factors_from_model(topic_model)
-        else:
-            z_fac = _column_stochastic(rng, n_terms, n_topics)
-    z_frozen = z_fac.copy() if fix_topics else None
     keys, pair = np.unique(tensor.influenced * n_bloggers + tensor.influencer, return_inverse=True)
     pairs = (keys // n_bloggers, keys % n_bloggers, pair)  # i, j per pair; pair per nonzero
     z_n = np.take(z_fac.T, tensor.term, axis=1)
@@ -255,19 +230,13 @@ def fit_iolap(
     converged = False
     prev = None
     for iteration in range(max_iter):
-        loglik, core_grad, x_num, y_num, z_num = _iolap_e_step(
-            tensor, pairs, z_n, core, x_fac, y_fac, free_z=not fix_topics
-        )
+        loglik, core_grad, x_num, y_num = _iolap_e_step(tensor, pairs, z_n, core, x_fac, y_fac)
         if not np.isfinite(loglik):
             raise ArithmeticError(f"non-finite log-likelihood at iteration {iteration}")
         trace.append(loglik)
 
         core_new = core * core_grad
         core_new /= core_new.sum()
-        if not fix_topics:
-            z_sums = z_num.sum(axis=0)
-            z_fac = np.where(z_sums > 0, z_num / np.maximum(z_sums, 1e-300), z_fac)
-            z_n = np.take(z_fac.T, tensor.term, axis=1)
         x_sums = x_num.sum(axis=0)
         x_fac = np.where(x_sums > 0, x_num / np.maximum(x_sums, 1e-300), x_fac)
         y_sums = y_num.sum(axis=0)
@@ -284,24 +253,19 @@ def fit_iolap(
         raise ArithmeticError("non-finite log-likelihood after final step")
     trace.append(final)
 
-    if fix_topics:
-        z_fac = z_frozen  # bit-identical to the input factor
     return IolapModel(
         core=core,
         influenced_factors=x_fac,
         influencer_factors=y_fac,
         topic_factors=z_fac,
-        topics_fixed=fix_topics,
         loglik_trace=trace,
         bloggers=list(tensor.bloggers),
-        terms=terms,
+        terms=list(topic_model.terms),
         converged=converged,
     )
 
 
-def iolap_topic_influencers(
-    model: IolapModel, topic: int, n: int | None = None
-) -> list[tuple[str, float]]:
+def iolap_topic_influencers(model: IolapModel, topic: int) -> list[tuple[str, float]]:
     """Bloggers ranked by P(influencer | topic); scores sum to one.
 
     P(j | t) = sum_b Y_jb pi(b | t) with pi(b | t) proportional to the
@@ -313,10 +277,8 @@ def iolap_topic_influencers(
     total = pi.sum()
     pi = pi / total if total > 0 else np.full(pi.shape, 1.0 / pi.size)
     scores = model.influencer_factors @ pi
-    order = sorted(range(len(model.bloggers)), key=lambda b: (-scores[b], b))
-    if n is not None:
-        order = order[:n]
-    return [(model.bloggers[b], float(scores[b])) for b in order]
+    return [(model.bloggers[b], float(scores[b]))
+            for b in np.argsort(-scores, kind="stable").tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +292,6 @@ class BloggerGraph:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    node_index: dict[str, int]
 
     @classmethod
     def from_edge_weights(cls, edges: dict[tuple[str, str], float]) -> "BloggerGraph":
@@ -342,7 +303,6 @@ class BloggerGraph:
             src=np.array([index[a] for (a, _), _ in items], dtype=np.int64),
             dst=np.array([index[b] for (_, b), _ in items], dtype=np.int64),
             weight=np.array([float(w) for _, w in items]),
-            node_index=index,
         )
 
     @property
@@ -354,10 +314,6 @@ class BloggerGraph:
 
     def in_weight(self) -> np.ndarray:
         return np.bincount(self.dst, weights=self.weight, minlength=self.n_nodes)
-
-    def out_neighbors(self, node: str) -> set[str]:
-        i = self.node_index[node]
-        return {self.nodes[int(j)] for j in self.dst[self.src == i]}
 
 
 def blogger_content_matrix(nodes: list[str], terms: PostTerms, max_size: int) -> np.ndarray:
@@ -379,7 +335,6 @@ class PcldcModel:
     popularity: np.ndarray  # per-blogger positive weight
     content_weights: np.ndarray  # (v, K) softmax weights tying topics to terms
     memberships: np.ndarray  # (b, K) rows sum to 1, derived from content
-    blogger_content: np.ndarray  # (b, v) input content rows
     objective_trace: list[float]
     nodes: list[str]
     terms: list[str]
@@ -510,7 +465,6 @@ def fit_pcl(
     max_iter: int = 200,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PclModel:
     """Fit the content-free conditional link model by EM.
 
@@ -521,12 +475,8 @@ def fit_pcl(
     """
     if n_communities < 1:
         raise ValueError("n_communities must be >= 1")
-    rng = np.random.default_rng(seed)
-    if init is not None:
-        y, bpop = (np.array(m, dtype=float) for m in init)
-    else:
-        y = rng.dirichlet(np.ones(n_communities), size=graph.n_nodes)
-        bpop = graph.in_degree() + 1.0
+    y = np.random.default_rng(seed).dirichlet(np.ones(n_communities), size=graph.n_nodes)
+    bpop = graph.in_degree() + 1.0
     trace = [conditional_link_objective(graph, y, bpop)]
     for iteration in range(max_iter):
         bpop = _update_popularity(graph, y, bpop)
@@ -590,18 +540,17 @@ def fit_pcldc(
     graph: BloggerGraph,
     content: np.ndarray,
     n_communities: int,
+    terms: list[str],
     *,
     max_iter: int = 100,
-    inner_steps: int = 5,
     tol: float = DEFAULT_TOL,
     l2: float = 0.0,
     seed: int = 0,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
-    terms: list[str] | None = None,
 ) -> PcldcModel:
-    """Fit the content-tied conditional link model.
+    """Fit the content-tied conditional link model; ``terms`` names the
+    content columns.
 
-    Alternates the closed-form popularity update with a bounded number of
+    Alternates the closed-form popularity update with up to five
     gradient-ascent steps on the content weights; each step backtracks by
     halving from step size 1.0 and is only accepted if the objective does
     not decrease, keeping the trace monotone.
@@ -610,20 +559,15 @@ def fit_pcldc(
         raise ValueError("n_communities must be >= 1")
     if content.shape[0] != graph.n_nodes:
         raise ValueError("content rows must align with graph nodes")
-    rng = np.random.default_rng(seed)
-    n_terms = content.shape[1]
-    if init is not None:
-        weights, bpop = (np.array(m, dtype=float) for m in init)
-    else:
-        weights = 0.01 * rng.standard_normal((n_terms, n_communities))
-        bpop = graph.in_degree() + 1.0
+    weights = 0.01 * np.random.default_rng(seed).standard_normal((content.shape[1], n_communities))
+    bpop = graph.in_degree() + 1.0
 
     trace = [pcldc_objective(graph, content, weights, bpop, l2)]
     for iteration in range(max_iter):
         y = _softmax_rows(content @ weights)
         bpop = _update_popularity(graph, y, bpop)
         base = pcldc_objective(graph, content, weights, bpop, l2)
-        for _ in range(inner_steps):
+        for _ in range(5):
             grad = pcldc_content_gradient(graph, content, weights, bpop, l2)
             step = 1.0
             accepted = False
@@ -648,15 +592,14 @@ def fit_pcldc(
         popularity=bpop,
         content_weights=weights,
         memberships=memberships,
-        blogger_content=content,
         objective_trace=trace,
         nodes=list(graph.nodes),
-        terms=list(terms) if terms is not None else [str(i) for i in range(n_terms)],
+        terms=list(terms),
     )
 
 
 def pcldc_topic_influencers(
-    model: PcldcModel | PclModel, community: int, n: int | None = None
+    model: PcldcModel | PclModel, community: int
 ) -> list[tuple[str, float]]:
     """Bloggers ranked by membership-weighted popularity in one community."""
     if not 0 <= community < model.n_communities:
@@ -665,10 +608,8 @@ def pcldc_topic_influencers(
     total = scores.sum()
     if total > 0:
         scores = scores / total
-    order = sorted(range(len(model.nodes)), key=lambda b: (-scores[b], b))
-    if n is not None:
-        order = order[:n]
-    return [(model.nodes[b], float(scores[b])) for b in order]
+    return [(model.nodes[b], float(scores[b]))
+            for b in np.argsort(-scores, kind="stable").tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -676,7 +617,7 @@ def pcldc_topic_influencers(
 
 def write_iolap_model(model: IolapModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "meta": [("shape", *model.core.shape), ("topics_fixed", int(model.topics_fixed))],
+        "meta": [("shape", *model.core.shape)],
         "core": ((a, b, c, v) for (a, b, c), v in np.ndenumerate(model.core)),
         "influenced_factors": artifacts.matrix_rows(model.bloggers, model.influenced_factors),
         "influencer_factors": artifacts.matrix_rows(model.bloggers, model.influencer_factors),
@@ -686,7 +627,7 @@ def write_iolap_model(model: IolapModel, path: str, header: str | None = None) -
 
 def read_iolap_model(path: str) -> IolapModel:
     sections = artifacts.read_sections(path, {
-        "meta": {"shape": (int, int, int), "topics_fixed": (int,)},
+        "meta": {"shape": (int, int, int)},
         "core": [int, int, int, float],
         "influenced_factors": artifacts.MATRIX,
         "influencer_factors": artifacts.MATRIX,
@@ -700,12 +641,16 @@ def read_iolap_model(path: str) -> IolapModel:
     bloggers, x_fac = artifacts.labelled_matrix(*sections["influenced_factors"], path=path)
     _, y_fac = artifacts.labelled_matrix(*sections["influencer_factors"], bloggers, path)
     terms, z_fac = artifacts.labelled_matrix(*sections["topic_factors"], path=path)
+    for name, fac, width in zip(("influenced_factors", "influencer_factors", "topic_factors"),
+                                (x_fac, y_fac, z_fac), core.shape):
+        if fac.shape[1] != width:
+            raise FormatError(f"{path}: [{name}] has width {fac.shape[1]}, "
+                              f"[meta] shape needs {width}")
     return IolapModel(
         core=core,
         influenced_factors=x_fac,
         influencer_factors=y_fac,
         topic_factors=z_fac,
-        topics_fixed=bool(sections["meta"]["topics_fixed"][0]),
         loglik_trace=[],
         bloggers=bloggers,
         terms=terms,
@@ -729,11 +674,13 @@ def read_pcldc_model(path: str) -> PcldcModel:
     nodes, popularity = sections["popularity"]
     _, memberships = artifacts.labelled_matrix(*sections["memberships"], nodes, path)
     terms, weights = artifacts.labelled_matrix(*sections["content_weights"], path=path)
+    if weights.shape[1] != memberships.shape[1]:
+        raise FormatError(f"{path}: [content_weights] has width {weights.shape[1]}, "
+                          f"[memberships] width {memberships.shape[1]}")
     return PcldcModel(
         popularity=popularity,
         content_weights=weights,
         memberships=memberships,
-        blogger_content=np.zeros((len(nodes), len(terms))),
         objective_trace=[],
         nodes=nodes,
         terms=terms,

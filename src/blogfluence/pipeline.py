@@ -101,8 +101,8 @@ def fit_topics(terms: PostTerms, max_size: int, urls: Iterable[str], n_topics: i
     """PLSA over the posts ``urls`` that keep at least one token of the
     ``max_size``-term vocabulary."""
     doc_term = topics.build_doc_term(terms, max_size, urls)
-    return topics.fit_plsa(doc_term, n_topics, max_iter=max_iter, tol=tol, seed=seed,
-                           terms=terms.vocabulary(max_size).terms)
+    return topics.fit_plsa(doc_term, n_topics, terms.vocabulary(max_size).terms,
+                           max_iter=max_iter, tol=tol, seed=seed)
 
 
 def blogger_graph(links: implicit.Links) -> factor.BloggerGraph:
@@ -116,8 +116,8 @@ def fit_pcldc_model(graph: factor.BloggerGraph, terms: PostTerms, max_size: int,
     """pcldc on ``graph``, each blogger's content summed over their posts'
     counts of the ``max_size``-term vocabulary."""
     content = factor.blogger_content_matrix(graph.nodes, terms, max_size)
-    return factor.fit_pcldc(graph, content, n_communities, max_iter=max_iter, tol=tol, l2=l2,
-                            seed=seed, terms=terms.vocabulary(max_size).terms)
+    return factor.fit_pcldc(graph, content, n_communities, terms.vocabulary(max_size).terms,
+                            max_iter=max_iter, tol=tol, l2=l2, seed=seed)
 
 
 def recommendation_recall(
@@ -134,7 +134,7 @@ def recommendation_recall(
     topic_model = fit_topics(terms, cap, implicit.link_posts(links), 2, 150, topics.DEFAULT_TOL,
                              [seed, STAGE_SEED["topics"]])
     tensor = factor.build_influence_tensor(links, terms, cap)
-    iolap_fits = [factor.fit_iolap(tensor, 2, 4, topic_model=topic_model, max_iter=300,
+    iolap_fits = [factor.fit_iolap(tensor, 2, 4, topic_model, max_iter=300,
                                    seed=[seed, STAGE_SEED["iolap"], restart])
                   for restart in range(3)]
     iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])

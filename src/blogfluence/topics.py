@@ -15,7 +15,6 @@ from blogfluence import artifacts
 from blogfluence.corpus import FormatError, Strings, lexorder
 from blogfluence.textvec import PostTerms
 
-DEFAULT_TOPICS = 50
 DEFAULT_TOL = 1e-7
 
 
@@ -121,12 +120,13 @@ def row_sum(columns: np.ndarray) -> np.ndarray:
 def fit_plsa(
     doc_term: DocTermMatrix,
     n_topics: int,
+    terms: list[str],
     max_iter: int = 200,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    terms: list[str] | None = None,
 ) -> TopicModel:
-    """EM for the aspect model: P(w|d) = sum_t P(t|d) P(w|t).
+    """EM for the aspect model: P(w|d) = sum_t P(t|d) P(w|t), over the
+    ``terms`` that name the document-term columns.
 
     Distributions start from seeded Dirichlet(1) rows.  The loglik trace
     is non-decreasing (EM guarantee); iteration stops at ``max_iter`` or
@@ -182,7 +182,7 @@ def fit_plsa(
         p_t=p_t,
         p_t_given_d=doc_topic,
         loglik_trace=trace,
-        terms=list(terms) if terms is not None else [str(i) for i in range(n_terms)],
+        terms=list(terms),
         doc_ids=list(doc_term.doc_ids),
     )
 

@@ -35,7 +35,7 @@ from blogfluence.synth import (
 from blogfluence import causality
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, Vocabulary, tokenize
-from blogfluence.topics import build_doc_term
+from blogfluence.topics import TopicModel, build_doc_term
 
 # 2008-09-01T00:00:00Z, a Monday.
 BASE_TS = 1220227200
@@ -405,6 +405,31 @@ def post_terms(vectors, n_terms, authors=None):
 def doc_term(docs, n_terms):
     """The document-term matrix of the vectors ``docs`` over ``n_terms`` terms."""
     return build_doc_term(post_terms(docs, n_terms), n_terms, docs)
+
+
+def tensor_entries(tensor):
+    """An influence tensor's nonzeros as {(i, j, k): count}."""
+    return {
+        (int(i), int(j), int(k)): int(c)
+        for i, j, k, c in zip(tensor.influenced, tensor.influencer, tensor.term, tensor.counts)
+    }
+
+
+def topic_model_of(z):
+    """A topic model over the terms "w0", "w1", ... whose topics are the
+    columns of the column-stochastic (v, K) ``z``: the keyword factor that
+    ``fit_iolap`` takes from it."""
+    n_terms, n_topics = z.shape
+    return TopicModel(
+        n_topics=n_topics, p_w_given_t=z.T, p_t=np.full(n_topics, 1.0 / n_topics),
+        p_t_given_d=np.zeros((0, n_topics)), loglik_trace=[],
+        terms=[f"w{i}" for i in range(n_terms)], doc_ids=[],
+    )
+
+
+def random_topics(seed, n_terms, n_topics):
+    """``topic_model_of`` seeded Dirichlet(1) topics."""
+    return topic_model_of(np.random.default_rng(seed).dirichlet(np.ones(n_terms), n_topics).T)
 
 
 @pytest.fixture

@@ -25,12 +25,13 @@ from blogfluence.factor import (
     fit_pcldc,
     pcldc_content_gradient,
     pcldc_objective,
+    topic_factors_from_model,
 )
 from blogfluence.pipeline import recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import fit_plsa
 
-from conftest import CoinSeries, TermVector, doc_term, z_test
+from conftest import CoinSeries, TermVector, doc_term, random_topics, z_test
 
 N_SEEDS = 20
 SECONDS_PER_DETECTION_SEED = 120.0
@@ -199,15 +200,17 @@ def _planted_graph(seed, n_per=8):
 def test_c05_em_monotonicity(recommendation_runs):
     checked = 0
     for seed in range(3):
-        plsa = fit_plsa(_tiny_doc_term(seed), 2, max_iter=80, seed=seed)
+        plsa = fit_plsa(_tiny_doc_term(seed), 2, [f"w{i}" for i in range(8)], max_iter=80,
+                        seed=seed)
         assert _monotone(plsa.loglik_trace)
-        iolap = fit_iolap(_random_tensor(seed + 1), 2, 2, n_topics=2, fix_topics=False,
+        iolap = fit_iolap(_random_tensor(seed + 1), 2, 2, random_topics(seed + 1, 5, 2),
                           max_iter=80, seed=seed)
         assert _monotone(iolap.loglik_trace)
         graph, content = _planted_graph(seed, n_per=4)
         pcl = fit_pcl(graph, 2, max_iter=60, seed=seed)
         assert _monotone(pcl.objective_trace)
-        pcldc = fit_pcldc(graph, content, 2, max_iter=30, seed=seed)
+        pcldc = fit_pcldc(graph, content, 2, [f"w{i}" for i in range(6)], max_iter=30,
+                          seed=seed)
         assert _monotone(pcldc.objective_trace)
         checked += 4
     for run in recommendation_runs:
@@ -218,32 +221,31 @@ def test_c05_em_monotonicity(recommendation_runs):
 
 
 def test_c06_rank_one_closed_forms():
-    tensor = _random_tensor(3)
-    model = fit_iolap(tensor, 1, 1, n_topics=1, fix_topics=False, max_iter=5, seed=0)
+    tensor, topics = _random_tensor(3), random_topics(3, 5, 1)
+    model = fit_iolap(tensor, 1, 1, topics, max_iter=5, seed=0)
     total = tensor.counts.sum()
-    for factors, idx, size in (
-        (model.influenced_factors, tensor.influenced, 4),
-        (model.influencer_factors, tensor.influencer, 4),
-        (model.topic_factors, tensor.term, 5),
-    ):
-        marginal = np.bincount(idx, weights=tensor.counts, minlength=size) / total
+    for factors, idx in ((model.influenced_factors, tensor.influenced),
+                         (model.influencer_factors, tensor.influencer)):
+        marginal = np.bincount(idx, weights=tensor.counts, minlength=4) / total
         assert np.abs(factors[:, 0] - marginal).max() <= 1e-10
+    assert np.array_equal(model.topic_factors, topic_factors_from_model(topics))
 
     vecs = {"d1": TermVector({0: 2, 1: 1}, 3), "d2": TermVector({1: 3, 2: 1}, 4)}
-    plsa = fit_plsa(doc_term(vecs, 3), 1, max_iter=10, seed=0)
+    plsa = fit_plsa(doc_term(vecs, 3), 1, ["w0", "w1", "w2"], max_iter=10, seed=0)
     expected = np.array([2.0, 4.0, 1.0]) / 7.0
     assert np.abs(plsa.p_w_given_t[0] - expected).max() <= 1e-10
     _ok(6, "rank-1 closed forms reproduce mode marginals and term frequencies")
 
 
-def _oracle_em(dense, n_i, n_j, n_k, seed, iters=4000, tol=1e-13):
-    """Independent dense-tensor EM used only as an oracle."""
+def _oracle_em(dense, z, n_i, n_j, seed, iters=4000, tol=1e-13):
+    """Independent dense-tensor EM with the keyword factor ``z`` held, used
+    only as an oracle."""
     rng = np.random.default_rng(seed)
-    b1, b2, v = dense.shape
+    b1, b2, _ = dense.shape
+    n_k = z.shape[1]
     core = rng.dirichlet(np.ones(n_i * n_j * n_k)).reshape(n_i, n_j, n_k)
     x = rng.dirichlet(np.ones(b1), size=n_i).T
     y = rng.dirichlet(np.ones(b2), size=n_j).T
-    z = rng.dirichlet(np.ones(v), size=n_k).T
     mask = dense > 0
     prev = None
     loglik = -np.inf
@@ -255,10 +257,8 @@ def _oracle_em(dense, n_i, n_j, n_k, seed, iters=4000, tol=1e-13):
         core_new /= core_new.sum()
         x_new = x * np.einsum("ijk,ajk->ia", weight, np.einsum("abc,jb,kc->ajk", core, y, z))
         y_new = y * np.einsum("ijk,bik->jb", weight, np.einsum("abc,ia,kc->bik", core, x, z))
-        z_new = z * np.einsum("ijk,cij->kc", weight, np.einsum("abc,ia,jb->cij", core, x, y))
         x = x_new / x_new.sum(axis=0, keepdims=True)
         y = y_new / y_new.sum(axis=0, keepdims=True)
-        z = z_new / z_new.sum(axis=0, keepdims=True)
         core = core_new
         if prev is not None and abs(loglik - prev) <= tol * abs(prev):
             break
@@ -292,10 +292,11 @@ def test_c07_small_instance_matches_restart_oracle():
         term=np.array([c for _, _, c in keys]),
         counts=np.array([float(dense[key]) for key in keys]),
     )
-    oracle_best = max(_oracle_em(dense, 2, 2, 2, seed) for seed in range(100))
+    topics = random_topics(42, 4, 2)
+    z = topic_factors_from_model(topics)
+    oracle_best = max(_oracle_em(dense, z, 2, 2, seed) for seed in range(100))
     ours = max(
-        fit_iolap(tensor, 2, 2, n_topics=2, fix_topics=False, max_iter=4000,
-                  tol=1e-13, seed=seed).loglik_trace[-1]
+        fit_iolap(tensor, 2, 2, topics, max_iter=4000, tol=1e-13, seed=seed).loglik_trace[-1]
         for seed in range(20)
     )
     assert ours >= oracle_best - 1e-6, f"fit {ours} vs oracle {oracle_best}"

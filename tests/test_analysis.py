@@ -34,7 +34,7 @@ from blogfluence.implicit import ImplicitNetwork
 from blogfluence.pipeline import blogger_graph, fit_topics, training_links
 from blogfluence.topics import DEFAULT_TOL, fit_plsa
 
-from conftest import TermVector, doc_term, links_table, post_terms
+from conftest import TermVector, doc_term, links_table, post_terms, random_topics
 
 
 def _ranking(names):
@@ -181,7 +181,7 @@ class TestSplit:
         tensor = build_influence_tensor(train, terms, 4)
         for a, _, _ in split.test:
             assert any(l.reader == a for l in train)
-            assert a in graph.node_index and a in tensor.bloggers
+            assert a in graph.nodes and a in tensor.bloggers
 
     def test_keywords_union_of_shared_terms(self):
         net = _influence_net([("ua", "ub", 1, 1), ("ua", "uc", 2, 1)])
@@ -222,7 +222,7 @@ def _toy_models(seed=0):
             counts[w] = counts.get(w, 0) + 1
         docs[f"d{d:02d}"] = TermVector(counts, 20)
     terms = [f"w{i}" for i in range(6)]
-    tm = fit_plsa(doc_term(docs, 6), 2, max_iter=80, seed=seed, terms=terms)
+    tm = fit_plsa(doc_term(docs, 6), 2, terms, max_iter=80, seed=seed)
     keys = []
     counts = []
     # bloggers u0, u1 influenced by u2 on topic-0 terms, by u3 on topic-1 terms
@@ -241,7 +241,7 @@ def _toy_models(seed=0):
         term=np.array([k[2] for k in keys]),
         counts=np.array(counts),
     )
-    iolap = fit_iolap(tensor, 2, 2, topic_model=tm, max_iter=100, seed=seed)
+    iolap = fit_iolap(tensor, 2, 2, tm, max_iter=100, seed=seed)
     return tm, iolap
 
 
@@ -310,9 +310,9 @@ class TestRecommenders:
             term=np.array([0, 1, 1]),
             counts=np.array([3.0, 2.0, 1.0]),
         )
-        model = fit_iolap(tensor, 1, 1, n_topics=1, fix_topics=False, max_iter=10, seed=0)
-        r0 = recommend_iolap(model, "u0", ["0"], 3, exclude=set())
-        r1 = recommend_iolap(model, "u1", ["0"], 3, exclude=set())
+        model = fit_iolap(tensor, 1, 1, random_topics(0, 2, 1), max_iter=10, seed=0)
+        r0 = recommend_iolap(model, "u0", ["w0"], 3, exclude=set())
+        r1 = recommend_iolap(model, "u1", ["w0"], 3, exclude=set())
         assert [b for b, _ in r0] == [b for b, _ in r1]
         col = model.influencer_factors[:, 0]
         expected = [model.bloggers[i] for i in sorted(range(3), key=lambda b: (-col[b], b))]
@@ -338,8 +338,8 @@ class TestRecommenders:
                     edges[(nodes[a], nodes[b])] = float(rng.integers(1, 5))
         graph = BloggerGraph.from_edge_weights(edges)
         content = rng.dirichlet(np.ones(4), size=graph.n_nodes)
-        model = fit_pcldc(graph, content, 2, max_iter=20, seed=seed,
-                          terms=[f"w{i}" for i in range(4)])
+        model = fit_pcldc(graph, content, 2, [f"w{i}" for i in range(4)], max_iter=20,
+                          seed=seed)
         return model
 
     def test_pcldc_popularity_scale_invariant(self):
@@ -349,7 +349,6 @@ class TestRecommenders:
             popularity=model.popularity * 7.3,
             content_weights=model.content_weights,
             memberships=model.memberships,
-            blogger_content=model.blogger_content,
             objective_trace=model.objective_trace,
             nodes=model.nodes,
             terms=model.terms,
@@ -393,8 +392,7 @@ class TestCollapseCases:
             )
             for d in range(8)
         }
-        tm = fit_plsa(doc_term(docs, 4), 1, max_iter=20, seed=0,
-                      terms=[f"w{i}" for i in range(4)])
+        tm = fit_plsa(doc_term(docs, 4), 1, [f"w{i}" for i in range(4)], max_iter=20, seed=0)
         tensor = InfluenceTensor(
             bloggers=["u0", "u1", "u2"],
             n_terms=4,
@@ -403,7 +401,7 @@ class TestCollapseCases:
             term=np.array([0, 1, 2, 3]),
             counts=np.array([4.0, 2.0, 1.0, 3.0]),
         )
-        model = fit_iolap(tensor, 1, 1, topic_model=tm, max_iter=20, seed=0)
+        model = fit_iolap(tensor, 1, 1, tm, max_iter=20, seed=0)
         first = recommend_tg(model, tm, ["w0"], 3)
         second = recommend_tg(model, tm, ["w3"], 3)
         assert [b for b, _ in first] == [b for b, _ in second]
@@ -420,8 +418,7 @@ class TestCollapseCases:
                     edges[(nodes[a], nodes[b])] = float(rng.integers(1, 5))
         graph = BloggerGraph.from_edge_weights(edges)
         content = rng.dirichlet(np.ones(3), size=graph.n_nodes)
-        model = fit_pcldc(graph, content, 1, max_iter=15, seed=0,
-                          terms=["w0", "w1", "w2"])
+        model = fit_pcldc(graph, content, 1, ["w0", "w1", "w2"], max_iter=15, seed=0)
         ranked = recommend_pcldc(model, model.nodes[0], ["w0"], 5, exclude=set())
         pops = model.popularity
         expected = [
@@ -456,7 +453,7 @@ def test_personalized_top_pick_comes_from_own_expert_set():
                         DEFAULT_TOL, [seed, 2])
         tensor = build_influence_tensor(links, result.terms, result.vocab_max_size)
         model = max(
-            (fit_iolap(tensor, 2, 4, topic_model=tm, max_iter=200, seed=[seed, 3, r])
+            (fit_iolap(tensor, 2, 4, tm, max_iter=200, seed=[seed, 3, r])
              for r in range(3)),
             key=lambda m: m.loglik_trace[-1],
         )

@@ -54,7 +54,6 @@ IOLAP = IolapModel(
     influenced_factors=np.array([[0.5], [0.5]]),
     influencer_factors=np.array([[0.1, 0.9], [0.9, 0.1]]),
     topic_factors=np.array([[1 / 3], [2 / 3]]),
-    topics_fixed=True,
     loglik_trace=[],
     bloggers=["ua", "ub"],
     terms=["alpha", "beta"],
@@ -63,7 +62,6 @@ PCLDC = PcldcModel(
     popularity=np.array([1.5, 0.5]),
     content_weights=np.array([[0.1, -0.2]]),
     memberships=np.array([[0.25, 0.75], [1.0, 0.0]]),
-    blogger_content=np.zeros((2, 1)),
     objective_trace=[],
     nodes=["ua", "ub"],
     terms=["alpha"],
@@ -121,7 +119,7 @@ CASES = {
     ),
     "iolap": (
         IOLAP, write_iolap_model, read_iolap_model,
-        "# h\n[meta]\nshape\t1\t2\t1\ntopics_fixed\t1\n"
+        "# h\n[meta]\nshape\t1\t2\t1\n"
         "[core]\n0\t0\t0\t0.25\n0\t1\t0\t0.75\n"
         "[influenced_factors]\nua\t0\t0.5\nub\t0\t0.5\n"
         "[influencer_factors]\nua\t0\t0.1\nua\t1\t0.9\nub\t0\t0.9\nub\t1\t0.1\n"

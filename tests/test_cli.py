@@ -546,6 +546,37 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, damage, message", [
+        # rank_influencer = 3: the factor lacks column 2
+        ("iolap_model.tsv", ("influencer_factors", "2"),
+         "[influencer_factors] has width 2, [meta] shape needs 3"),
+        # n_topics = 2 communities: the weights lack column 1
+        ("pcldc_model.tsv", ("content_weights", "1"),
+         "[content_weights] has width 1, [memberships] width 2"),
+        # the [meta] row that iolap models no longer carry
+        ("iolap_model.tsv", ("meta", "topics_fixed\t1"),
+         "unexpected key 'topics_fixed' in [meta]"),
+    ], ids=["iolap-factor-width", "pcldc-weights-width", "iolap-topics-fixed"])
+    @pytest.mark.parametrize("stage", ["idr", "eval"])
+    def test_model_of_another_shape_is_1(self, pipeline_copy, config_file, capsys, name, damage,
+                                         message, stage):
+        path = pipeline_copy / name
+        section, field = damage
+        lines = path.read_text(encoding="utf-8").split("\n")
+        start = lines.index(f"[{section}]") + 1
+        end = next(i for i in range(start, len(lines)) if lines[i].startswith("[") or not lines[i])
+        if section == "meta":
+            lines.insert(end, field)
+        else:
+            lines[start:end] = [l for l in lines[start:end] if l.split("\t")[1] != field]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, damage, message", [
         ("posts.tsv", "bytes", "cannot read content stream: 'utf-8' codec can't decode"),
         ("access.log", "bytes", "cannot read access log stream: 'utf-8' codec can't decode"),
         ("posts.tsv", "rows", "3 of 3 lines malformed; not a posts TSV?"),

@@ -5,9 +5,10 @@ faces (and the random stream they consume) and the extracted influence
 links are pinned two ways: sha256 digests, each with the generator whose
 corpus it was recorded on, and small per-record transcriptions kept here
 as oracles, run on random tables and on a synthetic corpus.  The CLI's
-link artifacts and the model stages' inputs are pinned by digests of
-their bytes, and the model inputs built from the post-term columns are
-checked against the loops over per-post dict vectors that they replaced.
+link artifacts, the model stages' inputs, the fitted models and the
+results read from them are pinned by digests of their bytes, and the
+model inputs built from the post-term columns are checked against the
+loops over per-post dict vectors that they replaced.
 """
 
 import hashlib
@@ -66,9 +67,10 @@ from conftest import (
     post_terms,
     shared_terms,
     space,
+    tensor_entries,
     url_to_post,
 )
-from test_acceptance import PIPELINE_CONFIG
+from test_acceptance import PIPELINE_CONFIG, PIPELINE_STAGES
 
 
 def _detection_config(rho, seed):
@@ -151,6 +153,16 @@ CLI_MODEL_INPUT_DIGESTS = {
     "test.tsv": "e246089411b7909ee859a4bc9ab4dac295c9b59cf2a3c8202c8667827dafe571",
     "tensor.tsv": "6fe6893d2eeca2a3a06985fc2cd616eac680702b18e5fb62baf4c9e5409887df",
     "pcldc_model.tsv": "9209eea9210fe23844f1be872eb7958973a798b6eb94b02b5f3339b16745cb7b",
+}
+# sha256 of the fitted models and of the results read from them, at the same
+# config and seed, recorded before fit_iolap lost its free keyword factor.
+# iolap_model.tsv is pinned as the bytes it had then less its [meta] row
+# "topics_fixed\t1", which it no longer carries; every other line kept its bytes.
+CLI_MODEL_DIGESTS = {
+    "iolap_model.tsv": "3f32fc839571995fad29c5f6a67e4b381b76f286f2ff2b7c5ac4fab622b696ed",
+    "pcl_model.tsv": "e45089b9b63588908cff653a5cd16c5e8016de684042c9bb0648d3e101a9a0a4",
+    "idr.tsv": "fd42f9da62e30ee7748feba905605b5cc45ac46139de38f66a09cd863f2c9847",
+    "recall.tsv": "c04d34d54ffe538e5e92442d0457495fc5b18f86ea0082a9174ec1c7106879f2",
 }
 # sha256 of plsa_model.tsv at the same config and seed but n_topics = 8, where
 # numpy sums each nonzero's K topic terms pairwise, from the array-round
@@ -265,10 +277,10 @@ def test_cli_link_artifacts_digest(tmp_path):
     config = tmp_path / "pipeline.cfg"
     config.write_text(PIPELINE_CONFIG)
     out = tmp_path / "out"
-    for stage in ("synth", "ingest", "links", "causality", "influence", "topics", "split",
-                  "tensor", "pcldc", "report"):
+    for stage in PIPELINE_STAGES:
         assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "17"]) == 0
-    for pinned in (CLI_LINK_DIGESTS, CLI_MODEL_INPUT_DIGESTS, CLI_ACTIVITY_DIGESTS):
+    for pinned in (CLI_LINK_DIGESTS, CLI_MODEL_INPUT_DIGESTS, CLI_MODEL_DIGESTS,
+                   CLI_ACTIVITY_DIGESTS):
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
         assert digests == pinned
     k8 = tmp_path / "k8.cfg"
@@ -689,7 +701,7 @@ def test_model_inputs_match_dict_oracles(bodies, ends, cap, seed):
 
     tensor = build_influence_tensor(links, terms, cap)
     acc, bloggers, no_shared = _oracle_tensor(links, oracle.vectors)
-    assert tensor.to_dict() == acc and tensor.bloggers == bloggers
+    assert tensor_entries(tensor) == acc and tensor.bloggers == bloggers
     assert tensor.n_links_no_shared == no_shared and no_shared > 0
     assert tensor.n_terms == len(oracle.vocab)
     assert list(zip(tensor.influenced, tensor.influencer, tensor.term)) == sorted(acc)

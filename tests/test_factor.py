@@ -23,14 +23,27 @@ from blogfluence.factor import (
     write_pcl_model,
     write_pcldc_model,
 )
-from blogfluence.topics import TopicModel, fit_plsa
+from blogfluence.topics import fit_plsa
 
-from conftest import TermVector, doc_term, links_table, post_terms
+from conftest import (
+    TermVector,
+    doc_term,
+    links_table,
+    post_terms,
+    random_topics,
+    tensor_entries,
+    topic_model_of,
+)
 
 
 def _monotone(trace):
     trace = np.asarray(trace)
     return np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+
+
+def _names(content):
+    """Term names for the columns of a content matrix."""
+    return [f"w{i}" for i in range(content.shape[1])]
 
 
 def _links(*rows):
@@ -47,7 +60,7 @@ class TestBuildTensor:
         }
         tensor = build_influence_tensor(links, post_terms(vectors, 8), 8)
         assert tensor.bloggers == ["ua", "ub"]
-        assert tensor.to_dict() == {(0, 1, 1): 1, (0, 1, 3): 1}
+        assert tensor_entries(tensor) == {(0, 1, 1): 1, (0, 1, 3): 1}
 
     def test_accumulation(self):
         links = _links(("/a/q1", "/b/p1", "ua", "ub"), ("/a/q2", "/b/p2", "ua", "ub"))
@@ -58,7 +71,7 @@ class TestBuildTensor:
             "/b/p2": TermVector({1: 3}, 3),
         }
         tensor = build_influence_tensor(links, post_terms(vectors, 4), 4)
-        assert tensor.to_dict() == {(0, 1, 1): 2}
+        assert tensor_entries(tensor) == {(0, 1, 1): 2}
 
     def test_no_shared_terms_counted(self):
         links = _links(("/a/q", "/b/p", "ua", "ub"))
@@ -88,7 +101,7 @@ class TestBuildTensor:
             for k in set(vectors[l.q].entries) & set(vectors[l.p].entries):
                 key = (index[l.reader], index[l.author], k)
                 expected[key] = expected.get(key, 0) + 1
-        assert tensor.to_dict() == expected
+        assert tensor_entries(tensor) == expected
         assert tensor.total() == sum(expected.values())
 
 
@@ -110,8 +123,8 @@ def _random_tensor(seed, b=4, v=5, nnz=14):
     )
 
 
-def _dense_em_step(counts, core, x, y, z, free_z):
-    """One EM step on the dense tensor with plain einsums: the reference."""
+def _dense_em_step(counts, core, x, y, z):
+    """One EM step on the dense tensor with plain einsums, Z held: the reference."""
     prob = np.einsum("abc,ia,jb,kc->ijk", core, x, y, z, optimize=True)
     observed = counts > 0
     w = np.where(observed, counts / np.where(observed, prob, 1.0), 0.0)
@@ -119,14 +132,7 @@ def _dense_em_step(counts, core, x, y, z, free_z):
     core_new = core * np.einsum("ijk,ia,jb,kc->abc", w, x, y, z, optimize=True)
     x_num = x * np.einsum("ijk,abc,jb,kc->ia", w, core, y, z, optimize=True)
     y_num = y * np.einsum("ijk,abc,ia,kc->jb", w, core, x, z, optimize=True)
-    z_num = z * np.einsum("ijk,abc,ia,jb->kc", w, core, x, y, optimize=True)
-    return (
-        loglik,
-        core_new / core_new.sum(),
-        x_num / x_num.sum(axis=0),
-        y_num / y_num.sum(axis=0),
-        z_num / z_num.sum(axis=0) if free_z else z,
-    )
+    return loglik, core_new / core_new.sum(), x_num / x_num.sum(axis=0), y_num / y_num.sum(axis=0)
 
 
 class TestIolapEStepMatchesDenseReference:
@@ -171,69 +177,48 @@ class TestIolapEStepMatchesDenseReference:
             rng.dirichlet(np.ones(n_i * n_j * n_k)).reshape(self.RANKS),
             rng.dirichlet(np.ones(self.B), size=n_i).T,
             rng.dirichlet(np.ones(self.B), size=n_j).T,
-            rng.dirichlet(np.ones(self.V), size=n_k).T,
         )
-        return tensor, dense, init
+        return tensor, dense, init, topic_model_of(rng.dirichlet(np.ones(self.V), size=n_k).T)
 
-    def _check(self, model, dense, init, free_z):
-        loglik0, core, x, y, z = _dense_em_step(dense, *init, free_z)
-        loglik1 = _dense_em_step(dense, core, x, y, z, free_z)[0]
+    def _fit_one_step(self, layout):
+        tensor, dense, init, tm = self._case(layout)
+        model = fit_iolap(tensor, 2, 3, tm, max_iter=1, init=init)
+        z = topic_factors_from_model(tm)
+        assert np.array_equal(model.topic_factors, z)
+        loglik0, core, x, y = _dense_em_step(dense, *init, z)
+        loglik1 = _dense_em_step(dense, core, x, y, z)[0]
         assert model.loglik_trace == pytest.approx([loglik0, loglik1], rel=1e-12, abs=0)
         for got, want in ((model.core, core), (model.influenced_factors, x),
-                          (model.influencer_factors, y), (model.topic_factors, z)):
+                          (model.influencer_factors, y)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def _fit_one_step(self, layout, free_z):
-        tensor, dense, init = self._case(layout)
-        if free_z:
-            model = fit_iolap(tensor, 2, 3, n_topics=4, fix_topics=False, max_iter=1,
-                              init=init)
-        else:
-            tm = TopicModel(
-                n_topics=4, p_w_given_t=init[3].T, p_t=np.full(4, 0.25),
-                p_t_given_d=np.zeros((0, 4)), loglik_trace=[],
-                terms=[f"w{n:02d}" for n in range(self.V)], doc_ids=[],
-            )
-            model = fit_iolap(tensor, 2, 3, topic_model=tm, fix_topics=True, max_iter=1,
-                              init=init)
-            assert np.array_equal(model.topic_factors, init[3])
-        self._check(model, dense, init, free_z)
-
-    def test_free_topics(self):
-        self._fit_one_step("sorted", free_z=True)
-
     def test_fixed_topics(self):
-        self._fit_one_step("sorted", free_z=False)
+        self._fit_one_step("sorted")
 
-    @pytest.mark.parametrize("free_z", [False, True])
     @pytest.mark.parametrize("layout", ["shuffled", "one_pair", "one_per_pair"])
-    def test_pair_layout(self, layout, free_z):
-        self._fit_one_step(layout, free_z)
+    def test_pair_layout(self, layout):
+        self._fit_one_step(layout)
 
 
 class TestFitIolap:
     def test_converged_flag(self):
-        tensor = _random_tensor(5)
-        stopped = fit_iolap(tensor, 2, 2, n_topics=2, fix_topics=False, max_iter=500,
-                            tol=1e-4, seed=1)
+        tensor, tm = _random_tensor(5), random_topics(5, 5, 2)
+        stopped = fit_iolap(tensor, 2, 2, tm, max_iter=500, tol=1e-4, seed=1)
         assert stopped.converged
         assert len(stopped.loglik_trace) < 501
-        capped = fit_iolap(tensor, 2, 2, n_topics=2, fix_topics=False, max_iter=3,
-                           tol=0.0, seed=1)
+        capped = fit_iolap(tensor, 2, 2, tm, max_iter=3, tol=0.0, seed=1)
         assert not capped.converged
         assert len(capped.loglik_trace) == 4
 
     def test_rank_one_closed_form(self):
-        tensor = _random_tensor(3)
-        model = fit_iolap(tensor, 1, 1, n_topics=1, fix_topics=False, max_iter=5, seed=0)
+        tensor, tm = _random_tensor(3), random_topics(3, 5, 1)
+        model = fit_iolap(tensor, 1, 1, tm, max_iter=5, seed=0)
         total = tensor.total()
-        for factors, idx, size in (
-            (model.influenced_factors, tensor.influenced, 4),
-            (model.influencer_factors, tensor.influencer, 4),
-            (model.topic_factors, tensor.term, 5),
-        ):
-            marginal = np.bincount(idx, weights=tensor.counts, minlength=size) / total
+        for factors, idx in ((model.influenced_factors, tensor.influenced),
+                             (model.influencer_factors, tensor.influencer)):
+            marginal = np.bincount(idx, weights=tensor.counts, minlength=4) / total
             assert np.abs(factors[:, 0] - marginal).max() <= 1e-10
+        assert np.array_equal(model.topic_factors, topic_factors_from_model(tm))
         closed_form = float(
             tensor.counts
             @ np.log(
@@ -245,23 +230,19 @@ class TestFitIolap:
         assert model.loglik_trace[-1] == pytest.approx(closed_form, rel=1e-12)
 
     def test_monotone_trace(self):
-        model = fit_iolap(_random_tensor(5), 2, 2, n_topics=2, fix_topics=False,
-                          max_iter=60, seed=1)
+        model = fit_iolap(_random_tensor(5), 2, 2, random_topics(5, 5, 2), max_iter=60, seed=1)
         assert _monotone(model.loglik_trace)
 
     def test_fixed_topics_untouched(self):
         docs = {f"d{i}": TermVector({i % 5: 3, (i + 1) % 5: 1}, 4) for i in range(6)}
-        tm = fit_plsa(doc_term(docs, 5), 2, max_iter=30, seed=0,
-                      terms=[f"w{i}" for i in range(5)])
+        tm = fit_plsa(doc_term(docs, 5), 2, [f"w{i}" for i in range(5)], max_iter=30, seed=0)
         tensor = _random_tensor(7)
         expected = topic_factors_from_model(tm)
-        model = fit_iolap(tensor, 2, 2, topic_model=tm, fix_topics=True, max_iter=40, seed=2)
+        model = fit_iolap(tensor, 2, 2, tm, max_iter=40, seed=2)
         assert np.array_equal(model.topic_factors, expected)
-        assert model.topics_fixed
 
     def test_stochastic_constraints_hold(self):
-        model = fit_iolap(_random_tensor(9), 2, 3, n_topics=2, fix_topics=False,
-                          max_iter=40, seed=3)
+        model = fit_iolap(_random_tensor(9), 2, 3, random_topics(9, 5, 2), max_iter=40, seed=3)
         assert model.core.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(model.influenced_factors.sum(axis=0), 1.0, atol=1e-8)
         assert np.allclose(model.influencer_factors.sum(axis=0), 1.0, atol=1e-8)
@@ -277,12 +258,12 @@ class TestFitIolap:
             counts=np.array([]),
         )
         with pytest.raises(ValueError):
-            fit_iolap(empty, 1, 1, n_topics=1, fix_topics=False, seed=0)
+            fit_iolap(empty, 1, 1, random_topics(0, 1, 1), seed=0)
 
     def test_same_seed_bitwise(self):
-        t = _random_tensor(11)
-        a = fit_iolap(t, 2, 2, n_topics=2, fix_topics=False, max_iter=30, seed=5)
-        b = fit_iolap(t, 2, 2, n_topics=2, fix_topics=False, max_iter=30, seed=5)
+        t, tm = _random_tensor(11), random_topics(11, 5, 2)
+        a = fit_iolap(t, 2, 2, tm, max_iter=30, seed=5)
+        b = fit_iolap(t, 2, 2, tm, max_iter=30, seed=5)
         assert np.array_equal(a.core, b.core)
         assert a.loglik_trace == b.loglik_trace
 
@@ -292,10 +273,9 @@ class TestFitIolap:
         core0 = rng.dirichlet(np.ones(2 * 2 * 2)).reshape(2, 2, 2)
         x0 = rng.dirichlet(np.ones(5), size=2).T
         y0 = rng.dirichlet(np.ones(5), size=2).T
-        z0 = rng.dirichlet(np.ones(4), size=2).T
+        tm = topic_model_of(rng.dirichlet(np.ones(4), size=2).T)
         perm = np.array([3, 0, 4, 1, 2])
-        base = fit_iolap(tensor, 2, 2, n_topics=2, fix_topics=False, max_iter=25,
-                         seed=0, init=(core0, x0, y0, z0))
+        base = fit_iolap(tensor, 2, 2, tm, max_iter=25, init=(core0, x0, y0))
         permuted_tensor = InfluenceTensor(
             bloggers=[tensor.bloggers[i] for i in np.argsort(perm)],
             n_terms=4,
@@ -304,8 +284,9 @@ class TestFitIolap:
             term=tensor.term,
             counts=tensor.counts,
         )
-        permuted = fit_iolap(permuted_tensor, 2, 2, n_topics=2, fix_topics=False,
-                             max_iter=25, seed=0, init=(core0, x0[np.argsort(perm)], y0[np.argsort(perm)], z0))
+        unperm = np.argsort(perm)
+        permuted = fit_iolap(permuted_tensor, 2, 2, tm, max_iter=25,
+                             init=(core0, x0[unperm], y0[unperm]))
         assert np.allclose(permuted.influenced_factors[perm], base.influenced_factors)
         assert np.allclose(permuted.influencer_factors[perm], base.influencer_factors)
         assert np.allclose(permuted.core, base.core)
@@ -314,15 +295,14 @@ class TestFitIolap:
 class TestTopicInfluencers:
     def test_single_group_ranking_follows_factor(self):
         tensor = _random_tensor(15)
-        model = fit_iolap(tensor, 2, 1, n_topics=2, fix_topics=False, max_iter=30, seed=1)
+        model = fit_iolap(tensor, 2, 1, random_topics(15, 5, 2), max_iter=30, seed=1)
         ranked = iolap_topic_influencers(model, 0)
         col = model.influencer_factors[:, 0]
         expected = [model.bloggers[i] for i in sorted(range(4), key=lambda b: (-col[b], b))]
         assert [b for b, _ in ranked] == expected
 
     def test_scores_sum_to_one(self):
-        model = fit_iolap(_random_tensor(17), 2, 2, n_topics=3, fix_topics=False,
-                          max_iter=30, seed=2)
+        model = fit_iolap(_random_tensor(17), 2, 2, random_topics(17, 5, 3), max_iter=30, seed=2)
         for t in range(3):
             scores = [s for _, s in iolap_topic_influencers(model, t)]
             assert sum(scores) == pytest.approx(1.0, abs=1e-8)
@@ -347,10 +327,10 @@ class TestTopicInfluencers:
             term=np.array([k[2] for k in keys]),
             counts=np.array([weights[k] for k in keys]),
         )
-        model = fit_iolap(tensor, 2, 2, n_topics=2, fix_topics=False, max_iter=200, seed=4)
-        # identify the topic owning terms 3-4
-        specialist_topic = int(model.topic_factors[3:5, :].sum(axis=0).argmax())
-        ranked = iolap_topic_influencers(model, specialist_topic)
+        # topic 0 holds terms 0-2, topic 1 terms 3-4
+        topics = np.array([[0.4, 0.4, 0.2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5]]).T
+        model = fit_iolap(tensor, 2, 2, topic_model_of(topics), max_iter=200, seed=4)
+        ranked = iolap_topic_influencers(model, 1)
         assert ranked[0][0] == "u3"
 
 
@@ -384,7 +364,7 @@ class TestPcldc:
     def test_degenerate_two_node_objective_zero(self):
         graph = BloggerGraph.from_edge_weights({("a", "b"): 5.0})
         content = np.ones((2, 3)) / 3.0
-        model = fit_pcldc(graph, content, 1, max_iter=5, seed=0)
+        model = fit_pcldc(graph, content, 1, _names(content), max_iter=5, seed=0)
         assert model.objective_trace[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -423,14 +403,14 @@ class TestPcldc:
 
     def test_monotone_objective(self):
         graph, content = _planted_graph(4)
-        model = fit_pcldc(graph, content, 2, max_iter=25, seed=3)
+        model = fit_pcldc(graph, content, 2, _names(content), max_iter=25, seed=3)
         assert _monotone(model.objective_trace)
 
     def test_planted_communities_recovered(self):
         pure = 0.0
         for seed in range(5):
             graph, content = _planted_graph(seed + 20)
-            model = fit_pcldc(graph, content, 2, max_iter=40, seed=seed)
+            model = fit_pcldc(graph, content, 2, _names(content), max_iter=40, seed=seed)
             labels = model.memberships.argmax(axis=1)
             truth = np.array([0 if int(n[1:]) < 8 else 1 for n in model.nodes])
             agreement = (labels == truth).mean()
@@ -442,7 +422,7 @@ class TestPcl:
     def test_k1_matches_pcldc(self):
         graph, content = _planted_graph(5, n_per=3)
         pcl = fit_pcl(graph, 1, max_iter=10, seed=0)
-        pcldc = fit_pcldc(graph, content, 1, max_iter=10, seed=0)
+        pcldc = fit_pcldc(graph, content, 1, _names(content), max_iter=10, seed=0)
         assert pcl.objective_trace[-1] == pytest.approx(pcldc.objective_trace[-1], rel=1e-9)
 
     def test_monotone_objective(self):
@@ -475,8 +455,9 @@ class TestPcl:
             train = BloggerGraph.from_edge_weights(train_edges)
             index = {n: i for i, n in enumerate(train.nodes)}
             rows = [index[graph.nodes[a]] for a, b in test_edges if graph.nodes[a] in index]
-            content_rows = content[[graph.node_index[n] for n in train.nodes]]
-            pcldc = fit_pcldc(train, content_rows, 2, max_iter=40, seed=seed)
+            row_of = {n: i for i, n in enumerate(graph.nodes)}
+            content_rows = content[[row_of[n] for n in train.nodes]]
+            pcldc = fit_pcldc(train, content_rows, 2, _names(content), max_iter=40, seed=seed)
             pcl = fit_pcl(train, 2, max_iter=80, seed=seed)
 
             def mean_loglik(y, bpop):
@@ -548,8 +529,7 @@ def test_membership_bisection_stops_at_the_100_step_answer(seed):
 
 class TestModelRoundTrips:
     def test_iolap(self, tmp_path):
-        model = fit_iolap(_random_tensor(21), 2, 2, n_topics=2, fix_topics=False,
-                          max_iter=20, seed=0)
+        model = fit_iolap(_random_tensor(21), 2, 2, random_topics(21, 5, 2), max_iter=20, seed=0)
         path = tmp_path / "m.tsv"
         write_iolap_model(model, path, "# h")
         loaded = read_iolap_model(path)
@@ -559,8 +539,7 @@ class TestModelRoundTrips:
 
     def test_pcldc_and_pcl(self, tmp_path):
         graph, content = _planted_graph(8, n_per=3)
-        model = fit_pcldc(graph, content, 2, max_iter=10, seed=0,
-                          terms=[f"w{i}" for i in range(6)])
+        model = fit_pcldc(graph, content, 2, _names(content), max_iter=10, seed=0)
         write_pcldc_model(model, tmp_path / "p.tsv", "# h")
         loaded = read_pcldc_model(tmp_path / "p.tsv")
         assert np.array_equal(loaded.memberships, model.memberships)
@@ -575,7 +554,7 @@ class TestModelRoundTrips:
 
 def test_pcldc_topic_influencers_ranking():
     graph, content = _planted_graph(9, n_per=3)
-    model = fit_pcldc(graph, content, 2, max_iter=20, seed=1)
+    model = fit_pcldc(graph, content, 2, _names(content), max_iter=20, seed=1)
     for k in range(2):
         ranked = pcldc_topic_influencers(model, k)
         scores = model.memberships[:, k] * model.popularity

@@ -43,7 +43,7 @@ def _grouped_docs(seed, n_docs=40, words_per_group=5, tokens=30):
 class TestFitPlsa:
     def test_single_topic_matches_global_frequencies(self):
         vecs = {"d1": TermVector({0: 2, 1: 1}, 3), "d2": TermVector({1: 3, 2: 1}, 4)}
-        model = fit_plsa(doc_term(vecs, 3), 1, max_iter=30, seed=0)
+        model = fit_plsa(doc_term(vecs, 3), 1, ["w0", "w1", "w2"], max_iter=30, seed=0)
         expected = np.array([2, 4, 1]) / 7.0
         assert np.abs(model.p_w_given_t[0] - expected).max() <= 1e-10
 
@@ -90,9 +90,9 @@ class TestFitPlsa:
         docs, terms = _grouped_docs(6, n_docs=4)
         dt = doc_term(docs, len(terms))
         with pytest.raises(ValueError):
-            fit_plsa(dt, 5, seed=0)  # more topics than documents
+            fit_plsa(dt, 5, terms, seed=0)  # more topics than documents
         with pytest.raises(ValueError):
-            fit_plsa(doc_term({}, 3), 1, seed=0)
+            fit_plsa(doc_term({}, 3), 1, ["w0", "w1", "w2"], seed=0)
 
     def test_same_seed_reproduces(self):
         docs, terms = _grouped_docs(7)
@@ -218,7 +218,8 @@ def _random_doc_term(seed, n_docs, n_terms, density):
 def test_fit_plsa_is_bit_identical_to_the_nnz_major_loop(n_topics, seed, extra_docs, n_terms,
                                                        density, max_iter, tol):
     dt = _random_doc_term(seed, n_topics + extra_docs, n_terms, density)
-    model = fit_plsa(dt, n_topics, max_iter=max_iter, tol=tol, seed=seed)
+    model = fit_plsa(dt, n_topics, [f"w{i}" for i in range(n_terms)], max_iter=max_iter,
+                     tol=tol, seed=seed)
     word_topic, p_t, doc_topic, trace = fit_plsa_nnz_major(dt, n_topics, max_iter, tol, seed)
     assert np.array_equal(model.p_w_given_t, word_topic)
     assert np.array_equal(model.p_t, p_t)
@@ -238,7 +239,7 @@ def test_row_sum_is_numpys_row_sum():
 _TRACES_SCRIPT = """
 import numpy as np
 from blogfluence.factor import InfluenceTensor, fit_iolap
-from blogfluence.topics import DocTermMatrix, fit_plsa
+from blogfluence.topics import DocTermMatrix, TopicModel, fit_plsa
 rng = np.random.default_rng(0)
 n_docs, n_terms, per_doc = 2000, 1000, 60
 rows = np.repeat(np.arange(n_docs), per_doc)
@@ -247,13 +248,15 @@ cols = np.concatenate([np.sort(rng.choice(n_terms, per_doc, replace=False))
 counts = rng.integers(1, 5, rows.size).astype(float)
 docs = DocTermMatrix([f"d{i:05d}" for i in range(n_docs)], n_terms, rows, cols, counts,
                      np.bincount(rows, weights=counts))
-print(repr(fit_plsa(docs, 8, max_iter=4, seed=1).loglik_trace))
+terms = [f"w{i}" for i in range(n_terms)]
+print(repr(fit_plsa(docs, 8, terms, max_iter=4, seed=1).loglik_trace))
 keys = np.unique(rng.integers(0, [300, 300, 1000], size=(120000, 3)), axis=0)
 keys = keys[keys[:, 0] != keys[:, 1]]
 tensor = InfluenceTensor([f"u{i}" for i in range(300)], 1000, keys[:, 0], keys[:, 1],
                          keys[:, 2], rng.integers(1, 5, len(keys)).astype(float))
-print(len(keys), repr(fit_iolap(tensor, 8, 8, n_topics=8, fix_topics=False, max_iter=4,
-                                seed=1).loglik_trace))
+topics = TopicModel(8, rng.dirichlet(np.ones(n_terms), 8), np.full(8, 0.125), np.zeros((0, 8)),
+                    [], terms, [])
+print(len(keys), repr(fit_iolap(tensor, 8, 8, topics, max_iter=4, seed=1).loglik_trace))
 """
 
 
