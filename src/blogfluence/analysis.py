@@ -139,12 +139,12 @@ def read_split(train_path: str, test_path: str) -> TrainTestSplit:
 # recommenders
 
 @lru_cache(maxsize=8)
-def _term_index(terms: tuple[str, ...]) -> dict[str, int]:
-    return {t: i for i, t in enumerate(terms)}
+def _index(names: tuple[str, ...]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
 
 
 def _keyword_indices(terms: Sequence[str], keywords: Iterable[str]) -> list[int]:
-    index = _term_index(tuple(terms))  # built once per model vocabulary
+    index = _index(tuple(terms))  # built once per model vocabulary
     found = sorted({index[w] for w in keywords if w in index})
     if not found:
         raise UnanswerableQuery("no query keyword is in the model vocabulary")
@@ -164,19 +164,34 @@ def topic_posterior(topic_model: TopicModel, keywords: Iterable[str]) -> np.ndar
     return post / post.sum()
 
 
+def _member(bloggers: Sequence[str], member: str) -> int:
+    try:
+        return _index(tuple(bloggers))[member]
+    except KeyError:
+        raise KeyError(f"unknown member {member!r}") from None
+
+
+def _candidates(bloggers: Sequence[str], exclude: Iterable[str]) -> np.ndarray:
+    """Which of ``bloggers`` are not in ``exclude``, as a mask."""
+    index = _index(tuple(bloggers))  # built once per model
+    mask = np.ones(len(bloggers), dtype=bool)
+    mask[[index[b] for b in set(exclude) if b in index]] = False
+    return mask
+
+
 def _rank_candidates(
-    bloggers: Sequence[str], scores: np.ndarray, exclude: set[str], n: int
+    bloggers: Sequence[str], scores: np.ndarray, candidates: np.ndarray, n: int
 ) -> list[tuple[str, float]]:
-    candidates = [i for i, b in enumerate(bloggers) if b not in exclude]
-    if not candidates:
+    candidates = np.flatnonzero(candidates)  # ascending, so the total sums in index order
+    if not candidates.size:
         return []
     total = float(scores[candidates].sum())
     if total > 0:
         normalized = scores / total
     else:
-        normalized = np.full(len(bloggers), 1.0 / len(candidates))
+        normalized = np.full(len(bloggers), 1.0 / candidates.size)
     # Stable: equal scores keep ascending blogger index.
-    ranked = np.array(candidates)[np.argsort(-normalized[candidates], kind="stable")[:n]]
+    ranked = candidates[np.argsort(-normalized[candidates], kind="stable")[:n]]
     return [(bloggers[i], float(normalized[i])) for i in ranked.tolist()]
 
 
@@ -203,7 +218,8 @@ def recommend_tg(
         raise ValueError("tensor model and topic model disagree on topic count")
     post = topic_posterior(topic_model, keywords)
     scores = influencer_topic_matrix(iolap_model) @ post
-    return _rank_candidates(iolap_model.bloggers, scores, set(exclude), n)
+    bloggers = iolap_model.bloggers
+    return _rank_candidates(bloggers, scores, _candidates(bloggers, exclude), n)
 
 
 def recommend_iolap(
@@ -215,25 +231,22 @@ def recommend_iolap(
 ) -> list[tuple[str, float]]:
     """Personalized ranking from the joint tensor model: score(B) is the
     model mass on (member, B, w) summed over the query keywords."""
-    try:
-        a = model.bloggers.index(member)
-    except ValueError:
-        raise KeyError(f"unknown member {member!r}") from None
+    a = _member(model.bloggers, member)
     kw = _keyword_indices(model.terms, keywords)
     term_mass = model.topic_factors[kw, :].sum(axis=0)  # (K,)
     member_core = np.einsum("a,abc->bc", model.influenced_factors[a], model.core)
     scores = model.influencer_factors @ (member_core @ term_mass)
-    return _rank_candidates(model.bloggers, scores, set(exclude), n)
+    return _rank_candidates(model.bloggers, scores, _candidates(model.bloggers, exclude), n)
 
 
-def _pcl_family_scores(
-    model: PcldcModel | PclModel, community_posterior: np.ndarray, exclude: set[str]
-) -> np.ndarray:
-    candidates = np.array([b not in exclude for b in model.nodes])
+def _pcl_family_ranking(
+    model: PcldcModel | PclModel, community_posterior: np.ndarray, exclude: Iterable[str], n: int
+) -> list[tuple[str, float]]:
+    candidates = _candidates(model.nodes, exclude)
     weighted = model.memberships * model.popularity[:, None]  # (b, K)
     denom = (weighted * candidates[:, None]).sum(axis=0)
     frac = np.divide(weighted, denom, out=np.zeros_like(weighted), where=denom > 0)
-    return frac @ community_posterior
+    return _rank_candidates(model.nodes, frac @ community_posterior, candidates, n)
 
 
 def recommend_pcldc(
@@ -250,10 +263,7 @@ def recommend_pcldc(
     over the vocabulary); candidates are then scored by their
     membership-weighted popularity within each community.
     """
-    try:
-        a = model.nodes.index(member)
-    except ValueError:
-        raise KeyError(f"unknown member {member!r}") from None
+    a = _member(model.nodes, member)
     kw = _keyword_indices(model.terms, keywords)
     logits = model.content_weights - model.content_weights.max(axis=0, keepdims=True)
     log_norm = np.log(np.exp(logits).sum(axis=0))
@@ -265,8 +275,7 @@ def recommend_pcldc(
         raise UnanswerableQuery("query keywords have zero weight in every community")
     post = np.exp(log_post - shift)
     post /= post.sum()
-    scores = _pcl_family_scores(model, post, set(exclude))
-    return _rank_candidates(model.nodes, scores, set(exclude), n)
+    return _pcl_family_ranking(model, post, exclude, n)
 
 
 def recommend_pcl(
@@ -278,13 +287,9 @@ def recommend_pcl(
 ) -> list[tuple[str, float]]:
     """Content-free variant: the community posterior is the member's
     membership row alone, so the keywords cannot steer the ranking."""
-    try:
-        a = model.nodes.index(member)
-    except ValueError:
-        raise KeyError(f"unknown member {member!r}") from None
+    a = _member(model.nodes, member)
     post = model.memberships[a] / model.memberships[a].sum()
-    scores = _pcl_family_scores(model, post, set(exclude))
-    return _rank_candidates(model.nodes, scores, set(exclude), n)
+    return _pcl_family_ranking(model, post, exclude, n)
 
 
 Recommender = Callable[[str, list[str], int, set[str]], list[tuple[str, float]]]

@@ -59,7 +59,7 @@ from blogfluence.corpus import (
     parse_content_file,
 )
 from blogfluence.pipeline import STAGE_SEED, build_vectors
-from blogfluence.textvec import PostTerms, write_vocabulary
+from blogfluence.textvec import PostTerms
 
 
 class ConfigError(Exception):
@@ -84,7 +84,7 @@ class PipelineConfig:
     iolap_max_iter: int = 200
     pcldc_max_iter: int = 60
     pcl_max_iter: int = 200
-    tol: float = 1e-7
+    tol: float = topics.DEFAULT_TOL
     l2: float = 0.0
     top_n: int = 10
     seed: int = 0
@@ -169,6 +169,12 @@ def _post_terms(cfg: PipelineConfig) -> PostTerms:
     return textvec.read_post_terms(_path(cfg, "post_terms.tsv"))
 
 
+def _topic_model(cfg: PipelineConfig) -> topics.TopicModel:
+    """plsa_model.tsv, its terms checked against the vocabulary of post_terms.tsv."""
+    terms = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
+    return topics.read_topic_model(_path(cfg, "plsa_model.tsv"), terms)
+
+
 def _read_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int]:
     """links.tsv and the number of its links that carry a similarity."""
     net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
@@ -248,11 +254,9 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
 
 def cmd_causality(cfg: PipelineConfig, args, header: str) -> str:
     net, n_scored = _read_links(cfg)
-    vocab = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
     rng = np.random.default_rng([cfg.seed, STAGE_SEED["causality"]])
     forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
     reversed_ = causality.reversed_z_test(net, rng, cfg.min_bucket_n)
-    write_vocabulary(vocab, _path(cfg, "vocab.tsv"), header)
     causality.write_zreport_tsv(forward, _path(cfg, "zreport_forward.tsv"), header)
     causality.write_zreport_tsv(reversed_, _path(cfg, "zreport_reversed.tsv"), header)
     sig_f = [b.bucket for b in forward.available() if b.one_sided_significant]
@@ -311,9 +315,8 @@ def cmd_tensor(cfg: PipelineConfig, args, header: str) -> str:
 
 
 def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
-    vocab = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
+    topic_model = _topic_model(cfg)
     tensor = factor.read_tensor_tsv(_path(cfg, "tensor.tsv"))
-    topic_model = topics.read_topic_model(_path(cfg, "plsa_model.tsv"), vocab.terms)
     try:
         model = factor.fit_iolap(
             tensor,
@@ -367,31 +370,28 @@ def cmd_pcl(cfg: PipelineConfig, args, header: str) -> str:
 
 
 def cmd_idr(cfg: PipelineConfig, args, header: str) -> str:
-    iolap_model = factor.read_iolap_model(_path(cfg, "iolap_model.tsv"))
+    iolap_model = factor.read_iolap_model(_path(cfg, "iolap_model.tsv"), _topic_model(cfg))
     pcldc_model = factor.read_pcldc_model(_path(cfg, "pcldc_model.tsv"))
     if iolap_model.n_topics < 2 or pcldc_model.n_communities < 2:
         raise ConfigError("diversity needs at least two topics")
-    rows = []
-    rankings = [
-        factor.iolap_topic_influencers(iolap_model, t) for t in range(iolap_model.n_topics)
-    ]
-    for n, value in analysis.idr_curve(rankings, cfg.top_n):
-        rows.append(("iolap", n, value))
-    rankings = [
-        factor.pcldc_topic_influencers(pcldc_model, k) for k in range(pcldc_model.n_communities)
-    ]
-    for n, value in analysis.idr_curve(rankings, cfg.top_n):
-        rows.append(("pcldc", n, value))
+    rankings = {
+        "iolap": [factor.iolap_topic_influencers(iolap_model, t)
+                  for t in range(iolap_model.n_topics)],
+        "pcldc": [factor.pcldc_topic_influencers(pcldc_model, k)
+                  for k in range(pcldc_model.n_communities)],
+    }
+    rows = [(method, n, value) for method, ranking in rankings.items()
+            for n, value in analysis.idr_curve(ranking, cfg.top_n)]
     artifacts.write_rows(_path(cfg, "idr.tsv"), header, rows, ("method", "N", "idr"))
     return f"idr: {len(rows)} rows for methods iolap, pcldc -> {_path(cfg, 'idr.tsv')}"
 
 
 def _recommenders(cfg: PipelineConfig):
     """The four recommenders over the fitted models, all read from artifacts first."""
-    vocab = textvec.read_vocabulary(_path(cfg, "post_terms.tsv"), cfg.vocab_max_size)
+    topic_model = _topic_model(cfg)
     return analysis.recommenders(
-        factor.read_iolap_model(_path(cfg, "iolap_model.tsv")),
-        topics.read_topic_model(_path(cfg, "plsa_model.tsv"), vocab.terms),
+        factor.read_iolap_model(_path(cfg, "iolap_model.tsv"), topic_model),
+        topic_model,
         factor.read_pcldc_model(_path(cfg, "pcldc_model.tsv")),
         factor.read_pcl_model(_path(cfg, "pcl_model.tsv")),
     )
@@ -512,7 +512,7 @@ STAGES = {
     "synth": Stage(cmd_synth, (), _SYNTH_KEYS),
     "ingest": Stage(cmd_ingest, (), ("window_hours",)),
     "links": Stage(cmd_links, ("activity.tsv", "post_terms.tsv"), ("vocab_max_size", "min_tokens")),
-    "causality": Stage(cmd_causality, ("links.tsv", "post_terms.tsv"), ("min_bucket_n",)),
+    "causality": Stage(cmd_causality, ("links.tsv",), ("min_bucket_n",)),
     "influence": Stage(cmd_influence, ("links.tsv",), ("tau_hours",)),
     "topics": Stage(cmd_topics, ("post_terms.tsv", "influence.tsv"),
                     ("n_topics", "plsa_max_iter", "tol")),
@@ -523,7 +523,8 @@ STAGES = {
     "pcldc": Stage(cmd_pcldc, ("post_terms.tsv", "influence.tsv", *_SPLIT),
                    ("n_topics", "pcldc_max_iter", "tol", "l2")),
     "pcl": Stage(cmd_pcl, ("influence.tsv", *_SPLIT), ("n_topics", "pcl_max_iter", "tol")),
-    "idr": Stage(cmd_idr, ("iolap_model.tsv", "pcldc_model.tsv"), ("top_n",)),
+    "idr": Stage(cmd_idr, ("post_terms.tsv", "plsa_model.tsv", "iolap_model.tsv",
+                           "pcldc_model.tsv"), ("top_n",)),
     "recommend": Stage(cmd_recommend, (*_MODELS, *_SPLIT, "influence.tsv?"), ("top_n",)),
     "eval": Stage(cmd_eval, ("train.tsv", "test.tsv", *_MODELS), ("top_n",)),
     "report": Stage(cmd_report, ("activity.tsv", *(f"{name}?" for name in _BUNDLED),

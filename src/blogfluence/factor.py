@@ -27,9 +27,7 @@ from blogfluence import artifacts
 from blogfluence.corpus import FormatError, distinct
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, shared_terms
-from blogfluence.topics import TopicModel, scatter_rows
-
-DEFAULT_TOL = 1e-7
+from blogfluence.topics import DEFAULT_TOL, TopicModel, scatter_rows
 
 
 # --------------------------------------------------------------------------
@@ -621,28 +619,34 @@ def write_iolap_model(model: IolapModel, path: str, header: str | None = None) -
         "core": ((a, b, c, v) for (a, b, c), v in np.ndenumerate(model.core)),
         "influenced_factors": artifacts.matrix_rows(model.bloggers, model.influenced_factors),
         "influencer_factors": artifacts.matrix_rows(model.bloggers, model.influencer_factors),
-        "topic_factors": artifacts.matrix_rows(model.terms, model.topic_factors),
     })
 
 
-def read_iolap_model(path: str) -> IolapModel:
+def read_iolap_model(path: str, topic_model: TopicModel) -> IolapModel:
+    """The model ``write_iolap_model`` wrote, its keyword factor and terms
+    rebuilt from ``topic_model``, the topics it was fitted with."""
     sections = artifacts.read_sections(path, {
         "meta": {"shape": (int, int, int)},
         "core": [int, int, int, float],
         "influenced_factors": artifacts.MATRIX,
         "influencer_factors": artifacts.MATRIX,
-        "topic_factors": artifacts.MATRIX,
     })
-    core = np.zeros(sections["meta"]["shape"])
+    shape = tuple(sections["meta"]["shape"])
+    if min(shape) < 1 or shape[2] != topic_model.n_topics:
+        raise FormatError(f"{path}: [meta] shape {shape} needs I, J >= 1 and K = "
+                          f"{topic_model.n_topics}, the topic model's topic count")
+    core = np.zeros(shape)
     *at, value = sections["core"]
     for axis, name in enumerate(("core influenced", "core influencer", "core topic")):
-        artifacts.check_indices(path, name, at[axis], core.shape[axis])
+        artifacts.check_indices(path, name, at[axis], shape[axis])
+    if not np.array_equal(np.sort(np.ravel_multi_index(at, shape)), np.arange(core.size)):
+        raise FormatError(f"{path}: [core] needs each of the {core.size} cells of [meta] "
+                          "shape exactly once")
     core[tuple(at)] = value
     bloggers, x_fac = artifacts.labelled_matrix(*sections["influenced_factors"], path=path)
     _, y_fac = artifacts.labelled_matrix(*sections["influencer_factors"], bloggers, path)
-    terms, z_fac = artifacts.labelled_matrix(*sections["topic_factors"], path=path)
-    for name, fac, width in zip(("influenced_factors", "influencer_factors", "topic_factors"),
-                                (x_fac, y_fac, z_fac), core.shape):
+    for name, fac, width in zip(("influenced_factors", "influencer_factors"), (x_fac, y_fac),
+                                shape):
         if fac.shape[1] != width:
             raise FormatError(f"{path}: [{name}] has width {fac.shape[1]}, "
                               f"[meta] shape needs {width}")
@@ -650,10 +654,10 @@ def read_iolap_model(path: str) -> IolapModel:
         core=core,
         influenced_factors=x_fac,
         influencer_factors=y_fac,
-        topic_factors=z_fac,
+        topic_factors=topic_factors_from_model(topic_model),
         loglik_trace=[],
         bloggers=bloggers,
-        terms=terms,
+        terms=list(topic_model.terms),
     )
 
 

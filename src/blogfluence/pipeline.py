@@ -101,7 +101,7 @@ def fit_topics(terms: PostTerms, max_size: int, urls: Iterable[str], n_topics: i
     """PLSA over the posts ``urls`` that keep at least one token of the
     ``max_size``-term vocabulary."""
     doc_term = topics.build_doc_term(terms, max_size, urls)
-    return topics.fit_plsa(doc_term, n_topics, terms.vocabulary(max_size).terms,
+    return topics.fit_plsa(doc_term, n_topics, terms.vocabulary(max_size),
                            max_iter=max_iter, tol=tol, seed=seed)
 
 
@@ -116,7 +116,7 @@ def fit_pcldc_model(graph: factor.BloggerGraph, terms: PostTerms, max_size: int,
     """pcldc on ``graph``, each blogger's content summed over their posts'
     counts of the ``max_size``-term vocabulary."""
     content = factor.blogger_content_matrix(graph.nodes, terms, max_size)
-    return factor.fit_pcldc(graph, content, n_communities, terms.vocabulary(max_size).terms,
+    return factor.fit_pcldc(graph, content, n_communities, terms.vocabulary(max_size),
                             max_iter=max_iter, tol=tol, l2=l2, seed=seed)
 
 
@@ -139,7 +139,7 @@ def recommendation_recall(
                   for restart in range(3)]
     iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
     graph = blogger_graph(links)
-    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, factor.DEFAULT_TOL, 0.0,
+    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, topics.DEFAULT_TOL, 0.0,
                             [seed, STAGE_SEED["pcldc"]])
     pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, STAGE_SEED["pcl"]])
     methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)

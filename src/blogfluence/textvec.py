@@ -38,19 +38,6 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass
-class Vocabulary:
-    terms: list[str]
-    doc_freq: list[int]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def write_vocabulary(vocab: Vocabulary, path: str, header: str | None = None) -> None:
-    artifacts.write_rows(path, header, zip(vocab.terms, vocab.doc_freq))
-
-
-@dataclass
 class PostTerms:
     """Every post's counts of every distinct token, from one tokenization.
 
@@ -61,12 +48,11 @@ class PostTerms:
     posts: list[tuple[str, str]]  # (url, author) in url order
     entries: np.ndarray  # (n, 3) int64 rows: post index, term rank, count
 
-    def vocabulary(self, max_size: int) -> Vocabulary:
+    def vocabulary(self, max_size: int) -> list[str]:
         """The ``max_size`` terms of highest document frequency, ties by term."""
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
-        return Vocabulary([t for t, _ in self.terms[:max_size]],
-                          [df for _, df in self.terms[:max_size]])
+        return [t for t, _ in self.terms[:max_size]]
 
     def capped(self, max_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The post, term and count columns of the entries whose term is in
@@ -168,12 +154,12 @@ def _check_ranking(path: str, terms: list[str], doc_freq: np.ndarray) -> None:
                           "ties by ascending term, each term once")
 
 
-def read_vocabulary(path: str, max_size: int) -> Vocabulary:
+def read_vocabulary(path: str, max_size: int) -> list[str]:
     """``read_post_terms(path).vocabulary(max_size)``, read up to ``[posts]``."""
     head = artifacts.read_text(path, until="[posts]")
     terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int]})["terms"]
     _check_ranking(path, terms, doc_freq)
-    return Vocabulary(terms[:max_size], doc_freq[:max_size].tolist())
+    return terms[:max_size]
 
 
 def read_post_terms(path: str) -> PostTerms:

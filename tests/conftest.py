@@ -34,7 +34,7 @@ from blogfluence.synth import (
 )
 from blogfluence import causality
 from blogfluence.implicit import Links
-from blogfluence.textvec import PostTerms, Vocabulary, tokenize
+from blogfluence.textvec import PostTerms, tokenize
 from blogfluence.topics import TopicModel, build_doc_term
 
 # 2008-09-01T00:00:00Z, a Monday.
@@ -367,6 +367,17 @@ class TermVector:
 
 
 @dataclass
+class Vocabulary:
+    """A capped vocabulary's terms and their document frequencies."""
+
+    terms: list[str]
+    doc_freq: list[int]
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+@dataclass
 class VectorSpace:
     vocab: Vocabulary
     vectors: dict[str, TermVector]  # post url -> term vector, in url order
@@ -388,7 +399,8 @@ def space(terms, max_size):
     for (url, _), lo, hi in zip(terms.posts, bounds, bounds[1:]):
         entries = dict(zip(term[lo:hi], count[lo:hi]))
         vectors[url] = TermVector(entries, sum(entries.values()))
-    return VectorSpace(terms.vocabulary(max_size), vectors, dict(terms.posts))
+    vocab = Vocabulary(terms.vocabulary(max_size), [df for _, df in terms.terms[:max_size]])
+    return VectorSpace(vocab, vectors, dict(terms.posts))
 
 
 def post_terms(vectors, n_terms, authors=None):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from blogfluence.analysis import (
     TrainTestSplit,
+    _candidates,
     _rank_candidates,
     UnanswerableQuery,
     idr,
@@ -279,13 +280,13 @@ class TestRankCandidates:
         bloggers = [f"b{i}" for i in range(len(scores))]
         scores = np.array(scores)
         for n in (1, 3, 8, 20):
-            got = _rank_candidates(bloggers, scores, exclude, n)
+            got = _rank_candidates(bloggers, scores, _candidates(bloggers, exclude), n)
             assert [(b, repr(s)) for b, s in got] == [
                 (b, repr(s)) for b, s in self._sorted_ranking(bloggers, scores, exclude, n)
             ]
 
     def test_no_candidates(self):
-        assert _rank_candidates(["b0"], np.array([1.0]), {"b0"}, 3) == []
+        assert _rank_candidates(["b0"], np.array([1.0]), _candidates(["b0"], {"b0"}), 3) == []
 
 
 class TestRecommenders:

@@ -37,10 +37,8 @@ from blogfluence.implicit import (
 from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
 from blogfluence.textvec import (
     PostTerms,
-    Vocabulary,
     read_post_terms,
     write_post_terms,
-    write_vocabulary,
 )
 from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
 
@@ -49,11 +47,15 @@ from conftest import AccessRecord, BlogPost, TermVector, activity_of, links_tabl
 TENSOR = InfluenceTensor(
     ["ua", "ub"], 3, np.array([0, 1]), np.array([1, 0]), np.array([2, 0]), np.array([2.0, 1.0])
 )
+# The one topic an iolap model is read with; it rebuilds the keyword factor.
+IOLAP_TOPICS = TopicModel(
+    1, np.array([[0.25, 0.75]]), np.array([1.0]), np.zeros((0, 1)), [], ["alpha", "beta"], [],
+)
 IOLAP = IolapModel(
     core=np.array([[[0.25], [0.75]]]),
     influenced_factors=np.array([[0.5], [0.5]]),
     influencer_factors=np.array([[0.1, 0.9], [0.9, 0.1]]),
-    topic_factors=np.array([[1 / 3], [2 / 3]]),
+    topic_factors=np.array([[0.25], [0.75]]),
     loglik_trace=[],
     bloggers=["ua", "ub"],
     terms=["alpha", "beta"],
@@ -96,7 +98,6 @@ ZREPORT = ZReport(
     ],
     5, 1,
 )
-VOCAB = Vocabulary(["alpha", "beta"], [3, 1])
 POST_TERMS = PostTerms(
     [("beta", 2), ("alpha", 1), ("gamma", 1)], [("/ua/p1", "ua"), ("/ub/p1", "ub"), ("/ub/p2", "ub")],
     np.array([[0, 1, 2], [0, 0, 1], [1, 0, 3], [1, 2, 1]]),
@@ -118,12 +119,11 @@ CASES = {
         "# h\n[bloggers]\nua\nub\n[dims]\nn_terms\t3\n[entries]\n0\t1\t2\t2\n1\t0\t0\t1\n",
     ),
     "iolap": (
-        IOLAP, write_iolap_model, read_iolap_model,
+        IOLAP, write_iolap_model, lambda p: read_iolap_model(p, IOLAP_TOPICS),
         "# h\n[meta]\nshape\t1\t2\t1\n"
         "[core]\n0\t0\t0\t0.25\n0\t1\t0\t0.75\n"
         "[influenced_factors]\nua\t0\t0.5\nub\t0\t0.5\n"
-        "[influencer_factors]\nua\t0\t0.1\nua\t1\t0.9\nub\t0\t0.9\nub\t1\t0.1\n"
-        "[topic_factors]\nalpha\t0\t0.3333333333333333\nbeta\t0\t0.6666666666666666\n",
+        "[influencer_factors]\nua\t0\t0.1\nua\t1\t0.9\nub\t0\t0.9\nub\t1\t0.1\n",
     ),
     "pcldc": (
         PCLDC, write_pcldc_model, read_pcldc_model,
@@ -170,7 +170,6 @@ CASES = {
         "1\t40\t30\t0.75\t0.4330127018922193\t3.6514837167011076\tone,two\n"
         "2\t0\t0\tnan\tnan\tnan\tunavailable\n3\t31\t31\t1.0\t0.0\tinf\tone,two\n",
     ),
-    "vocab": (VOCAB, write_vocabulary, None, "# h\nalpha\t3\nbeta\t1\n"),
     "post_terms": (
         POST_TERMS, write_post_terms, read_post_terms,
         "# h\n[terms]\nbeta\t2\nalpha\t1\ngamma\t1\n[posts]\n/ua/p1\tua\n/ub/p1\tub\n/ub/p2\tub\n"
@@ -329,6 +328,14 @@ _TAIL = st.text(st.sampled_from("0123456789 -+._e#[]\t\r\x0b\x1c\u3000\u0663naif
 _DAMAGE = st.one_of(_TAIL, st.tuples(st.integers(-9, 99), _TAIL).map("{0[0]}{0[1]}".format))
 
 
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_int_columns_refuse_the_separators_that_int_refuses(separator):
+    """np.loadtxt reads the separators \\x1c-\\x1f as space; the row reader
+    refuses them, and so the column reader does too."""
+    with pytest.raises(FormatError, match="t.tsv:3: invalid literal for int()"):
+        artifacts.parse_sections("t.tsv", f"[t]\n1\t2\n0{separator}\t3\n", {"t": [int, int]})
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), types=st.one_of(  # half of the tables of int fields only
     st.lists(st.just(int), min_size=1, max_size=4),
@@ -474,14 +481,21 @@ def test_tensor_index_out_of_range(tmp_path, old, new, message):
         ("0\t1\t0\t0.75\n", "0\t2\t0\t0.75\n", "m.tsv: core influencer index 2 is outside [0, 2)"),
         ("0\t1\t0\t0.75\n", "0\t1\t-1\t0.75\n", "m.tsv: core topic index -1 is outside [0, 1)"),
         ("ub\t1\t0.1\n", "ub\t-1\t0.1\n", "m.tsv: matrix column -1 is negative"),
+        # a cell listed twice, none missing from the row count; a shape of no
+        # cells, or of other topics than the topic model's
+        ("0\t1\t0\t0.75\n", "0\t0\t0\t0.75\n", "m.tsv: [core] needs each of the 2 cells"),
+        ("shape\t1\t2\t1\n", "shape\t0\t2\t1\n", "m.tsv: [meta] shape (0, 2, 1) needs I, J >= 1"),
+        ("shape\t1\t2\t1\n", "shape\t1\t2\t2\n",
+         "m.tsv: [meta] shape (1, 2, 2) needs I, J >= 1 and K = 1, the topic model's topic count"),
     ],
 )
 def test_iolap_index_out_of_range(tmp_path, old, new, message):
     path = tmp_path / "m.tsv"
     write_iolap_model(IOLAP, path, "# h")
+    assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new))
     with pytest.raises(FormatError) as info:
-        read_iolap_model(path)
+        read_iolap_model(path, IOLAP_TOPICS)
     assert message in str(info.value)
 
 
@@ -526,7 +540,6 @@ NAMED_WRITERS = {
                                        p.with_suffix(".train"), p, "# h"),
     "links": lambda bad, p: write_links_tsv(links_table([(bad, "/ub/p1", "ua", "ub", 60)]), p,
                                             "# h"),
-    "vocab": lambda bad, p: write_vocabulary(Vocabulary([bad, "beta"], [3, 1]), p, "# h"),
     "post_terms": lambda bad, p: write_post_terms(
         PostTerms([("beta", 2)], [(bad, "ua")], np.zeros((0, 3), np.int64)), p, "# h"),
     "experts": lambda bad, p: write_experts_tsv(GroundTruth(set(), {bad: {0: ("ux",)}}), p,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from blogfluence import cli, synth, textvec
+from blogfluence import artifacts, cli, factor, synth, textvec
 from blogfluence.cli import main
 from blogfluence.corpus import parse_content_file
 from blogfluence.implicit import read_activity
@@ -442,7 +442,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and "post_terms.tsv" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("stage", ["iolap", "eval"])
+    @pytest.mark.parametrize("stage", ["iolap", "idr", "eval"])
     @pytest.mark.parametrize("damage", ["swapped terms", "truncated term row"])
     def test_malformed_vocabulary_is_1(self, pipeline_copy, config_file, capsys, stage, damage):
         path = pipeline_copy / "post_terms.tsv"
@@ -461,7 +461,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and "post_terms.tsv" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("stage", ["iolap", "eval"])
+    @pytest.mark.parametrize("stage", ["iolap", "idr", "eval"])
     def test_missing_vocabulary_is_2(self, pipeline_copy, config_file, stage):
         (pipeline_copy / "post_terms.tsv").unlink()
         assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
@@ -474,17 +474,16 @@ class TestExitCodes:
             assert textvec.read_vocabulary(path, cap) == whole.vocabulary(cap)
         assert len(whole.terms) > 159
 
-    def test_only_links_and_causality_need_the_post_terms(self, pipeline_copy, pipeline_dir,
-                                                          config_file):
-        """influence reads the similarities that links stored; causality still
-        reads the vocabulary, and links the counts."""
+    def test_only_links_needs_the_post_terms(self, pipeline_copy, pipeline_dir, config_file):
+        """influence and causality read the similarities that links stored, and
+        only links reads the counts."""
         (pipeline_copy / "post_terms.tsv").unlink()
         argv = ["--config", config_file, "--out-dir", str(pipeline_copy), "--seed", "5"]
         assert main(["influence", *argv]) == 0
-        assert (pipeline_copy / "influence.tsv").read_bytes() == (
-            pipeline_dir / "influence.tsv"
-        ).read_bytes()
-        assert main(["causality", *argv]) == 2
+        assert main(["causality", *argv]) == 0
+        for name in ("influence.tsv", "zreport_forward.tsv", "zreport_reversed.tsv"):
+            assert (pipeline_copy / name).read_bytes() == (pipeline_dir / name).read_bytes()
+        assert not (pipeline_copy / "vocab.tsv").exists()
         assert main(["links", *argv]) == 2
 
     def test_missing_post_terms_is_2(self, pipeline_copy, config_file):
@@ -555,18 +554,36 @@ class TestExitCodes:
         # the [meta] row that iolap models no longer carry
         ("iolap_model.tsv", ("meta", "topics_fixed\t1"),
          "unexpected key 'topics_fixed' in [meta]"),
-    ], ids=["iolap-factor-width", "pcldc-weights-width", "iolap-topics-fixed"])
+        # a 2x3x2 core lacks a cell, or holds one twice
+        ("iolap_model.tsv", ("core", "delete"),
+         "[core] needs each of the 12 cells of [meta] shape exactly once"),
+        ("iolap_model.tsv", ("core", "duplicate"),
+         "[core] needs each of the 12 cells of [meta] shape exactly once"),
+        # the copy of the topics that iolap models no longer carry
+        ("iolap_model.tsv", ("topic_factors", "append"), "unexpected section '[topic_factors]'"),
+    ], ids=["iolap-factor-width", "pcldc-weights-width", "iolap-topics-fixed",
+            "iolap-core-row-deleted", "iolap-core-row-duplicated", "iolap-topic-factors"])
     @pytest.mark.parametrize("stage", ["idr", "eval"])
     def test_model_of_another_shape_is_1(self, pipeline_copy, config_file, capsys, name, damage,
                                          message, stage):
         path = pipeline_copy / name
         section, field = damage
-        lines = path.read_text(encoding="utf-8").split("\n")
+        text = path.read_text(encoding="utf-8")
+        if section == "topic_factors":  # the section that ended the file, as it was written
+            cfg = cli.load_config(config_file, {"out_dir": str(pipeline_copy)})
+            model = factor.read_iolap_model(path, cli._topic_model(cfg))
+            text += "[topic_factors]\n" + "".join(
+                map(artifacts._line, artifacts.matrix_rows(model.terms, model.topic_factors)))
+        lines = text.split("\n")
         start = lines.index(f"[{section}]") + 1
         end = next(i for i in range(start, len(lines)) if lines[i].startswith("[") or not lines[i])
         if section == "meta":
             lines.insert(end, field)
-        else:
+        elif field == "delete":
+            del lines[start]
+        elif field == "duplicate":
+            lines.insert(start, lines[start])
+        elif field != "append":
             lines[start:end] = [l for l in lines[start:end] if l.split("\t")[1] != field]
         path.write_text("\n".join(lines), encoding="utf-8")
         capsys.readouterr()
@@ -627,6 +644,16 @@ class TestProvenance:
     def test_key_of_the_stage_itself_is_0(self, pipeline_copy, config_file, stage, flag, value):
         assert main([*_stage_argv(stage, pipeline_copy), "--config", config_file,
                      "--out-dir", str(pipeline_copy), "--seed", "5", flag, value]) == 0
+
+    def test_declared_keys_that_an_input_carries(self):
+        """The completeness test below cannot see a declared key that the
+        producer of an input carries too: dropping it leaves the closure as
+        it is.  iolap's tol, which topics carries through plsa_model.tsv, is
+        the one such key."""
+        carried = [(stage, key) for stage, declared in cli.STAGES.items() for key in declared.keys
+                   if any(key in cli.closure(cli._PRODUCER[name.rstrip("?")])
+                          for name in declared.reads)]
+        assert carried == [("iolap", "tol")]
 
     @pytest.mark.parametrize("stage", list(cli.STAGES))
     def test_keys_outside_the_closure_change_no_byte(self, pipeline_copy, config_file, tmp_path,

@@ -43,7 +43,6 @@ from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import build_doc_term
 from blogfluence.textvec import (
-    Vocabulary,
     count_terms,
     read_post_terms,
     tokenize,
@@ -54,6 +53,7 @@ from conftest import (
     BASE_TS,
     CoinSeries,
     TermVector,
+    Vocabulary,
     activity_of,
     build_coin_series,
     generate_per_record,
@@ -157,9 +157,11 @@ CLI_MODEL_INPUT_DIGESTS = {
 # sha256 of the fitted models and of the results read from them, at the same
 # config and seed, recorded before fit_iolap lost its free keyword factor.
 # iolap_model.tsv is pinned as the bytes it had then less its [meta] row
-# "topics_fixed\t1", which it no longer carries; every other line kept its bytes.
+# "topics_fixed\t1" and less its closing [topic_factors] section, a copy of
+# the PLSA topics that the reader now rebuilds from plsa_model.tsv; it
+# carries neither, and every other line kept its bytes.
 CLI_MODEL_DIGESTS = {
-    "iolap_model.tsv": "3f32fc839571995fad29c5f6a67e4b381b76f286f2ff2b7c5ac4fab622b696ed",
+    "iolap_model.tsv": "4edd32f266ec1a9007a3db440e1514c529d57ff35e37cf8dba7a641405e479c5",
     "pcl_model.tsv": "e45089b9b63588908cff653a5cd16c5e8016de684042c9bb0648d3e101a9a0a4",
     "idr.tsv": "fd42f9da62e30ee7748feba905605b5cc45ac46139de38f66a09cd863f2c9847",
     "recall.tsv": "c04d34d54ffe538e5e92442d0457495fc5b18f86ea0082a9174ec1c7106879f2",

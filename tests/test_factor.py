@@ -529,13 +529,17 @@ def test_membership_bisection_stops_at_the_100_step_answer(seed):
 
 class TestModelRoundTrips:
     def test_iolap(self, tmp_path):
-        model = fit_iolap(_random_tensor(21), 2, 2, random_topics(21, 5, 2), max_iter=20, seed=0)
+        topic_model = random_topics(21, 5, 2)
+        model = fit_iolap(_random_tensor(21), 2, 2, topic_model, max_iter=20, seed=0)
         path = tmp_path / "m.tsv"
         write_iolap_model(model, path, "# h")
-        loaded = read_iolap_model(path)
+        loaded = read_iolap_model(path, topic_model)
         assert np.array_equal(loaded.core, model.core)
         assert np.array_equal(loaded.influenced_factors, model.influenced_factors)
         assert loaded.bloggers == model.bloggers
+        # The keyword factor is rebuilt from the topics, bit for bit.
+        assert np.array_equal(loaded.topic_factors, model.topic_factors)
+        assert loaded.terms == model.terms
 
     def test_pcldc_and_pcl(self, tmp_path):
         graph, content = _planted_graph(8, n_per=3)

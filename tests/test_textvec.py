@@ -42,13 +42,13 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_tie_break_lexicographic(self):
-        vocab = _post_terms(["aa bb", "aa cc"]).vocabulary(2)
-        assert vocab.terms == ["aa", "bb"]
-        assert vocab.doc_freq == [2, 1]
+        terms = _post_terms(["aa bb", "aa cc"])
+        assert terms.vocabulary(2) == ["aa", "bb"]
+        assert terms.terms[:2] == [("aa", 2), ("bb", 1)]
 
     def test_no_truncation_when_large(self):
         vocab = _post_terms(["aa bb", "cc"]).vocabulary(10)
-        assert sorted(vocab.terms) == ["aa", "bb", "cc"]
+        assert sorted(vocab) == ["aa", "bb", "cc"]
 
     def test_kept_df_dominates_dropped(self):
         rng = np.random.default_rng(7)
@@ -60,8 +60,8 @@ class TestVocabulary:
         for doc in docs:
             df.update(set(doc))
         vocab = _post_terms(" ".join(doc) for doc in docs).vocabulary(25)
-        kept_min = min(df[t] for t in vocab.terms)
-        dropped = set(df) - set(vocab.terms)
+        kept_min = min(df[t] for t in vocab)
+        dropped = set(df) - set(vocab)
         assert all(df[t] <= kept_min for t in dropped)
 
 
