@@ -236,7 +236,7 @@ def labelled_matrix(row_labels: list[str], cols: np.ndarray, values: np.ndarray,
                     labels: list[str] | None = None,
                     path: str | Path = "matrix") -> tuple[list[str], np.ndarray]:
     """Inverse of ``matrix_rows``, from its three columns: labels in first-seen
-    order unless given."""
+    order unless given.  Each (label, column) cell must appear exactly once."""
     rows = Strings.of(row_labels)
     if labels is None:
         labels = rows.names
@@ -248,6 +248,11 @@ def labelled_matrix(row_labels: list[str], cols: np.ndarray, values: np.ndarray,
             raise FormatError(
                 f"{path}: matrix row label {label!r} is not among the {len(labels)} expected"
             )
-    mat = np.zeros((len(labels), cols.max(initial=-1) + 1))
-    mat[np.array([index[label] for label in rows.names], np.int64)[rows.codes], cols] = values
-    return labels, mat
+    shape = (len(labels), int(cols.max(initial=-1)) + 1)
+    cell = np.array([index[label] for label in rows.names], np.int64)[rows.codes] * shape[1] + cols
+    if not np.array_equal(np.sort(cell), np.arange(shape[0] * shape[1])):
+        raise FormatError(f"{path}: matrix needs each of its {shape[0]} x {shape[1]} "
+                          "(row label, column) cells exactly once")
+    mat = np.zeros(shape[0] * shape[1])
+    mat[cell] = values
+    return labels, mat.reshape(shape)

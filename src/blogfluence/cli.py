@@ -85,7 +85,6 @@ class PipelineConfig:
     pcldc_max_iter: int = 60
     pcl_max_iter: int = 200
     tol: float = topics.DEFAULT_TOL
-    l2: float = 0.0
     top_n: int = 10
     seed: int = 0
     synth: synth.SynthConfig = field(default_factory=synth.SynthConfig)
@@ -347,8 +346,7 @@ def cmd_pcldc(cfg: PipelineConfig, args, header: str) -> str:
     links, source = _load_influence_links(cfg, terms)
     graph = _blogger_graph(links)
     model = pipeline.fit_pcldc_model(graph, terms, cfg.vocab_max_size, cfg.n_topics,
-                                     cfg.pcldc_max_iter, cfg.tol, cfg.l2,
-                                     [cfg.seed, STAGE_SEED["pcldc"]])
+                                     cfg.pcldc_max_iter, cfg.tol, [cfg.seed, STAGE_SEED["pcldc"]])
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), header)
     return (f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
             f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc_model.tsv')}")
@@ -521,7 +519,7 @@ STAGES = {
     "iolap": Stage(cmd_iolap, ("post_terms.tsv", "plsa_model.tsv", "tensor.tsv"),
                    ("rank_influenced", "rank_influencer", "iolap_max_iter", "tol")),
     "pcldc": Stage(cmd_pcldc, ("post_terms.tsv", "influence.tsv", *_SPLIT),
-                   ("n_topics", "pcldc_max_iter", "tol", "l2")),
+                   ("n_topics", "pcldc_max_iter", "tol")),
     "pcl": Stage(cmd_pcl, ("influence.tsv", *_SPLIT), ("n_topics", "pcl_max_iter", "tol")),
     "idr": Stage(cmd_idr, ("post_terms.tsv", "plsa_model.tsv", "iolap_model.tsv",
                            "pcldc_model.tsv"), ("top_n",)),

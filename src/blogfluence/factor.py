@@ -20,6 +20,7 @@ content weights only accept improving moves).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,17 +361,28 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _mixture_terms(y: np.ndarray, bpop: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """Per-edge community components and the out-neighborhood normalizers.
+class _LinkState(NamedTuple):
+    """The link model at memberships ``y`` and popularity ``bpop``: denom[i, k]
+    = sum over i's out-neighbors j of y_jk b_j, comp[e, k] the k-th mixture
+    component of edge e, p_edge its sum over k, and the objective."""
 
-    Returns (denom, comp, p_edge) with denom[i, k] = sum over i's
-    out-neighbors j of y_jk b_j, comp[e, k] the k-th mixture component of
-    edge e, and p_edge its sum over k.
-    """
+    y: np.ndarray
+    bpop: np.ndarray
+    denom: np.ndarray
+    comp: np.ndarray
+    p_edge: np.ndarray
+    objective: float
+
+
+def _link_state(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray) -> _LinkState:
+    src, dst = graph.src, graph.dst
     denom = scatter_rows(src, y[dst] * bpop[dst][:, None], y.shape[0])
     num = y[src] * y[dst] * bpop[dst][:, None]
     comp = np.divide(num, denom[src], out=np.zeros_like(num), where=denom[src] > 0)
-    return denom, comp, comp.sum(axis=1)
+    p_edge = comp.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logp = np.log(p_edge)
+    return _LinkState(y, bpop, denom, comp, p_edge, float(graph.weight @ logp))
 
 
 def conditional_link_objective(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray) -> float:
@@ -379,15 +391,12 @@ def conditional_link_objective(graph: BloggerGraph, y: np.ndarray, bpop: np.ndar
     Each edge (i -> j) contributes s_ij log sum_k y_ik y_jk b_j / D_ik,
     where D_ik normalizes over i's out-neighborhood.
     """
-    _, _, p_edge = _mixture_terms(y, bpop, graph.src, graph.dst)
-    with np.errstate(divide="ignore"):
-        logp = np.log(p_edge)
-    return float(graph.weight @ logp)
+    return _link_state(graph, y, bpop).objective
 
 
-def _posterior_masses(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray):
+def _posterior_masses(graph: BloggerGraph, state: _LinkState):
     """E-step aggregates shared by the popularity and membership updates."""
-    denom, comp, p_edge = _mixture_terms(y, bpop, graph.src, graph.dst)
+    y, _, denom, comp, p_edge, _ = state
     if np.any(p_edge <= 0):
         raise ArithmeticError("zero-probability edge in conditional link model")
     q = comp / p_edge[:, None]
@@ -401,8 +410,9 @@ def _posterior_masses(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray):
     return out_mass, in_mass, denom_mass
 
 
-def _update_popularity(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray) -> np.ndarray:
-    """Closed-form minorize-maximize update of the popularity weights.
+def _update_popularity(graph: BloggerGraph, state: _LinkState) -> _LinkState:
+    """The state after the closed-form minorize-maximize update of the
+    popularity weights.
 
     b_j = (weighted in-degree of j) / sum_k y_jk sum_{i: j in LO(i)}
     out_mass_ik / denom_ik; nodes without in-links keep their value (they
@@ -410,11 +420,10 @@ def _update_popularity(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray) -> 
     The objective is invariant to a global rescaling, so the result is
     normalized to mean one.
     """
-    _, _, denom_mass = _posterior_masses(graph, y, bpop)
-    d = (y * denom_mass).sum(axis=1)
-    in_w = graph.in_weight()
-    new = np.where(d > 0, in_w / np.maximum(d, 1e-300), bpop)
-    return new / new.mean()
+    _, _, denom_mass = _posterior_masses(graph, state)
+    d = (state.y * denom_mass).sum(axis=1)
+    new = np.where(d > 0, graph.in_weight() / np.maximum(d, 1e-300), state.bpop)
+    return _link_state(graph, state.y, new / new.mean())
 
 
 def _solve_membership_rows(alpha: np.ndarray, cost: np.ndarray, y_old: np.ndarray) -> np.ndarray:
@@ -469,52 +478,47 @@ def fit_pcl(
     Memberships start from seeded Dirichlet(1) rows and popularity from
     in-degree + 1.  Each outer iteration applies the closed-form
     popularity update and an exact membership M-step, so the objective
-    trace is non-decreasing.
+    trace is non-decreasing.  The state that scores an iteration is the
+    one the next popularity update starts from.
     """
     if n_communities < 1:
         raise ValueError("n_communities must be >= 1")
     y = np.random.default_rng(seed).dirichlet(np.ones(n_communities), size=graph.n_nodes)
-    bpop = graph.in_degree() + 1.0
-    trace = [conditional_link_objective(graph, y, bpop)]
+    state = _link_state(graph, y, graph.in_degree() + 1.0)
+    trace = [state.objective]
     for iteration in range(max_iter):
-        bpop = _update_popularity(graph, y, bpop)
-        out_mass, in_mass, denom_mass = _posterior_masses(graph, y, bpop)
-        alpha = out_mass + in_mass
-        cost = bpop[:, None] * denom_mass
-        y = _solve_membership_rows(alpha, cost, y)
+        state = _update_popularity(graph, state)
+        out_mass, in_mass, denom_mass = _posterior_masses(graph, state)
+        y = _solve_membership_rows(out_mass + in_mass, state.bpop[:, None] * denom_mass, state.y)
         y = np.maximum(y, 1e-12)
         y /= y.sum(axis=1, keepdims=True)
-        obj = conditional_link_objective(graph, y, bpop)
-        if not np.isfinite(obj):
+        state = _link_state(graph, y, state.bpop)
+        if not np.isfinite(state.objective):
             raise ArithmeticError(f"non-finite objective at iteration {iteration}")
-        trace.append(obj)
+        trace.append(state.objective)
         if abs(trace[-1] - trace[-2]) <= tol * abs(trace[-2]):
             break
-    return PclModel(popularity=bpop, memberships=y, objective_trace=trace, nodes=list(graph.nodes))
+    return PclModel(popularity=state.bpop, memberships=state.y, objective_trace=trace,
+                    nodes=list(graph.nodes))
 
 
 def pcldc_objective(
-    graph: BloggerGraph,
-    content: np.ndarray,
-    weights: np.ndarray,
-    bpop: np.ndarray,
-    l2: float = 0.0,
+    graph: BloggerGraph, content: np.ndarray, weights: np.ndarray, bpop: np.ndarray
 ) -> float:
-    """Link objective with memberships tied to content via softmax, minus
-    an optional L2 penalty on the content weights."""
-    y = _softmax_rows(content @ weights)
-    obj = conditional_link_objective(graph, y, bpop)
-    if l2 > 0.0:
-        obj -= 0.5 * l2 * float((weights**2).sum())
-    return obj
+    """Link objective with memberships tied to content via softmax."""
+    return _link_state(graph, _softmax_rows(content @ weights), bpop).objective
+
+
+def _content_gradient(graph: BloggerGraph, content: np.ndarray, state: _LinkState) -> np.ndarray:
+    out_mass, in_mass, denom_mass = _posterior_masses(graph, state)
+    y = state.y
+    g_y = (out_mass + in_mass) / y - state.bpop[:, None] * denom_mass
+    inner = (y * g_y).sum(axis=1, keepdims=True)
+    return content.T @ (y * (g_y - inner))
 
 
 def pcldc_content_gradient(
-    graph: BloggerGraph,
-    content: np.ndarray,
-    weights: np.ndarray,
-    bpop: np.ndarray,
-    l2: float = 0.0,
+    graph: BloggerGraph, content: np.ndarray, weights: np.ndarray, bpop: np.ndarray
 ) -> np.ndarray:
     """Exact gradient of ``pcldc_objective`` with respect to the weights.
 
@@ -523,15 +527,8 @@ def pcldc_content_gradient(
     other nodes' out-neighborhood normalizers; it is then pushed through
     the softmax Jacobian and the content rows.
     """
-    y = _softmax_rows(content @ weights)
-    out_mass, in_mass, denom_mass = _posterior_masses(graph, y, bpop)
-    g_y = (out_mass + in_mass) / y - bpop[:, None] * denom_mass
-    inner = (y * g_y).sum(axis=1, keepdims=True)
-    g_logits = y * (g_y - inner)
-    grad = content.T @ g_logits
-    if l2 > 0.0:
-        grad -= l2 * weights
-    return grad
+    state = _link_state(graph, _softmax_rows(content @ weights), bpop)
+    return _content_gradient(graph, content, state)
 
 
 def fit_pcldc(
@@ -542,7 +539,6 @@ def fit_pcldc(
     *,
     max_iter: int = 100,
     tol: float = DEFAULT_TOL,
-    l2: float = 0.0,
     seed: int = 0,
 ) -> PcldcModel:
     """Fit the content-tied conditional link model; ``terms`` names the
@@ -551,45 +547,40 @@ def fit_pcldc(
     Alternates the closed-form popularity update with up to five
     gradient-ascent steps on the content weights; each step backtracks by
     halving from step size 1.0 and is only accepted if the objective does
-    not decrease, keeping the trace monotone.
+    not decrease, keeping the trace monotone.  The state of the accepted
+    weights is kept: it gives the next gradient and the next popularity
+    update.
     """
     if n_communities < 1:
         raise ValueError("n_communities must be >= 1")
     if content.shape[0] != graph.n_nodes:
         raise ValueError("content rows must align with graph nodes")
     weights = 0.01 * np.random.default_rng(seed).standard_normal((content.shape[1], n_communities))
-    bpop = graph.in_degree() + 1.0
-
-    trace = [pcldc_objective(graph, content, weights, bpop, l2)]
+    state = _link_state(graph, _softmax_rows(content @ weights), graph.in_degree() + 1.0)
+    trace = [state.objective]
     for iteration in range(max_iter):
-        y = _softmax_rows(content @ weights)
-        bpop = _update_popularity(graph, y, bpop)
-        base = pcldc_objective(graph, content, weights, bpop, l2)
+        state = _update_popularity(graph, state)
         for _ in range(5):
-            grad = pcldc_content_gradient(graph, content, weights, bpop, l2)
+            grad = _content_gradient(graph, content, state)
             step = 1.0
-            accepted = False
             for _ in range(30):
                 trial = weights + step * grad
-                value = pcldc_objective(graph, content, trial, bpop, l2)
-                if np.isfinite(value) and value >= base:
-                    weights = trial
-                    base = value
-                    accepted = True
+                scored = _link_state(graph, _softmax_rows(content @ trial), state.bpop)
+                if np.isfinite(scored.objective) and scored.objective >= state.objective:
+                    weights, state = trial, scored
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 break
-        if not np.isfinite(base):
+        if not np.isfinite(state.objective):
             raise ArithmeticError(f"non-finite objective at iteration {iteration}")
-        trace.append(base)
+        trace.append(state.objective)
         if abs(trace[-1] - trace[-2]) <= tol * abs(trace[-2]):
             break
-    memberships = _softmax_rows(content @ weights)
     return PcldcModel(
-        popularity=bpop,
+        popularity=state.bpop,
         content_weights=weights,
-        memberships=memberships,
+        memberships=state.y,
         objective_trace=trace,
         nodes=list(graph.nodes),
         terms=list(terms),

@@ -111,13 +111,13 @@ def blogger_graph(links: implicit.Links) -> factor.BloggerGraph:
 
 
 def fit_pcldc_model(graph: factor.BloggerGraph, terms: PostTerms, max_size: int,
-                    n_communities: int, max_iter: int, tol: float, l2: float,
+                    n_communities: int, max_iter: int, tol: float,
                     seed: list[int]) -> factor.PcldcModel:
     """pcldc on ``graph``, each blogger's content summed over their posts'
     counts of the ``max_size``-term vocabulary."""
     content = factor.blogger_content_matrix(graph.nodes, terms, max_size)
     return factor.fit_pcldc(graph, content, n_communities, terms.vocabulary(max_size),
-                            max_iter=max_iter, tol=tol, l2=l2, seed=seed)
+                            max_iter=max_iter, tol=tol, seed=seed)
 
 
 def recommendation_recall(
@@ -139,7 +139,7 @@ def recommendation_recall(
                   for restart in range(3)]
     iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
     graph = blogger_graph(links)
-    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, topics.DEFAULT_TOL, 0.0,
+    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, topics.DEFAULT_TOL,
                             [seed, STAGE_SEED["pcldc"]])
     pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, STAGE_SEED["pcl"]])
     methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)

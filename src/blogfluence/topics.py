@@ -227,13 +227,14 @@ def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
                 f"({len(terms)} terms); was the topic model fitted with another "
                 "vocab_max_size?"
             )
-    if len(words.names) != len(terms):
-        raise FormatError(
-            f"{model_path}: the topic model covers {len(words.names)} of the {len(terms)} "
-            "vocabulary terms; was it fitted with another vocab_max_size?"
-        )
-    word_topic = np.zeros((n_topics, len(terms)))
-    word_topic[topic, np.array([index[t] for t in words.names], np.int64)[words.codes]] = values
+    size = n_topics * len(terms)
+    cell = topic * len(terms) + np.array([index[t] for t in words.names], np.int64)[words.codes]
+    if not np.array_equal(np.sort(cell), np.arange(size)):
+        raise FormatError(f"{model_path}: [p_w_given_t] needs each of its {size} "
+                          "(topic, term) cells exactly once")
+    word_topic = np.zeros(size)
+    word_topic[cell] = values
+    word_topic = word_topic.reshape(n_topics, len(terms))
     n_found = np.unique(p_t_topic).size
     if n_found != n_topics:
         raise FormatError(f"{model_path}: [p_t] has {n_found} of the {n_topics} topics")

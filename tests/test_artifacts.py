@@ -525,6 +525,13 @@ def test_matrix_rows_must_match_the_given_labels():
     assert labels == ["ua", "uz"] and matrix.tolist() == [[0.5], [0.5]]
     with pytest.raises(FormatError, match="column -1 is negative"):
         artifacts.labelled_matrix(["ua", "ua"], np.array([0, -1]), np.array([0.5, 0.5]))
+    # A cell that is missing, or given twice, is refused, not read as 0 or overwritten.
+    once = r"m.tsv: matrix needs each of its 2 x 2 \(row label, column\) cells exactly once"
+    missing = (["ua", "ua", "uz"], np.array([0, 1, 0]), np.ones(3))
+    repeated = (["ua", "ua", "uz", "uz", "uz"], np.array([0, 1, 0, 1, 1]), np.ones(5))
+    for columns in (missing, repeated):
+        with pytest.raises(FormatError, match=once):
+            artifacts.labelled_matrix(*columns, path="m.tsv")
 
 
 # name -> write(artifact whose first row opens with the name, path): each writer

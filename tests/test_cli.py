@@ -145,6 +145,7 @@ class TestExitCodes:
         ("synth.seed = 123", "synth.seed is not read; set seed"),  # synth draws from seed
         ("plsa_docs = all", "unknown key 'plsa_docs'"),
         ("n_communities = 3", "unknown key 'n_communities'"),
+        ("l2 = 0.5", "unknown key 'l2'"),
     ])
     def test_key_that_would_do_nothing_is_1(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "pipeline.cfg"
@@ -561,8 +562,25 @@ class TestExitCodes:
          "[core] needs each of the 12 cells of [meta] shape exactly once"),
         # the copy of the topics that iolap models no longer carry
         ("iolap_model.tsv", ("topic_factors", "append"), "unexpected section '[topic_factors]'"),
+        # a matrix lacks a cell, or holds one twice: 60 bloggers x 3 influencer groups,
+        # 60 bloggers x 2 communities, 2 topics x 160 terms
+        ("iolap_model.tsv", ("influencer_factors", "delete"),
+         "matrix needs each of its 60 x 3 (row label, column) cells exactly once"),
+        ("iolap_model.tsv", ("influencer_factors", "duplicate"),
+         "matrix needs each of its 60 x 3 (row label, column) cells exactly once"),
+        ("pcldc_model.tsv", ("memberships", "delete"),
+         "matrix needs each of its 60 x 2 (row label, column) cells exactly once"),
+        ("pcldc_model.tsv", ("memberships", "duplicate"),
+         "matrix needs each of its 60 x 2 (row label, column) cells exactly once"),
+        ("plsa_model.tsv", ("p_w_given_t", "delete"),
+         "[p_w_given_t] needs each of its 320 (topic, term) cells exactly once"),
+        ("plsa_model.tsv", ("p_w_given_t", "duplicate"),
+         "[p_w_given_t] needs each of its 320 (topic, term) cells exactly once"),
     ], ids=["iolap-factor-width", "pcldc-weights-width", "iolap-topics-fixed",
-            "iolap-core-row-deleted", "iolap-core-row-duplicated", "iolap-topic-factors"])
+            "iolap-core-row-deleted", "iolap-core-row-duplicated", "iolap-topic-factors",
+            "iolap-factor-row-deleted", "iolap-factor-row-duplicated",
+            "pcldc-membership-row-deleted", "pcldc-membership-row-duplicated",
+            "plsa-topic-term-row-deleted", "plsa-topic-term-row-duplicated"])
     @pytest.mark.parametrize("stage", ["idr", "eval"])
     def test_model_of_another_shape_is_1(self, pipeline_copy, config_file, capsys, name, damage,
                                          message, stage):
@@ -696,7 +714,7 @@ OTHER_VALUES = {
     "window_hours": "6", "tau_hours": "1", "vocab_max_size": "80", "min_tokens": "60",
     "min_bucket_n": "1000", "tz_offset_hours": "0", "n_topics": "3", "rank_influenced": "3",
     "rank_influencer": "2", "plsa_max_iter": "5", "iolap_max_iter": "5", "pcldc_max_iter": "5",
-    "pcl_max_iter": "5", "tol": "0.5", "l2": "0.5", "top_n": "3",
+    "pcl_max_iter": "5", "tol": "0.5", "top_n": "3",
     "synth.n_bloggers": "50", "synth.n_days": "8", "synth.vocab_size": "120",
     "synth.n_topics": "3", "synth.posts_per_blogger_rate": "0.8",
     "synth.reads_per_post_rate": "3.0", "synth.copy_prob": "0.3",

@@ -129,15 +129,18 @@ DETECTION_DIGESTS = {
 # column; without it they keep the bytes of CLI_LINK_ROW_DIGESTS.  Every CLI
 # pin below was re-pinned once more when the config hash on an artifact's
 # first line came to cover only the keys its stage depends on; each line
-# after the first kept its bytes.
+# after the first kept its bytes.  The report/ pins, here and in
+# CLI_ACTIVITY_DIGESTS, and those of pcldc_model.tsv, idr.tsv and recall.tsv
+# were re-pinned for their first line alone when the l2 key, which set no
+# fitted value, left the pcldc stage's config hash.
 CLI_LINK_DIGESTS = {
     "links.tsv": "82168133ce378e08d19c2cce2d102c028ce2dc3706e8fcbd6437db21a1457295",
     "influence.tsv": "3e87a05d794359a1f68394adc4ef8a242373f078db725ac31e4becd5cc1e339a",
     "gap_hist.tsv": "74ad50453c805c9da97f778b3b13f1cd8922593e3e5b2e2ac7087d9fb3e0f96b",
     "zreport_forward.tsv": "6449935b3adfeaf7727f10018490a66266c369cb75284e86ad74d164a63c8ace",
     "zreport_reversed.tsv": "bd346c7b971205d4f05008f3c63c802f4a704aebe459bcc821df13c8e44f615b",
-    "report/rankshift_themes.tsv": "a9951ecaa930c71866529e5a266ba6e03f1d91cdbfe3511a684fcd790356d412",
-    "report/rankshift_bloggers.tsv": "dfe9d0e5f8703d92efd51523c591767c6710a08b6f71ef4274bce1f41e6d65cf",
+    "report/rankshift_themes.tsv": "0695ddf56a704cf7505420b1c4dff7d42da51936cc9edda20ac13bbda48fef5e",
+    "report/rankshift_bloggers.tsv": "67842f4bcea8c0394f7f38371f92162a7d11ff45c628715a0389f466b75a87c4",
 }
 # sha256 of links.tsv and influence.tsv with their similarity column dropped,
 # at the same config and seed: the pins of the five-column files.
@@ -152,7 +155,7 @@ CLI_MODEL_INPUT_DIGESTS = {
     "train.tsv": "37929527dc53a6a5d9c2bf24c5a4b1bb8d8a0854fcbdecfd45228107a4a9ccae",
     "test.tsv": "e246089411b7909ee859a4bc9ab4dac295c9b59cf2a3c8202c8667827dafe571",
     "tensor.tsv": "6fe6893d2eeca2a3a06985fc2cd616eac680702b18e5fb62baf4c9e5409887df",
-    "pcldc_model.tsv": "9209eea9210fe23844f1be872eb7958973a798b6eb94b02b5f3339b16745cb7b",
+    "pcldc_model.tsv": "e06772a4d0b0c530561c9d7f80a6d136e6e2f8a714823331f75aa84100ea6bd7",
 }
 # sha256 of the fitted models and of the results read from them, at the same
 # config and seed, recorded before fit_iolap lost its free keyword factor.
@@ -163,8 +166,8 @@ CLI_MODEL_INPUT_DIGESTS = {
 CLI_MODEL_DIGESTS = {
     "iolap_model.tsv": "4edd32f266ec1a9007a3db440e1514c529d57ff35e37cf8dba7a641405e479c5",
     "pcl_model.tsv": "e45089b9b63588908cff653a5cd16c5e8016de684042c9bb0648d3e101a9a0a4",
-    "idr.tsv": "fd42f9da62e30ee7748feba905605b5cc45ac46139de38f66a09cd863f2c9847",
-    "recall.tsv": "c04d34d54ffe538e5e92442d0457495fc5b18f86ea0082a9174ec1c7106879f2",
+    "idr.tsv": "f5da12d84a36ea364251e77998b1d5020f5c779556693873fc4f49d8f35086e7",
+    "recall.tsv": "8bd78f38a0cd64b79cb12d57a2bedb496807e276e2cac831288742181a932d95",
 }
 # sha256 of plsa_model.tsv at the same config and seed but n_topics = 8, where
 # numpy sums each nonzero's K topic terms pairwise, from the array-round
@@ -177,12 +180,12 @@ CLI_ACTIVITY_DIGESTS = {
     "posts.tsv": "2006dbed5dad0013c772a30782e4cff54c63bbfa6dd798bff0f832018595e6ad",
     "access.log": "21ac39f803bc5d75cd2a11dd5d176a3293a196b782c13f6aa58e44757ee2c854",
     "post_terms.tsv": "31605865e429b9b1730ef153cd26990e96a584343b41beeb73a81fdf19558e15",
-    "report/hist_access_hour.tsv": "404303ecbff40648ae8f379b335dd3c70162acaea2f3f3802aea6b99457519f0",
-    "report/hist_access_weekday.tsv": "81f20f292680181f33d009d158085870036e6129ba1cf43ec6f5cc49bf3e3a83",
-    "report/hist_posts_hour.tsv": "b1514121f85c122d98127b96054b70750467c5a40657d97530db0eb405cf2df8",
+    "report/hist_access_hour.tsv": "b9d872c613ca2094056356d409dddd478d6d9c81e51cff77dce4737ff9c17cec",
+    "report/hist_access_weekday.tsv": "b8c53dc2edb43a7567362d741fa385c8452746a3e92157fea0e0f6fbdefbfe55",
+    "report/hist_posts_hour.tsv": "a6ab6047e6e37339fb7906eb0ab9a41808ae98d55dee9298ba080e865ce0c683",
     "report/hist_posts_per_blogger.tsv":
-        "a86da937fc690250f139c66278c55edab9ae229da7a5a4c269487cad36000b40",
-    "report/hist_posts_weekday.tsv": "0203824d17ba64c1ef1b013aa56d4cf3903dd1db5665dbd9acb437e10fd7a3f5",
+        "ace220aa6bd10ce6d6ef529703682f967fb43ee6df558c68884522d57281999b",
+    "report/hist_posts_weekday.tsv": "76fc7d547126fee3b7aa6716c13ef692f3d6e8d1ecc6cbd0efabace1b054d62f",
 }
 
 # sha256 of activity.tsv and ingest's count per cleaning rule at the same

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from blogfluence import factor
 from blogfluence.factor import (
     BloggerGraph,
     _solve_membership_rows,
@@ -23,7 +26,7 @@ from blogfluence.factor import (
     write_pcl_model,
     write_pcldc_model,
 )
-from blogfluence.topics import fit_plsa
+from blogfluence.topics import DEFAULT_TOL, fit_plsa, scatter_rows
 
 from conftest import (
     TermVector,
@@ -389,18 +392,6 @@ class TestPcldc:
         )
         assert rel < 1e-4
 
-    def test_l2_penalty_in_objective_and_gradient(self):
-        graph, content = _planted_graph(3, n_per=3)
-        rng = np.random.default_rng(2)
-        weights = 0.2 * rng.standard_normal((6, 2))
-        bpop = np.ones(graph.n_nodes)
-        plain = pcldc_objective(graph, content, weights, bpop, l2=0.0)
-        penalized = pcldc_objective(graph, content, weights, bpop, l2=0.5)
-        assert penalized == pytest.approx(plain - 0.25 * float((weights**2).sum()))
-        g_plain = pcldc_content_gradient(graph, content, weights, bpop, l2=0.0)
-        g_pen = pcldc_content_gradient(graph, content, weights, bpop, l2=0.5)
-        assert np.allclose(g_pen, g_plain - 0.5 * weights)
-
     def test_monotone_objective(self):
         graph, content = _planted_graph(4)
         model = fit_pcldc(graph, content, 2, _names(content), max_iter=25, seed=3)
@@ -525,6 +516,169 @@ def test_membership_bisection_stops_at_the_100_step_answer(seed):
     y_old = rng.dirichlet(np.ones(k), size=n)
     got = _solve_membership_rows(alpha, cost, y_old)
     assert np.array_equal(got, solve_membership_rows_100_steps(alpha, cost, y_old))
+
+
+# The conditional link fits as they were before the E-step state was kept:
+# every objective, gradient and popularity update evaluates the mixture
+# again.  The oracles of the two tests below.
+
+def _oracle_mixture_terms(y, bpop, src, dst):
+    denom = scatter_rows(src, y[dst] * bpop[dst][:, None], y.shape[0])
+    num = y[src] * y[dst] * bpop[dst][:, None]
+    comp = np.divide(num, denom[src], out=np.zeros_like(num), where=denom[src] > 0)
+    return denom, comp, comp.sum(axis=1)
+
+
+def _oracle_objective(graph, y, bpop):
+    _, _, p_edge = _oracle_mixture_terms(y, bpop, graph.src, graph.dst)
+    with np.errstate(divide="ignore"):
+        logp = np.log(p_edge)
+    return float(graph.weight @ logp)
+
+
+def _oracle_posterior_masses(graph, y, bpop):
+    denom, comp, p_edge = _oracle_mixture_terms(y, bpop, graph.src, graph.dst)
+    if np.any(p_edge <= 0):
+        raise ArithmeticError("zero-probability edge in conditional link model")
+    q = comp / p_edge[:, None]
+    wq = graph.weight[:, None] * q
+    n = y.shape[0]
+    out_mass = scatter_rows(graph.src, wq, n)
+    in_mass = scatter_rows(graph.dst, wq, n)
+    ratio = np.divide(out_mass, denom, out=np.zeros_like(out_mass), where=denom > 0)
+    denom_mass = scatter_rows(graph.dst, ratio[graph.src], n)
+    return out_mass, in_mass, denom_mass
+
+
+def _oracle_update_popularity(graph, y, bpop):
+    _, _, denom_mass = _oracle_posterior_masses(graph, y, bpop)
+    d = (y * denom_mass).sum(axis=1)
+    in_w = graph.in_weight()
+    new = np.where(d > 0, in_w / np.maximum(d, 1e-300), bpop)
+    return new / new.mean()
+
+
+def _oracle_pcldc_objective(graph, content, weights, bpop):
+    return _oracle_objective(graph, factor._softmax_rows(content @ weights), bpop)
+
+
+def _oracle_pcldc_gradient(graph, content, weights, bpop):
+    y = factor._softmax_rows(content @ weights)
+    out_mass, in_mass, denom_mass = _oracle_posterior_masses(graph, y, bpop)
+    g_y = (out_mass + in_mass) / y - bpop[:, None] * denom_mass
+    inner = (y * g_y).sum(axis=1, keepdims=True)
+    g_logits = y * (g_y - inner)
+    return content.T @ g_logits
+
+
+def fit_pcl_oracle(graph, n_communities, *, max_iter=200, tol=DEFAULT_TOL, seed=0):
+    y = np.random.default_rng(seed).dirichlet(np.ones(n_communities), size=graph.n_nodes)
+    bpop = graph.in_degree() + 1.0
+    trace = [_oracle_objective(graph, y, bpop)]
+    for iteration in range(max_iter):
+        bpop = _oracle_update_popularity(graph, y, bpop)
+        out_mass, in_mass, denom_mass = _oracle_posterior_masses(graph, y, bpop)
+        alpha = out_mass + in_mass
+        cost = bpop[:, None] * denom_mass
+        y = _solve_membership_rows(alpha, cost, y)
+        y = np.maximum(y, 1e-12)
+        y /= y.sum(axis=1, keepdims=True)
+        obj = _oracle_objective(graph, y, bpop)
+        if not np.isfinite(obj):
+            raise ArithmeticError(f"non-finite objective at iteration {iteration}")
+        trace.append(obj)
+        if abs(trace[-1] - trace[-2]) <= tol * abs(trace[-2]):
+            break
+    return bpop, y, trace
+
+
+def fit_pcldc_oracle(graph, content, n_communities, *, max_iter=100, tol=DEFAULT_TOL, seed=0):
+    """(popularity, content weights, memberships, objective trace, number of
+    line-search trials)."""
+    weights = 0.01 * np.random.default_rng(seed).standard_normal((content.shape[1], n_communities))
+    bpop = graph.in_degree() + 1.0
+    trials = 0
+    trace = [_oracle_pcldc_objective(graph, content, weights, bpop)]
+    for iteration in range(max_iter):
+        y = factor._softmax_rows(content @ weights)
+        bpop = _oracle_update_popularity(graph, y, bpop)
+        base = _oracle_pcldc_objective(graph, content, weights, bpop)
+        for _ in range(5):
+            grad = _oracle_pcldc_gradient(graph, content, weights, bpop)
+            step = 1.0
+            accepted = False
+            for _ in range(30):
+                trial = weights + step * grad
+                value = _oracle_pcldc_objective(graph, content, trial, bpop)
+                trials += 1
+                if np.isfinite(value) and value >= base:
+                    weights = trial
+                    base = value
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+        if not np.isfinite(base):
+            raise ArithmeticError(f"non-finite objective at iteration {iteration}")
+        trace.append(base)
+        if abs(trace[-1] - trace[-2]) <= tol * abs(trace[-2]):
+            break
+    return bpop, weights, factor._softmax_rows(content @ weights), trace, trials
+
+
+def _random_link_graph(n, seed, density):
+    """A random graph over up to ``n`` nodes in which n0 has no in-links; at
+    density 0 it is the single edge n0 -> n1."""
+    rng = np.random.default_rng(seed)
+    edges = {("n0", "n1"): float(rng.integers(1, 10))}
+    for a in range(n):
+        for b in range(1, n):
+            if a != b and rng.random() < density:
+                edges[(f"n{a}", f"n{b}")] = float(rng.integers(1, 10))
+    graph = BloggerGraph.from_edge_weights(edges)
+    content = rng.random((graph.n_nodes, 1 + seed % 5))
+    content[rng.random(graph.n_nodes) < 0.25] = 0.0  # bloggers without content
+    return graph, content
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.15, 0.4, 1.0]))
+@example(n=2, k=1, seed=0, density=0.0)
+@example(n=5, k=9, seed=3, density=0.0)
+def test_link_fits_match_the_recomputing_oracles(n, k, seed, density):
+    """fit_pcl and fit_pcldc, which keep each E-step state, give the bits of
+    the fits that evaluated every state again."""
+    graph, content = _random_link_graph(n, seed, density)
+    pcl = fit_pcl(graph, k, max_iter=12, seed=seed)
+    assert _bits(pcl.popularity, pcl.memberships, pcl.objective_trace) == _bits(
+        *fit_pcl_oracle(graph, k, max_iter=12, seed=seed))
+    pcldc = fit_pcldc(graph, content, k, _names(content), max_iter=8, seed=seed)
+    assert _bits(pcldc.popularity, pcldc.content_weights, pcldc.memberships,
+                 pcldc.objective_trace) == _bits(
+        *fit_pcldc_oracle(graph, content, k, max_iter=8, seed=seed)[:4])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_link_fits_build_each_state_once(monkeypatch, seed):
+    """fit_pcl builds 2n + 1 link states over n iterations; fit_pcldc one
+    initial state, one per popularity update and one per line-search trial."""
+    graph, content = _planted_graph(seed + 50, n_per=4)
+    built = []
+    link_state = factor._link_state
+    monkeypatch.setattr(factor, "_link_state", lambda *args: built.append(1) or link_state(*args))
+    pcl = fit_pcl(graph, 3, max_iter=15, seed=seed)
+    assert len(built) == 2 * (len(pcl.objective_trace) - 1) + 1
+    built.clear()
+    pcldc = fit_pcldc(graph, content, 3, _names(content), max_iter=10, seed=seed)
+    *_, trials = fit_pcldc_oracle(graph, content, 3, max_iter=10, seed=seed)
+    n = len(pcldc.objective_trace) - 1
+    assert trials > 0 and len(built) == 1 + n + trials
 
 
 class TestModelRoundTrips:
