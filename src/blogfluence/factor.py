@@ -426,12 +426,60 @@ def _update_popularity(graph: BloggerGraph, state: _LinkState) -> _LinkState:
     return _link_state(graph, state.y, new / new.mean())
 
 
+# Bracket narrowing for the membership solve (see _narrow_brackets).
+_NEWTON_STEPS = 5
+_PROBE_SPACINGS = 4096
+_PROVEN_STEPS = 90  # below the loop's cap of 100: a margin for rounded midpoints
+
+
+def _multiplier_sum(a: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """h(lam) = sum_k a_k / (lam + c_k) per row, the sum the bisection tests."""
+    return (a / (lam + c)).sum(axis=1, keepdims=True)
+
+
+def _narrow_brackets(a: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Sub-brackets [L, H] of [lo, hi] with h(L) > 1 >= h(H), and the mask of
+    the rows that got one; every other row keeps [lo, hi].
+
+    Newton steps on 1/h, concave and increasing, move lam up from lo:
+    lam += h (h - 1) / sum_k a_k / (lam + c_k)^2.  L and H lie 4096
+    spacings either side of the estimate, and a row keeps them only where h
+    brackets 1 there, L and H have one sign, and bisecting [lo, hi] down to
+    the spacing at min(|L|, |H|) takes at most 90 steps.
+    """
+    with np.errstate(all="ignore"):
+        lam = lo
+        for _ in range(_NEWTON_STEPS):
+            t = lam + c
+            q = a / t
+            h = q.sum(axis=1, keepdims=True)
+            lam = lam + h * (h - 1.0) / (q / t).sum(axis=1, keepdims=True)
+        width = _PROBE_SPACINGS * np.spacing(np.abs(lam))
+        left = np.maximum(lam - width, lo)
+        right = np.minimum(lam + width, hi)
+        steps = np.log2((hi - lo) / np.spacing(np.minimum(np.abs(left), np.abs(right))))
+        ok = ((_multiplier_sum(a, c, left) > 1.0) & (_multiplier_sum(a, c, right) <= 1.0)
+              & (np.sign(left) == np.sign(right)) & (steps <= _PROVEN_STEPS))
+    return np.where(ok, left, lo), np.where(ok, right, hi), ok
+
+
 def _solve_membership_rows(alpha: np.ndarray, cost: np.ndarray, y_old: np.ndarray) -> np.ndarray:
     """Per-row maximize sum_k alpha log y - cost y on the probability simplex.
 
     The stationarity condition y_k = alpha_k / (lam + cost_k) is solved by
     bisection on the row multiplier lam; entries with (numerically) zero
     alpha get zero mass.  Rows with no mass at all keep their old values.
+
+    In floating point h(lam) = sum_k alpha_k / (lam + cost_k) is
+    non-increasing in lam: correctly rounded + and / are monotone, and a row
+    sum adds its terms in one fixed order.  So bisection from any bracket
+    with h(lo) > 1 >= h(hi) ends at the one adjacent pair of doubles where h
+    crosses 1.  ``_narrow_brackets`` hands the loop such a sub-bracket, and
+    the wide bracket around it then holds h(lo) > 1 >= h(hi) too, so both
+    end at that pair.  A row whose wide bracket needs more than 100 steps (a
+    multiplier at or near 0, where the doubles lie densely) ends wherever
+    step 100 left it; only rows proven to finish within 90 steps are
+    narrowed, so every other row bisects as before and keeps that answer.
     """
     y = y_old.copy()
     totals = alpha.sum(axis=1)
@@ -448,9 +496,10 @@ def _solve_membership_rows(alpha: np.ndarray, cost: np.ndarray, y_old: np.ndarra
     mass_at_min = (a * near_min).sum(axis=1, keepdims=True)
     lo = -cmin + 0.5 * mass_at_min  # h(lo) >= 2
     hi = -cmin + tot  # h(hi) <= 1
+    lo, hi, _ = _narrow_brackets(a, c, lo, hi)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        h = (a / (mid + c)).sum(axis=1, keepdims=True)
+        h = _multiplier_sum(a, c, mid)
         too_big = h > 1.0
         new_lo = np.where(too_big, mid, lo)
         new_hi = np.where(too_big, hi, mid)

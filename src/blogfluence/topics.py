@@ -235,9 +235,9 @@ def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
     word_topic = np.zeros(size)
     word_topic[cell] = values
     word_topic = word_topic.reshape(n_topics, len(terms))
-    n_found = np.unique(p_t_topic).size
-    if n_found != n_topics:
-        raise FormatError(f"{model_path}: [p_t] has {n_found} of the {n_topics} topics")
+    if not np.array_equal(np.sort(p_t_topic), np.arange(n_topics)):
+        raise FormatError(f"{model_path}: [p_t] has {np.unique(p_t_topic).size} of the "
+                          f"{n_topics} topics in {p_t_topic.size} rows; it needs each exactly once")
     prior = np.zeros(n_topics)
     prior[p_t_topic] = p_t
     return TopicModel(

@@ -506,6 +506,8 @@ def test_iolap_index_out_of_range(tmp_path, old, new, message):
         ("1\talpha\t0.5\n", "-1\talpha\t0.5\n", "m.tsv: [p_w_given_t] topic index -1 is outside"),
         ("1\t0.75\n", "2\t0.75\n", "m.tsv: [p_t] topic index 2 is outside [0, 2)"),
         ("1\t0.75\n", "", "m.tsv: [p_t] has 1 of the 2 topics"),
+        ("1\t0.75\n", "1\t0.75\n1\t0.5\n",
+         "m.tsv: [p_t] has 2 of the 2 topics in 3 rows; it needs each exactly once"),
     ],
 )
 def test_topic_model_index_out_of_range(tmp_path, old, new, message):

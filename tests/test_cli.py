@@ -576,11 +576,15 @@ class TestExitCodes:
          "[p_w_given_t] needs each of its 320 (topic, term) cells exactly once"),
         ("plsa_model.tsv", ("p_w_given_t", "duplicate"),
          "[p_w_given_t] needs each of its 320 (topic, term) cells exactly once"),
+        # a topic prior given twice
+        ("plsa_model.tsv", ("p_t", "duplicate"),
+         "[p_t] has 2 of the 2 topics in 3 rows; it needs each exactly once"),
     ], ids=["iolap-factor-width", "pcldc-weights-width", "iolap-topics-fixed",
             "iolap-core-row-deleted", "iolap-core-row-duplicated", "iolap-topic-factors",
             "iolap-factor-row-deleted", "iolap-factor-row-duplicated",
             "pcldc-membership-row-deleted", "pcldc-membership-row-duplicated",
-            "plsa-topic-term-row-deleted", "plsa-topic-term-row-duplicated"])
+            "plsa-topic-term-row-deleted", "plsa-topic-term-row-duplicated",
+            "plsa-prior-row-duplicated"])
     @pytest.mark.parametrize("stage", ["idr", "eval"])
     def test_model_of_another_shape_is_1(self, pipeline_copy, config_file, capsys, name, damage,
                                          message, stage):

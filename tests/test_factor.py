@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blogfluence import factor
+from blogfluence.cli import main
 from blogfluence.factor import (
     BloggerGraph,
     _solve_membership_rows,
@@ -37,6 +38,7 @@ from conftest import (
     tensor_entries,
     topic_model_of,
 )
+from test_acceptance import PIPELINE_CONFIG
 
 
 def _monotone(trace):
@@ -516,6 +518,92 @@ def test_membership_bisection_stops_at_the_100_step_answer(seed):
     y_old = rng.dirichlet(np.ones(k), size=n)
     got = _solve_membership_rows(alpha, cost, y_old)
     assert np.array_equal(got, solve_membership_rows_100_steps(alpha, cost, y_old))
+
+
+# Row kinds of the property below: random costs, no mass at all, one cost for
+# the whole row, and two rows whose multiplier is 0 (cost = m * alpha over the
+# m active entries, or every cost equal to the row total), which bisection
+# cannot finish in 100 steps because the doubles near 0 lie densely.
+ROW_KINDS = ("random", "no_mass", "one_cost", "m_alpha", "row_total")
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       rows=st.lists(st.tuples(st.sampled_from(ROW_KINDS), st.integers(-6, 6),
+                               st.integers(-6, 6)), min_size=1, max_size=8))
+@example(k=9, seed=1, rows=[(kind, 3, -2) for kind in ROW_KINDS])
+@example(k=8, seed=2, rows=[(kind, -6, 6) for kind in ROW_KINDS])
+@example(k=1, seed=3, rows=[(kind, 6, -6) for kind in ROW_KINDS])
+def test_membership_solve_matches_the_100_step_oracle(k, seed, rows):
+    """The narrowed brackets end where 100 steps from the wide ones end, for
+    K from 1 to 9 (numpy sums rows of 8 or more in 8 accumulators), row
+    scales from 1e-6 to 1e6, zero-mass entries and rows, and rows that stop
+    at the cap rather than at the fixed point."""
+    rng = np.random.default_rng(seed)
+    alpha_scale = np.array([[10.0 ** a] for _, a, _ in rows])
+    cost_scale = np.array([[10.0 ** c] for _, _, c in rows])
+    alpha = rng.random((len(rows), k)) * alpha_scale
+    alpha[rng.random(alpha.shape) < 0.2] = 0.0
+    cost = rng.random(alpha.shape) * cost_scale
+    for i, (kind, _, _) in enumerate(rows):
+        if kind == "no_mass":
+            alpha[i] = 0.0
+        elif kind == "one_cost":
+            cost[i] = cost[i, 0]
+        elif kind == "m_alpha":
+            cost[i] = np.count_nonzero(alpha[i]) * alpha[i]
+        elif kind == "row_total":
+            cost[i] = alpha[i].sum()
+    y_old = rng.dirichlet(np.ones(k), size=len(rows))
+    got = _solve_membership_rows(alpha, cost, y_old)
+    assert np.array_equal(got, solve_membership_rows_100_steps(alpha, cost, y_old))
+
+
+def test_a_probed_bracket_is_refused_where_the_wide_one_needs_over_90_steps(monkeypatch):
+    """h = 2 / (lam + 2) crosses 1 just below 0, where the doubles are about
+    2^-105 apart: bisecting [-1, 1] would stop at the cap, so even a probe
+    that holds the crossing must leave that row its wide bracket."""
+    a, c = np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]])
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (a / (mid + c)).sum() > 1.0 else (lo, mid)
+    assert np.nextafter(lo, 1.0) == hi and -2.0**-50 < lo < 0.0
+    monkeypatch.setattr(factor, "_NEWTON_STEPS", 0)  # probe around the lower end itself
+    for wide, narrowed in ((1.0, False), (lo + 2.0**-20, True)):
+        left, right, ok = factor._narrow_brackets(a, c, np.array([[lo]]), np.array([[wide]]))
+        assert ok.tolist() == [[narrowed]]
+        assert (left.item(), right.item()) == ((lo, lo + 4096 * np.spacing(-lo)) if narrowed
+                                               else (lo, wide))
+
+
+def test_pcl_narrows_nearly_every_membership_bracket(tmp_path, monkeypatch):
+    """On the pcl fit of the acceptance run (seed 17), every narrowed bracket
+    holds the crossing of h = 1, and at least 99% of the rows are narrowed,
+    which is where the solve's speed comes from."""
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(PIPELINE_CONFIG)
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "run"), "--seed", "17"]
+    for stage in ("synth", "ingest", "links", "causality", "influence", "split"):
+        assert main([stage, *argv]) == 0, stage
+    calls = []
+    narrow = factor._narrow_brackets
+
+    def recording(a, c, lo, hi):
+        calls.append((a, c, lo, hi, *narrow(a, c, lo, hi)))
+        return calls[-1][4:]
+
+    monkeypatch.setattr(factor, "_narrow_brackets", recording)
+    assert main(["pcl", *argv]) == 0 and calls
+    narrowed = rows = 0
+    for a, c, lo, hi, left, right, ok in calls:
+        assert np.all(lo <= left) and np.all(right <= hi)
+        h_left = (a / (left + c)).sum(axis=1, keepdims=True)
+        h_right = (a / (right + c)).sum(axis=1, keepdims=True)
+        assert np.all(h_left[ok] > 1.0) and np.all(h_right[ok] <= 1.0)
+        narrowed += int(ok.sum())
+        rows += ok.size
+    assert narrowed >= 0.99 * rows, (narrowed, rows)
 
 
 # The conditional link fits as they were before the E-step state was kept:
