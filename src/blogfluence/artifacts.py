@@ -10,14 +10,18 @@ integer fields only is written from one int64 array, plain rows from one
 list, int64 array or float64 array per column.  Every table reads as whole
 columns (``_line_columns``); a row with another field count, or a field its
 type rejects, raises ``FormatError`` naming the file and the line.  Only the
-rows of keyed sections (``[meta]``, ``[dims]``) are read one by one.
+rows of keyed sections (``[meta]``, ``[dims]``) are read one by one.  A
+file is written under a temporary name and moved into place, so that a
+write cut short leaves the old file; a refused row leaves none.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
-from contextlib import suppress
+import shutil
+from contextlib import contextmanager, suppress
 from itertools import islice, repeat, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -53,10 +57,26 @@ def _readable(path, lines: str) -> str:
     return lines
 
 
-def _write(path: str | Path, header: str | None, blocks) -> None:
-    """Write the blocks; a refused row raises ``FormatError`` and removes the file."""
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[Path]:
+    """A temporary path beside ``path``, moved onto it when the block ends; on
+    any exception the temporary is removed and ``path`` keeps its old bytes."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def _write(path: str | Path, header: str | None, blocks) -> None:
+    """Write the blocks in place of ``path``, whole or not at all.  An exception
+    leaves ``path``'s old bytes, except a refused row (``FormatError``), which
+    removes ``path`` too: no artifact of earlier inputs stands in for it."""
+    try:
+        with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             if header:
                 fh.write(header + "\n")
             for title, rows in blocks:
@@ -72,8 +92,14 @@ def _write(path: str | Path, header: str | None, blocks) -> None:
                     while chunk := "".join(islice(lines, 4096)):
                         fh.write(_readable(path, chunk))
     except FormatError:
-        Path(path).unlink()
+        Path(path).unlink(missing_ok=True)
         raise
+
+
+def copy_file(src: str | Path, dst: str | Path) -> None:
+    """Copy ``src`` to ``dst`` as ``_write`` writes: whole or not at all."""
+    with _replacing(dst) as tmp:
+        shutil.copyfile(src, tmp)
 
 
 def write_rows(path: str | Path, header: str | None, rows: Iterable[Sequence],
@@ -146,18 +172,21 @@ def _line_columns(path, lines: list[tuple[int, str]], types: Sequence[type]):
 
 def _columns(path, bodies: list[tuple[int, str]], types: Sequence[type]):
     """``_line_columns`` of the texts ``bodies`` (each after the number of its first
-    line).  Fields of ``int`` only are first tried by one ``np.loadtxt`` over the
-    raw text; a blank or ``#`` line makes it fail, and text holding one of the
-    separators \\x1c-\\x1f, which it reads as space and ``int`` refuses, skips it."""
-    if set(types) == {int}:
+    line).  Fields all ``int`` or all ``float`` are first tried by one ``np.loadtxt``
+    over the raw text; a blank or ``#`` line makes it fail, and text holding one of
+    the separators \\x1c-\\x1f, which it reads as space and ``int`` and ``float``
+    refuse, skips it."""
+    dtype = {frozenset({int}): np.int64, frozenset({float}): np.float64}.get(frozenset(types))
+    if dtype is not None:
         text = "".join(body for _, body in bodies)
         with suppress(ValueError):
-            block = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None,
-                               ndmin=2) if text.strip() else np.zeros((0, len(types)), np.int64)
+            block = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter="\t", comments=None,
+                               ndmin=2) if text.strip() else np.zeros((0, len(types)), dtype)
             if block.shape[1] == len(types) and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
                 # A copy: keeping loadtxt's grown buffer left the heap of a 14-stage
                 # run in one process about 6 MB higher.
-                return block.copy().T
+                columns = block.copy().T
+                return columns if dtype is np.int64 else list(columns)
     return _line_columns(path, [row for first, body in bodies for row in _rows(body, first)],
                          types)
 

@@ -37,7 +37,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import shutil
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -176,7 +175,7 @@ def _topic_model(cfg: PipelineConfig) -> topics.TopicModel:
 
 def _read_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int]:
     """links.tsv and the number of its links that carry a similarity."""
-    net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
+    net = implicit.read_coded_links(_path(cfg, "links.tsv"), cfg.window_hours)
     return net, int(np.count_nonzero(~np.isnan(net.links.similarity)))
 
 
@@ -244,7 +243,7 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
                           f"{len(activity.urls)} post urls of activity.tsv")
     net = implicit.build_implicit_links(activity, cfg.window_hours)
     causality.annotate_similarity(net.links, terms, cfg.vocab_max_size, cfg.min_tokens)
-    implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
+    implicit.write_coded_links(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
     artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, enumerate(hist, 1), ("bin", "count"))
     return (f"links: {net.post_link_count} post links, {net.blogger_link_count} blogger links, "
@@ -470,7 +469,7 @@ def cmd_report(cfg: PipelineConfig, args, header: str) -> str:
     for name in _BUNDLED:
         src = _path(cfg, name)
         if src.exists():
-            shutil.copyfile(src, report_dir / src.name)
+            artifacts.copy_file(src, report_dir / src.name)
             bundled.append(src.name)
     if _path(cfg, "links.tsv").exists() and _path(cfg, "influence.tsv").exists():
         shift = causality.rank_shift_report(activity, _read_links(cfg)[0], _read_influence(cfg))

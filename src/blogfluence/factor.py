@@ -375,6 +375,9 @@ class _LinkState(NamedTuple):
 
 
 def _link_state(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray) -> _LinkState:
+    """The link model at memberships ``y`` and popularity ``bpop``; its objective is
+    the weighted log-likelihood of the links, each edge (i -> j) contributing
+    s_ij log sum_k y_ik y_jk b_j / D_ik, where D_ik normalizes over i's out-links."""
     src, dst = graph.src, graph.dst
     denom = scatter_rows(src, y[dst] * bpop[dst][:, None], y.shape[0])
     num = y[src] * y[dst] * bpop[dst][:, None]
@@ -383,15 +386,6 @@ def _link_state(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray) -> _LinkSt
     with np.errstate(divide="ignore"):
         logp = np.log(p_edge)
     return _LinkState(y, bpop, denom, comp, p_edge, float(graph.weight @ logp))
-
-
-def conditional_link_objective(graph: BloggerGraph, y: np.ndarray, bpop: np.ndarray) -> float:
-    """Weighted log-likelihood of observed links under the mixture model.
-
-    Each edge (i -> j) contributes s_ij log sum_k y_ik y_jk b_j / D_ik,
-    where D_ik normalizes over i's out-neighborhood.
-    """
-    return _link_state(graph, y, bpop).objective
 
 
 def _posterior_masses(graph: BloggerGraph, state: _LinkState):
@@ -564,20 +558,6 @@ def _content_gradient(graph: BloggerGraph, content: np.ndarray, state: _LinkStat
     g_y = (out_mass + in_mass) / y - state.bpop[:, None] * denom_mass
     inner = (y * g_y).sum(axis=1, keepdims=True)
     return content.T @ (y * (g_y - inner))
-
-
-def pcldc_content_gradient(
-    graph: BloggerGraph, content: np.ndarray, weights: np.ndarray, bpop: np.ndarray
-) -> np.ndarray:
-    """Exact gradient of ``pcldc_objective`` with respect to the weights.
-
-    The membership gradient has three parts: posterior mass of the node
-    as link source, as link target, and (negatively) its appearances in
-    other nodes' out-neighborhood normalizers; it is then pushed through
-    the softmax Jacobian and the content rows.
-    """
-    state = _link_state(graph, _softmax_rows(content @ weights), bpop)
-    return _content_gradient(graph, content, state)
 
 
 def fit_pcldc(

@@ -10,8 +10,10 @@ The links are built from the ``corpus.Activity`` rows, which
 of columns: q and p index an ascending table of post URLs, reader and
 author an ascending table of bloggers, so index order is string order.
 One ``ImplicitNetwork`` holds the implicit links or the influence network
-drawn from them, and ``links.tsv`` and ``influence.tsv`` store either as
-the same whole columns, each link's similarity included.
+drawn from them, each link's similarity included.  ``links.tsv`` stores
+the table as it is held: the two name tables, then the index and gap
+columns as integers.  ``influence.tsv`` spells each link's posts and
+bloggers out, one link per row.
 """
 
 from __future__ import annotations
@@ -171,13 +173,28 @@ _MAX_SIMILARITY = 1 + 4 * np.finfo(np.float64).eps
 
 
 def write_links_tsv(links: Links, path: str, header: str | None = None) -> None:
-    """One row per link; the similarity as its shortest ``repr``, ``nan`` where none."""
+    """``influence.tsv``: one row per link, its posts and bloggers by name; the
+    similarity as its shortest ``repr``, ``nan`` where none."""
     urls, bloggers = links.urls, links.bloggers
     artifacts.write_columns(path, header, _LINK_COLUMNS, [
         [urls[i] for i in links.q.tolist()], [urls[i] for i in links.p.tolist()],
         [bloggers[i] for i in links.reader.tolist()], [bloggers[i] for i in links.author.tolist()],
         links.gap, links.similarity,
     ])
+
+
+def _checked(path, links: Links, window_hours: int) -> ImplicitNetwork:
+    """The network of ``links`` read from ``path``: every gap must lie in
+    (0, ``window_hours``] hours and every similarity be NaN or in [0, 1]."""
+    max_gap = window_hours * 3600
+    bad = np.flatnonzero((links.gap <= 0) | (links.gap > max_gap))
+    if bad.size:
+        raise FormatError(f"{path}: gap_seconds {links.gap[bad[0]]} is outside (0, {max_gap}]")
+    bad = np.flatnonzero((links.similarity < 0) | (links.similarity > _MAX_SIMILARITY))
+    if bad.size:
+        raise FormatError(
+            f"{path}: similarity {links.similarity[bad[0]].item()!r} is outside [0, 1]")
+    return summarize_links(links, window_hours)
 
 
 def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS,
@@ -192,28 +209,74 @@ def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS,
                                                      _LINK_COLUMNS)
     links = Links.from_columns(*names, gap)
     links.similarity = similarity
-    max_gap = window_hours * 3600
-    bad = np.flatnonzero((links.gap <= 0) | (links.gap > max_gap))
-    if bad.size:
-        raise FormatError(f"{path}: gap_seconds {links.gap[bad[0]]} is outside (0, {max_gap}]")
-    bad = np.flatnonzero((similarity < 0) | (similarity > _MAX_SIMILARITY))
-    if bad.size:
-        raise FormatError(f"{path}: similarity {similarity[bad[0]].item()!r} is outside [0, 1]")
+    net = _checked(path, links, window_hours)
     unknown = [url for url in links.urls if url not in posts] if posts is not None else []
     if unknown:
         raise FormatError(f"{path}: post {unknown[0]!r} is not among the {len(posts)} known posts")
-    return summarize_links(links, window_hours)
+    return net
 
 
-# activity.tsv tags each name row with its table, so that no name (blank, opening
-# with "#", or shaped like a "[section]" line) can read back as anything but a row.
+# links.tsv and activity.tsv tag each name row with its table, so that no name (blank,
+# opening with "#", or shaped like a "[section]" line) can read back as anything but a row.
+_LINK_NAMES = ("url", "blogger")
 _NAME_TABLES = ("url", "blogger", "ip", "theme")
+
+
+def _tagged(tags: Sequence[str], tables: Sequence[list[str]]) -> Iterator[tuple[str, str]]:
+    return ((tag, name) for tag, names in zip(tags, tables) for name in names)
+
+
+def _untagged(path, tags: Sequence[str], column: tuple[list[str], list[str]]) -> list[list[str]]:
+    """The name table of each tag from the [names] (tag, name) columns; an
+    untagged name or a table not strictly ascending raises ``FormatError``."""
+    row_tags, names = column
+    tables = [list(compress(names, map(tag.__eq__, row_tags))) for tag in tags]
+    if sum(map(len, tables)) < len(names):
+        raise FormatError(f"{path}: [names] has a row tagged none of {', '.join(tags)}")
+    for tag, table in zip(tags, tables):
+        if any(a >= b for a, b in zip(table, table[1:])):
+            raise FormatError(f"{path}: [names] needs each {tag} once, in ascending order")
+    return tables
+
+
+def write_coded_links(links: Links, path: str, header: str | None = None) -> None:
+    """``links.tsv``: the url and blogger tables as tagged ``[names]`` rows, the
+    q, p, reader, author and gap columns as one ``[links]`` integer block, and
+    each similarity's shortest ``repr`` (``nan`` where none) in ``[similarity]``."""
+    artifacts.write_sections(path, header, {
+        "names": _tagged(_LINK_NAMES, (links.urls, links.bloggers)),
+        "links": np.stack([links.q, links.p, links.reader, links.author, links.gap], axis=1),
+        "similarity": "".join(map("{!r}\n".format, links.similarity.tolist())),
+    })
+
+
+def read_coded_links(path: str, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
+    """The network of a file written by ``write_coded_links``.
+
+    An untagged name, a name table not strictly ascending, an index out of
+    range, a ``[similarity]`` row count other than ``[links]``'s, a gap
+    outside (0, ``window_hours``] hours or a similarity neither NaN nor in
+    [0, 1] raises ``FormatError`` naming the file.
+    """
+    sections = artifacts.read_sections(path, {
+        "names": [str, str], "links": [int] * 5, "similarity": [float],
+    })
+    urls, bloggers = _untagged(path, _LINK_NAMES, sections["names"])
+    q, p, reader, author, gap = sections["links"]
+    (similarity,) = sections["similarity"]
+    if len(similarity) != len(gap):
+        raise FormatError(f"{path}: [similarity] has {len(similarity)} rows for {len(gap)} links")
+    for what, index, table in (("post", q, urls), ("post", p, urls),
+                               ("blogger", reader, bloggers), ("blogger", author, bloggers)):
+        artifacts.check_indices(path, what, index, len(table))
+    return _checked(path, Links(urls, bloggers, q, p, reader, author, gap, similarity),
+                    window_hours)
 
 
 def write_activity(activity: Activity, path: str, header: str | None = None) -> None:
     tables = (activity.urls, activity.bloggers, activity.ips, activity.themes)
     artifacts.write_sections(path, header, {
-        "names": ((tag, name) for tag, names in zip(_NAME_TABLES, tables) for name in names),
+        "names": _tagged(_NAME_TABLES, tables),
         "posts": activity.posts, "post_themes": activity.post_themes, "accesses": activity.accesses,
     })
 
@@ -224,14 +287,7 @@ def read_activity(path: str) -> Activity:
     sections = artifacts.read_sections(path, {
         "names": [str, str], "posts": [int] * 3, "post_themes": [int] * 2, "accesses": [int] * 3,
     })
-    tags, names = sections["names"]
-    tables = [list(compress(names, map(tag.__eq__, tags))) for tag in _NAME_TABLES]
-    if sum(map(len, tables)) < len(names):
-        raise FormatError(f"{path}: [names] has a row tagged none of {', '.join(_NAME_TABLES)}")
-    for tag, table in zip(_NAME_TABLES, tables):
-        if any(a >= b for a, b in zip(table, table[1:])):
-            raise FormatError(f"{path}: [names] needs each {tag} once, in ascending order")
-    urls, bloggers, ips, themes = tables
+    urls, bloggers, ips, themes = _untagged(path, _NAME_TABLES, sections["names"])
     posts, post_themes, accesses = (sections[name].T
                                     for name in ("posts", "post_themes", "accesses"))
     if len(posts) != len(urls):

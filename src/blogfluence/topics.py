@@ -16,6 +16,8 @@ from blogfluence.corpus import FormatError, Strings, lexorder
 from blogfluence.textvec import PostTerms
 
 DEFAULT_TOL = 1e-7
+# Nonzeros per block of the E-step: (K, PLSA_BLOCK) temporaries instead of (K, nnz).
+PLSA_BLOCK = 32_768
 
 
 @dataclass
@@ -146,21 +148,28 @@ def fit_plsa(
     word_topic = rng.dirichlet(np.ones(n_terms), size=n_topics)  # K x V
     doc_topic = rng.dirichlet(np.ones(n_topics), size=n_docs)  # D x K
     rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
+    joint = np.empty((n_topics, rows.size))  # K x nnz, refilled by each E-step
+    logs = np.empty(rows.size)
 
-    def joint_of(doc_topic: np.ndarray, word_topic: np.ndarray) -> np.ndarray:
-        # K x nnz: P(t|d) P(w|t) per nonzero, gathered from (K, D) and (K, V) copies
-        joint = np.take(doc_topic.T, rows, axis=1)
-        joint *= np.take(word_topic, cols, axis=1)
-        return joint
+    def e_step(doc_topic: np.ndarray, word_topic: np.ndarray) -> float:
+        # Block by block: joint = P(t|d) P(w|t) / P(w|d) * count per nonzero and
+        # logs = count * log P(w|d), gathered from (K, D) and (K, V) copies.
+        # Each float is the one a full-length pass computes; the loglik is
+        # numpy's pairwise sum over all of logs, not BLAS.
+        for a in range(0, rows.size, PLSA_BLOCK):
+            b = a + PLSA_BLOCK
+            joint[:, a:b] = np.take(doc_topic.T, rows[a:b], axis=1)
+            joint[:, a:b] *= np.take(word_topic, cols[a:b], axis=1)
+            prob = row_sum(joint[:, a:b])
+            np.multiply(counts[a:b], np.log(prob), out=logs[a:b])
+            joint[:, a:b] *= counts[a:b] / prob
+        return float(logs.sum())
 
     trace: list[float] = []
     prev = None
     for _ in range(max_iter):
-        joint = joint_of(doc_topic, word_topic)  # weighted in place below
-        prob = row_sum(joint)
-        loglik = float((counts * np.log(prob)).sum())  # numpy's pairwise sum, not BLAS
+        loglik = e_step(doc_topic, word_topic)
         trace.append(loglik)
-        joint *= counts / prob
         term_mass = scatter_rows(cols, joint.T, n_terms)  # V x K
         doc_mass = scatter_rows(rows, joint.T, n_docs)  # D x K
         topic_totals = term_mass.sum(axis=0)
@@ -170,7 +179,7 @@ def fit_plsa(
             break
         prev = loglik
 
-    final = float((counts * np.log(row_sum(joint_of(doc_topic, word_topic)))).sum())
+    final = e_step(doc_topic, word_topic)
     trace.append(final)
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after PLSA fit")

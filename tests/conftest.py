@@ -33,6 +33,7 @@ from blogfluence.synth import (
     _topic_word_dists,
 )
 from blogfluence import causality
+from blogfluence.factor import _content_gradient, _link_state, _softmax_rows
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, tokenize
 from blogfluence.topics import TopicModel, build_doc_term
@@ -300,6 +301,35 @@ def links_table(rows):
     return table
 
 
+def link_sections(text):
+    """The rows of each ``[section]`` of a coded ``links.tsv`` text, after its line 1."""
+    sections = {}
+    for line in text.split("\n")[1:-1]:
+        if line in ("[names]", "[links]", "[similarity]"):
+            rows = sections[line[1:-1]] = []
+        else:
+            rows.append(line)
+    return sections
+
+
+def plain_links(text):
+    """A coded ``links.tsv`` text as the plain file it replaced: line 1, the
+    column names, then one row per link with its posts and bloggers by name."""
+    sections = link_sections(text)
+    tables = {"url": [], "blogger": []}
+    for row in sections["names"]:
+        tag, name = row.split("\t")
+        tables[tag].append(name)
+    urls, bloggers = tables["url"], tables["blogger"]
+    rows = [
+        f"{urls[int(q)]}\t{urls[int(p)]}\t{bloggers[int(r)]}\t{bloggers[int(a)]}\t{gap}\t{sim}\n"
+        for (q, p, r, a, gap), sim in zip(map(str.split, sections["links"]),
+                                          sections["similarity"], strict=True)
+    ]
+    return "".join([text.split("\n", 1)[0], "\nq\tp\treader\tauthor\tgap_seconds\tsimilarity\n",
+                    *rows])
+
+
 # --------------------------------------------------------------------------
 # The coin series as objects, which ``blogfluence.causality`` computes only
 # as the coin arrays of ``_coin_faces``; the tests build and pool them
@@ -442,6 +472,30 @@ def topic_model_of(z):
 def random_topics(seed, n_terms, n_topics):
     """``topic_model_of`` seeded Dirichlet(1) topics."""
     return topic_model_of(np.random.default_rng(seed).dirichlet(np.ones(n_terms), n_topics).T)
+
+
+# The link model's objective and pcldc's gradient at one point: the fits
+# compute both inside their steps; c08 and the factor tests check them here.
+
+def conditional_link_objective(graph, y, bpop):
+    """Weighted log-likelihood of observed links under the mixture model.
+
+    Each edge (i -> j) contributes s_ij log sum_k y_ik y_jk b_j / D_ik,
+    where D_ik normalizes over i's out-neighborhood.
+    """
+    return _link_state(graph, y, bpop).objective
+
+
+def pcldc_content_gradient(graph, content, weights, bpop):
+    """Exact gradient of ``pcldc_objective`` with respect to the weights.
+
+    The membership gradient has three parts: posterior mass of the node
+    as link source, as link target, and (negatively) its appearances in
+    other nodes' out-neighborhood normalizers; it is then pushed through
+    the softmax Jacobian and the content rows.
+    """
+    state = _link_state(graph, _softmax_rows(content @ weights), bpop)
+    return _content_gradient(graph, content, state)
 
 
 @pytest.fixture

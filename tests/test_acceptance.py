@@ -23,7 +23,6 @@ from blogfluence.factor import (
     fit_iolap,
     fit_pcl,
     fit_pcldc,
-    pcldc_content_gradient,
     pcldc_objective,
     topic_factors_from_model,
 )
@@ -31,7 +30,9 @@ from blogfluence.pipeline import recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import fit_plsa
 
-from conftest import CoinSeries, TermVector, doc_term, random_topics, z_test
+from conftest import (
+    CoinSeries, TermVector, doc_term, pcldc_content_gradient, random_topics, z_test,
+)
 
 N_SEEDS = 20
 SECONDS_PER_DETECTION_SEED = 120.0

@@ -2,6 +2,8 @@
 readers, and malformed rows raising FormatError with file and line."""
 
 import math
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,9 +31,12 @@ from blogfluence.factor import (
 )
 from blogfluence.implicit import (
     ImplicitNetwork,
+    Links,
     read_activity,
+    read_coded_links,
     read_links_tsv,
     write_activity,
+    write_coded_links,
     write_links_tsv,
 )
 from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
@@ -425,6 +430,162 @@ def test_activity_round_trip(posts, reads, tmp_path_factory):
             ] == [(ip, urls[i], ts) for ip, i, ts in reads if i < len(urls)]
     write_activity(activity, path, "# h")
     assert path.read_bytes() == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), urls=st.lists(_NAMES, min_size=1, max_size=8, unique=True),
+       bloggers=st.lists(_NAMES, min_size=1, max_size=5, unique=True))
+def test_coded_links_round_trip(data, urls, bloggers, tmp_path_factory):
+    """Every column of a coded links table reads back bit for bit, over name
+    tables longer than the links use and names no plain row could carry."""
+    n = data.draw(st.integers(0, 12))
+    index = lambda size: np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n,
+                                                     max_size=n)), np.int64)
+    similarity = data.draw(st.lists(st.one_of(st.just(math.nan), st.floats(0, 1)),
+                                    min_size=n, max_size=n))
+    links = Links(sorted(urls), sorted(bloggers), index(len(urls)), index(len(urls)),
+                  index(len(bloggers)), index(len(bloggers)),
+                  np.array(data.draw(st.lists(st.integers(1, 43200), min_size=n, max_size=n)),
+                           np.int64), np.array(similarity, np.float64))
+    path = tmp_path_factory.mktemp("coded") / "l.tsv"
+    write_coded_links(links, path, "# h")
+    text = path.read_bytes()
+    again = read_coded_links(path).links
+    assert (again.urls, again.bloggers) == (links.urls, links.bloggers)
+    for column in ("q", "p", "reader", "author", "gap", "similarity"):
+        assert getattr(again, column).tobytes() == getattr(links, column).tobytes(), column
+    write_coded_links(again, path, "# h")
+    assert path.read_bytes() == text
+
+
+# LINKS coded: [names] rows 3-8 (urls /ua/q1, /ub/p1, /uc/p3; bloggers ua, ub,
+# uc), [links] rows 10-11, [similarity] rows 13-14.
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("url\t/ub/p1\n", "uri\t/ub/p1\n", "l.tsv: [names] has a row tagged none of url, blogger"),
+        ("url\t/ub/p1\n", "url\t/ua/q1\n", "l.tsv: [names] needs each url once, in ascending"),
+        ("blogger\tub\n", "blogger\tuz\n", "l.tsv: [names] needs each blogger once, in ascending"),
+        ("\n0\t1\t0\t1\t600\n", "\n0\t3\t0\t1\t600\n", "l.tsv: post index 3 is outside [0, 3)"),
+        ("\n0\t1\t0\t1\t600\n", "\n-1\t1\t0\t1\t600\n", "l.tsv: post index -1 is outside"),
+        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t3\t600\n", "l.tsv: blogger index 3 is outside"),
+        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t1\n", "l.tsv:10: expected 5 tab-separated fields"),
+        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t1\t43201\n",
+         "l.tsv: gap_seconds 43201 is outside (0, 43200]"),
+        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t1\t0\n", "l.tsv: gap_seconds 0 is outside"),
+        ("[similarity]\nnan\n", "[similarity]\n1.5\n", "l.tsv: similarity 1.5 is outside [0, 1]"),
+        ("[similarity]\nnan\n", "[similarity]\n-inf\n", "l.tsv: similarity -inf is outside"),
+        ("[similarity]\nnan\n", "[similarity]\n0.5x\n",
+         "l.tsv:13: could not convert string to float: '0.5x'"),
+        ("[similarity]\nnan\n", "[similarity]\n", "l.tsv: [similarity] has 1 rows for 2 links"),
+        ("[similarity]\n", "[similarity]\n0.5\n", "l.tsv: [similarity] has 3 rows for 2 links"),
+        ("[links]\n", "[link]\n", "l.tsv:9: unexpected section '[link]'"),
+    ],
+)
+def test_coded_links_refusals_name_the_file(tmp_path, old, new, message):
+    path = tmp_path / "l.tsv"
+    write_coded_links(LINKS, path, "# h")
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(FormatError) as info:
+        read_coded_links(path)
+    assert message in str(info.value)
+
+
+def test_plain_links_file_is_refused_at_its_first_row(tmp_path):
+    """One codec per file: the coded reader takes no plain links.tsv."""
+    path = tmp_path / "l.tsv"
+    write_links_tsv(LINKS, path, "# h")
+    with pytest.raises(FormatError, match=r"l.tsv:2: row before the first \[section\]"):
+        read_coded_links(path)
+
+
+def test_reading_coded_links_peak_memory_per_link(tmp_path):
+    """Reading 20,000 coded links traces under 400 bytes per link: no string
+    is made per link (a plain six-column file read about 660)."""
+    rng = np.random.default_rng(3)
+    n = 20_000
+    urls = sorted(f"/u{i:04d}/p{j}" for i in range(300) for j in range(20))
+    links = Links(urls, [f"u{i:04d}" for i in range(300)], *rng.integers(0, len(urls), (2, n)),
+                  *rng.integers(0, 300, (2, n)), rng.integers(1, 43201, n),
+                  np.where(rng.random(n) < 0.1, np.nan, rng.random(n)))
+    path = tmp_path / "l.tsv"
+    write_coded_links(links, path, "# h")
+    tracemalloc.start()
+    try:
+        net = read_coded_links(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(net.links) == n
+    assert peak < 400 * n
+
+
+# Fields float may or may not take: number forms, the separators \x1c-\x1f that
+# np.loadtxt reads as space, and the whitespace that float strips.
+_FLOAT_FIELDS = st.one_of(
+    st.floats(width=64).map(repr),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0.0", "1_0", " 1.5 ",
+                     "1e400", "-1e400", "1e-400", "0x1p3", "1.5e", "1,5", "", " ", "\x1c1",
+                     "1\x1f", "\x1d", "1\x0b", "\u30002", "\xa01", "1\x85", "+.5", "#1"]),
+    st.tuples(st.text(st.sampled_from(" \x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"),
+                      max_size=2),
+              st.floats(width=64).map(repr),
+              st.text(st.sampled_from(" \x0b\x1c\x1f\u3000_e5"), max_size=2)).map("".join),
+    st.text(st.sampled_from("0123456789.eE+-_ nafiNI\x1c\x1f\x0b"), max_size=6),
+)
+
+
+def _float_or_none(field: str):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_FLOAT_FIELDS, min_size=1, max_size=2).filter(
+           lambda row: not ("\t".join(row).startswith("[") and "\t".join(row).endswith("]"))),
+       max_size=6).filter(lambda rows: len({len(row) for row in rows}) <= 1))
+def test_float_columns_take_what_float_takes(rows):
+    """An all-float section reads, field by field, the values float reads, bit
+    for bit, and is refused where float refuses a field of a kept row."""
+    width = len(rows[0]) if rows else 1
+    lines = ["\t".join(row) for row in rows]
+    kept = [row for row, line in zip(rows, lines) if line.strip() and line[0] != "#"]
+    values = [[_float_or_none(field) for field in row] for row in kept]
+    text = "".join(f"{line}\n" for line in ["[t]", *lines])
+    if any(v is None for row in values for v in row):
+        with pytest.raises(FormatError):
+            artifacts.parse_sections("t.tsv", text, {"t": [float] * width})
+        return
+    columns = artifacts.parse_sections("t.tsv", text, {"t": [float] * width})["t"]
+    assert len(columns) == width
+    for i, column in enumerate(columns):
+        assert column.dtype == np.float64
+        assert column.tobytes() == np.array([row[i] for row in values], np.float64).tobytes()
+
+
+def test_write_cut_short_keeps_the_old_file(tmp_path):
+    """An exception in the middle of a write leaves the old bytes and no
+    temporary file; so does one in the middle of a copy."""
+    path = tmp_path / "a.tsv"
+    artifacts.write_rows(path, "# h", [("ua", 1)], ("name", "n"))
+    old = path.read_bytes()
+
+    def rows():
+        yield from (("ub", i) for i in range(10_000))  # past the first written chunk
+        raise RuntimeError("cut")
+
+    with pytest.raises(RuntimeError, match="cut"):
+        artifacts.write_rows(path, "# h2", rows(), ("name", "n"))
+    assert path.read_bytes() == old and os.listdir(tmp_path) == ["a.tsv"]
+    with pytest.raises(OSError):
+        artifacts.copy_file(tmp_path / "missing.tsv", path)
+    assert path.read_bytes() == old and os.listdir(tmp_path) == ["a.tsv"]
+    artifacts.copy_file(path, tmp_path / "b.tsv")
+    assert (tmp_path / "b.tsv").read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["a.tsv", "b.tsv"]
 
 
 @pytest.mark.parametrize(

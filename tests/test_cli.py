@@ -10,6 +10,8 @@ from blogfluence.cli import main
 from blogfluence.corpus import parse_content_file
 from blogfluence.implicit import read_activity
 
+from conftest import link_sections
+
 SYNTH_KEYS = """
 # small but complete pipeline configuration
 window_hours = 12
@@ -119,7 +121,7 @@ class TestPipeline:
 
     def test_detection_summaries_count_links_with_a_similarity(self, pipeline_copy,
                                                                config_file, capsys):
-        rows = (pipeline_copy / "links.tsv").read_text(encoding="utf-8").splitlines()[2:]
+        rows = link_sections((pipeline_copy / "links.tsv").read_text(encoding="utf-8"))["links"]
         counted = []
         for stage in ("causality", "influence"):
             capsys.readouterr()
@@ -280,10 +282,15 @@ class TestExitCodes:
                                message):
         path = pipeline_copy / name
         lines = path.read_text(encoding="utf-8").split("\n")
-        fields = lines[2].split("\t")
         what, value = damage.split(" ")
-        fields[{"post": 1, "gap": 4, "similarity": 5}[what]] = value
-        lines[2] = "\t".join(fields)
+        if name == "links.tsv":  # the first link's gap in [links], its similarity in [similarity]
+            row = lines.index("[similarity]" if what == "similarity" else "[links]") + 1
+            field = {"gap": 4, "similarity": 0}[what]
+        else:
+            row, field = 2, {"post": 1, "gap": 4, "similarity": 5}[what]
+        fields = lines[row].split("\t")
+        fields[field] = value
+        lines[row] = "\t".join(fields)
         path.write_text("\n".join(lines), encoding="utf-8")
         capsys.readouterr()
         code = main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
@@ -291,7 +298,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         # A field that does not parse is named with its line number.
-        assert re.match(rf"error: {re.escape(str(path))}:(3:)? ", err) and message in err
+        assert re.match(rf"error: {re.escape(str(path))}:({row + 1}:)? ", err) and message in err
         assert "Traceback" not in err
 
     def test_post_terms_of_another_ingest_is_1(self, pipeline_copy, config_file, tmp_path,

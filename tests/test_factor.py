@@ -11,12 +11,10 @@ from blogfluence.factor import (
     InfluenceTensor,
     blogger_content_matrix,
     build_influence_tensor,
-    conditional_link_objective,
     fit_iolap,
     fit_pcl,
     fit_pcldc,
     iolap_topic_influencers,
-    pcldc_content_gradient,
     pcldc_objective,
     pcldc_topic_influencers,
     read_iolap_model,
@@ -31,8 +29,10 @@ from blogfluence.topics import DEFAULT_TOL, fit_plsa, scatter_rows
 
 from conftest import (
     TermVector,
+    conditional_link_objective,
     doc_term,
     links_table,
+    pcldc_content_gradient,
     post_terms,
     random_topics,
     tensor_entries,

@@ -1,15 +1,19 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blogfluence import topics
 from blogfluence.topics import (
     DocTermMatrix,
+    PLSA_BLOCK,
     row_sum,
     scatter_rows,
     fit_plsa,
@@ -225,6 +229,45 @@ def test_fit_plsa_is_bit_identical_to_the_nnz_major_loop(n_topics, seed, extra_d
     assert np.array_equal(model.p_t, p_t)
     assert np.array_equal(model.p_t_given_d, doc_topic)
     assert model.loglik_trace == trace
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_topics=st.sampled_from([1, 3, 8, 9, 17]),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 50),
+    max_iter=st.integers(1, 4),
+)
+def test_fit_plsa_keeps_every_float_in_any_block_size(n_topics, seed, block, max_iter):
+    """Blocks that cut documents, and a last block shorter than the rest,
+    leave every fitted float and the whole trace as the one-pass loop has them."""
+    dt = _random_doc_term(seed, n_topics + 12, 30, 0.3)
+    with mock.patch.object(topics, "PLSA_BLOCK", block):
+        model = fit_plsa(dt, n_topics, [f"w{i}" for i in range(30)], max_iter=max_iter,
+                         tol=0.0, seed=seed)
+    word_topic, p_t, doc_topic, trace = fit_plsa_nnz_major(dt, n_topics, max_iter, 0.0, seed)
+    assert np.array_equal(model.p_w_given_t, word_topic)
+    assert np.array_equal(model.p_t, p_t)
+    assert np.array_equal(model.p_t_given_d, doc_topic)
+    assert model.loglik_trace == trace
+
+
+def test_fit_plsa_peak_memory_is_one_joint_array_and_a_few_blocks():
+    """The traced peak of a fit over about 160,000 nonzeros (about five
+    blocks) stays near its one (K, nnz) array: the gathers, probabilities
+    and weights are block-sized.  tracemalloc sees numpy's buffers."""
+    dt = _random_doc_term(0, 4000, 800, 0.05)
+    n_topics, nnz = 8, dt.rows.size
+    assert nnz > 4 * PLSA_BLOCK
+    terms = [f"w{i}" for i in range(800)]
+    tracemalloc.start()
+    try:
+        fit_plsa(dt, n_topics, terms, max_iter=3, tol=0.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The (K, nnz) joint, the length-nnz log array and three (K, block) arrays.
+    assert peak < 8 * (n_topics * nnz + nnz + 3 * n_topics * PLSA_BLOCK)
 
 
 def test_row_sum_is_numpys_row_sum():
