@@ -31,6 +31,8 @@ import numpy as np
 from blogfluence.corpus import FormatError, Strings
 
 Types = tuple[Callable[[str], object], ...]
+# Rows formatted per write: the text of a chunk, not of a table, is held at once.
+_CHUNK = 4096
 # Columns of a labelled matrix: row label, column index, value.
 MATRIX = [str, int, float]
 
@@ -84,12 +86,14 @@ def _write(path: str | Path, header: str | None, blocks) -> None:
                     fh.write(title + "\n")
                 if isinstance(rows, str):  # lines joined already
                     fh.write(_readable(path, rows))
-                elif isinstance(rows, np.ndarray):  # integer columns: one format for the block
-                    fh.write(("\t".join(["%d"] * rows.shape[1]) + "\n") * len(rows)
-                             % tuple(rows.ravel().tolist()))
+                elif isinstance(rows, np.ndarray):  # integer columns: one format per chunk
+                    line = "\t".join(["%d"] * rows.shape[1]) + "\n"
+                    for at in range(0, len(rows), _CHUNK):
+                        chunk = rows[at:at + _CHUNK]
+                        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
                 else:
                     lines = map(_line, rows)
-                    while chunk := "".join(islice(lines, 4096)):
+                    while chunk := "".join(islice(lines, _CHUNK)):
                         fh.write(_readable(path, chunk))
     except FormatError:
         Path(path).unlink(missing_ok=True)

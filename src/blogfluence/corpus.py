@@ -388,9 +388,14 @@ def parse_access_log(stream: Iterable[str]) -> tuple[Accesses, ParseReport]:
     Non-GET requests and lines that do not match the combined format are
     skipped and counted.  Query strings are stripped from the request.
     """
-    lines = [_APACHE_LINE_RE.match(line) for line in _lines(stream, "access log")]
-    host, stamp, request, referrer = list(
-        zip(*(m.group(1, 4, 5, 8) for m in lines if m))) or [()] * 4
+    host, stamp, request, referrer = [], [], [], []
+    n_lines = 0
+    for n_lines, line in enumerate(_lines(stream, "access log"), 1):
+        if m := _APACHE_LINE_RE.match(line):
+            host.append(m[1])
+            stamp.append(m[4])
+            request.append(m[5])
+            referrer.append(m[8])
     access_ts, parsed = _stamps(parse_apache_ts, stamp)
     request = Strings.of(request)
     parts = [name.split(" ") for name in request.names]
@@ -398,11 +403,11 @@ def parse_access_log(stream: Iterable[str]) -> tuple[Accesses, ParseReport]:
     ok = np.flatnonzero(parsed & np.array(is_get, dtype=bool)[request.codes])
     # Pattern mismatches and bad stamps only: a well-formed non-GET line
     # does not suggest that the stream is in the wrong format.
-    malformed = len(lines) - len(stamp) + int((~parsed).sum())
-    report = ParseReport(len(ok), len(lines) - len(ok))
+    malformed = n_lines - len(stamp) + int((~parsed).sum())
+    report = ParseReport(len(ok), n_lines - len(ok))
     if malformed > report.n_ok:
         raise FormatError(
-            f"{malformed} of {len(lines)} lines malformed; not an Apache combined log?")
+            f"{malformed} of {n_lines} lines malformed; not an Apache combined log?")
     path = Strings.of(normalize_url(p[1]) if get else "" for p, get in zip(parts, is_get))
     return Accesses(Strings.of(host).take(ok), access_ts[ok], path.take(request.codes[ok]),
                     Strings.of(referrer).map(lambda r: "" if r == "-" else r).take(ok)), report

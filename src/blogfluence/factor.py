@@ -545,13 +545,6 @@ def fit_pcl(
                     nodes=list(graph.nodes))
 
 
-def pcldc_objective(
-    graph: BloggerGraph, content: np.ndarray, weights: np.ndarray, bpop: np.ndarray
-) -> float:
-    """Link objective with memberships tied to content via softmax."""
-    return _link_state(graph, _softmax_rows(content @ weights), bpop).objective
-
-
 def _content_gradient(graph: BloggerGraph, content: np.ndarray, state: _LinkState) -> np.ndarray:
     out_mass, in_mass, denom_mass = _posterior_masses(graph, state)
     y = state.y

@@ -134,6 +134,11 @@ class SynthConfig:
         n_slots = self.n_groups * self.n_topics * self.experts_per_group_topic
         if n_slots > self.n_bloggers // 2:
             raise SynthesisError("expert slots exceed half the blogger population")
+        if 0 < self.experts_per_group_topic < self.experts_read_per_member:
+            raise SynthesisError(
+                f"experts_read_per_member ({self.experts_read_per_member}) exceeds "
+                f"experts_per_group_topic ({self.experts_per_group_topic}): a member "
+                "cannot read more experts than a slot plants")
 
 
 @dataclass
@@ -269,8 +274,8 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
 
     if n_slots:
         # personal[b, t]: the experts of (b's group, t) that member b reads
-        n_pick = min(cfg.experts_read_per_member, per_slot)
-        picks = np.argsort(rng.random((n_bloggers, n_topics, per_slot)), axis=2)[:, :, :n_pick]
+        picks = np.argsort(rng.random((n_bloggers, n_topics, per_slot)),
+                           axis=2)[:, :, :cfg.experts_read_per_member]
         first_slot = (group[:, None] * n_topics + np.arange(n_topics)) * per_slot
         personal = first_slot[:, :, None] + picks
         expert_reads = np.flatnonzero(rng.random(n_reads) < cfg.expert_read_prob)
@@ -338,7 +343,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     posts = Posts(Strings(ips, blogger), ts, Strings(blogger_ids, blogger), urls,
                   [f"post {url}" for url in urls],
                   Strings([f"blog-{b}" for b in blogger_ids], blogger),
-                  [" ".join(map(terms.__getitem__, row)) for row in tokens.tolist()],
+                  [" ".join(map(terms.__getitem__, row.tolist())) for row in tokens],
                   Strings([f"t{k}" for k in range(n_topics)], topic))
 
     expert_map: dict[str, dict[int, tuple[str, ...]]] = {}

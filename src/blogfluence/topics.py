@@ -133,6 +133,12 @@ def fit_plsa(
     Distributions start from seeded Dirichlet(1) rows.  The loglik trace
     is non-decreasing (EM guarantee); iteration stops at ``max_iter`` or
     when the relative loglik change drops below ``tol``.
+
+    Each EM step is one pass over blocks of whole documents, about
+    ``PLSA_BLOCK`` nonzeros each, with no (K, nnz) array.  Every float is a
+    one-pass fit's: ``np.add.at`` adds a block's weights into the (K, V) term
+    sums in index order, as one ``bincount`` over all nonzeros does, and each
+    document's sums are one ``bincount`` within its block.
     """
     if doc_term.rows.size == 0 or doc_term.n_docs == 0:
         raise ValueError("empty document-term matrix")
@@ -142,44 +148,53 @@ def fit_plsa(
         raise ValueError(f"n_topics={n_topics} exceeds document count {doc_term.n_docs}")
     if np.any(doc_term.doc_totals <= 0):
         raise ValueError("every document must contain at least one token")
+    rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
+    if np.any(rows[1:] < rows[:-1]):
+        raise ValueError("the nonzeros must be sorted by document")
 
     rng = np.random.default_rng(seed)
     n_docs, n_terms = doc_term.n_docs, doc_term.n_terms
     word_topic = rng.dirichlet(np.ones(n_terms), size=n_topics)  # K x V
     doc_topic = rng.dirichlet(np.ones(n_topics), size=n_docs)  # D x K
-    rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
-    joint = np.empty((n_topics, rows.size))  # K x nnz, refilled by each E-step
+    # Cut at the first document start (or rows.size) at or after each multiple of PLSA_BLOCK.
+    starts = np.flatnonzero(np.diff(rows, prepend=-1, append=n_docs))
+    cuts = np.unique(starts[starts.searchsorted(np.r_[0:rows.size:PLSA_BLOCK, rows.size])])
     logs = np.empty(rows.size)
 
-    def e_step(doc_topic: np.ndarray, word_topic: np.ndarray) -> float:
-        # Block by block: joint = P(t|d) P(w|t) / P(w|d) * count per nonzero and
-        # logs = count * log P(w|d), gathered from (K, D) and (K, V) copies.
-        # Each float is the one a full-length pass computes; the loglik is
-        # numpy's pairwise sum over all of logs, not BLAS.
-        for a in range(0, rows.size, PLSA_BLOCK):
-            b = a + PLSA_BLOCK
-            joint[:, a:b] = np.take(doc_topic.T, rows[a:b], axis=1)
-            joint[:, a:b] *= np.take(word_topic, cols[a:b], axis=1)
-            prob = row_sum(joint[:, a:b])
+    def em_pass(doc_topic: np.ndarray, word_topic: np.ndarray, masses=()) -> float:
+        # logs = count * log P(w|d) per nonzero; with the (K, V) and (K, D)
+        # masses, P(t|d) P(w|t) / P(w|d) * count is added into them.
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            joint = np.take(doc_topic.T, rows[a:b], axis=1)
+            joint *= np.take(word_topic, cols[a:b], axis=1)
+            prob = row_sum(joint)
             np.multiply(counts[a:b], np.log(prob), out=logs[a:b])
-            joint[:, a:b] *= counts[a:b] / prob
+            if masses:
+                joint *= counts[a:b] / prob
+                lo, hi = rows[a], rows[b - 1] + 1
+                for k in range(n_topics):
+                    np.add.at(masses[0][k], cols[a:b], joint[k])
+                    masses[1][k, lo:hi] = np.bincount(rows[a:b] - lo, joint[k], hi - lo)
+            del joint, prob  # before the next block's are made
         return float(logs.sum())
 
     trace: list[float] = []
     prev = None
     for _ in range(max_iter):
-        loglik = e_step(doc_topic, word_topic)
+        term_mass, doc_mass = np.zeros((n_topics, n_terms)), np.zeros((n_topics, n_docs))
+        loglik = em_pass(doc_topic, word_topic, (term_mass, doc_mass))
         trace.append(loglik)
-        term_mass = scatter_rows(cols, joint.T, n_terms)  # V x K
-        doc_mass = scatter_rows(rows, joint.T, n_docs)  # D x K
+        # C-contiguous (V, K) and (D, K): numpy sums their columns in row
+        # order, as it sums the scatter_rows layout the fit has always used.
+        term_mass = np.ascontiguousarray(term_mass.T)
         topic_totals = term_mass.sum(axis=0)
         word_topic = (term_mass / np.maximum(topic_totals, 1e-300)).T
-        doc_topic = doc_mass / doc_term.doc_totals[:, None]
+        doc_topic = np.ascontiguousarray(doc_mass.T) / doc_term.doc_totals[:, None]
         if prev is not None and abs(loglik - prev) <= tol * abs(prev):
             break
         prev = loglik
 
-    final = e_step(doc_topic, word_topic)
+    final = em_pass(doc_topic, word_topic)
     trace.append(final)
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after PLSA fit")

@@ -486,6 +486,11 @@ def conditional_link_objective(graph, y, bpop):
     return _link_state(graph, y, bpop).objective
 
 
+def pcldc_objective(graph, content, weights, bpop):
+    """Link objective with memberships tied to content via softmax."""
+    return _link_state(graph, _softmax_rows(content @ weights), bpop).objective
+
+
 def pcldc_content_gradient(graph, content, weights, bpop):
     """Exact gradient of ``pcldc_objective`` with respect to the weights.
 

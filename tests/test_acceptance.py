@@ -23,7 +23,6 @@ from blogfluence.factor import (
     fit_iolap,
     fit_pcl,
     fit_pcldc,
-    pcldc_objective,
     topic_factors_from_model,
 )
 from blogfluence.pipeline import recommendation_recall, run_detection
@@ -31,7 +30,8 @@ from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import fit_plsa
 
 from conftest import (
-    CoinSeries, TermVector, doc_term, pcldc_content_gradient, random_topics, z_test,
+    CoinSeries, TermVector, doc_term, pcldc_content_gradient, pcldc_objective, random_topics,
+    z_test,
 )
 
 N_SEEDS = 20

@@ -181,6 +181,8 @@ class TestExitCodes:
         ("synth.copy_gap_max_hours = -1", "copy_gap_max_hours must be >= 1"),
         ("synth.confounder_strength = nan", "confounder_strength must be finite"),
         ("synth.experts_per_group_topic = 40", "expert slots exceed half"),
+        ("synth.experts_per_group_topic = 2",
+         "experts_read_per_member (4) exceeds experts_per_group_topic (2)"),
         ("synth.start_date = 9999-12-20", "start_date must be a date"),
         ("synth.weekday_profile = 0,0,0,0,0,0,0", "profiles need weight"),
         ("synth.posts_per_blogger_rate = 0", "synth: configuration produced zero posts"),
@@ -693,10 +695,10 @@ class TestProvenance:
 
     def test_expert_keys_outside_the_closure_change_no_byte(self, tmp_path):
         """The same for synth with experts planted, where the expert keys change
-        its bytes.  Three experts per slot, so that the default and the other
-        experts_read_per_member (4 and 2) pick different numbers of them."""
+        its bytes.  Four experts per slot, so that the default and the other
+        experts_read_per_member (4 and 1) pick different numbers of them."""
         config = tmp_path / "experts.cfg"
-        config.write_text(SYNTH_KEYS + "synth.experts_per_group_topic = 3\n")
+        config.write_text(SYNTH_KEYS + "synth.experts_per_group_topic = 4\n")
         _rerun_outside_closure("synth", config, tmp_path / "run", tmp_path)
 
 
@@ -732,7 +734,7 @@ OTHER_VALUES = {
     "synth.copy_gap_max_hours": "1", "synth.copy_fraction": "0.2",
     "synth.confounder_strength": "0.5", "synth.tokens_per_post": "30",
     "synth.topic_sharpness": "0.5", "synth.n_groups": "2", "synth.experts_per_group_topic": "1",
-    "synth.experts_read_per_member": "2", "synth.expert_read_prob": "0.5",
+    "synth.experts_read_per_member": "1", "synth.expert_read_prob": "0.5",
     "synth.read_window_hours": "6", "synth.hour_profile": ",".join(["1"] * 24),
     "synth.weekday_profile": ",".join(["1"] * 7), "synth.tz_offset_hours": "0",
     "synth.start_date": "2008-09-02",

@@ -1,5 +1,6 @@
 import inspect
 import re
+import tracemalloc
 from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -317,6 +318,69 @@ def test_access_columns_match_per_record_oracle(lines):
     assert written == list(map(access_line, records))
     again, report = parse_access_log(written)
     assert list(again) == list(accesses) and report.n_skipped == 0
+
+
+def parse_access_log_from_matches(stream):
+    """``parse_access_log`` as it was before it parsed each line as it read it:
+    a list of every line's match, then the four fields zipped out of it.  The
+    oracle of the streaming parse."""
+    lines = [corpus._APACHE_LINE_RE.match(line) for line in corpus._lines(stream, "access log")]
+    host, stamp, request, referrer = list(
+        zip(*(m.group(1, 4, 5, 8) for m in lines if m))) or [()] * 4
+    access_ts, parsed = corpus._stamps(parse_apache_ts, stamp)
+    request = corpus.Strings.of(request)
+    parts = [name.split(" ") for name in request.names]
+    is_get = [len(p) == 3 and p[0] == "GET" for p in parts]
+    ok = np.flatnonzero(parsed & np.array(is_get, dtype=bool)[request.codes])
+    malformed = len(lines) - len(stamp) + int((~parsed).sum())
+    report = corpus.ParseReport(len(ok), len(lines) - len(ok))
+    if malformed > report.n_ok:
+        raise FormatError(
+            f"{malformed} of {len(lines)} lines malformed; not an Apache combined log?")
+    path = corpus.Strings.of(normalize_url(p[1]) if get else "" for p, get in zip(parts, is_get))
+    return corpus.Accesses(
+        corpus.Strings.of(host).take(ok), access_ts[ok], path.take(request.codes[ok]),
+        corpus.Strings.of(referrer).map(lambda r: "" if r == "-" else r).take(ok)), report
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ACCESS_LINES)
+@example([])
+@example(["# only a comment\n", "\r\n", ""])
+def test_streaming_access_parse_matches_the_list_of_matches(lines):
+    """The same names, codes, stamps and report, or the same refusal."""
+    try:
+        want, want_report = parse_access_log_from_matches(lines)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+            parse_access_log(lines)
+        return
+    got, report = parse_access_log(lines)
+    assert report == want_report
+    assert np.array_equal(got.access_ts, want.access_ts)
+    for name in ("hashed_ip", "request", "referrer"):
+        column, oracle = getattr(got, name), getattr(want, name)
+        assert column.names == oracle.names
+        assert np.array_equal(column.codes, oracle.codes)
+
+
+def test_access_log_parse_peak_memory_per_line(tmp_path):
+    """The parse holds each line's four fields, not a match object per line:
+    under 450 traced bytes per line of a synth log (the list of matches took
+    about 735)."""
+    accesses = generate(SynthConfig(n_bloggers=300, n_days=20, reads_per_post_rate=5.0,
+                                    seed=4))[0].accesses
+    path = tmp_path / "access.log"
+    path.write_text("".join(line + "\n" for line in access_lines(accesses)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parsed, report = parse_access_log(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_ok == len(accesses) > 20_000
+    assert peak < 450 * len(accesses), peak / len(accesses)
 
 
 def access_records(activity):

@@ -15,7 +15,6 @@ from blogfluence.factor import (
     fit_pcl,
     fit_pcldc,
     iolap_topic_influencers,
-    pcldc_objective,
     pcldc_topic_influencers,
     read_iolap_model,
     read_pcl_model,
@@ -33,6 +32,7 @@ from conftest import (
     doc_term,
     links_table,
     pcldc_content_gradient,
+    pcldc_objective,
     post_terms,
     random_topics,
     tensor_entries,

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
@@ -97,6 +98,15 @@ class TestStructure:
             for experts in per_topic.values():
                 assert len(experts) == 4
                 assert member not in experts
+
+    def test_more_expert_reads_than_experts_refused(self):
+        """A member cannot read more of its slot's experts than the slot plants;
+        without experts the read count is unused, so the default passes."""
+        with pytest.raises(SynthesisError, match=r"^experts_read_per_member \(3\) exceeds "
+                                                 r"experts_per_group_topic \(2\)"):
+            SynthConfig(n_bloggers=40, experts_per_group_topic=2, experts_read_per_member=3)
+        SynthConfig(n_bloggers=40, experts_per_group_topic=2, experts_read_per_member=2)
+        assert SynthConfig().experts_per_group_topic == 0 < SynthConfig().experts_read_per_member
 
     def test_determinism(self):
         cfg = SynthConfig(n_bloggers=25, n_days=5, copy_prob=0.4, seed=7)
@@ -325,3 +335,19 @@ def test_experts_never_read(synth_runs):
     readers = {a.hashed_ip for a in corpus.accesses}
     assert readers and not readers & experts
     assert all(f"u{e:04d}" not in truth.member_expert_map for e in range(_expert_count(cfg)))
+
+
+def test_generate_peak_memory_per_token():
+    """Each post body is joined from its own row of the token array, not from
+    one list of every token: under 68 traced bytes per token at the scale of
+    the benchmark's pipeline workload (the list of lists took about 85)."""
+    cfg = SynthConfig(n_bloggers=300, n_days=20, vocab_size=1000, n_topics=8,
+                      reads_per_post_rate=5.0, copy_prob=0.6, copy_fraction=0.45, seed=1000)
+    tracemalloc.start()
+    try:
+        corpus, _ = generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_tokens = len(corpus.posts) * cfg.tokens_per_post
+    assert peak < 68 * n_tokens, peak / n_tokens

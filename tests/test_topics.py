@@ -252,10 +252,57 @@ def test_fit_plsa_keeps_every_float_in_any_block_size(n_topics, seed, block, max
     assert model.loglik_trace == trace
 
 
-def test_fit_plsa_peak_memory_is_one_joint_array_and_a_few_blocks():
+def _ragged_doc_term(seed, n_docs, n_terms, max_len):
+    """Documents of 1 to ``max_len`` distinct terms, a quarter of them of one."""
+    rng = np.random.default_rng(seed)
+    lengths = np.where(rng.random(n_docs) < 0.25, 1, rng.integers(1, max_len + 1, n_docs))
+    cols = np.concatenate([np.sort(rng.choice(n_terms, n, replace=False)) for n in lengths])
+    rows = np.repeat(np.arange(n_docs), lengths)
+    counts = rng.integers(1, 6, size=rows.size).astype(np.float64)
+    return DocTermMatrix(
+        doc_ids=[f"d{d}" for d in range(n_docs)], n_terms=n_terms, rows=rows, cols=cols,
+        counts=counts, doc_totals=np.bincount(rows, weights=counts, minlength=n_docs),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_topics=st.sampled_from([1, 2, 8, 9, 17]),
+    seed=st.integers(0, 2**32 - 1),
+    max_len=st.integers(1, 40),
+    shrink=st.integers(1, 40),
+    max_iter=st.integers(1, 4),
+)
+def test_fit_plsa_keeps_every_float_with_documents_longer_than_a_block(n_topics, seed, max_len,
+                                                                       shrink, max_iter):
+    """Blocks cut at document starts when ``PLSA_BLOCK`` is below the longest
+    document, so that blocks run past their multiple of it, and with
+    one-nonzero documents."""
+    dt = _ragged_doc_term(seed, n_topics + 15, 40, max_len)
+    block = max(1, int(np.bincount(dt.rows).max()) - shrink)
+    with mock.patch.object(topics, "PLSA_BLOCK", block):
+        model = fit_plsa(dt, n_topics, [f"w{i}" for i in range(40)], max_iter=max_iter,
+                         tol=0.0, seed=seed)
+    word_topic, p_t, doc_topic, trace = fit_plsa_nnz_major(dt, n_topics, max_iter, 0.0, seed)
+    assert np.array_equal(model.p_w_given_t, word_topic)
+    assert np.array_equal(model.p_t, p_t)
+    assert np.array_equal(model.p_t_given_d, doc_topic)
+    assert model.loglik_trace == trace
+
+
+def test_fit_plsa_refuses_nonzeros_out_of_document_order():
+    dt = _random_doc_term(3, 6, 10, 0.5)
+    order = np.argsort(dt.cols, kind="stable")
+    dt = DocTermMatrix(dt.doc_ids, dt.n_terms, dt.rows[order], dt.cols[order], dt.counts[order],
+                       dt.doc_totals)
+    with pytest.raises(ValueError, match="sorted by document"):
+        fit_plsa(dt, 2, [f"w{i}" for i in range(10)], max_iter=2)
+
+
+def test_fit_plsa_peak_memory_is_below_one_topic_by_nonzero_array():
     """The traced peak of a fit over about 160,000 nonzeros (about five
-    blocks) stays near its one (K, nnz) array: the gathers, probabilities
-    and weights are block-sized.  tracemalloc sees numpy's buffers."""
+    blocks) stays below one (K, nnz) float64 array: the E-step and both
+    scatters work a block at a time.  tracemalloc sees numpy's buffers."""
     dt = _random_doc_term(0, 4000, 800, 0.05)
     n_topics, nnz = 8, dt.rows.size
     assert nnz > 4 * PLSA_BLOCK
@@ -266,8 +313,7 @@ def test_fit_plsa_peak_memory_is_one_joint_array_and_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The (K, nnz) joint, the length-nnz log array and three (K, block) arrays.
-    assert peak < 8 * (n_topics * nnz + nnz + 3 * n_topics * PLSA_BLOCK)
+    assert peak < 8 * n_topics * nnz
 
 
 def test_row_sum_is_numpys_row_sum():
