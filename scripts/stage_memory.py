@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Memory of each CLI stage: the 14 stages of a full run through ``cli.main``,
+in one process, repeated for a number of passes.
+
+Prints one row per stage and pass: its wall time, the process's peak
+resident set (``ru_maxrss``) when it ends, and, with ``--trace``, the peak
+of the memory that tracemalloc traces while it runs.  ru_maxrss only
+grows, so a stage whose value rises is one that set a new process peak.
+tracemalloc slows every stage and adds its own memory to the resident set,
+so the two columns are best read from separate runs.
+
+    python scripts/stage_memory.py --config run.cfg --seed 1000 --passes 3
+"""
+
+import argparse
+import contextlib
+import io
+import resource
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from blogfluence import cli
+
+STAGES = ("synth", "ingest", "links", "causality", "influence", "topics", "split",
+          "tensor", "iolap", "pcldc", "pcl", "idr", "eval", "report")
+
+
+def max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def run_stage(argv: list[str], trace: bool) -> tuple[int, float, float | None]:
+    """Exit code, seconds and traced peak in MB (None untraced) of one stage."""
+    if trace:
+        tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        traced = tracemalloc.get_traced_memory()[1] / 1e6 if trace else None
+    finally:
+        seconds = time.perf_counter() - start
+        if trace:
+            tracemalloc.stop()
+    return code, seconds, traced
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--config", required=True, help="pipeline config file")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=1)
+    parser.add_argument("--trace", action="store_true", help="also report tracemalloc peaks")
+    parser.add_argument("--out-dir", help="artifact directory (default: a temporary one)")
+    args = parser.parse_args()
+
+    print("pass\tstage\tseconds\tmaxrss_mb\ttraced_mb")
+    with tempfile.TemporaryDirectory() as scratch:
+        out_dir = args.out_dir or scratch
+        for n in range(1, args.passes + 1):
+            for stage in STAGES:
+                argv = [stage, "--config", args.config, "--out-dir", out_dir,
+                        "--seed", str(args.seed)]
+                code, seconds, traced = run_stage(argv, args.trace)
+                if code:
+                    print(f"{stage} exited with {code}", file=sys.stderr)
+                    return code
+                print(f"{n}\t{stage}\t{seconds:.3f}\t{max_rss_mb():.1f}\t"
+                      + ("-" if traced is None else f"{traced:.1f}"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,10 @@ integer fields only is written from one int64 array, plain rows from one
 list, int64 array or float64 array per column.  Every table reads as whole
 columns (``_line_columns``); a row with another field count, or a field its
 type rejects, raises ``FormatError`` naming the file and the line.  Only the
-rows of keyed sections (``[meta]``, ``[dims]``) are read one by one.  A
+rows of keyed sections (``[meta]``, ``[dims]``) are read one by one.  A read
+holds the text, its output and one chunk: sections are walked by their
+offsets in the text, and a section of numbers is parsed a chunk of lines at
+a time into one array (``_columns``).  A
 file is written under a temporary name and moved into place, so that a
 write cut short leaves the old file; a refused row leaves none.
 """
@@ -31,6 +34,8 @@ import numpy as np
 from blogfluence.corpus import FormatError, Strings
 
 Types = tuple[Callable[[str], object], ...]
+# (start, end) of a section's text in the text of its file
+Spans = list[tuple[int, int]]
 # Rows formatted per write: the text of a chunk, not of a table, is held at once.
 _CHUNK = 4096
 # Columns of a labelled matrix: row label, column index, value.
@@ -143,6 +148,11 @@ def _rows(text: str, first: int = 1) -> Iterator[tuple[int, str]]:
             if line.strip() and line[0] != "#")
 
 
+def _line_number(text: str, at: int) -> int:
+    """The number of the line of ``text`` that holds offset ``at``."""
+    return text.count("\n", 0, at) + 1
+
+
 def _convert(path, lineno: int, fields: list[str], types: Types) -> list:
     if len(fields) != len(types):
         raise FormatError(
@@ -174,24 +184,54 @@ def _line_columns(path, lines: list[tuple[int, str]], types: Sequence[type]):
     raise AssertionError(f"{path}: the row reader accepted what the column reader rejected")
 
 
-def _columns(path, bodies: list[tuple[int, str]], types: Sequence[type]):
-    """``_line_columns`` of the texts ``bodies`` (each after the number of its first
-    line).  Fields all ``int`` or all ``float`` are first tried by one ``np.loadtxt``
-    over the raw text; a blank or ``#`` line makes it fail, and text holding one of
-    the separators \\x1c-\\x1f, which it reads as space and ``int`` and ``float``
-    refuse, skips it."""
+# Characters of a number section that one np.loadtxt call reads: the UCS-4
+# copy that it parses is a chunk's, not the section's.
+_PARSE_CHUNK = 1 << 16
+
+
+def _number_rows(text: str, spans: Spans, dtype: type, width: int) -> np.ndarray:
+    """The rows of the spans of ``text`` as one (rows, ``width``) array.
+
+    ``np.loadtxt`` parses a chunk of whole lines at a time into an array
+    sized by the spans' line count; a chunk of whitespace lines holds no
+    rows.  Raises ``ValueError`` where ``np.loadtxt`` fails on a chunk (at a
+    ``#`` line, say) or reads rows of another width, and where a chunk holds
+    one of the separators \\x1c-\\x1f, which it reads as space and ``int``
+    and ``float`` refuse: the row reader then reads the lines."""
+    # A span's first line is the rest of its section line, so each row follows a newline.
+    out = np.empty((sum(text.count("\n", lo, end - 1) for lo, end in spans), width), dtype)
+    n = 0
+    for lo, end in spans:
+        while lo < end:
+            cut = text.find("\n", lo + _PARSE_CHUNK - 1, end) + 1 or end
+            chunk, lo = text[lo:cut], cut
+            if chunk.isspace():  # no rows: the row reader skips each of these lines
+                continue
+            if any(c in chunk for c in "\x1c\x1d\x1e\x1f"):
+                raise ValueError("a separator that int and float refuse")
+            rows = np.loadtxt(io.StringIO(chunk), dtype=dtype, delimiter="\t", comments=None,
+                              ndmin=2)
+            if rows.shape[1] != width:
+                raise ValueError(f"{rows.shape[1]} fields, not {width}")
+            out[n:n + len(rows)] = rows
+            n += len(rows)
+    return out if n == len(out) else out[:n].copy()  # a blank line was counted
+
+
+def _columns(path, text: str, spans: Spans, types: Sequence[type]):
+    """``_line_columns`` of the rows of ``text[start:end]`` for each (start, end)
+    of ``spans``.
+
+    Fields all ``int`` or all ``float`` are first read by ``_number_rows``, so
+    that the read holds the text, its output and one chunk; where that fails,
+    the row reader reads the spans' lines, and accepts or names the line."""
     dtype = {frozenset({int}): np.int64, frozenset({float}): np.float64}.get(frozenset(types))
     if dtype is not None:
-        text = "".join(body for _, body in bodies)
         with suppress(ValueError):
-            block = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter="\t", comments=None,
-                               ndmin=2) if text.strip() else np.zeros((0, len(types)), dtype)
-            if block.shape[1] == len(types) and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
-                # A copy: keeping loadtxt's grown buffer left the heap of a 14-stage
-                # run in one process about 6 MB higher.
-                columns = block.copy().T
-                return columns if dtype is np.int64 else list(columns)
-    return _line_columns(path, [row for first, body in bodies for row in _rows(body, first)],
+            columns = _number_rows(text, spans, dtype, len(types)).T
+            return columns if dtype is np.int64 else list(columns)
+    return _line_columns(path, [row for start, end in spans
+                                for row in _rows(text[start:end], _line_number(text, start))],
                          types)
 
 
@@ -205,8 +245,11 @@ def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]
     return _line_columns(path, lines[1:], types)
 
 
-# A "[name]" line after a newline; it has no tab, so a row starting with "[" stays a row.
-_SECTION = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
+# A "[name]" line; it has no tab, so a row starting with "[" stays a row.  Past
+# the first line, a section line is found by the newline before it, which the
+# regex engine scans for much faster than for a multiline "^".
+_SECTION = re.compile(r"\[([^\t\n]*)\](?=\n|\Z)")
+_LATER_SECTION = re.compile(r"\n" + _SECTION.pattern)
 
 Spec = list[type] | dict[str, Types]
 
@@ -221,31 +264,33 @@ def parse_sections(path: str | Path, text: str, specs: dict[str, Spec]) -> dict:
     A section given a list of ``str``, ``int`` and ``float`` reads as its
     columns (``_columns``).  One given a dict is keyed: the first field of a
     row names it and selects the types of the rest; it reads as key -> values,
-    and every key must occur.
+    and every key must occur.  Sections are found by their offsets in
+    ``text``, and a section of numbers is read from there a chunk at a time.
     """
-    # Keyed rows are converted as they are read, column sections once all their bodies are.
+    # Keyed rows are converted as they are read, column sections once all their spans are found.
     out = {name: {} if isinstance(spec, dict) else [] for name, spec in specs.items()}
-    # [text before the first section, name, body, name, body, ...]
-    pieces = _SECTION.split("\n" + text)
-    for lineno, _ in _rows(pieces[0], 0):
+    first = _SECTION.match(text)
+    # (name, start of its line, end of its "[name]") of each section line
+    sections = [(first[1], 0, first.end())] if first else []
+    sections += [(m[1], m.start() + 1, m.end()) for m in _LATER_SECTION.finditer(text)]
+    head = sections[0][1] if sections else len(text)
+    for lineno, _ in _rows(text[:head]):
         raise FormatError(f"{path}:{lineno}: row before the first [section]")
-    lineno = pieces[0].count("\n") + 1  # of the section line
-    for name, body in zip(pieces[1::2], pieces[2::2]):
+    for (name, _, start), end in zip(sections, [at for _, at, _ in sections[1:]] + [len(text)]):
         spec = specs.get(name)
         if spec is None:
-            raise FormatError(f"{path}:{lineno}: unexpected section '[{name}]'")
+            raise FormatError(f"{path}:{_line_number(text, start)}: unexpected section '[{name}]'")
         if isinstance(spec, dict):
-            for n, line in _rows(body, lineno):
+            for n, line in _rows(text[start:end], _line_number(text, start)):
                 key, *fields = line.split("\t")
                 if key not in spec:
                     raise FormatError(f"{path}:{n}: unexpected key {key!r} in [{name}]")
                 out[name][key] = _convert(path, n, fields, spec[key])
         else:
-            out[name].append((lineno, body))
-        lineno += body.count("\n") + 1
+            out[name].append((start, end))
     for name, spec in specs.items():
         if not isinstance(spec, dict):
-            out[name] = _columns(path, out[name], spec)
+            out[name] = _columns(path, text, out[name], spec)
         elif missing := sorted(spec.keys() - out[name].keys()):
             raise FormatError(f"{path}: [{name}] lacks {', '.join(missing)}")
     return out

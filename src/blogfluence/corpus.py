@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import defaultdict, namedtuple
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
@@ -357,17 +358,21 @@ def _stamps(parse: Callable[[str], int], stamps: Sequence[str]) -> tuple[np.ndar
 def parse_content_file(stream: Iterable[str]) -> tuple[Posts, ParseReport]:
     """Parse the eight-column posts TSV, keeping the first post of each URL; skip
     and count malformed lines, and ignore blank and ``#`` lines without counting."""
-    lines = [line.split("\t") for line in _lines(stream, "content")]
-    ip, stamp, user, url, title, blog_name, body, themes = list(
-        zip(*(fields for fields in lines if len(fields) == 8))) or [()] * 8
+    columns = ip, stamp, user, url, title, blog_name, body, themes = [[] for _ in range(8)]
+    appends = [column.append for column in columns]
+    n_lines = 0
+    for n_lines, line in enumerate(_lines(stream, "content"), 1):
+        if len(fields := line.split("\t")) == 8:
+            for append, field in zip(appends, fields):
+                append(field)
     upload, parsed = _stamps(parse_iso_ts, stamp)
     user, url = Strings.of(user), Strings.of(url).map(normalize_url)
     # "" names no post or blogger
     ok = np.flatnonzero(parsed & user.per_name(bool, bool) & url.per_name(bool, bool))
     keep = np.sort(ok[np.unique(url.codes[ok], return_index=True)[1]])
-    report = ParseReport(len(ok), len(lines) - len(ok), len(ok) - len(keep))
+    report = ParseReport(len(ok), n_lines - len(ok), len(ok) - len(keep))
     if report.n_skipped > report.n_ok:
-        raise FormatError(f"{report.n_skipped} of {len(lines)} lines malformed; not a posts TSV?")
+        raise FormatError(f"{report.n_skipped} of {n_lines} lines malformed; not a posts TSV?")
     return Posts(Strings.of(ip).take(keep), upload[keep], user.take(keep),
                  url.take(keep).values(), [title[i] for i in keep.tolist()],
                  Strings.of(blog_name).take(keep), [body[i] for i in keep.tolist()],
@@ -388,29 +393,40 @@ def parse_access_log(stream: Iterable[str]) -> tuple[Accesses, ParseReport]:
     Non-GET requests and lines that do not match the combined format are
     skipped and counted.  Query strings are stripped from the request.
     """
-    host, stamp, request, referrer = [], [], [], []
+    # Each field is coded, and each stamp converted, as its line is read: no
+    # string of a line outlives the loop, only the distinct names.
+    host, request, referrer = (defaultdict(count().__next__) for _ in range(3))
+    host_codes, request_codes, referrer_codes, seconds = (array("q") for _ in range(4))
+    parsed = bytearray()
     n_lines = 0
     for n_lines, line in enumerate(_lines(stream, "access log"), 1):
         if m := _APACHE_LINE_RE.match(line):
-            host.append(m[1])
-            stamp.append(m[4])
-            request.append(m[5])
-            referrer.append(m[8])
-    access_ts, parsed = _stamps(parse_apache_ts, stamp)
-    request = Strings.of(request)
+            host_codes.append(host[m[1]])
+            request_codes.append(request[m[5]])
+            referrer_codes.append(referrer[m[8]])
+            try:
+                seconds.append(parse_apache_ts(m[4]))
+                parsed.append(True)
+            except ValueError:
+                seconds.append(0)
+                parsed.append(False)
+    access_ts, parsed = np.frombuffer(seconds, np.int64), np.frombuffer(parsed, bool)
+    request = Strings(list(request), np.frombuffer(request_codes, np.int64))
     parts = [name.split(" ") for name in request.names]
     is_get = [len(p) == 3 and p[0] == "GET" for p in parts]
     ok = np.flatnonzero(parsed & np.array(is_get, dtype=bool)[request.codes])
     # Pattern mismatches and bad stamps only: a well-formed non-GET line
     # does not suggest that the stream is in the wrong format.
-    malformed = n_lines - len(stamp) + int((~parsed).sum())
+    malformed = n_lines - len(parsed) + int((~parsed).sum())
     report = ParseReport(len(ok), n_lines - len(ok))
     if malformed > report.n_ok:
         raise FormatError(
             f"{malformed} of {n_lines} lines malformed; not an Apache combined log?")
     path = Strings.of(normalize_url(p[1]) if get else "" for p, get in zip(parts, is_get))
-    return Accesses(Strings.of(host).take(ok), access_ts[ok], path.take(request.codes[ok]),
-                    Strings.of(referrer).map(lambda r: "" if r == "-" else r).take(ok)), report
+    referrer = Strings(list(referrer), np.frombuffer(referrer_codes, np.int64))
+    return Accesses(Strings(list(host), np.frombuffer(host_codes, np.int64)).take(ok),
+                    access_ts[ok], path.take(request.codes[ok]),
+                    referrer.map(lambda r: "" if r == "-" else r).take(ok)), report
 
 
 def access_lines(accesses: Accesses) -> Iterator[str]:

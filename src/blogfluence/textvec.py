@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,7 +58,10 @@ class PostTerms:
         """The post, term and count columns of the entries whose term is in
         the ``max_size``-term vocabulary, and where each post's entries
         start among them, then their number."""
-        post, term, count = self.entries[self.entries[:, 1] < max_size].T
+        post, term, count = self.entries.T
+        if len(self.terms) > max_size:  # else the entries' own columns: nothing is cut
+            keep = term < max_size
+            post, term, count = post[keep], term[keep], count[keep]
         return post, term, count, np.searchsorted(post, np.arange(len(self.posts) + 1))
 
     def post_index(self, urls: Iterable[str]) -> np.ndarray:
@@ -74,7 +77,9 @@ def shared_terms(links: Links, terms: PostTerms, max_size: int) -> tuple[np.ndar
     holds none."""
     post, term, _, _ = terms.capped(max_size)
     n_terms, n_docs = min(max_size, len(terms.terms)), len(terms.posts)
-    keys = np.sort(post * n_terms + term)
+    keys = post * n_terms
+    keys += term
+    keys.sort()  # in place: one array of keys is held, not three
     # Index n_docs, a post without counts, gets an empty range.
     starts = keys.searchsorted(np.arange(n_docs + 2) * n_terms)
     ids = terms.post_index(links.urls)
@@ -94,30 +99,27 @@ def _chain(lists: Iterable[list], lengths: list[int]) -> Iterator:
     return chain.from_iterable(map(note, lists))
 
 
-def count_terms(posts: Posts) -> PostTerms:
-    """Tokenize every post's body and count its terms.
+# Words counted per block of whole posts: a block's per-token arrays and its
+# sort, not the corpus's, are held at once.
+_COUNT_BLOCK = 1 << 15
 
-    No whitespace character is a word character, so a body's tokens are
-    its whitespace-separated words' tokens in turn: the bodies are read as
-    interned word ids, and each distinct word is tokenized once."""
-    by_url = sorted(range(len(posts)), key=posts.url.__getitem__)
-    urls, body, authors = [posts.url[i] for i in by_url], posts.body, posts.user_id.values()
-    word_id, n_words = defaultdict(count().__next__), []
-    words = np.fromiter(map(word_id.__getitem__, _chain(
-        (body[i].split() for i in by_url), n_words)), np.int64)
-    # Each distinct word's tokens as term ids, one range of ``word_terms``.
-    term_id, n_tokens = defaultdict(count().__next__), []
-    word_terms = np.fromiter(map(term_id.__getitem__, _chain(map(tokenize, word_id), n_tokens)),
-                             np.int64)
-    del word_id
-    n_tokens = np.array(n_tokens, np.int64)
-    ends = n_tokens.cumsum()
-    word, at = expand_ranges((ends - n_tokens)[words], ends[words])
-    n_terms = len(term_id)
-    keys = np.repeat(np.arange(len(urls), dtype=np.int64), n_words)[word] * n_terms + word_terms[at]
-    del words, word, at
-    # Each (post, term) once, in the order of its first token: a stable sort
-    # groups equal keys with their first token in front.
+
+def _block_words(bodies: Iterator[str], n_words: list[int]) -> Iterator[list[str]]:
+    """The next bodies of ``bodies`` as lists of whitespace-separated words,
+    up to the first body at which ``_COUNT_BLOCK`` words are reached; each
+    body's count of words is appended to ``n_words``."""
+    total = 0
+    for words in map(str.split, bodies):
+        n_words.append(len(words))
+        yield words
+        total += len(words)
+        if total >= _COUNT_BLOCK:
+            return
+
+
+def _first_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key once, in the order of its first occurrence, and its count."""
+    # A stable sort groups equal keys with their first occurrence in front.
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)
@@ -125,21 +127,70 @@ def count_terms(posts: Posts) -> PostTerms:
     del ordered
     starts = np.flatnonzero(new)
     del new
-    size = np.zeros(len(keys), dtype=np.int64)  # each key's count, at its first token
+    size = np.zeros(len(keys), dtype=np.int64)  # each key's count, at its first occurrence
     size[order[starts]] = np.diff(starts, append=len(keys))
     del order, starts
     first = size > 0
-    keys, counts = keys[first], size[first]
-    terms = list(term_id)
-    doc_freq = np.bincount(keys % n_terms, minlength=n_terms)
+    return keys[first], size[first]
+
+
+def count_terms(posts: Posts) -> PostTerms:
+    """Tokenize every post's body and count its terms.
+
+    No whitespace character is a word character, so a body's tokens are
+    its whitespace-separated words' tokens in turn: the bodies are read as
+    interned word ids, and each distinct word is tokenized once.  Posts are
+    counted a block of about ``_COUNT_BLOCK`` words at a time; word and term
+    ids are numbered in order of first occurrence over all blocks, and each
+    block keeps only its entries' term ids and counts, in a narrow integer
+    type, until the one table of entries is written."""
+    by_url = sorted(range(len(posts)), key=posts.url.__getitem__)
+    urls, body, authors = [posts.url[i] for i in by_url], posts.body, posts.user_id.values()
+    bodies = (body[i] for i in by_url)
+    word_id, term_id = defaultdict(count().__next__), defaultdict(count().__next__)
+    # Each distinct word's tokens as term ids: word w's are word_terms[ends[w]:ends[w + 1]].
+    word_terms, ends = np.zeros(0, np.int64), np.zeros(1, np.int64)
+    blocks = []
+    while True:
+        n_words = []
+        words = np.fromiter(map(word_id.__getitem__, chain.from_iterable(
+            _block_words(bodies, n_words))), np.int64)
+        if not n_words:
+            break
+        # The block's new words are the last keys of word_id.
+        fresh = list(islice(reversed(word_id), len(word_id) + 1 - len(ends)))[::-1]
+        n_tokens = []
+        word_terms = np.concatenate([word_terms, np.fromiter(
+            map(term_id.__getitem__, _chain(map(tokenize, fresh), n_tokens)), np.int64)])
+        ends = np.concatenate([ends, ends[-1] + np.cumsum(n_tokens, dtype=np.int64)])
+        word, at = expand_ranges(ends[words], ends[words + 1])
+        n_terms = len(term_id)
+        keys = np.repeat(np.arange(len(n_words)), n_words)[word] * n_terms + word_terms[at]
+        del words, word, at
+        keys, counts = _first_counts(keys)
+        term = keys % n_terms
+        narrow = np.int32 if max(n_terms, counts.sum(initial=0)) < 2**31 else np.int64
+        blocks.append((np.bincount(keys // n_terms, minlength=len(n_words)),
+                       term.astype(narrow), counts.astype(narrow)))
+        del keys, counts, term
+    terms, n_terms = list(term_id), len(term_id)
+    doc_freq = sum((np.bincount(term, minlength=n_terms) for _, term, _ in blocks),
+                   np.zeros(n_terms, np.int64))
     ranked = np.array(sorted(range(n_terms), key=terms.__getitem__), np.int64)
     ranked = ranked[np.argsort(-doc_freq[ranked], kind="stable")]
     rank = np.empty(n_terms, np.int64)
     rank[ranked] = np.arange(n_terms)
+    entries = np.empty((sum(len(term) for _, term, _ in blocks), 3), np.int64)
+    lo = first_post = 0
+    for sizes, term, counts in blocks:
+        hi = lo + len(term)
+        entries[lo:hi, 0] = np.repeat(np.arange(first_post, first_post + len(sizes)), sizes)
+        entries[lo:hi, 1] = rank[term]
+        entries[lo:hi, 2] = counts
+        lo, first_post = hi, first_post + len(sizes)
     return PostTerms(list(zip(map(terms.__getitem__, ranked.tolist()),
                               doc_freq[ranked].tolist())),
-                     [(url, authors[i]) for url, i in zip(urls, by_url)],
-                     np.column_stack([keys // n_terms, rank[keys % n_terms], counts]))
+                     [(url, authors[i]) for url, i in zip(urls, by_url)], entries)
 
 
 def write_post_terms(counts: PostTerms, path: str, header: str | None = None) -> None:
@@ -174,7 +225,9 @@ def read_post_terms(path: str) -> PostTerms:
     if any(a >= b for a, b in zip(urls, urls[1:])):
         raise FormatError(f"{path}: [posts] needs urls in strictly ascending order")
     _check_ranking(path, terms, doc_freq)
-    keys = np.sort(post * len(terms) + term)
+    keys = post * len(terms)
+    keys += term
+    keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise FormatError(f"{path}: [entries] holds a term twice for one post")
     if (np.bincount(term, minlength=len(terms)) != doc_freq).any():

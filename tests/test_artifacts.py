@@ -1,14 +1,18 @@
 """The artifact format: exact bytes of every writer, round trips through the
 readers, and malformed rows raising FormatError with file and line."""
 
+import io
 import math
 import os
+import re
 import tracemalloc
+from contextlib import suppress
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blogfluence import artifacts
@@ -39,9 +43,10 @@ from blogfluence.implicit import (
     write_coded_links,
     write_links_tsv,
 )
-from blogfluence.synth import GroundTruth, write_experts_tsv, write_truth_tsv
+from blogfluence.synth import GroundTruth, SynthConfig, generate, write_experts_tsv, write_truth_tsv
 from blogfluence.textvec import (
     PostTerms,
+    count_terms,
     read_post_terms,
     write_post_terms,
 )
@@ -791,3 +796,160 @@ def test_names_are_refused_or_read_back(names, tmp_path_factory):
     else:
         write_tensor_tsv(tensor, path, "# h")
         assert read_tensor_tsv(path).bloggers == names
+
+
+# --------------------------------------------------------------------------
+# The section reader as it was before it walked sections by offsets and
+# parsed number sections a chunk at a time: a split of the text into
+# section bodies, and one np.loadtxt over each number section's joined
+# bodies.  The oracle of the offset walk and of the chunked parse.
+
+_SPLIT_SECTION = re.compile(r"\n\[([^\t\n]*)\](?=\n|\Z)")
+
+
+def _one_shot_columns(path, bodies, types):
+    dtype = {frozenset({int}): np.int64, frozenset({float}): np.float64}.get(frozenset(types))
+    if dtype is not None:
+        text = "".join(body for _, body in bodies)
+        with suppress(ValueError):
+            block = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter="\t", comments=None,
+                               ndmin=2) if text.strip() else np.zeros((0, len(types)), dtype)
+            if block.shape[1] == len(types) and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+                columns = block.copy().T
+                return columns if dtype is np.int64 else list(columns)
+    return artifacts._line_columns(
+        path, [row for first, body in bodies for row in artifacts._rows(body, first)], types)
+
+
+def parse_sections_one_shot(path, text, specs):
+    out = {name: {} if isinstance(spec, dict) else [] for name, spec in specs.items()}
+    pieces = _SPLIT_SECTION.split("\n" + text)
+    for lineno, _ in artifacts._rows(pieces[0], 0):
+        raise FormatError(f"{path}:{lineno}: row before the first [section]")
+    lineno = pieces[0].count("\n") + 1
+    for name, body in zip(pieces[1::2], pieces[2::2]):
+        spec = specs.get(name)
+        if spec is None:
+            raise FormatError(f"{path}:{lineno}: unexpected section '[{name}]'")
+        if isinstance(spec, dict):
+            for n, line in artifacts._rows(body, lineno):
+                key, *fields = line.split("\t")
+                if key not in spec:
+                    raise FormatError(f"{path}:{n}: unexpected key {key!r} in [{name}]")
+                out[name][key] = artifacts._convert(path, n, fields, spec[key])
+        else:
+            out[name].append((lineno, body))
+        lineno += body.count("\n") + 1
+    for name, spec in specs.items():
+        if not isinstance(spec, dict):
+            out[name] = _one_shot_columns(path, out[name], spec)
+        elif missing := sorted(spec.keys() - out[name].keys()):
+            raise FormatError(f"{path}: [{name}] lacks {', '.join(missing)}")
+    return out
+
+
+# Fields that int or float may or may not take, and np.loadtxt may read otherwise.
+_ODD_FIELDS = st.sampled_from([
+    "99999999999999999999", "-9223372036854775809", "9223372036854775807", "nan", "inf",
+    "-inf", "1e400", "1.5", " 2", "3 ", "x", "", "1\x1c", "\x1d2", "\x1e", "4\x1f", "5\r",
+    "\u30006", "#7", "[8]"])
+_INTS = st.integers(-2**63, 2**63 - 1).map(str)
+_FLOATS = st.floats(width=64).map(repr)
+# Mostly rows that parse, so that one odd field decides the read.
+_INT_ROWS = st.lists(st.one_of(_INTS, _INTS, _INTS, _ODD_FIELDS),
+                     min_size=1, max_size=3).map("\t".join)
+_FLOAT_ROWS = st.lists(st.one_of(_FLOATS, _FLOATS, _FLOATS, _ODD_FIELDS),
+                       min_size=1, max_size=3).map("\t".join)
+_SECTION_LINES = st.one_of(
+    _INT_ROWS, _INT_ROWS, _FLOAT_ROWS, _FLOAT_ROWS,
+    st.sampled_from(["[i]", "[f]", "[k]", "[s]", "[other]", "[i", "", " ", "\r", "#",
+                     "# c\t1", "\x1c", "x\t1", "y\t1.5\t2", "z\t1", "ab\t1"]),
+)
+
+
+def _same_sections(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, dict):
+            assert repr(got[name]) == repr(value)
+            continue
+        assert type(got[name]) is type(value) and len(got[name]) == len(value)
+        for column, oracle in zip(got[name], value):
+            if isinstance(oracle, np.ndarray):
+                assert column.dtype == oracle.dtype and column.shape == oracle.shape
+                assert column.tobytes() == oracle.tobytes()
+            else:
+                assert column == oracle
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(_SECTION_LINES, max_size=16), first=st.sampled_from(["[i]", "[f]", ""]),
+       ends=st.sampled_from(["\n", "\r\n"]), last=st.booleans(),
+       widths=st.tuples(st.integers(1, 3), st.integers(1, 3)), chunk=st.integers(1, 64))
+@example(lines=["1\t2", "3\x1c\t4"], first="[i]", ends="\n", last=True, widths=(2, 1), chunk=4)
+@example(lines=["1.5", "[f]", "nan", "-inf\x1f"], first="[f]", ends="\n", last=False,
+         widths=(1, 1), chunk=1)
+@example(lines=["1\t2", "", "3\t4", "5"], first="[i]", ends="\r\n", last=True, widths=(2, 1),
+         chunk=6)
+@example(lines=["99999999999999999999\t1"], first="[i]", ends="\n", last=True, widths=(2, 1),
+         chunk=64)
+def test_sections_match_the_one_shot_reader(lines, first, ends, last, widths, chunk):
+    """Parsed a chunk of ``chunk`` characters at a time from the sections'
+    offsets, every section holds the one-shot reader's columns, bit for
+    bit, or the read raises its error text: blank, ``#`` and whitespace
+    lines, the separators \\x1c-\\x1f, rows of another field count on
+    either side of a chunk cut, int64 overflow, nan and inf included."""
+    text = ends.join([first, *lines]) + (ends if last else "")
+    specs = {"i": [int] * widths[0], "f": [float] * widths[1], "s": [str, int],
+             "k": {"x": (int,), "y": (float, float)}}
+    try:
+        want = parse_sections_one_shot("t.tsv", text, specs)
+    except FormatError as exc:
+        with patch.object(artifacts, "_PARSE_CHUNK", chunk), pytest.raises(FormatError) as info:
+            artifacts.parse_sections("t.tsv", text, specs)
+        assert str(info.value) == str(exc)
+        return
+    with patch.object(artifacts, "_PARSE_CHUNK", chunk):
+        _same_sections(artifacts.parse_sections("t.tsv", text, specs), want)
+
+
+@pytest.mark.parametrize("text", [
+    "[i]\n1\t2\n3\t4\n[f]\n1.5\n[k]\nx\t1\ny\tnan\t2\n[s]\nab\t3\n",
+    "[i]\n1\t2\n\n3\t4\n[i]\n5\t6\n[k]\nx\t1\ny\t1\t2\n[f]\n[s]\n",
+    "[k]\nx\t1\ny\t1\t2\n[i]\n1\t2\n3\n[f]\n[s]\n",
+])
+@pytest.mark.parametrize("chunk", [1, 4, 5, 64, 1 << 16])
+def test_sections_match_the_one_shot_reader_at_chunk_cuts(text, chunk):
+    """A repeated section, a blank line, and a row of another field count
+    after a chunk cut, at each chunk size."""
+    specs = {"i": [int, int], "f": [float], "s": [str, int], "k": {"x": (int,), "y": (float, float)}}
+    try:
+        want = parse_sections_one_shot("t.tsv", text, specs)
+    except FormatError as exc:
+        with patch.object(artifacts, "_PARSE_CHUNK", chunk), pytest.raises(FormatError) as info:
+            artifacts.parse_sections("t.tsv", text, specs)
+        assert str(info.value) == str(exc) == "t.tsv:6: expected 2 tab-separated fields, found 1"
+        return
+    with patch.object(artifacts, "_PARSE_CHUNK", chunk):
+        _same_sections(artifacts.parse_sections("t.tsv", text, specs), want)
+
+
+def test_reading_post_terms_peak_memory_per_entry(tmp_path):
+    """Reading post_terms.tsv at the pipeline benchmark's synth config (about
+    180,000 entries) traces under 60 bytes per entry: the text, the entries'
+    one table and one chunk of the parse (a one-shot parse, which held the
+    text's UCS-4 copy, a split copy and loadtxt's grown buffer, took about
+    96)."""
+    posts = generate(SynthConfig(n_bloggers=300, n_days=20, vocab_size=1000, n_topics=8,
+                                 reads_per_post_rate=5.0, copy_prob=0.6, copy_fraction=0.45,
+                                 seed=7000))[0].posts
+    path = tmp_path / "post_terms.tsv"
+    write_post_terms(count_terms(posts), path, "# h")
+    tracemalloc.start()
+    try:
+        terms = read_post_terms(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms.entries) > 150_000
+    assert peak < 60 * len(terms.entries), peak / len(terms.entries)

@@ -283,6 +283,50 @@ def test_content_columns_match_per_record_oracle(lines):
     assert list(again) == kept and report.n_skipped == report.n_duplicate == 0
 
 
+def parse_content_from_split_lines(stream):
+    """``parse_content_file`` as it was before it appended each line's fields
+    as it read them: a list of every line's split fields, then the eight
+    columns zipped out of it.  The oracle of the streaming parse."""
+    lines = [line.split("\t") for line in corpus._lines(stream, "content")]
+    ip, stamp, user, url, title, blog_name, body, themes = list(
+        zip(*(fields for fields in lines if len(fields) == 8))) or [()] * 8
+    upload, parsed = corpus._stamps(parse_iso_ts, stamp)
+    user, url = corpus.Strings.of(user), corpus.Strings.of(url).map(normalize_url)
+    ok = np.flatnonzero(parsed & user.per_name(bool, bool) & url.per_name(bool, bool))
+    keep = np.sort(ok[np.unique(url.codes[ok], return_index=True)[1]])
+    report = corpus.ParseReport(len(ok), len(lines) - len(ok), len(ok) - len(keep))
+    if report.n_skipped > report.n_ok:
+        raise FormatError(f"{report.n_skipped} of {len(lines)} lines malformed; not a posts TSV?")
+    return corpus.Posts(
+        corpus.Strings.of(ip).take(keep), upload[keep], user.take(keep),
+        url.take(keep).values(), [title[i] for i in keep.tolist()],
+        corpus.Strings.of(blog_name).take(keep), [body[i] for i in keep.tolist()],
+        corpus.Strings.of(themes).map(lambda field: ",".join(corpus._themes(field))).take(keep)
+    ), report
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONTENT_LINES)
+@example([])
+@example(["junk", "h1\t2008-09-01\tu1\t/a\tt\tb\tx\td", "# c", "", "junk"])
+def test_streaming_content_parse_matches_the_split_lines(lines):
+    """The same columns and report, or the same refusal."""
+    try:
+        want, want_report = parse_content_from_split_lines(lines)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+            parse_content_file(lines)
+        return
+    got, report = parse_content_file(lines)
+    assert report == want_report
+    assert np.array_equal(got.upload_ts, want.upload_ts)
+    assert (got.url, got.title, got.body) == (want.url, want.title, want.body)
+    for name in ("hashed_ip", "user_id", "blog_name", "themes"):
+        column, oracle = getattr(got, name), getattr(want, name)
+        assert column.names == oracle.names
+        assert np.array_equal(column.codes, oracle.codes)
+
+
 _STAMPS = st.one_of(
     st.sampled_from(["01/Sep/2008:10:30:00 +0000", "01/Sep/2008:10:30:00 +0900",
                      "31/Aug/2008:23:59:59 -0130", "31/Feb/2008:10:00:00 +0000",
@@ -365,9 +409,9 @@ def test_streaming_access_parse_matches_the_list_of_matches(lines):
 
 
 def test_access_log_parse_peak_memory_per_line(tmp_path):
-    """The parse holds each line's four fields, not a match object per line:
-    under 450 traced bytes per line of a synth log (the list of matches took
-    about 735)."""
+    """The parse codes each line's fields and converts its stamp as it reads
+    the line: under 300 traced bytes per line of a synth log (four strings
+    per line took about 310, the list of matches about 735)."""
     accesses = generate(SynthConfig(n_bloggers=300, n_days=20, reads_per_post_rate=5.0,
                                     seed=4))[0].accesses
     path = tmp_path / "access.log"
@@ -380,7 +424,7 @@ def test_access_log_parse_peak_memory_per_line(tmp_path):
     finally:
         tracemalloc.stop()
     assert report.n_ok == len(accesses) > 20_000
-    assert peak < 450 * len(accesses), peak / len(accesses)
+    assert peak < 300 * len(accesses), peak / len(accesses)
 
 
 def access_records(activity):

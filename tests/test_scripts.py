@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from test_acceptance import PIPELINE_CONFIG, PIPELINE_STAGES
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -46,3 +48,17 @@ def test_recommend_benchmark_seed_zero(monkeypatch, capsys):
     assert lines[0] == "seed\ttg\tiolap\tpcldc\tpcl\tseconds"
     assert _without_seconds(lines[1]) == "0\t0.417\t0.717\t0.417\t0.250"
     assert lines[-1] == "iolap > tg in 1/1 seeds; pcldc > pcl in 1/1 seeds"
+
+
+def test_stage_memory(monkeypatch, capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(PIPELINE_CONFIG, encoding="utf-8")
+    lines = _run(monkeypatch, capsys, "stage_memory", "--config", str(config), "--seed", "17",
+                 "--trace", "--out-dir", str(tmp_path / "out"))
+    assert lines[0] == "pass\tstage\tseconds\tmaxrss_mb\ttraced_mb"
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [(n, stage) for n, stage, *_ in rows] == [("1", s) for s in PIPELINE_STAGES]
+    max_rss = [float(row[3]) for row in rows]
+    assert 0 < max_rss[0] and max_rss == sorted(max_rss)
+    assert all(float(row[2]) >= 0 and float(row[4]) > 0 for row in rows)
+    assert (tmp_path / "out" / "recall.tsv").is_file()

@@ -2,12 +2,14 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blogfluence import textvec
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.textvec import _WORD_RE, count_terms, shared_terms, tokenize
 
@@ -124,16 +126,62 @@ _PIECES = ["alpha", "Beta", "BETA", "the", "The", "a", "I", "x", "1", "42", "a1"
 _BODY = st.lists(st.sampled_from(_PIECES + _SEPARATORS), max_size=16).map("".join)
 
 
+# Bodies of many words, so that one post can span blocks of a few words.
+_LONG_BODY = st.lists(_BODY, max_size=6).map(" ".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(posts=st.lists(st.tuples(st.integers(0, 5), st.sampled_from("uvw"), _BODY), max_size=10))
-@example(posts=[])
-@example(posts=[(0, "u", ""), (1, "v", "the a I")])
-@example(posts=[(0, "u", "İx\x1cİX ß\x85SS"), (0, "v", "ﬃ\xa0ﬃx\u3000e\u0301"), (1, "w", "")])
-def test_count_terms_matches_the_per_post_oracle(posts):
-    # A repeated url keeps its first post, author and body both.
+@given(posts=st.lists(st.tuples(st.integers(0, 8), st.sampled_from("uvw"),
+                                st.one_of(_BODY, _LONG_BODY, st.sampled_from(["", "ab", "  "]))),
+                      max_size=12),
+       block=st.one_of(st.integers(1, 50), st.just(textvec._COUNT_BLOCK)))
+@example(posts=[], block=1)
+@example(posts=[(0, "u", ""), (1, "v", "the a I")], block=1)
+@example(posts=[(0, "u", "İx\x1cİX ß\x85SS"), (0, "v", "ﬃ\xa0ﬃx\u3000e\u0301"), (1, "w", "")],
+         block=2)
+@example(posts=[(0, "u", "aa bb aa " * 30), (1, "v", ""), (2, "w", "cc"), (3, "u", "bb")],
+         block=4)
+@example(posts=[(i, "u", "") for i in range(5)], block=1)
+def test_count_terms_matches_the_per_post_oracle(posts, block):
+    """Counted a block of ``block`` words at a time, the counts are those of
+    the per-post oracle: posts longer than a block, empty bodies and
+    one-token posts included.  A repeated url keeps its first post, author
+    and body both."""
     table = make_posts(replace(make_post(user, i, BASE_TS + i, body=body), url=f"/p{k}")
                        for i, (k, user, body) in enumerate(posts))
-    assert_same_post_terms(count_terms(table), count_terms_per_post(table))
+    with patch.object(textvec, "_COUNT_BLOCK", block):
+        got = count_terms(table)
+    assert_same_post_terms(got, count_terms_per_post(table))
+
+
+def test_count_terms_peak_memory_per_token():
+    """At the pipeline benchmark's synth config (about 240,000 tokens), the
+    count traces under 45 bytes per token: blocks of posts keep their
+    entries' term ids and counts narrow until the one int64 table (a count
+    over every token at once took about 66)."""
+    posts = generate(SynthConfig(n_bloggers=300, n_days=20, vocab_size=1000, n_topics=8,
+                                 reads_per_post_rate=5.0, copy_prob=0.6, copy_fraction=0.45,
+                                 seed=7000))[0].posts
+    tracemalloc.start()
+    try:
+        terms = count_terms(posts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tokens = int(terms.entries[:, 2].sum())
+    assert tokens > 200_000
+    assert peak < 45 * tokens, peak / tokens
+
+
+def test_capped_copies_nothing_when_nothing_is_cut():
+    terms = _post_terms(["aa bb aa zz", "aa cc", "bb"])
+    assert len(terms.terms) == 4
+    post, term, count, starts = terms.capped(4)
+    assert all(np.shares_memory(column, terms.entries) for column in (post, term, count))
+    assert np.array_equal(np.column_stack([post, term, count]), terms.entries)
+    post, term, count, starts = terms.capped(3)
+    assert not any(np.shares_memory(column, terms.entries) for column in (post, term, count))
+    assert term.tolist() == [0, 1, 0, 2, 1] and starts.tolist() == [0, 2, 4, 5]
 
 
 def test_no_whitespace_character_is_a_word_character():
