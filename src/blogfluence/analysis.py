@@ -119,9 +119,9 @@ _TEST_COLUMNS = ("src", "dst", "keywords")
 def write_split(split: TrainTestSplit, train_path: str, test_path: str,
                 header: str | None = None) -> None:
     train = ((a, b, w) for (a, b), w in sorted(split.train_edges.items()))
-    artifacts.write_rows(train_path, header, train, _TRAIN_COLUMNS)
+    artifacts.write_rows(train_path, header, list(zip(*train)), _TRAIN_COLUMNS)
     test = ((a, b, ",".join(sorted(kws))) for a, b, kws in split.test)
-    artifacts.write_rows(test_path, header, test, _TEST_COLUMNS)
+    artifacts.write_rows(test_path, header, list(zip(*test)), _TEST_COLUMNS)
 
 
 def read_split(train_path: str, test_path: str) -> TrainTestSplit:

@@ -5,17 +5,17 @@ then either plain rows (an optional column-name line, then tab-separated
 rows) or ``[section]`` blocks of rows.  Blank and ``#`` lines are skipped
 on reading, so writing a row that would read back as one, or as a
 ``[section]`` line, raises ``FormatError``.  Floats are written as
-``repr(float(x))``, which reads back to the same float64.  A section of
-integer fields only is written from one int64 array, plain rows from one
-list, int64 array or float64 array per column.  Every table reads as whole
-columns (``_line_columns``); a row with another field count, or a field its
-type rejects, raises ``FormatError`` naming the file and the line.  Only the
+``repr(float(x))``, which reads back to the same float64.  A table is
+written from the columns its reader returns (``_write``), and a write holds
+those columns and one chunk's text.  Every table reads as whole columns
+(``_line_columns``); a row with another field count, or a field its type
+rejects, raises ``FormatError`` naming the file and the line.  Only the
 rows of keyed sections (``[meta]``, ``[dims]``) are read one by one.  A read
 holds the text, its output and one chunk: sections are walked by their
 offsets in the text, and a section of numbers is parsed a chunk of lines at
-a time into one array (``_columns``).  A
-file is written under a temporary name and moved into place, so that a
-write cut short leaves the old file; a refused row leaves none.
+a time into one array (``_columns``).  A file is written under a temporary
+name and moved into place, so that a write cut short leaves the old file;
+a refused row leaves none.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import os
 import re
 import shutil
 from contextlib import contextmanager, suppress
-from itertools import islice, repeat, takewhile
+from itertools import repeat, takewhile
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,14 +40,6 @@ Spans = list[tuple[int, int]]
 _CHUNK = 4096
 # Columns of a labelled matrix: row label, column index, value.
 MATRIX = [str, int, float]
-
-
-def _line(row: Sequence) -> str:
-    # numpy 2 scalars repr as "np.float64(...)": convert floats to float first.
-    return "\t".join([
-        v if type(v) is str else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-        for v in row
-    ]) + "\n"
 
 
 # After a newline, a line that reads back as blank, as a comment or as "[section]".
@@ -78,28 +70,40 @@ def _replacing(path: str | Path) -> Iterator[Path]:
         raise
 
 
+def _format(column) -> tuple[str, Sequence]:
+    """The ``%`` format of a chunk of a column and the values it formats: ``%d``
+    of an int array, ``%r`` of a float array, else ``%s`` of each value: a str,
+    ``repr(float(v))`` of a float (numpy 2 reprs "np.float64(...)"), or ``str(v)``."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        return "%r" if column.dtype.kind == "f" else "%d", column
+    return "%s", [v if type(v) is str else repr(float(v)) if isinstance(v, (float, np.floating))
+                  else str(v) for v in column]
+
+
 def _write(path: str | Path, header: str | None, blocks) -> None:
-    """Write the blocks in place of ``path``, whole or not at all.  An exception
-    leaves ``path``'s old bytes, except a refused row (``FormatError``), which
-    removes ``path`` too: no artifact of earlier inputs stands in for it."""
+    """Write the (title, columns) blocks in place of ``path``, whole or not at
+    all: a list (or ``Strings``), int64 or float64 array per field, or one (fields,
+    rows) int64 array, as ``_columns`` returns them, one ``%`` per ``_CHUNK`` rows.
+    An exception leaves ``path``'s old bytes, except a refused row (``FormatError``),
+    which removes ``path`` too: no artifact of earlier inputs stands in for it."""
     try:
         with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             if header:
                 fh.write(header + "\n")
-            for title, rows in blocks:
+            for title, columns in blocks:
                 if title:
                     fh.write(title + "\n")
-                if isinstance(rows, str):  # lines joined already
-                    fh.write(_readable(path, rows))
-                elif isinstance(rows, np.ndarray):  # integer columns: one format per chunk
-                    line = "\t".join(["%d"] * rows.shape[1]) + "\n"
-                    for at in range(0, len(rows), _CHUNK):
-                        chunk = rows[at:at + _CHUNK]
-                        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
-                else:
-                    lines = map(_line, rows)
-                    while chunk := "".join(islice(lines, _CHUNK)):
-                        fh.write(_readable(path, chunk))
+                rows = set(map(len, columns))
+                if len(rows) > 1:
+                    raise ValueError(f"{path}: {title or 'table'} has columns of unequal length")
+                for at in range(0, max(rows, default=0), _CHUNK):
+                    formats, values = zip(*(_format(column[at:at + _CHUNK]) for column in columns))
+                    fields = np.empty((len(values[0]), len(values)), object)
+                    for i, value in enumerate(values):
+                        fields[:, i] = value
+                    line = "\t".join(formats) + "\n"
+                    text = line * len(fields) % tuple(fields.ravel().tolist())
+                    fh.write(_readable(path, text) if "%s" in line else text)  # numbers read as rows
     except FormatError:
         Path(path).unlink(missing_ok=True)
         raise
@@ -111,24 +115,15 @@ def copy_file(src: str | Path, dst: str | Path) -> None:
         shutil.copyfile(src, tmp)
 
 
-def write_rows(path: str | Path, header: str | None, rows: Iterable[Sequence],
-               columns: Sequence[str] | None = None) -> None:
-    """Write the header, the column-name line if any, and one line per row."""
-    _write(path, header, [("\t".join(columns) if columns else None, rows)])
+def write_rows(path: str | Path, header: str | None, columns: Sequence,
+               names: Sequence[str] | None = None) -> None:
+    """Write the header, the column-name line if any, and the rows of ``columns``."""
+    _write(path, header, [("\t".join(names) if names else None, columns)])
 
 
-def write_columns(path: str | Path, header: str | None, columns: Sequence[str],
-                  values: Sequence[list[str] | np.ndarray]) -> None:
-    """``write_rows`` from one list of strings, integer array or float array per column."""
-    fields = [v if isinstance(v, list) else list(map(str, v.tolist())) for v in values]
-    lines = "".join(line + "\n" for line in map("\t".join, zip(*fields)))
-    _write(path, header, [("\t".join(columns), lines)])
-
-
-def write_sections(path: str | Path, header: str | None,
-                   sections: dict[str, Iterable[Sequence]]) -> None:
-    """Write the header, then each section as a ``[name]`` line and its rows."""
-    _write(path, header, ((f"[{name}]", rows) for name, rows in sections.items()))
+def write_sections(path: str | Path, header: str | None, sections: dict[str, Sequence]) -> None:
+    """Write the header, then each section as a ``[name]`` line and the rows of its columns."""
+    _write(path, header, ((f"[{name}]", columns) for name, columns in sections.items()))
 
 
 def read_text(path: str | Path, until: str | None = None) -> str:
@@ -296,11 +291,12 @@ def parse_sections(path: str | Path, text: str, specs: dict[str, Spec]) -> dict:
     return out
 
 
-def matrix_rows(labels: Sequence[str], matrix: np.ndarray) -> Iterator[tuple]:
-    """``MATRIX`` rows of a matrix whose rows carry labels, row-major."""
-    for label, row in zip(labels, matrix):
-        for col, value in enumerate(row):
-            yield label, col, value
+def matrix_columns(labels: Sequence[str], matrix: np.ndarray) -> list:
+    """The ``MATRIX`` columns of a matrix whose rows carry ``labels``, row-major:
+    the inverse of ``labelled_matrix``."""
+    width = matrix.shape[1]
+    return [[label for label in labels for _ in range(width)],
+            np.tile(np.arange(width), len(labels)), matrix.ravel()]
 
 
 def check_indices(path: str | Path, what: str, indices: np.ndarray, size: int) -> None:
@@ -313,7 +309,7 @@ def check_indices(path: str | Path, what: str, indices: np.ndarray, size: int) -
 def labelled_matrix(row_labels: list[str], cols: np.ndarray, values: np.ndarray,
                     labels: list[str] | None = None,
                     path: str | Path = "matrix") -> tuple[list[str], np.ndarray]:
-    """Inverse of ``matrix_rows``, from its three columns: labels in first-seen
+    """Inverse of ``matrix_columns``, from its three columns: labels in first-seen
     order unless given.  Each (label, column) cell must appear exactly once."""
     rows = Strings.of(row_labels)
     if labels is None:

@@ -370,10 +370,7 @@ def rank_shift_report(
 # TSV export
 
 def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> None:
-    artifacts.write_rows(
-        path,
-        header,
-        ((b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets),
-        ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"),
-    )
+    rows = ((b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets)
+    artifacts.write_rows(path, header, list(zip(*rows)),
+                         ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"))
 

@@ -205,8 +205,8 @@ def cmd_synth(cfg: PipelineConfig, args, header: str) -> str:
         corpus, truth = synth.generate(replace(cfg.synth, seed=cfg.seed))
     except synth.SynthesisError as exc:
         raise ConfigError(f"synth: {exc}") from exc
-    artifacts.write_rows(_path(cfg, "posts.tsv"), header, zip(content_lines(corpus.posts)))
-    artifacts.write_rows(_path(cfg, "access.log"), header, zip(access_lines(corpus.accesses)))
+    artifacts.write_rows(_path(cfg, "posts.tsv"), header, [list(content_lines(corpus.posts))])
+    artifacts.write_rows(_path(cfg, "access.log"), header, [list(access_lines(corpus.accesses))])
     synth.write_truth_tsv(truth, _path(cfg, "truth.tsv"), header)
     synth.write_experts_tsv(truth, _path(cfg, "experts.tsv"), header)
     return (f"synth: {len(corpus.posts)} posts, {len(corpus.accesses)} accesses, "
@@ -245,7 +245,8 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
     causality.annotate_similarity(net.links, terms, cfg.vocab_max_size, cfg.min_tokens)
     implicit.write_coded_links(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
-    artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, enumerate(hist, 1), ("bin", "count"))
+    artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, [range(1, len(hist) + 1), hist],
+                         ("bin", "count"))
     return (f"links: {net.post_link_count} post links, {net.blogger_link_count} blogger links, "
             f"{net.post_count} posts, {net.blogger_count} bloggers -> {_path(cfg, 'links.tsv')}")
 
@@ -379,7 +380,7 @@ def cmd_idr(cfg: PipelineConfig, args, header: str) -> str:
     }
     rows = [(method, n, value) for method, ranking in rankings.items()
             for n, value in analysis.idr_curve(ranking, cfg.top_n)]
-    artifacts.write_rows(_path(cfg, "idr.tsv"), header, rows, ("method", "N", "idr"))
+    artifacts.write_rows(_path(cfg, "idr.tsv"), header, list(zip(*rows)), ("method", "N", "idr"))
     return f"idr: {len(rows)} rows for methods iolap, pcldc -> {_path(cfg, 'idr.tsv')}"
 
 
@@ -419,7 +420,7 @@ def cmd_recommend(cfg: PipelineConfig, args, header: str) -> str:
         raise ConfigError(str(exc)) from exc
     out = Path(cfg.out_dir) / f"recommend_{method}.tsv"
     rows = ((i, b, s) for i, (b, s) in enumerate(ranked, 1))
-    artifacts.write_rows(out, header, rows, ("rank", "blogger", "score"))
+    artifacts.write_rows(out, header, list(zip(*rows)), ("rank", "blogger", "score"))
     lines = [f"{i}\t{blogger}\t{score:.6f}" for i, (blogger, score) in enumerate(ranked, 1)]
     return "\n".join([*lines, f"recommend: {method} top-{cfg.top_n} -> {out}"])
 
@@ -433,7 +434,8 @@ def cmd_eval(cfg: PipelineConfig, args, header: str) -> str:
         curve = analysis.recall_curve(split, recommenders[method], cfg.top_n)
         rows.extend((method, n, value) for n, value in enumerate(curve, 1))
         summary.append(f"{method}={curve[-1]:.3f}")
-    artifacts.write_rows(_path(cfg, "recall.tsv"), header, rows, ("method", "N", "recall"))
+    artifacts.write_rows(_path(cfg, "recall.tsv"), header, list(zip(*rows)),
+                         ("method", "N", "recall"))
     return f"eval: recall@{cfg.top_n} {' '.join(summary)} -> {_path(cfg, 'recall.tsv')}"
 
 
@@ -446,25 +448,18 @@ def cmd_report(cfg: PipelineConfig, args, header: str) -> str:
     report_dir.mkdir(parents=True, exist_ok=True)
     hist = activity_histograms(activity, cfg.tz_offset_hours)
     tables = {
-        "hist_posts_hour.tsv": enumerate(hist.posts_by_hour),
-        "hist_posts_weekday.tsv": enumerate(hist.posts_by_weekday),
-        "hist_access_hour.tsv": enumerate(hist.accesses_by_hour),
-        "hist_access_weekday.tsv": enumerate(hist.accesses_by_weekday),
+        "hist_posts_hour.tsv": hist.posts_by_hour,
+        "hist_posts_weekday.tsv": hist.posts_by_weekday,
+        "hist_access_hour.tsv": hist.accesses_by_hour,
+        "hist_access_weekday.tsv": hist.accesses_by_weekday,
     }
-    for name, rows in tables.items():
-        artifacts.write_rows(report_dir / name, header, rows, ("bin", "count"))
-    artifacts.write_rows(
-        report_dir / "hist_posts_per_blogger.tsv",
-        header,
-        [
-            ("mean", hist.posts_per_blogger_mean),
-            ("median", hist.posts_per_blogger_median),
-            ("q1", hist.posts_per_blogger_q1),
-            ("q3", hist.posts_per_blogger_q3),
-            ("bloggers", hist.n_bloggers),
-        ],
-        ("stat", "value"),
-    )
+    for name, counts in tables.items():
+        artifacts.write_rows(report_dir / name, header, [range(len(counts)), counts],
+                             ("bin", "count"))
+    stats = [hist.posts_per_blogger_mean, hist.posts_per_blogger_median,
+             hist.posts_per_blogger_q1, hist.posts_per_blogger_q3, hist.n_bloggers]
+    artifacts.write_rows(report_dir / "hist_posts_per_blogger.tsv", header,
+                         [["mean", "median", "q1", "q3", "bloggers"], stats], ("stat", "value"))
     bundled = ["activity histograms"]
     for name in _BUNDLED:
         src = _path(cfg, name)
@@ -475,12 +470,9 @@ def cmd_report(cfg: PipelineConfig, args, header: str) -> str:
         shift = causality.rank_shift_report(activity, _read_links(cfg)[0], _read_influence(cfg))
         for name, ranks, base in (("themes", shift.themes, "rank_all"),
                                   ("bloggers", shift.bloggers, "rank_implicit")):
-            artifacts.write_rows(
-                report_dir / f"rankshift_{name}.tsv",
-                header,
-                ((r.item, r.rank_base, r.rank_influence) for r in ranks),
-                ("item", base, "rank_influence"),
-            )
+            rows = ((r.item, r.rank_base, r.rank_influence) for r in ranks)
+            artifacts.write_rows(report_dir / f"rankshift_{name}.tsv", header, list(zip(*rows)),
+                                 ("item", base, "rank_influence"))
         bundled.append("rank shifts")
     return f"report: bundled {', '.join(bundled)} -> {report_dir}"
 

@@ -145,6 +145,12 @@ class Strings:
     def values(self) -> list[str]:
         return list(map(self.names.__getitem__, self.codes.tolist()))
 
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> list[str]:  # a chunk, as an artifact writer reads it
+        return self.take(rows).values()
+
     def take(self, rows: np.ndarray) -> Strings:
         return Strings(self.names, self.codes[rows])
 

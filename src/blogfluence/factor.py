@@ -81,10 +81,10 @@ def build_influence_tensor(links: Links, terms: PostTerms, max_size: int) -> Inf
 
 def write_tensor_tsv(tensor: InfluenceTensor, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "bloggers": ((b,) for b in tensor.bloggers),
-        "dims": [("n_terms", tensor.n_terms)],
-        "entries": np.column_stack([tensor.influenced, tensor.influencer, tensor.term,
-                                    tensor.counts.astype(np.int64)]),
+        "bloggers": [tensor.bloggers],
+        "dims": [["n_terms"], [tensor.n_terms]],
+        "entries": [tensor.influenced, tensor.influencer, tensor.term,
+                    tensor.counts.astype(np.int64)],
     })
 
 
@@ -628,10 +628,10 @@ def pcldc_topic_influencers(
 
 def write_iolap_model(model: IolapModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "meta": [("shape", *model.core.shape)],
-        "core": ((a, b, c, v) for (a, b, c), v in np.ndenumerate(model.core)),
-        "influenced_factors": artifacts.matrix_rows(model.bloggers, model.influenced_factors),
-        "influencer_factors": artifacts.matrix_rows(model.bloggers, model.influencer_factors),
+        "meta": [["shape"], *([size] for size in model.core.shape)],
+        "core": [*np.indices(model.core.shape).reshape(3, -1), model.core.ravel()],
+        "influenced_factors": artifacts.matrix_columns(model.bloggers, model.influenced_factors),
+        "influencer_factors": artifacts.matrix_columns(model.bloggers, model.influencer_factors),
     })
 
 
@@ -676,9 +676,9 @@ def read_iolap_model(path: str, topic_model: TopicModel) -> IolapModel:
 
 def write_pcldc_model(model: PcldcModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "popularity": zip(model.nodes, model.popularity),
-        "memberships": artifacts.matrix_rows(model.nodes, model.memberships),
-        "content_weights": artifacts.matrix_rows(model.terms, model.content_weights),
+        "popularity": [model.nodes, model.popularity],
+        "memberships": artifacts.matrix_columns(model.nodes, model.memberships),
+        "content_weights": artifacts.matrix_columns(model.terms, model.content_weights),
     })
 
 
@@ -706,8 +706,8 @@ def read_pcldc_model(path: str) -> PcldcModel:
 
 def write_pcl_model(model: PclModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "popularity": zip(model.nodes, model.popularity),
-        "memberships": artifacts.matrix_rows(model.nodes, model.memberships),
+        "popularity": [model.nodes, model.popularity],
+        "memberships": artifacts.matrix_columns(model.nodes, model.memberships),
     })
 
 

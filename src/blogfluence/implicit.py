@@ -176,11 +176,11 @@ def write_links_tsv(links: Links, path: str, header: str | None = None) -> None:
     """``influence.tsv``: one row per link, its posts and bloggers by name; the
     similarity as its shortest ``repr``, ``nan`` where none."""
     urls, bloggers = links.urls, links.bloggers
-    artifacts.write_columns(path, header, _LINK_COLUMNS, [
-        [urls[i] for i in links.q.tolist()], [urls[i] for i in links.p.tolist()],
-        [bloggers[i] for i in links.reader.tolist()], [bloggers[i] for i in links.author.tolist()],
+    artifacts.write_rows(path, header, [
+        Strings(urls, links.q), Strings(urls, links.p),
+        Strings(bloggers, links.reader), Strings(bloggers, links.author),
         links.gap, links.similarity,
-    ])
+    ], _LINK_COLUMNS)
 
 
 def _checked(path, links: Links, window_hours: int) -> ImplicitNetwork:
@@ -222,8 +222,10 @@ _LINK_NAMES = ("url", "blogger")
 _NAME_TABLES = ("url", "blogger", "ip", "theme")
 
 
-def _tagged(tags: Sequence[str], tables: Sequence[list[str]]) -> Iterator[tuple[str, str]]:
-    return ((tag, name) for tag, names in zip(tags, tables) for name in names)
+def _tagged(tags: Sequence[str], tables: Sequence[list[str]]) -> list[list[str]]:
+    """The [names] columns: each name's tag, and the names, table by table."""
+    return [[tag for tag, names in zip(tags, tables) for _ in names],
+            [name for names in tables for name in names]]
 
 
 def _untagged(path, tags: Sequence[str], column: tuple[list[str], list[str]]) -> list[list[str]]:
@@ -245,8 +247,8 @@ def write_coded_links(links: Links, path: str, header: str | None = None) -> Non
     each similarity's shortest ``repr`` (``nan`` where none) in ``[similarity]``."""
     artifacts.write_sections(path, header, {
         "names": _tagged(_LINK_NAMES, (links.urls, links.bloggers)),
-        "links": np.stack([links.q, links.p, links.reader, links.author, links.gap], axis=1),
-        "similarity": "".join(map("{!r}\n".format, links.similarity.tolist())),
+        "links": [links.q, links.p, links.reader, links.author, links.gap],
+        "similarity": [links.similarity],
     })
 
 
@@ -277,7 +279,8 @@ def write_activity(activity: Activity, path: str, header: str | None = None) -> 
     tables = (activity.urls, activity.bloggers, activity.ips, activity.themes)
     artifacts.write_sections(path, header, {
         "names": _tagged(_NAME_TABLES, tables),
-        "posts": activity.posts, "post_themes": activity.post_themes, "accesses": activity.accesses,
+        "posts": activity.posts.T, "post_themes": activity.post_themes.T,
+        "accesses": activity.accesses.T,
     })
 
 

@@ -359,7 +359,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
 # ground-truth files
 
 def write_truth_tsv(truth: GroundTruth, path: str, header: str | None = None) -> None:
-    artifacts.write_rows(path, header, sorted(truth.influence_pairs), ("q", "p"))
+    artifacts.write_rows(path, header, list(zip(*sorted(truth.influence_pairs))), ("q", "p"))
 
 
 def write_experts_tsv(truth: GroundTruth, path: str, header: str | None = None) -> None:
@@ -368,4 +368,4 @@ def write_experts_tsv(truth: GroundTruth, path: str, header: str | None = None) 
         (member, topic, ",".join(experts[member][topic]))
         for member in sorted(experts) for topic in sorted(experts[member])
     )
-    artifacts.write_rows(path, header, rows, ("member", "topic", "experts"))
+    artifacts.write_rows(path, header, list(zip(*rows)), ("member", "topic", "experts"))

@@ -194,7 +194,9 @@ def count_terms(posts: Posts) -> PostTerms:
 
 
 def write_post_terms(counts: PostTerms, path: str, header: str | None = None) -> None:
-    artifacts.write_sections(path, header, vars(counts))
+    artifacts.write_sections(path, header, {"terms": list(zip(*counts.terms)),
+                                            "posts": list(zip(*counts.posts)),
+                                            "entries": counts.entries.T})
 
 
 def _check_ranking(path: str, terms: list[str], doc_freq: np.ndarray) -> None:

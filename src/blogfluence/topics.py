@@ -172,9 +172,11 @@ def fit_plsa(
             if masses:
                 joint *= counts[a:b] / prob
                 lo, hi = rows[a], rows[b - 1] + 1
+                doc = rows[a:b] - lo
                 for k in range(n_topics):
                     np.add.at(masses[0][k], cols[a:b], joint[k])
-                    masses[1][k, lo:hi] = np.bincount(rows[a:b] - lo, joint[k], hi - lo)
+                    masses[1][k, lo:hi] = np.bincount(doc, joint[k], hi - lo)
+                del doc
             del joint, prob  # before the next block's are made
         return float(logs.sum())
 
@@ -224,12 +226,10 @@ def top_keywords(model: TopicModel, topic: int, n: int) -> list[str]:
 
 def write_topic_model(model: TopicModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "meta": [("n_topics", model.n_topics)],
-        "p_t": enumerate(model.p_t),
-        "p_w_given_t": (
-            (k, term, model.p_w_given_t[k, w])
-            for k in range(model.n_topics) for w, term in enumerate(model.terms)
-        ),
+        "meta": [["n_topics"], [model.n_topics]],
+        "p_t": [np.arange(model.n_topics), model.p_t],
+        "p_w_given_t": [np.arange(model.n_topics).repeat(len(model.terms)),
+                        model.terms * model.n_topics, model.p_w_given_t.ravel()],
     })
 
 

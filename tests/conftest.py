@@ -2,7 +2,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain
+from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from blogfluence.synth import (
     _choice_cdf,
     _topic_word_dists,
 )
-from blogfluence import causality
+from blogfluence import artifacts, causality
 from blogfluence.factor import _content_gradient, _link_state, _softmax_rows
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, tokenize
@@ -93,6 +94,33 @@ def access_line(rec):
     referrer = rec.referrer if rec.referrer else "-"
     return (f'{rec.hashed_ip} - - [{format_apache_ts(rec.access_ts)}] '
             f'"GET {rec.request} HTTP/1.1" 200 0 "{referrer}" "-"')
+
+
+def row_line(row):
+    """A row as a line of an artifact."""
+    # numpy 2 scalars repr as "np.float64(...)": convert floats to float first.
+    return "\t".join([
+        v if type(v) is str else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+        for v in row
+    ]) + "\n"
+
+
+def write_per_row(path, header, blocks):
+    """``artifacts._write`` of (title, rows) blocks, a ``row_line`` per row:
+    the row writer that the column writer replaced."""
+    try:
+        with artifacts._replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+            if header:
+                fh.write(header + "\n")
+            for title, rows in blocks:
+                if title:
+                    fh.write(title + "\n")
+                lines = map(row_line, rows)
+                while chunk := "".join(islice(lines, artifacts._CHUNK)):
+                    fh.write(artifacts._readable(path, chunk))
+    except FormatError:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def parse_content_per_record(stream):

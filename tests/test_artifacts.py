@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from blogfluence import artifacts
 from blogfluence.analysis import TrainTestSplit, read_split, write_split
 from blogfluence.causality import BucketStat, ZReport, write_zreport_tsv
-from blogfluence.corpus import Activity, FormatError
+from blogfluence.corpus import Activity, FormatError, Strings
 from blogfluence.factor import (
     InfluenceTensor,
     IolapModel,
@@ -52,7 +52,16 @@ from blogfluence.textvec import (
 )
 from blogfluence.topics import TopicModel, read_topic_model, write_topic_model
 
-from conftest import AccessRecord, BlogPost, TermVector, activity_of, links_table, space
+from conftest import (
+    AccessRecord,
+    BlogPost,
+    TermVector,
+    activity_of,
+    links_table,
+    row_line,
+    space,
+    write_per_row,
+)
 
 TENSOR = InfluenceTensor(
     ["ua", "ub"], 3, np.array([0, 1]), np.array([1, 0]), np.array([2, 0]), np.array([2.0, 1.0])
@@ -354,7 +363,7 @@ def test_columns_match_the_row_reader(data, types):
     """A section read as columns holds what the row reader makes of each row,
     and a row it rejects raises the row reader's error."""
     rows = data.draw(st.lists(st.tuples(*(_TYPED[t] for t in types)), max_size=8))
-    lines = [artifacts._line(row)[:-1] for row in rows]
+    lines = [row_line(row)[:-1] for row in rows]
     if lines and data.draw(st.booleans()):  # one field of one row replaced
         row = data.draw(st.integers(0, len(lines) - 1))
         fields = lines[row].split("\t")
@@ -541,7 +550,7 @@ def test_integer_block_chunks_write_the_one_format_bytes(tmp_path_factory, n_row
     rng = np.random.default_rng(seed)
     rows = rng.integers(-scale, scale, size=(n_rows, width), dtype=np.int64, endpoint=True)
     path = tmp_path_factory.mktemp("chunks") / "block.tsv"
-    artifacts.write_sections(path, "# h", {"block": rows})
+    artifacts.write_sections(path, "# h", {"block": rows.T})
     assert path.read_text(encoding="utf-8") == "# h\n[block]\n" + _one_format(rows)
 
 
@@ -552,7 +561,7 @@ def test_integer_block_write_peak_memory(tmp_path):
     path = tmp_path / "block.tsv"
     tracemalloc.start()
     try:
-        artifacts.write_sections(path, None, {"block": rows})
+        artifacts.write_sections(path, None, {"block": rows.T})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -605,19 +614,116 @@ def test_float_columns_take_what_float_takes(rows):
         assert column.tobytes() == np.array([row[i] for row in values], np.float64).tobytes()
 
 
+# Values of each kind of column, with those a row cannot carry: blank,
+# whitespace-only, "#..." and "[x]" strings, and the float and int extremes.
+_WRITTEN = {
+    "str": st.one_of(_FIELDS, st.sampled_from(["", " ", "\x0b", "\u3000", "#", "#a", "[x]", "[]"])),
+    "float": st.one_of(st.floats(width=64),
+                       st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])),
+    "int": st.one_of(st.integers(-(2**63 - 1), 2**63 - 1),
+                     st.sampled_from([2**63 - 1, -(2**63 - 1)])),
+    # numpy scalars and bools, as a keyed [meta] row may hold
+    "scalar": st.one_of(st.booleans(), st.booleans().map(np.bool_),
+                        st.integers(-(2**63 - 1), 2**63 - 1).map(np.int64),
+                        st.floats(width=64).map(np.float64), st.floats(width=32).map(np.float32),
+                        st.integers(-9, 9), st.floats(width=64)),
+}
+
+
+@st.composite
+def _column(draw, n: int):
+    """A list, ``Strings``, int64 array or float64 array of ``n`` values."""
+    kind = draw(st.sampled_from(["str", "strings", "float", "int", "scalar"]))
+    if kind == "strings":
+        names = draw(st.lists(_WRITTEN["str"], min_size=1, max_size=4))
+        return Strings(names, np.array(draw(st.lists(st.integers(0, len(names) - 1),
+                                                     min_size=n, max_size=n)), np.int64))
+    values = draw(st.lists(_WRITTEN[kind], min_size=n, max_size=n))
+    dtype = {"float": np.float64, "int": np.int64}.get(kind)
+    return values if dtype is None else np.array(values, dtype)
+
+
+@st.composite
+def _block(draw):
+    """A block as ``_columns`` returns it: its columns, a (fields, rows) int64
+    array, or a keyed row of a key and scalars."""
+    n, width = draw(st.integers(0, 9)), draw(st.integers(1, 4))
+    form = draw(st.sampled_from(["columns", "columns", "ints", "keyed"]))
+    if form == "ints":
+        return np.array(draw(st.lists(_WRITTEN["int"], min_size=n * width,
+                                      max_size=n * width)), np.int64).reshape(width, n)
+    if form == "keyed":
+        return [[draw(_WRITTEN["str"])],
+                *([draw(_WRITTEN["scalar"])] for _ in range(width))]
+    return [draw(_column(n)) for _ in range(width)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=st.lists(_block(), min_size=1, max_size=3), plain=st.booleans(),
+       chunk=st.integers(1, 7))
+def test_column_writer_matches_the_row_writer(blocks, plain, chunk, tmp_path_factory):
+    """Every block writes the bytes that the row writer writes of its rows, or
+    raises its FormatError and leaves neither the file nor a temporary."""
+    directory = tmp_path_factory.mktemp("writers")
+    path = directory / "t.tsv"
+
+    def outcome(write):
+        try:
+            write()
+        except FormatError as exc:
+            assert os.listdir(directory) == []
+            return str(exc)
+        text = path.read_bytes()
+        path.unlink()
+        return text
+
+    if plain:  # a plain table: a column-name line and one block
+        names = [f"c{i}" for i in range(len(blocks[0]))]
+        titled = [("\t".join(names), blocks[0])]
+        write = lambda: artifacts.write_rows(path, "# h", blocks[0], names)
+    else:
+        titled = [(f"[s{i}]", block) for i, block in enumerate(blocks)]
+        write = lambda: artifacts.write_sections(
+            path, "# h", {f"s{i}": block for i, block in enumerate(blocks)})
+    rows = [(title, zip(*(column[:] for column in block))) for title, block in titled]
+    with patch.object(artifacts, "_CHUNK", chunk):
+        assert outcome(write) == outcome(lambda: write_per_row(path, "# h", rows))
+
+
+@pytest.mark.parametrize("write", [write_coded_links, write_links_tsv])
+def test_writing_links_peak_memory_per_link(write, tmp_path):
+    """Writing 100,000 links traces under 40 bytes per link: the columns are
+    formatted a chunk at a time (writing links.tsv with its whole [similarity]
+    text traced about 147, influence.tsv with its name columns as lists 338)."""
+    rng = np.random.default_rng(5)
+    n = 100_000
+    urls = sorted(f"/u{i:04d}/p{j}" for i in range(300) for j in range(20))
+    links = Links(urls, [f"u{i:04d}" for i in range(300)], *rng.integers(0, len(urls), (2, n)),
+                  *rng.integers(0, 300, (2, n)), rng.integers(1, 43201, n),
+                  np.where(rng.random(n) < 0.1, np.nan, rng.random(n)))
+    tracemalloc.start()
+    try:
+        write(links, tmp_path / "l.tsv", "# h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n
+
+
 def test_write_cut_short_keeps_the_old_file(tmp_path):
     """An exception in the middle of a write leaves the old bytes and no
     temporary file; so does one in the middle of a copy."""
     path = tmp_path / "a.tsv"
-    artifacts.write_rows(path, "# h", [("ua", 1)], ("name", "n"))
+    artifacts.write_rows(path, "# h", [["ua"], [1]], ("name", "n"))
     old = path.read_bytes()
 
-    def rows():
-        yield from (("ub", i) for i in range(10_000))  # past the first written chunk
-        raise RuntimeError("cut")
+    class Cut:
+        def __str__(self):
+            raise RuntimeError("cut")
 
+    names = ["ub"] * 10_000 + [Cut()]  # past the first written chunk
     with pytest.raises(RuntimeError, match="cut"):
-        artifacts.write_rows(path, "# h2", rows(), ("name", "n"))
+        artifacts.write_rows(path, "# h2", [names, np.arange(len(names))], ("name", "n"))
     assert path.read_bytes() == old and os.listdir(tmp_path) == ["a.tsv"]
     with pytest.raises(OSError):
         artifacts.copy_file(tmp_path / "missing.tsv", path)
@@ -773,9 +879,7 @@ def test_one_field_row_refused_as_blank_comment_or_section(bad, tmp_path):
     with pytest.raises(FormatError, match="would read back as a blank, comment or"):
         write_tensor_tsv(replace(TENSOR, bloggers=["ua", bad]), path, "# h")
     with pytest.raises(FormatError):
-        artifacts.write_rows(path, None, [("ua",), (bad,)], ("name",))
-    with pytest.raises(FormatError):
-        artifacts.write_columns(path, None, ("name",), [["ua", bad]])
+        artifacts.write_rows(path, None, [["ua", bad]], ("name",))
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from blogfluence import artifacts, cli, factor, synth, textvec
+from blogfluence import cli, factor, synth, textvec
 from blogfluence.cli import main
 from blogfluence.corpus import parse_content_file
 from blogfluence.implicit import read_activity
 
-from conftest import link_sections
+from conftest import link_sections, row_line
 
 SYNTH_KEYS = """
 # small but complete pipeline configuration
@@ -604,7 +604,8 @@ class TestExitCodes:
             cfg = cli.load_config(config_file, {"out_dir": str(pipeline_copy)})
             model = factor.read_iolap_model(path, cli._topic_model(cfg))
             text += "[topic_factors]\n" + "".join(
-                map(artifacts._line, artifacts.matrix_rows(model.terms, model.topic_factors)))
+                row_line((term, k, value)) for term, row in zip(model.terms, model.topic_factors)
+                for k, value in enumerate(row))
         lines = text.split("\n")
         start = lines.index(f"[{section}]") + 1
         end = next(i for i in range(start, len(lines)) if lines[i].startswith("[") or not lines[i])

@@ -3,6 +3,7 @@ its smallest size, with the rows they print pinned.  The rows were
 recorded on corpora from the array-round ``synth.generate``."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -54,10 +55,15 @@ def test_stage_memory(monkeypatch, capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(PIPELINE_CONFIG, encoding="utf-8")
     lines = _run(monkeypatch, capsys, "stage_memory", "--config", str(config), "--seed", "17",
-                 "--trace", "--out-dir", str(tmp_path / "out"))
-    assert lines[0] == "pass\tstage\tseconds\tmaxrss_mb\ttraced_mb"
+                 "--trace", "--passes", "2", "--out-dir", str(tmp_path / "out"))
+    assert lines[0] == "pass\tstage\tseconds\tmaxrss_mb\ttraced_mb\tsha256"
     rows = [line.split("\t") for line in lines[1:]]
-    assert [(n, stage) for n, stage, *_ in rows] == [("1", s) for s in PIPELINE_STAGES]
+    assert [(n, stage) for n, stage, *_ in rows] == [
+        (n, s) for n in ("1", "2") for s in PIPELINE_STAGES]
+    # Each stage adds to the out-dir, and a pass from an empty out-dir repeats its bytes.
+    digests = [row[5] for row in rows]
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    assert len(set(digests[:14])) == 14 and digests[14:] == digests[:14]
     max_rss = [float(row[3]) for row in rows]
     assert 0 < max_rss[0] and max_rss == sorted(max_rss)
     assert all(float(row[2]) >= 0 and float(row[4]) > 0 for row in rows)
