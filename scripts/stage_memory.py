@@ -3,10 +3,12 @@
 in one process, repeated for a number of passes.
 
 Prints one row per stage and pass: its wall time, the process's peak
-resident set (``ru_maxrss``) when it ends, with ``--trace`` the peak of the
-memory that tracemalloc traces while it runs, and a sha256 over the path
-and bytes of every file in the out-dir once it has run.  ru_maxrss only
-grows, so a stage whose value rises is one that set a new process peak.
+resident set (``ru_maxrss``) when it ends, the minor page faults it took
+(the ``ru_minflt`` delta: pages the process touched afresh, as when freed
+heap is returned to the system and grown again), with ``--trace`` the peak
+of the memory that tracemalloc traces while it runs, and a sha256 over the
+path and bytes of every file in the out-dir once it has run.  ru_maxrss
+only grows, so a stage whose value rises is one that set a new process peak.
 tracemalloc slows every stage and adds its own memory to the resident set,
 so the two columns are best read from separate runs.  Each pass starts from
 an empty out-dir, so the sha256 column repeats from pass to pass, and two
@@ -50,10 +52,12 @@ def artifacts_sha256(out_dir: Path) -> str:
     return digest.hexdigest()
 
 
-def run_stage(argv: list[str], trace: bool) -> tuple[int, float, float | None]:
-    """Exit code, seconds and traced peak in MB (None untraced) of one stage."""
+def run_stage(argv: list[str], trace: bool) -> tuple[int, float, int, float | None]:
+    """Exit code, seconds, minor page faults and traced peak in MB (None
+    untraced) of one stage."""
     if trace:
         tracemalloc.start()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -61,9 +65,10 @@ def run_stage(argv: list[str], trace: bool) -> tuple[int, float, float | None]:
         traced = tracemalloc.get_traced_memory()[1] / 1e6 if trace else None
     finally:
         seconds = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         if trace:
             tracemalloc.stop()
-    return code, seconds, traced
+    return code, seconds, faults, traced
 
 
 def main() -> int:
@@ -77,7 +82,7 @@ def main() -> int:
                                           "(default: a temporary one)")
     args = parser.parse_args()
 
-    print("pass\tstage\tseconds\tmaxrss_mb\ttraced_mb\tsha256")
+    print("pass\tstage\tseconds\tmaxrss_mb\tminflt\ttraced_mb\tsha256")
     with tempfile.TemporaryDirectory() as scratch:
         out_dir = Path(args.out_dir or scratch)
         for n in range(1, args.passes + 1):
@@ -85,12 +90,12 @@ def main() -> int:
             for stage in STAGES:
                 argv = [stage, "--config", args.config, "--out-dir", str(out_dir),
                         "--seed", str(args.seed)]
-                code, seconds, traced = run_stage(argv, args.trace)
+                code, seconds, faults, traced = run_stage(argv, args.trace)
                 if code:
                     print(f"{stage} exited with {code}", file=sys.stderr)
                     return code
                 max_rss = max_rss_mb()  # before the digest reads the files
-                print(f"{n}\t{stage}\t{seconds:.3f}\t{max_rss:.1f}\t"
+                print(f"{n}\t{stage}\t{seconds:.3f}\t{max_rss:.1f}\t{faults}\t"
                       + ("-" if traced is None else f"{traced:.1f}")
                       + f"\t{artifacts_sha256(out_dir)}")
     return 0

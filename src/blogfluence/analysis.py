@@ -126,13 +126,14 @@ def write_split(split: TrainTestSplit, train_path: str, test_path: str,
 
 def read_split(train_path: str, test_path: str) -> TrainTestSplit:
     src, dst, weight = artifacts.read_columns(train_path, (str, str, int), _TRAIN_COLUMNS)
-    train_edges = dict(zip(zip(src, dst), weight.tolist()))
+    train_edges = dict(zip(zip(src.values(), dst.values()), weight.tolist()))
     test = [
         (a, b, frozenset(k for k in kws.split(",") if k))
-        for a, b, kws in zip(*artifacts.read_columns(test_path, (str, str, str), _TEST_COLUMNS))
+        for a, b, kws in zip(*(column.values() for column in artifacts.read_columns(
+            test_path, (str, str, str), _TEST_COLUMNS)))
     ]
-    nodes = sorted({x for pair in train_edges for x in pair})
-    return TrainTestSplit(train_edges=train_edges, test=test, nodes=nodes)
+    # src and dst are coded over one table: the names of either column.
+    return TrainTestSplit(train_edges=train_edges, test=test, nodes=sorted(src.names))
 
 
 # --------------------------------------------------------------------------

@@ -7,15 +7,17 @@ on reading, so writing a row that would read back as one, or as a
 ``[section]`` line, raises ``FormatError``.  Floats are written as
 ``repr(float(x))``, which reads back to the same float64.  A table is
 written from the columns its reader returns (``_write``), and a write holds
-those columns and one chunk's text.  Every table reads as whole columns
-(``_line_columns``); a row with another field count, or a field its type
-rejects, raises ``FormatError`` naming the file and the line.  Only the
-rows of keyed sections (``[meta]``, ``[dims]``) are read one by one.  A read
-holds the text, its output and one chunk: sections are walked by their
-offsets in the text, and a section of numbers is parsed a chunk of lines at
-a time into one array (``_columns``).  A file is written under a temporary
-name and moved into place, so that a write cut short leaves the old file;
-a refused row leaves none.
+those columns and one chunk's text.  Every table reads as columns, a chunk
+of whole lines at a time: a section of numbers into one array
+(``_number_rows``), any other table into an int64 or float64 array per
+number field and a ``Strings`` per string field, its distinct names and an
+int64 code per row (``_line_columns``).  So a read holds the text, its
+output and one chunk, and no table's fields are all held as strings at
+once.  A row with another field count, or a field its type rejects, raises
+``FormatError`` naming the file and the line.  Only the rows of keyed
+sections (``[meta]``, ``[dims]``) are read one by one.  A file is written
+under a temporary name and moved into place, so that a write cut short
+leaves the old file; a refused row leaves none.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import io
 import os
 import re
 import shutil
+from collections import defaultdict
 from contextlib import contextmanager, suppress
-from itertools import repeat, takewhile
+from itertools import count, repeat, takewhile
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -38,6 +41,9 @@ Types = tuple[Callable[[str], object], ...]
 Spans = list[tuple[int, int]]
 # Rows formatted per write: the text of a chunk, not of a table, is held at once.
 _CHUNK = 4096
+# Characters of whole lines parsed per read: the fields of a chunk, and the
+# UCS-4 copy that np.loadtxt parses, are a chunk's, not the table's.
+_PARSE_CHUNK = 1 << 16
 # Columns of a labelled matrix: row label, column index, value.
 MATRIX = [str, int, float]
 
@@ -159,29 +165,53 @@ def _convert(path, lineno: int, fields: list[str], types: Types) -> list:
         raise FormatError(f"{path}:{lineno}: {exc}") from None
 
 
-def _line_columns(path, lines: list[tuple[int, str]], types: Sequence[type]):
-    """(line number, line) rows by column: a list of strings per ``str`` field, an
-    int64 or float64 array per ``int`` or ``float`` field, one (fields, rows) int64
-    array if every field is ``int``.  A row with another field count, or a field
-    its type rejects, is left to the row reader, which names it."""
-    width, body = len(types), [line for _, line in lines]
-    if set(map(str.count, body, repeat("\t"))) <= {width - 1}:
-        fields = "\t".join(body).split("\t") if body else []
-        with suppress(ValueError, OverflowError):
-            columns = [fields[i::width] if t is str else
-                       np.fromiter(map(t, fields[i::width]), np.int64 if t is int else np.float64,
-                                   len(body))
-                       for i, t in enumerate(types)]
-            return np.array(columns) if set(types) == {int} else columns
-    # int64 bounds ``int`` here as the arrays do, so the row reader rejects what they rejected.
-    for lineno, line in lines:
-        _convert(path, lineno, line.split("\t"), [np.int64 if t is int else t for t in types])
-    raise AssertionError(f"{path}: the row reader accepted what the column reader rejected")
+# After a newline, a line that the readers skip: blank (whitespace only) or a "#" comment.
+_SKIPPED = re.compile(r"\n(?:[^\S\n]*(?:\n|\Z)|#)")
+# The skipped lines at the head of a text, then the line of its first row.
+_HEAD = re.compile(r"(?:(?:[^\S\n]*|#.*)(?:\n|\Z))*(.*)")
 
 
-# Characters of a number section that one np.loadtxt call reads: the UCS-4
-# copy that it parses is a chunk's, not the section's.
-_PARSE_CHUNK = 1 << 16
+def _line_columns(path, text: str, spans: Spans, types: Sequence[type]):
+    """The rows of the spans of ``text`` by column, read a chunk of whole lines
+    at a time: an int64 or float64 array per ``int`` or ``float`` field, one
+    (fields, rows) int64 array if every field is ``int``, and a ``Strings`` per
+    ``str`` field, coded over one name table: the distinct names of the
+    table's ``str`` fields.  A chunk with a row of another field count, or a
+    field its type rejects, is left to the row reader, which names the line;
+    so a read holds the text, its output and one chunk's fields, and no
+    string per row."""
+    width, code = len(types), defaultdict(count().__next__)
+    parts = [[np.zeros(0, np.float64 if t is float else np.int64)] for t in types]
+    for start, end in spans:
+        lo = start + 1  # a span opens with the end of its title line
+        while lo < end:
+            cut = text.find("\n", lo + _PARSE_CHUNK - 1, end) + 1 or end
+            body, at, lo = text[lo:cut].rstrip("\n"), lo, cut  # empty last lines: skipped rows
+            lines = body.split("\n")
+            if _SKIPPED.search("\n" + body):
+                lines = [line for line in lines if line.strip() and line[0] != "#"]
+            try:
+                if set(map(str.count, lines, repeat("\t"))) - {width - 1}:
+                    raise ValueError("a row of another field count")
+                fields = "\t".join(lines).split("\t") if lines else []
+                for i, t in enumerate(types):
+                    parts[i].append(np.fromiter(map(code.__getitem__ if t is str else t,
+                                                    fields[i::width]),
+                                                parts[i][0].dtype, len(lines)))
+            except (ValueError, OverflowError):
+                # int64 bounds ``int`` here as the arrays do, so the row reader
+                # rejects what they rejected.
+                for lineno, line in _rows(body, _line_number(text, at)):
+                    _convert(path, lineno, line.split("\t"),
+                             [np.int64 if t is int else t for t in types])
+                raise AssertionError(
+                    f"{path}: the row reader accepted what the column reader rejected") from None
+    names, columns = list(code), []
+    for t, part in zip(types, parts):
+        column = np.concatenate(part)
+        part.clear()  # a field's chunks are freed before the next field is joined
+        columns.append(Strings(names, column) if t is str else column)
+    return np.array(columns) if set(types) == {int} else columns
 
 
 def _number_rows(text: str, spans: Spans, dtype: type, width: int) -> np.ndarray:
@@ -192,7 +222,7 @@ def _number_rows(text: str, spans: Spans, dtype: type, width: int) -> np.ndarray
     rows.  Raises ``ValueError`` where ``np.loadtxt`` fails on a chunk (at a
     ``#`` line, say) or reads rows of another width, and where a chunk holds
     one of the separators \\x1c-\\x1f, which it reads as space and ``int``
-    and ``float`` refuse: the row reader then reads the lines."""
+    and ``float`` refuse: ``_line_columns`` then reads the lines."""
     # A span's first line is the rest of its section line, so each row follows a newline.
     out = np.empty((sum(text.count("\n", lo, end - 1) for lo, end in spans), width), dtype)
     n = 0
@@ -217,27 +247,26 @@ def _columns(path, text: str, spans: Spans, types: Sequence[type]):
     """``_line_columns`` of the rows of ``text[start:end]`` for each (start, end)
     of ``spans``.
 
-    Fields all ``int`` or all ``float`` are first read by ``_number_rows``, so
-    that the read holds the text, its output and one chunk; where that fails,
-    the row reader reads the spans' lines, and accepts or names the line."""
+    Fields all ``int`` or all ``float`` are first read by ``_number_rows``;
+    where that fails, ``_line_columns`` reads the spans, and accepts or
+    names the line."""
     dtype = {frozenset({int}): np.int64, frozenset({float}): np.float64}.get(frozenset(types))
     if dtype is not None:
         with suppress(ValueError):
             columns = _number_rows(text, spans, dtype, len(types)).T
             return columns if dtype is np.int64 else list(columns)
-    return _line_columns(path, [row for start, end in spans
-                                for row in _rows(text[start:end], _line_number(text, start))],
-                         types)
+    return _line_columns(path, text, spans, types)
 
 
 def read_columns(path: str | Path, types: Sequence[type], columns: Sequence[str]) -> list:
     """The rows of a plain artifact by column (see ``_line_columns``); its first
     row must name the ``columns``."""
-    lines = list(_rows(read_text(path)))
-    lineno, line = lines[0] if lines else (0, "")
-    if line != "\t".join(columns):
+    text = read_text(path)
+    head = _HEAD.match(text)
+    if head[1] != "\t".join(columns):
+        lineno = _line_number(text, head.start(1)) if head[1] else 0
         raise FormatError(f"{path}:{lineno}: expected the column names {list(columns)}")
-    return _line_columns(path, lines[1:], types)
+    return _line_columns(path, text, [(head.end(), len(text))], types)
 
 
 # A "[name]" line; it has no tab, so a row starting with "[" stays a row.  Past
@@ -301,17 +330,17 @@ def matrix_columns(labels: Sequence[str], matrix: np.ndarray) -> list:
 
 def check_indices(path: str | Path, what: str, indices: np.ndarray, size: int) -> None:
     """Raise ``FormatError`` unless every index is in ``[0, size)``."""
-    bad = np.flatnonzero((indices < 0) | (indices >= size))
-    if bad.size:
-        raise FormatError(f"{path}: {what} index {indices[bad[0]]} is outside [0, {size})")
+    if indices.size and not 0 <= indices.min() <= indices.max() < size:
+        bad = indices[(indices < 0) | (indices >= size)][0]
+        raise FormatError(f"{path}: {what} index {bad} is outside [0, {size})")
 
 
-def labelled_matrix(row_labels: list[str], cols: np.ndarray, values: np.ndarray,
+def labelled_matrix(rows: Strings, cols: np.ndarray, values: np.ndarray,
                     labels: list[str] | None = None,
                     path: str | Path = "matrix") -> tuple[list[str], np.ndarray]:
-    """Inverse of ``matrix_columns``, from its three columns: labels in first-seen
-    order unless given.  Each (label, column) cell must appear exactly once."""
-    rows = Strings.of(row_labels)
+    """Inverse of ``matrix_columns``, from its three columns as the readers
+    return them: labels in first-seen order unless given.  Each (label,
+    column) cell must appear exactly once."""
     if labels is None:
         labels = rows.names
     if cols.size and cols.min() < 0:

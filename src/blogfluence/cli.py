@@ -16,7 +16,8 @@ artifacts under its own header and returns the summary ``main`` prints.
 
 ``links`` is the one stage that scores links: it builds them from
 ``activity.tsv``, fills their similarity from ``post_terms.tsv`` and writes
-both to ``links.tsv``, which ``causality`` and ``influence`` read as is.
+both to ``links.tsv``, one row per link in ``influence.tsv``'s plain form,
+which ``causality`` and ``influence`` read as is.
 Configuration comes from flat ``key = value`` files ("synth." keys reach
 the generator); command-line flags override file values.  Re-running a
 subcommand with unchanged inputs and seed reproduces its outputs byte
@@ -175,7 +176,7 @@ def _topic_model(cfg: PipelineConfig) -> topics.TopicModel:
 
 def _read_links(cfg: PipelineConfig) -> tuple[implicit.ImplicitNetwork, int]:
     """links.tsv and the number of its links that carry a similarity."""
-    net = implicit.read_coded_links(_path(cfg, "links.tsv"), cfg.window_hours)
+    net = implicit.read_links_tsv(_path(cfg, "links.tsv"), cfg.window_hours)
     return net, int(np.count_nonzero(~np.isnan(net.links.similarity)))
 
 
@@ -243,7 +244,7 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
                           f"{len(activity.urls)} post urls of activity.tsv")
     net = implicit.build_implicit_links(activity, cfg.window_hours)
     causality.annotate_similarity(net.links, terms, cfg.vocab_max_size, cfg.min_tokens)
-    implicit.write_coded_links(net.links, _path(cfg, "links.tsv"), header)
+    implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
     artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, [range(1, len(hist) + 1), hist],
                          ("bin", "count"))

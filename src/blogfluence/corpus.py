@@ -143,7 +143,7 @@ class Strings:
         return cls(list(code), codes)
 
     def values(self) -> list[str]:
-        return list(map(self.names.__getitem__, self.codes.tolist()))
+        return np.array(self.names, object)[self.codes].tolist()
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -94,7 +94,7 @@ def read_tensor_tsv(path: str) -> InfluenceTensor:
     })
     # Contiguous columns: every fit iteration reads them.
     influenced, influencer, term, counts = sections["entries"].copy()
-    (bloggers,) = sections["bloggers"]
+    bloggers = sections["bloggers"][0].values()
     n_terms = sections["dims"]["n_terms"][0]
     artifacts.check_indices(path, "influenced blogger", influenced, len(bloggers))
     artifacts.check_indices(path, "influencer blogger", influencer, len(bloggers))
@@ -689,6 +689,7 @@ def read_pcldc_model(path: str) -> PcldcModel:
         "content_weights": artifacts.MATRIX,
     })
     nodes, popularity = sections["popularity"]
+    nodes = nodes.values()
     _, memberships = artifacts.labelled_matrix(*sections["memberships"], nodes, path)
     terms, weights = artifacts.labelled_matrix(*sections["content_weights"], path=path)
     if weights.shape[1] != memberships.shape[1]:
@@ -716,6 +717,7 @@ def read_pcl_model(path: str) -> PclModel:
         path, {"popularity": [str, float], "memberships": artifacts.MATRIX}
     )
     nodes, popularity = sections["popularity"]
+    nodes = nodes.values()
     _, memberships = artifacts.labelled_matrix(*sections["memberships"], nodes, path)
     return PclModel(
         popularity=popularity, memberships=memberships, objective_trace=[], nodes=nodes

@@ -10,17 +10,17 @@ The links are built from the ``corpus.Activity`` rows, which
 of columns: q and p index an ascending table of post URLs, reader and
 author an ascending table of bloggers, so index order is string order.
 One ``ImplicitNetwork`` holds the implicit links or the influence network
-drawn from them, each link's similarity included.  ``links.tsv`` stores
-the table as it is held: the two name tables, then the index and gap
-columns as integers.  ``influence.tsv`` spells each link's posts and
-bloggers out, one link per row.
+drawn from them, each link's similarity included.  ``links.tsv`` and
+``influence.tsv`` store the table in one codec: one row per link, its
+posts and bloggers by name.  The reader takes each name column as codes
+over its distinct names (``artifacts.read_columns``) and ranks those names
+once, so no string is made per link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, compress
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,13 +64,16 @@ class Links:
     similarity: np.ndarray  # float64
 
     @classmethod
-    def from_columns(cls, q: Sequence[str], p: Sequence[str], reader: Sequence[str],
-                     author: Sequence[str], gap: Sequence[int]) -> Links:
-        """The table of string columns and gaps, with no similarities."""
-        urls, qp = Strings.of(chain(q, p)).ranked(slice(None))
-        bloggers, ra = Strings.of(chain(reader, author)).ranked(slice(None))
-        return cls(urls, bloggers, *np.split(qp, 2), *np.split(ra, 2),
-                   np.array(gap, dtype=np.int64), np.full(len(gap), np.nan))
+    def from_columns(cls, q: Strings, p: Strings, reader: Strings, author: Strings,
+                     gap: np.ndarray) -> Links:
+        """The table of name columns coded over one name table, as
+        ``artifacts.read_columns`` returns them, and int64 gaps, with no
+        similarities."""
+        urls, qp = Strings(q.names, np.concatenate([q.codes, p.codes])).ranked(slice(None))
+        bloggers, ra = Strings(q.names, np.concatenate([reader.codes, author.codes])).ranked(
+            slice(None))
+        return cls(urls, bloggers, *np.split(qp, 2), *np.split(ra, 2), gap,
+                   np.full(len(gap), np.nan))
 
     def __len__(self) -> int:
         return len(self.q)
@@ -136,7 +139,8 @@ def build_implicit_links(activity: Activity,
     owner, upload, post_ip = activity.posts.T
     target, ip, access_ts = activity.accesses.T
     if not len(upload) or not len(target):
-        return summarize_links(Links.from_columns([], [], [], [], []), window_hours)
+        return summarize_links(Links(activity.urls, activity.bloggers, *np.zeros((5, 0), np.int64),
+                                     np.zeros(0)), window_hours)
     keys = PostKeys(owner, upload, post_ip, len(activity.bloggers))
     which, reader = keys.readers(ip)
     keep = reader != owner[target[which]]
@@ -173,28 +177,14 @@ _MAX_SIMILARITY = 1 + 4 * np.finfo(np.float64).eps
 
 
 def write_links_tsv(links: Links, path: str, header: str | None = None) -> None:
-    """``influence.tsv``: one row per link, its posts and bloggers by name; the
-    similarity as its shortest ``repr``, ``nan`` where none."""
+    """``links.tsv`` or ``influence.tsv``: one row per link, its posts and
+    bloggers by name; the similarity as its shortest ``repr``, ``nan`` where none."""
     urls, bloggers = links.urls, links.bloggers
     artifacts.write_rows(path, header, [
         Strings(urls, links.q), Strings(urls, links.p),
         Strings(bloggers, links.reader), Strings(bloggers, links.author),
         links.gap, links.similarity,
     ], _LINK_COLUMNS)
-
-
-def _checked(path, links: Links, window_hours: int) -> ImplicitNetwork:
-    """The network of ``links`` read from ``path``: every gap must lie in
-    (0, ``window_hours``] hours and every similarity be NaN or in [0, 1]."""
-    max_gap = window_hours * 3600
-    bad = np.flatnonzero((links.gap <= 0) | (links.gap > max_gap))
-    if bad.size:
-        raise FormatError(f"{path}: gap_seconds {links.gap[bad[0]]} is outside (0, {max_gap}]")
-    bad = np.flatnonzero((links.similarity < 0) | (links.similarity > _MAX_SIMILARITY))
-    if bad.size:
-        raise FormatError(
-            f"{path}: similarity {links.similarity[bad[0]].item()!r} is outside [0, 1]")
-    return summarize_links(links, window_hours)
 
 
 def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS,
@@ -209,76 +199,31 @@ def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS,
                                                      _LINK_COLUMNS)
     links = Links.from_columns(*names, gap)
     links.similarity = similarity
-    net = _checked(path, links, window_hours)
+    max_gap = window_hours * 3600
+    bad = np.flatnonzero((links.gap <= 0) | (links.gap > max_gap))
+    if bad.size:
+        raise FormatError(f"{path}: gap_seconds {links.gap[bad[0]]} is outside (0, {max_gap}]")
+    bad = np.flatnonzero((links.similarity < 0) | (links.similarity > _MAX_SIMILARITY))
+    if bad.size:
+        raise FormatError(
+            f"{path}: similarity {links.similarity[bad[0]].item()!r} is outside [0, 1]")
+    net = summarize_links(links, window_hours)
     unknown = [url for url in links.urls if url not in posts] if posts is not None else []
     if unknown:
         raise FormatError(f"{path}: post {unknown[0]!r} is not among the {len(posts)} known posts")
     return net
 
 
-# links.tsv and activity.tsv tag each name row with its table, so that no name (blank,
-# opening with "#", or shaped like a "[section]" line) can read back as anything but a row.
-_LINK_NAMES = ("url", "blogger")
+# activity.tsv tags each name row with its table, so that no name (blank, opening
+# with "#", or shaped like a "[section]" line) can read back as anything but a row.
 _NAME_TABLES = ("url", "blogger", "ip", "theme")
-
-
-def _tagged(tags: Sequence[str], tables: Sequence[list[str]]) -> list[list[str]]:
-    """The [names] columns: each name's tag, and the names, table by table."""
-    return [[tag for tag, names in zip(tags, tables) for _ in names],
-            [name for names in tables for name in names]]
-
-
-def _untagged(path, tags: Sequence[str], column: tuple[list[str], list[str]]) -> list[list[str]]:
-    """The name table of each tag from the [names] (tag, name) columns; an
-    untagged name or a table not strictly ascending raises ``FormatError``."""
-    row_tags, names = column
-    tables = [list(compress(names, map(tag.__eq__, row_tags))) for tag in tags]
-    if sum(map(len, tables)) < len(names):
-        raise FormatError(f"{path}: [names] has a row tagged none of {', '.join(tags)}")
-    for tag, table in zip(tags, tables):
-        if any(a >= b for a, b in zip(table, table[1:])):
-            raise FormatError(f"{path}: [names] needs each {tag} once, in ascending order")
-    return tables
-
-
-def write_coded_links(links: Links, path: str, header: str | None = None) -> None:
-    """``links.tsv``: the url and blogger tables as tagged ``[names]`` rows, the
-    q, p, reader, author and gap columns as one ``[links]`` integer block, and
-    each similarity's shortest ``repr`` (``nan`` where none) in ``[similarity]``."""
-    artifacts.write_sections(path, header, {
-        "names": _tagged(_LINK_NAMES, (links.urls, links.bloggers)),
-        "links": [links.q, links.p, links.reader, links.author, links.gap],
-        "similarity": [links.similarity],
-    })
-
-
-def read_coded_links(path: str, window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
-    """The network of a file written by ``write_coded_links``.
-
-    An untagged name, a name table not strictly ascending, an index out of
-    range, a ``[similarity]`` row count other than ``[links]``'s, a gap
-    outside (0, ``window_hours``] hours or a similarity neither NaN nor in
-    [0, 1] raises ``FormatError`` naming the file.
-    """
-    sections = artifacts.read_sections(path, {
-        "names": [str, str], "links": [int] * 5, "similarity": [float],
-    })
-    urls, bloggers = _untagged(path, _LINK_NAMES, sections["names"])
-    q, p, reader, author, gap = sections["links"]
-    (similarity,) = sections["similarity"]
-    if len(similarity) != len(gap):
-        raise FormatError(f"{path}: [similarity] has {len(similarity)} rows for {len(gap)} links")
-    for what, index, table in (("post", q, urls), ("post", p, urls),
-                               ("blogger", reader, bloggers), ("blogger", author, bloggers)):
-        artifacts.check_indices(path, what, index, len(table))
-    return _checked(path, Links(urls, bloggers, q, p, reader, author, gap, similarity),
-                    window_hours)
 
 
 def write_activity(activity: Activity, path: str, header: str | None = None) -> None:
     tables = (activity.urls, activity.bloggers, activity.ips, activity.themes)
     artifacts.write_sections(path, header, {
-        "names": _tagged(_NAME_TABLES, tables),
+        "names": [[tag for tag, names in zip(_NAME_TABLES, tables) for _ in names],
+                  [name for names in tables for name in names]],
         "posts": activity.posts.T, "post_themes": activity.post_themes.T,
         "accesses": activity.accesses.T,
     })
@@ -290,7 +235,15 @@ def read_activity(path: str) -> Activity:
     sections = artifacts.read_sections(path, {
         "names": [str, str], "posts": [int] * 3, "post_themes": [int] * 2, "accesses": [int] * 3,
     })
-    urls, bloggers, ips, themes = _untagged(path, _NAME_TABLES, sections["names"])
+    row_tags, names = sections["names"]  # coded over one table
+    code = {row_tags.names[c]: c for c in distinct(row_tags.codes).tolist()}
+    tables = [names.take(row_tags.codes == code.get(tag, -1)).values() for tag in _NAME_TABLES]
+    if sum(map(len, tables)) < len(names):
+        raise FormatError(f"{path}: [names] has a row tagged none of {', '.join(_NAME_TABLES)}")
+    for tag, table in zip(_NAME_TABLES, tables):
+        if any(a >= b for a, b in zip(table, table[1:])):
+            raise FormatError(f"{path}: [names] needs each {tag} once, in ascending order")
+    urls, bloggers, ips, themes = tables
     posts, post_themes, accesses = (sections[name].T
                                     for name in ("posts", "post_themes", "accesses"))
     if len(posts) != len(urls):

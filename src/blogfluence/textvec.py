@@ -211,6 +211,7 @@ def read_vocabulary(path: str, max_size: int) -> list[str]:
     """``read_post_terms(path).vocabulary(max_size)``, read up to ``[posts]``."""
     head = artifacts.read_text(path, until="[posts]")
     terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int]})["terms"]
+    terms = terms.values()
     _check_ranking(path, terms, doc_freq)
     return terms[:max_size]
 
@@ -219,6 +220,7 @@ def read_post_terms(path: str) -> PostTerms:
     sections = artifacts.read_sections(path, {"terms": [str, int], "posts": [str, str],
                                               "entries": [int] * 3})
     (terms, doc_freq), (urls, authors) = sections["terms"], sections["posts"]
+    terms, urls, authors = terms.values(), urls.values(), authors.values()
     post, term, count = sections["entries"]
     artifacts.check_indices(path, "post", post, len(urls))
     artifacts.check_indices(path, "term", term, len(terms))

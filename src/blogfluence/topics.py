@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import FormatError, Strings, lexorder
+from blogfluence.corpus import FormatError, lexorder
 from blogfluence.textvec import PostTerms
 
 DEFAULT_TOL = 1e-7
@@ -242,7 +242,6 @@ def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
     (p_t_topic, p_t), (topic, words, values) = sections["p_t"], sections["p_w_given_t"]
     for name, ks in (("p_t", p_t_topic), ("p_w_given_t", topic)):
         artifacts.check_indices(model_path, f"[{name}] topic", ks, n_topics)
-    words = Strings.of(words)
     index = {t: i for i, t in enumerate(terms)}
     for term in words.names:
         if term not in index:

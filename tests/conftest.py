@@ -323,39 +323,13 @@ def links_table(rows):
     """The ``Links`` table of ``(q, p, reader, author, gap[, similarity])``
     rows; a similarity that is missing or None is NaN."""
     rows = list(rows)
-    table = Links.from_columns(*([row[i] for row in rows] for i in range(5)))
+    names = Strings.of(row[i] for i in range(4) for row in rows)
+    table = Links.from_columns(*(Strings(names.names, codes) for codes in
+                                 np.split(names.codes, 4)),
+                               np.array([row[4] for row in rows], np.int64))
     table.similarity = np.array(
         [np.nan if len(row) < 6 or row[5] is None else row[5] for row in rows], dtype=float)
     return table
-
-
-def link_sections(text):
-    """The rows of each ``[section]`` of a coded ``links.tsv`` text, after its line 1."""
-    sections = {}
-    for line in text.split("\n")[1:-1]:
-        if line in ("[names]", "[links]", "[similarity]"):
-            rows = sections[line[1:-1]] = []
-        else:
-            rows.append(line)
-    return sections
-
-
-def plain_links(text):
-    """A coded ``links.tsv`` text as the plain file it replaced: line 1, the
-    column names, then one row per link with its posts and bloggers by name."""
-    sections = link_sections(text)
-    tables = {"url": [], "blogger": []}
-    for row in sections["names"]:
-        tag, name = row.split("\t")
-        tables[tag].append(name)
-    urls, bloggers = tables["url"], tables["blogger"]
-    rows = [
-        f"{urls[int(q)]}\t{urls[int(p)]}\t{bloggers[int(r)]}\t{bloggers[int(a)]}\t{gap}\t{sim}\n"
-        for (q, p, r, a, gap), sim in zip(map(str.split, sections["links"]),
-                                          sections["similarity"], strict=True)
-    ]
-    return "".join([text.split("\n", 1)[0], "\nq\tp\treader\tauthor\tgap_seconds\tsimilarity\n",
-                    *rows])
 
 
 # --------------------------------------------------------------------------

@@ -37,10 +37,8 @@ from blogfluence.implicit import (
     ImplicitNetwork,
     Links,
     read_activity,
-    read_coded_links,
     read_links_tsv,
     write_activity,
-    write_coded_links,
     write_links_tsv,
 )
 from blogfluence.synth import GroundTruth, SynthConfig, generate, write_experts_tsv, write_truth_tsv
@@ -355,13 +353,61 @@ def test_int_columns_refuse_the_separators_that_int_refuses(separator):
         artifacts.parse_sections("t.tsv", f"[t]\n1\t2\n0{separator}\t3\n", {"t": [int, int]})
 
 
+def _row_columns(path, rows, types):
+    """The columns of the row reader's rows of (line number, line) ``rows``: a
+    list per ``str`` field, an int64 or float64 array per number field, one
+    (fields, rows) int64 array if every field is ``int``.  The oracle of the
+    column reader, which reads ``str`` fields as ``Strings``."""
+    oracle = [np.int64 if t is int else t for t in types]
+    table = [artifacts._convert(path, n, line.split("\t"), oracle) for n, line in rows]
+    columns = [[row[i] for row in table] if t is str else
+               np.array([row[i] for row in table], np.int64 if t is int else np.float64)
+               for i, t in enumerate(types)]
+    return np.array(columns, np.int64).reshape(len(types), -1) if set(types) == {int} else columns
+
+
+def _same_columns(got, want):
+    """``got`` of the column reader holds ``want`` of ``_row_columns``, bit for bit;
+    its ``str`` fields are coded over the one table of their distinct names."""
+    assert type(got) is type(want) and len(got) == len(want)
+    names = {name for column in want if isinstance(column, list) for name in column}
+    for column, oracle in zip(got, want):
+        if isinstance(oracle, np.ndarray):
+            assert column.dtype == oracle.dtype and column.shape == oracle.shape
+            assert column.tobytes() == oracle.tobytes()
+        else:
+            assert column.values() == oracle
+            assert len(column.names) == len(names) and set(column.names) == names
+
+
+def _read_table(tmp_path_factory, types, lines, plain):
+    """A table of ``lines`` under its title line, read as a plain table from a
+    file or as the text of a ``[t]`` section; the read, the path that it names
+    and the rows of the text that it reads, by line number, that the row reader
+    does not skip (a file is read with universal newlines)."""
+    path = tmp_path_factory.mktemp("table") / "t.tsv"
+    title = "\t".join(f"c{i}" for i in range(len(types))) if plain else "[t]"
+    text = "".join(f"{line}\n" for line in [title, *lines])
+    if plain:
+        path.write_text(text, encoding="utf-8")
+        text = artifacts.read_text(path)
+    rows = [(n, line) for n, line in enumerate(text.split("\n"), 1)
+            if n > 1 and line.strip() and line[0] != "#"]
+    if plain:
+        return lambda: artifacts.read_columns(path, types, title.split("\t")), path, rows
+    return lambda: artifacts.parse_sections(path, text, {"t": types})["t"], path, rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), types=st.one_of(  # half of the tables of int fields only
     st.lists(st.just(int), min_size=1, max_size=4),
-    st.lists(st.sampled_from([str, int, float]), min_size=1, max_size=4)))
-def test_columns_match_the_row_reader(data, types):
-    """A section read as columns holds what the row reader makes of each row,
-    and a row it rejects raises the row reader's error."""
+    st.lists(st.sampled_from([str, int, float]), min_size=1, max_size=4)),
+       plain=st.booleans(), chunk=st.integers(1, 64))
+def test_columns_match_the_row_reader(tmp_path_factory, data, types, plain, chunk):
+    """A table read as columns, ``chunk`` characters of whole lines at a time,
+    holds what the row reader makes of each row, and a row it rejects raises
+    the row reader's error: a section or a plain table, rows on either side of
+    a chunk edge, skipped lines inside a chunk and a bad row in a later chunk."""
     rows = data.draw(st.lists(st.tuples(*(_TYPED[t] for t in types)), max_size=8))
     lines = [row_line(row)[:-1] for row in rows]
     if lines and data.draw(st.booleans()):  # one field of one row replaced
@@ -371,40 +417,59 @@ def test_columns_match_the_row_reader(data, types):
         lines[row] = "\t".join(fields)
     for _ in range(data.draw(st.integers(0, 3))):  # skipped lines anywhere
         lines.insert(data.draw(st.integers(0, len(lines))),
-                     data.draw(st.sampled_from(["", " ", "\x0b", "#", "# 1\t2", "#\t3"])))
+                     data.draw(st.sampled_from(["", " ", "\x0b", "#", "# 1\t2", "#\t3", "\t"])))
+    read, path, rows = _read_table(tmp_path_factory, types, lines, plain)
     # A tab-free "[name]" row would open a section.
-    assume(not any(line.startswith("[") and line.endswith("]") and "\t" not in line
-                   for line in lines))
-    text = "".join(f"{line}\n" for line in ["[t]", *lines])
-    oracle = [np.int64 if t is int else t for t in types]
+    assume(plain or not any(line[0] == "[" and line[-1] == "]" and "\t" not in line
+                            for _, line in rows))
     try:
-        expected = [artifacts._convert("t.tsv", n, line.split("\t"), oracle)
-                    for n, line in enumerate(lines, 2) if line.strip() and line[0] != "#"]
+        want = _row_columns(path, rows, types)
     except FormatError as exc:
-        with pytest.raises(FormatError) as info:
-            artifacts.parse_sections("t.tsv", text, {"t": types})
+        with patch.object(artifacts, "_PARSE_CHUNK", chunk), pytest.raises(FormatError) as info:
+            read()
         assert str(info.value) == str(exc)
         return
-    columns = artifacts.parse_sections("t.tsv", text, {"t": types})["t"]
-    if set(types) == {int}:
-        assert columns.dtype == np.int64 and columns.shape == (len(types), len(expected))
-    for i, (t, column) in enumerate(zip(types, columns)):
-        want = [row[i] for row in expected]
-        if t is str:
-            assert column == want
-        else:
-            assert column.dtype == (np.int64 if t is int else np.float64)
-            assert list(map(repr, column.tolist())) == list(map(repr, map(t, want)))
+    with patch.object(artifacts, "_PARSE_CHUNK", chunk):
+        _same_columns(read(), want)
+
+
+@pytest.mark.parametrize("types, lines, refused", [
+    ([str, int], ["a\t1", "b\t2", "# c\t3", "c\tx", "d\t4"], ":5: invalid literal for int()"),
+    ([str, float], ["a\t1", "", "b\t2.5", " ", "c\t0.5x"], ":6: could not convert string"),
+    ([str, str], ["a\tb", "\t", "#\tx", "c\td", "e\tf\tg"], ":6: expected 2 tab-separated"),
+    ([str, str], ["a\tb", "\t", "#\tx", "c\td", " \t\x0b", "a\tc"], None),
+    ([int, str], ["1\ta", "2\tb", "#3\tc", "\x0b", "4\ta"], None),
+])
+@pytest.mark.parametrize("chunk", [1, 4, 9, 1 << 16])
+@pytest.mark.parametrize("plain", [False, True])
+def test_columns_match_the_row_reader_at_chunk_edges(tmp_path_factory, types, lines, refused,
+                                                     chunk, plain):
+    """Blank and "#" lines inside a chunk, some with the table's field count,
+    are skipped; a bad row after the first chunk raises the row reader's error."""
+    read, path, rows = _read_table(tmp_path_factory, types, lines, plain)
+    with patch.object(artifacts, "_PARSE_CHUNK", chunk):
+        if refused is None:
+            _same_columns(read(), _row_columns(path, rows, types))
+            return
+        with pytest.raises(FormatError) as info:
+            _row_columns(path, rows, types)
+        oracle = str(info.value)
+        assert oracle.startswith(f"{path}{refused}")
+        with pytest.raises(FormatError) as info:
+            read()
+        assert str(info.value) == oracle
 
 
 @settings(max_examples=80, deadline=None)
 @given(rows=st.lists(st.tuples(_FIELDS, _FIELDS, _FIELDS, _FIELDS, st.integers(1, 43200),
-                               st.one_of(st.none(), st.floats(0, 1))), max_size=12))
-def test_links_codec_round_trip(rows, tmp_path_factory):
+                               st.one_of(st.none(), st.floats(0, 1))), max_size=12),
+       chunk=st.integers(1, 128))
+def test_links_codec_round_trip(rows, chunk, tmp_path_factory):
     path = tmp_path_factory.mktemp("links") / "l.tsv"
     write_links_tsv(links_table(rows), path, "# h")
     text = path.read_bytes()
-    links = read_links_tsv(path)
+    with patch.object(artifacts, "_PARSE_CHUNK", chunk):  # a few rows per chunk
+        links = read_links_tsv(path)
     assert [tuple(link) for link in links.links] == rows
     write_links_tsv(links.links, path, "# h")
     assert path.read_bytes() == text
@@ -446,77 +511,10 @@ def test_activity_round_trip(posts, reads, tmp_path_factory):
     assert path.read_bytes() == text
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), urls=st.lists(_NAMES, min_size=1, max_size=8, unique=True),
-       bloggers=st.lists(_NAMES, min_size=1, max_size=5, unique=True))
-def test_coded_links_round_trip(data, urls, bloggers, tmp_path_factory):
-    """Every column of a coded links table reads back bit for bit, over name
-    tables longer than the links use and names no plain row could carry."""
-    n = data.draw(st.integers(0, 12))
-    index = lambda size: np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n,
-                                                     max_size=n)), np.int64)
-    similarity = data.draw(st.lists(st.one_of(st.just(math.nan), st.floats(0, 1)),
-                                    min_size=n, max_size=n))
-    links = Links(sorted(urls), sorted(bloggers), index(len(urls)), index(len(urls)),
-                  index(len(bloggers)), index(len(bloggers)),
-                  np.array(data.draw(st.lists(st.integers(1, 43200), min_size=n, max_size=n)),
-                           np.int64), np.array(similarity, np.float64))
-    path = tmp_path_factory.mktemp("coded") / "l.tsv"
-    write_coded_links(links, path, "# h")
-    text = path.read_bytes()
-    again = read_coded_links(path).links
-    assert (again.urls, again.bloggers) == (links.urls, links.bloggers)
-    for column in ("q", "p", "reader", "author", "gap", "similarity"):
-        assert getattr(again, column).tobytes() == getattr(links, column).tobytes(), column
-    write_coded_links(again, path, "# h")
-    assert path.read_bytes() == text
-
-
-# LINKS coded: [names] rows 3-8 (urls /ua/q1, /ub/p1, /uc/p3; bloggers ua, ub,
-# uc), [links] rows 10-11, [similarity] rows 13-14.
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ("url\t/ub/p1\n", "uri\t/ub/p1\n", "l.tsv: [names] has a row tagged none of url, blogger"),
-        ("url\t/ub/p1\n", "url\t/ua/q1\n", "l.tsv: [names] needs each url once, in ascending"),
-        ("blogger\tub\n", "blogger\tuz\n", "l.tsv: [names] needs each blogger once, in ascending"),
-        ("\n0\t1\t0\t1\t600\n", "\n0\t3\t0\t1\t600\n", "l.tsv: post index 3 is outside [0, 3)"),
-        ("\n0\t1\t0\t1\t600\n", "\n-1\t1\t0\t1\t600\n", "l.tsv: post index -1 is outside"),
-        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t3\t600\n", "l.tsv: blogger index 3 is outside"),
-        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t1\n", "l.tsv:10: expected 5 tab-separated fields"),
-        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t1\t43201\n",
-         "l.tsv: gap_seconds 43201 is outside (0, 43200]"),
-        ("\n0\t1\t0\t1\t600\n", "\n0\t1\t0\t1\t0\n", "l.tsv: gap_seconds 0 is outside"),
-        ("[similarity]\nnan\n", "[similarity]\n1.5\n", "l.tsv: similarity 1.5 is outside [0, 1]"),
-        ("[similarity]\nnan\n", "[similarity]\n-inf\n", "l.tsv: similarity -inf is outside"),
-        ("[similarity]\nnan\n", "[similarity]\n0.5x\n",
-         "l.tsv:13: could not convert string to float: '0.5x'"),
-        ("[similarity]\nnan\n", "[similarity]\n", "l.tsv: [similarity] has 1 rows for 2 links"),
-        ("[similarity]\n", "[similarity]\n0.5\n", "l.tsv: [similarity] has 3 rows for 2 links"),
-        ("[links]\n", "[link]\n", "l.tsv:9: unexpected section '[link]'"),
-    ],
-)
-def test_coded_links_refusals_name_the_file(tmp_path, old, new, message):
-    path = tmp_path / "l.tsv"
-    write_coded_links(LINKS, path, "# h")
-    assert old in path.read_text()
-    path.write_text(path.read_text().replace(old, new, 1))
-    with pytest.raises(FormatError) as info:
-        read_coded_links(path)
-    assert message in str(info.value)
-
-
-def test_plain_links_file_is_refused_at_its_first_row(tmp_path):
-    """One codec per file: the coded reader takes no plain links.tsv."""
-    path = tmp_path / "l.tsv"
-    write_links_tsv(LINKS, path, "# h")
-    with pytest.raises(FormatError, match=r"l.tsv:2: row before the first \[section\]"):
-        read_coded_links(path)
-
-
-def test_reading_coded_links_peak_memory_per_link(tmp_path):
-    """Reading 20,000 coded links traces under 400 bytes per link: no string
-    is made per link (a plain six-column file read about 660)."""
+def test_reading_links_peak_memory_per_link(tmp_path):
+    """Reading 20,000 links traces under 400 bytes per link: the name columns
+    are coded a chunk of rows at a time (a reader that held every field as a
+    string took about 660)."""
     rng = np.random.default_rng(3)
     n = 20_000
     urls = sorted(f"/u{i:04d}/p{j}" for i in range(300) for j in range(20))
@@ -524,10 +522,10 @@ def test_reading_coded_links_peak_memory_per_link(tmp_path):
                   *rng.integers(0, 300, (2, n)), rng.integers(1, 43201, n),
                   np.where(rng.random(n) < 0.1, np.nan, rng.random(n)))
     path = tmp_path / "l.tsv"
-    write_coded_links(links, path, "# h")
+    write_links_tsv(links, path, "# h")
     tracemalloc.start()
     try:
-        net = read_coded_links(path)
+        net = read_links_tsv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -690,11 +688,10 @@ def test_column_writer_matches_the_row_writer(blocks, plain, chunk, tmp_path_fac
         assert outcome(write) == outcome(lambda: write_per_row(path, "# h", rows))
 
 
-@pytest.mark.parametrize("write", [write_coded_links, write_links_tsv])
-def test_writing_links_peak_memory_per_link(write, tmp_path):
+def test_writing_links_peak_memory_per_link(tmp_path):
     """Writing 100,000 links traces under 40 bytes per link: the columns are
-    formatted a chunk at a time (writing links.tsv with its whole [similarity]
-    text traced about 147, influence.tsv with its name columns as lists 338)."""
+    formatted a chunk at a time (writing the name columns as lists traced
+    about 338)."""
     rng = np.random.default_rng(5)
     n = 100_000
     urls = sorted(f"/u{i:04d}/p{j}" for i in range(300) for j in range(20))
@@ -703,7 +700,7 @@ def test_writing_links_peak_memory_per_link(write, tmp_path):
                   np.where(rng.random(n) < 0.1, np.nan, rng.random(n)))
     tracemalloc.start()
     try:
-        write(links, tmp_path / "l.tsv", "# h")
+        write_links_tsv(links, tmp_path / "l.tsv", "# h")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -753,6 +750,13 @@ def test_write_cut_short_keeps_the_old_file(tmp_path):
         ("\t3601\tnan\n", "\t3601\t1.5\n", "l.tsv: similarity 1.5 is outside [0, 1]"),
         ("\t3601\tnan\n", "\t3601\t-0.25\n", "l.tsv: similarity -0.25 is outside [0, 1]"),
         ("\t3601\tnan\n", "\t3601\tinf\n", "l.tsv: similarity inf is outside [0, 1]"),
+        ("\t3601\tnan\n", "\t3601\t-inf\n", "l.tsv: similarity -inf is outside [0, 1]"),
+        # The same faults in the first row are found there, not only at the end.
+        ("\tub\t600\tnan\n", "\tub\t600\n", "l.tsv:3: expected 6 tab-separated fields, found 5"),
+        ("\t600\tnan\n", "\t43201\tnan\n", "l.tsv: gap_seconds 43201 is outside (0, 43200]"),
+        ("\t600\tnan\n", "\t0\tnan\n", "l.tsv: gap_seconds 0 is outside (0, 43200]"),
+        ("\t600\tnan\n", "\t600\t1.5\n", "l.tsv: similarity 1.5 is outside [0, 1]"),
+        ("\t600\tnan\n", "\t600\t0.5x\n", "l.tsv:3: could not convert string to float"),
     ],
 )
 def test_malformed_row_names_file_and_line(tmp_path, old, new, message):
@@ -826,17 +830,18 @@ def test_topic_model_index_out_of_range(tmp_path, old, new, message):
 
 
 def test_matrix_rows_must_match_the_given_labels():
-    columns = (["ua", "uz"], np.array([0, 0]), np.array([0.5, 0.5]))
+    columns = (Strings.of(["ua", "uz"]), np.array([0, 0]), np.array([0.5, 0.5]))
     with pytest.raises(FormatError, match="label 'uz' is not among the 2 expected"):
         artifacts.labelled_matrix(*columns, ["ua", "ub"])
     labels, matrix = artifacts.labelled_matrix(*columns)
     assert labels == ["ua", "uz"] and matrix.tolist() == [[0.5], [0.5]]
     with pytest.raises(FormatError, match="column -1 is negative"):
-        artifacts.labelled_matrix(["ua", "ua"], np.array([0, -1]), np.array([0.5, 0.5]))
+        artifacts.labelled_matrix(Strings.of(["ua", "ua"]), np.array([0, -1]),
+                                  np.array([0.5, 0.5]))
     # A cell that is missing, or given twice, is refused, not read as 0 or overwritten.
     once = r"m.tsv: matrix needs each of its 2 x 2 \(row label, column\) cells exactly once"
-    missing = (["ua", "ua", "uz"], np.array([0, 1, 0]), np.ones(3))
-    repeated = (["ua", "ua", "uz", "uz", "uz"], np.array([0, 1, 0, 1, 1]), np.ones(5))
+    missing = (Strings.of(["ua", "ua", "uz"]), np.array([0, 1, 0]), np.ones(3))
+    repeated = (Strings.of(["ua", "ua", "uz", "uz", "uz"]), np.array([0, 1, 0, 1, 1]), np.ones(5))
     for columns in (missing, repeated):
         with pytest.raises(FormatError, match=once):
             artifacts.labelled_matrix(*columns, path="m.tsv")
@@ -921,7 +926,7 @@ def _one_shot_columns(path, bodies, types):
             if block.shape[1] == len(types) and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
                 columns = block.copy().T
                 return columns if dtype is np.int64 else list(columns)
-    return artifacts._line_columns(
+    return _row_columns(
         path, [row for first, body in bodies for row in artifacts._rows(body, first)], types)
 
 
@@ -977,13 +982,7 @@ def _same_sections(got, want):
         if isinstance(value, dict):
             assert repr(got[name]) == repr(value)
             continue
-        assert type(got[name]) is type(value) and len(got[name]) == len(value)
-        for column, oracle in zip(got[name], value):
-            if isinstance(oracle, np.ndarray):
-                assert column.dtype == oracle.dtype and column.shape == oracle.shape
-                assert column.tobytes() == oracle.tobytes()
-            else:
-                assert column == oracle
+        _same_columns(got[name], value)
 
 
 @settings(max_examples=400, deadline=None)

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from blogfluence import cli, factor, synth, textvec
+from blogfluence import artifacts, cli, factor, synth, textvec
 from blogfluence.cli import main
 from blogfluence.corpus import parse_content_file
-from blogfluence.implicit import read_activity
+from blogfluence.implicit import read_activity, read_links_tsv
 
-from conftest import link_sections, row_line
+from conftest import row_line
 
 SYNTH_KEYS = """
 # small but complete pipeline configuration
@@ -121,7 +121,8 @@ class TestPipeline:
 
     def test_detection_summaries_count_links_with_a_similarity(self, pipeline_copy,
                                                                config_file, capsys):
-        rows = link_sections((pipeline_copy / "links.tsv").read_text(encoding="utf-8"))["links"]
+        # line 1 and the column names, then one row per link
+        rows = (pipeline_copy / "links.tsv").read_text(encoding="utf-8").splitlines()[2:]
         counted = []
         for stage in ("causality", "influence"):
             capsys.readouterr()
@@ -285,11 +286,7 @@ class TestExitCodes:
         path = pipeline_copy / name
         lines = path.read_text(encoding="utf-8").split("\n")
         what, value = damage.split(" ")
-        if name == "links.tsv":  # the first link's gap in [links], its similarity in [similarity]
-            row = lines.index("[similarity]" if what == "similarity" else "[links]") + 1
-            field = {"gap": 4, "similarity": 0}[what]
-        else:
-            row, field = 2, {"post": 1, "gap": 4, "similarity": 5}[what]
+        row, field = 2, {"post": 1, "gap": 4, "similarity": 5}[what]
         fields = lines[row].split("\t")
         fields[field] = value
         lines[row] = "\t".join(fields)
@@ -302,6 +299,27 @@ class TestExitCodes:
         # A field that does not parse is named with its line number.
         assert re.match(rf"error: {re.escape(str(path))}:({row + 1}:)? ", err) and message in err
         assert "Traceback" not in err
+
+    def test_coded_links_file_is_refused_at_its_first_row(self, pipeline_copy, config_file,
+                                                          capsys):
+        """A links.tsv in the coded form that earlier versions wrote (tagged
+        [names], integer [links] and [similarity] sections under the same line
+        1) exits 1 naming the file: one codec per file, and no traceback."""
+        path = pipeline_copy / "links.tsv"
+        links = read_links_tsv(path, 12).links
+        header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        artifacts.write_sections(path, header, {
+            "names": [["url"] * len(links.urls) + ["blogger"] * len(links.bloggers),
+                      links.urls + links.bloggers],
+            "links": [links.q, links.p, links.reader, links.author, links.gap],
+            "similarity": [links.similarity],
+        })
+        capsys.readouterr()
+        assert main(["causality", "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: expected the column names ['q', 'p', ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_post_terms_of_another_ingest_is_1(self, pipeline_copy, config_file, tmp_path,
                                                capsys):

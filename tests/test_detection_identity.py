@@ -39,7 +39,7 @@ from blogfluence.corpus import (
 from blogfluence.causality import annotate_similarity, extract_influence
 from blogfluence.factor import blogger_content_matrix, build_influence_tensor
 from blogfluence.implicit import (
-    build_implicit_links, link_posts, read_coded_links, read_links_tsv, summarize_links)
+    build_implicit_links, link_posts, read_links_tsv, summarize_links)
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import build_doc_term
@@ -59,7 +59,6 @@ from conftest import (
     build_coin_series,
     generate_per_record,
     ip_to_bloggers,
-    plain_links,
     links_table,
     make_access,
     make_coins,
@@ -134,10 +133,11 @@ DETECTION_DIGESTS = {
 # after the first kept its bytes.  The report/ pins, here and in
 # CLI_ACTIVITY_DIGESTS, and those of pcldc_model.tsv, idr.tsv and recall.tsv
 # were re-pinned for their first line alone when the l2 key, which set no
-# fitted value, left the pcldc stage's config hash.  links.tsv was re-pinned
-# when it became coded: PLAIN_LINKS_DIGEST is its plain rendering's pin.
+# fitted value, left the pcldc stage's config hash.  links.tsv was coded for a
+# while (a tagged [names] section and integer [links] rows) and is plain
+# again: its pin is the plain file's, as before it was coded.
 CLI_LINK_DIGESTS = {
-    "links.tsv": "491bfd3be4eda3b9fe8ed76b0ba13ba79ef032dd552b8d0204a60e4fd26d5c39",
+    "links.tsv": "82168133ce378e08d19c2cce2d102c028ce2dc3706e8fcbd6437db21a1457295",
     "influence.tsv": "3e87a05d794359a1f68394adc4ef8a242373f078db725ac31e4becd5cc1e339a",
     "gap_hist.tsv": "74ad50453c805c9da97f778b3b13f1cd8922593e3e5b2e2ac7087d9fb3e0f96b",
     "zreport_forward.tsv": "6449935b3adfeaf7727f10018490a66266c369cb75284e86ad74d164a63c8ace",
@@ -145,9 +145,6 @@ CLI_LINK_DIGESTS = {
     "report/rankshift_themes.tsv": "0695ddf56a704cf7505420b1c4dff7d42da51936cc9edda20ac13bbda48fef5e",
     "report/rankshift_bloggers.tsv": "67842f4bcea8c0394f7f38371f92162a7d11ff45c628715a0389f466b75a87c4",
 }
-# sha256 of links.tsv as the plain six-column file it was before it was coded
-# (conftest.plain_links renders the coded file so), at the same config and seed.
-PLAIN_LINKS_DIGEST = "82168133ce378e08d19c2cce2d102c028ce2dc3706e8fcbd6437db21a1457295"
 # sha256 of links.tsv and influence.tsv with their similarity column dropped,
 # at the same config and seed: the pins of the five-column files.
 CLI_LINK_ROW_DIGESTS = {
@@ -314,14 +311,9 @@ def test_cli_links_carry_the_detection_similarity(tmp_path):
     with open(out / "access.log", encoding="utf-8") as fh:
         accesses = parse_access_log(fh)[0]
     result = run_detection(Corpus(posts, accesses), vocab_max_size=160, seed=17)
-    # links.tsv is coded: rendered as its plain rows, it keeps the plain file's bytes.
-    coded = (out / "links.tsv").read_text(encoding="utf-8")
-    assert hashlib.sha256(plain_links(coded).encode()).hexdigest() == PLAIN_LINKS_DIGEST
-    for name, net, read, text in (
-            ("links.tsv", result.implicit, read_coded_links, plain_links(coded)),
-            ("influence.tsv", result.influence, read_links_tsv,
-             (out / "influence.tsv").read_text(encoding="utf-8"))):
-        links = read(out / name, net.window_hours).links
+    for name, net in (("links.tsv", result.implicit), ("influence.tsv", result.influence)):
+        text = (out / name).read_text(encoding="utf-8")
+        links = read_links_tsv(out / name, net.window_hours).links
         assert list(links) == list(net.links)
         assert links.similarity.tobytes() == net.links.similarity.tobytes()
         rows = "".join(line.rsplit("\t", 1)[0] + "\n" for line in text.splitlines())

@@ -3,23 +3,30 @@ its smallest size, with the rows they print pinned.  The rows were
 recorded on corpora from the array-round ``synth.generate``."""
 
 import importlib.util
+import itertools
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from test_acceptance import PIPELINE_CONFIG, PIPELINE_STAGES
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run(monkeypatch, capsys, name, *args):
-    """Lines printed by ``scripts/<name>.py`` run with ``args``."""
+def _load(monkeypatch, name):
+    """The module of ``scripts/<name>.py``."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-    monkeypatch.setattr(sys, "argv", [name, *args])
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main() == 0
+    return module
+
+
+def _run(monkeypatch, capsys, name, *args):
+    """Lines printed by ``scripts/<name>.py`` run with ``args``."""
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    assert _load(monkeypatch, name).main() == 0
     return capsys.readouterr().out.splitlines()
 
 
@@ -56,15 +63,23 @@ def test_stage_memory(monkeypatch, capsys, tmp_path):
     config.write_text(PIPELINE_CONFIG, encoding="utf-8")
     lines = _run(monkeypatch, capsys, "stage_memory", "--config", str(config), "--seed", "17",
                  "--trace", "--passes", "2", "--out-dir", str(tmp_path / "out"))
-    assert lines[0] == "pass\tstage\tseconds\tmaxrss_mb\ttraced_mb\tsha256"
+    assert lines[0] == "pass\tstage\tseconds\tmaxrss_mb\tminflt\ttraced_mb\tsha256"
     rows = [line.split("\t") for line in lines[1:]]
     assert [(n, stage) for n, stage, *_ in rows] == [
         (n, s) for n in ("1", "2") for s in PIPELINE_STAGES]
     # Each stage adds to the out-dir, and a pass from an empty out-dir repeats its bytes.
-    digests = [row[5] for row in rows]
+    digests = [row[6] for row in rows]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
     assert len(set(digests[:14])) == 14 and digests[14:] == digests[:14]
     max_rss = [float(row[3]) for row in rows]
     assert 0 < max_rss[0] and max_rss == sorted(max_rss)
-    assert all(float(row[2]) >= 0 and float(row[4]) > 0 for row in rows)
+    assert all(float(row[2]) >= 0 and float(row[5]) > 0 for row in rows)
+    assert all(re.fullmatch("[0-9]+", row[4]) for row in rows)
+    # minflt is the ru_minflt delta around the stage: 7 where each read adds 7.
+    stage_memory, faults = _load(monkeypatch, "stage_memory"), itertools.count(0, 7)
+    monkeypatch.setattr(stage_memory.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=0, ru_minflt=next(faults)))
+    argv = ["synth", "--config", str(config), "--out-dir", str(tmp_path / "one"), "--seed", "17"]
+    code, _, minflt, _ = stage_memory.run_stage(argv, False)
+    assert (code, minflt) == (0, 7)
     assert (tmp_path / "out" / "recall.tsv").is_file()
