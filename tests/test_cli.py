@@ -790,6 +790,22 @@ def test_posts_are_tokenized_once_per_run(tmp_path, config_file, monkeypatch):
     assert len(calls) == 1 + n_words
 
 
+def test_new_vocabulary_cap_needs_no_new_ingest(pipeline_copy, config_file, tmp_path):
+    """post_terms.tsv holds every term, so a run that changes the cap reruns
+    from links and writes what a fresh run at that cap writes."""
+    rerun = STAGES[STAGES.index("links"):STAGES.index("eval") + 1]
+    for stage in rerun:
+        assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
+                     "--seed", "5", "--vocab-max-size", "60"]) == 0, stage
+    fresh = tmp_path / "fresh"
+    for stage in STAGES[:STAGES.index("eval") + 1]:
+        assert main([stage, "--config", config_file, "--out-dir", str(fresh),
+                     "--seed", "5", "--vocab-max-size", "60"]) == 0, stage
+    assert len(textvec.read_post_terms(fresh / "post_terms.tsv").terms) > 60
+    written, rerun = _files(fresh), _files(pipeline_copy)
+    assert {name: rerun.get(name) for name in written} == written
+
+
 def test_full_pipeline_deterministic(tmp_path_factory, config_file):
     out_a = tmp_path_factory.mktemp("det_a")
     out_b = tmp_path_factory.mktemp("det_b")

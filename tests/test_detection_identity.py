@@ -121,6 +121,10 @@ DETECTION_DIGESTS = {
     "null": "832fb7fa7d55fe758dc6cd0bf1770a37916dfe3b56bf07ca3e9e72c2ce4b6cd1",
     "planted": "9eb5966370f9099d06295509d3cfee0673d6597e24c7e6654455783749af5b32",
 }
+# sha256 of run_detection's outputs on the planted corpus at a vocabulary cap
+# of 200, which cuts the corpus's terms: the capped vocabulary and vectors,
+# the links and their similarities, the z values and the influence links.
+DETECTION_CUT_DIGEST = "1f16058762a94efe107fc77fc614b8a096f6000f0ec24a8dd82b291200b27bef"
 # sha256 of the link artifacts of the CLI at the acceptance PIPELINE_CONFIG,
 # seed 17, with synth from the array-round synth.generate.  With the
 # per-record generator's posts.tsv and access.log as ingest's inputs, every
@@ -190,6 +194,45 @@ CLI_ACTIVITY_DIGESTS = {
         "ace220aa6bd10ce6d6ef529703682f967fb43ee6df558c68884522d57281999b",
     "report/hist_posts_weekday.tsv": "76fc7d547126fee3b7aa6716c13ef692f3d6e8d1ecc6cbd0efabace1b054d62f",
 }
+# sha256 of every artifact from links on at the same config and seed but
+# vocab_max_size = 60, which cuts ingest's 158 terms to 60.
+CLI_CUT_VOCAB_DIGESTS = {
+    "links.tsv": "5943ed502c76c7ef00e2b1f47251fcc6be0b2ca8d4739110fb7ff95b179ebdd4",
+    "gap_hist.tsv": "f868c3e8ef3a7fe1fd2a754fa86dd1ddf367590008b2ba6eb979241c22a519ae",
+    "zreport_forward.tsv": "c99d48d875dd9145dcd4c39db53906240d6fa35b62b0c2cf037582faafef8a4a",
+    "zreport_reversed.tsv": "f082548402560e96fb68093d65941d15f5b5cdc4c539c88e68690af93d6aecba",
+    "influence.tsv": "42dd285d279718d82e3a2330b7061aa3732492ce26bd7fe724418fbdbb9cf8f0",
+    "plsa_model.tsv": "32008042d79981078a6cb54b2e31b83fa5daa08db4042fc5b23ba9977f688bfc",
+    "train.tsv": "21cd6494740b94b951d073923f46182e515aa56dbb98daf97ebbed43085bd48b",
+    "test.tsv": "6551e67937dc9ab1471d857cd5962840d1dd86b8e32476aac8427df1f5ab80c3",
+    "tensor.tsv": "d0c64351366c9195c2e86ae4b437a89108189c6489482deac7e998ce97ae263c",
+    "iolap_model.tsv": "0a6633ca3985692bc475e391ea2c168dc83bed5969b55ebbdf2c428f65dfcf4d",
+    "pcldc_model.tsv": "c8b4a09fc75227f30dec71222b80b059551cf8c42f9824c9ba18efd82df6a19b",
+    "pcl_model.tsv": "3e71f2e0600722b38e56b104f5f2098ad8fde6191d2a8578791d49b8aae0fc3b",
+    "idr.tsv": "e32ee5a7254b796f4d6673ff5a03bb4baac71029df737b144db6cdde656476fb",
+    "recall.tsv": "240ef6bab06db4998682ac7b8a64c7a22dff47eb14ee33dea6cd65378770ef3d",
+    "report/gap_hist.tsv": "f868c3e8ef3a7fe1fd2a754fa86dd1ddf367590008b2ba6eb979241c22a519ae",
+    "report/hist_access_hour.tsv":
+        "07528d478cb362aacc49a0d78e50790ed373a4cf88c33f57b348282a12997782",
+    "report/hist_access_weekday.tsv":
+        "47e25b3360adaf0cf3b5c0e1e28331ca85eb453b1ce28abfb6fed9e59b6e681c",
+    "report/hist_posts_hour.tsv":
+        "132aaf971b6c06e24d78ce60d46d828d8bdfb847fb0352ae51f66f4d83dd380c",
+    "report/hist_posts_per_blogger.tsv":
+        "dc3c25bfd89fdd149891b712c6b486414af32ad58b6be142eda54ef1703e0ab6",
+    "report/hist_posts_weekday.tsv":
+        "21c1cb17396aca6e2660243c960d92dce8140debac60053280558ae21ab4790d",
+    "report/idr.tsv": "e32ee5a7254b796f4d6673ff5a03bb4baac71029df737b144db6cdde656476fb",
+    "report/rankshift_bloggers.tsv":
+        "e4895f1feb88961608e70e5a36d9822255d8557b1887671044fa8fcfc4993e71",
+    "report/rankshift_themes.tsv":
+        "2fea03d1b5399979d1a9b1653a2394d0374fe5cbe5ddc4c89829a048e32c4461",
+    "report/recall.tsv": "240ef6bab06db4998682ac7b8a64c7a22dff47eb14ee33dea6cd65378770ef3d",
+    "report/zreport_forward.tsv":
+        "c99d48d875dd9145dcd4c39db53906240d6fa35b62b0c2cf037582faafef8a4a",
+    "report/zreport_reversed.tsv":
+        "f082548402560e96fb68093d65941d15f5b5cdc4c539c88e68690af93d6aecba",
+}
 
 # sha256 of activity.tsv and ingest's count per cleaning rule at the same
 # config and seed, with one duplicate-URL post and one access line per rule
@@ -217,8 +260,8 @@ def corpus_digest(corpus, truth):
     )
 
 
-def detection_digest(result):
-    oracle = space(result.terms, result.vocab_max_size)
+def detection_digest(result, cap):
+    oracle = space(result.terms, cap)
     lines = [(oracle.vocab.terms, oracle.vocab.doc_freq)]
     lines += [(url, sorted(v.entries.items()), v.token_count) for url, v in oracle.vectors.items()]
     lines += [(l.q, l.p, l.reader, l.author, l.gap_seconds, repr(l.similarity))
@@ -258,7 +301,15 @@ def test_run_detection_digest(kind, planted_corpus):
         corpus, seed = generate(_detection_config(0.0, 4))[0], 4
     result = run_detection(corpus, vocab_max_size=400, seed=seed)
     assert result.influence.links
-    assert detection_digest(result) == DETECTION_DIGESTS[kind]
+    assert detection_digest(result, 400) == DETECTION_DIGESTS[kind]
+
+
+def test_run_detection_cut_vocabulary_digest(planted_corpus):
+    corpus = planted_corpus[0]
+    assert len(count_terms(corpus.posts).terms) > 200
+    result = run_detection(corpus, vocab_max_size=200, seed=5)
+    assert result.influence.links
+    assert detection_digest(result, 200) == DETECTION_CUT_DIGEST
 
 
 def test_kernels_match_oracles_on_the_planted_corpus(planted_corpus):
@@ -295,6 +346,18 @@ def test_cli_link_artifacts_digest(tmp_path):
     k8.write_text(PIPELINE_CONFIG.replace("\nn_topics = 2\n", "\nn_topics = 8\n"))
     assert main(["topics", "--config", str(k8), "--out-dir", str(out), "--seed", "17"]) == 0
     assert hashlib.sha256((out / "plsa_model.tsv").read_bytes()).hexdigest() == CLI_PLSA_K8_DIGEST
+
+
+def test_cli_cut_vocabulary_digest(tmp_path):
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(PIPELINE_CONFIG.replace("\nvocab_max_size = 160\n", "\nvocab_max_size = 60\n"))
+    out = tmp_path / "out"
+    for stage in PIPELINE_STAGES:
+        assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "17"]) == 0
+    assert len(read_post_terms(out / "post_terms.tsv").terms) == 158
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in CLI_CUT_VOCAB_DIGESTS}
+    assert digests == CLI_CUT_VOCAB_DIGESTS
 
 
 def test_cli_links_carry_the_detection_similarity(tmp_path):
