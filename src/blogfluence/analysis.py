@@ -70,16 +70,15 @@ class TrainTestSplit:
 def split_train_test(
     influence_net: ImplicitNetwork,
     terms: PostTerms,
-    max_size: int,
     seed: int | Sequence[int] = 0,
 ) -> TrainTestSplit:
     """Hold out one random out-edge per blogger with out-degree >= 2.
 
-    The held-out keyword set is the union of the shared terms of the
-    ``max_size``-term vocabulary over all post-level influence pairs
-    underlying the removed blogger edge.  Bloggers with a single out-edge
-    keep it (removing it would leave them unusable in training), so every
-    test source retains at least one training out-edge.
+    The held-out keyword set is the union of the shared terms over all
+    post-level influence pairs underlying the removed blogger edge.
+    Bloggers with a single out-edge keep it (removing it would leave them
+    unusable in training), so every test source retains at least one
+    training out-edge.
     """
     links = influence_net.links
     pairs, which, counts = links.pairs()
@@ -90,7 +89,7 @@ def split_train_test(
         raise ValueError("no blogger has out-degree >= 2; nothing to hold out")
 
     # The shared terms of every edge's links, as one run per edge.
-    link, term = shared_terms(links, terms, max_size)
+    link, term = shared_terms(links, terms)
     edge = which[link]
     order = np.argsort(edge, kind="stable")
     term = term[order].tolist()

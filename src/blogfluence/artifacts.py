@@ -3,8 +3,9 @@
 An artifact is UTF-8 text: an optional ``# blogfluence ...`` header line,
 then either plain rows (an optional column-name line, then tab-separated
 rows) or ``[section]`` blocks of rows.  Blank and ``#`` lines are skipped
-on reading, so writing a row that would read back as one, or as a
-``[section]`` line, raises ``FormatError``.  Floats are written as
+on reading, and files are read with universal newlines, so writing a row
+that would read back as one, as a ``[section]`` line or, through a field
+that holds ``\r``, as a line break raises ``FormatError``.  Floats are written as
 ``repr(float(x))``, which reads back to the same float64.  A table is
 written from the columns its reader returns (``_write``), and a write holds
 those columns and one chunk's text.  Every table reads as columns, a chunk
@@ -53,12 +54,15 @@ _UNREADABLE = re.compile(r"\n(?:[^\S\n]*\n|#|\[[^\t\n]*\]\n)")
 
 
 def _readable(path, lines: str) -> str:
-    """``lines`` (whole lines), unless one of them would not read back as a row."""
+    """``lines`` (whole lines), unless one of them would not read back as a row,
+    or holds a ``\\r``, which ``read_text``'s universal newlines read as a line break."""
     bad = _UNREADABLE.search("\n" + lines)
-    if bad:
-        first = lines[bad.start():].split("\n", 1)[0].split("\t", 1)[0]
-        raise FormatError(f"{path}: cannot write a row that opens with {first!r}: it would "
-                          "read back as a blank, comment or [section] line")
+    at = bad.start() if bad else lines.find("\r")
+    if at >= 0:
+        fields = lines[lines.rfind("\n", 0, at) + 1:].split("\n", 1)[0].split("\t")
+        field = fields[0] if bad else next(field for field in fields if "\r" in field)
+        raise FormatError(f"{path}: cannot write a row with the field {field!r}: it would read "
+                          "back as a blank, comment or [section] line, or as more than one row")
     return lines
 
 

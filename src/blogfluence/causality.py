@@ -59,12 +59,11 @@ _SIMILARITY_BLOCK = 32
 def annotate_similarity(
     links: Links,
     terms: PostTerms,
-    max_size: int,
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> int:
     """Fill the similarity column: cosine similarity of the two posts'
-    counts of the ``max_size``-term vocabulary where both posts kept at
-    least ``min_tokens`` of its tokens, NaN elsewhere.
+    counts where both posts kept at least ``min_tokens`` tokens of the
+    vocabulary of ``terms``, NaN elsewhere.
 
     The links are taken in q order.  A block scatters the counts of each
     of its q posts into a dense row once, and each term of each link's p
@@ -75,9 +74,10 @@ def annotate_similarity(
 
     Returns the number of links that received a similarity.
     """
-    post, term, count, starts = terms.capped(max_size)
+    post, term, count = terms.entries.T
     counts = count.astype(np.float64)
-    n_docs, n_terms = len(terms.posts), min(max_size, len(terms.terms))
+    n_docs, n_terms = len(terms.posts), len(terms.terms)
+    starts = np.searchsorted(post, np.arange(n_docs + 1))
     norms = np.sqrt(np.bincount(post, weights=counts * counts, minlength=n_docs))
     # Index n_docs stands for a post without counts.
     eligible = np.append(np.bincount(post, weights=counts, minlength=n_docs) >= min_tokens, False)

@@ -165,7 +165,8 @@ def _path(cfg: PipelineConfig, name: str) -> Path:
 
 
 def _post_terms(cfg: PipelineConfig) -> PostTerms:
-    return textvec.read_post_terms(_path(cfg, "post_terms.tsv"))
+    """post_terms.tsv's counts, capped to the run's vocabulary as they are read."""
+    return textvec.read_post_terms(_path(cfg, "post_terms.tsv")).capped(cfg.vocab_max_size)
 
 
 def _topic_model(cfg: PipelineConfig) -> topics.TopicModel:
@@ -243,7 +244,7 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
         raise FormatError(f"{_path(cfg, 'post_terms.tsv')}: [posts] urls differ from the "
                           f"{len(activity.urls)} post urls of activity.tsv")
     net = implicit.build_implicit_links(activity, cfg.window_hours)
-    causality.annotate_similarity(net.links, terms, cfg.vocab_max_size, cfg.min_tokens)
+    causality.annotate_similarity(net.links, terms, cfg.min_tokens)
     implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
     artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, [range(1, len(hist) + 1), hist],
@@ -281,8 +282,8 @@ def cmd_topics(cfg: PipelineConfig, args, header: str) -> str:
     # _read_influence checks that every post of the links has counts.
     urls = implicit.link_posts(_read_influence(cfg, terms).links)
     try:
-        model = pipeline.fit_topics(terms, cfg.vocab_max_size, urls, cfg.n_topics,
-                                    cfg.plsa_max_iter, cfg.tol, [cfg.seed, STAGE_SEED["topics"]])
+        model = pipeline.fit_topics(terms, urls, cfg.n_topics, cfg.plsa_max_iter, cfg.tol,
+                                    [cfg.seed, STAGE_SEED["topics"]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), header)
@@ -294,9 +295,7 @@ def cmd_split(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     influence = _read_influence(cfg, terms)
     try:
-        split = analysis.split_train_test(
-            influence, terms, cfg.vocab_max_size, seed=[cfg.seed, STAGE_SEED["split"]]
-        )
+        split = analysis.split_train_test(influence, terms, seed=[cfg.seed, STAGE_SEED["split"]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     analysis.write_split(split, _path(cfg, "train.tsv"), _path(cfg, "test.tsv"), header)
@@ -307,7 +306,7 @@ def cmd_split(cfg: PipelineConfig, args, header: str) -> str:
 def cmd_tensor(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     links, source = _load_influence_links(cfg, terms)
-    tensor = factor.build_influence_tensor(links, terms, cfg.vocab_max_size)
+    tensor = factor.build_influence_tensor(links, terms)
     factor.write_tensor_tsv(tensor, _path(cfg, "tensor.tsv"), header)
     return (f"tensor: {tensor.counts.size} nonzeros, total {tensor.total():.0f}, "
             f"{tensor.n_bloggers} bloggers x {tensor.n_terms} terms ({source}) "
@@ -346,8 +345,8 @@ def cmd_pcldc(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     links, source = _load_influence_links(cfg, terms)
     graph = _blogger_graph(links)
-    model = pipeline.fit_pcldc_model(graph, terms, cfg.vocab_max_size, cfg.n_topics,
-                                     cfg.pcldc_max_iter, cfg.tol, [cfg.seed, STAGE_SEED["pcldc"]])
+    model = pipeline.fit_pcldc_model(graph, terms, cfg.n_topics, cfg.pcldc_max_iter, cfg.tol,
+                                     [cfg.seed, STAGE_SEED["pcldc"]])
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), header)
     return (f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
             f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc_model.tsv')}")

@@ -55,16 +55,15 @@ class InfluenceTensor:
         return float(self.counts.sum())
 
 
-def build_influence_tensor(links: Links, terms: PostTerms, max_size: int) -> InfluenceTensor:
-    """Accumulate one count per (influence link, term of the ``max_size``-term
-    vocabulary that both its posts hold).
+def build_influence_tensor(links: Links, terms: PostTerms) -> InfluenceTensor:
+    """Accumulate one count per (influence link, term that both its posts hold).
 
     Links whose posts share no such term contribute nothing and are
     counted in ``n_links_no_shared``.
     """
     present, code = np.unique(np.concatenate([links.reader, links.author]), return_inverse=True)
-    n, n_b, n_terms = len(links), len(present), min(max_size, len(terms.terms))
-    link, term = shared_terms(links, terms, max_size)
+    n, n_b, n_terms = len(links), len(present), len(terms.terms)
+    link, term = shared_terms(links, terms)
     keys, counts = np.unique((code[link] * n_b + code[n + link]) * n_terms + term,
                              return_counts=True)
     pair, term = np.divmod(keys, n_terms)
@@ -315,11 +314,11 @@ class BloggerGraph:
         return np.bincount(self.dst, weights=self.weight, minlength=self.n_nodes)
 
 
-def blogger_content_matrix(nodes: list[str], terms: PostTerms, max_size: int) -> np.ndarray:
-    """Per-blogger L1-normalized sums of their posts' counts of the
-    ``max_size``-term vocabulary, rows aligned to nodes."""
-    post, term, count, _ = terms.capped(max_size)
-    n_terms = min(max_size, len(terms.terms))
+def blogger_content_matrix(nodes: list[str], terms: PostTerms) -> np.ndarray:
+    """Per-blogger L1-normalized sums of their posts' term counts, rows
+    aligned to nodes."""
+    post, term, count = terms.entries.T
+    n_terms = len(terms.terms)
     index = {b: i for i, b in enumerate(nodes)}
     row = np.array([index.get(author, -1) for _, author in terms.posts], dtype=np.int64)[post]
     at = row >= 0

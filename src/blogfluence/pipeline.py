@@ -5,9 +5,10 @@ Detection cleans the corpus's accesses into one ``Activity`` table,
 counts the posts' terms, builds the implicit ``Links`` table from the
 activity rows, fills its similarity column from the term counts (as the
 CLI's ``links`` stage does), runs the forward and reversed bucket tests,
-and extracts the influence network.  The model stages after it, up to the
-recommendation benchmark, read the same term counts capped to the
-vocabulary.  Those stages exist here once; fits and recommenders are
+and extracts the influence network.  The term counts are capped to the
+vocabulary once, as they are counted, and the model stages after
+detection, up to the recommendation benchmark, read that capped table.
+Those stages exist here once; fits and recommenders are
 called through their modules (``factor.fit_iolap``, ...).
 """
 
@@ -36,16 +37,15 @@ STAGE_SEED = {"causality": 1, "topics": 2, "iolap": 3, "pcldc": 4, "pcl": 5, "sp
 
 
 def build_vectors(corpus: Corpus) -> PostTerms:
-    """Count every post's terms once; every stage caps the counts to the
-    vocabulary it asks for."""
+    """Count every post's every term once; the caller caps the counts to its
+    vocabulary (``PostTerms.capped``)."""
     return textvec.count_terms(corpus.posts)
 
 
 @dataclass
 class DetectionResult:
     cleaned: Activity
-    terms: PostTerms
-    vocab_max_size: int
+    terms: PostTerms  # capped to the run's vocabulary
     implicit: ImplicitNetwork
     forward_report: ZReport
     reversed_report: ZReport
@@ -68,9 +68,9 @@ def run_detection(
     ``seed``, so a run is bit-reproducible.
     """
     cleaned, _ = clean_accesses(corpus, window_hours)
-    terms = build_vectors(corpus)
+    terms = build_vectors(corpus).capped(vocab_max_size)
     net = build_implicit_links(cleaned, window_hours)
-    annotate_similarity(net.links, terms, vocab_max_size, min_tokens)
+    annotate_similarity(net.links, terms, min_tokens)
     rng = np.random.default_rng([seed, STAGE_SEED["causality"]])
     forward = forward_z_test(net, rng, min_bucket_n)
     reversed_ = reversed_z_test(net, rng, min_bucket_n)
@@ -78,7 +78,6 @@ def run_detection(
     return DetectionResult(
         cleaned=cleaned,
         terms=terms,
-        vocab_max_size=vocab_max_size,
         implicit=net,
         forward_report=forward,
         reversed_report=reversed_,
@@ -96,12 +95,11 @@ def training_links(links: implicit.Links, split: analysis.TrainTestSplit) -> imp
     return links.take(train[which])
 
 
-def fit_topics(terms: PostTerms, max_size: int, urls: Iterable[str], n_topics: int,
+def fit_topics(terms: PostTerms, urls: Iterable[str], n_topics: int,
                max_iter: int, tol: float, seed: list[int]) -> topics.TopicModel:
-    """PLSA over the posts ``urls`` that keep at least one token of the
-    ``max_size``-term vocabulary."""
-    doc_term = topics.build_doc_term(terms, max_size, urls)
-    return topics.fit_plsa(doc_term, n_topics, terms.vocabulary(max_size),
+    """PLSA over the posts ``urls`` that keep at least one token."""
+    doc_term = topics.build_doc_term(terms, urls)
+    return topics.fit_plsa(doc_term, n_topics, terms.vocabulary(),
                            max_iter=max_iter, tol=tol, seed=seed)
 
 
@@ -110,13 +108,11 @@ def blogger_graph(links: implicit.Links) -> factor.BloggerGraph:
     return factor.BloggerGraph.from_edge_weights(implicit.blogger_projection(links))
 
 
-def fit_pcldc_model(graph: factor.BloggerGraph, terms: PostTerms, max_size: int,
-                    n_communities: int, max_iter: int, tol: float,
-                    seed: list[int]) -> factor.PcldcModel:
-    """pcldc on ``graph``, each blogger's content summed over their posts'
-    counts of the ``max_size``-term vocabulary."""
-    content = factor.blogger_content_matrix(graph.nodes, terms, max_size)
-    return factor.fit_pcldc(graph, content, n_communities, terms.vocabulary(max_size),
+def fit_pcldc_model(graph: factor.BloggerGraph, terms: PostTerms, n_communities: int,
+                    max_iter: int, tol: float, seed: list[int]) -> factor.PcldcModel:
+    """pcldc on ``graph``, each blogger's content summed over their posts' counts."""
+    content = factor.blogger_content_matrix(graph.nodes, terms)
+    return factor.fit_pcldc(graph, content, n_communities, terms.vocabulary(),
                             max_iter=max_iter, tol=tol, seed=seed)
 
 
@@ -127,19 +123,18 @@ def recommendation_recall(
     the objective traces of PLSA, every iolap restart, pcldc and pcl.  iolap
     keeps the best restart by training log-likelihood, never seeing test edges.
     """
-    terms, cap = result.terms, result.vocab_max_size
-    split = analysis.split_train_test(result.influence, terms, cap,
-                                      seed=[seed, STAGE_SEED["split"]])
+    terms = result.terms
+    split = analysis.split_train_test(result.influence, terms, seed=[seed, STAGE_SEED["split"]])
     links = training_links(result.influence.links, split)
-    topic_model = fit_topics(terms, cap, implicit.link_posts(links), 2, 150, topics.DEFAULT_TOL,
+    topic_model = fit_topics(terms, implicit.link_posts(links), 2, 150, topics.DEFAULT_TOL,
                              [seed, STAGE_SEED["topics"]])
-    tensor = factor.build_influence_tensor(links, terms, cap)
+    tensor = factor.build_influence_tensor(links, terms)
     iolap_fits = [factor.fit_iolap(tensor, 2, 4, topic_model, max_iter=300,
                                    seed=[seed, STAGE_SEED["iolap"], restart])
                   for restart in range(3)]
     iolap = max(iolap_fits, key=lambda m: m.loglik_trace[-1])
     graph = blogger_graph(links)
-    pcldc = fit_pcldc_model(graph, terms, cap, 2, 60, topics.DEFAULT_TOL,
+    pcldc = fit_pcldc_model(graph, terms, 2, 60, topics.DEFAULT_TOL,
                             [seed, STAGE_SEED["pcldc"]])
     pcl = factor.fit_pcl(graph, 2, max_iter=200, seed=[seed, STAGE_SEED["pcl"]])
     methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)

@@ -1,9 +1,10 @@
 """Tokenization and post-term counts.
 
 A run tokenizes its posts once, in ``ingest`` or detection, and each
-distinct whitespace-separated word of the bodies once; every later stage
-reads the counts as integer columns, capped to the vocabulary it asks
-for."""
+distinct whitespace-separated word of the bodies once.  The counts are
+capped to the run's vocabulary once, where they are obtained (detection
+or a stage's read of ``post_terms.tsv``), and every model input is built
+from the capped table."""
 
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class PostTerms:
-    """Every post's counts of every distinct token, from one tokenization.
+    """Every post's counts of the terms of one vocabulary: every distinct
+    token of one tokenization, or the ``capped`` prefix of those.
 
     ``terms`` are ranked as a capped vocabulary keeps them, so any cap's vocabulary
     is a prefix.  A post's ``entries`` follow its terms' first occurrence."""
@@ -48,21 +50,20 @@ class PostTerms:
     posts: list[tuple[str, str]]  # (url, author) in url order
     entries: np.ndarray  # (n, 3) int64 rows: post index, term rank, count
 
-    def vocabulary(self, max_size: int) -> list[str]:
-        """The ``max_size`` terms of highest document frequency, ties by term."""
+    def vocabulary(self) -> list[str]:
+        """The terms, by descending document frequency, ties by term."""
+        return [t for t, _ in self.terms]
+
+    def capped(self, max_size: int) -> PostTerms:
+        """The counts of the ``max_size`` terms of highest document frequency
+        alone, entries in their order; the table itself when nothing is cut."""
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
-        return [t for t, _ in self.terms[:max_size]]
-
-    def capped(self, max_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The post, term and count columns of the entries whose term is in
-        the ``max_size``-term vocabulary, and where each post's entries
-        start among them, then their number."""
-        post, term, count = self.entries.T
-        if len(self.terms) > max_size:  # else the entries' own columns: nothing is cut
-            keep = term < max_size
-            post, term, count = post[keep], term[keep], count[keep]
-        return post, term, count, np.searchsorted(post, np.arange(len(self.posts) + 1))
+        if len(self.terms) <= max_size:
+            return self
+        # Column-major, as read_post_terms returns them: each column is contiguous.
+        return PostTerms(self.terms[:max_size], self.posts,
+                         self.entries.T[:, self.entries[:, 1] < max_size].T)
 
     def post_index(self, urls: Iterable[str]) -> np.ndarray:
         """The index of each of ``urls`` among the posts; ``len(posts)``
@@ -71,12 +72,11 @@ class PostTerms:
         return np.array([index.get(url, len(self.posts)) for url in urls], dtype=np.int64)
 
 
-def shared_terms(links: Links, terms: PostTerms, max_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(link, term) for every term of the ``max_size``-term vocabulary that
-    both posts of a link hold, by link and then term; a post without counts
-    holds none."""
-    post, term, _, _ = terms.capped(max_size)
-    n_terms, n_docs = min(max_size, len(terms.terms)), len(terms.posts)
+def shared_terms(links: Links, terms: PostTerms) -> tuple[np.ndarray, np.ndarray]:
+    """(link, term) for every term that both posts of a link hold, by link
+    and then term; a post without counts holds none."""
+    post, term, _ = terms.entries.T
+    n_terms, n_docs = len(terms.terms), len(terms.posts)
     keys = post * n_terms
     keys += term
     keys.sort()  # in place: one array of keys is held, not three
@@ -208,7 +208,7 @@ def _check_ranking(path: str, terms: list[str], doc_freq: np.ndarray) -> None:
 
 
 def read_vocabulary(path: str, max_size: int) -> list[str]:
-    """``read_post_terms(path).vocabulary(max_size)``, read up to ``[posts]``."""
+    """``read_post_terms(path).capped(max_size).vocabulary()``, read up to ``[posts]``."""
     head = artifacts.read_text(path, until="[posts]")
     terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int]})["terms"]
     terms = terms.values()

@@ -36,25 +36,21 @@ class DocTermMatrix:
         return len(self.doc_ids)
 
 
-def build_doc_term(terms: PostTerms, max_size: int, urls: Iterable[str]) -> DocTermMatrix:
-    """The posts ``urls`` that keep at least one of the ``max_size``-term
-    vocabulary's tokens, in url order, as nonzero triplets by document,
-    terms ascending within a document."""
-    # One mask over the entries rather than a copy of the capped ones:
-    # freeing that copy before PLSA raised the topics stage's peak RSS (glibc).
+def build_doc_term(terms: PostTerms, urls: Iterable[str]) -> DocTermMatrix:
+    """The posts ``urls`` that keep at least one token, in url order, as
+    nonzero triplets by document, terms ascending within a document."""
     post, term, count = terms.entries.T
-    capped = term < max_size
-    tokens = np.bincount(post[capped], weights=count[capped], minlength=len(terms.posts))
+    tokens = np.bincount(post, weights=count, minlength=len(terms.posts))
     wanted = np.zeros(len(terms.posts) + 1, dtype=bool)
     wanted[terms.post_index(urls)] = True
     keep = wanted[:-1] & (tokens > 0)
     doc = np.cumsum(keep) - 1
-    at = keep[post] & capped
+    at = keep[post]
     rows, cols = doc[post[at]], term[at]
     order = lexorder(rows, cols)
     return DocTermMatrix(
         doc_ids=[terms.posts[d][0] for d in np.flatnonzero(keep).tolist()],
-        n_terms=min(max_size, len(terms.terms)),
+        n_terms=len(terms.terms),
         rows=rows[order],
         cols=cols[order],
         counts=count[at][order].astype(np.float64),

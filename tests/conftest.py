@@ -424,14 +424,14 @@ def shared_terms(u, v):
 
 
 def space(terms, max_size):
-    """Each post's counts of the ``max_size``-term vocabulary's terms."""
-    _, term, count, bounds = terms.capped(max_size)
-    bounds, term, count = bounds.tolist(), term.tolist(), count.tolist()
-    vectors = {}
-    for (url, _), lo, hi in zip(terms.posts, bounds, bounds[1:]):
-        entries = dict(zip(term[lo:hi], count[lo:hi]))
-        vectors[url] = TermVector(entries, sum(entries.values()))
-    vocab = Vocabulary(terms.vocabulary(max_size), [df for _, df in terms.terms[:max_size]])
+    """Each post's counts of the ``max_size``-term vocabulary's terms, capped
+    by a mask of its own, not by ``PostTerms.capped``."""
+    entries = [{} for _ in terms.posts]
+    for d, t, c in terms.entries[terms.entries[:, 1] < max_size].tolist():
+        entries[d][t] = c
+    vectors = {url: TermVector(e, sum(e.values())) for (url, _), e in zip(terms.posts, entries)}
+    kept = terms.terms[:max_size]
+    vocab = Vocabulary([t for t, _ in kept], [df for _, df in kept])
     return VectorSpace(vocab, vectors, dict(terms.posts))
 
 
@@ -448,7 +448,7 @@ def post_terms(vectors, n_terms, authors=None):
 
 def doc_term(docs, n_terms):
     """The document-term matrix of the vectors ``docs`` over ``n_terms`` terms."""
-    return build_doc_term(post_terms(docs, n_terms), n_terms, docs)
+    return build_doc_term(post_terms(docs, n_terms), docs)
 
 
 def tensor_entries(tensor):

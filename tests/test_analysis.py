@@ -132,26 +132,26 @@ class TestSplit:
 
     def test_degree_two_moves_one_edge(self):
         net = self._net()
-        split = split_train_test(net, _uniform_terms(net), 4, seed=0)
+        split = split_train_test(net, _uniform_terms(net), seed=0)
         test_sources = [a for a, _, _ in split.test]
         assert test_sources == ["ua"]  # only ua has out-degree >= 2
         assert len(split.train_edges) == 3
 
     def test_single_out_edge_untouched(self):
         net = self._net()
-        split = split_train_test(net, _uniform_terms(net), 4, seed=0)
+        split = split_train_test(net, _uniform_terms(net), seed=0)
         assert ("ub", "uc") in split.train_edges
         assert ("ud", "ua") in split.train_edges
 
     def test_deterministic_for_seed(self):
         net = self._net()
-        a = split_train_test(net, _uniform_terms(net), 4, seed=42)
-        b = split_train_test(net, _uniform_terms(net), 4, seed=42)
+        a = split_train_test(net, _uniform_terms(net), seed=42)
+        b = split_train_test(net, _uniform_terms(net), seed=42)
         assert a.train_edges == b.train_edges and a.test == b.test
 
     def test_partition_of_edges(self):
         net = self._net()
-        split = split_train_test(net, _uniform_terms(net), 4, seed=1)
+        split = split_train_test(net, _uniform_terms(net), seed=1)
         all_edges = {(l.reader, l.author) for l in net.links}
         test_edges = {(a, b) for a, b, _ in split.test}
         assert set(split.train_edges) | test_edges == all_edges
@@ -174,12 +174,12 @@ class TestSplit:
         net = _influence_net([(f"u{r}", f"u{a}", qs, ps) for r, a, qs, ps in pairs if r != a])
         terms = _uniform_terms(net)
         try:
-            split = split_train_test(net, terms, 4, seed=seed)
+            split = split_train_test(net, terms, seed=seed)
         except ValueError:
             assume(False)
         train = training_links(net.links, split)
         graph = blogger_graph(train)
-        tensor = build_influence_tensor(train, terms, 4)
+        tensor = build_influence_tensor(train, terms)
         for a, _, _ in split.test:
             assert any(l.reader == a for l in train)
             assert a in graph.nodes and a in tensor.bloggers
@@ -192,7 +192,7 @@ class TestSplit:
             "/ua/q2": TermVector({0: 1, 3: 1}, 2),
             "/uc/p1": TermVector({3: 1}, 1),
         }
-        split = split_train_test(net, post_terms(vectors, 4), 4, seed=3)
+        split = split_train_test(net, post_terms(vectors, 4), seed=3)
         (a, b, kws) = split.test[0]
         expected = {"t1"} if b == "ub" else {"t3"}
         assert kws == frozenset(expected)
@@ -200,11 +200,11 @@ class TestSplit:
     def test_no_splittable_node_raises(self):
         net = _influence_net([("ua", "ub", 1, 1)])
         with pytest.raises(ValueError):
-            split_train_test(net, _uniform_terms(net), 4, seed=0)
+            split_train_test(net, _uniform_terms(net), seed=0)
 
     def test_round_trip(self, tmp_path):
         net = self._net()
-        split = split_train_test(net, _uniform_terms(net), 4, seed=5)
+        split = split_train_test(net, _uniform_terms(net), seed=5)
         write_split(split, tmp_path / "train.tsv", tmp_path / "test.tsv", "# h")
         loaded = read_split(tmp_path / "train.tsv", tmp_path / "test.tsv")
         assert loaded.train_edges == split.train_edges
@@ -450,9 +450,8 @@ def test_personalized_top_pick_comes_from_own_expert_set():
         corpus, truth = generate(cfg)
         result = run_detection(corpus, vocab_max_size=160, seed=seed)
         links = result.influence.links
-        tm = fit_topics(result.terms, result.vocab_max_size, link_posts(links), 2, 120,
-                        DEFAULT_TOL, [seed, 2])
-        tensor = build_influence_tensor(links, result.terms, result.vocab_max_size)
+        tm = fit_topics(result.terms, link_posts(links), 2, 120, DEFAULT_TOL, [seed, 2])
+        tensor = build_influence_tensor(links, result.terms)
         model = max(
             (fit_iolap(tensor, 2, 4, tm, max_iter=200, seed=[seed, 3, r])
              for r in range(3)),

@@ -878,7 +878,18 @@ def test_writer_refuses_a_row_that_reads_back_as_a_comment(name, tmp_path):
     assert "a#" in path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("bad", ["", "  ", "\x0b", "\u3000", "#", "[a]", "[]", "[a b]"])
+@pytest.mark.parametrize("name", sorted(NAMED_WRITERS))
+def test_writer_refuses_a_field_that_holds_a_carriage_return(name, tmp_path):
+    # Read with universal newlines, "a\rb" would read back as two lines.
+    path = tmp_path / "a.tsv"
+    with pytest.raises(FormatError) as info:
+        NAMED_WRITERS[name]("a\rb", path)
+    assert str(path) in str(info.value) and repr("a\rb") in str(info.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", ["", "  ", "\x0b", "\u3000", "#", "[a]", "[]", "[a b]", "\r",
+                                 "a\rb"])
 def test_one_field_row_refused_as_blank_comment_or_section(bad, tmp_path):
     path = tmp_path / "t.tsv"
     with pytest.raises(FormatError, match="would read back as a blank, comment or"):
@@ -889,16 +900,17 @@ def test_one_field_row_refused_as_blank_comment_or_section(bad, tmp_path):
 
 @settings(max_examples=150, deadline=None)
 @given(names=st.lists(st.one_of(
-    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"),
             max_size=4),
     st.sampled_from(["#", "[", "]", " ", "\x1c", "\u2028"]).flatmap(
         lambda c: st.text(st.sampled_from(c + "a[]"), max_size=3).map(c.__add__)),
 ), min_size=1, max_size=6, unique=True))
+@example(names=["ua", "a\rb"])
 def test_names_are_refused_or_read_back(names, tmp_path_factory):
     path = tmp_path_factory.mktemp("names") / "t.tsv"
     tensor = InfluenceTensor(names, 1, *(np.zeros(0, np.int64),) * 3, np.zeros(0))
     unreadable = [n for n in names if not n.strip() or n[0] == "#"
-                  or (n[0] == "[" and n[-1] == "]")]
+                  or (n[0] == "[" and n[-1] == "]") or "\r" in n]
     if unreadable:
         with pytest.raises(FormatError):
             write_tensor_tsv(tensor, path, "# h")

@@ -253,11 +253,11 @@ class TestAnnotateSimilarity:
             "/a/q": TermVector({0: 12}, 12),
             "/b/p": TermVector({0: 9}, 9),
         }
-        assert annotate_similarity(net.links, post_terms(vectors, 1), 1, min_tokens=10) == 0
+        assert annotate_similarity(net.links, post_terms(vectors, 1), min_tokens=10) == 0
         [link] = net.links
         assert link.similarity is None
         vectors["/b/p"] = TermVector({0: 10}, 10)
-        assert annotate_similarity(net.links, post_terms(vectors, 1), 1, min_tokens=10) == 1
+        assert annotate_similarity(net.links, post_terms(vectors, 1), min_tokens=10) == 1
         [link] = net.links
         assert link.similarity == pytest.approx(1.0)
 
@@ -270,7 +270,7 @@ class TestAnnotateSimilarity:
                    "/b/p": TermVector({0: 1, 1: 1, 2: 1}, 3),
                    "/c/r": TermVector({0: 2}, 2),
                    "/d/s": TermVector({0: 2, 1: 1}, 3)}
-        assert annotate_similarity(links, post_terms(vectors, 3), 3, min_tokens=3) == 2
+        assert annotate_similarity(links, post_terms(vectors, 3), min_tokens=3) == 2
         assert links.similarity[0] > 1 and np.isnan(links.similarity[1])
         write_links_tsv(links, tmp_path / "l.tsv", "# h")
         again = read_links_tsv(tmp_path / "l.tsv").links

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -499,7 +500,7 @@ class TestExitCodes:
         path = pipeline_dir / "post_terms.tsv"
         whole = textvec.read_post_terms(path)
         for cap in (1, 7, 159, 10**6):
-            assert textvec.read_vocabulary(path, cap) == whole.vocabulary(cap)
+            assert textvec.read_vocabulary(path, cap) == whole.capped(cap).vocabulary()
         assert len(whole.terms) > 159
 
     def test_only_links_needs_the_post_terms(self, pipeline_copy, pipeline_dir, config_file):
@@ -804,6 +805,23 @@ def test_new_vocabulary_cap_needs_no_new_ingest(pipeline_copy, config_file, tmp_
     assert len(textvec.read_post_terms(fresh / "post_terms.tsv").terms) > 60
     written, rerun = _files(fresh), _files(pipeline_copy)
     assert {name: rerun.get(name) for name in written} == written
+
+
+def test_post_terms_read_is_freed_once_the_cap_cuts(pipeline_dir, monkeypatch):
+    """A stage holds the capped counts alone: when the cap cuts, the table
+    read from post_terms.tsv is not kept beside them."""
+    read, refs = textvec.read_post_terms, []
+
+    def spy_read_post_terms(path):
+        table = read(path)
+        refs.append((weakref.ref(table), weakref.ref(table.entries)))
+        return table
+
+    monkeypatch.setattr(textvec, "read_post_terms", spy_read_post_terms)
+    terms = cli._post_terms(cli.PipelineConfig(out_dir=str(pipeline_dir), vocab_max_size=60))
+    [(table, entries)] = refs
+    assert len(terms.terms) == 60
+    assert table() is None and entries() is None
 
 
 def test_full_pipeline_deterministic(tmp_path_factory, config_file):

@@ -648,7 +648,7 @@ def test_similarity_blocks_match_cosine():
     )
     net = summarize_links(links, 12)
     for min_tokens in (0, 10):
-        n = annotate_similarity(net.links, post_terms(vectors, 50), 50, min_tokens)
+        n = annotate_similarity(net.links, post_terms(vectors, 50), min_tokens)
         expected = []
         for l in links:
             u, v = vectors.get(l.q), vectors.get(l.p)
@@ -769,8 +769,9 @@ def test_model_inputs_match_dict_oracles(bodies, ends, cap, seed):
         return
     links = links_table(rows)
     oracle = space(terms, cap)
+    terms = terms.capped(cap)
 
-    tensor = build_influence_tensor(links, terms, cap)
+    tensor = build_influence_tensor(links, terms)
     acc, bloggers, no_shared = _oracle_tensor(links, oracle.vectors)
     assert tensor_entries(tensor) == acc and tensor.bloggers == bloggers
     assert tensor.n_links_no_shared == no_shared and no_shared > 0
@@ -778,13 +779,13 @@ def test_model_inputs_match_dict_oracles(bodies, ends, cap, seed):
     assert list(zip(tensor.influenced, tensor.influencer, tensor.term)) == sorted(acc)
 
     nodes = sorted({p.user_id for p in posts})[1:] + ["nobody"]
-    content = blogger_content_matrix(nodes, terms, cap)
+    content = blogger_content_matrix(nodes, terms)
     assert (content == _oracle_content(
         nodes, ((oracle.authors[url], vec) for url, vec in oracle.vectors.items()),
         len(oracle.vocab))).all()
 
     urls = link_posts(links)
-    doc_term = build_doc_term(terms, cap, urls)
+    doc_term = build_doc_term(terms, urls)
     doc_ids, rows, cols, counts, totals = _oracle_doc_term(oracle.vectors, urls)
     assert doc_term.doc_ids == doc_ids and doc_term.n_terms == len(oracle.vocab)
     for got, want in ((doc_term.rows, rows), (doc_term.cols, cols),
@@ -793,7 +794,7 @@ def test_model_inputs_match_dict_oracles(bodies, ends, cap, seed):
 
     net = summarize_links(links, 2)
     try:
-        split = split_train_test(net, terms, cap, seed=seed)
+        split = split_train_test(net, terms, seed=seed)
     except ValueError:
         return
     for reader, author, keywords in split.test:

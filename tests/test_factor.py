@@ -63,7 +63,7 @@ class TestBuildTensor:
             "/a/q": TermVector({1: 2, 3: 1, 5: 1}, 4),
             "/b/p": TermVector({1: 1, 3: 4, 7: 2}, 7),
         }
-        tensor = build_influence_tensor(links, post_terms(vectors, 8), 8)
+        tensor = build_influence_tensor(links, post_terms(vectors, 8))
         assert tensor.bloggers == ["ua", "ub"]
         assert tensor_entries(tensor) == {(0, 1, 1): 1, (0, 1, 3): 1}
 
@@ -75,13 +75,13 @@ class TestBuildTensor:
             "/a/q2": TermVector({1: 2}, 2),
             "/b/p2": TermVector({1: 3}, 3),
         }
-        tensor = build_influence_tensor(links, post_terms(vectors, 4), 4)
+        tensor = build_influence_tensor(links, post_terms(vectors, 4))
         assert tensor_entries(tensor) == {(0, 1, 1): 2}
 
     def test_no_shared_terms_counted(self):
         links = _links(("/a/q", "/b/p", "ua", "ub"))
         vectors = {"/a/q": TermVector({0: 1}, 1), "/b/p": TermVector({1: 1}, 1)}
-        tensor = build_influence_tensor(links, post_terms(vectors, 2), 2)
+        tensor = build_influence_tensor(links, post_terms(vectors, 2))
         assert tensor.counts.size == 0 and tensor.n_links_no_shared == 1
 
     def test_matches_brute_force(self):
@@ -99,7 +99,7 @@ class TestBuildTensor:
                 vectors[url] = TermVector(entries, sum(entries.values()))
             rows.append((q, p, reader, author))
         links = _links(*rows)
-        tensor = build_influence_tensor(links, post_terms(vectors, 10), 10)
+        tensor = build_influence_tensor(links, post_terms(vectors, 10))
         expected = {}
         index = {b: i for i, b in enumerate(tensor.bloggers)}
         for l in links:
@@ -815,7 +815,7 @@ def test_blogger_content_matrix_rows_normalized():
     vectors = {"/ua/p0": TermVector({0: 2, 1: 2}, 4), "/ub/p0": TermVector({2: 5}, 5),
                "/ua/p1": TermVector({0: 4}, 4)}
     terms = post_terms(vectors, 3, {url: url.split("/")[1] for url in vectors})
-    mat = blogger_content_matrix(["ua", "ub", "uc"], terms, 3)
+    mat = blogger_content_matrix(["ua", "ub", "uc"], terms)
     assert np.allclose(mat[0], [0.75, 0.25, 0.0])
     assert np.allclose(mat[1], [0.0, 0.0, 1.0])
     assert np.allclose(mat[2], 0.0)

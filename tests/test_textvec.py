@@ -45,12 +45,18 @@ class TestTokenize:
 class TestVocabulary:
     def test_tie_break_lexicographic(self):
         terms = _post_terms(["aa bb", "aa cc"])
-        assert terms.vocabulary(2) == ["aa", "bb"]
+        assert terms.capped(2).vocabulary() == ["aa", "bb"]
         assert terms.terms[:2] == [("aa", 2), ("bb", 1)]
 
     def test_no_truncation_when_large(self):
-        vocab = _post_terms(["aa bb", "cc"]).vocabulary(10)
-        assert sorted(vocab) == ["aa", "bb", "cc"]
+        terms = _post_terms(["aa bb", "cc"])
+        assert terms.capped(10) is terms
+        assert sorted(terms.vocabulary()) == ["aa", "bb", "cc"]
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_raises(self, cap):
+        with pytest.raises(ValueError, match="max_size must be >= 1"):
+            _post_terms(["aa bb", "cc"]).capped(cap)
 
     def test_kept_df_dominates_dropped(self):
         rng = np.random.default_rng(7)
@@ -61,7 +67,7 @@ class TestVocabulary:
         df = Counter()
         for doc in docs:
             df.update(set(doc))
-        vocab = _post_terms(" ".join(doc) for doc in docs).vocabulary(25)
+        vocab = _post_terms(" ".join(doc) for doc in docs).capped(25).vocabulary()
         kept_min = min(df[t] for t in vocab)
         dropped = set(df) - set(vocab)
         assert all(df[t] <= kept_min for t in dropped)
@@ -96,16 +102,17 @@ class TestCosine:
 
 
 def test_vectorize_counts_kept_tokens():
-    post, term, count, starts = _post_terms(["aa bb aa zz", "aa"]).capped(1)
-    assert (post.tolist(), term.tolist(), count.tolist()) == ([0, 1], [0, 0], [2, 1])
-    assert starts.tolist() == [0, 1, 2]
+    terms = _post_terms(["aa bb aa zz", "aa"])
+    capped = terms.capped(1)
+    assert capped.terms == [("aa", 2)] and capped.posts == terms.posts
+    assert capped.entries.tolist() == [[0, 0, 2], [1, 0, 1]]
 
 
 def test_shared_terms_sorted_intersection():
     vectors = {"/a/q": TermVector({4: 1, 1: 2, 7: 1}, 4),
                "/b/p": TermVector({1: 1, 7: 3, 9: 1}, 5)}
     links = links_table([("/b/p", "/a/q", "b", "a", 60), ("/a/q", "/b/p", "a", "b", 60)])
-    link, term = shared_terms(links, post_terms(vectors, 10), 10)
+    link, term = shared_terms(links, post_terms(vectors, 10))
     assert (link.tolist(), term.tolist()) == ([0, 0, 1, 1], [1, 7, 1, 7])
 
 
@@ -176,12 +183,13 @@ def test_count_terms_peak_memory_per_token():
 def test_capped_copies_nothing_when_nothing_is_cut():
     terms = _post_terms(["aa bb aa zz", "aa cc", "bb"])
     assert len(terms.terms) == 4
-    post, term, count, starts = terms.capped(4)
-    assert all(np.shares_memory(column, terms.entries) for column in (post, term, count))
-    assert np.array_equal(np.column_stack([post, term, count]), terms.entries)
-    post, term, count, starts = terms.capped(3)
-    assert not any(np.shares_memory(column, terms.entries) for column in (post, term, count))
-    assert term.tolist() == [0, 1, 0, 2, 1] and starts.tolist() == [0, 2, 4, 5]
+    assert terms.capped(4) is terms and terms.capped(5) is terms
+    capped = terms.capped(3)
+    assert not np.shares_memory(capped.entries, terms.entries)
+    assert capped.terms == terms.terms[:3] and capped.posts == terms.posts
+    # The kept rows, in the table's order.
+    assert capped.entries.tolist() == [row for row in terms.entries.tolist() if row[1] < 3]
+    assert capped.entries[:, 1].tolist() == [0, 1, 0, 2, 1]
 
 
 def test_no_whitespace_character_is_a_word_character():
