@@ -3,9 +3,9 @@
 An artifact is UTF-8 text: an optional ``# blogfluence ...`` header line,
 then either plain rows (an optional column-name line, then tab-separated
 rows) or ``[section]`` blocks of rows.  Blank and ``#`` lines are skipped
-on reading, and files are read with universal newlines, so writing a row
-that would read back as one, as a ``[section]`` line or, through a field
-that holds ``\r``, as a line break raises ``FormatError``.  Floats are written as
+on reading and ``\\r`` reads as a line break, so writing a row that
+would read back as one, as a ``[section]`` line or as two lines (a
+field that holds ``\\r``) raises ``FormatError``.  Floats are written as
 ``repr(float(x))``, which reads back to the same float64.  A table is
 written from the columns its reader returns (``_write``), and a write holds
 those columns and one chunk's text.  Every table reads as columns, a chunk

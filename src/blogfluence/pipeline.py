@@ -8,8 +8,8 @@ CLI's ``links`` stage does), runs the forward and reversed bucket tests,
 and extracts the influence network.  The term counts are capped to the
 vocabulary once, as they are counted, and the model stages after
 detection, up to the recommendation benchmark, read that capped table.
-Those stages exist here once; fits and recommenders are
-called through their modules (``factor.fit_iolap``, ...).
+Those stages exist here once; fits and recommenders are called through
+their modules (``factor.fit_iolap``, ...).
 """
 
 from __future__ import annotations

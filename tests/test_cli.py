@@ -794,8 +794,7 @@ def test_posts_are_tokenized_once_per_run(tmp_path, config_file, monkeypatch):
 def test_new_vocabulary_cap_needs_no_new_ingest(pipeline_copy, config_file, tmp_path):
     """post_terms.tsv holds every term, so a run that changes the cap reruns
     from links and writes what a fresh run at that cap writes."""
-    rerun = STAGES[STAGES.index("links"):STAGES.index("eval") + 1]
-    for stage in rerun:
+    for stage in STAGES[STAGES.index("links"):STAGES.index("eval") + 1]:
         assert main([stage, "--config", config_file, "--out-dir", str(pipeline_copy),
                      "--seed", "5", "--vocab-max-size", "60"]) == 0, stage
     fresh = tmp_path / "fresh"
