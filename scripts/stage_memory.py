@@ -33,8 +33,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from blogfluence import cli
 
-STAGES = ("synth", "ingest", "links", "causality", "influence", "topics", "split",
-          "tensor", "iolap", "pcldc", "pcl", "idr", "eval", "report")
+# The full run in pipeline order; recommend answers one query and writes no
+# input of another stage.
+STAGES = tuple(name for name in cli.STAGES if name != "recommend")
 
 
 def max_rss_mb() -> float:

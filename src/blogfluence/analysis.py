@@ -27,6 +27,10 @@ class UnanswerableQuery(Exception):
     """No query keyword is in the model vocabulary (or no keywords at all)."""
 
 
+class UnknownMember(KeyError, ValueError):
+    """A member that the model lacks: a failed lookup, and a refusal of the query."""
+
+
 # --------------------------------------------------------------------------
 # influence diversity ratio
 
@@ -168,7 +172,7 @@ def _member(bloggers: Sequence[str], member: str) -> int:
     try:
         return _index(tuple(bloggers))[member]
     except KeyError:
-        raise KeyError(f"unknown member {member!r}") from None
+        raise UnknownMember(f"unknown member {member!r}") from None
 
 
 def _candidates(bloggers: Sequence[str], exclude: Iterable[str]) -> np.ndarray:

@@ -29,7 +29,7 @@ import re
 import shutil
 from collections import defaultdict
 from contextlib import contextmanager, suppress
-from itertools import count, repeat, takewhile
+from itertools import count, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -137,12 +137,18 @@ def write_sections(path: str | Path, header: str | None, sections: dict[str, Seq
 
 
 def read_text(path: str | Path, until: str | None = None) -> str:
-    """The text of ``path``, or its lines before the first line ``until``; bytes
-    that are not UTF-8 raise ``FormatError`` naming the file."""
+    """The text of ``path``, or its lines up to the first line ``until``, that
+    line included; bytes that are not UTF-8 raise ``FormatError`` naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read() if until is None else "".join(
-                takewhile(lambda line: line.rstrip("\n") != until, fh))
+            if until is None:
+                return fh.read()
+            head = []
+            for line in fh:
+                head.append(line)
+                if line.rstrip("\n") == until:
+                    break
+            return "".join(head)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
@@ -292,7 +298,8 @@ def parse_sections(path: str | Path, text: str, specs: dict[str, Spec]) -> dict:
     A section given a list of ``str``, ``int`` and ``float`` reads as its
     columns (``_columns``).  One given a dict is keyed: the first field of a
     row names it and selects the types of the rest; it reads as key -> values,
-    and every key must occur.  Sections are found by their offsets in
+    and every key must occur.  Every section of ``specs`` must occur, if
+    only as its title line.  Sections are found by their offsets in
     ``text``, and a section of numbers is read from there a chunk at a time.
     """
     # Keyed rows are converted as they are read, column sections once all their spans are found.
@@ -316,7 +323,10 @@ def parse_sections(path: str | Path, text: str, specs: dict[str, Spec]) -> dict:
                 out[name][key] = _convert(path, n, fields, spec[key])
         else:
             out[name].append((start, end))
+    found = {name for name, _, _ in sections}
     for name, spec in specs.items():
+        if name not in found:
+            raise FormatError(f"{path}: lacks [{name}]")
         if not isinstance(spec, dict):
             out[name] = _columns(path, text, out[name], spec)
         elif missing := sorted(spec.keys() - out[name].keys()):

@@ -24,7 +24,9 @@ subcommand with unchanged inputs and seed reproduces its outputs byte
 for byte.
 
 Exit codes: 0 ok, 1 config or input error, 2 missing upstream artifact,
-3 numeric failure.
+3 numeric failure.  Every refusal is a ``ValueError``, which ``main`` alone
+turns into exit 1 and one ``error:`` line; a stage body catches one only to
+add what its message lacks, such as a path.
 
 When a train/test split exists in the output directory, ``tensor``,
 ``pcldc``, and ``pcl`` fit on the training edges only (run ``split``
@@ -62,7 +64,7 @@ from blogfluence.pipeline import STAGE_SEED, build_vectors
 from blogfluence.textvec import PostTerms
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -110,12 +112,13 @@ class PipelineConfig:
 
 def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfig:
     cfg = PipelineConfig()
-    synth_fields = {f.name: f for f in dataclasses.fields(synth.SynthConfig)}
-    top_fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    # The field of each key that a file may set; "synth." keys name generator fields.
+    fields = {f.name: f for f in dataclasses.fields(PipelineConfig) if f.name != "synth"}
+    fields |= {f"synth.{f.name}": f for f in dataclasses.fields(synth.SynthConfig)}
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
-        synth_updates: dict[str, object] = {}
+        values: dict[str, object] = {}
         for lineno, raw in enumerate(artifacts.read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -123,25 +126,17 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key == "synth.seed":
+                raise ConfigError(f"{path}:{lineno}: synth.seed is not read; set seed")
+            if key not in fields:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key.startswith("synth."):
-                    name = key[len("synth."):]
-                    if name == "seed":
-                        raise ConfigError(f"{path}:{lineno}: synth.seed is not read; set seed")
-                    if name not in synth_fields:
-                        raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                    synth_updates[name] = _parser(synth_fields[name])(value)
-                elif key in top_fields and key != "synth":
-                    setattr(cfg, key, _parser(top_fields[key])(value))
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = _parser(fields[key])(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if synth_updates:
-            try:
-                cfg.synth = replace(cfg.synth, **synth_updates)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        synth_values = {key[6:]: values.pop(key) for key in list(values)
+                        if key.startswith("synth.")}
+        cfg = replace(cfg, **values, synth=replace(cfg.synth, **synth_values))
     for key, value in overrides.items():
         if value is None:
             continue
@@ -281,11 +276,8 @@ def cmd_topics(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     # _read_influence checks that every post of the links has counts.
     urls = implicit.link_posts(_read_influence(cfg, terms).links)
-    try:
-        model = pipeline.fit_topics(terms, urls, cfg.n_topics, cfg.plsa_max_iter, cfg.tol,
-                                    [cfg.seed, STAGE_SEED["topics"]])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = pipeline.fit_topics(terms, urls, cfg.n_topics, cfg.plsa_max_iter, cfg.tol,
+                                [cfg.seed, STAGE_SEED["topics"]])
     topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), header)
     return (f"topics: {model.n_topics} topics over {len(model.doc_ids)} docs, "
             f"loglik {model.loglik_trace[-1]:.2f} -> {_path(cfg, 'plsa_model.tsv')}")
@@ -294,10 +286,7 @@ def cmd_topics(cfg: PipelineConfig, args, header: str) -> str:
 def cmd_split(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     influence = _read_influence(cfg, terms)
-    try:
-        split = analysis.split_train_test(influence, terms, seed=[cfg.seed, STAGE_SEED["split"]])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    split = analysis.split_train_test(influence, terms, seed=[cfg.seed, STAGE_SEED["split"]])
     analysis.write_split(split, _path(cfg, "train.tsv"), _path(cfg, "test.tsv"), header)
     return (f"split: {len(split.train_edges)} train edges, {len(split.test)} test pairs "
             f"-> {_path(cfg, 'train.tsv')}")
@@ -316,18 +305,15 @@ def cmd_tensor(cfg: PipelineConfig, args, header: str) -> str:
 def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
     topic_model = _topic_model(cfg)
     tensor = factor.read_tensor_tsv(_path(cfg, "tensor.tsv"))
-    try:
-        model = factor.fit_iolap(
-            tensor,
-            cfg.rank_influenced,
-            cfg.rank_influencer,
-            topic_model,
-            max_iter=cfg.iolap_max_iter,
-            tol=cfg.tol,
-            seed=[cfg.seed, STAGE_SEED["iolap"]],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = factor.fit_iolap(
+        tensor,
+        cfg.rank_influenced,
+        cfg.rank_influencer,
+        topic_model,
+        max_iter=cfg.iolap_max_iter,
+        tol=cfg.tol,
+        seed=[cfg.seed, STAGE_SEED["iolap"]],
+    )
     factor.write_iolap_model(model, _path(cfg, "iolap_model.tsv"), header)
     stop = "converged" if model.converged else f"hit max_iter {cfg.iolap_max_iter}"
     return (f"iolap: rank {cfg.rank_influenced}x{cfg.rank_influencer}x{model.n_topics}, "
@@ -335,16 +321,10 @@ def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
             f"-> {_path(cfg, 'iolap_model.tsv')}")
 
 
-def _blogger_graph(links) -> factor.BloggerGraph:
-    if not links:
-        raise ConfigError("influence network has no links; nothing to fit")
-    return pipeline.blogger_graph(links)
-
-
 def cmd_pcldc(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     links, source = _load_influence_links(cfg, terms)
-    graph = _blogger_graph(links)
+    graph = pipeline.blogger_graph(links)
     model = pipeline.fit_pcldc_model(graph, terms, cfg.n_topics, cfg.pcldc_max_iter, cfg.tol,
                                      [cfg.seed, STAGE_SEED["pcldc"]])
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), header)
@@ -354,7 +334,7 @@ def cmd_pcldc(cfg: PipelineConfig, args, header: str) -> str:
 
 def cmd_pcl(cfg: PipelineConfig, args, header: str) -> str:
     links, source = _load_influence_links(cfg)
-    graph = _blogger_graph(links)
+    graph = pipeline.blogger_graph(links)
     model = factor.fit_pcl(
         graph,
         cfg.n_topics,
@@ -416,8 +396,6 @@ def cmd_recommend(cfg: PipelineConfig, args, header: str) -> str:
         ranked = recommenders[method](args.member, keywords, cfg.top_n, exclude)
     except analysis.UnanswerableQuery as exc:
         raise ConfigError(f"unanswerable query: {exc}") from exc
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
     out = Path(cfg.out_dir) / f"recommend_{method}.tsv"
     rows = ((i, b, s) for i, (b, s) in enumerate(ranked, 1))
     artifacts.write_rows(out, header, list(zip(*rows)), ("rank", "blogger", "score"))
@@ -608,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"missing upstream artifact: {exc.filename} (run the producing subcommand first)",
               file=sys.stderr)
         return 2
-    except (ConfigError, FormatError, IngestError) as exc:
+    except ValueError as exc:  # every refusal: config, input, or a fit's precondition
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # an input that cannot be read, an output that cannot be written

@@ -37,7 +37,7 @@ import numpy as np
 DEFAULT_TZ_OFFSET_HOURS = 9
 
 
-class IngestError(Exception):
+class IngestError(ValueError):
     """The input stream could not be read at all."""
 
 

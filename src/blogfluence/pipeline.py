@@ -105,6 +105,8 @@ def fit_topics(terms: PostTerms, urls: Iterable[str], n_topics: int,
 
 def blogger_graph(links: implicit.Links) -> factor.BloggerGraph:
     """The blogger digraph of ``links``; an edge weighs its number of links."""
+    if not links:
+        raise ValueError("influence network has no links; nothing to fit")
     return factor.BloggerGraph.from_edge_weights(implicit.blogger_projection(links))
 
 

@@ -210,7 +210,8 @@ def _check_ranking(path: str, terms: list[str], doc_freq: np.ndarray) -> None:
 def read_vocabulary(path: str, max_size: int) -> list[str]:
     """``read_post_terms(path).capped(max_size).vocabulary()``, read up to ``[posts]``."""
     head = artifacts.read_text(path, until="[posts]")
-    terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int]})["terms"]
+    terms, doc_freq = artifacts.parse_sections(path, head, {"terms": [str, int],
+                                                            "posts": [str, str]})["terms"]
     terms = terms.values()
     _check_ranking(path, terms, doc_freq)
     return terms[:max_size]

@@ -962,6 +962,8 @@ def parse_sections_one_shot(path, text, specs):
             out[name].append((lineno, body))
         lineno += body.count("\n") + 1
     for name, spec in specs.items():
+        if name not in pieces[1::2]:
+            raise FormatError(f"{path}: lacks [{name}]")
         if not isinstance(spec, dict):
             out[name] = _one_shot_columns(path, out[name], spec)
         elif missing := sorted(spec.keys() - out[name].keys()):

@@ -112,9 +112,9 @@ class TestPipeline:
                      "recall.tsv", "rankshift_themes.tsv"):
             assert (report / name).exists(), name
 
-    def test_recommend_subcommand(self, pipeline_dir, config_file, capsys):
-        code = main([*_stage_argv("recommend", pipeline_dir), "--config", config_file,
-                     "--out-dir", str(pipeline_dir), "--seed", "5"])
+    def test_recommend_subcommand(self, pipeline_copy, config_file, capsys):
+        code = main([*_stage_argv("recommend", pipeline_copy), "--config", config_file,
+                     "--out-dir", str(pipeline_copy), "--seed", "5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "recommend: iolap top-5" in out
@@ -662,6 +662,85 @@ class TestExitCodes:
                      "--seed", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def _cuts(text):
+    """(what, text) of each damage to an artifact that keeps its line 1: cut
+    to it, cut to it and the next line (the column names, or the first
+    section title), and without each [section], its title and rows."""
+    lines = text.split("\n")
+    yield "header", lines[0] + "\n"
+    yield "header and column names", "\n".join(lines[:2]) + "\n"
+    titles = [i for i, line in enumerate(lines) if i and re.fullmatch(r"\[[^\t]*\]", line)]
+    for start, end in zip(titles, [*titles[1:], len(lines)]):
+        yield f"without {lines[start]}", "\n".join(lines[:start] + lines[end:])
+
+
+def _run_damaged(pipeline_dir, config_file, out_dir, stage, name, text, capsys):
+    """Exit code and stderr of ``stage`` over a copy of its inputs in
+    ``pipeline_dir``, with ``name`` replaced by ``text``."""
+    out_dir.mkdir()
+    for read in cli.STAGES[stage].reads:
+        if (pipeline_dir / read.rstrip("?")).exists():
+            shutil.copyfile(pipeline_dir / read.rstrip("?"), out_dir / read.rstrip("?"))
+    (out_dir / name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main([*_stage_argv(stage, pipeline_dir), "--config", config_file,
+                 "--out-dir", str(out_dir), "--seed", "5"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def _unread(stage, name, what):
+    """Whether ``stage`` leaves its input ``name`` unread where it is cut as
+    ``what``: report copies the bundled files as they are, recommend reads
+    influence.tsv only where there is no split, and the stages that check
+    plsa_model.tsv's terms read post_terms.tsv only up to [posts]."""
+    return (stage == "report" and name in cli._BUNDLED
+            or stage == "recommend" and name == "influence.tsv"
+            or stage in ("iolap", "idr", "recommend", "eval") and name == "post_terms.tsv"
+            and what == "without [entries]")
+
+
+class TestRefusalContract:
+    """Every stage over each of its inputs damaged but for line 1 (the
+    header that the stage checks) prints no traceback.  An input that lacks
+    its column names or a section exits 1 with one ``error:`` line naming
+    it; a table with no rows may also be read and exit 0."""
+
+    @pytest.mark.parametrize("stage, name", [
+        (stage, read.rstrip("?")) for stage, spec in cli.STAGES.items() for read in spec.reads])
+    def test_damaged_input(self, pipeline_dir, config_file, tmp_path, capsys, stage, name):
+        for n, (what, text) in enumerate(_cuts((pipeline_dir / name).read_text("utf-8"))):
+            code, err = _run_damaged(pipeline_dir, config_file, tmp_path / str(n), stage, name,
+                                     text, capsys)
+            case = f"{stage} over {name} cut to its {what}: exit {code}, {err!r}"
+            if _unread(stage, name, what):
+                assert (code, err) == (0, ""), case
+            elif what == "header and column names" and not text.split("\n")[1].startswith("["):
+                assert (code, err) == (0, "") or code == 1 and err.startswith("error: ") \
+                    and err.count("\n") == 1, case
+            else:
+                path = tmp_path / str(n) / name
+                assert code == 1 and err.startswith(f"error: {path}"), case
+                assert err.count("\n") == 1, case
+                if what.startswith("without "):
+                    assert f"lacks {what[8:]}" in err or "unexpected section" in err, case
+
+    def test_eval_over_an_empty_test_set(self, pipeline_dir, config_file, tmp_path, capsys):
+        text = "".join((pipeline_dir / "test.tsv").read_text("utf-8").splitlines(True)[:2])
+        assert _run_damaged(pipeline_dir, config_file, tmp_path / "out", "eval", "test.tsv",
+                            text, capsys) == (1, "error: empty test set\n")
+
+    def test_eval_over_a_model_that_lacks_a_test_source(self, pipeline_dir, config_file,
+                                                        tmp_path, capsys):
+        source = _stage_argv("recommend", pipeline_dir)[4]
+        lines = (pipeline_dir / "pcl_model.tsv").read_text("utf-8").splitlines(True)
+        text = "".join(line for line in lines if not line.startswith(f"{source}\t"))
+        assert _run_damaged(pipeline_dir, config_file, tmp_path / "out", "eval",
+                            "pcl_model.tsv", text, capsys) == (
+            1, f"error: \"unknown member '{source}'\"\n")
 
 
 class TestProvenance:
