@@ -14,14 +14,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from blogfluence.pipeline import recommendation_recall, run_detection
+from blogfluence.pipeline import PipelineConfig, recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
 
 METHODS = ("tg", "iolap", "pcldc", "pcl")
 
 
 def run_seed(seed: int, top_n: int) -> dict[str, float]:
-    cfg = SynthConfig(
+    corpus_cfg = SynthConfig(
         n_bloggers=100,
         n_days=32,
         vocab_size=160,
@@ -37,9 +37,12 @@ def run_seed(seed: int, top_n: int) -> dict[str, float]:
         expert_read_prob=0.88,
         seed=seed,
     )
-    corpus, _ = generate(cfg)
-    result = run_detection(corpus, vocab_max_size=160, seed=seed)
-    recall, _ = recommendation_recall(result, seed, top_n)
+    cfg = PipelineConfig(n_topics=2, plsa_max_iter=150, iolap_max_iter=300, pcldc_max_iter=60,
+                         pcl_max_iter=200, rank_influenced=2, rank_influencer=4, top_n=top_n,
+                         vocab_max_size=160, seed=seed, synth=corpus_cfg)
+    corpus, _ = generate(cfg.synth)
+    result = run_detection(corpus, vocab_max_size=cfg.vocab_max_size, seed=seed)
+    recall, _ = recommendation_recall(result, cfg)
     return recall
 
 

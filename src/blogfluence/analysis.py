@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from blogfluence import artifacts
+from blogfluence.corpus import FormatError
 from blogfluence.factor import IolapModel, PcldcModel, PclModel
 from blogfluence.implicit import ImplicitNetwork
 from blogfluence.textvec import PostTerms, shared_terms
@@ -135,6 +136,8 @@ def read_split(train_path: str, test_path: str) -> TrainTestSplit:
         for a, b, kws in zip(*(column.values() for column in artifacts.read_columns(
             test_path, (str, str, str), _TEST_COLUMNS)))
     ]
+    if not test:
+        raise FormatError(f"{test_path}: no test pairs")
     # src and dst are coded over one table: the names of either column.
     return TrainTestSplit(train_edges=train_edges, test=test, nodes=sorted(src.names))
 

@@ -48,6 +48,7 @@ Z_TWO_SIDED = 2.576
 DEFAULT_MIN_BUCKET_N = 30
 DEFAULT_MIN_TOKENS = 10
 DEFAULT_TAU_HOURS = 2
+ZREPORT_COLUMNS = ("bucket", "n", "heads", "xbar", "sigma", "z", "flag")
 
 
 # Distinct q posts per block of the similarity kernel.  A block holds a
@@ -371,6 +372,5 @@ def rank_shift_report(
 
 def write_zreport_tsv(report: ZReport, path: str, header: str | None = None) -> None:
     rows = ((b.bucket, b.n, b.heads, b.xbar, b.sigma, b.z, b.flag()) for b in report.buckets)
-    artifacts.write_rows(path, header, list(zip(*rows)),
-                         ("bucket", "n", "heads", "xbar", "sigma", "z", "flag"))
+    artifacts.write_rows(path, header, list(zip(*rows)), ZREPORT_COLUMNS)
 

@@ -17,7 +17,9 @@ artifacts under its own header and returns the summary ``main`` prints.
 ``links`` is the one stage that scores links: it builds them from
 ``activity.tsv``, fills their similarity from ``post_terms.tsv`` and writes
 both to ``links.tsv``, one row per link in ``influence.tsv``'s plain form,
-which ``causality`` and ``influence`` read as is.
+which ``causality`` and ``influence`` read as is.  Each model stage hands
+its inputs and the config to its function in ``pipeline``, which
+``recommendation_recall`` chains in memory in the same order.
 Configuration comes from flat ``key = value`` files ("synth." keys reach
 the generator); command-line flags override file values.  Re-running a
 subcommand with unchanged inputs and seed reproduces its outputs byte
@@ -39,11 +41,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,54 +61,8 @@ from blogfluence.corpus import (
     parse_access_log,
     parse_content_file,
 )
-from blogfluence.pipeline import STAGE_SEED, build_vectors
+from blogfluence.pipeline import STAGE_SEED, ConfigError, PipelineConfig, build_vectors
 from blogfluence.textvec import PostTerms
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
-class PipelineConfig:
-    out_dir: str = "out"
-    content_path: str = ""  # defaults to <out_dir>/posts.tsv
-    access_path: str = ""  # defaults to <out_dir>/access.log
-    window_hours: int = 12
-    tau_hours: int = 2
-    vocab_max_size: int = 2000
-    min_tokens: int = 10
-    min_bucket_n: int = 30
-    tz_offset_hours: int = 9
-    n_topics: int = 50
-    rank_influenced: int = 8
-    rank_influencer: int = 8
-    plsa_max_iter: int = 200
-    iolap_max_iter: int = 200
-    pcldc_max_iter: int = 60
-    pcl_max_iter: int = 200
-    tol: float = topics.DEFAULT_TOL
-    top_n: int = 10
-    seed: int = 0
-    synth: synth.SynthConfig = field(default_factory=synth.SynthConfig)
-
-    def validate(self) -> None:
-        if self.window_hours < 1 or self.tau_hours < 1:
-            raise ConfigError("window_hours and tau_hours must be >= 1")
-        if self.tau_hours > self.window_hours:
-            raise ConfigError("tau_hours cannot exceed window_hours")
-        if self.vocab_max_size < 1 or self.top_n < 1 or self.n_topics < 1:
-            raise ConfigError("vocab_max_size, top_n, n_topics must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-
-    def config_hash(self, keys: Iterable[str]) -> str:
-        """A hash of the values of ``keys``; a "synth." key names a generator field."""
-        parts = []
-        for key in sorted(keys):
-            owner, name = (self.synth, key[6:]) if key.startswith("synth.") else (self, key)
-            parts.append(f"{key}={getattr(owner, name)!r}")
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:12]
 
 
 def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfig:
@@ -138,9 +93,8 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
                         if key.startswith("synth.")}
         cfg = replace(cfg, **values, synth=replace(cfg.synth, **synth_values))
     for key, value in overrides.items():
-        if value is None:
-            continue
-        setattr(cfg, key, value)
+        if value is not None:
+            setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -194,6 +148,12 @@ def _load_influence_links(cfg: PipelineConfig, terms: PostTerms | None = None
     return pipeline.training_links(net.links, split), "train edges"
 
 
+# The tables that report bundles, by the column names their stages write.
+_BUNDLED = {"gap_hist.tsv": ("bin", "count"), "zreport_forward.tsv": causality.ZREPORT_COLUMNS,
+            "zreport_reversed.tsv": causality.ZREPORT_COLUMNS,
+            "idr.tsv": ("method", "N", "idr"), "recall.tsv": ("method", "N", "recall")}
+
+
 # --------------------------------------------------------------------------
 # subcommands: each writes its artifacts under ``header`` and returns what it prints
 
@@ -243,7 +203,7 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
     implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
     artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, [range(1, len(hist) + 1), hist],
-                         ("bin", "count"))
+                         _BUNDLED["gap_hist.tsv"])
     return (f"links: {net.post_link_count} post links, {net.blogger_link_count} blogger links, "
             f"{net.post_count} posts, {net.blogger_count} bloggers -> {_path(cfg, 'links.tsv')}")
 
@@ -276,8 +236,7 @@ def cmd_topics(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     # _read_influence checks that every post of the links has counts.
     urls = implicit.link_posts(_read_influence(cfg, terms).links)
-    model = pipeline.fit_topics(terms, urls, cfg.n_topics, cfg.plsa_max_iter, cfg.tol,
-                                [cfg.seed, STAGE_SEED["topics"]])
+    model = pipeline.fit_topics(terms, urls, cfg)
     topics.write_topic_model(model, _path(cfg, "plsa_model.tsv"), header)
     return (f"topics: {model.n_topics} topics over {len(model.doc_ids)} docs, "
             f"loglik {model.loglik_trace[-1]:.2f} -> {_path(cfg, 'plsa_model.tsv')}")
@@ -285,8 +244,7 @@ def cmd_topics(cfg: PipelineConfig, args, header: str) -> str:
 
 def cmd_split(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
-    influence = _read_influence(cfg, terms)
-    split = analysis.split_train_test(influence, terms, seed=[cfg.seed, STAGE_SEED["split"]])
+    split = pipeline.split_edges(_read_influence(cfg, terms), terms, cfg)
     analysis.write_split(split, _path(cfg, "train.tsv"), _path(cfg, "test.tsv"), header)
     return (f"split: {len(split.train_edges)} train edges, {len(split.test)} test pairs "
             f"-> {_path(cfg, 'train.tsv')}")
@@ -304,16 +262,7 @@ def cmd_tensor(cfg: PipelineConfig, args, header: str) -> str:
 
 def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
     topic_model = _topic_model(cfg)
-    tensor = factor.read_tensor_tsv(_path(cfg, "tensor.tsv"))
-    model = factor.fit_iolap(
-        tensor,
-        cfg.rank_influenced,
-        cfg.rank_influencer,
-        topic_model,
-        max_iter=cfg.iolap_max_iter,
-        tol=cfg.tol,
-        seed=[cfg.seed, STAGE_SEED["iolap"]],
-    )
+    model = pipeline.fit_iolap(factor.read_tensor_tsv(_path(cfg, "tensor.tsv")), topic_model, cfg)
     factor.write_iolap_model(model, _path(cfg, "iolap_model.tsv"), header)
     stop = "converged" if model.converged else f"hit max_iter {cfg.iolap_max_iter}"
     return (f"iolap: rank {cfg.rank_influenced}x{cfg.rank_influencer}x{model.n_topics}, "
@@ -324,26 +273,18 @@ def cmd_iolap(cfg: PipelineConfig, args, header: str) -> str:
 def cmd_pcldc(cfg: PipelineConfig, args, header: str) -> str:
     terms = _post_terms(cfg)
     links, source = _load_influence_links(cfg, terms)
-    graph = pipeline.blogger_graph(links)
-    model = pipeline.fit_pcldc_model(graph, terms, cfg.n_topics, cfg.pcldc_max_iter, cfg.tol,
-                                     [cfg.seed, STAGE_SEED["pcldc"]])
+    model = pipeline.fit_pcldc(links, terms, cfg)
     factor.write_pcldc_model(model, _path(cfg, "pcldc_model.tsv"), header)
-    return (f"pcldc: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
-            f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcldc_model.tsv')}")
+    return (f"pcldc: {model.n_communities} communities over {len(model.nodes)} bloggers "
+            f"({source}), objective {model.objective_trace[-1]:.2f} "
+            f"-> {_path(cfg, 'pcldc_model.tsv')}")
 
 
 def cmd_pcl(cfg: PipelineConfig, args, header: str) -> str:
     links, source = _load_influence_links(cfg)
-    graph = pipeline.blogger_graph(links)
-    model = factor.fit_pcl(
-        graph,
-        cfg.n_topics,
-        max_iter=cfg.pcl_max_iter,
-        tol=cfg.tol,
-        seed=[cfg.seed, STAGE_SEED["pcl"]],
-    )
+    model = pipeline.fit_pcl(links, cfg)
     factor.write_pcl_model(model, _path(cfg, "pcl_model.tsv"), header)
-    return (f"pcl: {model.n_communities} communities over {graph.n_nodes} bloggers ({source}), "
+    return (f"pcl: {model.n_communities} communities over {len(model.nodes)} bloggers ({source}), "
             f"objective {model.objective_trace[-1]:.2f} -> {_path(cfg, 'pcl_model.tsv')}")
 
 
@@ -360,19 +301,17 @@ def cmd_idr(cfg: PipelineConfig, args, header: str) -> str:
     }
     rows = [(method, n, value) for method, ranking in rankings.items()
             for n, value in analysis.idr_curve(ranking, cfg.top_n)]
-    artifacts.write_rows(_path(cfg, "idr.tsv"), header, list(zip(*rows)), ("method", "N", "idr"))
+    artifacts.write_rows(_path(cfg, "idr.tsv"), header, list(zip(*rows)), _BUNDLED["idr.tsv"])
     return f"idr: {len(rows)} rows for methods iolap, pcldc -> {_path(cfg, 'idr.tsv')}"
 
 
 def _recommenders(cfg: PipelineConfig):
     """The four recommenders over the fitted models, all read from artifacts first."""
     topic_model = _topic_model(cfg)
-    return analysis.recommenders(
-        factor.read_iolap_model(_path(cfg, "iolap_model.tsv"), topic_model),
-        topic_model,
-        factor.read_pcldc_model(_path(cfg, "pcldc_model.tsv")),
-        factor.read_pcl_model(_path(cfg, "pcl_model.tsv")),
-    )
+    iolap_model = factor.read_iolap_model(_path(cfg, "iolap_model.tsv"), topic_model)
+    return analysis.recommenders(iolap_model, topic_model,
+                                 factor.read_pcldc_model(_path(cfg, "pcldc_model.tsv")),
+                                 factor.read_pcl_model(_path(cfg, "pcl_model.tsv")))
 
 
 def cmd_recommend(cfg: PipelineConfig, args, header: str) -> str:
@@ -405,19 +344,16 @@ def cmd_recommend(cfg: PipelineConfig, args, header: str) -> str:
 
 def cmd_eval(cfg: PipelineConfig, args, header: str) -> str:
     split = analysis.read_split(_path(cfg, "train.tsv"), _path(cfg, "test.tsv"))
-    recommenders = _recommenders(cfg)
-    rows = []
-    summary = []
-    for method in ("tg", "iolap", "pcldc", "pcl"):
-        curve = analysis.recall_curve(split, recommenders[method], cfg.top_n)
+    rows, summary = [], []
+    for method, recommender in _recommenders(cfg).items():
+        try:
+            curve = pipeline.recall_curve(split, recommender, cfg)
+        except analysis.UnknownMember as exc:  # from <method>_model.tsv: tg looks no member up
+            raise FormatError(f"{_path(cfg, f'{method}_model.tsv')}: {exc.args[0]}") from None
         rows.extend((method, n, value) for n, value in enumerate(curve, 1))
         summary.append(f"{method}={curve[-1]:.3f}")
-    artifacts.write_rows(_path(cfg, "recall.tsv"), header, list(zip(*rows)),
-                         ("method", "N", "recall"))
+    artifacts.write_rows(_path(cfg, "recall.tsv"), header, list(zip(*rows)), _BUNDLED["recall.tsv"])
     return f"eval: recall@{cfg.top_n} {' '.join(summary)} -> {_path(cfg, 'recall.tsv')}"
-
-
-_BUNDLED = ("gap_hist.tsv", "zreport_forward.tsv", "zreport_reversed.tsv", "idr.tsv", "recall.tsv")
 
 
 def cmd_report(cfg: PipelineConfig, args, header: str) -> str:
@@ -439,9 +375,10 @@ def cmd_report(cfg: PipelineConfig, args, header: str) -> str:
     artifacts.write_rows(report_dir / "hist_posts_per_blogger.tsv", header,
                          [["mean", "median", "q1", "q3", "bloggers"], stats], ("stat", "value"))
     bundled = ["activity histograms"]
-    for name in _BUNDLED:
+    for name, columns in _BUNDLED.items():
         src = _path(cfg, name)
         if src.exists():
+            artifacts.read_columns(src, [str] * len(columns), columns)  # refuse a damaged table
             artifacts.copy_file(src, report_dir / src.name)
             bundled.append(src.name)
     if _path(cfg, "links.tsv").exists() and _path(cfg, "influence.tsv").exists():

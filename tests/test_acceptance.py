@@ -10,12 +10,13 @@ Each test prints "ACCEPTANCE <n> <name>: PASS" on success (visible with
 -s or on failure).
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from blogfluence import analysis
+from blogfluence import analysis, artifacts, cli
 from blogfluence.cli import main
 from blogfluence.factor import (
     BloggerGraph,
@@ -25,7 +26,7 @@ from blogfluence.factor import (
     fit_pcldc,
     topic_factors_from_model,
 )
-from blogfluence.pipeline import recommendation_recall, run_detection
+from blogfluence.pipeline import PipelineConfig, recommendation_recall, run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import fit_plsa
 
@@ -363,20 +364,28 @@ def _benchmark_config(seed):
     )
 
 
+def _recommendation_config(seed):
+    """c10's run: the planted-expert corpus and the settings of its model stages."""
+    return PipelineConfig(n_topics=2, plsa_max_iter=150, iolap_max_iter=300, pcldc_max_iter=60,
+                          pcl_max_iter=200, rank_influenced=2, rank_influencer=4, top_n=10,
+                          vocab_max_size=160, seed=seed, synth=_benchmark_config(seed))
+
+
 @pytest.fixture(scope="module")
 def recommendation_runs():
-    """Member-specific planted experts, trained on the edge-holdout split.
-
-    The tensor model is fitted from three seeded restarts and the one
-    with the best training log-likelihood is kept (selection never sees
-    the test edges).
+    """Member-specific planted experts, detected in memory and then fitted
+    as the CLI's ``topics`` through ``eval`` would fit them at
+    ``_recommendation_config``: PLSA over every influence link's posts,
+    the other models on the training edges of the edge-holdout split, one
+    seeded fit each.
     """
     runs = []
     for seed in range(5):
         start = time.perf_counter()
-        corpus, _ = generate(_benchmark_config(seed))
-        result = run_detection(corpus, vocab_max_size=160, seed=seed)
-        recall, traces = recommendation_recall(result, seed, 10)
+        cfg = _recommendation_config(seed)
+        corpus, _ = generate(cfg.synth)
+        result = run_detection(corpus, vocab_max_size=cfg.vocab_max_size, seed=seed)
+        recall, traces = recommendation_recall(result, cfg)
         runs.append(
             {
                 "seed": seed,
@@ -404,6 +413,33 @@ def test_c10_recommendation_ordering(recommendation_runs):
     _ok(10, f"recall@10 ordering (iolap>tg {personalized_wins}/5, pcldc>pcl {content_wins}/5)")
 
 
+def _config_text(cfg):
+    """``cfg`` as a config file: a line per key that differs from its default."""
+    default = PipelineConfig()
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in dataclasses.fields(cfg)
+             if f.name not in ("out_dir", "seed", "synth")
+             and getattr(cfg, f.name) != getattr(default, f.name)]
+    lines += [f"synth.{f.name} = {getattr(cfg.synth, f.name)}"
+              for f in dataclasses.fields(cfg.synth)
+              if f.name != "seed" and getattr(cfg.synth, f.name) != getattr(default.synth, f.name)]
+    return "\n".join(lines) + "\n"
+
+
+def test_recommendation_recall_is_the_cli_run(recommendation_runs, tmp_path):
+    """c10's in-memory recall at seed 1 is the recall@10 that the CLI's
+    stages write to recall.tsv under the same config."""
+    cfg = _recommendation_config(1)
+    config = tmp_path / "c10.cfg"
+    config.write_text(_config_text(cfg))
+    out = tmp_path / "out"
+    for stage in PIPELINE_STAGES[:PIPELINE_STAGES.index("eval") + 1]:
+        assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "1"]) == 0
+    method, n, recall = artifacts.read_columns(out / "recall.tsv", (str, int, float),
+                                               ("method", "N", "recall"))
+    written = {m: r for m, k, r in zip(method.values(), n.tolist(), recall.tolist()) if k == 10}
+    assert written == recommendation_runs[1]["recall"]
+
+
 PIPELINE_CONFIG = """
 window_hours = 12
 tau_hours = 2
@@ -426,10 +462,8 @@ synth.copy_prob = 0.6
 synth.copy_fraction = 0.45
 """
 
-PIPELINE_STAGES = [
-    "synth", "ingest", "links", "causality", "influence", "topics",
-    "split", "tensor", "iolap", "pcldc", "pcl", "idr", "eval", "report",
-]
+# The full run in pipeline order; recommend answers one query.
+PIPELINE_STAGES = [name for name in cli.STAGES if name != "recommend"]
 
 
 def test_c11_full_pipeline_byte_reproducible(tmp_path):

@@ -32,8 +32,8 @@ from blogfluence.factor import (
     iolap_topic_influencers,
 )
 from blogfluence.implicit import ImplicitNetwork
-from blogfluence.pipeline import blogger_graph, fit_topics, training_links
-from blogfluence.topics import DEFAULT_TOL, fit_plsa
+from blogfluence.pipeline import PipelineConfig, blogger_graph, fit_topics, training_links
+from blogfluence.topics import fit_plsa
 
 from conftest import TermVector, doc_term, links_table, post_terms, random_topics
 
@@ -450,7 +450,8 @@ def test_personalized_top_pick_comes_from_own_expert_set():
         corpus, truth = generate(cfg)
         result = run_detection(corpus, vocab_max_size=160, seed=seed)
         links = result.influence.links
-        tm = fit_topics(result.terms, link_posts(links), 2, 120, DEFAULT_TOL, [seed, 2])
+        tm = fit_topics(result.terms, link_posts(links),
+                        PipelineConfig(n_topics=2, plsa_max_iter=120, seed=seed))
         tensor = build_influence_tensor(links, result.terms)
         model = max(
             (fit_iolap(tensor, 2, 4, tm, max_iter=200, seed=[seed, 3, r])

@@ -694,11 +694,10 @@ def _run_damaged(pipeline_dir, config_file, out_dir, stage, name, text, capsys):
 
 def _unread(stage, name, what):
     """Whether ``stage`` leaves its input ``name`` unread where it is cut as
-    ``what``: report copies the bundled files as they are, recommend reads
-    influence.tsv only where there is no split, and the stages that check
-    plsa_model.tsv's terms read post_terms.tsv only up to [posts]."""
-    return (stage == "report" and name in cli._BUNDLED
-            or stage == "recommend" and name == "influence.tsv"
+    ``what``: recommend reads influence.tsv only where there is no split, and
+    the stages that check plsa_model.tsv's terms read post_terms.tsv only up
+    to [posts]."""
+    return (stage == "recommend" and name == "influence.tsv"
             or stage in ("iolap", "idr", "recommend", "eval") and name == "post_terms.tsv"
             and what == "without [entries]")
 
@@ -731,7 +730,7 @@ class TestRefusalContract:
     def test_eval_over_an_empty_test_set(self, pipeline_dir, config_file, tmp_path, capsys):
         text = "".join((pipeline_dir / "test.tsv").read_text("utf-8").splitlines(True)[:2])
         assert _run_damaged(pipeline_dir, config_file, tmp_path / "out", "eval", "test.tsv",
-                            text, capsys) == (1, "error: empty test set\n")
+                            text, capsys) == (1, f"error: {tmp_path}/out/test.tsv: no test pairs\n")
 
     def test_eval_over_a_model_that_lacks_a_test_source(self, pipeline_dir, config_file,
                                                         tmp_path, capsys):
@@ -740,7 +739,7 @@ class TestRefusalContract:
         text = "".join(line for line in lines if not line.startswith(f"{source}\t"))
         assert _run_damaged(pipeline_dir, config_file, tmp_path / "out", "eval",
                             "pcl_model.tsv", text, capsys) == (
-            1, f"error: \"unknown member '{source}'\"\n")
+            1, f"error: {tmp_path}/out/pcl_model.tsv: unknown member '{source}'\n")
 
 
 class TestProvenance:
