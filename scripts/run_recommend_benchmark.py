@@ -20,7 +20,9 @@ from blogfluence.synth import SynthConfig, generate
 METHODS = ("tg", "iolap", "pcldc", "pcl")
 
 
-def run_seed(seed: int, top_n: int) -> dict[str, float]:
+def recommendation_config(seed: int, top_n: int = 10) -> PipelineConfig:
+    """The planted-expert corpus and the settings of its model stages: the
+    run of acceptance criterion c10 at ``top_n`` 10."""
     corpus_cfg = SynthConfig(
         n_bloggers=100,
         n_days=32,
@@ -35,11 +37,16 @@ def run_seed(seed: int, top_n: int) -> dict[str, float]:
         experts_per_group_topic=10,
         experts_read_per_member=4,
         expert_read_prob=0.88,
+        tokens_per_post=40,
         seed=seed,
     )
-    cfg = PipelineConfig(n_topics=2, plsa_max_iter=150, iolap_max_iter=300, pcldc_max_iter=60,
-                         pcl_max_iter=200, rank_influenced=2, rank_influencer=4, top_n=top_n,
-                         vocab_max_size=160, seed=seed, synth=corpus_cfg)
+    return PipelineConfig(n_topics=2, plsa_max_iter=150, iolap_max_iter=300, pcldc_max_iter=60,
+                          pcl_max_iter=200, rank_influenced=2, rank_influencer=4, top_n=top_n,
+                          vocab_max_size=160, seed=seed, synth=corpus_cfg)
+
+
+def run_seed(seed: int, top_n: int) -> dict[str, float]:
+    cfg = recommendation_config(seed, top_n)
     corpus, _ = generate(cfg.synth)
     result = run_detection(corpus, vocab_max_size=cfg.vocab_max_size, seed=seed)
     recall, _ = recommendation_recall(result, cfg)

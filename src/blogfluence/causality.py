@@ -25,8 +25,9 @@ stores it), anchors are the table's post indices (whose order is URL
 order), and the influence network is a subset of the same table, with tau
 as its window.  One helper, ``_anchor_runs``, gives each anchor's run of
 links and median similarity to the coins and to the extraction.  One
-kernel, ``_coin_faces``, turns the table into coins for both tests, and one
-statistic, ``_z_report``, pools them per bucket.
+kernel, ``_coin_faces``, turns the table into coins for both tests, with
+two array draws for all of a test's tied faces, and one statistic,
+``_z_report``, pools them per bucket.
 """
 
 from __future__ import annotations
@@ -155,38 +156,37 @@ def _coin_faces(
     Faces strictly above/below the anchor's median are forced; tied faces
     are randomized subject to per-anchor balance (|heads - tails| <= 1),
     which is always achievable because at most half the values can sit
-    strictly on either side of the median.  Only series with tied faces
-    draw from ``rng``, in anchor order: when both balanced head counts are
-    achievable, ``rng.integers(2)`` picks one; then
-    ``rng.choice(n_ties, size=tie_heads, replace=False)`` picks the tied
-    positions that become heads.
+    strictly on either side of the median.  Two array draws from ``rng``
+    settle every series at once: ``rng.integers(2, size=m)`` over the m
+    series, in anchor order, that have ties and can reach both balanced
+    head counts (a 1 picks ``(n + 1) // 2``), then ``rng.permutation(t)``
+    over the t tied coins of all series, in (anchor, gap, p) order.  The
+    first tied coins of each series in permuted order turn heads, as many
+    as its head count needs, so each series turns a uniform subset of its
+    ties.
     """
     order, bounds, med = _anchor_runs(links, code)
     code, gap, sim = code[order], links.gap[order], links.similarity[order]
     sizes = np.diff(bounds)
     run = np.repeat(np.arange(len(sizes)), sizes)
+    series = sizes >= 2
+    coin = np.repeat(series, sizes)
     heads = sim > med[run]
-    tie_at = np.flatnonzero(sim == med[run])
+    tie_at = np.flatnonzero(coin & (sim == med[run]))
     n_ties = np.bincount(run[tie_at], minlength=len(sizes))
     # How many tied coins turn heads for the balanced head counts n // 2
     # and (n + 1) // 2; an odd run where both are achievable draws one.
     above = np.bincount(run[heads], minlength=len(sizes))
     low, high = sizes // 2 - above, (sizes + 1) // 2 - above
     low_ok = (low >= 0) & (low <= n_ties)
-    both = low_ok & (sizes % 2 == 1) & (high >= 0) & (high <= n_ties)
     want = np.where(low_ok, low, high)
-    series = sizes >= 2
-    tie_start = np.cumsum(n_ties) - n_ties
-    picks: list[int] = []  # the tied coins that turn heads, as positions in tie_at
-    for start, n, k, k_high, two in zip(*(a[series & (n_ties > 0)].tolist() for a in (
-            tie_start, n_ties, want, high, both))):
-        size = k_high if two and rng.integers(2) else k
-        if n > 1 and size:  # a choice of none of the ties, or of 1 of 1, draws nothing
-            picks += (start + rng.choice(n, size=size, replace=False)).tolist()
-        else:
-            picks += range(start, start + size)
-    heads[tie_at[picks]] = True
-    coin = np.repeat(series, sizes)
+    both = low_ok & (sizes % 2 == 1) & (high <= n_ties)
+    want[both] += rng.integers(2, size=int(both.sum()))
+    shuffled = tie_at[rng.permutation(len(tie_at))]
+    grouped = shuffled[np.argsort(run[shuffled], kind="stable")]  # by series, permuted within
+    tie_run = run[grouped]
+    rank = np.arange(len(grouped)) - (np.cumsum(n_ties) - n_ties)[tie_run]
+    heads[grouped[rank < want[tie_run]]] = True
     bounds = np.concatenate([[0], np.cumsum(sizes[series])])
     return code[coin], (gap[coin] + 3599) // 3600, heads[coin], bounds, med[series]
 

@@ -65,6 +65,7 @@ DEFAULT_HOUR_PROFILE = (
 # Monday..Sunday, Sunday-heavy.
 DEFAULT_WEEKDAY_PROFILE = (0.95, 0.9, 0.9, 0.95, 1.0, 1.25, 1.55)
 _ROUNDS = 8  # confounder rounds, then as many uniform-fallback rounds
+_BODY_BLOCK = 1024  # post bodies laid out as one byte array at a time
 
 
 class SynthesisError(ValueError):
@@ -185,6 +186,27 @@ def _draw_rows(flat_cdf: np.ndarray, n_cols: int, row: np.ndarray, u: np.ndarray
     which is clamped below it so that the draw stays in its row."""
     x = np.minimum(row + u, np.nextafter(row + 1.0, 0.0))
     return flat_cdf.searchsorted(x, side="right") - row * n_cols
+
+
+def _bodies(terms: list[str], tokens: np.ndarray) -> list[str]:
+    """Each row of ``tokens`` as its terms joined by single spaces, as
+    ``" ".join`` would give it, for ASCII terms without NUL.
+
+    A block of ``_BODY_BLOCK`` rows is laid out as one byte array, each
+    token as its term and a space, NUL-padded to the widest term; the
+    NULs drop out, the block decodes once, and each body is its row's
+    slice less the last space (a row without tokens slices backwards, to
+    "")."""
+    table = np.array([t + " " for t in terms], dtype=bytes)
+    widths = np.char.str_len(table)
+    bodies: list[str] = []
+    for lo in range(0, len(tokens), _BODY_BLOCK):
+        block = tokens[lo:lo + _BODY_BLOCK]
+        text = table[block].tobytes().replace(b"\0", b"").decode("ascii")
+        length = widths[block].sum(axis=1)
+        ends = length.cumsum()
+        bodies += [text[a:b] for a, b in zip((ends - length).tolist(), (ends - 1).tolist())]
+    return bodies
 
 
 def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
@@ -343,7 +365,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     posts = Posts(Strings(ips, blogger), ts, Strings(blogger_ids, blogger), urls,
                   [f"post {url}" for url in urls],
                   Strings([f"blog-{b}" for b in blogger_ids], blogger),
-                  [" ".join(map(terms.__getitem__, row.tolist())) for row in tokens],
+                  _bodies(terms, tokens),
                   Strings([f"t{k}" for k in range(n_topics)], topic))
 
     expert_map: dict[str, dict[int, tuple[str, ...]]] = {}

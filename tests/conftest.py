@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -41,6 +43,20 @@ from blogfluence.topics import TopicModel, build_doc_term
 
 # 2008-09-01T00:00:00Z, a Monday.
 BASE_TS = 1220227200
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, imported without keeping the
+    ``src/`` entry that the script prepends to ``sys.path``."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
 
 
 # --------------------------------------------------------------------------

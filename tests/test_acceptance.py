@@ -31,8 +31,8 @@ from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import fit_plsa
 
 from conftest import (
-    CoinSeries, TermVector, doc_term, pcldc_content_gradient, pcldc_objective, random_topics,
-    z_test,
+    CoinSeries, TermVector, doc_term, load_script, pcldc_content_gradient, pcldc_objective,
+    random_topics, z_test,
 )
 
 N_SEEDS = 20
@@ -344,31 +344,9 @@ def test_c09_idr_exact_values():
     _ok(9, "influence diversity ratio hits 0, 1, and 0.5 exactly")
 
 
-def _benchmark_config(seed):
-    return SynthConfig(
-        n_bloggers=100,
-        n_days=32,
-        vocab_size=160,
-        n_topics=2,
-        posts_per_blogger_rate=0.8,
-        reads_per_post_rate=5.0,
-        copy_prob=0.8,
-        copy_fraction=0.45,
-        confounder_strength=0.5,
-        n_groups=2,
-        experts_per_group_topic=10,
-        experts_read_per_member=4,
-        expert_read_prob=0.88,
-        tokens_per_post=40,
-        seed=seed,
-    )
-
-
-def _recommendation_config(seed):
-    """c10's run: the planted-expert corpus and the settings of its model stages."""
-    return PipelineConfig(n_topics=2, plsa_max_iter=150, iolap_max_iter=300, pcldc_max_iter=60,
-                          pcl_max_iter=200, rank_influenced=2, rank_influencer=4, top_n=10,
-                          vocab_max_size=160, seed=seed, synth=_benchmark_config(seed))
+# c10's run: the planted-expert corpus and the settings of its model stages,
+# defined once in the recommendation benchmark script.
+_recommendation_config = load_script("run_recommend_benchmark").recommendation_config
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blogfluence.corpus import access_lines, content_lines, parse_access_log, parse_content_file
 from blogfluence.pipeline import run_detection
-from blogfluence.synth import SynthConfig, SynthesisError, _topic_word_dists, generate
+from blogfluence.synth import SynthConfig, SynthesisError, _bodies, _topic_word_dists, generate
 
 from conftest import access_line, content_line, generate_per_record
 from test_detection_identity import SYNTH_CONFIGS
@@ -351,3 +353,28 @@ def test_generate_peak_memory_per_token():
         tracemalloc.stop()
     n_tokens = len(corpus.posts) * cfg.tokens_per_post
     assert peak < 68 * n_tokens, peak / n_tokens
+
+
+def _joined_bodies(terms, tokens):
+    """The per-row join that ``synth._bodies`` replaced, kept as its oracle."""
+    return [" ".join(map(terms.__getitem__, row.tolist())) for row in tokens]
+
+
+_TERMS = st.one_of(
+    # synth's own terms; above 10,000 they mix widths of 5 and 6 characters
+    st.sampled_from([1, 9, 240, 10_000, 10_001, 12_345]).map(
+        lambda n: [f"w{i:04d}" for i in range(n)]),
+    st.lists(st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12),
+             min_size=1, max_size=30),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TERMS, st.integers(0, 6),
+       st.sampled_from([0, 1, 2, 1023, 1024, 1025, 2049]) | st.integers(0, 40),
+       st.integers(0, 2**32 - 1))
+@example([f"w{i:04d}" for i in range(12_345)], 0, 1025, 0)  # zero-token rows
+@example([f"w{i:04d}" for i in range(12_345)], 40, 1024, 1)
+def test_bodies_match_the_per_row_join(terms, n_tokens, n_rows, seed):
+    tokens = np.random.default_rng(seed).integers(len(terms), size=(n_rows, n_tokens))
+    assert _bodies(terms, tokens) == _joined_bodies(terms, tokens)
