@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import FormatError
+from blogfluence.corpus import FormatError, lexorder
 from blogfluence.factor import IolapModel, PcldcModel, PclModel
 from blogfluence.implicit import ImplicitNetwork
 from blogfluence.textvec import PostTerms, shared_terms
@@ -96,7 +96,7 @@ def split_train_test(
     # The shared terms of every edge's links, as one run per edge.
     link, term = shared_terms(links, terms)
     edge = which[link]
-    order = np.argsort(edge, kind="stable")
+    order = lexorder(edge)
     term = term[order].tolist()
     bounds = edge[order].searchsorted(np.arange(len(pairs) + 1)).tolist()
 

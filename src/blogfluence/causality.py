@@ -23,11 +23,11 @@ Every step reads the columns of one ``implicit.Links`` table: the
 similarity column is filled once from the post-term arrays (``links.tsv``
 stores it), anchors are the table's post indices (whose order is URL
 order), and the influence network is a subset of the same table, with tau
-as its window.  One helper, ``_anchor_runs``, gives each anchor's run of
-links and median similarity to the coins and to the extraction.  One
-kernel, ``_coin_faces``, turns the table into coins for both tests, with
-two array draws for all of a test's tied faces, and one statistic,
-``_z_report``, pools them per bucket.
+as its window.  One helper, ``anchor_runs``, gives each anchor's run of
+links and median similarity to the coins and to the extraction, which
+share q's.  One kernel, ``_coin_faces``, turns the table into coins for
+both tests, with two array draws for all of a test's tied faces, and
+one statistic, ``_z_report``, pools them per bucket.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def annotate_similarity(
 
     u, v = post_doc[links.q], post_doc[links.p]
     todo = np.flatnonzero(eligible[u] & eligible[v])
-    todo = todo[np.argsort(u[todo], kind="stable")]
+    todo = todo[lexorder(u[todo])]
     new_q = np.diff(u[todo], prepend=-1) != 0
     row = np.cumsum(new_q) - 1  # the link's q among the distinct q posts
     n_q = int(row[-1]) + 1 if len(todo) else 0
@@ -135,7 +135,7 @@ def _run_medians(bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(sizes % 2 == 1, ordered[mid], (lower + ordered[mid]) / 2)
 
 
-def _anchor_runs(links: Links, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def anchor_runs(links: Links, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positions of the links that carry a similarity in (anchor, gap,
     p) order, ``code`` ordering their anchors; the bounds of each anchor's
     run among them; and each run's median similarity."""
@@ -146,12 +146,13 @@ def _anchor_runs(links: Links, code: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _coin_faces(
-    links: Links, code: np.ndarray, rng: np.random.Generator
+    links: Links, code: np.ndarray, rng: np.random.Generator, runs: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The coin series of the links that carry a similarity, ``code``
-    ordering their anchors; an anchor with fewer than two such links has
-    none.  In (anchor, gap, p) order: each coin's anchor code, hour bucket
-    and face, then the bounds of each series and its median similarity.
+    ordering their anchors (``runs``, if given, are their ``anchor_runs``);
+    an anchor with fewer than two such links has none.  In (anchor, gap,
+    p) order: each coin's anchor code, hour bucket and face, then the
+    bounds of each series and its median similarity.
 
     Faces strictly above/below the anchor's median are forced; tied faces
     are randomized subject to per-anchor balance (|heads - tails| <= 1),
@@ -165,7 +166,7 @@ def _coin_faces(
     as its head count needs, so each series turns a uniform subset of its
     ties.
     """
-    order, bounds, med = _anchor_runs(links, code)
+    order, bounds, med = anchor_runs(links, code) if runs is None else runs
     code, gap, sim = code[order], links.gap[order], links.similarity[order]
     sizes = np.diff(bounds)
     run = np.repeat(np.arange(len(sizes)), sizes)
@@ -183,7 +184,7 @@ def _coin_faces(
     both = low_ok & (sizes % 2 == 1) & (high <= n_ties)
     want[both] += rng.integers(2, size=int(both.sum()))
     shuffled = tie_at[rng.permutation(len(tie_at))]
-    grouped = shuffled[np.argsort(run[shuffled], kind="stable")]  # by series, permuted within
+    grouped = shuffled[lexorder(run[shuffled])]  # by series, permuted within
     tie_run = run[grouped]
     rank = np.arange(len(grouped)) - (np.cumsum(n_ties) - n_ties)[tie_run]
     heads[grouped[rank < want[tie_run]]] = True
@@ -268,10 +269,11 @@ def _anchored_z_test(
     code: np.ndarray,
     rng: np.random.Generator,
     min_bucket_n: int,
+    runs: tuple | None = None,
 ) -> ZReport:
     """The z-test of the coin series anchored by ``code``, pooled from the
     coin arrays of ``_coin_faces``."""
-    _, bucket, heads, bounds, _ = _coin_faces(net.links, code, rng)
+    _, bucket, heads, bounds, _ = _coin_faces(net.links, code, rng, runs)
     n_series = len(bounds) - 1
     return _z_report(bucket, heads, net.window_hours, min_bucket_n, n_series,
                      distinct(code).size - n_series)
@@ -281,8 +283,11 @@ def forward_z_test(
     net: ImplicitNetwork,
     rng: np.random.Generator,
     min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
+    *,
+    runs: tuple | None = None,
 ) -> ZReport:
-    return _anchored_z_test(net, net.links.q, rng, min_bucket_n)
+    """The test anchored by q; ``runs``, if given, are q's ``anchor_runs``."""
+    return _anchored_z_test(net, net.links.q, rng, min_bucket_n, runs)
 
 
 def reversed_z_test(
@@ -296,17 +301,19 @@ def reversed_z_test(
 # --------------------------------------------------------------------------
 # influence extraction
 
-def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS) -> ImplicitNetwork:
+def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS, *,
+                      runs: tuple | None = None) -> ImplicitNetwork:
     """Keep (q, p) iff gap <= tau and similarity strictly above q's median.
 
     The median is taken over q's window links that carry a similarity
     (deduplicated links, one per read post).  Only comparisons against
     the median are used, so the result is invariant under any monotone
     transform of the similarity function.  Kept links are ordered by
-    (q, p); the network's window is ``tau_hours``.
+    (q, p); the network's window is ``tau_hours``.  ``runs``, if given,
+    are q's ``anchor_runs``.
     """
     links = net.links
-    order, bounds, med = _anchor_runs(links, links.q)
+    order, bounds, med = anchor_runs(links, links.q) if runs is None else runs
     above = links.similarity[order] > np.repeat(med, np.diff(bounds))
     keep = order[(links.gap[order] <= tau_hours * 3600) & above]
     kept = links.take(keep[lexorder(links.q[keep], links.p[keep])])

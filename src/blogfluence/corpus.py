@@ -19,6 +19,9 @@ distinct names and an int64 code per row, so each value is converted
 once.  ``clean_accesses`` remaps the codes into one ``Activity`` table of
 integer rows, less the accesses that cannot carry influence (each rule a
 mask over the codes), which later stages read from ``activity.tsv``.
+The package's integer-table kernels live here too: ``lexorder``, its one
+stable sort, ``search``, its search for needles in random order, and
+``expand_ranges``.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class Strings:
         return cls(list(code), codes)
 
     def values(self) -> list[str]:
-        return np.array(self.names, object)[self.codes].tolist()
+        return list(map(self.names.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -282,19 +285,40 @@ def lexorder(*columns: np.ndarray) -> np.ndarray:
     """The stable order of the rows of int64 ``columns``, primary key
     first: the order ``np.lexsort(columns[::-1])`` gives.
 
-    When the columns' spans multiply below 2**63, the columns pack into one
-    int64 key, and one stable argsort of it replaces the multi-key sort."""
-    if not len(columns[0]):
+    When the columns' spans times the n rows multiply below 2**63, row i
+    packs into one int64, its key times n plus i: the packed values are
+    distinct, so numpy's fast unstable sort of them gives the stable order."""
+    n = len(columns[0])
+    if not n:
         return np.arange(0)
     lows = [int(c.min()) for c in columns]
     spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
-    if math.prod(spans) >= 2**63:
+    if math.prod(spans) * n >= 2**63:
         return np.lexsort(columns[::-1])
     key = columns[0] - lows[0]
     for c, lo, span in zip(columns[1:], lows[1:], spans[1:]):
         key *= span
         key += c - lo
-    return np.argsort(key, kind="stable")
+    key *= n
+    key += np.arange(n)
+    key.sort()
+    return key % n
+
+
+_SEARCH_BLOCK = 1 << 14  # needles sorted, and their order held, at once by ``search``
+
+
+def search(a: np.ndarray, needles: np.ndarray, side: str = "left") -> np.ndarray:
+    """``a.searchsorted(needles, side)`` for needles of any shape, a block of
+    ``_SEARCH_BLOCK`` at a time: numpy's binary search walks a block far faster
+    in ascending order, and each index goes back to its needle's place."""
+    flat = np.ravel(needles)
+    found = np.empty(flat.size, np.intp)
+    for lo in range(0, flat.size, _SEARCH_BLOCK):
+        block = flat[lo:lo + _SEARCH_BLOCK]
+        order = block.argsort()
+        found[lo:lo + len(block)][order] = a.searchsorted(block[order], side)
+    return found.reshape(np.shape(needles))
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,19 +344,18 @@ class PostKeys:
         self.t0, last = (int(upload.min()), int(upload.max())) if len(upload) else (0, 0)
         self.span = last - self.t0 + 2
         post_key = author * self.span + (upload - self.t0)
-        self.by_time = np.argsort(post_key)
+        self.by_time = lexorder(post_key)
         self.keys = post_key[self.by_time]
 
     def readers(self, ip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each (i, reader) pair of a reader behind ``ip[i]``, as two columns."""
-        which, pos = expand_ranges(self.owner_ip.searchsorted(ip),
-                                   self.owner_ip.searchsorted(ip, side="right"))
+        which, pos = expand_ranges(search(self.owner_ip, ip), search(self.owner_ip, ip, "right"))
         return which, self.owners[pos] % self.n_bloggers
 
     def edge(self, reader: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """The end, in ``by_time`` order, of each reader's posts uploaded at or before ``ts``."""
         clipped = np.clip(ts - self.t0, -1, self.span - 1)
-        return self.keys.searchsorted(reader * self.span + clipped, side="right")
+        return search(self.keys, reader * self.span + clipped, "right")
 
 
 # --------------------------------------------------------------------------

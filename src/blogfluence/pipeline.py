@@ -6,7 +6,8 @@ accesses into one ``Activity`` table, counts the posts' terms (capped to
 the vocabulary once, as they are counted), builds the implicit ``Links``
 table, fills its similarity column as the CLI's ``links`` stage does,
 runs the forward and reversed bucket tests, and extracts the influence
-network.  Each model stage is one function of its inputs and the config
+network; the forward test and the extraction share q's anchor runs.
+Each model stage is one function of its inputs and the config
 (``fit_topics``, ``split_edges``, ``fit_iolap``, ``fit_pcldc``,
 ``fit_pcl``, ``recall_curve``) that owns its seed and the keys it passes
 to its fit.  The CLI's stage bodies call them between artifact reads and
@@ -24,6 +25,7 @@ import numpy as np
 from blogfluence import analysis, factor, implicit, synth, textvec, topics
 from blogfluence.causality import (
     ZReport,
+    anchor_runs,
     annotate_similarity,
     extract_influence,
     forward_z_test,
@@ -120,9 +122,10 @@ def run_detection(
     net = build_implicit_links(cleaned, window_hours)
     annotate_similarity(net.links, terms, min_tokens)
     rng = np.random.default_rng([seed, STAGE_SEED["causality"]])
-    forward = forward_z_test(net, rng, min_bucket_n)
+    runs = anchor_runs(net.links, net.links.q)  # for the forward test and the extraction
+    forward = forward_z_test(net, rng, min_bucket_n, runs=runs)
     reversed_ = reversed_z_test(net, rng, min_bucket_n)
-    influence = extract_influence(net, tau_hours)
+    influence = extract_influence(net, tau_hours, runs=runs)
     return DetectionResult(cleaned, terms, net, forward, reversed_, influence)
 
 

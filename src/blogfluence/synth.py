@@ -55,7 +55,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import Accesses, Corpus, Posts, Strings, lexorder, parse_iso_ts
+from blogfluence.corpus import Accesses, Corpus, Posts, Strings, lexorder, parse_iso_ts, search
 
 # Relative weights; posting peaks late evening local time.
 DEFAULT_HOUR_PROFILE = (
@@ -181,11 +181,11 @@ def _row_cdfs(weights: np.ndarray) -> np.ndarray:
 
 
 def _draw_rows(flat_cdf: np.ndarray, n_cols: int, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A column drawn by weight from each ``row`` of ``_row_cdfs``, given
-    uniforms ``u`` on [0, 1).  ``row + u`` can round up to ``row + 1``,
-    which is clamped below it so that the draw stays in its row."""
+    """A column drawn by weight from each ``row`` of ``_row_cdfs`` by one
+    ``search`` for uniforms ``u`` on [0, 1).  ``row + u`` can round up to
+    ``row + 1``, which is clamped below it so that the draw stays in its row."""
     x = np.minimum(row + u, np.nextafter(row + 1.0, 0.0))
-    return flat_cdf.searchsorted(x, side="right") - row * n_cols
+    return search(flat_cdf, x, "right") - row * n_cols
 
 
 def _bodies(terms: list[str], tokens: np.ndarray) -> list[str]:
@@ -271,14 +271,14 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, GroundTruth]:
     # (author, time): ``n_before`` counts an author's posts before a cutoff,
     # and ``uniform_post`` draws one of them.
     t0, span = int(ts[0]), int(ts[-1] - ts[0]) + 1
-    by_author = np.argsort(blogger, kind="stable")
+    by_author = lexorder(blogger)
     n_own = np.bincount(blogger, minlength=n_bloggers)
     author_start = n_own.cumsum() - n_own
     author_key = blogger[by_author] * span + (ts[by_author] - t0)
 
     def n_before(author: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
         key = author * span + np.clip(cutoff - t0, 0, span)
-        return author_key.searchsorted(key) - author_start[author]
+        return search(author_key, key) - author_start[author]
 
     def uniform_post(author: np.ndarray, n_avail: np.ndarray) -> np.ndarray:
         """A post uniform among the first ``n_avail`` (>= 1) of each author's."""

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import FormatError, Posts, expand_ranges
+from blogfluence.corpus import FormatError, Posts, expand_ranges, lexorder, search
 from blogfluence.implicit import Links
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -86,7 +86,7 @@ def shared_terms(links: Links, terms: PostTerms) -> tuple[np.ndarray, np.ndarray
     q, p = ids[links.q], ids[links.p]
     link, at = expand_ranges(starts[q], starts[q + 1])
     want = p[link] * n_terms + keys[at] % n_terms
-    found = keys.searchsorted(want)
+    found = search(keys, want)
     hit = keys[np.minimum(found, len(keys) - 1)] == want
     return link[hit], want[hit] % n_terms
 
@@ -120,7 +120,7 @@ def _block_words(bodies: Iterator[str], n_words: list[int]) -> Iterator[list[str
 def _first_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct key once, in the order of its first occurrence, and its count."""
     # A stable sort groups equal keys with their first occurrence in front.
-    order = np.argsort(keys, kind="stable")
+    order = lexorder(keys)
     ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
@@ -177,7 +177,7 @@ def count_terms(posts: Posts) -> PostTerms:
     doc_freq = sum((np.bincount(term, minlength=n_terms) for _, term, _ in blocks),
                    np.zeros(n_terms, np.int64))
     ranked = np.array(sorted(range(n_terms), key=terms.__getitem__), np.int64)
-    ranked = ranked[np.argsort(-doc_freq[ranked], kind="stable")]
+    ranked = ranked[lexorder(-doc_freq[ranked])]
     rank = np.empty(n_terms, np.int64)
     rank[ranked] = np.arange(n_terms)
     entries = np.empty((sum(len(term) for _, term, _ in blocks), 3), np.int64)

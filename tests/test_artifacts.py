@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import sys
 import tracemalloc
 from contextlib import suppress
 from dataclasses import replace
@@ -565,6 +566,22 @@ def test_integer_block_write_peak_memory(tmp_path):
         tracemalloc.stop()
     assert peak < 2_000_000
     assert path.stat().st_size == len("[block]\n" + _one_format(rows))
+
+
+def test_strings_chunk_formats_in_its_rows_not_the_names():
+    """One chunk of a ``Strings`` over 10**6 names formats in a few hundred
+    kB, far less than the 8 MB list of its names: it looks up its own rows
+    (a lookup through an object array of every name traced the table)."""
+    names = [f"n{i}" for i in range(10**6)]
+    column = Strings(names, np.arange(10**6, dtype=np.int64)[::-1].copy())
+    tracemalloc.start()
+    try:
+        fmt, values = artifacts._format(column[:artifacts._CHUNK])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fmt == "%s" and values == names[:-artifacts._CHUNK - 1:-1]
+    assert peak < sys.getsizeof(names) // 16
 
 
 # Fields float may or may not take: number forms, the separators \x1c-\x1f that

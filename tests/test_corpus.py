@@ -1,4 +1,6 @@
+import ast
 import inspect
+import math
 import re
 import tracemalloc
 from dataclasses import astuple
@@ -626,13 +628,15 @@ def test_lexorder_is_the_lexsort_order(table):
 
 
 @pytest.mark.parametrize("columns, packed", [
-    # One column spanning 2**63 - 1 values packs; one more value does not.
-    ([[-2**62, 2**62 - 2, 0]], True),
+    # Three rows pack while the span times 3 stays below 2**63.
+    ([[0, (2**63 - 1) // 3 - 1, 7]], True),
+    ([[0, (2**63 - 1) // 3, 7]], False),
     ([[-2**62, 2**62 - 1, 0]], False),
     ([[2**62, -2**62, 0, 2**62, -2**62], [1, 0, 1, 0, 1]], False),
-    # Spans of 2**32 + 1 each: every column fits, their product does not.
+    # Spans of 2**32 + 1 and 2**28 + 1 over four rows fit; 2**29 + 1 does not.
+    ([[2**32, 0, 2**32, 7], [0, 2**28, 5, 5]], True),
+    ([[2**32, 0, 2**32, 7], [0, 2**29, 5, 5]], False),
     ([[2**32, 0, 2**32, 7], [0, 2**32, 5, 5], [3, 3, 1, 1]], False),
-    ([[2**32, 0, 2**32, 7], [0, 2**30, 5, 5]], True),
 ])
 def test_lexorder_falls_back_to_lexsort_past_int64(columns, packed):
     columns = [np.array(c, dtype=np.int64) for c in columns]
@@ -644,13 +648,55 @@ def test_lexorder_falls_back_to_lexsort_past_int64(columns, packed):
     assert got.tolist() == lexsort(columns[::-1]).tolist()
 
 
+# --------------------------------------------------------------------------
+# search: searchsorted a block of sorted needles at a time
+
+_BLOCK = corpus._SEARCH_BLOCK
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=st.lists(st.sampled_from([-math.inf, -2.0, -0.5, 0.0, 1.0, 3.5, math.inf])
+                  | st.floats(-1e3, 1e3), max_size=30),
+       n=st.integers(0, 40) | st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]),
+       width=st.sampled_from([None, 1, 3]), integer=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(a=[], n=0, width=None, integer=False, seed=0)
+@example(a=[1.0, 1.0, 2.0], n=0, width=3, integer=True, seed=0)
+@example(a=[-math.inf, 0.0, 0.0, math.inf], n=_BLOCK + 1, width=None, integer=False, seed=1)
+def test_search_is_searchsorted(a, n, width, integer, seed):
+    """Duplicates in ``a`` and among the needles, no needles, 2-d needles,
+    +-inf, and needle counts around the block size."""
+    rng = np.random.default_rng(seed)
+    a = np.sort(np.array(a))
+    pool = np.concatenate([a, [-math.inf, math.inf], rng.uniform(-1e3, 1e3, 5)])
+    if integer:
+        a, pool = (np.clip(x, -2**40, 2**40).astype(np.int64) for x in (a, pool))
+    needles = rng.choice(pool, size=n if width is None else (n, width))
+    for side in ("left", "right"):
+        got = corpus.search(a, needles, side)
+        assert got.shape == needles.shape
+        assert got.tolist() == a.searchsorted(needles, side).tolist()
+
+
 def test_only_lexorder_sorts_by_several_keys():
-    """Every multi-key sort in the package goes through ``corpus.lexorder``,
-    so the package keeps one sort path."""
+    """Every multi-key sort and every stable sort of integers in the package
+    goes through ``corpus.lexorder``, so the package keeps one sort path.
+    The stable argsorts left are of floats: ``_run_medians``' ranks (their
+    signed-zero ties are pinned) and the score rankings."""
     helper = inspect.getsource(lexorder)
+    stable = []
     for path in sorted(Path(corpus.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name == "corpus.py":
             assert helper in text
             text = text.replace(helper, "")
         assert "lexsort" not in text, path.name
+        stable += [(path.name, ast.unparse(node)) for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Call) and any(
+                       k.arg == "kind" and getattr(k.value, "value", None) == "stable"
+                       for k in node.keywords)]
+    assert sorted(stable) == [
+        ("analysis.py", "np.argsort(-normalized[candidates], kind='stable')"),
+        ("causality.py", "np.argsort(values, kind='stable')"),
+        ("factor.py", "np.argsort(-scores, kind='stable')"),
+        ("factor.py", "np.argsort(-scores, kind='stable')"),
+    ]

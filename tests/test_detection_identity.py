@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blogfluence import causality
+from blogfluence import causality, pipeline
 from blogfluence.analysis import split_train_test
 from blogfluence.cli import main
 from blogfluence.corpus import (
@@ -313,6 +313,21 @@ def test_run_detection_cut_vocabulary_digest(planted_corpus):
     result = run_detection(corpus, vocab_max_size=200, seed=5)
     assert result.influence.links
     assert detection_digest(result, 200) == DETECTION_CUT_DIGEST
+
+
+def test_run_detection_takes_each_sides_anchor_runs_once(planted_corpus, monkeypatch):
+    """q's runs serve the forward test and the extraction, p's the reversed
+    test: one ``anchor_runs`` call per side."""
+    calls, anchor_runs = [], causality.anchor_runs
+
+    def counted(links, code):
+        calls.append("q" if code is links.q else "p")
+        return anchor_runs(links, code)
+
+    monkeypatch.setattr(causality, "anchor_runs", counted)
+    monkeypatch.setattr(pipeline, "anchor_runs", counted)
+    run_detection(planted_corpus[0], vocab_max_size=400, seed=5)
+    assert calls == ["q", "p"]
 
 
 def test_kernels_match_oracles_on_the_planted_corpus(planted_corpus):
@@ -626,7 +641,7 @@ def test_coin_faces_draw_only_tied_faces_under_balance(side):
     (a tie that is rarely a head can keep its face over 60 seeds)."""
     links = _tie_heavy_links(4)
     code = links.q if side == "q" else links.p
-    order, runs, _ = causality._anchor_runs(links, code)
+    order, runs, _ = causality.anchor_runs(links, code)
     sizes = np.diff(runs)
     sim = links.similarity[order][np.repeat(sizes >= 2, sizes)]
     faces = []
