@@ -24,6 +24,7 @@ leaves the old file; a refused row leaves none.
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 import shutil
@@ -45,8 +46,6 @@ _CHUNK = 4096
 # Characters of whole lines parsed per read: the fields of a chunk, and the
 # UCS-4 copy that np.loadtxt parses, are a chunk's, not the table's.
 _PARSE_CHUNK = 1 << 16
-# Columns of a labelled matrix: row label, column index, value.
-MATRIX = [str, int, float]
 
 
 # After a newline, a line that reads back as blank, as a comment or as "[section]".
@@ -334,12 +333,14 @@ def parse_sections(path: str | Path, text: str, specs: dict[str, Spec]) -> dict:
     return out
 
 
-def matrix_columns(labels: Sequence[str], matrix: np.ndarray) -> list:
-    """The ``MATRIX`` columns of a matrix whose rows carry ``labels``, row-major:
-    the inverse of ``labelled_matrix``."""
-    width = matrix.shape[1]
-    return [[label for label in labels for _ in range(width)],
-            np.tile(np.arange(width), len(labels)), matrix.ravel()]
+def cell_columns(array: np.ndarray, *labels: Sequence[str] | None) -> list:
+    """The columns of one row per cell of ``array``, in C order: each axis's
+    index, or its label where ``labels`` gives that axis a list, then the
+    value.  ``cell_array`` reads them back."""
+    at = np.indices(array.shape).reshape(array.ndim, -1)
+    labels += (None,) * (array.ndim - len(labels))
+    return [index if names is None else list(map(names.__getitem__, index.tolist()))
+            for index, names in zip(at, labels)] + [array.ravel()]
 
 
 def check_indices(path: str | Path, what: str, indices: np.ndarray, size: int) -> None:
@@ -349,27 +350,51 @@ def check_indices(path: str | Path, what: str, indices: np.ndarray, size: int) -
         raise FormatError(f"{path}: {what} index {bad} is outside [0, {size})")
 
 
-def labelled_matrix(rows: Strings, cols: np.ndarray, values: np.ndarray,
-                    labels: list[str] | None = None,
-                    path: str | Path = "matrix") -> tuple[list[str], np.ndarray]:
-    """Inverse of ``matrix_columns``, from its three columns as the readers
-    return them: labels in first-seen order unless given.  Each (label,
-    column) cell must appear exactly once."""
-    if labels is None:
-        labels = rows.names
-    if cols.size and cols.min() < 0:
-        raise FormatError(f"{path}: matrix column {cols.min()} is negative")
-    index = {label: i for i, label in enumerate(labels)}
-    for label in rows.names:
-        if label not in index:
-            raise FormatError(
-                f"{path}: matrix row label {label!r} is not among the {len(labels)} expected"
-            )
-    shape = (len(labels), int(cols.max(initial=-1)) + 1)
-    cell = np.array([index[label] for label in rows.names], np.int64)[rows.codes] * shape[1] + cols
-    if not np.array_equal(np.sort(cell), np.arange(shape[0] * shape[1])):
-        raise FormatError(f"{path}: matrix needs each of its {shape[0]} x {shape[1]} "
-                          "(row label, column) cells exactly once")
-    mat = np.zeros(shape[0] * shape[1])
-    mat[cell] = values
-    return labels, mat.reshape(shape)
+def _own_names(column: Strings) -> Strings:
+    """``column`` coded over the names it holds, in first-seen order, not over
+    the name table that the string columns of its section share."""
+    used, first = np.unique(column.codes, return_index=True)
+    used = used[np.argsort(first)]
+    code = np.zeros(len(column.names), np.int64)
+    code[used] = np.arange(len(used))
+    return Strings([column.names[c] for c in used.tolist()], code[column.codes])
+
+
+def cell_array(path: str | Path, sections: dict, name: str, *axes) -> tuple[np.ndarray, list]:
+    """The array whose cells the rows of ``sections[name]`` list, as
+    ``cell_columns`` wrote them, and each axis's labels (None on an index axis).
+
+    Each axis is given as a size, a label list, or None: from the rows, its
+    labels in first-seen order or one past its largest index.  An unknown
+    label, an index outside its axis, and a cell missing or listed twice
+    raise ``FormatError`` naming the file, the section and the shape."""
+    *keys, values = sections[name]
+    keys = [key if isinstance(key, np.ndarray) else _own_names(key) for key in keys]
+    labels = [None if isinstance(key, np.ndarray) else key.names if axis is None else list(axis)
+              for key, axis in zip(keys, axes)]
+    shape = [len(names) if names is not None else int(key.max(initial=-1)) + 1 if axis is None
+             else axis for key, axis, names in zip(keys, axes, labels)]
+
+    def refuse(problem: str) -> FormatError:
+        return FormatError(f"{path}: [{name}] needs each of its {' x '.join(map(str, shape))} "
+                           f"cells exactly once; {problem}")
+
+    cell = np.zeros(len(values), np.int64)
+    for axis, (key, names, size) in enumerate(zip(keys, labels, shape)):
+        if names is None:
+            at = key
+            if at.size and not 0 <= at.min() <= at.max() < size:
+                bad = at[(at < 0) | (at >= size)][0]
+                raise refuse(f"axis {axis} index {bad} is outside [0, {size})")
+        else:
+            index = {label: i for i, label in enumerate(names)}
+            for label in key.names:
+                if label not in index:
+                    raise refuse(f"axis {axis} label {label!r} is not among its {size}")
+            at = np.array([index[label] for label in key.names], np.int64)[key.codes]
+        cell = cell * size + at
+    if not np.array_equal(np.sort(cell), np.arange(math.prod(shape))):
+        raise refuse(f"it lists {np.unique(cell).size} of them in {cell.size} rows")
+    out = np.zeros(math.prod(shape))
+    out[cell] = values
+    return out.reshape(shape), labels

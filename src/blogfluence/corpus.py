@@ -348,8 +348,11 @@ class PostKeys:
         self.keys = post_key[self.by_time]
 
     def readers(self, ip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each (i, reader) pair of a reader behind ``ip[i]``, as two columns."""
-        which, pos = expand_ranges(search(self.owner_ip, ip), search(self.owner_ip, ip, "right"))
+        """Each (i, reader) pair of a reader behind ``ip[i]``, as two columns.
+        IP codes are not negative, and the owners of IP c are
+        ``owners[starts[c]:starts[c + 1]]``: one ascending search finds every range."""
+        starts = self.owner_ip.searchsorted(np.arange(ip.max(initial=-1) + 2))
+        which, pos = expand_ranges(starts[ip], starts[ip + 1])
         return which, self.owners[pos] % self.n_bloggers
 
     def edge(self, reader: np.ndarray, ts: np.ndarray) -> np.ndarray:

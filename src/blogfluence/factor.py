@@ -628,9 +628,9 @@ def pcldc_topic_influencers(
 def write_iolap_model(model: IolapModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
         "meta": [["shape"], *([size] for size in model.core.shape)],
-        "core": [*np.indices(model.core.shape).reshape(3, -1), model.core.ravel()],
-        "influenced_factors": artifacts.matrix_columns(model.bloggers, model.influenced_factors),
-        "influencer_factors": artifacts.matrix_columns(model.bloggers, model.influencer_factors),
+        "core": artifacts.cell_columns(model.core),
+        "influenced_factors": artifacts.cell_columns(model.influenced_factors, model.bloggers),
+        "influencer_factors": artifacts.cell_columns(model.influencer_factors, model.bloggers),
     })
 
 
@@ -640,28 +640,17 @@ def read_iolap_model(path: str, topic_model: TopicModel) -> IolapModel:
     sections = artifacts.read_sections(path, {
         "meta": {"shape": (int, int, int)},
         "core": [int, int, int, float],
-        "influenced_factors": artifacts.MATRIX,
-        "influencer_factors": artifacts.MATRIX,
+        "influenced_factors": [str, int, float],
+        "influencer_factors": [str, int, float],
     })
     shape = tuple(sections["meta"]["shape"])
     if min(shape) < 1 or shape[2] != topic_model.n_topics:
         raise FormatError(f"{path}: [meta] shape {shape} needs I, J >= 1 and K = "
                           f"{topic_model.n_topics}, the topic model's topic count")
-    core = np.zeros(shape)
-    *at, value = sections["core"]
-    for axis, name in enumerate(("core influenced", "core influencer", "core topic")):
-        artifacts.check_indices(path, name, at[axis], shape[axis])
-    if not np.array_equal(np.sort(np.ravel_multi_index(at, shape)), np.arange(core.size)):
-        raise FormatError(f"{path}: [core] needs each of the {core.size} cells of [meta] "
-                          "shape exactly once")
-    core[tuple(at)] = value
-    bloggers, x_fac = artifacts.labelled_matrix(*sections["influenced_factors"], path=path)
-    _, y_fac = artifacts.labelled_matrix(*sections["influencer_factors"], bloggers, path)
-    for name, fac, width in zip(("influenced_factors", "influencer_factors"), (x_fac, y_fac),
-                                shape):
-        if fac.shape[1] != width:
-            raise FormatError(f"{path}: [{name}] has width {fac.shape[1]}, "
-                              f"[meta] shape needs {width}")
+    core, _ = artifacts.cell_array(path, sections, "core", *shape)
+    x_fac, (bloggers, _) = artifacts.cell_array(path, sections, "influenced_factors", None,
+                                                shape[0])
+    y_fac, _ = artifacts.cell_array(path, sections, "influencer_factors", bloggers, shape[1])
     return IolapModel(
         core=core,
         influenced_factors=x_fac,
@@ -675,25 +664,22 @@ def read_iolap_model(path: str, topic_model: TopicModel) -> IolapModel:
 
 def write_pcldc_model(model: PcldcModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "popularity": [model.nodes, model.popularity],
-        "memberships": artifacts.matrix_columns(model.nodes, model.memberships),
-        "content_weights": artifacts.matrix_columns(model.terms, model.content_weights),
+        "popularity": artifacts.cell_columns(model.popularity, model.nodes),
+        "memberships": artifacts.cell_columns(model.memberships, model.nodes),
+        "content_weights": artifacts.cell_columns(model.content_weights, model.terms),
     })
 
 
 def read_pcldc_model(path: str) -> PcldcModel:
     sections = artifacts.read_sections(path, {
         "popularity": [str, float],
-        "memberships": artifacts.MATRIX,
-        "content_weights": artifacts.MATRIX,
+        "memberships": [str, int, float],
+        "content_weights": [str, int, float],
     })
-    nodes, popularity = sections["popularity"]
-    nodes = nodes.values()
-    _, memberships = artifacts.labelled_matrix(*sections["memberships"], nodes, path)
-    terms, weights = artifacts.labelled_matrix(*sections["content_weights"], path=path)
-    if weights.shape[1] != memberships.shape[1]:
-        raise FormatError(f"{path}: [content_weights] has width {weights.shape[1]}, "
-                          f"[memberships] width {memberships.shape[1]}")
+    popularity, (nodes,) = artifacts.cell_array(path, sections, "popularity", None)
+    memberships, _ = artifacts.cell_array(path, sections, "memberships", nodes, None)
+    weights, (terms, _) = artifacts.cell_array(path, sections, "content_weights", None,
+                                               memberships.shape[1])
     return PcldcModel(
         popularity=popularity,
         content_weights=weights,
@@ -706,18 +692,17 @@ def read_pcldc_model(path: str) -> PcldcModel:
 
 def write_pcl_model(model: PclModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
-        "popularity": [model.nodes, model.popularity],
-        "memberships": artifacts.matrix_columns(model.nodes, model.memberships),
+        "popularity": artifacts.cell_columns(model.popularity, model.nodes),
+        "memberships": artifacts.cell_columns(model.memberships, model.nodes),
     })
 
 
 def read_pcl_model(path: str) -> PclModel:
     sections = artifacts.read_sections(
-        path, {"popularity": [str, float], "memberships": artifacts.MATRIX}
+        path, {"popularity": [str, float], "memberships": [str, int, float]}
     )
-    nodes, popularity = sections["popularity"]
-    nodes = nodes.values()
-    _, memberships = artifacts.labelled_matrix(*sections["memberships"], nodes, path)
+    popularity, (nodes,) = artifacts.cell_array(path, sections, "popularity", None)
+    memberships, _ = artifacts.cell_array(path, sections, "memberships", nodes, None)
     return PclModel(
         popularity=popularity, memberships=memberships, objective_trace=[], nodes=nodes
     )

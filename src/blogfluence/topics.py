@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from blogfluence import artifacts
-from blogfluence.corpus import FormatError, lexorder
+from blogfluence.corpus import lexorder
 from blogfluence.textvec import PostTerms
 
 DEFAULT_TOL = 1e-7
@@ -151,7 +151,8 @@ def fit_plsa(
     rng = np.random.default_rng(seed)
     n_docs, n_terms = doc_term.n_docs, doc_term.n_terms
     word_topic = rng.dirichlet(np.ones(n_terms), size=n_topics)  # K x V
-    doc_topic = rng.dirichlet(np.ones(n_topics), size=n_docs)  # D x K
+    # K x D: each topic's row is contiguous where the E-step gathers from it.
+    doc_topic = np.ascontiguousarray(rng.dirichlet(np.ones(n_topics), size=n_docs).T)
     # Cut at the first document start (or rows.size) at or after each multiple of PLSA_BLOCK.
     starts = np.flatnonzero(np.diff(rows, prepend=-1, append=n_docs))
     cuts = np.unique(starts[starts.searchsorted(np.r_[0:rows.size:PLSA_BLOCK, rows.size])])
@@ -161,7 +162,7 @@ def fit_plsa(
         # logs = count * log P(w|d) per nonzero; with the (K, V) and (K, D)
         # masses, P(t|d) P(w|t) / P(w|d) * count is added into them.
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            joint = np.take(doc_topic.T, rows[a:b], axis=1)
+            joint = np.take(doc_topic, rows[a:b], axis=1)
             joint *= np.take(word_topic, cols[a:b], axis=1)
             prob = row_sum(joint)
             np.multiply(counts[a:b], np.log(prob), out=logs[a:b])
@@ -182,12 +183,12 @@ def fit_plsa(
         term_mass, doc_mass = np.zeros((n_topics, n_terms)), np.zeros((n_topics, n_docs))
         loglik = em_pass(doc_topic, word_topic, (term_mass, doc_mass))
         trace.append(loglik)
-        # C-contiguous (V, K) and (D, K): numpy sums their columns in row
-        # order, as it sums the scatter_rows layout the fit has always used.
+        # A C-contiguous (V, K): numpy sums its columns in row order, as it
+        # sums the scatter_rows layout the fit has always used.
         term_mass = np.ascontiguousarray(term_mass.T)
         topic_totals = term_mass.sum(axis=0)
         word_topic = (term_mass / np.maximum(topic_totals, 1e-300)).T
-        doc_topic = np.ascontiguousarray(doc_mass.T) / doc_term.doc_totals[:, None]
+        doc_topic = doc_mass / doc_term.doc_totals
         if prev is not None and abs(loglik - prev) <= tol * abs(prev):
             break
         prev = loglik
@@ -197,6 +198,7 @@ def fit_plsa(
     if not np.isfinite(final):
         raise ArithmeticError("non-finite log-likelihood after PLSA fit")
 
+    doc_topic = np.ascontiguousarray(doc_topic.T)  # the model's D x K, summed by column for p_t
     p_t = (doc_term.doc_totals[:, None] * doc_topic).sum(axis=0) / doc_term.doc_totals.sum()
     return TopicModel(
         n_topics=n_topics,
@@ -223,9 +225,8 @@ def top_keywords(model: TopicModel, topic: int, n: int) -> list[str]:
 def write_topic_model(model: TopicModel, path: str, header: str | None = None) -> None:
     artifacts.write_sections(path, header, {
         "meta": [["n_topics"], [model.n_topics]],
-        "p_t": [np.arange(model.n_topics), model.p_t],
-        "p_w_given_t": [np.arange(model.n_topics).repeat(len(model.terms)),
-                        model.terms * model.n_topics, model.p_w_given_t.ravel()],
+        "p_t": artifacts.cell_columns(model.p_t),
+        "p_w_given_t": artifacts.cell_columns(model.p_w_given_t, None, model.terms),
     })
 
 
@@ -235,30 +236,8 @@ def read_topic_model(model_path: str, terms: list[str]) -> TopicModel:
         "meta": {"n_topics": (int,)}, "p_t": [int, float], "p_w_given_t": [int, str, float],
     })
     (n_topics,) = sections["meta"]["n_topics"]
-    (p_t_topic, p_t), (topic, words, values) = sections["p_t"], sections["p_w_given_t"]
-    for name, ks in (("p_t", p_t_topic), ("p_w_given_t", topic)):
-        artifacts.check_indices(model_path, f"[{name}] topic", ks, n_topics)
-    index = {t: i for i, t in enumerate(terms)}
-    for term in words.names:
-        if term not in index:
-            raise FormatError(
-                f"{model_path}: term {term!r} is not in the current vocabulary "
-                f"({len(terms)} terms); was the topic model fitted with another "
-                "vocab_max_size?"
-            )
-    size = n_topics * len(terms)
-    cell = topic * len(terms) + np.array([index[t] for t in words.names], np.int64)[words.codes]
-    if not np.array_equal(np.sort(cell), np.arange(size)):
-        raise FormatError(f"{model_path}: [p_w_given_t] needs each of its {size} "
-                          "(topic, term) cells exactly once")
-    word_topic = np.zeros(size)
-    word_topic[cell] = values
-    word_topic = word_topic.reshape(n_topics, len(terms))
-    if not np.array_equal(np.sort(p_t_topic), np.arange(n_topics)):
-        raise FormatError(f"{model_path}: [p_t] has {np.unique(p_t_topic).size} of the "
-                          f"{n_topics} topics in {p_t_topic.size} rows; it needs each exactly once")
-    prior = np.zeros(n_topics)
-    prior[p_t_topic] = p_t
+    prior, _ = artifacts.cell_array(model_path, sections, "p_t", n_topics)
+    word_topic, _ = artifacts.cell_array(model_path, sections, "p_w_given_t", n_topics, terms)
     return TopicModel(
         n_topics=n_topics,
         p_w_given_t=word_topic,

@@ -805,12 +805,20 @@ def test_tensor_index_out_of_range(tmp_path, old, new, message):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("0\t1\t0\t0.75\n", "0\t2\t0\t0.75\n", "m.tsv: core influencer index 2 is outside [0, 2)"),
-        ("0\t1\t0\t0.75\n", "0\t1\t-1\t0.75\n", "m.tsv: core topic index -1 is outside [0, 1)"),
-        ("ub\t1\t0.1\n", "ub\t-1\t0.1\n", "m.tsv: matrix column -1 is negative"),
+        ("0\t1\t0\t0.75\n", "0\t2\t0\t0.75\n",
+         "m.tsv: [core] needs each of its 1 x 2 x 1 cells exactly once; "
+         "axis 1 index 2 is outside [0, 2)"),
+        ("0\t1\t0\t0.75\n", "0\t1\t-1\t0.75\n",
+         "m.tsv: [core] needs each of its 1 x 2 x 1 cells exactly once; "
+         "axis 2 index -1 is outside [0, 1)"),
+        ("ub\t1\t0.1\n", "ub\t-1\t0.1\n",
+         "m.tsv: [influencer_factors] needs each of its 2 x 2 cells exactly once; "
+         "axis 1 index -1 is outside [0, 2)"),
         # a cell listed twice, none missing from the row count; a shape of no
         # cells, or of other topics than the topic model's
-        ("0\t1\t0\t0.75\n", "0\t0\t0\t0.75\n", "m.tsv: [core] needs each of the 2 cells"),
+        ("0\t1\t0\t0.75\n", "0\t0\t0\t0.75\n",
+         "m.tsv: [core] needs each of its 1 x 2 x 1 cells exactly once; "
+         "it lists 1 of them in 2 rows"),
         ("shape\t1\t2\t1\n", "shape\t0\t2\t1\n", "m.tsv: [meta] shape (0, 2, 1) needs I, J >= 1"),
         ("shape\t1\t2\t1\n", "shape\t1\t2\t2\n",
          "m.tsv: [meta] shape (1, 2, 2) needs I, J >= 1 and K = 1, the topic model's topic count"),
@@ -829,12 +837,21 @@ def test_iolap_index_out_of_range(tmp_path, old, new, message):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("1\talpha\t0.5\n", "5\talpha\t0.5\n", "m.tsv: [p_w_given_t] topic index 5 is outside [0, 2)"),
-        ("1\talpha\t0.5\n", "-1\talpha\t0.5\n", "m.tsv: [p_w_given_t] topic index -1 is outside"),
-        ("1\t0.75\n", "2\t0.75\n", "m.tsv: [p_t] topic index 2 is outside [0, 2)"),
-        ("1\t0.75\n", "", "m.tsv: [p_t] has 1 of the 2 topics"),
+        ("1\talpha\t0.5\n", "5\talpha\t0.5\n",
+         "m.tsv: [p_w_given_t] needs each of its 2 x 2 cells exactly once; "
+         "axis 0 index 5 is outside [0, 2)"),
+        ("1\talpha\t0.5\n", "-1\talpha\t0.5\n",
+         "m.tsv: [p_w_given_t] needs each of its 2 x 2 cells exactly once; "
+         "axis 0 index -1 is outside"),
+        ("1\t0.75\n", "2\t0.75\n",
+         "m.tsv: [p_t] needs each of its 2 cells exactly once; axis 0 index 2 is outside [0, 2)"),
+        ("1\t0.75\n", "", "m.tsv: [p_t] needs each of its 2 cells exactly once; "
+         "it lists 1 of them in 1 rows"),
         ("1\t0.75\n", "1\t0.75\n1\t0.5\n",
-         "m.tsv: [p_t] has 2 of the 2 topics in 3 rows; it needs each exactly once"),
+         "m.tsv: [p_t] needs each of its 2 cells exactly once; it lists 2 of them in 3 rows"),
+        ("1\talpha\t0.5\n", "1\tzeta\t0.5\n",
+         "m.tsv: [p_w_given_t] needs each of its 2 x 2 cells exactly once; "
+         "axis 1 label 'zeta' is not among its 2"),
     ],
 )
 def test_topic_model_index_out_of_range(tmp_path, old, new, message):
@@ -847,21 +864,62 @@ def test_topic_model_index_out_of_range(tmp_path, old, new, message):
 
 
 def test_matrix_rows_must_match_the_given_labels():
-    columns = (Strings.of(["ua", "uz"]), np.array([0, 0]), np.array([0.5, 0.5]))
-    with pytest.raises(FormatError, match="label 'uz' is not among the 2 expected"):
-        artifacts.labelled_matrix(*columns, ["ua", "ub"])
-    labels, matrix = artifacts.labelled_matrix(*columns)
-    assert labels == ["ua", "uz"] and matrix.tolist() == [[0.5], [0.5]]
-    with pytest.raises(FormatError, match="column -1 is negative"):
-        artifacts.labelled_matrix(Strings.of(["ua", "ua"]), np.array([0, -1]),
-                                  np.array([0.5, 0.5]))
+    columns = [Strings.of(["ua", "uz"]), np.array([0, 0]), np.array([0.5, 0.5])]
+    with pytest.raises(FormatError, match="axis 0 label 'uz' is not among its 2"):
+        artifacts.cell_array("m.tsv", {"m": columns}, "m", ["ua", "ub"], None)
+    matrix, labels = artifacts.cell_array("m.tsv", {"m": columns}, "m", None, None)
+    assert labels == [["ua", "uz"], None] and matrix.tolist() == [[0.5], [0.5]]
+    with pytest.raises(FormatError, match=r"axis 1 index -1 is outside \[0, 1\)"):
+        artifacts.cell_array("m.tsv", {"m": [Strings.of(["ua", "ua"]), np.array([0, -1]),
+                                              np.array([0.5, 0.5])]}, "m", None, None)
     # A cell that is missing, or given twice, is refused, not read as 0 or overwritten.
-    once = r"m.tsv: matrix needs each of its 2 x 2 \(row label, column\) cells exactly once"
-    missing = (Strings.of(["ua", "ua", "uz"]), np.array([0, 1, 0]), np.ones(3))
-    repeated = (Strings.of(["ua", "ua", "uz", "uz", "uz"]), np.array([0, 1, 0, 1, 1]), np.ones(5))
+    once = r"m.tsv: \[m\] needs each of its 2 x 2 cells exactly once; it lists (3|4) of them"
+    missing = [Strings.of(["ua", "ua", "uz"]), np.array([0, 1, 0]), np.ones(3)]
+    repeated = [Strings.of(["ua", "ua", "uz", "uz", "uz"]), np.array([0, 1, 0, 1, 1]), np.ones(5)]
     for columns in (missing, repeated):
         with pytest.raises(FormatError, match=once):
-            artifacts.labelled_matrix(*columns, path="m.tsv")
+            artifacts.cell_array("m.tsv", {"m": columns}, "m", None, 2)
+
+
+_LABELS = st.text(alphabet="ab[] \u00e9", max_size=3)
+_CELL_VALUES = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, math.inf, -math.inf])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), shape=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_cells_round_trip_and_refuse_each_damage(tmp_path_factory, data, shape):
+    """An array of 1-3 axes, labelled on any of them, reads back bit for bit
+    with each axis given or taken from the rows; a row deleted or duplicated,
+    an index outside its axis and an unknown label are each refused naming
+    the file, the section and the shape."""
+    labels = [data.draw(st.none() | st.lists(_LABELS, min_size=n, max_size=n, unique=True))
+              for n in shape]
+    array = np.array(data.draw(st.lists(_CELL_VALUES, min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+    path = tmp_path_factory.mktemp("cells") / "c.tsv"
+    artifacts.write_sections(path, "# h", {"a": artifacts.cell_columns(array, *labels)})
+    spec = {"a": [int if names is None else str for names in labels] + [float]}
+    given_axes = [n if names is None else names for n, names in zip(shape, labels)]
+    axes = [data.draw(st.sampled_from([None, axis])) for axis in given_axes]
+    got, got_labels = artifacts.cell_array(path, artifacts.read_sections(path, spec), "a", *axes)
+    assert got.shape == array.shape and got.tobytes() == array.tobytes()
+    assert got_labels == labels
+
+    lines = path.read_text().split("\n")
+    head, rows = lines[:2], lines[2:-1]  # the header and [a] lines, then one row per cell
+    at = data.draw(st.integers(0, len(rows) - 1))
+    fields = rows[at].split("\t")
+    damages = [rows[:at] + rows[at + 1:], rows[:at + 1] + rows[at:]]
+    for axis, names in enumerate(labels):
+        bad = fields[:axis] + ["zz" if names else str(data.draw(st.sampled_from([-1, shape[axis]])))]
+        damages.append(rows[:at] + ["\t".join(bad + fields[axis + 1:])] + rows[at + 1:])
+    refusal = re.escape(f"{path}: [a] needs each of its {' x '.join(map(str, shape))} cells "
+                        "exactly once; ")
+    for damaged in damages:
+        path.write_text("\n".join(head + damaged) + "\n")
+        with pytest.raises(FormatError, match=refusal):
+            artifacts.cell_array(path, artifacts.read_sections(path, spec), "a", *given_axes)
 
 
 # name -> write(artifact whose first row opens with the name, path): each writer

@@ -576,37 +576,45 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, damage, message", [
         # rank_influencer = 3: the factor lacks column 2
         ("iolap_model.tsv", ("influencer_factors", "2"),
-         "[influencer_factors] has width 2, [meta] shape needs 3"),
+         "[influencer_factors] needs each of its 60 x 3 cells exactly once; "
+         "it lists 120 of them in 120 rows"),
         # n_topics = 2 communities: the weights lack column 1
         ("pcldc_model.tsv", ("content_weights", "1"),
-         "[content_weights] has width 1, [memberships] width 2"),
+         "[content_weights] needs each of its 160 x 2 cells exactly once; "
+         "it lists 160 of them in 160 rows"),
         # the [meta] row that iolap models no longer carry
         ("iolap_model.tsv", ("meta", "topics_fixed\t1"),
          "unexpected key 'topics_fixed' in [meta]"),
         # a 2x3x2 core lacks a cell, or holds one twice
         ("iolap_model.tsv", ("core", "delete"),
-         "[core] needs each of the 12 cells of [meta] shape exactly once"),
+         "[core] needs each of its 2 x 3 x 2 cells exactly once; it lists 11 of them in 11 rows"),
         ("iolap_model.tsv", ("core", "duplicate"),
-         "[core] needs each of the 12 cells of [meta] shape exactly once"),
+         "[core] needs each of its 2 x 3 x 2 cells exactly once; it lists 12 of them in 13 rows"),
         # the copy of the topics that iolap models no longer carry
         ("iolap_model.tsv", ("topic_factors", "append"), "unexpected section '[topic_factors]'"),
         # a matrix lacks a cell, or holds one twice: 60 bloggers x 3 influencer groups,
         # 60 bloggers x 2 communities, 2 topics x 160 terms
         ("iolap_model.tsv", ("influencer_factors", "delete"),
-         "matrix needs each of its 60 x 3 (row label, column) cells exactly once"),
+         "[influencer_factors] needs each of its 60 x 3 cells exactly once; "
+         "it lists 179 of them in 179 rows"),
         ("iolap_model.tsv", ("influencer_factors", "duplicate"),
-         "matrix needs each of its 60 x 3 (row label, column) cells exactly once"),
+         "[influencer_factors] needs each of its 60 x 3 cells exactly once; "
+         "it lists 180 of them in 181 rows"),
         ("pcldc_model.tsv", ("memberships", "delete"),
-         "matrix needs each of its 60 x 2 (row label, column) cells exactly once"),
+         "[memberships] needs each of its 60 x 2 cells exactly once; "
+         "it lists 119 of them in 119 rows"),
         ("pcldc_model.tsv", ("memberships", "duplicate"),
-         "matrix needs each of its 60 x 2 (row label, column) cells exactly once"),
+         "[memberships] needs each of its 60 x 2 cells exactly once; "
+         "it lists 120 of them in 121 rows"),
         ("plsa_model.tsv", ("p_w_given_t", "delete"),
-         "[p_w_given_t] needs each of its 320 (topic, term) cells exactly once"),
+         "[p_w_given_t] needs each of its 2 x 160 cells exactly once; "
+         "it lists 319 of them in 319 rows"),
         ("plsa_model.tsv", ("p_w_given_t", "duplicate"),
-         "[p_w_given_t] needs each of its 320 (topic, term) cells exactly once"),
+         "[p_w_given_t] needs each of its 2 x 160 cells exactly once; "
+         "it lists 320 of them in 321 rows"),
         # a topic prior given twice
         ("plsa_model.tsv", ("p_t", "duplicate"),
-         "[p_t] has 2 of the 2 topics in 3 rows; it needs each exactly once"),
+         "[p_t] needs each of its 2 cells exactly once; it lists 2 of them in 3 rows"),
     ], ids=["iolap-factor-width", "pcldc-weights-width", "iolap-topics-fixed",
             "iolap-core-row-deleted", "iolap-core-row-duplicated", "iolap-topic-factors",
             "iolap-factor-row-deleted", "iolap-factor-row-duplicated",

@@ -677,6 +677,26 @@ def test_search_is_searchsorted(a, n, width, integer, seed):
         assert got.tolist() == a.searchsorted(needles, side).tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(owners=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 9)), max_size=40),
+       ip=st.lists(st.integers(0, 40), max_size=60))
+@example(owners=[], ip=[])
+@example(owners=[(3, 1)], ip=[])
+def test_post_keys_readers_match_two_searches(owners, ip):
+    """The owners of each IP as one range per IP code, bit for bit the pairs
+    of a left and a right ``search`` for each needle, for IPs that own no
+    post and IPs past the largest owning one."""
+    post_ip, author = np.array(owners, np.int64).reshape(-1, 2).T
+    keys = corpus.PostKeys(author, np.zeros_like(author), post_ip, 10)
+    ip = np.array(ip, np.int64)
+    which, reader = keys.readers(ip)
+    want_which, pos = corpus.expand_ranges(corpus.search(keys.owner_ip, ip),
+                                           corpus.search(keys.owner_ip, ip, "right"))
+    want_reader = keys.owners[pos] % 10
+    for got, want in ((which, want_which), (reader, want_reader)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_only_lexorder_sorts_by_several_keys():
     """Every multi-key sort and every stable sort of integers in the package
     goes through ``corpus.lexorder``, so the package keeps one sort path.

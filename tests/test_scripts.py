@@ -7,7 +7,9 @@ import re
 import sys
 from types import SimpleNamespace
 
-from conftest import load_script
+from blogfluence import cli
+
+from conftest import SCRIPTS, load_script
 from test_acceptance import PIPELINE_CONFIG, PIPELINE_STAGES
 
 
@@ -71,3 +73,13 @@ def test_stage_memory(monkeypatch, capsys, tmp_path):
     code, _, minflt, _ = stage_memory.run_stage(argv, False)
     assert (code, minflt) == (0, 7)
     assert (tmp_path / "out" / "recall.tsv").is_file()
+
+
+def test_large_config_is_the_north_stars_scale():
+    """``scripts/large.cfg`` loads, at 1000 bloggers, 30 days, a 2000-term
+    vocab and 8 topics, with the benchmark's model shape and iteration caps."""
+    cfg = cli.load_config(str(SCRIPTS / "large.cfg"), {})
+    assert (cfg.synth.n_bloggers, cfg.synth.n_days, cfg.synth.vocab_size, cfg.vocab_max_size,
+            cfg.n_topics, cfg.synth.n_topics) == (1000, 30, 2000, 2000, 8, 8)
+    assert (cfg.rank_influenced, cfg.rank_influencer, cfg.top_n, cfg.plsa_max_iter,
+            cfg.iolap_max_iter, cfg.pcldc_max_iter, cfg.pcl_max_iter) == (8, 8, 10, 60, 60, 20, 60)

@@ -290,6 +290,75 @@ def test_fit_plsa_keeps_every_float_with_documents_longer_than_a_block(n_topics,
     assert model.loglik_trace == trace
 
 
+def fit_plsa_doc_major(doc_term, n_topics, max_iter, tol, seed):
+    """The blocked EM loop as ``fit_plsa`` ran it while its document-topic
+    array was (D, K), gathered through the (K, D) view of its transpose; the
+    oracle of the K-major fit."""
+    rng = np.random.default_rng(seed)
+    n_docs, n_terms = doc_term.n_docs, doc_term.n_terms
+    word_topic = rng.dirichlet(np.ones(n_terms), size=n_topics)
+    doc_topic = rng.dirichlet(np.ones(n_topics), size=n_docs)
+    rows, cols, counts = doc_term.rows, doc_term.cols, doc_term.counts
+    starts = np.flatnonzero(np.diff(rows, prepend=-1, append=n_docs))
+    cuts = np.unique(starts[starts.searchsorted(np.r_[0:rows.size:topics.PLSA_BLOCK, rows.size])])
+    logs = np.empty(rows.size)
+
+    def em_pass(doc_topic, word_topic, masses=()):
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            joint = np.take(doc_topic.T, rows[a:b], axis=1)
+            joint *= np.take(word_topic, cols[a:b], axis=1)
+            prob = row_sum(joint)
+            np.multiply(counts[a:b], np.log(prob), out=logs[a:b])
+            if masses:
+                joint *= counts[a:b] / prob
+                lo, hi = rows[a], rows[b - 1] + 1
+                for k in range(n_topics):
+                    np.add.at(masses[0][k], cols[a:b], joint[k])
+                    masses[1][k, lo:hi] = np.bincount(rows[a:b] - lo, joint[k], hi - lo)
+        return float(logs.sum())
+
+    trace, prev = [], None
+    for _ in range(max_iter):
+        term_mass, doc_mass = np.zeros((n_topics, n_terms)), np.zeros((n_topics, n_docs))
+        loglik = em_pass(doc_topic, word_topic, (term_mass, doc_mass))
+        trace.append(loglik)
+        term_mass = np.ascontiguousarray(term_mass.T)
+        word_topic = (term_mass / np.maximum(term_mass.sum(axis=0), 1e-300)).T
+        doc_topic = np.ascontiguousarray(doc_mass.T) / doc_term.doc_totals[:, None]
+        if prev is not None and abs(loglik - prev) <= tol * abs(prev):
+            break
+        prev = loglik
+    trace.append(em_pass(doc_topic, word_topic))
+    p_t = (doc_term.doc_totals[:, None] * doc_topic).sum(axis=0) / doc_term.doc_totals.sum()
+    return word_topic, p_t, doc_topic, trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_topics=st.sampled_from([1, 2, 3, 8, 9, 17, 129]),
+    seed=st.integers(0, 2**32 - 1),
+    extra_docs=st.integers(0, 30),
+    n_terms=st.integers(1, 40),
+    max_iter=st.integers(1, 5),
+    tol=st.sampled_from([0.0, 1e-7, 1e-2]),
+    block=st.sampled_from([1, 7, PLSA_BLOCK]),
+)
+def test_fit_plsa_k_major_is_bit_identical_to_the_doc_major_loop(n_topics, seed, extra_docs,
+                                                                n_terms, max_iter, tol, block):
+    """The trace, both matrices and ``p_t`` of the K-major fit, bit for bit,
+    and ``p_t_given_d`` a C-ordered (D, K) array, as it was."""
+    dt = _ragged_doc_term(seed, n_topics + extra_docs, n_terms, min(n_terms, 12))
+    with mock.patch.object(topics, "PLSA_BLOCK", block):
+        model = fit_plsa(dt, n_topics, [f"w{i}" for i in range(n_terms)], max_iter=max_iter,
+                         tol=tol, seed=seed)
+        word_topic, p_t, doc_topic, trace = fit_plsa_doc_major(dt, n_topics, max_iter, tol, seed)
+    assert model.loglik_trace == trace
+    assert model.p_w_given_t.tobytes() == word_topic.tobytes()
+    assert model.p_t.tobytes() == p_t.tobytes()
+    assert model.p_t_given_d.flags.c_contiguous and model.p_t_given_d.shape == doc_topic.shape
+    assert model.p_t_given_d.tobytes() == doc_topic.tobytes()
+
+
 def test_fit_plsa_refuses_nonzeros_out_of_document_order():
     dt = _random_doc_term(3, 6, 10, 0.5)
     order = np.argsort(dt.cols, kind="stable")
