@@ -12,9 +12,11 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # also when loaded by its path
 
 from blogfluence.pipeline import run_detection
-from blogfluence.synth import SynthConfig, generate
+from blogfluence.synth import generate
+from run_planted_detection import detection_config
 
 
 def main() -> int:
@@ -28,18 +30,9 @@ def main() -> int:
     print("seed\tposts\tlinks\tz1_fwd\tz1_rev\texceed\tseconds")
     for seed in range(args.seeds):
         start = time.perf_counter()
-        corpus, _ = generate(
-            SynthConfig(
-                n_bloggers=args.bloggers,
-                n_days=args.days,
-                posts_per_blogger_rate=1.05,
-                reads_per_post_rate=5.0,
-                copy_prob=0.0,
-                vocab_size=400,
-                seed=seed,
-            )
-        )
-        result = run_detection(corpus, vocab_max_size=400, seed=seed)
+        cfg = detection_config(0.0, seed, args.bloggers, args.days)
+        corpus, _ = generate(cfg.synth)
+        result = run_detection(corpus, cfg)
         hits = sum(abs(b.z) > 2.576 for b in result.forward_report.available())
         exceed += hits
         available += len(result.forward_report.available())

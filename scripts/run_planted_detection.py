@@ -15,8 +15,26 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from blogfluence.pipeline import run_detection
+from blogfluence.pipeline import PipelineConfig, run_detection
 from blogfluence.synth import SynthConfig, generate
+
+
+def detection_config(copy_prob: float, seed: int, n_bloggers: int = 260,
+                     n_days: int = 20) -> PipelineConfig:
+    """The corpus and the detection settings of acceptance criteria c01-c03
+    at ``copy_prob``: 260 bloggers over 20 days, a 400-term vocabulary."""
+    corpus_cfg = SynthConfig(
+        n_bloggers=n_bloggers,
+        n_days=n_days,
+        posts_per_blogger_rate=1.05,
+        reads_per_post_rate=5.0,
+        copy_prob=copy_prob,
+        copy_fraction=0.45,
+        vocab_size=400,
+        tokens_per_post=40,
+        seed=seed,
+    )
+    return PipelineConfig(vocab_max_size=400, seed=seed, synth=corpus_cfg)
 
 
 def main() -> int:
@@ -30,19 +48,9 @@ def main() -> int:
     print("rate\tseed\tz1_fwd\tz1_rev\tprecision\trecall\tbase_prec\tbase_rec")
     for rate in (float(r) for r in args.rates.split(",")):
         for seed in range(args.seeds):
-            corpus, truth = generate(
-                SynthConfig(
-                    n_bloggers=args.bloggers,
-                    n_days=args.days,
-                    posts_per_blogger_rate=1.05,
-                    reads_per_post_rate=5.0,
-                    copy_prob=rate,
-                    copy_fraction=0.45,
-                    vocab_size=400,
-                    seed=seed,
-                )
-            )
-            result = run_detection(corpus, vocab_max_size=400, seed=seed)
+            cfg = detection_config(rate, seed, args.bloggers, args.days)
+            corpus, truth = generate(cfg.synth)
+            result = run_detection(corpus, cfg)
             implicit_pairs = [(l.q, l.p) for l in result.implicit.links]
             extracted = {(l.q, l.p) for l in result.influence.links}
             rng = np.random.default_rng([seed, 99])

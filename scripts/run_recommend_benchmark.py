@@ -48,7 +48,7 @@ def recommendation_config(seed: int, top_n: int = 10) -> PipelineConfig:
 def run_seed(seed: int, top_n: int) -> dict[str, float]:
     cfg = recommendation_config(seed, top_n)
     corpus, _ = generate(cfg.synth)
-    result = run_detection(corpus, vocab_max_size=cfg.vocab_max_size, seed=seed)
+    result = run_detection(corpus, cfg)
     recall, _ = recommendation_recall(result, cfg)
     return recall
 

@@ -46,9 +46,6 @@ from blogfluence.textvec import PostTerms
 # Normal-approximation critical values at p = 0.01.
 Z_ONE_SIDED = 2.326
 Z_TWO_SIDED = 2.576
-DEFAULT_MIN_BUCKET_N = 30
-DEFAULT_MIN_TOKENS = 10
-DEFAULT_TAU_HOURS = 2
 ZREPORT_COLUMNS = ("bucket", "n", "heads", "xbar", "sigma", "z", "flag")
 
 
@@ -58,11 +55,7 @@ ZREPORT_COLUMNS = ("bucket", "n", "heads", "xbar", "sigma", "z", "flag")
 _SIMILARITY_BLOCK = 32
 
 
-def annotate_similarity(
-    links: Links,
-    terms: PostTerms,
-    min_tokens: int = DEFAULT_MIN_TOKENS,
-) -> int:
+def annotate_similarity(links: Links, terms: PostTerms, min_tokens: int) -> int:
     """Fill the similarity column: cosine similarity of the two posts'
     counts where both posts kept at least ``min_tokens`` tokens of the
     vocabulary of ``terms``, NaN elsewhere.
@@ -279,29 +272,20 @@ def _anchored_z_test(
                      distinct(code).size - n_series)
 
 
-def forward_z_test(
-    net: ImplicitNetwork,
-    rng: np.random.Generator,
-    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
-    *,
-    runs: tuple | None = None,
-) -> ZReport:
+def forward_z_test(net: ImplicitNetwork, rng: np.random.Generator, min_bucket_n: int, *,
+                   runs: tuple | None = None) -> ZReport:
     """The test anchored by q; ``runs``, if given, are q's ``anchor_runs``."""
     return _anchored_z_test(net, net.links.q, rng, min_bucket_n, runs)
 
 
-def reversed_z_test(
-    net: ImplicitNetwork,
-    rng: np.random.Generator,
-    min_bucket_n: int = DEFAULT_MIN_BUCKET_N,
-) -> ZReport:
+def reversed_z_test(net: ImplicitNetwork, rng: np.random.Generator, min_bucket_n: int) -> ZReport:
     return _anchored_z_test(net, net.links.p, rng, min_bucket_n)
 
 
 # --------------------------------------------------------------------------
 # influence extraction
 
-def extract_influence(net: ImplicitNetwork, tau_hours: int = DEFAULT_TAU_HOURS, *,
+def extract_influence(net: ImplicitNetwork, tau_hours: int, *,
                       runs: tuple | None = None) -> ImplicitNetwork:
     """Keep (q, p) iff gap <= tau and similarity strictly above q's median.
 

@@ -14,12 +14,14 @@ write its inputs) and the seed, so that one comparison checks all four.
 ``ingest`` reads raw logs, which carry no header.  The body writes its
 artifacts under its own header and returns the summary ``main`` prints.
 
-``links`` is the one stage that scores links: it builds them from
-``activity.tsv``, fills their similarity from ``post_terms.tsv`` and writes
-both to ``links.tsv``, one row per link in ``influence.tsv``'s plain form,
-which ``causality`` and ``influence`` read as is.  Each model stage hands
-its inputs and the config to its function in ``pipeline``, which
-``recommendation_recall`` chains in memory in the same order.
+``links`` and ``causality`` run detection's steps in ``pipeline``, as
+``run_detection`` does in memory: ``links`` scores the links of
+``activity.tsv`` against ``post_terms.tsv`` (``pipeline.score_links``) and
+writes them to ``links.tsv``, one row per link in ``influence.tsv``'s plain
+form, which ``causality`` (``pipeline.z_tests``) and ``influence`` read as
+is.  Each model stage hands its inputs and the config to its function in
+``pipeline``, which ``recommendation_recall`` chains in memory in the same
+order.
 Configuration comes from flat ``key = value`` files ("synth." keys reach
 the generator); command-line flags override file values.  Re-running a
 subcommand with unchanged inputs and seed reproduces its outputs byte
@@ -61,7 +63,7 @@ from blogfluence.corpus import (
     parse_access_log,
     parse_content_file,
 )
-from blogfluence.pipeline import STAGE_SEED, ConfigError, PipelineConfig, build_vectors
+from blogfluence.pipeline import ConfigError, PipelineConfig, build_vectors
 from blogfluence.textvec import PostTerms
 
 
@@ -198,8 +200,7 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
     if [url for url, _ in terms.posts] != activity.urls:
         raise FormatError(f"{_path(cfg, 'post_terms.tsv')}: [posts] urls differ from the "
                           f"{len(activity.urls)} post urls of activity.tsv")
-    net = implicit.build_implicit_links(activity, cfg.window_hours)
-    causality.annotate_similarity(net.links, terms, cfg.min_tokens)
+    net = pipeline.score_links(activity, terms, cfg)
     implicit.write_links_tsv(net.links, _path(cfg, "links.tsv"), header)
     hist = implicit.gap_histogram(net)
     artifacts.write_rows(_path(cfg, "gap_hist.tsv"), header, [range(1, len(hist) + 1), hist],
@@ -210,9 +211,7 @@ def cmd_links(cfg: PipelineConfig, args, header: str) -> str:
 
 def cmd_causality(cfg: PipelineConfig, args, header: str) -> str:
     net, n_scored = _read_links(cfg)
-    rng = np.random.default_rng([cfg.seed, STAGE_SEED["causality"]])
-    forward = causality.forward_z_test(net, rng, cfg.min_bucket_n)
-    reversed_ = causality.reversed_z_test(net, rng, cfg.min_bucket_n)
+    forward, reversed_ = pipeline.z_tests(net, cfg)
     causality.write_zreport_tsv(forward, _path(cfg, "zreport_forward.tsv"), header)
     causality.write_zreport_tsv(reversed_, _path(cfg, "zreport_reversed.tsv"), header)
     sig_f = [b.bucket for b in forward.available() if b.one_sided_significant]
@@ -347,7 +346,7 @@ def cmd_eval(cfg: PipelineConfig, args, header: str) -> str:
     rows, summary = [], []
     for method, recommender in _recommenders(cfg).items():
         try:
-            curve = pipeline.recall_curve(split, recommender, cfg)
+            curve = analysis.recall_curve(split, recommender, cfg.top_n)
         except analysis.UnknownMember as exc:  # from <method>_model.tsv: tg looks no member up
             raise FormatError(f"{_path(cfg, f'{method}_model.tsv')}: {exc.args[0]}") from None
         rows.extend((method, n, value) for n, value in enumerate(curve, 1))

@@ -37,9 +37,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-DEFAULT_TZ_OFFSET_HOURS = 9
-
-
 class IngestError(ValueError):
     """The input stream could not be read at all."""
 
@@ -549,9 +546,7 @@ class HistogramReport:
     n_bloggers: int
 
 
-def activity_histograms(
-    activity: Activity, tz_offset_hours: int = DEFAULT_TZ_OFFSET_HOURS
-) -> HistogramReport:
+def activity_histograms(activity: Activity, tz_offset_hours: int) -> HistogramReport:
     """Hour-of-day and day-of-week activity counts plus per-blogger stats.
     Day 0 of the epoch, 1970-01-01, was a Thursday: weekday 3."""
     local = [ts + tz_offset_hours * 3600 for ts in (activity.posts[:, 1], activity.accesses[:, 2])]

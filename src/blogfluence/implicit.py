@@ -28,9 +28,6 @@ from blogfluence import artifacts
 from blogfluence.corpus import (
     Activity, FormatError, PostKeys, Strings, distinct, expand_ranges, lexorder)
 
-DEFAULT_WINDOW_HOURS = 12
-
-
 class ImplicitLink(NamedTuple):
     """One row of a ``Links`` table, as iterating the table yields it."""
 
@@ -122,8 +119,7 @@ def summarize_links(links: Links, window_hours: int) -> ImplicitNetwork:
                            distinct(links.reader * len(links.bloggers) + links.author).size)
 
 
-def build_implicit_links(activity: Activity,
-                         window_hours: int = DEFAULT_WINDOW_HOURS) -> ImplicitNetwork:
+def build_implicit_links(activity: Activity, window_hours: int) -> ImplicitNetwork:
     """Pair every access with the reader's posts that follow it.
 
     For each access from an IP owned by blogger A to a post p by B != A,
@@ -187,7 +183,7 @@ def write_links_tsv(links: Links, path: str, header: str | None = None) -> None:
     ], _LINK_COLUMNS)
 
 
-def read_links_tsv(path: str, window_hours: int = DEFAULT_WINDOW_HOURS,
+def read_links_tsv(path: str, window_hours: int,
                    posts: Collection[str] | None = None) -> ImplicitNetwork:
     """The network of a file written by ``write_links_tsv``.
 

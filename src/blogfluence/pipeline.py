@@ -1,23 +1,26 @@
 """In-memory composition of the pipeline, shared by the CLI, the
 experiment scripts and the test suite so every entry point agrees on it.
 
-``PipelineConfig`` holds a run's settings.  Detection cleans the corpus's
-accesses into one ``Activity`` table, counts the posts' terms (capped to
-the vocabulary once, as they are counted), builds the implicit ``Links``
-table, fills its similarity column as the CLI's ``links`` stage does,
-runs the forward and reversed bucket tests, and extracts the influence
-network; the forward test and the extraction share q's anchor runs.
+``PipelineConfig`` holds a run's settings, and it is the one place where a
+detection setting has a default.  Detection cleans the corpus's accesses
+into one ``Activity`` table and counts the posts' terms (``build_vectors``,
+capped to the vocabulary once); ``score_links`` builds the implicit
+``Links`` table and fills its similarity column, and ``z_tests`` runs the
+forward and then the reversed bucket test on the causality stage's one
+random stream.  The CLI's ``links`` and ``causality`` stages call these
+two between artifact reads and writes; ``run_detection`` chains the steps
+in memory and extracts the influence network, the forward test and the
+extraction sharing q's anchor runs.
 Each model stage is one function of its inputs and the config
 (``fit_topics``, ``split_edges``, ``fit_iolap``, ``fit_pcldc``,
-``fit_pcl``, ``recall_curve``) that owns its seed and the keys it passes
-to its fit.  The CLI's stage bodies call them between artifact reads and
-writes; ``recommendation_recall`` chains them in the CLI's order.
+``fit_pcl``) that owns its seed and the keys it passes to its fit.
+``recommendation_recall`` chains them in the CLI's order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -102,30 +105,35 @@ class DetectionResult:
     influence: ImplicitNetwork  # its window is tau
 
 
-def run_detection(
-    corpus: Corpus,
-    *,
-    window_hours: int = 12,
-    tau_hours: int = 2,
-    vocab_max_size: int = 2000,
-    min_tokens: int = 10,
-    min_bucket_n: int = 30,
-    seed: int = 0,
-) -> DetectionResult:
-    """Run cleaning through influence extraction on a parsed corpus.
+def score_links(activity: Activity, terms: PostTerms, cfg: PipelineConfig) -> ImplicitNetwork:
+    """The implicit links of ``activity``, their similarity filled from ``terms``."""
+    net = build_implicit_links(activity, cfg.window_hours)
+    annotate_similarity(net.links, terms, cfg.min_tokens)
+    return net
 
-    All randomness (coin tie faces) comes from one generator derived from
-    ``seed``, so a run is bit-reproducible.
-    """
-    cleaned, _ = clean_accesses(corpus, window_hours)
-    terms = build_vectors(corpus).capped(vocab_max_size)
-    net = build_implicit_links(cleaned, window_hours)
-    annotate_similarity(net.links, terms, min_tokens)
-    rng = np.random.default_rng([seed, STAGE_SEED["causality"]])
+
+def z_tests(net: ImplicitNetwork, cfg: PipelineConfig,
+            runs: tuple | None = None) -> tuple[ZReport, ZReport]:
+    """The forward and then the reversed test of ``net``, both drawing their
+    coin ties from one generator derived from ``cfg.seed``; ``runs``, if
+    given, are q's ``anchor_runs``."""
+    rng = np.random.default_rng([cfg.seed, STAGE_SEED["causality"]])
+    forward = forward_z_test(net, rng, cfg.min_bucket_n, runs=runs)
+    return forward, reversed_z_test(net, rng, cfg.min_bucket_n)
+
+
+def run_detection(corpus: Corpus, cfg: PipelineConfig | None = None,
+                  **changes) -> DetectionResult:
+    """Run cleaning through influence extraction on a parsed corpus, under
+    ``cfg`` (the defaults of ``PipelineConfig`` if None) with the fields
+    named in ``changes`` replaced.  A run is bit-reproducible."""
+    cfg = replace(cfg or PipelineConfig(), **changes)
+    cleaned, _ = clean_accesses(corpus, cfg.window_hours)
+    terms = build_vectors(corpus).capped(cfg.vocab_max_size)
+    net = score_links(cleaned, terms, cfg)
     runs = anchor_runs(net.links, net.links.q)  # for the forward test and the extraction
-    forward = forward_z_test(net, rng, min_bucket_n, runs=runs)
-    reversed_ = reversed_z_test(net, rng, min_bucket_n)
-    influence = extract_influence(net, tau_hours, runs=runs)
+    forward, reversed_ = z_tests(net, cfg, runs)
+    influence = extract_influence(net, cfg.tau_hours, runs=runs)
     return DetectionResult(cleaned, terms, net, forward, reversed_, influence)
 
 
@@ -183,12 +191,6 @@ def fit_pcl(links: implicit.Links, cfg: PipelineConfig) -> factor.PclModel:
                           tol=cfg.tol, seed=[cfg.seed, STAGE_SEED["pcl"]])
 
 
-def recall_curve(split: analysis.TrainTestSplit, recommender: analysis.Recommender,
-                 cfg: PipelineConfig) -> list[float]:
-    """recall@1..``cfg.top_n`` of ``recommender`` over ``split``'s test pairs."""
-    return analysis.recall_curve(split, recommender, cfg.top_n)
-
-
 def recommendation_recall(
     result: DetectionResult, cfg: PipelineConfig
 ) -> tuple[dict[str, float], list[list[float]]]:
@@ -203,6 +205,7 @@ def recommendation_recall(
     iolap = fit_iolap(factor.build_influence_tensor(links, terms), topic_model, cfg)
     pcldc, pcl = fit_pcldc(links, terms, cfg), fit_pcl(links, cfg)
     methods = analysis.recommenders(iolap, topic_model, pcldc, pcl)
-    recall = {name: recall_curve(split, rec, cfg)[-1] for name, rec in methods.items()}
+    recall = {name: analysis.recall_curve(split, rec, cfg.top_n)[-1]
+              for name, rec in methods.items()}
     return recall, [topic_model.loglik_trace, iolap.loglik_trace, pcldc.objective_trace,
                     pcl.objective_trace]

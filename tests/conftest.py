@@ -392,8 +392,7 @@ def build_coin_series(net, rng, anchor_side="q"):
     return series, distinct(code).size - len(series)
 
 
-def z_test(series, window_hours=12, min_bucket_n=causality.DEFAULT_MIN_BUCKET_N,
-           n_skipped_anchors=0):
+def z_test(series, *, min_bucket_n, window_hours=12, n_skipped_anchors=0):
     """Pool the coins of ``series`` per bucket and z-test each bucket, as
     ``causality._z_report`` does for the two z-tests."""
     series = list(series)

@@ -27,7 +27,7 @@ from blogfluence.factor import (
     topic_factors_from_model,
 )
 from blogfluence.pipeline import PipelineConfig, recommendation_recall, run_detection
-from blogfluence.synth import SynthConfig, generate
+from blogfluence.synth import generate
 from blogfluence.topics import fit_plsa
 
 from conftest import (
@@ -49,18 +49,9 @@ def _monotone(trace, tol=1e-9):
     return bool(np.all(np.diff(trace) >= -tol * np.abs(trace[:-1])))
 
 
-def _detection_config(rho, seed):
-    return SynthConfig(
-        n_bloggers=260,
-        n_days=20,
-        posts_per_blogger_rate=1.05,
-        reads_per_post_rate=5.0,
-        copy_prob=rho,
-        copy_fraction=0.45,
-        vocab_size=400,
-        tokens_per_post=40,
-        seed=seed,
-    )
+# c01-c03's corpus and detection settings, defined once in the planted
+# detection script.
+_detection_config = load_script("run_planted_detection").detection_config
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +59,9 @@ def null_runs():
     runs = []
     for seed in range(N_SEEDS):
         start = time.perf_counter()
-        corpus, _ = generate(_detection_config(0.0, seed))
-        result = run_detection(corpus, vocab_max_size=400, seed=seed)
+        cfg = _detection_config(0.0, seed)
+        corpus, _ = generate(cfg.synth)
+        result = run_detection(corpus, cfg)
         runs.append(
             {
                 "n_posts": len(corpus.posts),
@@ -85,8 +77,9 @@ def planted_runs():
     runs = []
     for seed in range(N_SEEDS):
         start = time.perf_counter()
-        corpus, truth = generate(_detection_config(0.3, seed))
-        result = run_detection(corpus, vocab_max_size=400, seed=seed)
+        cfg = _detection_config(0.3, seed)
+        corpus, truth = generate(cfg.synth)
+        result = run_detection(corpus, cfg)
         runs.append(
             {
                 "seed": seed,
@@ -144,7 +137,7 @@ def test_c03_extraction_beats_random_half_baseline(planted_runs):
 
 def test_c04_z_arithmetic():
     coins = [(1, True)] * 5100 + [(1, False)] * 4900
-    report = z_test([CoinSeries("anchor", coins, 0.5)])
+    report = z_test([CoinSeries("anchor", coins, 0.5)], min_bucket_n=30)
     assert report.buckets[0].z == pytest.approx(2.0004, abs=1e-3)
     _ok(4, f"z arithmetic (z = {report.buckets[0].z:.6f})")
 
@@ -362,7 +355,7 @@ def recommendation_runs():
         start = time.perf_counter()
         cfg = _recommendation_config(seed)
         corpus, _ = generate(cfg.synth)
-        result = run_detection(corpus, vocab_max_size=cfg.vocab_max_size, seed=seed)
+        result = run_detection(corpus, cfg)
         recall, traces = recommendation_recall(result, cfg)
         runs.append(
             {

@@ -178,7 +178,7 @@ CASES = {
         "/ua/q1\t/ub/p1\tua\tub\t600\t0.8\n/ub/q2\t/ua/p1\tub\tua\t7200\t0.6\n",
     ),
     "links": (
-        LINKS, write_links_tsv, lambda p: read_links_tsv(p).links,
+        LINKS, write_links_tsv, lambda p: read_links_tsv(p, 12).links,
         "# h\nq\tp\treader\tauthor\tgap_seconds\tsimilarity\n"
         "/ua/q1\t/ub/p1\tua\tub\t600\tnan\n/ua/q1\t/uc/p3\tua\tuc\t3601\tnan\n",
     ),
@@ -470,7 +470,7 @@ def test_links_codec_round_trip(rows, chunk, tmp_path_factory):
     write_links_tsv(links_table(rows), path, "# h")
     text = path.read_bytes()
     with patch.object(artifacts, "_PARSE_CHUNK", chunk):  # a few rows per chunk
-        links = read_links_tsv(path)
+        links = read_links_tsv(path, 12)
     assert [tuple(link) for link in links.links] == rows
     write_links_tsv(links.links, path, "# h")
     assert path.read_bytes() == text
@@ -526,7 +526,7 @@ def test_reading_links_peak_memory_per_link(tmp_path):
     write_links_tsv(links, path, "# h")
     tracemalloc.start()
     try:
-        net = read_links_tsv(path)
+        net = read_links_tsv(path, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -781,7 +781,7 @@ def test_malformed_row_names_file_and_line(tmp_path, old, new, message):
     write_links_tsv(LINKS, path, "# h")
     path.write_text(path.read_text().replace(old, new))
     with pytest.raises(FormatError) as info:
-        read_links_tsv(path)
+        read_links_tsv(path, 12)
     assert message in str(info.value)
 
 

@@ -95,12 +95,12 @@ class TestMakeCoins:
 class TestZTest:
     def test_half_heads_gives_zero(self):
         series = CoinSeries("q", [(1, True)] * 50 + [(1, False)] * 50, 0.5)
-        report = z_test([series])
+        report = z_test([series], min_bucket_n=30)
         assert report.buckets[0].z == pytest.approx(0.0)
 
     def test_arithmetic_example(self):
         coins = [(1, True)] * 5100 + [(1, False)] * 4900
-        report = z_test([CoinSeries("q", coins, 0.5)])
+        report = z_test([CoinSeries("q", coins, 0.5)], min_bucket_n=30)
         bucket = report.buckets[0]
         assert bucket.xbar == pytest.approx(0.51)
         assert bucket.sigma == pytest.approx(math.sqrt(0.51 * 0.49))
@@ -123,7 +123,7 @@ class TestZTest:
             med = s.median_sim
             n_ties += sum(1 for x in sims if x == med)
             series.append(s)
-        report = z_test(series)
+        report = z_test(series, min_bucket_n=30)
         total = sum(b.n for b in report.buckets if b.n)
         heads = sum(b.heads for b in report.buckets if b.n)
         assert abs(heads - total / 2) <= n_ties
@@ -273,7 +273,7 @@ class TestAnnotateSimilarity:
         assert annotate_similarity(links, post_terms(vectors, 3), min_tokens=3) == 2
         assert links.similarity[0] > 1 and np.isnan(links.similarity[1])
         write_links_tsv(links, tmp_path / "l.tsv", "# h")
-        again = read_links_tsv(tmp_path / "l.tsv").links
+        again = read_links_tsv(tmp_path / "l.tsv", 12).links
         assert list(again) == list(links)
         assert again.similarity.tobytes() == links.similarity.tobytes()
 

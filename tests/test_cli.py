@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import re
 import shutil
@@ -959,3 +960,24 @@ def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path, monkeypatc
     assert (a4.content_path, a4.access_path, a4.seed, a4.rank) == (None, None, None, None)
     assert (last.top_n, last.seed, a5.top_n) == (4, 0, 4)
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_pipeline_config_alone_holds_detection_defaults():
+    """No function of the package defaults a detection setting, so each is
+    set in ``PipelineConfig`` and passed on; and ``pipeline`` alone names
+    the stage seeds."""
+    settings = {"window_hours", "tau_hours", "min_tokens", "min_bucket_n", "tz_offset_hours",
+                "vocab_max_size"}
+    defaulted, seeded = [], []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        seeded += [path.name] if "STAGE_SEED" in text else []
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                defaulted += [(path.name, a.arg) for a in named if a.arg in settings]
+    assert defaulted == []
+    assert seeded == ["pipeline.py"]

@@ -573,14 +573,14 @@ class TestHistograms:
     def test_per_blogger_stats(self):
         posts = [make_post("u1", i, BASE_TS + i * 3600) for i in range(3)]
         posts += [make_post("u2", i, BASE_TS + i * 3600) for i in range(7)]
-        report = activity_histograms(make_activity(posts))
+        report = activity_histograms(make_activity(posts), tz_offset_hours=9)
         assert report.posts_per_blogger_mean == 5.0
         assert report.posts_per_blogger_median == 5.0
 
     def test_totals_match_records(self):
         corpus, _ = generate(SynthConfig(n_bloggers=25, n_days=5, seed=3))
         cleaned, _ = clean_accesses(corpus, 12)
-        report = activity_histograms(cleaned)
+        report = activity_histograms(cleaned, tz_offset_hours=9)
         assert sum(report.posts_by_hour) == len(corpus.posts)
         assert sum(report.posts_by_weekday) == len(corpus.posts)
         assert sum(report.accesses_by_hour) == len(cleaned.accesses)

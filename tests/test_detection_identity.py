@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from blogfluence import causality, pipeline
 from blogfluence.analysis import split_train_test
-from blogfluence.cli import main
+from blogfluence.cli import load_config, main
 from blogfluence.corpus import (
     Corpus,
     format_apache_ts,
@@ -39,7 +39,7 @@ from blogfluence.corpus import (
 from blogfluence.causality import annotate_similarity, extract_influence
 from blogfluence.factor import blogger_content_matrix, build_influence_tensor
 from blogfluence.implicit import (
-    build_implicit_links, link_posts, read_links_tsv, summarize_links)
+    build_implicit_links, link_posts, read_links_tsv, summarize_links, write_links_tsv)
 from blogfluence.pipeline import run_detection
 from blogfluence.synth import SynthConfig, generate
 from blogfluence.topics import build_doc_term
@@ -60,6 +60,7 @@ from conftest import (
     generate_per_record,
     ip_to_bloggers,
     links_table,
+    load_script,
     make_access,
     make_coins,
     make_corpus,
@@ -74,23 +75,12 @@ from conftest import (
 from test_acceptance import PIPELINE_CONFIG, PIPELINE_STAGES
 
 
-def _detection_config(rho, seed):
-    # The c01/c02 scale of tests/test_acceptance.py.
-    return SynthConfig(
-        n_bloggers=260,
-        n_days=20,
-        posts_per_blogger_rate=1.05,
-        reads_per_post_rate=5.0,
-        copy_prob=rho,
-        copy_fraction=0.45,
-        vocab_size=400,
-        tokens_per_post=40,
-        seed=seed,
-    )
+# The c01/c02 scale, as the acceptance tests and the detection scripts run it.
+_detection_config = load_script("run_planted_detection").detection_config
 
 
 SYNTH_CONFIGS = {
-    "detect_planted": _detection_config(0.3, 5),
+    "detect_planted": _detection_config(0.3, 5).synth,
     "experts": SynthConfig(
         n_bloggers=80, n_days=8, n_topics=3, vocab_size=150, n_groups=2,
         experts_per_group_topic=2, experts_read_per_member=1, copy_prob=0.4, seed=11,
@@ -301,7 +291,7 @@ def test_run_detection_digest(kind, planted_corpus):
     if kind == "planted":
         corpus, seed = planted_corpus[0], 5
     else:
-        corpus, seed = generate(_detection_config(0.0, 4))[0], 4
+        corpus, seed = generate(_detection_config(0.0, 4).synth)[0], 4
     result = run_detection(corpus, vocab_max_size=400, seed=seed)
     assert result.influence.links
     assert detection_digest(result, 400) == DETECTION_DIGESTS[kind]
@@ -378,20 +368,48 @@ def test_cli_cut_vocabulary_digest(tmp_path):
     assert digests == CLI_CUT_VOCAB_DIGESTS
 
 
-def test_cli_links_carry_the_detection_similarity(tmp_path):
-    """links.tsv and influence.tsv hold run_detection's links and their
-    similarities bit for bit (NaN included), and without the similarity
-    column they keep the bytes they had before they stored it."""
+def _cli_detection(tmp_path, config_text):
+    """The out-dir of the CLI's detection stages under ``config_text`` at
+    seed 17, and ``run_detection`` on the corpus that ``ingest`` read there,
+    under the config that the stages loaded."""
     config = tmp_path / "pipeline.cfg"
-    config.write_text(PIPELINE_CONFIG)
+    config.write_text(config_text)
     out = tmp_path / "out"
-    for stage in ("synth", "ingest", "links", "influence"):
+    for stage in ("synth", "ingest", "links", "causality", "influence"):
         assert main([stage, "--config", str(config), "--out-dir", str(out), "--seed", "17"]) == 0
     with open(out / "posts.tsv", encoding="utf-8") as fh:
         posts = parse_content_file(fh)[0]
     with open(out / "access.log", encoding="utf-8") as fh:
         accesses = parse_access_log(fh)[0]
-    result = run_detection(Corpus(posts, accesses), vocab_max_size=160, seed=17)
+    cfg = load_config(str(config), {"seed": 17})
+    return out, run_detection(Corpus(posts, accesses), cfg)
+
+
+def _assert_cli_writes_detection(out, result, scratch):
+    """links.tsv, both z-reports and influence.tsv hold ``result``'s links
+    and reports: written to ``scratch`` under the header the CLI wrote,
+    they are the CLI's bytes."""
+    writes = {
+        "links.tsv": lambda path, header: write_links_tsv(result.implicit.links, path, header),
+        "influence.tsv": lambda path, header: write_links_tsv(result.influence.links, path, header),
+        "zreport_forward.tsv": lambda path, header: causality.write_zreport_tsv(
+            result.forward_report, path, header),
+        "zreport_reversed.tsv": lambda path, header: causality.write_zreport_tsv(
+            result.reversed_report, path, header),
+    }
+    scratch.mkdir()
+    for name, write in writes.items():
+        written = (out / name).read_bytes()
+        write(scratch / name, written.split(b"\n", 1)[0].decode())
+        assert (scratch / name).read_bytes() == written, name
+
+
+def test_cli_links_carry_the_detection_similarity(tmp_path):
+    """links.tsv and influence.tsv hold run_detection's links and their
+    similarities bit for bit (NaN included), and without the similarity
+    column they keep the bytes they had before they stored it; the CLI's
+    z-reports are run_detection's."""
+    out, result = _cli_detection(tmp_path, PIPELINE_CONFIG)
     for name, net in (("links.tsv", result.implicit), ("influence.tsv", result.influence)):
         text = (out / name).read_text(encoding="utf-8")
         links = read_links_tsv(out / name, net.window_hours).links
@@ -399,6 +417,26 @@ def test_cli_links_carry_the_detection_similarity(tmp_path):
         assert links.similarity.tobytes() == net.links.similarity.tobytes()
         rows = "".join(line.rsplit("\t", 1)[0] + "\n" for line in text.splitlines())
         assert hashlib.sha256(rows.encode()).hexdigest() == CLI_LINK_ROW_DIGESTS[name]
+    _assert_cli_writes_detection(out, result, tmp_path / "run_detection")
+
+
+def test_cli_detection_is_run_detection_off_the_defaults(tmp_path):
+    """At a window, tau, vocabulary, token floor and bucket floor other than
+    the defaults, each of which changes the outputs, run_detection under a
+    config file's settings writes what the CLI's detection stages write
+    under that file."""
+    changed = ("window_hours = 9\ntau_hours = 3\nvocab_max_size = 100\nmin_tokens = 36\n"
+               "min_bucket_n = 240\n")
+    text = PIPELINE_CONFIG.replace("window_hours = 12\ntau_hours = 2\nvocab_max_size = 160\n",
+                                   changed)
+    assert changed in text
+    out, result = _cli_detection(tmp_path, text)
+    assert (result.implicit.window_hours, result.influence.window_hours) == (9, 3)
+    assert len(result.forward_report.buckets) == 9
+    assert 0 < np.isnan(result.implicit.links.similarity).sum() < len(result.implicit.links)
+    for report in (result.forward_report, result.reversed_report):
+        assert 0 < len(report.available()) < len(report.buckets)
+    _assert_cli_writes_detection(out, result, tmp_path / "run_detection")
 
 
 def _log_line(ip, request, referrer="-", stamp="31/Aug/2008:15:51:14 +0000"):

@@ -26,7 +26,7 @@ class TestBuildLinks:
         activity = _two_blogger_activity(
             [make_access("ha", BASE_TS + 50 * 3600 - 5400, "/ub/p0")]
         )
-        net = build_implicit_links(activity)
+        net = build_implicit_links(activity, 12)
         [link] = net.links
         assert (link.q, link.p) == ("/ua/p0", "/ub/p0")
         assert (link.reader, link.author) == ("ua", "ub")
@@ -49,7 +49,7 @@ class TestBuildLinks:
         activity = _two_blogger_activity(
             [make_access("ha", BASE_TS + 50 * 3600 - 3600, "/ua/p0")]
         )
-        assert len(build_implicit_links(activity).links) == 0
+        assert len(build_implicit_links(activity, 12).links) == 0
 
     def test_duplicate_clicks_keep_min_gap(self):
         activity = _two_blogger_activity(
@@ -58,7 +58,7 @@ class TestBuildLinks:
                 make_access("ha", BASE_TS + 50 * 3600 - 1800, "/ub/p0"),
             ]
         )
-        [link] = build_implicit_links(activity).links
+        [link] = build_implicit_links(activity, 12).links
         assert link.gap_seconds == 1800
 
 
