@@ -75,7 +75,7 @@ class TrainTestSplit:
 def split_train_test(
     influence_net: ImplicitNetwork,
     terms: PostTerms,
-    seed: int | Sequence[int] = 0,
+    seed: int | Sequence[int],
 ) -> TrainTestSplit:
     """Hold out one random out-edge per blogger with out-degree >= 2.
 

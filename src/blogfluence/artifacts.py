@@ -366,8 +366,10 @@ def cell_array(path: str | Path, sections: dict, name: str, *axes) -> tuple[np.n
 
     Each axis is given as a size, a label list, or None: from the rows, its
     labels in first-seen order or one past its largest index.  An unknown
-    label, an index outside its axis, and a cell missing or listed twice
-    raise ``FormatError`` naming the file, the section and the shape."""
+    label, an index outside its axis, a row count other than the shape's
+    cell count, and a cell missing or listed twice raise ``FormatError``
+    naming the file, the section and the shape; a value that is not finite
+    raises it naming the cell."""
     *keys, values = sections[name]
     keys = [key if isinstance(key, np.ndarray) else _own_names(key) for key in keys]
     labels = [None if isinstance(key, np.ndarray) else key.names if axis is None else list(axis)
@@ -379,7 +381,7 @@ def cell_array(path: str | Path, sections: dict, name: str, *axes) -> tuple[np.n
         return FormatError(f"{path}: [{name}] needs each of its {' x '.join(map(str, shape))} "
                            f"cells exactly once; {problem}")
 
-    cell = np.zeros(len(values), np.int64)
+    where = []  # each row's position on each axis
     for axis, (key, names, size) in enumerate(zip(keys, labels, shape)):
         if names is None:
             at = key
@@ -392,9 +394,17 @@ def cell_array(path: str | Path, sections: dict, name: str, *axes) -> tuple[np.n
                 if label not in index:
                     raise refuse(f"axis {axis} label {label!r} is not among its {size}")
             at = np.array([index[label] for label in key.names], np.int64)[key.codes]
-        cell = cell * size + at
-    if not np.array_equal(np.sort(cell), np.arange(math.prod(shape))):
-        raise refuse(f"it lists {np.unique(cell).size} of them in {cell.size} rows")
-    out = np.zeros(math.prod(shape))
+        where.append(at)
+    # The row count bounds the shape before anything of its size is built.
+    cell = np.ravel_multi_index(where, shape) if len(values) == math.prod(shape) else None
+    if cell is None or not np.array_equal(np.sort(cell), np.arange(cell.size)):
+        listed = np.unique(np.stack(where), axis=1).shape[1]
+        raise refuse(f"it lists {listed} of them in {len(values)} rows")
+    if not np.isfinite(values).all():
+        row = int(np.flatnonzero(~np.isfinite(values))[0])
+        at = [int(w[row]) if names is None else names[w[row]] for w, names in zip(where, labels)]
+        raise FormatError(f"{path}: [{name}] cell ({', '.join(map(str, at))}) holds "
+                          f"{values[row]}, not a finite number")
+    out = np.zeros(cell.size)
     out[cell] = values
     return out.reshape(shape), labels

@@ -23,9 +23,10 @@ is.  Each model stage hands its inputs and the config to its function in
 ``pipeline``, which ``recommendation_recall`` chains in memory in the same
 order.
 Configuration comes from flat ``key = value`` files ("synth." keys reach
-the generator); command-line flags override file values.  Re-running a
-subcommand with unchanged inputs and seed reproduces its outputs byte
-for byte.
+the generator); command-line flags override file values, and only the
+final values are checked, so a file value that a flag corrects still
+runs.  Re-running a subcommand with unchanged inputs and seed reproduces
+its outputs byte for byte.
 
 Exit codes: 0 ok, 1 config or input error, 2 missing upstream artifact,
 3 numeric failure.  Every refusal is a ``ValueError``, which ``main`` alone
@@ -72,10 +73,10 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
     # The field of each key that a file may set; "synth." keys name generator fields.
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig) if f.name != "synth"}
     fields |= {f"synth.{f.name}": f for f in dataclasses.fields(synth.SynthConfig)}
+    values: dict[str, object] = {}
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
-        values: dict[str, object] = {}
         for lineno, raw in enumerate(artifacts.read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -91,14 +92,9 @@ def load_config(path: str | None, overrides: dict[str, object]) -> PipelineConfi
                 values[key] = _parser(fields[key])(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        synth_values = {key[6:]: values.pop(key) for key in list(values)
-                        if key.startswith("synth.")}
-        cfg = replace(cfg, **values, synth=replace(cfg.synth, **synth_values))
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    synth_values = {key[6:]: values.pop(key) for key in list(values) if key.startswith("synth.")}
+    flags = {key: value for key, value in overrides.items() if value is not None}
+    return replace(cfg, **{**values, **flags}, synth=replace(cfg.synth, **synth_values))
 
 
 def _parser(f: dataclasses.Field) -> Callable[[str], object]:

@@ -20,7 +20,7 @@ content weights only accept improving moves).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from blogfluence import artifacts
 from blogfluence.corpus import FormatError, distinct
 from blogfluence.implicit import Links
 from blogfluence.textvec import PostTerms, shared_terms
-from blogfluence.topics import DEFAULT_TOL, TopicModel, scatter_rows
+from blogfluence.topics import TopicModel, scatter_rows
 
 
 # --------------------------------------------------------------------------
@@ -180,9 +180,9 @@ def fit_iolap(
     n_influencer_groups: int,
     topic_model: TopicModel,
     *,
-    max_iter: int = 200,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    max_iter: int,
+    tol: float,
+    seed: int | Sequence[int],
     init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> IolapModel:
     """EM for P(i,j,k) = sum_{abc} core_abc X_ia Y_jb Z_kc on sparse counts.
@@ -511,9 +511,9 @@ def fit_pcl(
     graph: BloggerGraph,
     n_communities: int,
     *,
-    max_iter: int = 200,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    max_iter: int,
+    tol: float,
+    seed: int | Sequence[int],
 ) -> PclModel:
     """Fit the content-free conditional link model by EM.
 
@@ -558,9 +558,9 @@ def fit_pcldc(
     n_communities: int,
     terms: list[str],
     *,
-    max_iter: int = 100,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    max_iter: int,
+    tol: float,
+    seed: int | Sequence[int],
 ) -> PcldcModel:
     """Fit the content-tied conditional link model; ``terms`` names the
     content columns.

@@ -1,8 +1,9 @@
 """In-memory composition of the pipeline, shared by the CLI, the
 experiment scripts and the test suite so every entry point agrees on it.
 
-``PipelineConfig`` holds a run's settings, and it is the one place where a
-detection setting has a default.  Detection cleans the corpus's accesses
+``PipelineConfig`` holds a run's settings, the fits' included; it is the
+one place where any setting has a default, and it checks itself wherever
+it is built, ``replace`` too.  Detection cleans the corpus's accesses
 into one ``Activity`` table and counts the posts' terms (``build_vectors``,
 capped to the vocabulary once); ``score_links`` builds the implicit
 ``Links`` table and fills its similarity column, and ``z_tests`` runs the
@@ -65,12 +66,12 @@ class PipelineConfig:
     iolap_max_iter: int = 200
     pcldc_max_iter: int = 60
     pcl_max_iter: int = 200
-    tol: float = topics.DEFAULT_TOL
+    tol: float = 1e-7
     top_n: int = 10
     seed: int = 0
     synth: synth.SynthConfig = field(default_factory=synth.SynthConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.window_hours < 1 or self.tau_hours < 1:
             raise ConfigError("window_hours and tau_hours must be >= 1")
         if self.tau_hours > self.window_hours:

@@ -7,7 +7,7 @@ per-topic results stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from blogfluence import artifacts
 from blogfluence.corpus import lexorder
 from blogfluence.textvec import PostTerms
 
-DEFAULT_TOL = 1e-7
 # Nonzeros per block of the E-step: (K, PLSA_BLOCK) temporaries instead of (K, nnz).
 PLSA_BLOCK = 32_768
 
@@ -119,9 +118,10 @@ def fit_plsa(
     doc_term: DocTermMatrix,
     n_topics: int,
     terms: list[str],
-    max_iter: int = 200,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    *,
+    max_iter: int,
+    tol: float,
+    seed: int | Sequence[int],
 ) -> TopicModel:
     """EM for the aspect model: P(w|d) = sum_t P(t|d) P(w|t), over the
     ``terms`` that name the document-term columns.
@@ -209,17 +209,6 @@ def fit_plsa(
         terms=list(terms),
         doc_ids=list(doc_term.doc_ids),
     )
-
-
-def top_keywords(model: TopicModel, topic: int, n: int) -> list[str]:
-    """The ``n`` highest-probability terms of a topic; ties lexicographic."""
-    if not 0 <= topic < model.n_topics:
-        raise IndexError(f"topic {topic} out of range 0..{model.n_topics - 1}")
-    if n <= 0:
-        return []
-    probs = model.p_w_given_t[topic]
-    order = sorted(range(len(model.terms)), key=lambda w: (-probs[w], model.terms[w]))
-    return [model.terms[w] for w in order[:n]]
 
 
 def write_topic_model(model: TopicModel, path: str, header: str | None = None) -> None:

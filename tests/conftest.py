@@ -38,12 +38,15 @@ from blogfluence.synth import (
 from blogfluence import artifacts, causality
 from blogfluence.factor import _content_gradient, _link_state, _softmax_rows
 from blogfluence.implicit import Links
+from blogfluence.pipeline import PipelineConfig
 from blogfluence.textvec import PostTerms, tokenize
 from blogfluence.topics import TopicModel, build_doc_term
 
 # 2008-09-01T00:00:00Z, a Monday.
 BASE_TS = 1220227200
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# The fits' convergence tolerance, as every pipeline run passes it.
+TOL = PipelineConfig().tol
 
 
 def load_script(name):

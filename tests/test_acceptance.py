@@ -31,7 +31,7 @@ from blogfluence.synth import generate
 from blogfluence.topics import fit_plsa
 
 from conftest import (
-    CoinSeries, TermVector, doc_term, load_script, pcldc_content_gradient, pcldc_objective,
+    TOL, CoinSeries, TermVector, doc_term, load_script, pcldc_content_gradient, pcldc_objective,
     random_topics, z_test,
 )
 
@@ -196,16 +196,16 @@ def test_c05_em_monotonicity(recommendation_runs):
     checked = 0
     for seed in range(3):
         plsa = fit_plsa(_tiny_doc_term(seed), 2, [f"w{i}" for i in range(8)], max_iter=80,
-                        seed=seed)
+                        seed=seed, tol=TOL)
         assert _monotone(plsa.loglik_trace)
         iolap = fit_iolap(_random_tensor(seed + 1), 2, 2, random_topics(seed + 1, 5, 2),
-                          max_iter=80, seed=seed)
+                          max_iter=80, seed=seed, tol=TOL)
         assert _monotone(iolap.loglik_trace)
         graph, content = _planted_graph(seed, n_per=4)
-        pcl = fit_pcl(graph, 2, max_iter=60, seed=seed)
+        pcl = fit_pcl(graph, 2, max_iter=60, seed=seed, tol=TOL)
         assert _monotone(pcl.objective_trace)
         pcldc = fit_pcldc(graph, content, 2, [f"w{i}" for i in range(6)], max_iter=30,
-                          seed=seed)
+                          seed=seed, tol=TOL)
         assert _monotone(pcldc.objective_trace)
         checked += 4
     for run in recommendation_runs:
@@ -217,7 +217,7 @@ def test_c05_em_monotonicity(recommendation_runs):
 
 def test_c06_rank_one_closed_forms():
     tensor, topics = _random_tensor(3), random_topics(3, 5, 1)
-    model = fit_iolap(tensor, 1, 1, topics, max_iter=5, seed=0)
+    model = fit_iolap(tensor, 1, 1, topics, max_iter=5, seed=0, tol=TOL)
     total = tensor.counts.sum()
     for factors, idx in ((model.influenced_factors, tensor.influenced),
                          (model.influencer_factors, tensor.influencer)):
@@ -226,7 +226,7 @@ def test_c06_rank_one_closed_forms():
     assert np.array_equal(model.topic_factors, topic_factors_from_model(topics))
 
     vecs = {"d1": TermVector({0: 2, 1: 1}, 3), "d2": TermVector({1: 3, 2: 1}, 4)}
-    plsa = fit_plsa(doc_term(vecs, 3), 1, ["w0", "w1", "w2"], max_iter=10, seed=0)
+    plsa = fit_plsa(doc_term(vecs, 3), 1, ["w0", "w1", "w2"], max_iter=10, seed=0, tol=TOL)
     expected = np.array([2.0, 4.0, 1.0]) / 7.0
     assert np.abs(plsa.p_w_given_t[0] - expected).max() <= 1e-10
     _ok(6, "rank-1 closed forms reproduce mode marginals and term frequencies")

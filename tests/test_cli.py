@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import re
 import shutil
+import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from blogfluence import artifacts, cli, factor, synth, textvec
 from blogfluence.cli import main
 from blogfluence.corpus import parse_content_file
 from blogfluence.implicit import read_activity, read_links_tsv
+from blogfluence.pipeline import run_detection
 
 from conftest import row_line
 
@@ -171,6 +174,37 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("tau_hours = 20\nwindow_hours = 12\n")
         assert main(["synth", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
+
+    def test_file_value_that_a_flag_corrects_is_0(self, tmp_path, config_file, capsys):
+        """Only the final values are checked: a file's tau_hours above its
+        window_hours is refused, and runs once --window-hours widens the window."""
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(Path(config_file).read_text() + "tau_hours = 20\n")
+        argv = ["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: tau_hours cannot exceed window_hours\n"
+        assert main([*argv, "--window-hours", "24"]) == 0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tau_hours", 24, "tau_hours cannot exceed window_hours"),
+        ("vocab_max_size", 0, "vocab_max_size, top_n, n_topics must be >= 1"),
+    ])
+    def test_library_caller_is_refused_as_the_cli_is(self, tmp_path, config_file, capsys, key,
+                                                     value, message):
+        """A config checks itself wherever it is built, so ``run_detection``
+        refuses what the CLI refuses, with the CLI's message."""
+        refused = f"^{re.escape(message)}$"
+        with pytest.raises(cli.ConfigError, match=refused):
+            cli.PipelineConfig(**{key: value})
+        cfg = cli.load_config(config_file, {})
+        corpus, _ = synth.generate(dataclasses.replace(cfg.synth, seed=cfg.seed))
+        with pytest.raises(cli.ConfigError, match=refused):
+            run_detection(corpus, cfg, **{key: value})
+        capsys.readouterr()
+        assert main(["synth", "--config", config_file, "--out-dir", str(tmp_path),
+                     f"--{key.replace('_', '-')}", str(value)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("setting, message", [
         ("synth.n_bloggers = 0", "n_bloggers must be >= 2"),
@@ -750,6 +784,46 @@ class TestRefusalContract:
                             "pcl_model.tsv", text, capsys) == (
             1, f"error: {tmp_path}/out/pcl_model.tsv: unknown member '{source}'\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e309"])
+    @pytest.mark.parametrize("name, section, stage", [
+        ("plsa_model.tsv", "p_w_given_t", "iolap"), ("iolap_model.tsv", "core", "eval"),
+        ("pcldc_model.tsv", "content_weights", "idr"), ("pcl_model.tsv", "memberships", "eval"),
+    ])
+    def test_model_cell_that_is_not_finite_is_1(self, pipeline_dir, config_file, tmp_path,
+                                                capsys, name, section, stage, token):
+        """A model value that is not finite is refused naming the file and the
+        cell, before any arithmetic over it warns."""
+        lines = (pipeline_dir / name).read_text("utf-8").split("\n")
+        at = lines.index(f"[{section}]") + 1
+        lines[at] = "\t".join([*lines[at].split("\t")[:-1], token])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_damaged(pipeline_dir, config_file, tmp_path / "out", stage, name,
+                                     "\n".join(lines), capsys)
+        assert code == 1, err
+        assert err.startswith(f"error: {tmp_path / 'out' / name}: [{section}] cell (")
+        assert err.endswith(", not a finite number\n") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+
+    def test_inferred_axis_is_bounded_by_the_row_count(self, pipeline_dir, tmp_path):
+        """A [memberships] community index of 10**5 is refused before an array
+        of the shape it implies (60 x 100001 cells, 48 MB) is built."""
+        path = tmp_path / "pcl_model.tsv"
+        lines = (pipeline_dir / "pcl_model.tsv").read_text("utf-8").split("\n")
+        at = lines.index("[memberships]") + 1
+        member, _, value = lines[at].split("\t")
+        lines[at] = "\t".join([member, str(10**5), value])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(artifacts.FormatError, match=re.escape(
+                    f"{path}: [memberships] needs each of its 60 x 100001 cells exactly once")):
+                factor.read_pcl_model(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestProvenance:
     """Every stage compares the first line of each input with the line its
@@ -963,11 +1037,11 @@ def test_parser_is_built_once_and_calls_do_not_share_values(tmp_path, monkeypatc
 
 
 def test_pipeline_config_alone_holds_detection_defaults():
-    """No function of the package defaults a detection setting, so each is
-    set in ``PipelineConfig`` and passed on; and ``pipeline`` alone names
-    the stage seeds."""
-    settings = {"window_hours", "tau_hours", "min_tokens", "min_bucket_n", "tz_offset_hours",
-                "vocab_max_size"}
+    """No function of the package defaults a setting (a field of
+    ``PipelineConfig``, or a fit's ``max_iter``), so each is set in
+    ``PipelineConfig`` and passed on; and ``pipeline`` alone names the stage
+    seeds."""
+    settings = {f.name for f in dataclasses.fields(cli.PipelineConfig)} | {"max_iter"}
     defaulted, seeded = [], []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -981,3 +1055,31 @@ def test_pipeline_config_alone_holds_detection_defaults():
                 defaulted += [(path.name, a.arg) for a in named if a.arg in settings]
     assert defaulted == []
     assert seeded == ["pipeline.py"]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    """Each public top-level name of the package is used, outside its own
+    definition, somewhere in ``src/``, ``scripts/`` or ``bench/``: code that
+    only tests use belongs in ``tests/``."""
+    root = Path(cli.__file__).parents[2]
+    texts = {path: path.read_text(encoding="utf-8") for tree in ("src", "scripts", "bench")
+             for path in sorted((root / tree).rglob("*.py"))}
+    unused = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        lines = texts[path].split("\n")
+        for node in ast.parse(texts[path]).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            # the file less the lines of this definition
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            for name in names:
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                if not name.startswith("_") and not word.search(rest) and not any(
+                        word.search(text) for other, text in texts.items() if other != path):
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []

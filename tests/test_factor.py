@@ -24,9 +24,10 @@ from blogfluence.factor import (
     write_pcl_model,
     write_pcldc_model,
 )
-from blogfluence.topics import DEFAULT_TOL, fit_plsa, scatter_rows
+from blogfluence.topics import fit_plsa, scatter_rows
 
 from conftest import (
+    TOL,
     TermVector,
     conditional_link_objective,
     doc_term,
@@ -187,7 +188,7 @@ class TestIolapEStepMatchesDenseReference:
 
     def _fit_one_step(self, layout):
         tensor, dense, init, tm = self._case(layout)
-        model = fit_iolap(tensor, 2, 3, tm, max_iter=1, init=init)
+        model = fit_iolap(tensor, 2, 3, tm, max_iter=1, init=init, tol=TOL, seed=0)
         z = topic_factors_from_model(tm)
         assert np.array_equal(model.topic_factors, z)
         loglik0, core, x, y = _dense_em_step(dense, *init, z)
@@ -217,7 +218,7 @@ class TestFitIolap:
 
     def test_rank_one_closed_form(self):
         tensor, tm = _random_tensor(3), random_topics(3, 5, 1)
-        model = fit_iolap(tensor, 1, 1, tm, max_iter=5, seed=0)
+        model = fit_iolap(tensor, 1, 1, tm, max_iter=5, seed=0, tol=TOL)
         total = tensor.total()
         for factors, idx in ((model.influenced_factors, tensor.influenced),
                              (model.influencer_factors, tensor.influencer)):
@@ -235,19 +236,22 @@ class TestFitIolap:
         assert model.loglik_trace[-1] == pytest.approx(closed_form, rel=1e-12)
 
     def test_monotone_trace(self):
-        model = fit_iolap(_random_tensor(5), 2, 2, random_topics(5, 5, 2), max_iter=60, seed=1)
+        model = fit_iolap(_random_tensor(5), 2, 2, random_topics(5, 5, 2), max_iter=60, seed=1,
+                          tol=TOL)
         assert _monotone(model.loglik_trace)
 
     def test_fixed_topics_untouched(self):
         docs = {f"d{i}": TermVector({i % 5: 3, (i + 1) % 5: 1}, 4) for i in range(6)}
-        tm = fit_plsa(doc_term(docs, 5), 2, [f"w{i}" for i in range(5)], max_iter=30, seed=0)
+        tm = fit_plsa(doc_term(docs, 5), 2, [f"w{i}" for i in range(5)], max_iter=30, seed=0,
+                      tol=TOL)
         tensor = _random_tensor(7)
         expected = topic_factors_from_model(tm)
-        model = fit_iolap(tensor, 2, 2, tm, max_iter=40, seed=2)
+        model = fit_iolap(tensor, 2, 2, tm, max_iter=40, seed=2, tol=TOL)
         assert np.array_equal(model.topic_factors, expected)
 
     def test_stochastic_constraints_hold(self):
-        model = fit_iolap(_random_tensor(9), 2, 3, random_topics(9, 5, 2), max_iter=40, seed=3)
+        model = fit_iolap(_random_tensor(9), 2, 3, random_topics(9, 5, 2), max_iter=40, seed=3,
+                          tol=TOL)
         assert model.core.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(model.influenced_factors.sum(axis=0), 1.0, atol=1e-8)
         assert np.allclose(model.influencer_factors.sum(axis=0), 1.0, atol=1e-8)
@@ -263,12 +267,12 @@ class TestFitIolap:
             counts=np.array([]),
         )
         with pytest.raises(ValueError):
-            fit_iolap(empty, 1, 1, random_topics(0, 1, 1), seed=0)
+            fit_iolap(empty, 1, 1, random_topics(0, 1, 1), seed=0, max_iter=200, tol=TOL)
 
     def test_same_seed_bitwise(self):
         t, tm = _random_tensor(11), random_topics(11, 5, 2)
-        a = fit_iolap(t, 2, 2, tm, max_iter=30, seed=5)
-        b = fit_iolap(t, 2, 2, tm, max_iter=30, seed=5)
+        a = fit_iolap(t, 2, 2, tm, max_iter=30, seed=5, tol=TOL)
+        b = fit_iolap(t, 2, 2, tm, max_iter=30, seed=5, tol=TOL)
         assert np.array_equal(a.core, b.core)
         assert a.loglik_trace == b.loglik_trace
 
@@ -280,7 +284,7 @@ class TestFitIolap:
         y0 = rng.dirichlet(np.ones(5), size=2).T
         tm = topic_model_of(rng.dirichlet(np.ones(4), size=2).T)
         perm = np.array([3, 0, 4, 1, 2])
-        base = fit_iolap(tensor, 2, 2, tm, max_iter=25, init=(core0, x0, y0))
+        base = fit_iolap(tensor, 2, 2, tm, max_iter=25, init=(core0, x0, y0), tol=TOL, seed=0)
         permuted_tensor = InfluenceTensor(
             bloggers=[tensor.bloggers[i] for i in np.argsort(perm)],
             n_terms=4,
@@ -291,7 +295,7 @@ class TestFitIolap:
         )
         unperm = np.argsort(perm)
         permuted = fit_iolap(permuted_tensor, 2, 2, tm, max_iter=25,
-                             init=(core0, x0[unperm], y0[unperm]))
+                             init=(core0, x0[unperm], y0[unperm]), tol=TOL, seed=0)
         assert np.allclose(permuted.influenced_factors[perm], base.influenced_factors)
         assert np.allclose(permuted.influencer_factors[perm], base.influencer_factors)
         assert np.allclose(permuted.core, base.core)
@@ -300,14 +304,15 @@ class TestFitIolap:
 class TestTopicInfluencers:
     def test_single_group_ranking_follows_factor(self):
         tensor = _random_tensor(15)
-        model = fit_iolap(tensor, 2, 1, random_topics(15, 5, 2), max_iter=30, seed=1)
+        model = fit_iolap(tensor, 2, 1, random_topics(15, 5, 2), max_iter=30, seed=1, tol=TOL)
         ranked = iolap_topic_influencers(model, 0)
         col = model.influencer_factors[:, 0]
         expected = [model.bloggers[i] for i in sorted(range(4), key=lambda b: (-col[b], b))]
         assert [b for b, _ in ranked] == expected
 
     def test_scores_sum_to_one(self):
-        model = fit_iolap(_random_tensor(17), 2, 2, random_topics(17, 5, 3), max_iter=30, seed=2)
+        model = fit_iolap(_random_tensor(17), 2, 2, random_topics(17, 5, 3), max_iter=30, seed=2,
+                          tol=TOL)
         for t in range(3):
             scores = [s for _, s in iolap_topic_influencers(model, t)]
             assert sum(scores) == pytest.approx(1.0, abs=1e-8)
@@ -334,7 +339,7 @@ class TestTopicInfluencers:
         )
         # topic 0 holds terms 0-2, topic 1 terms 3-4
         topics = np.array([[0.4, 0.4, 0.2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5]]).T
-        model = fit_iolap(tensor, 2, 2, topic_model_of(topics), max_iter=200, seed=4)
+        model = fit_iolap(tensor, 2, 2, topic_model_of(topics), max_iter=200, seed=4, tol=TOL)
         ranked = iolap_topic_influencers(model, 1)
         assert ranked[0][0] == "u3"
 
@@ -369,7 +374,7 @@ class TestPcldc:
     def test_degenerate_two_node_objective_zero(self):
         graph = BloggerGraph.from_edge_weights({("a", "b"): 5.0})
         content = np.ones((2, 3)) / 3.0
-        model = fit_pcldc(graph, content, 1, _names(content), max_iter=5, seed=0)
+        model = fit_pcldc(graph, content, 1, _names(content), max_iter=5, seed=0, tol=TOL)
         assert model.objective_trace[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -396,14 +401,14 @@ class TestPcldc:
 
     def test_monotone_objective(self):
         graph, content = _planted_graph(4)
-        model = fit_pcldc(graph, content, 2, _names(content), max_iter=25, seed=3)
+        model = fit_pcldc(graph, content, 2, _names(content), max_iter=25, seed=3, tol=TOL)
         assert _monotone(model.objective_trace)
 
     def test_planted_communities_recovered(self):
         pure = 0.0
         for seed in range(5):
             graph, content = _planted_graph(seed + 20)
-            model = fit_pcldc(graph, content, 2, _names(content), max_iter=40, seed=seed)
+            model = fit_pcldc(graph, content, 2, _names(content), max_iter=40, seed=seed, tol=TOL)
             labels = model.memberships.argmax(axis=1)
             truth = np.array([0 if int(n[1:]) < 8 else 1 for n in model.nodes])
             agreement = (labels == truth).mean()
@@ -414,18 +419,18 @@ class TestPcldc:
 class TestPcl:
     def test_k1_matches_pcldc(self):
         graph, content = _planted_graph(5, n_per=3)
-        pcl = fit_pcl(graph, 1, max_iter=10, seed=0)
-        pcldc = fit_pcldc(graph, content, 1, _names(content), max_iter=10, seed=0)
+        pcl = fit_pcl(graph, 1, max_iter=10, seed=0, tol=TOL)
+        pcldc = fit_pcldc(graph, content, 1, _names(content), max_iter=10, seed=0, tol=TOL)
         assert pcl.objective_trace[-1] == pytest.approx(pcldc.objective_trace[-1], rel=1e-9)
 
     def test_monotone_objective(self):
         graph, _ = _planted_graph(6)
-        model = fit_pcl(graph, 3, max_iter=60, seed=1)
+        model = fit_pcl(graph, 3, max_iter=60, seed=1, tol=TOL)
         assert _monotone(model.objective_trace)
 
     def test_memberships_row_stochastic(self):
         graph, _ = _planted_graph(7)
-        model = fit_pcl(graph, 3, max_iter=30, seed=2)
+        model = fit_pcl(graph, 3, max_iter=30, seed=2, tol=TOL)
         assert np.allclose(model.memberships.sum(axis=1), 1.0, atol=1e-8)
         assert (model.popularity > 0).all()
 
@@ -450,8 +455,9 @@ class TestPcl:
             rows = [index[graph.nodes[a]] for a, b in test_edges if graph.nodes[a] in index]
             row_of = {n: i for i, n in enumerate(graph.nodes)}
             content_rows = content[[row_of[n] for n in train.nodes]]
-            pcldc = fit_pcldc(train, content_rows, 2, _names(content), max_iter=40, seed=seed)
-            pcl = fit_pcl(train, 2, max_iter=80, seed=seed)
+            pcldc = fit_pcldc(train, content_rows, 2, _names(content), max_iter=40, seed=seed,
+                              tol=TOL)
+            pcl = fit_pcl(train, 2, max_iter=80, seed=seed, tol=TOL)
 
             def mean_loglik(y, bpop):
                 total = 0.0
@@ -659,7 +665,7 @@ def _oracle_pcldc_gradient(graph, content, weights, bpop):
     return content.T @ g_logits
 
 
-def fit_pcl_oracle(graph, n_communities, *, max_iter=200, tol=DEFAULT_TOL, seed=0):
+def fit_pcl_oracle(graph, n_communities, *, max_iter, tol, seed):
     y = np.random.default_rng(seed).dirichlet(np.ones(n_communities), size=graph.n_nodes)
     bpop = graph.in_degree() + 1.0
     trace = [_oracle_objective(graph, y, bpop)]
@@ -680,7 +686,7 @@ def fit_pcl_oracle(graph, n_communities, *, max_iter=200, tol=DEFAULT_TOL, seed=
     return bpop, y, trace
 
 
-def fit_pcldc_oracle(graph, content, n_communities, *, max_iter=100, tol=DEFAULT_TOL, seed=0):
+def fit_pcldc_oracle(graph, content, n_communities, *, max_iter, tol, seed):
     """(popularity, content weights, memberships, objective trace, number of
     line-search trials)."""
     weights = 0.01 * np.random.default_rng(seed).standard_normal((content.shape[1], n_communities))
@@ -743,13 +749,13 @@ def test_link_fits_match_the_recomputing_oracles(n, k, seed, density):
     """fit_pcl and fit_pcldc, which keep each E-step state, give the bits of
     the fits that evaluated every state again."""
     graph, content = _random_link_graph(n, seed, density)
-    pcl = fit_pcl(graph, k, max_iter=12, seed=seed)
+    pcl = fit_pcl(graph, k, max_iter=12, seed=seed, tol=TOL)
     assert _bits(pcl.popularity, pcl.memberships, pcl.objective_trace) == _bits(
-        *fit_pcl_oracle(graph, k, max_iter=12, seed=seed))
-    pcldc = fit_pcldc(graph, content, k, _names(content), max_iter=8, seed=seed)
+        *fit_pcl_oracle(graph, k, max_iter=12, seed=seed, tol=TOL))
+    pcldc = fit_pcldc(graph, content, k, _names(content), max_iter=8, seed=seed, tol=TOL)
     assert _bits(pcldc.popularity, pcldc.content_weights, pcldc.memberships,
                  pcldc.objective_trace) == _bits(
-        *fit_pcldc_oracle(graph, content, k, max_iter=8, seed=seed)[:4])
+        *fit_pcldc_oracle(graph, content, k, max_iter=8, seed=seed, tol=TOL)[:4])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -760,11 +766,11 @@ def test_link_fits_build_each_state_once(monkeypatch, seed):
     built = []
     link_state = factor._link_state
     monkeypatch.setattr(factor, "_link_state", lambda *args: built.append(1) or link_state(*args))
-    pcl = fit_pcl(graph, 3, max_iter=15, seed=seed)
+    pcl = fit_pcl(graph, 3, max_iter=15, seed=seed, tol=TOL)
     assert len(built) == 2 * (len(pcl.objective_trace) - 1) + 1
     built.clear()
-    pcldc = fit_pcldc(graph, content, 3, _names(content), max_iter=10, seed=seed)
-    *_, trials = fit_pcldc_oracle(graph, content, 3, max_iter=10, seed=seed)
+    pcldc = fit_pcldc(graph, content, 3, _names(content), max_iter=10, seed=seed, tol=TOL)
+    *_, trials = fit_pcldc_oracle(graph, content, 3, max_iter=10, seed=seed, tol=TOL)
     n = len(pcldc.objective_trace) - 1
     assert trials > 0 and len(built) == 1 + n + trials
 
@@ -772,7 +778,7 @@ def test_link_fits_build_each_state_once(monkeypatch, seed):
 class TestModelRoundTrips:
     def test_iolap(self, tmp_path):
         topic_model = random_topics(21, 5, 2)
-        model = fit_iolap(_random_tensor(21), 2, 2, topic_model, max_iter=20, seed=0)
+        model = fit_iolap(_random_tensor(21), 2, 2, topic_model, max_iter=20, seed=0, tol=TOL)
         path = tmp_path / "m.tsv"
         write_iolap_model(model, path, "# h")
         loaded = read_iolap_model(path, topic_model)
@@ -785,14 +791,14 @@ class TestModelRoundTrips:
 
     def test_pcldc_and_pcl(self, tmp_path):
         graph, content = _planted_graph(8, n_per=3)
-        model = fit_pcldc(graph, content, 2, _names(content), max_iter=10, seed=0)
+        model = fit_pcldc(graph, content, 2, _names(content), max_iter=10, seed=0, tol=TOL)
         write_pcldc_model(model, tmp_path / "p.tsv", "# h")
         loaded = read_pcldc_model(tmp_path / "p.tsv")
         assert np.array_equal(loaded.memberships, model.memberships)
         assert np.array_equal(loaded.popularity, model.popularity)
         assert loaded.terms == model.terms
 
-        pcl = fit_pcl(graph, 2, max_iter=10, seed=0)
+        pcl = fit_pcl(graph, 2, max_iter=10, seed=0, tol=TOL)
         write_pcl_model(pcl, tmp_path / "q.tsv", "# h")
         loaded_pcl = read_pcl_model(tmp_path / "q.tsv")
         assert np.array_equal(loaded_pcl.memberships, pcl.memberships)
@@ -800,7 +806,7 @@ class TestModelRoundTrips:
 
 def test_pcldc_topic_influencers_ranking():
     graph, content = _planted_graph(9, n_per=3)
-    model = fit_pcldc(graph, content, 2, _names(content), max_iter=20, seed=1)
+    model = fit_pcldc(graph, content, 2, _names(content), max_iter=20, seed=1, tol=TOL)
     for k in range(2):
         ranked = pcldc_topic_influencers(model, k)
         scores = model.memberships[:, k] * model.popularity
